@@ -21,7 +21,6 @@ from .bounds import (
     iter_samples,
     nu_opt_lower,
     nu_opt_upper,
-    sample_random_cm,
 )
 from .errors import (
     DomainError,

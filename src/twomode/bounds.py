@@ -182,13 +182,6 @@ def iter_samples(cfg: SamplerConfig) -> Iterator[Sample]:
             )
 
 
-def sample_random_cm(cfg: SamplerConfig) -> Iterator[StandardForm]:
-    """Stream of random physical, entangled standard forms (deterministic
-    per seed)."""
-    for sample in iter_samples(cfg):
-        yield sample.standard_form
-
-
 def bound_experiment(cfg: SamplerConfig, log_base=2) -> ExperimentResult:
     """Minimize every sampled state and test both bound curves.
 

@@ -17,7 +17,10 @@ The quantity minimized is the single-mode determinant of the pure state,
 m = 1 + x1^2 / det Gamma, since every pure-state entanglement monotone is an
 increasing function of m.  ``m_theta`` evaluates the closed-form profile
 m(theta); ``gamma_from_theta`` builds the rim point itself and is the
-independent geometric cross-check for that closed form.  From the minimum,
+independent geometric cross-check for that closed form.  ``minimize_m``
+finds the minimum exactly: the stationary angles of m(theta) are the real
+roots of a quartic in tan(theta/2), so the profile has at most four extrema
+per period and is evaluated only at those angles.  From the minimum,
 nu_tilde = sqrt(m) - sqrt(m - 1) is the partially-transposed symplectic
 eigenvalue of the optimal pure state and h(nu_tilde) its entanglement of
 formation.
@@ -43,7 +46,6 @@ NEAR_SEPARABLE_TOL = 1e-8
 #: anything more negative raises.
 SQRT_CLAMP = 1e-12
 
-_INVPHI = 0.5 * (math.sqrt(5.0) - 1.0)
 _ETA = np.array([1.0, -1.0, -1.0])  # Minkowski metric signature (+, -, -)
 
 
@@ -195,12 +197,6 @@ class _ThetaProfile:
         num = (self.n0 + self.n1 * ct) ** 2
         return 1.0 + num / (self.d0 + self.dc * ct + self.ds * st)
 
-    def at(self, theta: float) -> float:
-        ct = math.cos(theta)
-        st = math.sin(theta)
-        num = (self.n0 + self.n1 * ct) ** 2
-        return 1.0 + num / (self.d0 + self.dc * ct + self.ds * st)
-
 
 def m_theta(sf: StandardForm, theta):
     """Single-mode determinant of the rim pure state at polar angle theta.
@@ -263,59 +259,48 @@ def gamma_from_theta(sf: StandardForm, theta: float) -> GammaCoordinates:
     return GammaCoordinates(float(x[0]), float(x[1]), float(x[2]))
 
 
-def _count_extrema(vals: np.ndarray) -> int:
-    """Local extrema of the sampled profile over one period.
+def _stationary_angles(profile: _ThetaProfile) -> tuple[np.ndarray, int]:
+    """Candidate angles that include every minimizer of m(theta), and the
+    number of distinct stationary angles.
 
-    Counts sign alternations of the circular finite differences, ignoring
-    steps below the floating-point noise floor; a flat profile counts as a
-    single (degenerate) extremum.
+    With N = n0 + n1 cos and D = d0 + dc cos + ds sin, m' = N F / D^2 where
+    F = A sin + B cos + C sin cos + E (1 + sin^2); the zeros of N are never
+    reached on entangled states.  Under t = tan(theta/2), F (1 + t^2)^2 is a
+    quartic in t, so there are at most four extrema per period.
+    theta = pi (t = infinity) is always a candidate and counts as stationary
+    when the t^4 coefficient F(pi) vanishes.
     """
-    diffs = np.diff(vals, append=vals[:1])
-    floor = 1e-13 * max(1.0, float(np.max(np.abs(vals))))
-    signs = np.sign(diffs)
-    signs[np.abs(diffs) <= floor] = 0.0
-    compressed = signs[signs != 0.0]
-    if compressed.size == 0:
-        return 1
-    flips = int(np.count_nonzero(compressed != np.roll(compressed, 1)))
-    return max(flips, 1)
-
-
-def _golden_refine(profile: _ThetaProfile, lo: float, hi: float, tol: float):
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    f1 = profile.at(x1)
-    f2 = profile.at(x2)
-    while hi - lo > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INVPHI * (hi - lo)
-            f1 = profile.at(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INVPHI * (hi - lo)
-            f2 = profile.at(x2)
-    mid = 0.5 * (lo + hi)
-    return mid, profile.at(mid)
+    n0, n1, d0, dc, ds = profile.n0, profile.n1, profile.d0, profile.dc, profile.ds
+    a_co = n0 * dc - 2.0 * n1 * d0
+    b_co = -n0 * ds
+    c_co = -n1 * dc
+    e_co = -n1 * ds
+    lead = e_co - b_co
+    roots = np.roots([lead, 2.0 * (a_co - c_co), 6.0 * e_co, 2.0 * (a_co + c_co), b_co + e_co])
+    # LAPACK returns real eigenvalues of the companion matrix with an exactly
+    # zero imaginary part; evaluating m at the real parts of complex roots
+    # too is harmless, since every angle bounds the minimum from above.
+    distinct = len({r.real for r in roots.tolist() if r.imag == 0.0})
+    angles = np.append(2.0 * np.arctan(roots.real), math.pi)
+    return angles, distinct + int(lead == 0.0)
 
 
 def minimize_m(
     sf: StandardForm,
     *,
-    grid_points: int = 720,
-    refine_tol: float = 1e-12,
     near_separable_tol: float = NEAR_SEPARABLE_TOL,
     symmetric_shortcut: bool = True,
     log_base=2,
 ) -> GemResult:
     """Globally minimize the single-mode determinant over the rim angle.
 
-    A uniform seed grid brackets every local minimum (the profile has at
-    most four extrema per period), each bracket is narrowed by golden-section
-    search to ``refine_tol`` in theta, and the best refined value wins.
-    Separable states short-circuit to m_opt = 1; symmetric states take the
-    closed result nu_tilde_opt = nu_tilde_minus(sigma) unless the shortcut is
-    disabled.
+    The stationary angles of the profile are the real roots of a quartic in
+    tan(theta/2) (plus theta = pi); m is evaluated at each of them and the
+    smallest value wins, so the minimum is exact up to rounding.  Separable
+    states short-circuit to m_opt = 1; pure states have a flat profile and
+    report theta = 0; symmetric states take the closed result
+    nu_tilde_opt = nu_tilde_minus(sigma) unless the shortcut is disabled.
+    ``extrema_found`` counts the distinct stationary angles.
     """
     # Polynomial-inequality check: for pure states nu_minus itself sits on a
     # vanishing discriminant and carries sqrt-amplified rounding noise.
@@ -330,40 +315,20 @@ def minimize_m(
 
     ordered = sf.sign_ordered()
     profile = _ThetaProfile(ordered)
-    step = 2.0 * math.pi / grid_points
-    thetas = np.arange(grid_points) * step
-    vals = profile(thetas)
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.count_nonzero(~np.isfinite(vals)))
-        raise MinimizationError(
-            f"angular profile produced {bad}/{grid_points} non-finite values "
-            f"for standard form {ordered}"
-        )
-
-    extrema = _count_extrema(vals)
-    spread = float(np.max(vals) - np.min(vals))
-    if spread <= 1e-13 * max(1.0, float(np.max(np.abs(vals)))):
-        # Flat profile (degenerate rim): any angle realizes the minimum.
-        m_opt = float(np.min(vals))
-        theta_opt = 0.0
+    if profile.n1 == 0.0:
+        # Degenerate rim (pure state): the profile is flat.
+        m_opt, theta_opt, extrema = float(profile(0.0)), 0.0, 1
     else:
-        is_min = (vals < np.roll(vals, 1)) & (vals <= np.roll(vals, -1))
-        seeds = np.nonzero(is_min)[0]
-        if seeds.size == 0:
+        angles, extrema = _stationary_angles(profile)
+        vals = profile(angles)
+        if not np.all(np.isfinite(vals)):
             raise MinimizationError(
-                f"no bracketable minimum on a {grid_points}-point grid "
-                f"(spread {spread:g}) for standard form {ordered}"
+                f"angular profile is not finite at its stationary angles {angles} "
+                f"for standard form {ordered}"
             )
-        m_opt = math.inf
-        theta_opt = 0.0
-        for idx in seeds:
-            center = float(thetas[idx])
-            theta, value = _golden_refine(
-                profile, center - step, center + step, refine_tol
-            )
-            if value < m_opt:
-                m_opt = value
-                theta_opt = theta % (2.0 * math.pi)
+        best = int(np.argmin(vals))
+        m_opt = float(vals[best])
+        theta_opt = float(angles[best]) % (2.0 * math.pi)
     m_opt = max(m_opt, 1.0)
     nu_opt = nu_tilde_from_m(m_opt)
     geof = h_function(nu_opt, log_base) if nu_opt < 1.0 else 0.0

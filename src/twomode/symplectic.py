@@ -275,36 +275,36 @@ def partial_transpose(cm) -> np.ndarray:
     return flip @ arr @ flip
 
 
+def _local_normalizer(block: np.ndarray) -> tuple[float, np.ndarray]:
+    """sqrt(det M) and the local symplectic S with S M S^T = sqrt(det M) I,
+    for a positive-definite 2x2 block M.
+
+    S = adj(sqrt M) / det(M)^(1/4), with the closed-form matrix square root
+    sqrt M = (M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M)).
+    """
+    (m00, m01), (_, m11) = block.tolist()
+    root_det = math.sqrt(m00 * m11 - m01 * m01)
+    scale = 1.0 / math.sqrt((m00 + m11 + 2.0 * root_det) * root_det)
+    return root_det, np.array([[m11 + root_det, -m01], [-m01, m00 + root_det]]) * scale
+
+
 def to_standard_form(cm, tol: float = DEFAULT_TOL) -> StandardForm:
     """Reduce a physical covariance matrix to its unique standard form.
 
-    a and b are the square roots of the single-mode block determinants;
-    c_plus and c_minus solve c_plus*c_minus = Det gamma together with
-    (ab - c_plus^2)(ab - c_minus^2) = Det sigma, sign-ordered so that
-    c_plus >= |c_minus| >= 0.
+    Local symplectic maps bring the diagonal blocks to a*I and b*I; the
+    remaining local rotations diagonalize the transformed correlation block
+    G = S1 gamma S2^T, so c_plus and |c_minus| are its singular values and
+    c_minus carries the sign of Det G = Det gamma (c_plus >= |c_minus| >= 0).
     """
-    inv = local_invariants(cm, tol)
-    a = math.sqrt(inv.det_alpha)
-    b = math.sqrt(inv.det_beta)
-    ab = a * b
-    p = inv.det_gamma
-    sq_sum = (inv.det_alpha * inv.det_beta + p * p - inv.det_sigma) / ab
-    disc = (sq_sum - 2.0 * p) * (sq_sum + 2.0 * p)
-    scale = max(sq_sum * sq_sum, 4.0 * p * p, 1.0)
-    if disc < -_DISC_RTOL * scale:
-        raise UnphysicalStateError(
-            "no real standard-form correlations reproduce the invariants "
-            f"(c+^2 + c-^2 = {sq_sum:g}, c+ c- = {p:g})"
-        )
-    if disc <= 1e-12 * scale:
-        # c_plus = |c_minus| exactly (pure states sit here); rounding noise
-        # under the square root would otherwise split the pair.
-        disc = 0.0
-    t_plus = 0.5 * (sq_sum + math.sqrt(disc))
-    t_minus = (p * p / t_plus) if t_plus > 0.0 else 0.0
-    c_plus = math.sqrt(max(t_plus, 0.0))
-    c_minus = math.copysign(math.sqrt(max(t_minus, 0.0)), p) if t_minus > 0.0 else 0.0
-    return StandardForm(a, b, c_plus, c_minus)
+    arr = require_physical(cm, tol)
+    a, s1 = _local_normalizer(arr[:2, :2])
+    b, s2 = _local_normalizer(arr[2:, 2:])
+    (g00, g01), (g10, g11) = (s1 @ arr[:2, 2:] @ s2.T).tolist()
+    # (P + Q) / 2 and (P - Q) / 2 are the signed singular values of G, since
+    # P^2 - Q^2 = 4 Det G
+    p = math.hypot(g00 + g11, g01 - g10)
+    q = math.hypot(g00 - g11, g01 + g10)
+    return StandardForm(a, b, 0.5 * (p + q), 0.5 * (p - q))
 
 
 def global_purity(cm, tol: float = DEFAULT_TOL) -> float:

@@ -17,7 +17,6 @@ from twomode import (
     minimize_m,
     nu_opt_lower,
     nu_opt_upper,
-    sample_random_cm,
 )
 from twomode.errors import DomainError
 
@@ -105,8 +104,8 @@ class TestSampler:
         assert first == second
 
     def test_different_seeds_differ(self):
-        a = list(sample_random_cm(SamplerConfig(seed=1, count=5)))
-        b = list(sample_random_cm(SamplerConfig(seed=2, count=5)))
+        a = [s.standard_form for s in iter_samples(SamplerConfig(seed=1, count=5))]
+        b = [s.standard_form for s in iter_samples(SamplerConfig(seed=2, count=5))]
         assert a != b
 
     def test_every_sample_is_physical_and_entangled(self):

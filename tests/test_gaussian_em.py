@@ -118,6 +118,11 @@ class TestMinimize:
         gem = minimize_m(PURE_53)
         assert gem.m_opt == pytest.approx(25 / 9, rel=1e-10)
         assert gem.nu_tilde_opt == pytest.approx(1 / 3, rel=1e-9)
+        # general path: the rim collapses to a point and the profile is flat
+        flat = minimize_m(PURE_53, symmetric_shortcut=False)
+        assert flat.m_opt == pytest.approx(25 / 9, rel=1e-10)
+        assert flat.theta_opt == 0.0
+        assert flat.extrema_found == 1
 
     def test_gmems_example(self):
         # closed form: (5.75)^2 / 30.25
@@ -157,6 +162,8 @@ class TestMinimize:
             assert shortcut.m_opt == pytest.approx(closed, rel=1e-12)
             assert general.m_opt == pytest.approx(closed, rel=1e-9)
             assert abs(general.nu_tilde_opt - nu) <= 1e-9
+            # a = b makes the t^4 coefficient vanish: theta = pi is stationary
+            assert general.extrema_found == 2
             worst = max(worst, abs(general.m_opt - closed) / closed)
         assert worst <= 1e-9
 

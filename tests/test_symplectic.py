@@ -177,10 +177,10 @@ class TestStandardForm:
         for _ in range(10):
             moved = conjugate(base, local_rotation(rng.uniform(-3, 3), rng.uniform(-3, 3)))
             sf = to_standard_form(moved)
-            assert sf.a == pytest.approx(5 / 3, rel=1e-9)
-            assert sf.b == pytest.approx(5 / 3, rel=1e-9)
-            assert sf.c_plus == pytest.approx(4 / 3, rel=1e-9)
-            assert sf.c_minus == pytest.approx(-4 / 3, rel=1e-9)
+            assert sf.a == pytest.approx(5 / 3, rel=1e-13)
+            assert sf.b == pytest.approx(5 / 3, rel=1e-13)
+            assert sf.c_plus == pytest.approx(4 / 3, rel=1e-13)
+            assert sf.c_minus == pytest.approx(-4 / 3, rel=1e-13)
 
     def test_round_trip_is_identity(self, rng):
         for _, sf in draw_entangled_states(rng, 30):
@@ -197,6 +197,28 @@ class TestStandardForm:
             ref, got = sf.invariants(), back.invariants()
             for field in ("det_alpha", "det_beta", "det_gamma", "det_sigma"):
                 assert getattr(got, field) == pytest.approx(getattr(ref, field), rel=1e-8, abs=1e-8)
+
+    def test_nearly_equal_correlations_stay_split(self):
+        # c_plus^2 - c_minus^2 ~ 4e-6: no clamp may merge the pair
+        ref = StandardForm(5 / 3 + 1e-3, 5 / 3 + 1e-3, 4 / 3, -(4 / 3) * (1.0 - 1e-6))
+        moved = conjugate(ref.to_matrix(), local_rotation(0.7, -1.9))
+        sf = to_standard_form(moved)
+        assert sf.c_plus == pytest.approx(ref.c_plus, rel=1e-12)
+        assert sf.c_minus == pytest.approx(ref.c_minus, rel=1e-12)
+
+    def test_near_degenerate_input_matches_eigenvalue_route(self):
+        # weakly entangled near-vacuum state seen through local squeezers and
+        # rotations; its c_plus^2 - c_minus^2 is only 4.6e-7
+        cm = np.array([
+            [1.18259351891301, -0.17093126268684586, 0.0009309124866336843, -0.0020405092798659406],
+            [-0.17093126268684586, 0.87062766677677, -0.00044507202079977284, -0.00132203338999007],
+            [0.0009309124866336843, -0.00044507202079977284, 0.41260966011547756, -0.3931564723061389],
+            [-0.0020405092798659406, -0.00132203338999007, -0.3931564723061389, 2.7991422957616026],
+        ])
+        got = to_standard_form(cm).spectrum()
+        ref = spectrum_via_eigenvalues(cm)
+        assert got.nu_tilde_minus == pytest.approx(ref.nu_tilde_minus, rel=1e-10)
+        assert got.nu_minus == pytest.approx(ref.nu_minus, rel=1e-10)
 
     def test_pure_state_correlation_relation(self, rng):
         for r in rng.uniform(0.05, 1.5, size=10):
