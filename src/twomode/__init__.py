@@ -83,7 +83,6 @@ from .symplectic import (
     local_purities,
     make_two_mode_squeezed,
     partial_transpose,
-    require_physical,
     spectrum_via_eigenvalues,
     symplectic_spectrum,
     to_standard_form,

@@ -9,6 +9,7 @@ shortest round-trip representation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -45,6 +46,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _above(kind, floor):
+    """argparse type converting with ``kind`` and requiring a value > ``floor``."""
+    def parse(text):
+        value = kind(text)
+        if not value > floor:
+            raise argparse.ArgumentTypeError(f"must exceed {floor}, got {text}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
@@ -76,7 +88,11 @@ def _default_seed() -> int:
 
 
 def _read_state_json(source: str):
-    text = sys.stdin.read() if source == "-" else open(source).read()
+    if source == "-":
+        text = sys.stdin.read()
+    else:
+        with open(source) as fh:
+            text = fh.read()
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -189,9 +205,14 @@ _SCAN_HEADER = ["s", "d", "g", "m_gmems", "m_glems",
 
 
 def _cmd_scan(args) -> int:
-    cells, boundary = extremal.scan_ordering_slice(
-        args.fixed_a, tuple(args.b_range), tuple(args.g_range), args.resolution
-    )
+    if args.command == "scan":
+        cells, boundary = extremal.scan_ordering_slice(
+            args.fixed_a, tuple(args.b_range), tuple(args.g_range), args.resolution
+        )
+    else:
+        cells, boundary = extremal.scan_ordering_3d(
+            tuple(args.s_range), tuple(args.d_range), tuple(args.g_range), args.resolution
+        )
     _write_csv(args.grid, _SCAN_HEADER, _scan_rows(cells))
     _write_csv(args.boundary, ["s", "d", "g_boundary"],
                ((p.s, p.d, p.g) for p in boundary))
@@ -203,19 +224,6 @@ def _cmd_scan(args) -> int:
     sys.stdout.write("\n")
     if not any(c.regime is not extremal.Regime.UNPHYSICAL for c in cells):
         sys.stderr.write("warning: scan window contains no physical cells\n")
-    return EXIT_OK
-
-
-def _cmd_scan3d(args) -> int:
-    cells, boundary = extremal.scan_ordering_3d(
-        tuple(args.s_range), tuple(args.d_range), tuple(args.g_range), args.resolution
-    )
-    _write_csv(args.grid, _SCAN_HEADER, _scan_rows(cells))
-    _write_csv(args.boundary, ["s", "d", "g_boundary"],
-               ((p.s, p.d, p.g) for p in boundary))
-    json.dump({"cells": len(cells), "boundary_points": len(boundary)},
-              sys.stdout, indent=2)
-    sys.stdout.write("\n")
     return EXIT_OK
 
 
@@ -254,11 +262,9 @@ def _cmd_bounds(args) -> int:
         "min_slack_42": result.min_upper_slack,
         "min_m_max_slack": result.min_m_max_slack,
     }
-    out = open(args.summary, "w") if args.summary else sys.stdout
-    json.dump(summary, out, indent=2)
-    out.write("\n")
-    if args.summary:
-        out.close()
+    with open(args.summary, "w") if args.summary else contextlib.nullcontext(sys.stdout) as out:
+        json.dump(summary, out, indent=2)
+        out.write("\n")
     if args.strict and result.violations_upper > 0:
         return EXIT_VIOLATION
     return EXIT_OK
@@ -291,7 +297,7 @@ def _build_parser() -> _Parser:
     scan.add_argument("--fixed-a", type=float, required=True)
     scan.add_argument("--b-range", type=float, nargs=2, required=True, metavar=("LO", "HI"))
     scan.add_argument("--g-range", type=float, nargs=2, required=True, metavar=("LO", "HI"))
-    scan.add_argument("--resolution", type=int, default=200)
+    scan.add_argument("--resolution", type=_above(int, 1), default=200)
     scan.add_argument("--grid", default="ordering_grid.csv", help="cell table output path")
     scan.add_argument("--boundary", default="ordering_boundary.csv",
                       help="equal-measure polyline output path")
@@ -301,15 +307,15 @@ def _build_parser() -> _Parser:
     scan3d.add_argument("--s-range", type=float, nargs=2, required=True, metavar=("LO", "HI"))
     scan3d.add_argument("--d-range", type=float, nargs=2, required=True, metavar=("LO", "HI"))
     scan3d.add_argument("--g-range", type=float, nargs=2, required=True, metavar=("LO", "HI"))
-    scan3d.add_argument("--resolution", type=int, default=48)
+    scan3d.add_argument("--resolution", type=_above(int, 1), default=48)
     scan3d.add_argument("--grid", default="ordering_grid_3d.csv")
     scan3d.add_argument("--boundary", default="ordering_boundary_3d.csv")
-    scan3d.set_defaults(func=_cmd_scan3d)
+    scan3d.set_defaults(func=_cmd_scan)
 
     bnd = sub.add_parser("bounds", help="random-state bound experiment")
-    bnd.add_argument("--samples", type=int, required=True)
+    bnd.add_argument("--samples", type=_above(int, 0), required=True)
     bnd.add_argument("--seed", type=int, default=None)
-    bnd.add_argument("--s-max", type=float, default=20.0)
+    bnd.add_argument("--s-max", type=_above(float, 1.0), default=20.0)
     bnd.add_argument("--mode", choices=["extremal_params", "raw_standard_form"],
                      default="extremal_params")
     bnd.add_argument("--strict", action="store_true",
@@ -318,7 +324,7 @@ def _build_parser() -> _Parser:
     bnd.add_argument("--curves", default="bound_curves.csv")
     bnd.add_argument("--geof-curves", default=None,
                      help="optional CSV of the bounds in (log_neg, geof) coordinates")
-    bnd.add_argument("--curve-resolution", type=int, default=512)
+    bnd.add_argument("--curve-resolution", type=_above(int, 1), default=512)
     bnd.add_argument("--summary", default=None,
                      help="write the summary JSON here instead of stdout")
     bnd.add_argument("--log-base", choices=["2", "e"], default="2")

@@ -358,6 +358,32 @@ def _boundary_in_column(s: float, d: float, g_tol: float = 1e-9) -> list[float]:
     return crossings
 
 
+def _axis(rng: tuple[float, float], resolution: int) -> list[float]:
+    if resolution < 2:
+        raise DomainError("resolution must be at least 2")
+    return [rng[0] + (rng[1] - rng[0]) * i / (resolution - 1) for i in range(resolution)]
+
+
+def _scan_columns(
+    columns: list[tuple[float, float]],
+    g_range: tuple[float, float],
+    resolution: int,
+) -> tuple[list[ScanCell], list[BoundaryPoint]]:
+    """Cells of every (s, d) column over the g axis, row-major, and the
+    bisected crossings of each column whose GMEMMS line is valid."""
+    gs = _axis(g_range, resolution)
+    cells = []
+    boundary = []
+    for s, d in columns:
+        cells.extend(_scan_cell(s, d, g) for g in gs)
+        try:
+            ExtremalParams(s, d, 2.0 * abs(d) + 1.0, 1.0).validate()
+        except DomainError:
+            continue
+        boundary.extend(BoundaryPoint(s, d, g) for g in _boundary_in_column(s, d))
+    return cells, boundary
+
+
 def scan_ordering_slice(
     fixed_a: float,
     b_range: tuple[float, float],
@@ -369,23 +395,8 @@ def scan_ordering_slice(
     Returns the row-major cell table (b slow axis, g fast axis) and the
     bisected polyline where the two closed forms agree.
     """
-    if resolution < 2:
-        raise DomainError("resolution must be at least 2")
-    bs = [b_range[0] + (b_range[1] - b_range[0]) * i / (resolution - 1) for i in range(resolution)]
-    gs = [g_range[0] + (g_range[1] - g_range[0]) * i / (resolution - 1) for i in range(resolution)]
-    cells = []
-    boundary = []
-    for b in bs:
-        s = 0.5 * (fixed_a + b)
-        d = 0.5 * (fixed_a - b)
-        for g in gs:
-            cells.append(_scan_cell(s, d, g))
-        try:
-            ExtremalParams(s, d, 2.0 * abs(d) + 1.0, 1.0).validate()
-        except DomainError:
-            continue
-        boundary.extend(BoundaryPoint(s, d, g) for g in _boundary_in_column(s, d))
-    return cells, boundary
+    columns = [(0.5 * (fixed_a + b), 0.5 * (fixed_a - b)) for b in _axis(b_range, resolution)]
+    return _scan_columns(columns, g_range, resolution)
 
 
 def scan_ordering_3d(
@@ -396,21 +407,5 @@ def scan_ordering_3d(
 ) -> tuple[list[ScanCell], list[BoundaryPoint]]:
     """Classify an (s, d, g) grid; same outputs as the fixed-a slice,
     with the boundary bisected in g for every (s, d) pair."""
-    if resolution < 2:
-        raise DomainError("resolution must be at least 2")
-
-    def _axis(rng):
-        return [rng[0] + (rng[1] - rng[0]) * i / (resolution - 1) for i in range(resolution)]
-
-    cells = []
-    boundary = []
-    for s in _axis(s_range):
-        for d in _axis(d_range):
-            for g in _axis(g_range):
-                cells.append(_scan_cell(s, d, g))
-            try:
-                ExtremalParams(s, d, 2.0 * abs(d) + 1.0, 1.0).validate()
-            except DomainError:
-                continue
-            boundary.extend(BoundaryPoint(s, d, g) for g in _boundary_in_column(s, d))
-    return cells, boundary
+    columns = [(s, d) for s in _axis(s_range, resolution) for d in _axis(d_range, resolution)]
+    return _scan_columns(columns, g_range, resolution)

@@ -104,22 +104,37 @@ class StandardForm:
         )
 
     def spectrum(self) -> SymplecticSpectrum:
-        return _spectrum_from_invariants(self.invariants())
+        inv = self.invariants()
+        return SymplecticSpectrum(
+            *_nu_pair(inv.delta, inv.det_sigma), *_nu_pair(inv.delta_tilde, inv.det_sigma)
+        )
 
     def is_symmetric(self, rtol: float = 1e-9) -> bool:
         return abs(self.a - self.b) <= rtol * max(self.a, self.b)
 
     def is_physical(self, tol: float = DEFAULT_TOL) -> bool:
-        inv = self.invariants()
-        if self.a < 1.0 - tol or self.b < 1.0 - tol:
-            return False
-        if inv.det_sigma < 1.0 - tol:
-            return False
-        if inv.delta > 1.0 + inv.det_sigma + tol:
-            return False
-        # positive semidefiniteness of the reassembled matrix
-        ab = self.a * self.b
-        return ab - self.c_plus**2 >= -tol and ab - self.c_minus**2 >= -tol
+        """True iff the form satisfies the uncertainty principle within ``tol``."""
+        return self._violation(tol) is None
+
+    def _violation(self, tol: float) -> str | None:
+        """Message template of the first violated physicality inequality, or
+        None.  Det sigma >= 1, Delta <= 1 + Det sigma and sigma >= 0 are
+        equivalent to nu_minus >= 1, which implies a, b >= 1 up to rounding.
+        """
+        # the invariants are inlined (same arithmetic as invariants()) because
+        # the raw sampler rejects most of its draws here
+        a, b, cp, cm = self.a, self.b, self.c_plus, self.c_minus
+        ab = a * b
+        det_sigma = (ab - cp * cp) * (ab - cm * cm)
+        if det_sigma < 1.0 - tol:
+            return "Det sigma = {det_sigma:.12g} < 1 violates the purity bound"
+        if a * a + b * b + 2.0 * (cp * cm) > 1.0 + det_sigma + tol:
+            return "Delta = {delta:.12g} exceeds 1 + Det sigma = {bound:.12g}"
+        if ab - cp**2 < -tol or ab - cm**2 < -tol:
+            return "covariance matrix is not positive semidefinite"
+        if a < 1.0 - tol or b < 1.0 - tol:
+            return "local determinants ({a:.12g}^2, {b:.12g}^2) fall below 1"
+        return None
 
     def is_pure(self, tol: float = DEFAULT_TOL) -> bool:
         return abs(self.invariants().det_sigma - 1.0) <= tol
@@ -151,25 +166,6 @@ def _check_matrix(cm, tol: float) -> np.ndarray:
     return 0.5 * (arr + arr.T)
 
 
-def _det2(m) -> float:
-    return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-
-
-def _invariants_of_matrix(arr: np.ndarray) -> SymplecticInvariants:
-    det_alpha = _det2(arr[:2, :2])
-    det_beta = _det2(arr[2:, 2:])
-    det_gamma = _det2(arr[:2, 2:])
-    det_sigma = float(np.linalg.det(arr))
-    return SymplecticInvariants(
-        det_alpha=det_alpha,
-        det_beta=det_beta,
-        det_gamma=det_gamma,
-        det_sigma=det_sigma,
-        delta=det_alpha + det_beta + 2.0 * det_gamma,
-        delta_tilde=det_alpha + det_beta - 2.0 * det_gamma,
-    )
-
-
 def _nu_pair(delta: float, det_sigma: float) -> tuple[float, float]:
     """Both symplectic eigenvalues from (Delta, Det sigma).
 
@@ -194,52 +190,25 @@ def _nu_pair(delta: float, det_sigma: float) -> tuple[float, float]:
     return math.sqrt(lo_sq), math.sqrt(hi_sq)
 
 
-def _spectrum_from_invariants(inv: SymplecticInvariants) -> SymplecticSpectrum:
-    nu_minus, nu_plus = _nu_pair(inv.delta, inv.det_sigma)
-    nu_t_minus, nu_t_plus = _nu_pair(inv.delta_tilde, inv.det_sigma)
-    return SymplecticSpectrum(nu_minus, nu_plus, nu_t_minus, nu_t_plus)
-
-
 def validate_physical(cm, tol: float = DEFAULT_TOL) -> bool:
     """Check the uncertainty principle for a candidate covariance matrix.
 
-    True iff the matrix is positive semidefinite, Det sigma >= 1, and
-    Delta <= 1 + Det sigma, all within ``tol``.  Together these are
-    equivalent to both symplectic eigenvalues being >= 1.
+    True iff ``to_standard_form(cm, tol)`` accepts the matrix, i.e. iff it
+    satisfies ``StandardForm.is_physical(tol)``.
 
     Raises:
         MalformedInputError: if the input is not a symmetric 4x4 matrix.
     """
-    arr = _check_matrix(cm, tol)
-    inv = _invariants_of_matrix(arr)
-    if inv.det_sigma < 1.0 - tol:
+    try:
+        to_standard_form(cm, tol)
+    except UnphysicalStateError:
         return False
-    if inv.delta > 1.0 + inv.det_sigma + tol:
-        return False
-    return bool(np.linalg.eigvalsh(arr)[0] >= -tol)
-
-
-def require_physical(cm, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Validated, symmetrized copy of ``cm``; raises if unphysical."""
-    arr = _check_matrix(cm, tol)
-    inv = _invariants_of_matrix(arr)
-    if inv.det_sigma < 1.0 - tol:
-        raise UnphysicalStateError(
-            f"Det sigma = {inv.det_sigma:.12g} < 1 violates the purity bound"
-        )
-    if inv.delta > 1.0 + inv.det_sigma + tol:
-        raise UnphysicalStateError(
-            f"Delta = {inv.delta:.12g} exceeds 1 + Det sigma = {1.0 + inv.det_sigma:.12g}"
-        )
-    if np.linalg.eigvalsh(arr)[0] < -tol:
-        raise UnphysicalStateError("covariance matrix is not positive semidefinite")
-    return arr
+    return True
 
 
 def local_invariants(cm, tol: float = DEFAULT_TOL) -> SymplecticInvariants:
     """Block determinants and the Delta invariants of a physical matrix."""
-    arr = require_physical(cm, tol)
-    return _invariants_of_matrix(arr)
+    return to_standard_form(cm, tol).invariants()
 
 
 def symplectic_spectrum(cm, tol: float = DEFAULT_TOL) -> SymplecticSpectrum:
@@ -248,7 +217,7 @@ def symplectic_spectrum(cm, tol: float = DEFAULT_TOL) -> SymplecticSpectrum:
     Computed from the invariants: 2 nu_{-+}^2 = Delta -+ sqrt(Delta^2 - 4 Det),
     and the same with Delta_tilde for the partially transposed matrix.
     """
-    return _spectrum_from_invariants(local_invariants(cm, tol))
+    return to_standard_form(cm, tol).spectrum()
 
 
 def spectrum_via_eigenvalues(cm) -> SymplecticSpectrum:
@@ -283,7 +252,13 @@ def _local_normalizer(block: np.ndarray) -> tuple[float, np.ndarray]:
     sqrt M = (M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M)).
     """
     (m00, m01), (_, m11) = block.tolist()
-    root_det = math.sqrt(m00 * m11 - m01 * m01)
+    det = m00 * m11 - m01 * m01
+    if not (m00 > 0.0 and det > 0.0):
+        raise UnphysicalStateError(
+            f"local block [[{m00:.12g}, {m01:.12g}], [{m01:.12g}, {m11:.12g}]] "
+            "is not positive definite"
+        )
+    root_det = math.sqrt(det)
     scale = 1.0 / math.sqrt((m00 + m11 + 2.0 * root_det) * root_det)
     return root_det, np.array([[m11 + root_det, -m01], [-m01, m00 + root_det]]) * scale
 
@@ -295,8 +270,15 @@ def to_standard_form(cm, tol: float = DEFAULT_TOL) -> StandardForm:
     remaining local rotations diagonalize the transformed correlation block
     G = S1 gamma S2^T, so c_plus and |c_minus| are its singular values and
     c_minus carries the sign of Det G = Det gamma (c_plus >= |c_minus| >= 0).
+    The maps preserve Det sigma, Delta and the signs of the eigenvalues, so
+    physicality is decided on the result by ``StandardForm.is_physical``.
+
+    Raises:
+        MalformedInputError: if the input is not a symmetric 4x4 matrix.
+        UnphysicalStateError: if a local block is not positive definite, or
+            naming the first violated inequality of the standard form.
     """
-    arr = require_physical(cm, tol)
+    arr = _check_matrix(cm, tol)
     a, s1 = _local_normalizer(arr[:2, :2])
     b, s2 = _local_normalizer(arr[2:, 2:])
     (g00, g01), (g10, g11) = (s1 @ arr[:2, 2:] @ s2.T).tolist()
@@ -304,18 +286,25 @@ def to_standard_form(cm, tol: float = DEFAULT_TOL) -> StandardForm:
     # P^2 - Q^2 = 4 Det G
     p = math.hypot(g00 + g11, g01 - g10)
     q = math.hypot(g00 - g11, g01 + g10)
-    return StandardForm(a, b, 0.5 * (p + q), 0.5 * (p - q))
+    sf = StandardForm(a, b, 0.5 * (p + q), 0.5 * (p - q))
+    problem = sf._violation(tol)
+    if problem is not None:
+        inv = sf.invariants()
+        raise UnphysicalStateError(problem.format(
+            det_sigma=inv.det_sigma, delta=inv.delta, bound=1.0 + inv.det_sigma, a=a, b=b
+        ))
+    return sf
 
 
 def global_purity(cm, tol: float = DEFAULT_TOL) -> float:
     """Tr rho^2 = 1 / sqrt(Det sigma)."""
-    return 1.0 / math.sqrt(local_invariants(cm, tol).det_sigma)
+    return 1.0 / math.sqrt(to_standard_form(cm, tol).invariants().det_sigma)
 
 
 def local_purities(cm, tol: float = DEFAULT_TOL) -> tuple[float, float]:
     """Purities of the two reduced single-mode states."""
-    inv = local_invariants(cm, tol)
-    return 1.0 / math.sqrt(inv.det_alpha), 1.0 / math.sqrt(inv.det_beta)
+    sf = to_standard_form(cm, tol)
+    return 1.0 / sf.a, 1.0 / sf.b
 
 
 def make_two_mode_squeezed(r: float) -> np.ndarray:

@@ -4,6 +4,20 @@ import pytest
 from twomode import ExtremalParams, build_state, glems_threshold, gmems_threshold
 
 
+# Matrices with a local block that is not positive definite: negative
+# definite, indefinite, and positive determinant with negative trace.
+BLOCK_NOT_POSITIVE_DEFINITE = [
+    np.diag([-2.0, -2.0, 2.0, 2.0]),
+    np.diag([4.0, 4.0, 4.0, -1.0]),
+    np.array([
+        [-1.0, 0.5, 0.0, 0.0],
+        [0.5, -3.0, 0.0, 0.0],
+        [0.0, 0.0, 2.0, 0.0],
+        [0.0, 0.0, 0.0, 2.0],
+    ]),
+]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250811)

@@ -5,6 +5,8 @@ import pytest
 
 from twomode.cli import EXIT_OK, EXIT_UNPHYSICAL, EXIT_USAGE, main
 
+from conftest import BLOCK_NOT_POSITIVE_DEFINITE
+
 R_53 = 0.5 * math.acosh(5.0 / 3.0)
 
 
@@ -73,6 +75,17 @@ class TestMeasure:
         assert code == EXIT_UNPHYSICAL
         assert "Det sigma" in err or "purity" in err
 
+    @pytest.mark.parametrize("state, named", [
+        *(({"cm": cm.tolist()}, "not positive definite") for cm in BLOCK_NOT_POSITIVE_DEFINITE),
+        ({"standard_form": {"a": 2.0, "b": 2.0, "c_plus": 1.7, "c_minus": 1.7}}, "Delta"),
+    ])
+    def test_unphysical_input_names_the_failure(self, capsys, tmp_path, state, named):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(state))
+        code, _, err = run(capsys, "measure", str(path))
+        assert code == EXIT_UNPHYSICAL
+        assert named in err
+
     def test_asymmetric_matrix_exits_2_with_diagnostic(self, capsys, tmp_path):
         path = tmp_path / "asym.json"
         cm = [[1, 0.3, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
@@ -132,8 +145,28 @@ class TestScan:
             "--grid", str(grid), "--boundary", str(boundary),
         )
         assert code == EXIT_OK
-        assert json.loads(out)["cells"] == 8**3
+        summary = json.loads(out)
+        assert summary["cells"] == 8**3
+        assert sum(summary["regimes"].values()) == 8**3
         assert len(grid.read_text().splitlines()) == 8**3 + 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--fixed-a", "5", "--b-range", "1", "5", "--g-range", "1", "9",
+     "--resolution", "1"],
+    ["scan3d", "--s-range", "1.5", "4", "--d-range", "-1", "1", "--g-range", "1", "7",
+     "--resolution", "1"],
+    ["bounds", "--samples", "0"],
+    ["bounds", "--samples", "5", "--s-max", "1"],
+    ["bounds", "--samples", "5", "--curve-resolution", "1"],
+])
+def test_out_of_range_option_exits_64(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where the default output files would go
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == EXIT_USAGE
+    assert "must exceed" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 class TestBounds:

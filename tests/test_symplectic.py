@@ -20,7 +20,7 @@ from twomode import (
 )
 from twomode.errors import MalformedInputError, UnphysicalStateError
 
-from conftest import draw_entangled_states
+from conftest import BLOCK_NOT_POSITIVE_DEFINITE, draw_entangled_states
 
 # squeezing with cosh(2r) = 5/3, i.e. the 3-4-5 hyperbolic triple
 R_53 = 0.5 * math.acosh(5.0 / 3.0)
@@ -72,6 +72,24 @@ class TestValidatePhysical:
     def test_indefinite_matrix_rejected(self):
         cm = np.diag([4.0, 4.0, 4.0, -1.0])
         assert not validate_physical(cm)
+
+    @pytest.mark.parametrize("cm", BLOCK_NOT_POSITIVE_DEFINITE)
+    def test_block_not_positive_definite_rejected(self, cm):
+        assert not validate_physical(cm)
+        with pytest.raises(UnphysicalStateError, match="not positive definite"):
+            to_standard_form(cm)
+
+    @pytest.mark.parametrize("sf, named", [
+        (StandardForm(0.5, 0.5, 0.0, 0.0), "Det sigma"),
+        # Det sigma = 1.2321 >= 1 but Delta = 13.78 > 1 + Det sigma
+        (StandardForm(2.0, 2.0, 1.7, 1.7), "Delta"),
+        # both correlation factors ab - c^2 negative, so Det sigma > 0
+        (StandardForm(1.5, 1.5, 3.0, 3.0), "positive semidefinite"),
+    ])
+    def test_error_names_the_violated_inequality(self, sf, named):
+        assert not validate_physical(sf.to_matrix())
+        with pytest.raises(UnphysicalStateError, match=named):
+            to_standard_form(sf.to_matrix())
 
 
 class TestLocalInvariants:
