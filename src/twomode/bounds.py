@@ -122,7 +122,11 @@ def _rng_for(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def _draw_extremal(rng: np.random.Generator, s_max: float) -> Sample | None:
+# A draw returns the fields of a Sample after its index, or None on rejection.
+_Draw = tuple[StandardForm, float, float, float, float]
+
+
+def _draw_extremal(rng: np.random.Generator, s_max: float) -> _Draw | None:
     s = rng.uniform(1.0, s_max)
     d = rng.uniform(-(s - 1.0), s - 1.0)
     lam = rng.uniform(-1.0, 1.0)
@@ -137,10 +141,10 @@ def _draw_extremal(rng: np.random.Generator, s_max: float) -> Sample | None:
         return None
     if not sf.spectrum().nu_tilde_minus < 1.0 - NEAR_SEPARABLE_TOL:
         return None
-    return Sample(-1, sf, s, d, g, lam)
+    return sf, s, d, g, lam
 
 
-def _draw_raw(rng: np.random.Generator, s_max: float) -> Sample | None:
+def _draw_raw(rng: np.random.Generator, s_max: float) -> _Draw | None:
     a = rng.uniform(1.0, s_max)
     b = rng.uniform(1.0, s_max)
     c_cap = math.sqrt(max(a * b - 1.0, 0.0))
@@ -151,10 +155,9 @@ def _draw_raw(rng: np.random.Generator, s_max: float) -> Sample | None:
     sf = StandardForm(a, b, cp, cm)
     if not sf.is_physical():
         return None
-    inv = sf.invariants()
     if not sf.spectrum().nu_tilde_minus < 1.0 - NEAR_SEPARABLE_TOL:
         return None
-    return Sample(-1, sf, 0.5 * (a + b), 0.5 * (a - b), math.sqrt(inv.det_sigma), math.nan)
+    return sf, 0.5 * (a + b), 0.5 * (a - b), math.sqrt(sf.invariants().det_sigma), math.nan
 
 
 def iter_samples(cfg: SamplerConfig) -> Iterator[Sample]:
@@ -172,9 +175,9 @@ def iter_samples(cfg: SamplerConfig) -> Iterator[Sample]:
     for index in range(cfg.count):
         rng = _rng_for(cfg.seed, index)
         for _ in range(_MAX_REJECTIONS):
-            sample = draw(rng, cfg.s_max)
-            if sample is not None:
-                yield Sample(index, sample.standard_form, sample.s, sample.d, sample.g, sample.lam)
+            fields = draw(rng, cfg.s_max)
+            if fields is not None:
+                yield Sample(index, *fields)
                 break
         else:
             raise SamplingError(

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 from . import bounds as bounds_mod
 from . import extremal
@@ -107,7 +108,6 @@ class _ParseFailure(Exception):
 def _measure_report(cm, params, args) -> dict:
     sf = to_standard_form(cm, tol=args.tol_physical)
     inv = sf.invariants()
-    spectrum = sf.spectrum()
     base = _log_base(args.log_base)
     neg = negativity_report(sf, tol=args.tol_physical, log_base=base,
                             sym_rtol=args.tol_symmetry)
@@ -117,42 +117,16 @@ def _measure_report(cm, params, args) -> dict:
         log_base=base,
     )
     report = {
-        "standard_form": {
-            "a": sf.a, "b": sf.b, "c_plus": sf.c_plus, "c_minus": sf.c_minus,
-        },
+        "standard_form": asdict(sf),
         "purities": {
             "global": 1.0 / math.sqrt(inv.det_sigma),
             "local_1": 1.0 / math.sqrt(inv.det_alpha),
             "local_2": 1.0 / math.sqrt(inv.det_beta),
         },
-        "invariants": {
-            "det_alpha": inv.det_alpha,
-            "det_beta": inv.det_beta,
-            "det_gamma": inv.det_gamma,
-            "det_sigma": inv.det_sigma,
-            "delta": inv.delta,
-            "delta_tilde": inv.delta_tilde,
-        },
-        "spectrum": {
-            "nu_minus": spectrum.nu_minus,
-            "nu_plus": spectrum.nu_plus,
-            "nu_tilde_minus": spectrum.nu_tilde_minus,
-            "nu_tilde_plus": spectrum.nu_tilde_plus,
-        },
-        "negativity": {
-            "separable": neg.separable,
-            "negativity": neg.negativity,
-            "log_negativity": neg.log_negativity,
-            "eof_symmetric": neg.eof_symmetric,
-            "log_base": neg.log_base,
-        },
-        "gaussian_em": {
-            "m_opt": gem.m_opt,
-            "theta_opt": gem.theta_opt,
-            "nu_tilde_opt": gem.nu_tilde_opt,
-            "gaussian_eof": gem.gaussian_eof,
-            "extrema_found": gem.extrema_found,
-        },
+        "invariants": asdict(inv),
+        "spectrum": asdict(sf.spectrum()),
+        "negativity": asdict(neg),
+        "gaussian_em": asdict(gem),
         "closed_form": None,
     }
     if params is not None:

@@ -165,14 +165,12 @@ def nu_tilde_glems(s: float, d: float, g: float) -> float:
     return _nu_tilde_from_closed(4.0 * (s * s + d * d) - g * g - 1.0, g * g)
 
 
-def m_opt_gmems(p: ExtremalParams | None = None, *, s=None, d=None, g=None) -> float:
+def m_opt_gmems(s: float, d: float, g: float) -> float:
     """Closed-form optimal single-mode determinant for GMEMS.
 
     m = 1 for g >= 2s - 1 (separable), otherwise
     {(g+1)s - sqrt([(g-1)^2 - 4d^2](s^2 - d^2 - g))}^2 / [4(d^2 + g)^2].
     """
-    if p is not None:
-        s, d, g = p.s, p.d, p.g
     ExtremalParams(s, d, g, 1.0).validate()
     if g >= gmems_threshold(s):
         return 1.0
@@ -186,40 +184,36 @@ def m_opt_gmems(p: ExtremalParams | None = None, *, s=None, d=None, g=None) -> f
     return (num / den) ** 2
 
 
-def _glems_profile_constants(s: float, d: float, g: float):
-    """(A, B) coefficients of the GLEMS angular profile
-    m(theta) = 1 + (A cos theta + B)^2 / [2(ab - c_minus^2)((g^2-1)cos theta + g^2+1)]."""
-    sf = build_state(ExtremalParams(s, d, g, -1.0))
-    dq = sf.a * sf.b - sf.c_minus**2
-    return sf.c_plus * dq + sf.c_minus, sf.c_plus * dq - sf.c_minus
-
-
-def m_opt_glems(p: ExtremalParams | None = None, *, s=None, d=None, g=None) -> float:
+def m_opt_glems(s: float, d: float, g: float) -> float:
     """Closed-form optimal single-mode determinant for GLEMS.
 
     m = 1 for g >= sqrt(2(s^2 + d^2) - 1) (separable).  Below that the
-    profile depends on cos theta alone and its global minimum sits either at
-    theta = pi, worth
+    profile m(theta) = 1 + (A cos theta + B)^2 / [2(ab - c_minus^2)
+    ((g^2-1) cos theta + g^2+1)], A, B = c_plus (ab - c_minus^2) +- c_minus,
+    has its global minimum either at theta = pi, worth
     [-g^4 + 2(2d^2 + 2s^2 + 1)g^2 - (4d^2-1)(4s^2-1) - sqrt(delta)] / (8g^2),
-    or at the interior critical angle, worth 16 s^2 d^2 / (g^2 - 1)^2, which
-    exists only when its cosine lands in [-1, 1].  Both candidates are
-    screened against m >= 1 and the universal sandwich
+    or at cos theta* = B/A - 2(g^2+1)/(g^2-1), worth
+    16 s^2 d^2 / (g^2 - 1)^2.  With R_d = (4d^2 - (g+1)^2)(4d^2 - (g-1)^2)
+    and R_s = (g^2 - (2s+1)^2)(g^2 - (2s-1)^2), so that delta = R_d R_s,
+    the interior angle exists iff g > 1 and d^4 R_s >= s^4 R_d, because:
+    - the state has c_pm = (sqrt(R_d) +- sqrt(R_s)) / (4 sqrt(s^2 - d^2))
+      and c_plus c_minus = (1 + g^2 - 2s^2 - 2d^2)/2;
+    - cos theta* >= -1 reduces to d^2 sqrt(R_s) >= s^2 sqrt(R_d);
+    - cos theta* <= 1 and A > 0 reduce to sums of non-negative terms,
+      since 2|d| + 1 <= g < 2s - 1 on the entangled domain.
+    Both candidates are screened against m >= 1 and the universal sandwich
     ((nu + 1/nu)/2)^2 <= m <= 1/nu^2 before the smaller survivor is
     returned; theta = 0 never undercuts theta = pi for this family.
     """
-    if p is not None:
-        s, d, g = p.s, p.d, p.g
     ExtremalParams(s, d, g, -1.0).validate()
     g_sq = g * g
     if g_sq >= 2.0 * (s * s + d * d) - 1.0:
         return 1.0
 
-    delta = (
-        (4.0 * d * d - (g + 1.0) ** 2)
-        * (4.0 * d * d - (g - 1.0) ** 2)
-        * (g_sq - (2.0 * s + 1.0) ** 2)
-        * (g_sq - (2.0 * s - 1.0) ** 2)
-    )
+    r_d = (4.0 * d * d - (g + 1.0) ** 2) * (4.0 * d * d - (g - 1.0) ** 2)
+    s_plus = g_sq - (2.0 * s + 1.0) ** 2
+    s_minus = g_sq - (2.0 * s - 1.0) ** 2
+    delta = r_d * s_plus * s_minus
     if delta < 0.0:
         if delta < -1e-9 * max(1.0, (4.0 * s * s) ** 2):
             raise DomainError(f"delta = {delta:g} is negative at (s, d, g) = ({s}, {d}, {g})")
@@ -231,12 +225,8 @@ def m_opt_glems(p: ExtremalParams | None = None, *, s=None, d=None, g=None) -> f
         - math.sqrt(delta)
     ) / (8.0 * g_sq)
     candidates = [m_pi]
-    if g > 1.0 + _PARAM_TOL:
-        coeff_a, coeff_b = _glems_profile_constants(s, d, g)
-        if coeff_a > 0.0:
-            cos_star = coeff_b / coeff_a - 2.0 * (g_sq + 1.0) / (g_sq - 1.0)
-            if abs(cos_star) <= 1.0:
-                candidates.append(16.0 * s * s * d * d / (g_sq - 1.0) ** 2)
+    if g > 1.0 + _PARAM_TOL and d**4 * (s_plus * s_minus) >= s**4 * r_d:
+        candidates.append(16.0 * s * s * d * d / (g_sq - 1.0) ** 2)
 
     nu = nu_tilde_glems(s, d, g)
     lo = m_from_nu_tilde(nu) * (1.0 - _BOUND_RTOL)

@@ -142,6 +142,18 @@ class TestClosedForms:
     def test_glems_example_value(self):
         assert m_opt_glems(s=2.0, d=0.5, g=2.5) == pytest.approx(1.0551972518870598, rel=1e-12)
 
+    @pytest.mark.parametrize("s, d, g, expected", [
+        # near purity the interior critical angle does not exist: theta = pi
+        (1.0025301635315529, -0.00010030450384570479, 1.0002006098513516, 1.0048650922092446),
+        (1.0014492656008336, -0.00012119474409994249, 1.000242389757813, 1.002657564295668),
+        # on the GMEMMS edge g = 2|d| + 1 the interior angle is the optimum
+        (3.090452261306533, 1.9095477386934674, 4.819095477386934, 1.1282182072001938),
+    ])
+    def test_glems_branch_matches_exact_values(self, s, d, g, expected):
+        # 50-digit values of the closed form, not minimize_m, which is itself
+        # 3.9e-8 off at the first point
+        assert m_opt_glems(s=s, d=d, g=g) == pytest.approx(expected, rel=1e-12)
+
     def test_glems_separable_branch_and_continuity(self):
         g_star = glems_threshold(2.0, 0.5)
         assert m_opt_glems(s=2.0, d=0.5, g=g_star) == 1.0
