@@ -56,12 +56,8 @@ def geof_bounds(log_neg: float, log_base=2) -> tuple[float, float]:
     e_n = float(log_neg)
     if not e_n > 0.0:
         raise DomainError(f"log negativity must be positive, got {e_n!r}")
-    if log_base == 2:
-        nu = 2.0 ** (-e_n)
-    elif log_base == "e":
-        nu = math.exp(-e_n)
-    else:
-        raise DomainError(f"log_base must be 2 or 'e', got {log_base!r}")
+    # h_function rejects any base other than 2 and "e"
+    nu = 2.0 ** (-e_n) if log_base == 2 else math.exp(-e_n)
     return h_function(nu, log_base), h_function(nu_opt_lower(nu), log_base)
 
 

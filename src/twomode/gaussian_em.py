@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, MinimizationError, UnphysicalStateError
-from .negativity import SYMMETRY_RTOL, h_function, is_separable_ppt
+from .negativity import SYMMETRY_RTOL, h_function
 from .symplectic import StandardForm
 
 #: States with nu_tilde_minus inside [1 - this, 1] are treated as separable
@@ -42,8 +42,8 @@ from .symplectic import StandardForm
 NEAR_SEPARABLE_TOL = 1e-8
 
 #: Square-root arguments in the angular profile may round slightly below
-#: zero exactly on feasibility boundaries; this deep they are clamped to 0,
-#: anything more negative raises.
+#: zero exactly on feasibility boundaries; a rim radius R this close to zero
+#: (relative) is degenerate, and the sign-order check allows this much slack.
 SQRT_CLAMP = 1e-12
 
 _ETA = np.array([1.0, -1.0, -1.0])  # Minkowski metric signature (+, -, -)
@@ -101,16 +101,23 @@ def m_from_nu_tilde(nu: float) -> float:
     return half_sum * half_sum
 
 
-def _require_entangled(sf: StandardForm) -> float:
+def _physical_nu(sf: StandardForm) -> float:
+    """nu_tilde_minus of ``sf`` after the module's one physicality check, made
+    on polynomial inequalities: for pure states nu_minus itself sits on a
+    vanishing discriminant and carries sqrt-amplified rounding noise."""
+    if not sf.is_physical(1e-9):
+        raise UnphysicalStateError(f"not a physical state: {sf}")
+    return sf.spectrum().nu_tilde_minus
+
+
+def _require_rim(sf: StandardForm, nu: float) -> None:
     if sf.c_plus < abs(sf.c_minus) - SQRT_CLAMP or sf.c_plus < 0.0:
         raise DomainError(
             "standard form must be sign-ordered with c_plus >= |c_minus| >= 0; "
             "use StandardForm.sign_ordered()"
         )
-    nu = sf.spectrum().nu_tilde_minus
     if nu >= 1.0:
         raise DomainError(f"state is separable (nu_tilde_minus = {nu:.12g})")
-    return nu
 
 
 class _ThetaProfile:
@@ -119,12 +126,16 @@ class _ThetaProfile:
     num(theta) = (n0 + n1 cos theta)^2 and
     den(theta) = d0 + dc cos theta + ds sin theta; only the three
     theta-independent square roots need domain clamping.
+
+    The form has passed ``_physical_nu`` and ``_require_rim``, so nothing
+    here raises: the diagonal of gamma_q >= gamma_p^{-1} (the Schur complement
+    of sigma + i Omega >= 0) gives r1, r2 <= 0, hence R = r1 r2 >= 0 up to
+    rounding, and the uncertainty slack is at least -1e-9.
     """
 
     __slots__ = ("n0", "n1", "d0", "dc", "ds")
 
     def __init__(self, sf: StandardForm):
-        _require_entangled(sf)
         a, b, cp, cm = sf.a, sf.b, sf.c_plus, sf.c_minus
         dq = a * b - cm * cm
         n0 = cp * dq - cm
@@ -140,11 +151,6 @@ class _ThetaProfile:
             64.0 * eps * ((abs(a) + abs(b * dq)) * abs(r2)
                           + (abs(b) + abs(a * dq)) * abs(r1) + 1.0),
         )
-        if rr < -1e-6 * (1.0 + r1 * r1 + r2 * r2):
-            raise DomainError(
-                f"square-root argument R = {rr:g} is negative beyond tolerance; "
-                "state lies outside the regime of the angular profile"
-            )
         # The common factor 2(ab - c_minus^2) multiplies the whole angular
         # bracket of the denominator; together with the numerator square this
         # makes m - 1 = [2 dq x1]^2 / [(2 dq)^2 det Gamma] on the rim.
@@ -163,16 +169,10 @@ class _ThetaProfile:
             # A = cp dq + cm.  The stable route uses the identity
             # R - A^2 = dq (1 + Det sigma - Delta): the argument is the
             # uncertainty-relation slack, which vanishes identically for
-            # partial-minimum-uncertainty states and is negative only for
-            # unphysical input.
-            inv = sf.invariants()
-            slack = 1.0 + inv.det_sigma - inv.delta
-            scale = max(1.0, inv.det_sigma, abs(inv.delta))
-            if slack < -1e-9 * scale:
-                raise DomainError(
-                    f"uncertainty slack 1 + Det - Delta = {slack:g} is negative: "
-                    "not a physical state"
-                )
+            # partial-minimum-uncertainty states.
+            det_sigma, delta, _ = sf._dets()
+            slack = 1.0 + det_sigma - delta
+            scale = max(1.0, det_sigma, abs(delta))
             if slack <= 1e-11 * scale:
                 # at most rounding noise away from minimum uncertainty,
                 # where the sin(theta) term vanishes identically
@@ -201,9 +201,11 @@ class _ThetaProfile:
 def m_theta(sf: StandardForm, theta):
     """Single-mode determinant of the rim pure state at polar angle theta.
 
-    Accepts a scalar or an array of angles.  The state must be entangled and
-    sign-ordered (c_plus >= |c_minus|); the result is >= 1 for every theta.
+    Accepts a scalar or an array of angles.  The state must be physical
+    (else UnphysicalStateError), entangled and sign-ordered with
+    c_plus >= |c_minus| (else DomainError); the result is >= 1 for every theta.
     """
+    _require_rim(sf, _physical_nu(sf))
     profile = _ThetaProfile(sf)
     out = profile(theta)
     return float(out) if np.isscalar(theta) else out
@@ -217,9 +219,10 @@ def _rim_geometry(sf: StandardForm):
     """Center and semiaxis vectors of the rim in (x0, x1, x3) coordinates.
 
     Returns (center, W, P) with rim(theta) = center + cos(theta) W
-    + sin(theta) P; W and P are zero vectors when the rim degenerates to a
-    point (pure states).  W points along the in-plane direction of growing
-    x1, which makes the angle here agree with the one in ``m_theta``.
+    + sin(theta) P; W and P are zero vectors when the cone apexes coincide
+    (pure states).  W points along the in-plane direction of growing x1,
+    which makes the angle here agree with the one in ``m_theta``.  A nonzero
+    but lightlike apex gap (GLEMS) has no boost to resolve it: DomainError.
     """
     a, b, cp, cm = sf.a, sf.b, sf.c_plus, sf.c_minus
     dq = a * b - cm * cm
@@ -227,10 +230,12 @@ def _rim_geometry(sf: StandardForm):
     apex_p = np.array([0.5 * (a + b) / dq, -cm / dq, -0.5 * (a - b) / dq])
     center = 0.5 * (apex_q + apex_p)
     gap = apex_q - apex_p
-    k_sq = _mdot(gap, gap)
-    k = math.sqrt(max(k_sq, 0.0))
-    if k <= 1e-9 * (1.0 + abs(apex_q[0])):
+    gap_size = float(np.max(np.abs(gap)))
+    if gap_size <= 1e-9 * (1.0 + abs(apex_q[0])):
         return apex_q, np.zeros(3), np.zeros(3)
+    k = math.sqrt(max(_mdot(gap, gap), 0.0))
+    if k <= 1e-6 * gap_size:
+        raise DomainError(f"rim oracle: apex gap {gap} is lightlike (k = {k:g})")
     u = gap / k
     w = np.array([u[1] * u[0], 1.0 + u[1] * u[1], u[1] * u[2]])
     w /= math.sqrt(1.0 + u[1] * u[1])
@@ -251,9 +256,11 @@ def gamma_from_theta(sf: StandardForm, theta: float) -> GammaCoordinates:
     Gamma = gamma_q, returned for every theta.
 
     Raises:
-        DomainError: if the state is separable (no optimization rim).
+        UnphysicalStateError: if the form is not a physical state.
+        DomainError: if it is separable or not sign-ordered (no optimization
+            rim), or if the rim is too close to lightlike to parametrize.
     """
-    _require_entangled(sf)
+    _require_rim(sf, _physical_nu(sf))
     center, w_axis, p_axis = _rim_geometry(sf)
     x = center + math.cos(theta) * w_axis + math.sin(theta) * p_axis
     return GammaCoordinates(float(x[0]), float(x[1]), float(x[2]))
@@ -302,11 +309,7 @@ def minimize_m(
     nu_tilde_opt = nu_tilde_minus(sigma) unless the shortcut is disabled.
     ``extrema_found`` counts the distinct stationary angles.
     """
-    # Polynomial-inequality check: for pure states nu_minus itself sits on a
-    # vanishing discriminant and carries sqrt-amplified rounding noise.
-    if not sf.is_physical(1e-9):
-        raise UnphysicalStateError(f"not a physical state: {sf}")
-    nu_sigma = sf.spectrum().nu_tilde_minus
+    nu_sigma = _physical_nu(sf)
     if nu_sigma >= 1.0 - near_separable_tol:
         return GemResult(1.0, 0.0, 1.0, 0.0, 1)
     if symmetric_shortcut and sf.is_symmetric(SYMMETRY_RTOL):
@@ -314,6 +317,8 @@ def minimize_m(
         return GemResult(m_opt, math.pi, nu_sigma, h_function(nu_sigma, log_base), 2)
 
     ordered = sf.sign_ordered()
+    # only a negative near_separable_tol lets a separable state get here
+    _require_rim(ordered, nu_sigma)
     profile = _ThetaProfile(ordered)
     if profile.n1 == 0.0:
         # Degenerate rim (pure state): the profile is flat.
@@ -338,6 +343,4 @@ def minimize_m(
 def gaussian_eof(sf: StandardForm, log_base=2, **kwargs) -> float:
     """Gaussian entanglement of formation: h applied to the optimal
     pure-state PT eigenvalue; 0 for separable states."""
-    if is_separable_ppt(sf.spectrum()):
-        return 0.0
     return minimize_m(sf, log_base=log_base, **kwargs).gaussian_eof

@@ -89,25 +89,25 @@ class StandardForm:
             [0.0, cm, 0.0, b],
         ])
 
-    def invariants(self) -> SymplecticInvariants:
+    def _dets(self) -> tuple[float, float, float]:
+        """(Det sigma, Delta, Delta_tilde): the one derivation that
+        ``invariants``, ``spectrum`` and the physicality test all read."""
         a, b, cp, cm = self.a, self.b, self.c_plus, self.c_minus
         det_gamma = cp * cm
-        det_sigma = (a * b - cp * cp) * (a * b - cm * cm)
         quad = a * a + b * b
-        return SymplecticInvariants(
-            det_alpha=a * a,
-            det_beta=b * b,
-            det_gamma=det_gamma,
-            det_sigma=det_sigma,
-            delta=quad + 2.0 * det_gamma,
-            delta_tilde=quad - 2.0 * det_gamma,
+        return (
+            (a * b - cp * cp) * (a * b - cm * cm),
+            quad + 2.0 * det_gamma,
+            quad - 2.0 * det_gamma,
         )
 
+    def invariants(self) -> SymplecticInvariants:
+        a, b = self.a, self.b
+        return SymplecticInvariants(a * a, b * b, self.c_plus * self.c_minus, *self._dets())
+
     def spectrum(self) -> SymplecticSpectrum:
-        inv = self.invariants()
-        return SymplecticSpectrum(
-            *_nu_pair(inv.delta, inv.det_sigma), *_nu_pair(inv.delta_tilde, inv.det_sigma)
-        )
+        det_sigma, delta, delta_tilde = self._dets()
+        return SymplecticSpectrum(*_nu_pair(delta, det_sigma), *_nu_pair(delta_tilde, det_sigma))
 
     def is_symmetric(self, rtol: float = 1e-9) -> bool:
         return abs(self.a - self.b) <= rtol * max(self.a, self.b)
@@ -121,16 +121,14 @@ class StandardForm:
         None.  Det sigma >= 1, Delta <= 1 + Det sigma and sigma >= 0 are
         equivalent to nu_minus >= 1, which implies a, b >= 1 up to rounding.
         """
-        # the invariants are inlined (same arithmetic as invariants()) because
-        # the raw sampler rejects most of its draws here
-        a, b, cp, cm = self.a, self.b, self.c_plus, self.c_minus
-        ab = a * b
-        det_sigma = (ab - cp * cp) * (ab - cm * cm)
+        det_sigma, delta, _ = self._dets()
         if det_sigma < 1.0 - tol:
             return "Det sigma = {det_sigma:.12g} < 1 violates the purity bound"
-        if a * a + b * b + 2.0 * (cp * cm) > 1.0 + det_sigma + tol:
+        if delta > 1.0 + det_sigma + tol:
             return "Delta = {delta:.12g} exceeds 1 + Det sigma = {bound:.12g}"
-        if ab - cp**2 < -tol or ab - cm**2 < -tol:
+        a, b = self.a, self.b
+        ab = a * b
+        if ab - self.c_plus**2 < -tol or ab - self.c_minus**2 < -tol:
             return "covariance matrix is not positive semidefinite"
         if a < 1.0 - tol or b < 1.0 - tol:
             return "local determinants ({a:.12g}^2, {b:.12g}^2) fall below 1"

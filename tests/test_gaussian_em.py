@@ -22,6 +22,8 @@ from conftest import draw_entangled_states
 PURE_53 = StandardForm(5 / 3, 5 / 3, 4 / 3, -4 / 3)
 GMEMS_EX = ExtremalParams(2.0, 0.5, 2.5, 1.0)
 GLEMS_EX = ExtremalParams(2.0, 0.5, 2.5, -1.0)
+# a, b < 1: violates the uncertainty principle
+UNPHYSICAL = StandardForm(0.8, 0.8, 0.1, -0.1)
 
 THETAS = np.linspace(0.0, 2.0 * math.pi, 61)
 
@@ -59,6 +61,23 @@ class TestRimOracle:
     def test_separable_state_has_no_rim(self):
         with pytest.raises(DomainError):
             gamma_from_theta(StandardForm(2.0, 2.0, 0.3, 0.2), 0.0)
+
+    def test_unphysical_state_has_no_rim(self):
+        with pytest.raises(UnphysicalStateError):
+            gamma_from_theta(UNPHYSICAL, 0.0)
+
+    def test_lightlike_apex_gap_raises(self):
+        # on a GLEMS the cone apexes differ by a lightlike vector, so the rim
+        # has zero radius without being the single point of a pure state
+        sf = build_state(GLEMS_EX)
+        with pytest.raises(DomainError, match="lightlike"):
+            gamma_from_theta(sf, minimize_m(sf).theta_opt)
+
+    def test_near_lightlike_apex_gap_matches_profile(self):
+        sf = build_state(ExtremalParams(GLEMS_EX.s, GLEMS_EX.d, GLEMS_EX.g, -1.0 + 1e-6))
+        for theta in THETAS[::6]:
+            m_geom = gamma_from_theta(sf, float(theta)).single_mode_determinant()
+            assert m_geom == pytest.approx(m_theta(sf, float(theta)), rel=1e-9)
 
     def test_gmems_optimum_has_x3_zero(self):
         sf = build_state(GMEMS_EX)
@@ -104,6 +123,10 @@ class TestProfile:
     def test_requires_entangled(self):
         with pytest.raises(DomainError):
             m_theta(StandardForm(2.0, 2.0, 0.2, 0.1), 0.0)
+
+    def test_requires_physical(self):
+        with pytest.raises(UnphysicalStateError):
+            m_theta(UNPHYSICAL, 0.0)
 
     def test_accepts_array_argument(self):
         sf = build_state(GMEMS_EX)
@@ -201,12 +224,18 @@ class TestMinimize:
 
     def test_unphysical_raises(self):
         with pytest.raises(UnphysicalStateError):
-            minimize_m(StandardForm(0.8, 0.8, 0.1, -0.1))
+            minimize_m(UNPHYSICAL)
 
 
 class TestGaussianEof:
     def test_separable_zero(self):
         assert gaussian_eof(StandardForm(2.0, 2.0, 0.3, 0.2)) == 0.0
+
+    def test_partial_transpose_of_pure_state_raises(self):
+        # PURE_53 with c_minus flipped has nu_minus = 1/3 and nu_tilde_minus = 3:
+        # unphysical, not separable
+        with pytest.raises(UnphysicalStateError):
+            gaussian_eof(StandardForm(5 / 3, 5 / 3, 4 / 3, 4 / 3))
 
     def test_matches_symmetric_closed_form(self, rng):
         for a in rng.uniform(1.3, 6.0, size=10):
