@@ -47,12 +47,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _above(kind, floor):
-    """argparse type converting with ``kind`` and requiring a value > ``floor``."""
+def _above(kind, floor, *, inclusive=False):
+    """argparse type converting with ``kind``, requiring > ``floor`` (>= if inclusive)."""
     def parse(text):
         value = kind(text)
-        if not value > floor:
-            raise argparse.ArgumentTypeError(f"must exceed {floor}, got {text}")
+        if not (value >= floor if inclusive else value > floor):
+            relation = "be at least" if inclusive else "exceed"
+            raise argparse.ArgumentTypeError(f"must {relation} {floor}, got {text}")
         return value
     parse.__name__ = kind.__name__
     return parse
@@ -260,7 +261,7 @@ def _build_parser() -> _Parser:
     measure.add_argument("--log-base", choices=["2", "e"], default="2")
     measure.add_argument("--tol-physical", type=float, default=DEFAULT_TOL,
                          help="slack on the physicality inequalities")
-    measure.add_argument("--tol-near-separable", type=float,
+    measure.add_argument("--tol-near-separable", type=_above(float, 0.0, inclusive=True),
                          default=NEAR_SEPARABLE_TOL,
                          help="width of the band around separability treated as separable")
     measure.add_argument("--tol-symmetry", type=float, default=SYMMETRY_RTOL,

@@ -22,15 +22,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .gaussian_em import m_from_nu_tilde
 from .symplectic import StandardForm
 
 _PARAM_TOL = 1e-12
-
-# Candidate closed-form values for the GLEMS optimum are accepted only if
-# they clear m >= 1 and the universal sandwich
-# ((nu + 1/nu)/2)^2 <= m <= 1/nu^2 up to this relative slack.
-_BOUND_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -43,18 +37,26 @@ class ExtremalParams:
     lam: float
 
     def validate(self) -> None:
-        if not self.s >= 1.0 - _PARAM_TOL:
-            raise DomainError(f"constraint s >= 1 violated (s = {self.s!r})")
-        if not abs(self.d) <= self.s - 1.0 + _PARAM_TOL:
-            raise DomainError(
-                f"constraint |d| <= s - 1 violated (s = {self.s!r}, d = {self.d!r})"
-            )
-        if not self.g >= 2.0 * abs(self.d) + 1.0 - _PARAM_TOL:
-            raise DomainError(
-                f"constraint g >= 2|d| + 1 violated (d = {self.d!r}, g = {self.g!r})"
-            )
+        _require_domain(self.s, self.d, self.g)
         if not -1.0 - _PARAM_TOL <= self.lam <= 1.0 + _PARAM_TOL:
             raise DomainError(f"constraint -1 <= lambda <= 1 violated (lambda = {self.lam!r})")
+
+
+def _domain_error(s: float, d: float, g: float) -> str | None:
+    """The first violated constraint on (s, d, g), or None inside the domain."""
+    if not s >= 1.0 - _PARAM_TOL:
+        return f"constraint s >= 1 violated (s = {s!r})"
+    if not abs(d) <= s - 1.0 + _PARAM_TOL:
+        return f"constraint |d| <= s - 1 violated (s = {s!r}, d = {d!r})"
+    if not g >= 2.0 * abs(d) + 1.0 - _PARAM_TOL:
+        return f"constraint g >= 2|d| + 1 violated (d = {d!r}, g = {g!r})"
+    return None
+
+
+def _require_domain(s: float, d: float, g: float) -> None:
+    problem = _domain_error(s, d, g)
+    if problem is not None:
+        raise DomainError(problem)
 
 
 class Entanglement(enum.Enum):
@@ -165,79 +167,81 @@ def nu_tilde_glems(s: float, d: float, g: float) -> float:
     return _nu_tilde_from_closed(4.0 * (s * s + d * d) - g * g - 1.0, g * g)
 
 
+def _m_gmems(s: float, d: float, g: float) -> float:
+    """m_opt of an entangled GMEMS (g < 2s - 1); see ``m_opt_gmems``.  The
+    clamps absorb the domain tolerance and the last rounding at threshold."""
+    edge = max((g - 1.0 - 2.0 * d) * (g - 1.0 + 2.0 * d), 0.0)
+    root = math.sqrt(edge * max((s - d) * (s + d) - g, 0.0))
+    return max(((4.0 * s * s + edge) / (2.0 * ((g + 1.0) * s + root))) ** 2, 1.0)
+
+
 def m_opt_gmems(s: float, d: float, g: float) -> float:
     """Closed-form optimal single-mode determinant for GMEMS.
 
     m = 1 for g >= 2s - 1 (separable), otherwise
-    {(g+1)s - sqrt([(g-1)^2 - 4d^2](s^2 - d^2 - g))}^2 / [4(d^2 + g)^2].
+    {(g+1)s - sqrt(P)}^2 / [4(d^2 + g)^2], P = [(g-1)^2 - 4d^2](s^2 - d^2 - g).
+    That difference loses about s eps, so it is evaluated rationalized, as
+    m = {(4s^2 + (g-1)^2 - 4d^2) / [2((g+1)s + sqrt(P))]}^2, by
+    (g+1)^2 s^2 - P = (d^2 + g)(4s^2 + (g-1)^2 - 4d^2).  The factor
+    (g-1)^2 - 4d^2 = (g-1-2d)(g-1+2d) is >= 0 as g >= 2|d| + 1, and exact
+    where it vanishes (g - 1 and, by Sterbenz's lemma, g - 1 - 2|d| are);
+    s^2 - d^2 - g > (s-1)^2 - d^2 >= 0 as g < 2s - 1.
     """
-    ExtremalParams(s, d, g, 1.0).validate()
+    _require_domain(s, d, g)
     if g >= gmems_threshold(s):
         return 1.0
-    t1 = (g - 1.0) ** 2 - 4.0 * d * d
-    t2 = s * s - d * d - g
-    for label, val in (("(g-1)^2 - 4d^2", t1), ("s^2 - d^2 - g", t2)):
-        if val < -1e-10 * max(1.0, s * s):
-            raise DomainError(f"factor {label} = {val:g} is negative at (s, d, g) = ({s}, {d}, {g})")
-    num = (g + 1.0) * s - math.sqrt(max(t1, 0.0) * max(t2, 0.0))
-    den = 2.0 * (d * d + g)
-    return (num / den) ** 2
+    return _m_gmems(s, d, g)
+
+
+def _m_glems(s: float, d: float, g: float) -> float:
+    """m_opt of an entangled GLEMS (g < min(2s - 1, g_thr)); see ``m_opt_glems``."""
+    x = math.sqrt(max((g + 1.0 - 2.0 * d) * (g + 1.0 + 2.0 * d)
+                      * ((g - 1.0 - 2.0 * d) * (g - 1.0 + 2.0 * d)), 0.0))
+    y = math.sqrt(max((2.0 * s + 1.0 + g) * (2.0 * s - 1.0 + g)
+                      * ((2.0 * s + 1.0 - g) * (2.0 * s - 1.0 - g)), 0.0))
+    ab = (s + d) * (s - d)
+    root_ab = math.sqrt(ab)
+    c_abs = 2.0 * root_ab * (2.0 * (s * s + d * d) - 1.0 - g * g) / (x + y)
+    v = root_ab + c_abs
+    k = 64.0 * ab * root_ab * g * g / (v * (4.0 * ab + x + y))
+    u = (x + math.sqrt(x * x + k)) / (4.0 * root_ab)
+    m = 1.0 + c_abs * c_abs / (u * v)
+    if g > 1.0 + _PARAM_TOL and d * d * y >= s * s * x:
+        m = max(min(m, 16.0 * s * s * d * d / ((g - 1.0) * (g + 1.0)) ** 2), 1.0)
+    return m
 
 
 def m_opt_glems(s: float, d: float, g: float) -> float:
     """Closed-form optimal single-mode determinant for GLEMS.
 
-    m = 1 for g >= sqrt(2(s^2 + d^2) - 1) (separable).  Below that the
-    profile m(theta) = 1 + (A cos theta + B)^2 / [2(ab - c_minus^2)
-    ((g^2-1) cos theta + g^2+1)], A, B = c_plus (ab - c_minus^2) +- c_minus,
-    has its global minimum either at theta = pi, worth
-    [-g^4 + 2(2d^2 + 2s^2 + 1)g^2 - (4d^2-1)(4s^2-1) - sqrt(delta)] / (8g^2),
-    or at cos theta* = B/A - 2(g^2+1)/(g^2-1), worth
-    16 s^2 d^2 / (g^2 - 1)^2.  With R_d = (4d^2 - (g+1)^2)(4d^2 - (g-1)^2)
-    and R_s = (g^2 - (2s+1)^2)(g^2 - (2s-1)^2), so that delta = R_d R_s,
-    the interior angle exists iff g > 1 and d^4 R_s >= s^4 R_d, because:
-    - the state has c_pm = (sqrt(R_d) +- sqrt(R_s)) / (4 sqrt(s^2 - d^2))
-      and c_plus c_minus = (1 + g^2 - 2s^2 - 2d^2)/2;
-    - cos theta* >= -1 reduces to d^2 sqrt(R_s) >= s^2 sqrt(R_d);
-    - cos theta* <= 1 and A > 0 reduce to sums of non-negative terms,
-      since 2|d| + 1 <= g < 2s - 1 on the entangled domain.
-    Both candidates are screened against m >= 1 and the universal sandwich
-    ((nu + 1/nu)/2)^2 <= m <= 1/nu^2 before the smaller survivor is
-    returned; theta = 0 never undercuts theta = pi for this family.
+    m = 1 for g >= g_thr = sqrt(2(s^2 + d^2) - 1) (separable).  Below it,
+    with a, b = s +- d, R_d = [(g+1)^2 - 4d^2][(g-1)^2 - 4d^2] and
+    R_s = [(2s+1)^2 - g^2][(2s-1)^2 - g^2], the state has Det sigma = g^2
+    and c_pm = (sqrt(R_d) +- sqrt(R_s)) / (4 sqrt(ab)); its profile
+    m(theta) = 1 + (A cos theta + B)^2 / [2 dq ((g^2-1) cos theta + g^2+1)],
+    dq = ab - c_minus^2, A, B = c_plus dq +- c_minus, has its global minimum
+    at theta = pi or at cos theta* = B/A - 2(g^2+1)/(g^2-1):
+    - theta* exists iff g > 1 and d^2 sqrt(R_s) >= s^2 sqrt(R_d), which is
+      cos theta* >= -1; cos theta* <= 1 and A > 0 reduce to sums of
+      non-negative terms, as 2|d| + 1 <= g < 2s - 1;
+      there m = 16 s^2 d^2 / [(g-1)(g+1)]^2 (g^2 - 1 cancels near purity);
+    - at theta = pi, m_pi = ab/dq = 1 + c_minus^2/(u v) with
+      u, v = sqrt(ab) -+ |c_minus|, and theta = 0 never undercuts it.
+    No step subtracts large terms.  R_d - R_s = 8ab(g^2 - g_thr^2) gives
+    |c_minus| = 2 sqrt(ab)(g_thr^2 - g^2) / (x + y), x, y = sqrt(R_d),
+    sqrt(R_s).  As 16ab dq = (4ab - y + x)(4ab + y - x) and
+    16ab(ab - c_plus^2) = (4ab - y - x)(4ab + y + x), Det sigma =
+    (ab - c_plus^2) dq makes the small factors P = 4 sqrt(ab) u and P - 2x
+    multiply to K = 64 (ab)^(3/2) g^2 / [v (4ab + x + y)], so
+    P = x + sqrt(x^2 + K).  The linear factors of R_d and R_s are >= 0 as
+    g >= 2|d| + 1 and g < g_thr <= 2s - 1, and g - 1 -+ 2d are exact where
+    they vanish.  The clamps absorb the domain tolerance, in which g_thr can
+    pass 2s - 1: g >= 2s - 1 is separable too (GMEMS entangle the most).
     """
-    ExtremalParams(s, d, g, -1.0).validate()
-    g_sq = g * g
-    if g_sq >= 2.0 * (s * s + d * d) - 1.0:
+    _require_domain(s, d, g)
+    if g >= gmems_threshold(s) or g * g >= 2.0 * (s * s + d * d) - 1.0:
         return 1.0
-
-    r_d = (4.0 * d * d - (g + 1.0) ** 2) * (4.0 * d * d - (g - 1.0) ** 2)
-    s_plus = g_sq - (2.0 * s + 1.0) ** 2
-    s_minus = g_sq - (2.0 * s - 1.0) ** 2
-    delta = r_d * s_plus * s_minus
-    if delta < 0.0:
-        if delta < -1e-9 * max(1.0, (4.0 * s * s) ** 2):
-            raise DomainError(f"delta = {delta:g} is negative at (s, d, g) = ({s}, {d}, {g})")
-        delta = 0.0
-    m_pi = (
-        -g_sq * g_sq
-        + 2.0 * (2.0 * d * d + 2.0 * s * s + 1.0) * g_sq
-        - (4.0 * d * d - 1.0) * (4.0 * s * s - 1.0)
-        - math.sqrt(delta)
-    ) / (8.0 * g_sq)
-    candidates = [m_pi]
-    if g > 1.0 + _PARAM_TOL and d**4 * (s_plus * s_minus) >= s**4 * r_d:
-        candidates.append(16.0 * s * s * d * d / (g_sq - 1.0) ** 2)
-
-    nu = nu_tilde_glems(s, d, g)
-    lo = m_from_nu_tilde(nu) * (1.0 - _BOUND_RTOL)
-    hi = (1.0 + _BOUND_RTOL) / (nu * nu)
-    survivors = [m for m in candidates if 1.0 - _BOUND_RTOL <= m and lo <= m <= hi]
-    if not survivors:
-        raise DomainError(
-            f"no closed-form candidate in bounds at (s, d, g) = ({s}, {d}, {g}): "
-            f"candidates {candidates}, sandwich [{lo:g}, {hi:g}]"
-        )
-    return max(min(survivors), 1.0)
+    return _m_glems(s, d, g)
 
 
 def m_opt_gmemms(s: float, nu_tilde_minus: float) -> float:
@@ -265,18 +269,17 @@ def m_max(nu_tilde_minus: float) -> float:
 
 
 def ordering_compare(s: float, d: float, g: float) -> OrderingVerdict:
-    """Compare the Gaussian-measure ordering of the two extremal families
-    at one purity assignment."""
-    try:
-        ExtremalParams(s, d, g, 1.0).validate()
-    except DomainError:
+    """Compare the Gaussian-measure ordering of the two extremal families at
+    one purity assignment.  On the GMEMMS line g = 2|d| + 1 they are one
+    state: m_glems = m_gmems, and the ordering counts as preserved."""
+    if _domain_error(s, d, g) is not None:
         return OrderingVerdict(math.nan, math.nan, Regime.UNPHYSICAL)
     if g >= gmems_threshold(s):
         return OrderingVerdict(1.0, 1.0, Regime.BOTH_SEPARABLE)
+    m_g = _m_gmems(s, d, g)
     if g >= glems_threshold(s, d):
-        return OrderingVerdict(m_opt_gmems(s=s, d=d, g=g), 1.0, Regime.COEXISTENCE)
-    m_g = m_opt_gmems(s=s, d=d, g=g)
-    m_l = m_opt_glems(s=s, d=d, g=g)
+        return OrderingVerdict(m_g, 1.0, Regime.COEXISTENCE)
+    m_l = m_g if g <= 2.0 * abs(d) + 1.0 + _PARAM_TOL else _m_glems(s, d, g)
     regime = Regime.ORDERING_PRESERVED if m_g >= m_l else Regime.ORDERING_INVERTED
     return OrderingVerdict(m_g, m_l, regime)
 
@@ -302,19 +305,13 @@ class BoundaryPoint:
 
 def _scan_cell(s: float, d: float, g: float) -> ScanCell:
     verdict = ordering_compare(s, d, g)
-    if verdict.regime is Regime.UNPHYSICAL:
-        nan = math.nan
-        return ScanCell(s, d, g, nan, nan, nan, nan, verdict.regime)
-    return ScanCell(
-        s, d, g,
-        verdict.m_gmems, verdict.m_glems,
-        nu_tilde_gmems(s, d, g), nu_tilde_glems(s, d, g),
-        verdict.regime,
-    )
+    nus = ((math.nan, math.nan) if verdict.regime is Regime.UNPHYSICAL
+           else (nu_tilde_gmems(s, d, g), nu_tilde_glems(s, d, g)))
+    return ScanCell(s, d, g, verdict.m_gmems, verdict.m_glems, *nus, verdict.regime)
 
 
 def _ordering_gap(s: float, d: float, g: float) -> float:
-    return m_opt_gmems(s=s, d=d, g=g) - m_opt_glems(s=s, d=d, g=g)
+    return _m_gmems(s, d, g) - _m_glems(s, d, g)
 
 
 def _boundary_in_column(s: float, d: float, g_tol: float = 1e-9) -> list[float]:
@@ -366,9 +363,7 @@ def _scan_columns(
     boundary = []
     for s, d in columns:
         cells.extend(_scan_cell(s, d, g) for g in gs)
-        try:
-            ExtremalParams(s, d, 2.0 * abs(d) + 1.0, 1.0).validate()
-        except DomainError:
+        if _domain_error(s, d, 2.0 * abs(d) + 1.0) is not None:
             continue
         boundary.extend(BoundaryPoint(s, d, g) for g in _boundary_in_column(s, d))
     return cells, boundary

@@ -127,10 +127,12 @@ class _ThetaProfile:
     den(theta) = d0 + dc cos theta + ds sin theta; only the three
     theta-independent square roots need domain clamping.
 
-    The form has passed ``_physical_nu`` and ``_require_rim``, so nothing
-    here raises: the diagonal of gamma_q >= gamma_p^{-1} (the Schur complement
-    of sigma + i Omega >= 0) gives r1, r2 <= 0, hence R = r1 r2 >= 0 up to
-    rounding, and the uncertainty slack is at least -1e-9.
+    The form is physical (``_physical_nu``), entangled and sign-ordered
+    (``_require_rim``, or the near-separable cut and ``sign_ordered()`` in
+    ``minimize_m``), so nothing here raises: the diagonal of
+    gamma_q >= gamma_p^{-1} (the Schur complement of sigma + i Omega >= 0)
+    gives r1, r2 <= 0, hence R = r1 r2 >= 0 up to rounding, and the
+    uncertainty slack is at least -1e-9.
     """
 
     __slots__ = ("n0", "n1", "d0", "dc", "ds")
@@ -309,6 +311,8 @@ def minimize_m(
     nu_tilde_opt = nu_tilde_minus(sigma) unless the shortcut is disabled.
     ``extrema_found`` counts the distinct stationary angles.
     """
+    if not near_separable_tol >= 0.0:
+        raise DomainError(f"near_separable_tol must be >= 0, got {near_separable_tol!r}")
     nu_sigma = _physical_nu(sf)
     if nu_sigma >= 1.0 - near_separable_tol:
         return GemResult(1.0, 0.0, 1.0, 0.0, 1)
@@ -317,8 +321,6 @@ def minimize_m(
         return GemResult(m_opt, math.pi, nu_sigma, h_function(nu_sigma, log_base), 2)
 
     ordered = sf.sign_ordered()
-    # only a negative near_separable_tol lets a separable state get here
-    _require_rim(ordered, nu_sigma)
     profile = _ThetaProfile(ordered)
     if profile.n1 == 0.0:
         # Degenerate rim (pure state): the profile is flat.

@@ -150,6 +150,17 @@ class TestScan:
         assert sum(summary["regimes"].values()) == 8**3
         assert len(grid.read_text().splitlines()) == 8**3 + 1
 
+    def test_scan3d_at_large_s(self, capsys, tmp_path):
+        # the closed forms once raised DomainError in this physical window
+        code, out, err = run(
+            capsys, "scan3d", "--s-range", "87307.69230769231", "87400",
+            "--d-range", "-2564.1025641025626", "-2500",
+            "--g-range", "123077.30769230769", "123100", "--resolution", "2",
+            "--grid", str(tmp_path / "grid.csv"), "--boundary", str(tmp_path / "b.csv"),
+        )
+        assert code == EXIT_OK, err
+        assert json.loads(out)["cells"] == 8
+
 
 @pytest.mark.parametrize("argv", [
     ["scan", "--fixed-a", "5", "--b-range", "1", "5", "--g-range", "1", "9",
@@ -167,6 +178,14 @@ def test_out_of_range_option_exits_64(argv, tmp_path, capsys, monkeypatch):
     assert info.value.code == EXIT_USAGE
     assert "must exceed" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", ["-0.5", "nan"])
+def test_negative_near_separable_tol_exits_64(value, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["measure", "--squeezed-r", "0.3", "--tol-near-separable", value])
+    assert info.value.code == EXIT_USAGE
+    assert "must be at least 0" in capsys.readouterr().err
 
 
 class TestBounds:
