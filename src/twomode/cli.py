@@ -26,9 +26,10 @@ from .errors import (
     UnphysicalStateError,
 )
 from .gaussian_em import NEAR_SEPARABLE_TOL, minimize_m
-from .negativity import SYMMETRY_RTOL, log_negativity, negativity_report
+from .negativity import log_negativity, negativity_report
 from .symplectic import (
     DEFAULT_TOL,
+    SYMMETRY_RTOL,
     cm_from_json_dict,
     make_two_mode_squeezed,
     to_standard_form,

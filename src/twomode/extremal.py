@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .symplectic import StandardForm
+from .symplectic import StandardForm, _nu_pair
 
 _PARAM_TOL = 1e-12
 
@@ -50,6 +50,8 @@ def _domain_error(s: float, d: float, g: float) -> str | None:
         return f"constraint |d| <= s - 1 violated (s = {s!r}, d = {d!r})"
     if not g >= 2.0 * abs(d) + 1.0 - _PARAM_TOL:
         return f"constraint g >= 2|d| + 1 violated (d = {d!r}, g = {g!r})"
+    if not g <= (s - d) * (s + d) + _PARAM_TOL:
+        return f"constraint g <= s^2 - d^2 violated (s = {s!r}, d = {d!r}, g = {g!r})"
     return None
 
 
@@ -91,6 +93,12 @@ def glems_threshold(s: float, d: float) -> float:
     return math.sqrt(2.0 * (s * s + d * d) - 1.0)
 
 
+def _shift(d: float, g: float, lam: float) -> float:
+    """The lambda-dependent part of the invariants: Delta = -shift and
+    Delta_tilde = 4(s^2 + d^2) + shift, with Det sigma = g^2."""
+    return 0.5 * (g * g + 1.0) * (lam - 1.0) - (2.0 * d * d + g) * (lam + 1.0)
+
+
 def build_state(p: ExtremalParams) -> StandardForm:
     """Standard form (s + d, s - d, c_plus, c_minus) with purities
     (1/g, 1/(s+d), 1/(s-d)).
@@ -107,7 +115,7 @@ def build_state(p: ExtremalParams) -> StandardForm:
     """
     p.validate()
     s, d, g, lam = p.s, p.d, p.g, p.lam
-    shift = 0.5 * (g * g + 1.0) * (lam - 1.0) - (2.0 * d * d + g) * (lam + 1.0)
+    shift = _shift(d, g, lam)
     t_d = 4.0 * d * d + shift
     t_s = 4.0 * s * s + shift
     four_g_sq = 4.0 * g * g
@@ -133,38 +141,32 @@ def build_state(p: ExtremalParams) -> StandardForm:
 
 
 def classify_entanglement(p: ExtremalParams) -> Entanglement:
-    """Separability of the parametrized state.
-
-    Closed thresholds for the extremal values of lambda; anything in between
-    falls back to the PPT criterion on the built state.
-    """
+    """Separability of the parametrized state, closed for every lambda: as
+    Det sigma = g^2 >= 1, nu_tilde_minus < 1 iff Delta_tilde > 1 + g^2
+    (at lambda = +-1: g < 2s - 1 and g < sqrt(2(s^2 + d^2) - 1))."""
     p.validate()
-    if abs(p.lam - 1.0) <= _PARAM_TOL:
-        entangled = p.g < gmems_threshold(p.s)
-    elif abs(p.lam + 1.0) <= _PARAM_TOL:
-        entangled = p.g < glems_threshold(p.s, p.d)
-    else:
-        entangled = build_state(p).spectrum().nu_tilde_minus < 1.0
+    s, d, g = p.s, p.d, p.g
+    entangled = 4.0 * (s * s + d * d) + _shift(d, g, p.lam) > 1.0 + g * g
     return Entanglement.ENTANGLED if entangled else Entanglement.SEPARABLE
 
 
-def _nu_tilde_from_closed(delta_tilde: float, det_sigma: float) -> float:
-    disc = delta_tilde * delta_tilde - 4.0 * det_sigma
-    if disc < 0.0 or delta_tilde <= 0.0:
-        return math.nan
-    return math.sqrt(2.0 * det_sigma / (delta_tilde + math.sqrt(disc)))
-
-
 def nu_tilde_gmems(s: float, d: float, g: float) -> float:
-    """Smallest PT symplectic eigenvalue of the GMEMS at (s, d, g);
-    Delta_tilde reduces to 4s^2 - 2g."""
-    return _nu_tilde_from_closed(4.0 * s * s - 2.0 * g, g * g)
+    """Smallest PT symplectic eigenvalue of the GMEMS at (s, d, g):
+    Delta_tilde = 4s^2 - 2g and Delta_tilde^2 - 4g^2 = 16s^2 (s^2 - g), the
+    last factor taken as (s-1)(s+1) - (g-1), free of cancellation near purity."""
+    disc = 16.0 * s * s * ((s - 1.0) * (s + 1.0) - (g - 1.0))
+    return _nu_pair(4.0 * s * s - 2.0 * g, g * g, disc)[0]
 
 
 def nu_tilde_glems(s: float, d: float, g: float) -> float:
-    """Smallest PT symplectic eigenvalue of the GLEMS at (s, d, g);
-    Delta_tilde reduces to 4(s^2 + d^2) - g^2 - 1."""
-    return _nu_tilde_from_closed(4.0 * (s * s + d * d) - g * g - 1.0, g * g)
+    """Smallest PT symplectic eigenvalue of the GLEMS at (s, d, g), NaN for
+    g > 2s - 1 (no state): Delta_tilde^2 - 4g^2 is the product of the
+    factors 4(s^2 + d^2) - (g +- 1)^2, written so that neither cancels."""
+    if g > gmems_threshold(s):
+        return math.nan
+    disc = (((2.0 * s - 1.0 - g) * (2.0 * s + 1.0 + g) + 4.0 * d * d)
+            * ((2.0 * s + 1.0 - g) * (2.0 * s - 1.0 + g) + 4.0 * d * d))
+    return _nu_pair(4.0 * (s * s + d * d) - g * g - 1.0, g * g, disc)[0]
 
 
 def _m_gmems(s: float, d: float, g: float) -> float:
@@ -314,12 +316,12 @@ def _ordering_gap(s: float, d: float, g: float) -> float:
     return _m_gmems(s, d, g) - _m_glems(s, d, g)
 
 
-def _boundary_in_column(s: float, d: float, g_tol: float = 1e-9) -> list[float]:
-    """g values where the two closed forms cross, bisected inside the
-    window where both families are entangled."""
+def _boundary_in_column(s: float, d: float) -> list[float]:
+    """g values where the two closed forms cross, bisected to 1e-9 inside
+    the window where both families are entangled."""
     lo = 2.0 * abs(d) + 1.0
     hi = glems_threshold(s, d)
-    if hi - lo <= 4.0 * g_tol:
+    if hi - lo <= 4e-9:
         return []
     samples = 64
     crossings = []
@@ -331,7 +333,7 @@ def _boundary_in_column(s: float, d: float, g_tol: float = 1e-9) -> list[float]:
         elif gaps[i] * gaps[i + 1] < 0.0:
             a, b = gs[i], gs[i + 1]
             fa = gaps[i]
-            while b - a > g_tol:
+            while b - a > 1e-9:
                 mid = 0.5 * (a + b)
                 fm = _ordering_gap(s, d, mid)
                 if fm == 0.0:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, MinimizationError, UnphysicalStateError
-from .negativity import SYMMETRY_RTOL, h_function
+from .negativity import h_function
 from .symplectic import StandardForm
 
 #: States with nu_tilde_minus inside [1 - this, 1] are treated as separable
@@ -298,7 +298,6 @@ def minimize_m(
     sf: StandardForm,
     *,
     near_separable_tol: float = NEAR_SEPARABLE_TOL,
-    symmetric_shortcut: bool = True,
     log_base=2,
 ) -> GemResult:
     """Globally minimize the single-mode determinant over the rim angle.
@@ -306,9 +305,9 @@ def minimize_m(
     The stationary angles of the profile are the real roots of a quartic in
     tan(theta/2) (plus theta = pi); m is evaluated at each of them and the
     smallest value wins, so the minimum is exact up to rounding.  Separable
-    states short-circuit to m_opt = 1; pure states have a flat profile and
-    report theta = 0; symmetric states take the closed result
-    nu_tilde_opt = nu_tilde_minus(sigma) unless the shortcut is disabled.
+    states short-circuit to m_opt = 1; symmetric states take the closed
+    result nu_tilde_opt = nu_tilde_minus(sigma) at theta = pi, which is also
+    where a pure state's flat profile (a zero quartic) reports its minimum.
     ``extrema_found`` counts the distinct stationary angles.
     """
     if not near_separable_tol >= 0.0:
@@ -316,30 +315,28 @@ def minimize_m(
     nu_sigma = _physical_nu(sf)
     if nu_sigma >= 1.0 - near_separable_tol:
         return GemResult(1.0, 0.0, 1.0, 0.0, 1)
-    if symmetric_shortcut and sf.is_symmetric(SYMMETRY_RTOL):
+    if sf.is_symmetric():
         m_opt = m_from_nu_tilde(nu_sigma)
         return GemResult(m_opt, math.pi, nu_sigma, h_function(nu_sigma, log_base), 2)
+    return _minimize_profile(sf, log_base)
 
+
+def _minimize_profile(sf: StandardForm, log_base=2) -> GemResult:
+    """``minimize_m``'s general path, for a physical and entangled form."""
     ordered = sf.sign_ordered()
     profile = _ThetaProfile(ordered)
-    if profile.n1 == 0.0:
-        # Degenerate rim (pure state): the profile is flat.
-        m_opt, theta_opt, extrema = float(profile(0.0)), 0.0, 1
-    else:
-        angles, extrema = _stationary_angles(profile)
-        vals = profile(angles)
-        if not np.all(np.isfinite(vals)):
-            raise MinimizationError(
-                f"angular profile is not finite at its stationary angles {angles} "
-                f"for standard form {ordered}"
-            )
-        best = int(np.argmin(vals))
-        m_opt = float(vals[best])
-        theta_opt = float(angles[best]) % (2.0 * math.pi)
-    m_opt = max(m_opt, 1.0)
+    angles, extrema = _stationary_angles(profile)
+    vals = profile(angles)
+    if not np.all(np.isfinite(vals)):
+        raise MinimizationError(
+            f"angular profile is not finite at its stationary angles {angles} "
+            f"for standard form {ordered}"
+        )
+    best = int(np.argmin(vals))
+    m_opt = max(float(vals[best]), 1.0)
+    theta_opt = float(angles[best]) % (2.0 * math.pi)
     nu_opt = nu_tilde_from_m(m_opt)
-    geof = h_function(nu_opt, log_base) if nu_opt < 1.0 else 0.0
-    return GemResult(m_opt, theta_opt, nu_opt, geof, extrema)
+    return GemResult(m_opt, theta_opt, nu_opt, h_function(nu_opt, log_base), extrema)
 
 
 def gaussian_eof(sf: StandardForm, log_base=2, **kwargs) -> float:

@@ -14,10 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NotSymmetricError
-from .symplectic import DEFAULT_TOL, StandardForm, SymplecticSpectrum
-
-#: Relative tolerance below which a == b counts as symmetric.
-SYMMETRY_RTOL = 1e-9
+from .symplectic import DEFAULT_TOL, SYMMETRY_RTOL, StandardForm, SymplecticSpectrum
 
 _LN2 = math.log(2.0)
 
@@ -91,7 +88,7 @@ def h_function(x: float, log_base=2) -> float:
 def eof_symmetric(sf: StandardForm, log_base=2, rtol: float = SYMMETRY_RTOL) -> float:
     """Entanglement of formation of a symmetric (a == b) two-mode state.
 
-    Equals max[0, h(nu_tilde_minus)]; for symmetric states the optimal
+    Equals h(nu_tilde_minus), 0 when separable; for symmetric states the optimal
     decomposition is Gaussian, so this coincides with the Gaussian
     convex-roof value.
 
@@ -105,7 +102,7 @@ def eof_symmetric(sf: StandardForm, log_base=2, rtol: float = SYMMETRY_RTOL) -> 
     nu = sf.spectrum().nu_tilde_minus
     if nu >= 1.0:
         return 0.0
-    return max(0.0, h_function(nu, log_base))
+    return h_function(nu, log_base)
 
 
 def negativity_report(

@@ -26,6 +26,9 @@ OMEGA = np.array([
 #: Absolute slack allowed on the physicality inequalities.
 DEFAULT_TOL = 1e-10
 
+#: Relative tolerance below which a == b counts as symmetric.
+SYMMETRY_RTOL = 1e-9
+
 # Relative clamp for discriminants that should be non-negative but may round
 # slightly below zero when two symplectic eigenvalues (almost) coincide.
 _DISC_RTOL = 1e-9
@@ -107,9 +110,11 @@ class StandardForm:
 
     def spectrum(self) -> SymplecticSpectrum:
         det_sigma, delta, delta_tilde = self._dets()
-        return SymplecticSpectrum(*_nu_pair(delta, det_sigma), *_nu_pair(delta_tilde, det_sigma))
+        nu = _nu_pair(delta, det_sigma, delta * delta - 4.0 * det_sigma)
+        nu_t = _nu_pair(delta_tilde, det_sigma, delta_tilde * delta_tilde - 4.0 * det_sigma)
+        return SymplecticSpectrum(*nu, *nu_t)
 
-    def is_symmetric(self, rtol: float = 1e-9) -> bool:
+    def is_symmetric(self, rtol: float = SYMMETRY_RTOL) -> bool:
         return abs(self.a - self.b) <= rtol * max(self.a, self.b)
 
     def is_physical(self, tol: float = DEFAULT_TOL) -> bool:
@@ -164,16 +169,15 @@ def _check_matrix(cm, tol: float) -> np.ndarray:
     return 0.5 * (arr + arr.T)
 
 
-def _nu_pair(delta: float, det_sigma: float) -> tuple[float, float]:
-    """Both symplectic eigenvalues from (Delta, Det sigma).
+def _nu_pair(delta: float, det_sigma: float, disc: float) -> tuple[float, float]:
+    """Both symplectic eigenvalues from (Delta, Det sigma) and the caller's
+    disc = Delta^2 - 4 Det sigma, factored where the invariants are closed.
 
     nu_-^2 and nu_+^2 are the roots of x^2 - Delta x + Det sigma; the smaller
     root is evaluated as Det sigma over the larger one to avoid cancellation.
     """
-    disc = delta * delta - 4.0 * det_sigma
-    scale = max(delta * delta, abs(4.0 * det_sigma), 1.0)
     if disc < 0.0:
-        if disc < -_DISC_RTOL * scale:
+        if disc < -_DISC_RTOL * max(delta * delta, abs(4.0 * det_sigma), 1.0):
             raise UnphysicalStateError(
                 f"symplectic discriminant is negative (Delta={delta:g}, Det={det_sigma:g}); "
                 "not a valid covariance matrix"
@@ -184,8 +188,7 @@ def _nu_pair(delta: float, det_sigma: float) -> tuple[float, float]:
         raise UnphysicalStateError(
             f"symplectic spectrum undefined (Delta={delta:g}, Det={det_sigma:g})"
         )
-    lo_sq = det_sigma / hi_sq if hi_sq > 0.0 else 0.0
-    return math.sqrt(lo_sq), math.sqrt(hi_sq)
+    return math.sqrt(det_sigma / hi_sq), math.sqrt(hi_sq)
 
 
 def validate_physical(cm, tol: float = DEFAULT_TOL) -> bool:

@@ -106,6 +106,12 @@ class TestMeasure:
         assert code == EXIT_UNPHYSICAL
         assert "g >= 2|d| + 1" in err
 
+    def test_params_beyond_fischer_bound_exit_2(self, capsys):
+        # g = 5 > s^2 - d^2 = 3.75: Det sigma would exceed Det alpha Det beta
+        code, _, err = run(capsys, "measure", "--params", "2", "0.5", "5", "1")
+        assert code == EXIT_UNPHYSICAL
+        assert "s^2 - d^2" in err
+
     def test_conflicting_inputs_exit_64(self, capsys):
         code, _, _ = run(capsys, "measure", "--squeezed-r", "0.3", "--params", "2", "0", "1.5", "0")
         assert code == EXIT_USAGE

@@ -78,6 +78,10 @@ class TestBuildState:
         with pytest.raises(DomainError, match="lambda"):
             build_state(ExtremalParams(2.0, 0.5, 2.5, 1.5))
 
+    def test_fischer_bound(self):
+        with pytest.raises(DomainError, match=r"g <= s\^2 - d\^2"):
+            build_state(ExtremalParams(3.0, 2.0, 5.02, 1.0))
+
     def test_out_of_domain_square_root(self):
         # deep in the separable region the lambda = -1 branch leaves the reals
         with pytest.raises(DomainError, match="square-root argument"):
@@ -105,6 +109,14 @@ class TestClassification:
             assert classify_entanglement(p) is Entanglement.ENTANGLED
             assert not is_separable_ppt(build_state(p).spectrum(), 0.0)
 
+    def test_separable_where_the_parametrization_has_no_state(self):
+        # g >= 2s - 1: every state with these purities is separable, though
+        # build_state has no real correlations at lambda = 0
+        p = ExtremalParams(2.0, 0.5, 3.5, 0.0)
+        assert classify_entanglement(p) is Entanglement.SEPARABLE
+        with pytest.raises(DomainError, match="square-root argument"):
+            build_state(p)
+
     def test_agrees_with_ppt_for_generic_lambda(self, rng):
         for p in draw_params(rng, 40):
             try:
@@ -130,7 +142,10 @@ class TestClassification:
 class TestClosedForms:
     def test_gmems_separable_branch(self):
         assert m_opt_gmems(s=2.0, d=0.5, g=3.0) == 1.0
-        assert m_opt_gmems(s=2.0, d=0.5, g=5.0) == 1.0
+        assert m_opt_gmems(s=2.0, d=0.5, g=3.5) == 1.0
+        # g = 5 exceeds Det alpha Det beta = s^2 - d^2 = 3.75: no such state
+        with pytest.raises(DomainError, match=r"s\^2 - d\^2"):
+            m_opt_gmems(s=2.0, d=0.5, g=5.0)
 
     def test_gmems_example_value(self):
         # {(g+1)s - sqrt([(g-1)^2 - 4d^2](s^2 - d^2 - g))}^2 / [4 (d^2+g)^2]
@@ -189,6 +204,17 @@ class TestClosedForms:
                 continue
             m = m_opt_glems(s=p.s, d=p.d, g=p.g)
             assert m_from_nu_tilde(nu) * (1 - 1e-9) <= m <= m_max(nu) * (1 + 1e-9)
+
+
+class TestNuTilde:
+    def test_glems_has_no_state_above_2s_minus_1(self):
+        # g = 7.2 > 2s - 1 = 7, inside the (s, d, g) domain (s^2 - d^2 = 7.59)
+        assert math.isnan(nu_tilde_glems(4.0, 2.9, 7.2))
+
+    def test_separable_glems_below_2s_minus_1_is_finite(self):
+        # g between the GLEMS threshold sqrt(7.5) and 2s - 1 = 3
+        nu = nu_tilde_glems(2.0, 0.5, 2.9)
+        assert math.isfinite(nu) and nu >= 1.0
 
 
 class TestGmemms:
@@ -257,10 +283,19 @@ class TestOrdering:
     def test_scan_cell_labels(self):
         cells, _ = scan_ordering_slice(5.0, (1.0, 5.0), (1.0, 9.0), 24)
         for c in cells:
-            if c.g < 2.0 * abs(c.d) + 1.0 - 1e-9:
+            fischer = (c.s - c.d) * (c.s + c.d)
+            if c.g < 2.0 * abs(c.d) + 1.0 - 1e-9 or c.g > fischer + 1e-9:
                 assert c.regime is Regime.UNPHYSICAL
             elif c.g >= gmems_threshold(c.s):
                 assert c.regime is Regime.BOTH_SEPARABLE
+            if c.regime is Regime.BOTH_SEPARABLE:
+                assert gmems_threshold(c.s) <= c.g <= fischer + 1e-12
+
+    def test_states_beyond_the_fischer_bound_are_unphysical(self):
+        # Det sigma <= Det alpha Det beta: g <= s^2 - d^2 = 5 here
+        verdict = ordering_compare(3.0, 2.0, 5.02)
+        assert verdict.regime is Regime.UNPHYSICAL
+        assert math.isnan(verdict.m_gmems) and math.isnan(verdict.m_glems)
 
     def test_boundary_points_have_tiny_gap(self):
         _, boundary = scan_ordering_slice(5.0, (1.0, 5.0), (1.0, 9.0), 40)

@@ -14,9 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twomode import Regime, m_opt_glems, m_opt_gmems, ordering_compare
+from twomode import (
+    Regime,
+    m_opt_glems,
+    m_opt_gmems,
+    nu_tilde_glems,
+    nu_tilde_gmems,
+    ordering_compare,
+)
 
 REL_TOL = 1e-11
+NU_REL_TOL = 1e-14
 SANDWICH_RTOL = 1e-12
 DIGITS = 60
 
@@ -140,6 +148,21 @@ def test_closed_form_within_universal_sandwich(family, data):
         upper = 1 / (nu * nu)
         assert mp.mpf(m) >= lower * (1 - SANDWICH_RTOL)
         assert mp.mpf(m) <= upper * (1 + SANDWICH_RTOL)
+
+
+NU_TILDE = {"gmems": nu_tilde_gmems, "glems": nu_tilde_glems}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_nu_tilde_matches_60_digit_reference(family, data):
+    """The factored discriminant keeps nu_tilde accurate near purity, where
+    Delta_tilde^2 - 4g^2 formed directly loses digits."""
+    s, d, g = data.draw(entangled_points(family))
+    _, _, delta_tilde = FAMILIES[family]
+    nu = NU_TILDE[family](s, d, g)
+    assert _rel(nu, _ref_nu(s, d, g, delta_tilde)) <= NU_REL_TOL
 
 
 @pytest.mark.parametrize("s, d, g", [

@@ -16,6 +16,7 @@ from twomode import (
     nu_tilde_from_m,
 )
 from twomode.errors import DomainError, UnphysicalStateError
+from twomode.gaussian_em import _minimize_profile
 
 from conftest import draw_entangled_states
 
@@ -142,9 +143,11 @@ class TestMinimize:
         assert gem.m_opt == pytest.approx(25 / 9, rel=1e-10)
         assert gem.nu_tilde_opt == pytest.approx(1 / 3, rel=1e-9)
         # general path: the rim collapses to a point and the profile is flat
-        flat = minimize_m(PURE_53, symmetric_shortcut=False)
+        flat = _minimize_profile(PURE_53)
         assert flat.m_opt == pytest.approx(25 / 9, rel=1e-10)
-        assert flat.theta_opt == 0.0
+        # the quartic vanishes identically; theta = pi is the one candidate,
+        # as in the symmetric closed result
+        assert flat.theta_opt == math.pi
         assert flat.extrema_found == 1
 
     def test_gmems_example(self):
@@ -190,7 +193,7 @@ class TestMinimize:
             nu = sf.spectrum().nu_tilde_minus
             closed = m_from_nu_tilde(nu)
             shortcut = minimize_m(sf)
-            general = minimize_m(sf, symmetric_shortcut=False)
+            general = _minimize_profile(sf)
             assert shortcut.m_opt == pytest.approx(closed, rel=1e-12)
             assert general.m_opt == pytest.approx(closed, rel=1e-9)
             assert abs(general.nu_tilde_opt - nu) <= 1e-9
@@ -224,7 +227,7 @@ class TestMinimize:
 
     def test_extrema_count_in_claimed_range(self, rng):
         for _, sf in draw_entangled_states(rng, 60):
-            gem = minimize_m(sf, symmetric_shortcut=False)
+            gem = _minimize_profile(sf)
             assert 1 <= gem.extrema_found <= 4
 
     def test_entangled_minimum_exceeds_one(self, rng):

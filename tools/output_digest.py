@@ -1,0 +1,81 @@
+"""Print the SHA-256 of every file the reference CLI runs write.
+
+Usage, from anywhere:
+
+    python tools/output_digest.py
+
+The runs are the `bounds` experiment (seed 1, 4000 states, both sampler
+modes), the criterion-5 `scan` window at resolutions 200 and 60, the README
+`scan3d` window at resolution 24, and four `measure` reports.  They run in a
+temporary directory against the `twomode` package in this checkout's `src/`,
+and each output prints as one `sha256  label` line.  Running it on two
+commits and diffing the lines shows which outputs a change moved.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from twomode import cli  # noqa: E402
+
+SCAN_WINDOW = ["--fixed-a", "5", "--b-range", "1", "5", "--g-range", "1", "9"]
+SCAN3D_WINDOW = ["--s-range", "1.5", "5", "--d-range", "-2", "2", "--g-range", "1", "9"]
+MEASURES = [
+    ["--squeezed-r", "0.5493"],
+    ["--params", "2", "0.5", "2.5", "1"],
+    ["--params", "2", "0.5", "2.5", "-1"],
+    ["--params", "2", "0.5", "2", "0.3"],
+]
+
+
+def _run(argv: list[str]) -> bytes:
+    """Run one CLI command and return its stdout; a nonzero exit is fatal."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    if code != cli.EXIT_OK:
+        raise SystemExit(f"twomode {' '.join(argv)} exited {code}")
+    return out.getvalue().encode()
+
+
+def _outputs():
+    """(label, bytes) of every output, in a fixed order."""
+    for mode in ("extremal_params", "raw_standard_form"):
+        _run(["bounds", "--samples", "4000", "--seed", "1", "--mode", mode,
+              "--points", "points.csv", "--curves", "curves.csv",
+              "--geof-curves", "geof.csv", "--summary", "summary.json"])
+        for name in ("points.csv", "curves.csv", "geof.csv", "summary.json"):
+            yield f"bounds {mode} {name}", Path(name).read_bytes()
+    scans = [("scan", SCAN_WINDOW, 200), ("scan", SCAN_WINDOW, 60),
+             ("scan3d", SCAN3D_WINDOW, 24)]
+    for command, window, resolution in scans:
+        _run([command, *window, "--resolution", str(resolution),
+              "--grid", "grid.csv", "--boundary", "boundary.csv"])
+        for name in ("grid.csv", "boundary.csv"):
+            yield f"{command} {resolution} {name}", Path(name).read_bytes()
+    for argv in MEASURES:
+        yield "measure " + " ".join(argv), _run(["measure", *argv])
+
+
+def main() -> int:
+    start = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for label, data in _outputs():
+                print(f"{hashlib.sha256(data).hexdigest()}  {label}")
+        finally:
+            os.chdir(start)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
