@@ -161,10 +161,12 @@ def nu_tilde_gmems(s: float, d: float, g: float) -> float:
 def nu_tilde_glems(s: float, d: float, g: float) -> float:
     """Smallest PT symplectic eigenvalue of the GLEMS at (s, d, g), NaN for
     g > 2s - 1 (no state): Delta_tilde^2 - 4g^2 is the product of the
-    factors 4(s^2 + d^2) - (g +- 1)^2, written so that neither cancels."""
-    if g > gmems_threshold(s):
+    factors 4(s^2 + d^2) - (g +- 1)^2, written so that neither cancels.
+    A g within the domain tolerance above 2s - 1 (where |d| = s - 1 puts
+    the GMEMMS edge on it) is kept, its first factor clamped at 0."""
+    if g > gmems_threshold(s) + _PARAM_TOL:
         return math.nan
-    disc = (((2.0 * s - 1.0 - g) * (2.0 * s + 1.0 + g) + 4.0 * d * d)
+    disc = (max((2.0 * s - 1.0 - g) * (2.0 * s + 1.0 + g) + 4.0 * d * d, 0.0)
             * ((2.0 * s + 1.0 - g) * (2.0 * s - 1.0 + g) + 4.0 * d * d))
     return _nu_pair(4.0 * (s * s + d * d) - g * g - 1.0, g * g, disc)[0]
 

@@ -165,6 +165,15 @@ def test_nu_tilde_matches_60_digit_reference(family, data):
     assert _rel(nu, _ref_nu(s, d, g, delta_tilde)) <= NU_REL_TOL
 
 
+def test_glems_nu_tilde_at_rounded_corner():
+    """|d| = s - 1 on the GMEMMS edge: g = 2|d| + 1 rounds one ulp above
+    2s - 1, inside the domain tolerance, and still has a GLEMS value."""
+    s, d, g = 1.0316227766016839, 0.03162277660168389, 1.063245553203368
+    assert g > 2.0 * s - 1.0
+    nu = nu_tilde_glems(s, d, g)
+    assert _rel(nu, _ref_nu(s, d, g, _glems_delta_tilde)) <= NU_REL_TOL
+
+
 @pytest.mark.parametrize("s, d, g", [
     # large-s points where the former theta = pi sum of g^4-sized terms
     # lost the value and the closed form raised DomainError
