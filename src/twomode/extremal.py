@@ -99,6 +99,11 @@ def _shift(d: float, g: float, lam: float) -> float:
     return 0.5 * (g * g + 1.0) * (lam - 1.0) - (2.0 * d * d + g) * (lam + 1.0)
 
 
+def _delta_tilde(s, d, g, lam):
+    """Delta_tilde of the parametrized state, elementwise for arrays."""
+    return 4.0 * (s * s + d * d) + _shift(d, g, lam)
+
+
 def build_state(p: ExtremalParams) -> StandardForm:
     """Standard form (s + d, s - d, c_plus, c_minus) with purities
     (1/g, 1/(s+d), 1/(s-d)).
@@ -146,7 +151,7 @@ def classify_entanglement(p: ExtremalParams) -> Entanglement:
     (at lambda = +-1: g < 2s - 1 and g < sqrt(2(s^2 + d^2) - 1))."""
     p.validate()
     s, d, g = p.s, p.d, p.g
-    entangled = 4.0 * (s * s + d * d) + _shift(d, g, p.lam) > 1.0 + g * g
+    entangled = _delta_tilde(s, d, g, p.lam) > 1.0 + g * g
     return Entanglement.ENTANGLED if entangled else Entanglement.SEPARABLE
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError, MinimizationError, UnphysicalStateError
 from .negativity import h_function
-from .symplectic import StandardForm
+from .symplectic import StandardForm, _dets
 
 #: States with nu_tilde_minus inside [1 - this, 1] are treated as separable
 #: by the minimizer, which then returns m_opt = 1 exactly.
@@ -47,6 +47,7 @@ NEAR_SEPARABLE_TOL = 1e-8
 SQRT_CLAMP = 1e-12
 
 _ETA = np.array([1.0, -1.0, -1.0])  # Minkowski metric signature (+, -, -)
+_SUBDIAGONAL = np.eye(4, k=-1)  # companion matrices of degree <= 4, first row aside
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,7 @@ class _ThetaProfile:
             # R - A^2 = dq (1 + Det sigma - Delta): the argument is the
             # uncertainty-relation slack, which vanishes identically for
             # partial-minimum-uncertainty states.
-            det_sigma, delta, _ = sf._dets()
+            det_sigma, delta, _ = _dets(a, b, cp, cm)
             slack = 1.0 + det_sigma - delta
             scale = max(1.0, det_sigma, abs(delta))
             if slack <= 1e-11 * scale:
@@ -268,6 +269,26 @@ def gamma_from_theta(sf: StandardForm, theta: float) -> GammaCoordinates:
     return GammaCoordinates(float(x[0]), float(x[1]), float(x[2]))
 
 
+def _roots(coeffs: tuple[float, ...]) -> np.ndarray:
+    """``np.roots(coeffs)``, bit for bit, without its wrapper's overhead: the
+    eigenvalues of the same companion matrix.  Leading zeros lower the
+    degree, each trailing zero is a root at 0, and an all-zero polynomial
+    has no roots."""
+    nonzero = [i for i, c in enumerate(coeffs) if c != 0.0]
+    if not nonzero:
+        return np.empty(0)
+    first, last = nonzero[0], nonzero[-1]
+    if last > first:
+        degree = last - first
+        companion = _SUBDIAGONAL[:degree, :degree].copy()
+        companion[0] = [-c / coeffs[first] for c in coeffs[first + 1:last + 1]]
+        roots = np.linalg.eigvals(companion)
+    else:
+        roots = np.empty(0)
+    trailing = len(coeffs) - 1 - last
+    return np.concatenate((roots, np.zeros(trailing, roots.dtype))) if trailing else roots
+
+
 def _stationary_angles(profile: _ThetaProfile) -> tuple[np.ndarray, int]:
     """Candidate angles that include every minimizer of m(theta), and the
     number of distinct stationary angles.
@@ -285,7 +306,7 @@ def _stationary_angles(profile: _ThetaProfile) -> tuple[np.ndarray, int]:
     c_co = -n1 * dc
     e_co = -n1 * ds
     lead = e_co - b_co
-    roots = np.roots([lead, 2.0 * (a_co - c_co), 6.0 * e_co, 2.0 * (a_co + c_co), b_co + e_co])
+    roots = _roots((lead, 2.0 * (a_co - c_co), 6.0 * e_co, 2.0 * (a_co + c_co), b_co + e_co))
     # LAPACK returns real eigenvalues of the companion matrix with an exactly
     # zero imaginary part; evaluating m at the real parts of complex roots
     # too is harmless, since every angle bounds the minimum from above.

@@ -92,24 +92,12 @@ class StandardForm:
             [0.0, cm, 0.0, b],
         ])
 
-    def _dets(self) -> tuple[float, float, float]:
-        """(Det sigma, Delta, Delta_tilde): the one derivation that
-        ``invariants``, ``spectrum`` and the physicality test all read."""
-        a, b, cp, cm = self.a, self.b, self.c_plus, self.c_minus
-        det_gamma = cp * cm
-        quad = a * a + b * b
-        return (
-            (a * b - cp * cp) * (a * b - cm * cm),
-            quad + 2.0 * det_gamma,
-            quad - 2.0 * det_gamma,
-        )
-
     def invariants(self) -> SymplecticInvariants:
-        a, b = self.a, self.b
-        return SymplecticInvariants(a * a, b * b, self.c_plus * self.c_minus, *self._dets())
+        a, b, cp, cm = self.a, self.b, self.c_plus, self.c_minus
+        return SymplecticInvariants(a * a, b * b, cp * cm, *_dets(a, b, cp, cm))
 
     def spectrum(self) -> SymplecticSpectrum:
-        det_sigma, delta, delta_tilde = self._dets()
+        det_sigma, delta, delta_tilde = _dets(self.a, self.b, self.c_plus, self.c_minus)
         nu = _nu_pair(delta, det_sigma, delta * delta - 4.0 * det_sigma)
         nu_t = _nu_pair(delta_tilde, det_sigma, delta_tilde * delta_tilde - 4.0 * det_sigma)
         return SymplecticSpectrum(*nu, *nu_t)
@@ -126,14 +114,14 @@ class StandardForm:
         None.  Det sigma >= 1, Delta <= 1 + Det sigma and sigma >= 0 are
         equivalent to nu_minus >= 1, which implies a, b >= 1 up to rounding.
         """
-        det_sigma, delta, _ = self._dets()
+        a, b, cp, cm = self.a, self.b, self.c_plus, self.c_minus
+        det_sigma, delta, _ = _dets(a, b, cp, cm)
         if det_sigma < 1.0 - tol:
             return "Det sigma = {det_sigma:.12g} < 1 violates the purity bound"
         if delta > 1.0 + det_sigma + tol:
             return "Delta = {delta:.12g} exceeds 1 + Det sigma = {bound:.12g}"
-        a, b = self.a, self.b
         ab = a * b
-        if ab - self.c_plus**2 < -tol or ab - self.c_minus**2 < -tol:
+        if ab - cp**2 < -tol or ab - cm**2 < -tol:
             return "covariance matrix is not positive semidefinite"
         if a < 1.0 - tol or b < 1.0 - tol:
             return "local determinants ({a:.12g}^2, {b:.12g}^2) fall below 1"
@@ -155,6 +143,19 @@ class StandardForm:
         if cp < 0.0:
             cp, cm = -cp, -cm
         return StandardForm(self.a, self.b, cp, cm)
+
+
+def _dets(a, b, c_plus, c_minus):
+    """(Det sigma, Delta, Delta_tilde) of the standard form (a, b, c_plus,
+    c_minus), elementwise for arrays: the one derivation that ``invariants``,
+    ``spectrum``, the physicality test and the sampler's screen all read."""
+    det_gamma = c_plus * c_minus
+    quad = a * a + b * b
+    return (
+        (a * b - c_plus * c_plus) * (a * b - c_minus * c_minus),
+        quad + 2.0 * det_gamma,
+        quad - 2.0 * det_gamma,
+    )
 
 
 def _check_matrix(cm, tol: float) -> np.ndarray:

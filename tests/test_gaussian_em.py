@@ -16,7 +16,7 @@ from twomode import (
     nu_tilde_from_m,
 )
 from twomode.errors import DomainError, UnphysicalStateError
-from twomode.gaussian_em import _minimize_profile
+from twomode.gaussian_em import _minimize_profile, _roots
 
 from conftest import draw_entangled_states
 
@@ -237,6 +237,28 @@ class TestMinimize:
     def test_unphysical_raises(self):
         with pytest.raises(UnphysicalStateError):
             minimize_m(UNPHYSICAL)
+
+
+def _root_cases(rng):
+    """Random quartics over ten decades with some coefficients zeroed, then
+    the degenerate ones: a dropped degree, roots at 0, a constant, zero."""
+    for _ in range(2000):
+        coeffs = rng.normal(size=5) * 10.0 ** rng.integers(-5, 6, size=5)
+        coeffs[rng.random(5) < 0.3] = 0.0
+        yield tuple(coeffs.tolist())
+    yield from [
+        (0.0, 2.0, 0.0, 3.0, 0.0),  # a = b general path of a GLEMS
+        (0.0, 0.0, 1.5, -2.0, 0.5),
+        (1.0, -3.0, 0.0, 0.0, 0.0),
+        (0.0, 0.0, 0.0, 0.0, 7.0),
+        (-0.0, 0.0, 4.0, 0.0, -0.0),
+        (0.0, 0.0, 0.0, 0.0, 0.0),  # a pure state's flat profile
+    ]
+
+
+def test_roots_match_np_roots(rng):
+    for coeffs in _root_cases(rng):
+        np.testing.assert_array_equal(_roots(coeffs), np.roots(list(coeffs)), strict=True)
 
 
 class TestGaussianEof:

@@ -1,0 +1,220 @@
+"""The block sampler against the scalar attempt walk it replaces.
+
+``iter_samples`` draws each index's doubles in blocks and screens them as
+arrays.  The reference here is the scalar walk: one ``rng.uniform`` call per
+value, one ``StandardForm`` per attempt, from the same per-index generator.
+Both must give equal samples, attempt by attempt, including the attempts
+that read fewer than four doubles and the limit on attempts.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from twomode import bounds
+from twomode.bounds import NEAR_SEPARABLE_TOL, Sample, SamplerConfig, iter_samples
+from twomode.errors import SamplingError, TwoModeError
+from twomode.extremal import ExtremalParams, build_state
+from twomode.symplectic import StandardForm
+
+
+def _draw_extremal(rng, s_max):
+    s = rng.uniform(1.0, s_max)
+    d = rng.uniform(-(s - 1.0), s - 1.0)
+    lam = rng.uniform(-1.0, 1.0)
+    g_lo = 2.0 * abs(d) + 1.0
+    g_hi = 2.0 * s - 1.0
+    if g_hi - g_lo <= 1e-9:
+        return None
+    g = rng.uniform(g_lo, g_hi)
+    try:
+        sf = build_state(ExtremalParams(s, d, g, lam))
+    except TwoModeError:
+        return None
+    if not sf.spectrum().nu_tilde_minus < 1.0 - NEAR_SEPARABLE_TOL:
+        return None
+    return sf, s, d, g, lam
+
+
+def _draw_raw(rng, s_max):
+    a = rng.uniform(1.0, s_max)
+    b = rng.uniform(1.0, s_max)
+    c_cap = math.sqrt(max(a * b - 1.0, 0.0))
+    if c_cap <= 0.0:
+        return None
+    cp = rng.uniform(0.0, c_cap)
+    cm = rng.uniform(-cp, 0.0)
+    sf = StandardForm(a, b, cp, cm)
+    if not sf.is_physical():
+        return None
+    if not sf.spectrum().nu_tilde_minus < 1.0 - NEAR_SEPARABLE_TOL:
+        return None
+    return sf, 0.5 * (a + b), 0.5 * (a - b), math.sqrt(sf.invariants().det_sigma), math.nan
+
+
+_REFERENCE_DRAWS = {"extremal_params": _draw_extremal, "raw_standard_form": _draw_raw}
+
+
+def reference_sample(cfg, index):
+    """Sample ``index`` by the scalar walk over ``rng.uniform``."""
+    draw = _REFERENCE_DRAWS[cfg.mode]
+    rng = bounds._rng_for(cfg.seed, index)
+    for _ in range(bounds._MAX_REJECTIONS):
+        fields = draw(rng, cfg.s_max)
+        if fields is not None:
+            return Sample(index, *fields)
+    raise SamplingError(
+        f"no acceptable state after {bounds._MAX_REJECTIONS} rejections at index {index}"
+    )
+
+
+# Counts cross chunk boundaries.  Raw mode needs about 740 attempts per
+# state at s_max 200, so there the reference checks a few indices on both
+# sides of one boundary.
+COUNT = 3 * bounds._CHUNK + 6
+AROUND_BOUNDARY = [0, 1, bounds._CHUNK - 1, bounds._CHUNK, COUNT - 1]
+STREAM_CASES = [
+    ("extremal_params", seed, s_max, range(COUNT))
+    for seed in (1, 2) for s_max in (1.5, 20.0, 200.0)
+] + [
+    ("raw_standard_form", seed, s_max, range(COUNT))
+    for seed in (1, 2) for s_max in (1.5, 20.0)
+] + [
+    ("raw_standard_form", seed, 200.0, AROUND_BOUNDARY) for seed in (1, 2)
+]
+
+
+@pytest.mark.parametrize("mode, seed, s_max, indices", STREAM_CASES)
+def test_block_draws_equal_the_scalar_walk(mode, seed, s_max, indices):
+    cfg = SamplerConfig(seed=seed, count=COUNT, s_max=s_max, mode=mode)
+    samples = list(iter_samples(cfg))
+    assert [s.index for s in samples] == list(range(COUNT))
+    for i in indices:
+        assert samples[i] == reference_sample(cfg, i)
+        assert all(type(v) is float for v in (samples[i].s, samples[i].d, samples[i].g))
+
+
+@pytest.mark.parametrize("mode, s_max", [
+    ("extremal_params", 1.5), ("extremal_params", 20.0), ("extremal_params", 1e5),
+    ("raw_standard_form", 1.5), ("raw_standard_form", 20.0), ("raw_standard_form", 200.0),
+])
+def test_screen_keeps_every_attempt_the_scalar_test_accepts(mode, s_max):
+    u = np.random.default_rng(20261018).random((4000, 4))
+    spec = bounds._MODES[mode]
+    fields, short, keep = spec.screen(u, s_max)
+    for k, values in enumerate(zip(*(f.tolist() for f in fields))):
+        if not short[k] and spec.confirm(*values) is not None:
+            assert keep[k], values
+
+
+@pytest.mark.parametrize("mode", ["extremal_params", "raw_standard_form"])
+def test_sample_does_not_depend_on_count(mode):
+    long = list(iter_samples(SamplerConfig(seed=7, count=300, mode=mode)))
+    assert list(iter_samples(SamplerConfig(seed=7, count=5, mode=mode))) == long[:5]
+
+
+class ScriptedGenerator:
+    """Generator test double: ``uniform`` and ``random`` read one shared list
+    of doubles, then zeros, which make every attempt stop early (a = b = 1 in
+    raw mode, |d| = s - 1 in extremal mode) so none is ever accepted."""
+
+    def __init__(self, doubles):
+        self.doubles = list(doubles)
+        self.read = 0
+
+    def _next(self):
+        u = self.doubles[self.read] if self.read < len(self.doubles) else 0.0
+        self.read += 1
+        return u
+
+    def uniform(self, low, high):
+        return low + (high - low) * self._next()
+
+    def random(self, n):
+        return np.array([self._next() for _ in range(n)])
+
+
+S_MAX = 20.0
+# Attempts of 4 doubles (3 or 2 for an early stop) at s_max 20.
+RAW_ACCEPT = [0.125, 0.125, 0.875, 0.125]
+RAW_REJECT = [0.5, 0.5, 0.0, 0.5]  # c_plus = c_minus = 0: a product state
+RAW_SHORT = [0.0, 0.0]  # a = b = 1, so a b - 1 = 0 and c_plus has no range
+EXT_ACCEPT = [0.5, 0.5, 0.5, 0.5]
+EXT_REJECT = [0.5, 0.5, 0.5, 0.999]  # separable
+EXT_SHORT = [0.5, 0.0, 0.5]  # d = -(s - 1): the g window is empty
+ACCEPT = {"raw_standard_form": RAW_ACCEPT, "extremal_params": EXT_ACCEPT}
+REJECT = {"raw_standard_form": RAW_REJECT, "extremal_params": EXT_REJECT}
+SHORT = {"raw_standard_form": RAW_SHORT, "extremal_params": EXT_SHORT}
+
+
+def _scripted(monkeypatch, mode, script):
+    """(iter_samples output or its error, reference output or its error,
+    doubles the reference read) for one index on scripted generators."""
+    monkeypatch.setattr(bounds, "_rng_for", lambda seed, index: ScriptedGenerator(script))
+    cfg = SamplerConfig(seed=0, count=1, s_max=S_MAX, mode=mode)
+    outputs = []
+    for run in (lambda: list(iter_samples(cfg)), lambda: [reference_sample(cfg, 0)]):
+        try:
+            outputs.append(run())
+        except SamplingError as exc:
+            outputs.append(str(exc))
+    reader = ScriptedGenerator(script)
+    draw = _REFERENCE_DRAWS[mode]
+    for _ in range(len(script)):
+        if draw(reader, S_MAX) is not None:
+            break
+    return outputs[0], outputs[1], reader.read
+
+
+def _edge_attempt(mode):
+    """An attempt on the rejected side of the entanglement cut,
+    nu_tilde_minus = 1 - NEAR_SEPARABLE_TOL, bisected in its last double."""
+    lo, hi = ACCEPT[mode][3], REJECT[mode][3]
+    prefix = ACCEPT[mode][:3]
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if _REFERENCE_DRAWS[mode](ScriptedGenerator(prefix + [mid]), S_MAX) is None:
+            hi = mid
+        else:
+            lo = mid
+    return prefix + [hi]
+
+
+@pytest.mark.parametrize("mode", ["extremal_params", "raw_standard_form"])
+def test_early_stops_shift_the_attempts_after_them(monkeypatch, mode):
+    block = bounds._MODES[mode].first_block
+    edge = _edge_attempt(mode)
+    _, _, kept = bounds._MODES[mode].screen(np.array([edge]), S_MAX)
+    assert kept.tolist() == [True]
+    scripts = [
+        SHORT[mode] + ACCEPT[mode],
+        REJECT[mode] + SHORT[mode] + SHORT[mode] + REJECT[mode] + ACCEPT[mode],
+        # an early stop at the end of the first block carries the doubles
+        # left over into the second one
+        REJECT[mode] * (block - 1) + SHORT[mode] + REJECT[mode] * 3 + ACCEPT[mode],
+        # an attempt that only the scalar test rejects, then an early stop
+        edge + SHORT[mode] + ACCEPT[mode],
+    ]
+    for script in scripts:
+        got, want, read = _scripted(monkeypatch, mode, script)
+        assert read == len(script)
+        assert got == want
+        assert len(got) == 1
+
+
+@pytest.mark.parametrize("mode", ["extremal_params", "raw_standard_form"])
+def test_attempt_limit(monkeypatch, mode):
+    monkeypatch.setattr(bounds, "_MAX_REJECTIONS", 3)
+    got, want, _ = _scripted(monkeypatch, mode, REJECT[mode] + SHORT[mode] + ACCEPT[mode])
+    assert got == want and len(got) == 1
+    got, want, _ = _scripted(monkeypatch, mode, REJECT[mode] * 3 + ACCEPT[mode])
+    assert got == want == "no acceptable state after 3 rejections at index 0"
+    # the failing index is reported after the samples before it
+    monkeypatch.setattr(bounds, "_MAX_REJECTIONS", 1)
+    monkeypatch.setattr(bounds, "_rng_for", lambda seed, index: ScriptedGenerator(
+        ACCEPT[mode] if index < 2 else REJECT[mode] + ACCEPT[mode]))
+    stream = iter_samples(SamplerConfig(seed=0, count=4, s_max=S_MAX, mode=mode))
+    assert [next(stream).index, next(stream).index] == [0, 1]
+    with pytest.raises(SamplingError, match="after 1 rejections at index 2$"):
+        next(stream)

@@ -5,7 +5,8 @@ Usage, from anywhere:
     python tools/output_digest.py
 
 The runs are the `bounds` experiment (seed 1, 4000 states, both sampler
-modes), the criterion-5 `scan` window at resolutions 200 and 60, the README
+modes, and 200 raw-mode states at s_max 200, where the sampler rejects
+hundreds of attempts per state), the criterion-5 `scan` window at resolutions 200 and 60, the README
 `scan3d` window at resolution 24, and four `measure` reports.  They run in a
 temporary directory against the `twomode` package in this checkout's `src/`,
 and each output prints as one `sha256  label` line.  Running it on two
@@ -48,12 +49,14 @@ def _run(argv: list[str]) -> bytes:
 
 def _outputs():
     """(label, bytes) of every output, in a fixed order."""
-    for mode in ("extremal_params", "raw_standard_form"):
-        _run(["bounds", "--samples", "4000", "--seed", "1", "--mode", mode,
+    runs = [("extremal_params", "4000", "20", ""), ("raw_standard_form", "4000", "20", ""),
+            ("raw_standard_form", "200", "200", " s_max 200")]
+    for mode, samples, s_max, tag in runs:
+        _run(["bounds", "--samples", samples, "--seed", "1", "--mode", mode, "--s-max", s_max,
               "--points", "points.csv", "--curves", "curves.csv",
               "--geof-curves", "geof.csv", "--summary", "summary.json"])
         for name in ("points.csv", "curves.csv", "geof.csv", "summary.json"):
-            yield f"bounds {mode} {name}", Path(name).read_bytes()
+            yield f"bounds {mode}{tag} {name}", Path(name).read_bytes()
     scans = [("scan", SCAN_WINDOW, 200), ("scan", SCAN_WINDOW, 60),
              ("scan3d", SCAN3D_WINDOW, 24)]
     for command, window, resolution in scans:
