@@ -48,13 +48,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _above(kind, floor, *, inclusive=False):
-    """argparse type converting with ``kind``, requiring > ``floor`` (>= if inclusive)."""
+def _above(kind, floor, *, inclusive=False, ceiling=None):
+    """argparse type converting with ``kind``, requiring > ``floor`` (>= if
+    inclusive) and, given a ``ceiling``, <= ``ceiling``."""
     def parse(text):
         value = kind(text)
-        if not (value >= floor if inclusive else value > floor):
+        if not ((value >= floor if inclusive else value > floor)
+                and (ceiling is None or value <= ceiling)):
             relation = "be at least" if inclusive else "exceed"
-            raise argparse.ArgumentTypeError(f"must {relation} {floor}, got {text}")
+            limit = "" if ceiling is None else f" and be at most {ceiling:g}"
+            raise argparse.ArgumentTypeError(f"must {relation} {floor}{limit}, got {text}")
         return value
     parse.__name__ = kind.__name__
     return parse
@@ -291,7 +294,8 @@ def _build_parser() -> _Parser:
     bnd = sub.add_parser("bounds", help="random-state bound experiment")
     bnd.add_argument("--samples", type=_above(int, 0), required=True)
     bnd.add_argument("--seed", type=int, default=None)
-    bnd.add_argument("--s-max", type=_above(float, 1.0), default=20.0)
+    bnd.add_argument("--s-max", type=_above(float, 1.0, ceiling=bounds_mod.S_MAX_LIMIT),
+                     default=20.0)
     bnd.add_argument("--mode", choices=["extremal_params", "raw_standard_form"],
                      default="extremal_params")
     bnd.add_argument("--strict", action="store_true",

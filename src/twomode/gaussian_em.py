@@ -24,6 +24,16 @@ per period and is evaluated only at those angles.  From the minimum,
 nu_tilde = sqrt(m) - sqrt(m - 1) is the partially-transposed symplectic
 eigenvalue of the optimal pure state and h(nu_tilde) its entanglement of
 formation.
+
+``minimize_block`` gives ``minimize_m``'s result for many forms at once, bit
+for bit.  Each form still passes the physicality gate, the near-separable
+cut and the symmetric closed form on its own.  The profile and quartic
+arithmetic is written once for floats or arrays; the two routes differ only
+in how they select branches (``if`` against masks) and in the root solve.
+The quartics with nonzero leading and trailing coefficients share one
+``np.linalg.eigvals`` call on their stacked companion matrices, which are
+those ``_roots`` builds for one quartic; ``_roots``, the reference, solves
+the degenerate rest.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, MinimizationError, UnphysicalStateError
+from .errors import DomainError, MinimizationError, TwoModeError, UnphysicalStateError
 from .negativity import h_function
 from .symplectic import StandardForm, _dets
 
@@ -121,78 +131,125 @@ def _require_rim(sf: StandardForm, nu: float) -> None:
         raise DomainError(f"state is separable (nu_tilde_minus = {nu:.12g})")
 
 
+_EPS = 2.220446049250313e-16
+
+
+def _rim_terms(a, b, cp, cm):
+    """(dq, n0, d0, R, floors) of a sign-ordered form, elementwise for arrays:
+    dq = ab - c_minus^2, the profile's n0 and d0, the squared rim radius
+    R = r1 r2 and the two terms of its degeneracy floor, whose larger one R
+    must exceed."""
+    dq = a * b - cm * cm
+    r1 = a - b * dq
+    r2 = b - a * dq
+    # Both differences above cancel as states approach purity, so the
+    # degeneracy threshold covers the rounding envelope of R, not just
+    # a fixed epsilon.
+    floors = (
+        SQRT_CLAMP * (1.0 + r1 * r1 + r2 * r2),
+        64.0 * _EPS * ((abs(a) + abs(b * dq)) * abs(r2)
+                       + (abs(b) + abs(a * dq)) * abs(r1) + 1.0),
+    )
+    # The common factor 2(ab - c_minus^2) multiplies the whole angular
+    # bracket of the denominator; together with the numerator square this
+    # makes m - 1 = [2 dq x1]^2 / [(2 dq)^2 det Gamma] on the rim.
+    d0 = 2.0 * dq * (a * a + b * b + 2.0 * cp * cm)
+    return dq, cp * dq - cm, d0, r1 * r2, floors
+
+
+def _angle_terms(a, b, cp, cm, cm3, dq):
+    """(dc sqrt(R), ds / sqrt(s_arg), slack, Det sigma, Delta) of a
+    non-degenerate rim, elementwise for arrays; ``cm3`` is c_minus**3 as
+    Python's float power rounds it (numpy's array power differs in the last
+    bit for a few percent of values).
+
+    The sin(theta) coefficient is ds = 2 dq (a^2 - b^2) sqrt(1 - A^2/R) with
+    A = cp dq + cm.  The stable route uses the identity
+    R - A^2 = dq (1 + Det sigma - Delta): the argument s_arg = dq slack / R
+    carries the uncertainty-relation slack, which vanishes identically for
+    partial-minimum-uncertainty states.
+    """
+    quad = a * a + b * b
+    h_coeff = (
+        2.0 * a * b * cm3
+        + quad * cp * cm * cm
+        + (quad - 2.0 * a * a * b * b) * cm
+        - a * b * (quad - 2.0) * cp
+    )
+    det_sigma, delta, _ = _dets(a, b, cp, cm)
+    return -2.0 * dq * h_coeff, 2.0 * dq * (a * a - b * b), 1.0 + det_sigma - delta, det_sigma, delta
+
+
 class _ThetaProfile:
-    """Precomputed coefficients of m(theta) = 1 + num(theta)/den(theta).
+    """Coefficients of m(theta) = 1 + num(theta)/den(theta), floats for one
+    form or arrays for a block.
 
     num(theta) = (n0 + n1 cos theta)^2 and
     den(theta) = d0 + dc cos theta + ds sin theta; only the three
     theta-independent square roots need domain clamping.
 
-    The form is physical (``_physical_nu``), entangled and sign-ordered
-    (``_require_rim``, or the near-separable cut and ``sign_ordered()`` in
-    ``minimize_m``), so nothing here raises: the diagonal of
-    gamma_q >= gamma_p^{-1} (the Schur complement of sigma + i Omega >= 0)
-    gives r1, r2 <= 0, hence R = r1 r2 >= 0 up to rounding, and the
-    uncertainty slack is at least -1e-9.
+    ``of`` builds them for one physical (``_physical_nu``), entangled and
+    sign-ordered (``_require_rim``, or the near-separable cut and
+    ``sign_ordered()`` in ``minimize_m``) form, so nothing there raises: the
+    diagonal of gamma_q >= gamma_p^{-1} (the Schur complement of
+    sigma + i Omega >= 0) gives r1, r2 <= 0, hence R = r1 r2 >= 0 up to
+    rounding, and the uncertainty slack is at least -1e-9.
     """
 
     __slots__ = ("n0", "n1", "d0", "dc", "ds")
 
-    def __init__(self, sf: StandardForm):
-        a, b, cp, cm = sf.a, sf.b, sf.c_plus, sf.c_minus
-        dq = a * b - cm * cm
-        n0 = cp * dq - cm
-        r1 = a - b * dq
-        r2 = b - a * dq
-        rr = r1 * r2
-        # Both differences above cancel as states approach purity, so the
-        # degeneracy threshold covers the rounding envelope of rr, not just
-        # a fixed epsilon.
-        eps = 2.220446049250313e-16
-        r_floor = max(
-            SQRT_CLAMP * (1.0 + r1 * r1 + r2 * r2),
-            64.0 * eps * ((abs(a) + abs(b * dq)) * abs(r2)
-                          + (abs(b) + abs(a * dq)) * abs(r1) + 1.0),
-        )
-        # The common factor 2(ab - c_minus^2) multiplies the whole angular
-        # bracket of the denominator; together with the numerator square this
-        # makes m - 1 = [2 dq x1]^2 / [(2 dq)^2 det Gamma] on the rim.
-        d0 = 2.0 * dq * (a * a + b * b + 2.0 * cp * cm)
-        if rr > r_floor:
-            sqrt_r = math.sqrt(rr)
-            quad = a * a + b * b
-            h_coeff = (
-                2.0 * a * b * cm**3
-                + quad * cp * cm * cm
-                + (quad - 2.0 * a * a * b * b) * cm
-                - a * b * (quad - 2.0) * cp
-            )
-            dc = -2.0 * dq * h_coeff / sqrt_r
-            # The remaining square root is sqrt(1 - A^2/R) with
-            # A = cp dq + cm.  The stable route uses the identity
-            # R - A^2 = dq (1 + Det sigma - Delta): the argument is the
-            # uncertainty-relation slack, which vanishes identically for
-            # partial-minimum-uncertainty states.
-            det_sigma, delta, _ = _dets(a, b, cp, cm)
-            slack = 1.0 + det_sigma - delta
-            scale = max(1.0, det_sigma, abs(delta))
-            if slack <= 1e-11 * scale:
-                # at most rounding noise away from minimum uncertainty,
-                # where the sin(theta) term vanishes identically
-                slack = 0.0
-            s_arg = dq * slack / rr
-            ds = 2.0 * dq * (a * a - b * b) * math.sqrt(s_arg)
-        else:
-            # Degenerate rim (pure state): the profile is the constant
-            # 1 + n0^2 / d0, the limit of the full expression.
-            sqrt_r = 0.0
-            dc = 0.0
-            ds = 0.0
+    def __init__(self, n0, n1, d0, dc, ds):
         self.n0 = n0
-        self.n1 = sqrt_r
+        self.n1 = n1
         self.d0 = d0
         self.dc = dc
         self.ds = ds
+
+    @classmethod
+    def of(cls, sf: StandardForm) -> "_ThetaProfile":
+        a, b, cp, cm = sf.a, sf.b, sf.c_plus, sf.c_minus
+        dq, n0, d0, rr, floors = _rim_terms(a, b, cp, cm)
+        if not rr > max(floors):
+            # Degenerate rim (pure state): the profile is the constant
+            # 1 + n0^2 / d0, the limit of the full expression.
+            return cls(n0, 0.0, d0, 0.0, 0.0)
+        dc_num, ds_factor, slack, det_sigma, delta = _angle_terms(a, b, cp, cm, cm**3, dq)
+        if slack <= 1e-11 * max(1.0, det_sigma, abs(delta)):
+            # at most rounding noise away from minimum uncertainty,
+            # where the sin(theta) term vanishes identically
+            slack = 0.0
+        sqrt_r = math.sqrt(rr)
+        return cls(n0, sqrt_r, d0, dc_num / sqrt_r, ds_factor * math.sqrt(dq * slack / rr))
+
+    @classmethod
+    def of_block(cls, a, b, cp, cm) -> "_ThetaProfile":
+        """``of`` on arrays of sign-ordered forms, with masks for its
+        branches.  A row where ``of`` would take the square root of a
+        negative number gets ds = NaN."""
+        dq, n0, d0, rr, (f1, f2) = _rim_terms(a, b, cp, cm)
+        live = rr > np.where(f2 > f1, f2, f1)  # max(floors) as Python takes it
+        cm3 = np.array([c**3 for c in cm.tolist()])
+        dc_num, ds_factor, slack, det_sigma, delta = _angle_terms(a, b, cp, cm, cm3, dq)
+        abs_delta = abs(delta)
+        scale = np.where(det_sigma > 1.0, det_sigma, 1.0)
+        scale = np.where(abs_delta > scale, abs_delta, scale)
+        slack = np.where(slack <= 1e-11 * scale, 0.0, slack)
+        zeros = np.zeros_like(rr)
+        sqrt_r = np.sqrt(rr, out=zeros.copy(), where=live)
+        s_arg = np.divide(dq * slack, rr, out=zeros.copy(), where=live)
+        root = np.sqrt(s_arg, out=np.full_like(rr, np.nan), where=s_arg >= 0.0)
+        return cls(n0, sqrt_r, d0, np.divide(dc_num, sqrt_r, out=zeros, where=live),
+                   np.where(live, ds_factor * root, 0.0))
+
+    def quartic(self):
+        """Coefficients, highest first, of the quartic in t = tan(theta/2)
+        whose real roots are the stationary angles (``_stationary_angles``)."""
+        n0, n1, d0, dc, ds = self.n0, self.n1, self.d0, self.dc, self.ds
+        a_co = n0 * dc - 2.0 * n1 * d0
+        b_co = -n0 * ds
+        c_co = -n1 * dc
+        e_co = -n1 * ds
+        return e_co - b_co, 2.0 * (a_co - c_co), 6.0 * e_co, 2.0 * (a_co + c_co), b_co + e_co
 
     def __call__(self, theta):
         ct = np.cos(theta)
@@ -209,8 +266,7 @@ def m_theta(sf: StandardForm, theta):
     c_plus >= |c_minus| (else DomainError); the result is >= 1 for every theta.
     """
     _require_rim(sf, _physical_nu(sf))
-    profile = _ThetaProfile(sf)
-    out = profile(theta)
+    out = _ThetaProfile.of(sf)(theta)
     return float(out) if np.isscalar(theta) else out
 
 
@@ -289,9 +345,10 @@ def _roots(coeffs: tuple[float, ...]) -> np.ndarray:
     return np.concatenate((roots, np.zeros(trailing, roots.dtype))) if trailing else roots
 
 
-def _stationary_angles(profile: _ThetaProfile) -> tuple[np.ndarray, int]:
+def _stationary_angles(quartic: tuple[float, ...]) -> tuple[np.ndarray, int]:
     """Candidate angles that include every minimizer of m(theta), and the
-    number of distinct stationary angles.
+    number of distinct stationary angles, from the profile's
+    ``_ThetaProfile.quartic()``.
 
     With N = n0 + n1 cos and D = d0 + dc cos + ds sin, m' = N F / D^2 where
     F = A sin + B cos + C sin cos + E (1 + sin^2); the zeros of N are never
@@ -300,19 +357,59 @@ def _stationary_angles(profile: _ThetaProfile) -> tuple[np.ndarray, int]:
     theta = pi (t = infinity) is always a candidate and counts as stationary
     when the t^4 coefficient F(pi) vanishes.
     """
-    n0, n1, d0, dc, ds = profile.n0, profile.n1, profile.d0, profile.dc, profile.ds
-    a_co = n0 * dc - 2.0 * n1 * d0
-    b_co = -n0 * ds
-    c_co = -n1 * dc
-    e_co = -n1 * ds
-    lead = e_co - b_co
-    roots = _roots((lead, 2.0 * (a_co - c_co), 6.0 * e_co, 2.0 * (a_co + c_co), b_co + e_co))
+    roots = _roots(quartic)
     # LAPACK returns real eigenvalues of the companion matrix with an exactly
     # zero imaginary part; evaluating m at the real parts of complex roots
     # too is harmless, since every angle bounds the minimum from above.
     distinct = len({r.real for r in roots.tolist() if r.imag == 0.0})
     angles = np.append(2.0 * np.arctan(roots.real), math.pi)
-    return angles, distinct + int(lead == 0.0)
+    return angles, distinct + int(quartic[0] == 0.0)
+
+
+def _block_angles(quartics: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_stationary_angles`` of each row of (n, 5) quartic coefficients:
+    (n, 5) candidate angles and their extrema counts.
+
+    Quartics with nonzero leading and trailing coefficients share one
+    ``np.linalg.eigvals`` call on their stacked companion matrices, which
+    are ``_roots``' own; the others go through ``_roots``.  A row with fewer
+    than four roots repeats theta = pi, which leaves its first minimum in
+    place.
+    """
+    angles = np.full((len(quartics), 5), math.pi)
+    extrema = np.zeros(len(quartics), dtype=int)
+    full = (quartics[:, 0] != 0.0) & (quartics[:, 4] != 0.0)
+    if full.any():
+        companions = np.broadcast_to(_SUBDIAGONAL, (np.count_nonzero(full), 4, 4)).copy()
+        companions[:, 0] = -quartics[full, 1:] / quartics[full, :1]
+        roots = np.linalg.eigvals(companions)
+        angles[full, :4] = 2.0 * np.arctan(roots.real)
+        # distinct real roots, as the set in _stationary_angles counts them
+        real = np.sort(np.where(roots.imag == 0.0, roots.real, np.nan), axis=1)
+        extrema[full] = (np.count_nonzero(~np.isnan(real), axis=1)
+                         - np.count_nonzero(real[:, 1:] == real[:, :-1], axis=1))
+    for i in np.flatnonzero(~full).tolist():
+        row_angles, extrema[i] = _stationary_angles(tuple(quartics[i].tolist()))
+        angles[i, :len(row_angles)] = row_angles
+    return angles, extrema
+
+
+def _closed_form(sf: StandardForm, near_separable_tol: float, log_base) -> GemResult | None:
+    """``minimize_m``'s result for a separable or symmetric form, None for
+    the general path; raises on unphysical forms."""
+    nu_sigma = _physical_nu(sf)
+    if nu_sigma >= 1.0 - near_separable_tol:
+        return GemResult(1.0, 0.0, 1.0, 0.0, 1)
+    if sf.is_symmetric():
+        m_opt = m_from_nu_tilde(nu_sigma)
+        return GemResult(m_opt, math.pi, nu_sigma, h_function(nu_sigma, log_base), 2)
+    return None
+
+
+def _result(m_min: float, theta: float, extrema: int, log_base) -> GemResult:
+    m_opt = max(m_min, 1.0)
+    nu_opt = nu_tilde_from_m(m_opt)
+    return GemResult(m_opt, theta % (2.0 * math.pi), nu_opt, h_function(nu_opt, log_base), extrema)
 
 
 def minimize_m(
@@ -333,20 +430,15 @@ def minimize_m(
     """
     if not near_separable_tol >= 0.0:
         raise DomainError(f"near_separable_tol must be >= 0, got {near_separable_tol!r}")
-    nu_sigma = _physical_nu(sf)
-    if nu_sigma >= 1.0 - near_separable_tol:
-        return GemResult(1.0, 0.0, 1.0, 0.0, 1)
-    if sf.is_symmetric():
-        m_opt = m_from_nu_tilde(nu_sigma)
-        return GemResult(m_opt, math.pi, nu_sigma, h_function(nu_sigma, log_base), 2)
-    return _minimize_profile(sf, log_base)
+    closed = _closed_form(sf, near_separable_tol, log_base)
+    return _minimize_profile(sf, log_base) if closed is None else closed
 
 
 def _minimize_profile(sf: StandardForm, log_base=2) -> GemResult:
     """``minimize_m``'s general path, for a physical and entangled form."""
     ordered = sf.sign_ordered()
-    profile = _ThetaProfile(ordered)
-    angles, extrema = _stationary_angles(profile)
+    profile = _ThetaProfile.of(ordered)
+    angles, extrema = _stationary_angles(profile.quartic())
     vals = profile(angles)
     if not np.all(np.isfinite(vals)):
         raise MinimizationError(
@@ -354,10 +446,52 @@ def _minimize_profile(sf: StandardForm, log_base=2) -> GemResult:
             f"for standard form {ordered}"
         )
     best = int(np.argmin(vals))
-    m_opt = max(float(vals[best]), 1.0)
-    theta_opt = float(angles[best]) % (2.0 * math.pi)
-    nu_opt = nu_tilde_from_m(m_opt)
-    return GemResult(m_opt, theta_opt, nu_opt, h_function(nu_opt, log_base), extrema)
+    return _result(float(vals[best]), float(angles[best]), extrema, log_base)
+
+
+def minimize_block(forms, log_base=2) -> list[GemResult | None]:
+    """``minimize_m(sf, log_base=log_base)`` of every form, bit for bit, or
+    None where that call raises: the caller calls it there for the error.
+
+    Each form passes ``minimize_m``'s gate, near-separable cut and symmetric
+    closed form on its own; the general forms are then minimized together,
+    their profiles and quartics as arrays and their roots by
+    ``_block_angles``.  The entries of the forms must stay far below 1e100
+    (the sampler's do, at s_max <= 1e6).  Past that, c_minus**3 can raise
+    OverflowError on a form that ``minimize_m`` never cubes, and one
+    non-finite quartic makes ``np.linalg.eigvals`` raise for the whole
+    block.
+    """
+    results: list[GemResult | None] = [None] * len(forms)
+    rows: list[int] = []
+    ordered: list[StandardForm] = []
+    for i, sf in enumerate(forms):
+        try:
+            closed = _closed_form(sf, NEAR_SEPARABLE_TOL, log_base)
+        except TwoModeError:
+            continue
+        if closed is None:
+            rows.append(i)
+            ordered.append(sf.sign_ordered())
+        else:
+            results[i] = closed
+    if not rows:
+        return results
+    a, b, cp, cm = np.array([(f.a, f.b, f.c_plus, f.c_minus) for f in ordered]).T
+    profile = _ThetaProfile.of_block(a, b, cp, cm)
+    angles, extrema = _block_angles(np.stack(profile.quartic(), axis=1))
+    columns = _ThetaProfile(*(c[:, None] for c in (profile.n0, profile.n1, profile.d0,
+                                                     profile.dc, profile.ds)))
+    vals = columns(angles)
+    best = vals.argmin(axis=1)
+    lead = np.arange(len(rows))
+    minima = zip(vals[lead, best].tolist(), angles[lead, best].tolist(), extrema.tolist())
+    # a row with a non-finite value stays None: minimize_m raises there
+    for i, finite, (m_min, theta, count) in zip(rows, np.isfinite(vals).all(axis=1).tolist(),
+                                                minima):
+        if finite:
+            results[i] = _result(m_min, theta, count, log_base)
+    return results
 
 
 def gaussian_eof(sf: StandardForm, log_base=2, **kwargs) -> float:

@@ -18,7 +18,10 @@ from twomode import (
     nu_opt_lower,
     nu_opt_upper,
 )
-from twomode.errors import DomainError
+from twomode import bounds
+from twomode.bounds import VIOLATION_TOL, ExperimentResult, BoundPoint
+from twomode.errors import DomainError, TwoModeError
+from twomode.negativity import log_negativity
 
 
 class TestCurves:
@@ -136,6 +139,9 @@ class TestSampler:
             list(iter_samples(SamplerConfig(seed=1, count=1, s_max=1.0)))
         with pytest.raises(DomainError):
             list(iter_samples(SamplerConfig(seed=1, count=1, mode="bogus")))
+        for s_max in (math.inf, 1e80, math.nan):
+            with pytest.raises(DomainError, match="s_max"):
+                list(iter_samples(SamplerConfig(seed=1, count=1, s_max=s_max)))
 
 
 class TestExperiment:
@@ -173,6 +179,59 @@ class TestExperiment:
         assert all(g > 0.0 for g in gaps)
         assert gaps == sorted(gaps, reverse=True)
         assert gaps[-1] < 0.01
+
+
+def _scalar_experiment(samples, log_base=2):
+    """``bound_experiment``'s loop one state at a time with ``minimize_m``:
+    the reference for its block route."""
+    points, failures = [], []
+    upper = lower = 0
+    min_upper_slack = min_m_max_slack = math.inf
+    for sample in samples:
+        try:
+            nu_sigma = sample.standard_form.spectrum().nu_tilde_minus
+            gem = minimize_m(sample.standard_form, log_base=log_base)
+        except TwoModeError as exc:
+            failures.append((sample.index, str(exc)))
+            continue
+        violates_upper = gem.nu_tilde_opt > nu_opt_upper(nu_sigma) + VIOLATION_TOL
+        violates_lower = gem.nu_tilde_opt < nu_opt_lower(nu_sigma) - VIOLATION_TOL
+        upper += violates_upper
+        lower += violates_lower
+        min_upper_slack = min(min_upper_slack, nu_sigma - gem.nu_tilde_opt)
+        min_m_max_slack = min(min_m_max_slack, 1.0 / nu_sigma**2 - gem.m_opt)
+        points.append(BoundPoint(
+            sample.index, sample.s, sample.d, sample.g, sample.lam, nu_sigma,
+            gem.nu_tilde_opt, log_negativity(nu_sigma, log_base), gem.gaussian_eof,
+            violates_upper, violates_lower,
+        ))
+    return ExperimentResult(points, upper, lower, failures, min_upper_slack, min_m_max_slack)
+
+
+class TestExperimentFailures:
+    # fails the physicality gate in minimize_m; its spectrum exists
+    UNPHYSICAL = StandardForm(0.8, 0.8, 0.1, -0.1)
+    # Det sigma < 0: fails already in spectrum()
+    NO_SPECTRUM = StandardForm(1.0, 1.0, 2.0, 0.0)
+
+    def test_failures_match_the_scalar_loop(self, monkeypatch):
+        good = list(iter_samples(SamplerConfig(seed=3, count=600)))
+        states = [s.standard_form for s in good]
+        # failing forms inside the first block, on its last row and in the third
+        for at, sf in ((5, self.UNPHYSICAL), (255, self.NO_SPECTRUM), (530, self.UNPHYSICAL)):
+            states.insert(at, sf)
+        params = [(s.s, s.d, s.g, s.lam) for s in good]
+        for at in (5, 255, 530):
+            params.insert(at, (2.0, 0.0, 1.5, 0.0))
+        stream = [bounds.Sample(i, sf, *p) for i, (sf, p) in enumerate(zip(states, params))]
+        monkeypatch.setattr(bounds, "iter_samples", lambda cfg: iter(stream))
+        result = bound_experiment(SamplerConfig(seed=3, count=len(stream)), log_base="e")
+        expected = _scalar_experiment(stream, log_base="e")
+        assert [index for index, _ in result.failures] == [5, 255, 530]
+        assert "not a physical state" in result.failures[0][1]
+        assert "spectrum undefined" in result.failures[1][1]
+        assert result == expected
+        assert len(result.points) == 600
 
 
 def _project_to_physical(sf):

@@ -175,6 +175,9 @@ class TestScan:
      "--resolution", "1"],
     ["bounds", "--samples", "0"],
     ["bounds", "--samples", "5", "--s-max", "1"],
+    ["bounds", "--samples", "5", "--s-max", "inf"],
+    ["bounds", "--samples", "5", "--s-max", "1e80"],
+    ["bounds", "--samples", "5", "--s-max", "nan"],
     ["bounds", "--samples", "5", "--curve-resolution", "1"],
 ])
 def test_out_of_range_option_exits_64(argv, tmp_path, capsys, monkeypatch):

@@ -15,8 +15,17 @@ from twomode import (
     minimize_m,
     nu_tilde_from_m,
 )
-from twomode.errors import DomainError, UnphysicalStateError
-from twomode.gaussian_em import _minimize_profile, _roots
+from twomode.bounds import SamplerConfig, iter_samples
+from twomode.errors import DomainError, TwoModeError, UnphysicalStateError
+from twomode.gaussian_em import (
+    NEAR_SEPARABLE_TOL,
+    _minimize_profile,
+    _block_angles,
+    _roots,
+    _stationary_angles,
+    _ThetaProfile,
+    minimize_block,
+)
 
 from conftest import draw_entangled_states
 
@@ -259,6 +268,71 @@ def _root_cases(rng):
 def test_roots_match_np_roots(rng):
     for coeffs in _root_cases(rng):
         np.testing.assert_array_equal(_roots(coeffs), np.roots(list(coeffs)), strict=True)
+
+
+def test_block_angles_match_stationary_angles(rng):
+    # two quartics whose companion matrices have an exactly repeated real
+    # eigenvalue, which the extrema count must count once
+    rows = [*_root_cases(rng), (1.0, 6.5, 4.5, -20.0, 8.0), (1.0, 0.0, -0.5, 0.0, 0.0625)]
+    angles, extrema = _block_angles(np.array(rows))
+    for row, got, count in zip(rows, angles, extrema.tolist()):
+        expected, expected_count = _stationary_angles(row)
+        np.testing.assert_array_equal(got[:len(expected)], expected, strict=True)
+        assert (got[len(expected):] == math.pi).all()
+        assert count == expected_count
+
+
+def _fields(gem):
+    return (gem.m_opt.hex(), gem.theta_opt.hex(), gem.nu_tilde_opt.hex(),
+            gem.gaussian_eof.hex(), gem.extrema_found)
+
+
+# c at which StandardForm(2, 2.5, c, -c) has nu_tilde_minus = 1 - 5e-9
+NEAR_SEPARABLE_C = 1.2247448764946924
+# a seed-11 sampler state whose c_minus**3 numpy's array power rounds one
+# ulp away from Python's on AVX-512 hosts
+CUBE_ROUNDING = StandardForm(23.224957903223615, 7.281572419936001,
+                             12.722095110686082, -9.976006620644796)
+BLOCK_ROWS = [
+    StandardForm(3.0, 3.0, 2.5, -2.0),  # symmetric: closed form
+    StandardForm(2.0, 1.5, 0.3, 0.2),  # separable
+    StandardForm(2.0, 2.5, NEAR_SEPARABLE_C, -NEAR_SEPARABLE_C),  # near-separable cut
+    StandardForm(5 / 3 * (1.0 + 1e-8), 5 / 3, 4 / 3, -4 / 3),  # pure within 1e-8: zero quartic
+    build_state(GLEMS_EX),  # minimum uncertainty: zero leading coefficient
+    CUBE_ROUNDING,
+    UNPHYSICAL,
+]
+
+
+def test_block_rows_take_the_branches_they_name():
+    symmetric, separable, near_separable, pure, glems, cube, unphysical = BLOCK_ROWS
+    assert symmetric.is_symmetric() and symmetric.spectrum().nu_tilde_minus < 0.9
+    assert separable.spectrum().nu_tilde_minus > 1.0
+    assert 1.0 - NEAR_SEPARABLE_TOL <= near_separable.spectrum().nu_tilde_minus < 1.0
+    for sf in (pure, glems, cube):
+        assert sf.is_physical() and not sf.is_symmetric()
+    assert not any(_ThetaProfile.of(pure.sign_ordered()).quartic())
+    lead, *_, trail = _ThetaProfile.of(glems.sign_ordered()).quartic()
+    assert lead == 0.0 and trail == 0.0
+    assert all(_ThetaProfile.of(cube).quartic())
+    assert not unphysical.is_physical()
+
+
+@pytest.mark.parametrize("mode", ["extremal_params", "raw_standard_form"])
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("s_max,count", [(1.5, 300), (20.0, 300), (200.0, 60)])
+def test_block_matches_minimize_m_bit_for_bit(mode, seed, s_max, count):
+    forms = [s.standard_form for s in iter_samples(SamplerConfig(seed, count, s_max, mode))]
+    forms[count // 2:count // 2] = BLOCK_ROWS
+    log_base = 2 if seed == 1 else "e"
+    for sf, gem in zip(forms, minimize_block(forms, log_base)):
+        try:
+            expected = minimize_m(sf, log_base=log_base)
+        except TwoModeError:
+            assert gem is None
+            continue
+        assert gem is not None
+        assert _fields(gem) == _fields(expected)
 
 
 class TestGaussianEof:
