@@ -75,6 +75,8 @@ class SamplerConfig:
     mode: str = "extremal_params"
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise DomainError(f"seed must be at least 0, got {self.seed!r}")
         if self.count < 1:
             raise DomainError(f"count must be >= 1, got {self.count!r}")
         if not 1.0 < self.s_max <= S_MAX_LIMIT:
@@ -125,19 +127,23 @@ def _rng_for(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-# Attempts are drawn in blocks, one ``rng.random(n)`` call per index and
-# block, and screened as arrays; only an attempt that passes the screen
-# builds a StandardForm.  Each attempt reads the doubles that scalar
-# ``rng.uniform`` calls would, in the same order, so sample i is the same as
-# drawn one value at a time.  Doubles drawn past the accepted attempt are
-# never used: every index owns its generator.
+# Attempts are drawn and screened in rounds.  Each round tops up every
+# pending index's buffer of unwalked doubles to a row of whole attempts, one
+# ``rng.random(n)`` call per index, and screens all the rows as one array;
+# only an attempt that passes the screen builds a StandardForm.  Each index
+# then walks its row to the first attempt that the screen keeps or that
+# stops early, and the next round resumes from the doubles after it.  Each
+# attempt reads the doubles that scalar ``rng.uniform`` calls would, in the
+# same order, so sample i is the same as drawn one value at a time.  Doubles
+# drawn past the accepted attempt are never used: every index owns its
+# generator.
 
-#: Indices whose blocks are screened as one array.  Larger chunks save
+#: Indices whose rows are screened as one array.  Larger chunks save
 #: little time and raise a run's peak memory: at 64 the screen's
 #: temporaries doubled the traced peak of a 1000-state raw run.
 _CHUNK = 16
-#: Each block of an index after its first (``_Mode.first_block``) doubles,
-#: up to this many attempts.
+#: The row of attempts doubles each round after the first
+#: (``_Mode.first_block``), up to this many attempts.
 _MAX_BLOCK = 512
 #: Doubles a full attempt reads.
 _WIDTH = 4
@@ -222,7 +228,7 @@ class _Mode:
     confirm: Callable[..., _Draw | None]
     #: Doubles an attempt reads when it stops early.
     short_width: int
-    #: Attempts in an index's first block: an extremal state takes about 1.3
+    #: Attempts in the first round's rows: an extremal state takes about 1.3
     #: attempts, a raw one 37 at s_max 20 and 740 at s_max 200.
     first_block: int
 
@@ -234,52 +240,31 @@ _MODES = {
 
 
 class _IndexWalk:
-    """One index's generator, the doubles it drew past the last whole
-    attempt walked, the attempts walked, and the accepted draw."""
+    """One index's generator, the doubles it drew and has not yet walked,
+    the attempts walked, and the accepted draw.  Each round reads a
+    ``row`` and ``advance``s past the attempts walked in it."""
 
-    __slots__ = ("index", "rng", "carry", "walked", "draw")
+    __slots__ = ("index", "rng", "buffer", "walked", "draw")
 
     def __init__(self, seed: int, index: int):
         self.index = index
         self.rng = _rng_for(seed, index)
-        self.carry = np.empty(0)
+        self.buffer = np.empty(0)
         self.walked = 0
         self.draw: _Draw | None = None
 
-    def next_row(self, attempts: int) -> np.ndarray:
-        """The next ``attempts`` * 4 doubles of the stream."""
-        fresh = self.rng.random(_WIDTH * attempts - self.carry.size)
-        row = np.concatenate((self.carry, fresh)) if self.carry.size else fresh
-        self.carry = fresh[:0]
-        return row
+    def row(self, attempts: int) -> np.ndarray:
+        """The next ``attempts`` * 4 doubles of the stream: the buffer, topped
+        up by one draw."""
+        fresh = self.rng.random(_WIDTH * attempts - self.buffer.size)
+        self.buffer = np.concatenate((self.buffer, fresh)) if self.buffer.size else fresh
+        return self.buffer
 
-    def walk(self, mode: _Mode, s_max: float, row: np.ndarray, screened, k0: int) -> None:
-        """Walk the attempts of ``row`` in draw order from attempt ``k0`` on,
-        confirming each one the screen keeps, until one is accepted.
-        ``screened`` is the screen of ``row`` read 4 doubles per attempt; an
-        attempt that stops early shifts the rest of the row, which is then
-        screened again from there."""
-        fields, short, keep = screened
-        pos = 0
-        while True:
-            for k in (k0 + np.flatnonzero((short | keep)[k0:])).tolist():
-                if keep[k]:
-                    self.draw = mode.confirm(*(float(f[k]) for f in fields))
-                    if self.draw is not None:
-                        self.walked += k + 1
-                        return
-                    continue
-                self.walked += k + 1
-                pos += _WIDTH * k + mode.short_width
-                whole = (row.size - pos) // _WIDTH
-                fields, short, keep = mode.screen(
-                    row[pos:pos + _WIDTH * whole].reshape(whole, _WIDTH), s_max)
-                k0 = 0
-                break
-            else:
-                self.walked += short.size
-                self.carry = row[pos + _WIDTH * short.size:]
-                return
+    def advance(self, attempts: int, doubles: int) -> None:
+        """Walk ``attempts`` attempts, which read the buffer's first
+        ``doubles`` doubles."""
+        self.walked += attempts
+        self.buffer = self.buffer[doubles:]
 
 
 def _chunk_samples(cfg: SamplerConfig, indices: range) -> Iterator[Sample]:
@@ -292,27 +277,25 @@ def _chunk_samples(cfg: SamplerConfig, indices: range) -> Iterator[Sample]:
     attempts = mode.first_block
     done = 0
     while pending:
-        rows = np.stack([w.next_row(attempts) for w in pending])
+        rows = np.stack([w.row(attempts) for w in pending])
         fields, short, keep = mode.screen(rows.reshape(len(pending), attempts, _WIDTH), s_max)
-        # Most rows are decided by their first attempt that the screen keeps
-        # or that stops early, so that one is read for every row at once.
+        # Each row is walked to its first attempt that the screen keeps or
+        # that stops early, and no further.
         stop = short | keep
         lead = np.arange(len(pending))
         first = stop.argmax(axis=1)
         first_stop = stop[lead, first].tolist()
         first_keep = keep[lead, first].tolist()
-        first_fields = list(zip(*(f[lead, first].tolist() for f in fields)))
-        for r, (w, k) in enumerate(zip(pending, first.tolist())):
-            if not first_stop[r]:
-                w.walked += attempts
-                continue
-            if first_keep[r]:
-                w.draw = mode.confirm(*first_fields[r])
-                if w.draw is not None:
-                    w.walked += k + 1
-                    continue
-            w.walk(mode, s_max, rows[r], (tuple(f[r] for f in fields), short[r], keep[r]),
-                   k + first_keep[r])
+        first_fields = zip(*(f[lead, first].tolist() for f in fields))
+        for w, k, stops, kept, values in zip(
+                pending, first.tolist(), first_stop, first_keep, first_fields):
+            if not stops:
+                w.advance(attempts, _WIDTH * attempts)
+            elif kept:
+                w.draw = mode.confirm(*values)
+                w.advance(k + 1, _WIDTH * (k + 1))
+            else:
+                w.advance(k + 1, _WIDTH * k + mode.short_width)
         pending = [w for w in pending if w.draw is None and w.walked < _MAX_REJECTIONS]
         for w in walks[done:]:
             if w.draw is None and w.walked < _MAX_REJECTIONS:
@@ -336,7 +319,7 @@ def iter_samples(cfg: SamplerConfig) -> Iterator[Sample]:
     (2|d| + 1, 2s - 1), which contains it); ``raw_standard_form`` mode
     rejection-samples correlation boxes directly.  Sample i depends only on
     (seed, i, s_max, mode): it is the first accepted attempt of its own
-    generator, whose doubles are drawn in blocks.
+    generator, whose doubles are drawn in rounds.
     """
     cfg.validate()
     for start in range(0, cfg.count, _CHUNK):

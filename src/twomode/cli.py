@@ -85,12 +85,15 @@ def _log_base(text: str):
 
 def _default_seed() -> int:
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise MalformedInputError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
-    return 12345
+    if env is None:
+        return 12345
+    try:
+        seed = int(env)
+    except ValueError:
+        raise MalformedInputError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
+    if seed < 0:
+        raise MalformedInputError(f"{SEED_ENV_VAR} must be at least 0, got {env!r}")
+    return seed
 
 
 def _read_state_json(source: str):
@@ -263,12 +266,14 @@ def _build_parser() -> _Parser:
                          metavar=("S", "D", "G", "LAMBDA"),
                          help="mixedness parameters of an extremal-family state")
     measure.add_argument("--log-base", choices=["2", "e"], default="2")
-    measure.add_argument("--tol-physical", type=float, default=DEFAULT_TOL,
+    measure.add_argument("--tol-physical", type=_above(float, 0.0, inclusive=True),
+                         default=DEFAULT_TOL,
                          help="slack on the physicality inequalities")
     measure.add_argument("--tol-near-separable", type=_above(float, 0.0, inclusive=True),
                          default=NEAR_SEPARABLE_TOL,
                          help="width of the band around separability treated as separable")
-    measure.add_argument("--tol-symmetry", type=float, default=SYMMETRY_RTOL,
+    measure.add_argument("--tol-symmetry", type=_above(float, 0.0, inclusive=True),
+                         default=SYMMETRY_RTOL,
                          help="relative a == b tolerance for the symmetric closed form")
     measure.set_defaults(func=_cmd_measure)
 
@@ -293,7 +298,7 @@ def _build_parser() -> _Parser:
 
     bnd = sub.add_parser("bounds", help="random-state bound experiment")
     bnd.add_argument("--samples", type=_above(int, 0), required=True)
-    bnd.add_argument("--seed", type=int, default=None)
+    bnd.add_argument("--seed", type=_above(int, 0, inclusive=True), default=None)
     bnd.add_argument("--s-max", type=_above(float, 1.0, ceiling=bounds_mod.S_MAX_LIMIT),
                      default=20.0)
     bnd.add_argument("--mode", choices=["extremal_params", "raw_standard_form"],

@@ -113,9 +113,13 @@ class StandardForm:
         """Message template of the first violated physicality inequality, or
         None.  Det sigma >= 1, Delta <= 1 + Det sigma and sigma >= 0 are
         equivalent to nu_minus >= 1, which implies a, b >= 1 up to rounding.
+        Invariants that overflow to inf or NaN would pass every comparison,
+        so they fail first.
         """
         a, b, cp, cm = self.a, self.b, self.c_plus, self.c_minus
         det_sigma, delta, _ = _dets(a, b, cp, cm)
+        if not (math.isfinite(det_sigma) and math.isfinite(delta)):
+            return "invariants Det sigma = {det_sigma:.12g}, Delta = {delta:.12g} are not finite"
         if det_sigma < 1.0 - tol:
             return "Det sigma = {det_sigma:.12g} < 1 violates the purity bound"
         if delta > 1.0 + det_sigma + tol:

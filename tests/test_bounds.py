@@ -135,6 +135,8 @@ class TestSampler:
     def test_config_validation(self):
         with pytest.raises(DomainError):
             list(iter_samples(SamplerConfig(seed=1, count=0)))
+        with pytest.raises(DomainError, match="seed"):
+            list(iter_samples(SamplerConfig(seed=-1, count=1)))
         with pytest.raises(DomainError):
             list(iter_samples(SamplerConfig(seed=1, count=1, s_max=1.0)))
         with pytest.raises(DomainError):

@@ -168,7 +168,7 @@ class TestScan:
         assert json.loads(out)["cells"] == 8
 
 
-@pytest.mark.parametrize("argv", [
+EXCEEDS = [
     ["scan", "--fixed-a", "5", "--b-range", "1", "5", "--g-range", "1", "9",
      "--resolution", "1"],
     ["scan3d", "--s-range", "1.5", "4", "--d-range", "-1", "1", "--g-range", "1", "7",
@@ -179,13 +179,32 @@ class TestScan:
     ["bounds", "--samples", "5", "--s-max", "1e80"],
     ["bounds", "--samples", "5", "--s-max", "nan"],
     ["bounds", "--samples", "5", "--curve-resolution", "1"],
-])
+]
+# A leading NAME=VALUE sets an environment variable, as in the shell.
+AT_LEAST_0 = [
+    ["bounds", "--samples", "2", "--seed", "-1"],
+    ["TWOMODE_SEED=-5", "bounds", "--samples", "2"],
+    ["measure", "--squeezed-r", "0.3", "--tol-physical", "-0.5"],
+    ["measure", "--squeezed-r", "0.3", "--tol-physical", "nan"],
+    ["measure", "--squeezed-r", "0.3", "--tol-symmetry", "-0.5"],
+    ["measure", "--squeezed-r", "0.3", "--tol-symmetry", "nan"],
+]
+
+
+@pytest.mark.parametrize("argv", EXCEEDS + AT_LEAST_0)
 def test_out_of_range_option_exits_64(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)  # where the default output files would go
-    with pytest.raises(SystemExit) as info:
-        main(argv)
-    assert info.value.code == EXIT_USAGE
-    assert "must exceed" in capsys.readouterr().err
+    expected = "must exceed" if argv in EXCEEDS else "must be at least 0"
+    argv = list(argv)
+    while "=" in argv[0]:
+        monkeypatch.setenv(*argv.pop(0).split("=", 1))
+    # argparse exits; a bad environment variable is reported by main's return
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == EXIT_USAGE
+    assert expected in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

@@ -7,10 +7,13 @@ Both must give equal samples, attempt by attempt, including the attempts
 that read fewer than four doubles and the limit on attempts.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twomode import bounds
 from twomode.bounds import NEAR_SEPARABLE_TOL, Sample, SamplerConfig, iter_samples
@@ -218,3 +221,27 @@ def test_attempt_limit(monkeypatch, mode):
     assert [next(stream).index, next(stream).index] == [0, 1]
     with pytest.raises(SamplingError, match="after 1 rejections at index 2$"):
         next(stream)
+
+
+@pytest.mark.parametrize("mode", ["extremal_params", "raw_standard_form"])
+@settings(max_examples=60, deadline=None)
+@given(kinds=st.lists(st.sampled_from(["reject", "short", "edge"]), max_size=24),
+       first_block=st.integers(1, 3), growth=st.integers(0, 3), over_limit=st.booleans())
+def test_many_rounds_at_a_small_cap_equal_the_scalar_walk(
+        mode, kinds, first_block, growth, over_limit):
+    # Rows of at most first_block + growth attempts: an index takes many
+    # rounds at the cap, and each early stop or attempt that only the scalar
+    # test rejects leaves doubles in its buffer for the next round.  The
+    # accepted attempt is the last one the limit allows, or the first one
+    # past it, so a walk that miscounts its attempts fails fast.
+    attempts = {"reject": REJECT[mode], "short": SHORT[mode], "edge": _edge_attempt(mode)}
+    script = [u for kind in kinds for u in attempts[kind]] + ACCEPT[mode]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds, "_MAX_REJECTIONS", len(kinds) + 1 - over_limit)
+        mp.setattr(bounds, "_MAX_BLOCK", first_block + growth)
+        mp.setitem(bounds._MODES, mode,
+                   dataclasses.replace(bounds._MODES[mode], first_block=first_block))
+        got, want, read = _scripted(mp, mode, script)
+    assert read == len(script)
+    assert got == want
+    assert isinstance(got, str) if over_limit else len(got) == 1

@@ -17,6 +17,7 @@ from twomode import (
     to_standard_form,
     validate_physical,
     cm_from_json_dict,
+    minimize_m,
 )
 from twomode.errors import MalformedInputError, UnphysicalStateError
 
@@ -90,6 +91,17 @@ class TestValidatePhysical:
         assert not validate_physical(sf.to_matrix())
         with pytest.raises(UnphysicalStateError, match=named):
             to_standard_form(sf.to_matrix())
+
+    @pytest.mark.parametrize("sf", [
+        StandardForm(3e80, 1e80, 1.5e80, -1e80),  # Det sigma overflows to inf
+        StandardForm(1e200, 1e200, 1e200, -1e200),  # Delta = inf - inf = NaN
+    ])
+    def test_non_finite_invariants_are_unphysical(self, sf):
+        # every inequality compares False against inf or NaN, so it cannot
+        # be the one to fail
+        assert not sf.is_physical()
+        with pytest.raises(UnphysicalStateError):
+            minimize_m(sf)
 
 
 class TestLocalInvariants:
