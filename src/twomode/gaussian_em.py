@@ -25,15 +25,14 @@ nu_tilde = sqrt(m) - sqrt(m - 1) is the partially-transposed symplectic
 eigenvalue of the optimal pure state and h(nu_tilde) its entanglement of
 formation.
 
-``minimize_block`` gives ``minimize_m``'s result for many forms at once, bit
-for bit.  Each form still passes the physicality gate, the near-separable
-cut and the symmetric closed form on its own.  The profile and quartic
-arithmetic is written once for floats or arrays; the two routes differ only
-in how they select branches (``if`` against masks) and in the root solve.
-The quartics with nonzero leading and trailing coefficients share one
-``np.linalg.eigvals`` call on their stacked companion matrices, which are
-those ``_roots`` builds for one quartic; ``_roots``, the reference, solves
-the degenerate rest.
+``minimize_block`` is the one minimizer and ``minimize_m`` its call on one
+form.  Each form passes the gate (spectrum, physicality, near-separable cut,
+symmetric closed form) on its own, and each outcome is a value: a result or
+the error ``minimize_m`` raises.  A lone general form takes the per-form
+route (floats, ``if``); two or more take the array route (masks, stacked
+companion matrices, one ``np.linalg.eigvals`` call), with the same bits.
+The profile and quartic arithmetic is written once for both; ``np.roots``
+solves the degenerate quartics of pure and minimum-uncertainty forms.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, MinimizationError, TwoModeError, UnphysicalStateError
-from .negativity import h_function
+from .negativity import _log_divisor, h_function
 from .symplectic import StandardForm, _dets
 
 #: States with nu_tilde_minus inside [1 - this, 1] are treated as separable
@@ -57,7 +56,7 @@ NEAR_SEPARABLE_TOL = 1e-8
 SQRT_CLAMP = 1e-12
 
 _ETA = np.array([1.0, -1.0, -1.0])  # Minkowski metric signature (+, -, -)
-_SUBDIAGONAL = np.eye(4, k=-1)  # companion matrices of degree <= 4, first row aside
+_SUBDIAGONAL = np.eye(4, k=-1)  # companion matrices of quartics, first row aside
 
 
 @dataclass(frozen=True)
@@ -113,12 +112,14 @@ def m_from_nu_tilde(nu: float) -> float:
 
 
 def _physical_nu(sf: StandardForm) -> float:
-    """nu_tilde_minus of ``sf`` after the module's one physicality check, made
-    on polynomial inequalities: for pure states nu_minus itself sits on a
-    vanishing discriminant and carries sqrt-amplified rounding noise."""
+    """nu_tilde_minus of ``sf``, taken first so that a form without one fails
+    there, then the module's one physicality check, made on polynomial
+    inequalities: for pure states nu_minus itself sits on a vanishing
+    discriminant and carries sqrt-amplified rounding noise."""
+    nu = sf.spectrum().nu_tilde_minus
     if not sf.is_physical(1e-9):
         raise UnphysicalStateError(f"not a physical state: {sf}")
-    return sf.spectrum().nu_tilde_minus
+    return nu
 
 
 def _require_rim(sf: StandardForm, nu: float) -> None:
@@ -189,8 +190,8 @@ class _ThetaProfile:
     theta-independent square roots need domain clamping.
 
     ``of`` builds them for one physical (``_physical_nu``), entangled and
-    sign-ordered (``_require_rim``, or the near-separable cut and
-    ``sign_ordered()`` in ``minimize_m``) form, so nothing there raises: the
+    sign-ordered (``_require_rim``, or the gate's near-separable cut and
+    ``sign_ordered()``) form, so nothing there raises: the
     diagonal of gamma_q >= gamma_p^{-1} (the Schur complement of
     sigma + i Omega >= 0) gives r1, r2 <= 0, hence R = r1 r2 >= 0 up to
     rounding, and the uncertainty slack is at least -1e-9.
@@ -325,26 +326,6 @@ def gamma_from_theta(sf: StandardForm, theta: float) -> GammaCoordinates:
     return GammaCoordinates(float(x[0]), float(x[1]), float(x[2]))
 
 
-def _roots(coeffs: tuple[float, ...]) -> np.ndarray:
-    """``np.roots(coeffs)``, bit for bit, without its wrapper's overhead: the
-    eigenvalues of the same companion matrix.  Leading zeros lower the
-    degree, each trailing zero is a root at 0, and an all-zero polynomial
-    has no roots."""
-    nonzero = [i for i, c in enumerate(coeffs) if c != 0.0]
-    if not nonzero:
-        return np.empty(0)
-    first, last = nonzero[0], nonzero[-1]
-    if last > first:
-        degree = last - first
-        companion = _SUBDIAGONAL[:degree, :degree].copy()
-        companion[0] = [-c / coeffs[first] for c in coeffs[first + 1:last + 1]]
-        roots = np.linalg.eigvals(companion)
-    else:
-        roots = np.empty(0)
-    trailing = len(coeffs) - 1 - last
-    return np.concatenate((roots, np.zeros(trailing, roots.dtype))) if trailing else roots
-
-
 def _stationary_angles(quartic: tuple[float, ...]) -> tuple[np.ndarray, int]:
     """Candidate angles that include every minimizer of m(theta), and the
     number of distinct stationary angles, from the profile's
@@ -355,9 +336,16 @@ def _stationary_angles(quartic: tuple[float, ...]) -> tuple[np.ndarray, int]:
     reached on entangled states.  Under t = tan(theta/2), F (1 + t^2)^2 is a
     quartic in t, so there are at most four extrema per period.
     theta = pi (t = infinity) is always a candidate and counts as stationary
-    when the t^4 coefficient F(pi) vanishes.
+    when the t^4 coefficient F(pi) vanishes.  The roots are those of
+    ``np.roots``, bit for bit; a quartic with nonzero end coefficients skips
+    its wrapper for the same companion-matrix solve.
     """
-    roots = _roots(quartic)
+    if quartic[0] != 0.0 and quartic[4] != 0.0:
+        companion = _SUBDIAGONAL.copy()
+        companion[0] = [-c / quartic[0] for c in quartic[1:]]
+        roots = np.linalg.eigvals(companion)
+    else:
+        roots = np.roots(quartic)
     # LAPACK returns real eigenvalues of the companion matrix with an exactly
     # zero imaginary part; evaluating m at the real parts of complex roots
     # too is harmless, since every angle bounds the minimum from above.
@@ -372,9 +360,9 @@ def _block_angles(quartics: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Quartics with nonzero leading and trailing coefficients share one
     ``np.linalg.eigvals`` call on their stacked companion matrices, which
-    are ``_roots``' own; the others go through ``_roots``.  A row with fewer
-    than four roots repeats theta = pi, which leaves its first minimum in
-    place.
+    are ``_stationary_angles``' own; the others go through it.  A row with
+    fewer than four roots repeats theta = pi, which leaves its first minimum
+    in place.
     """
     angles = np.full((len(quartics), 5), math.pi)
     extrema = np.zeros(len(quartics), dtype=int)
@@ -394,16 +382,17 @@ def _block_angles(quartics: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return angles, extrema
 
 
-def _closed_form(sf: StandardForm, near_separable_tol: float, log_base) -> GemResult | None:
-    """``minimize_m``'s result for a separable or symmetric form, None for
-    the general path; raises on unphysical forms."""
+def _gate(sf: StandardForm, near_separable_tol: float, log_base) -> tuple[float, GemResult | None]:
+    """nu_tilde_minus of the form, with ``minimize_m``'s result for a
+    separable or symmetric form and None for the general path; raises on a
+    form without a spectrum or an unphysical one."""
     nu_sigma = _physical_nu(sf)
     if nu_sigma >= 1.0 - near_separable_tol:
-        return GemResult(1.0, 0.0, 1.0, 0.0, 1)
+        return nu_sigma, GemResult(1.0, 0.0, 1.0, 0.0, 1)
     if sf.is_symmetric():
         m_opt = m_from_nu_tilde(nu_sigma)
-        return GemResult(m_opt, math.pi, nu_sigma, h_function(nu_sigma, log_base), 2)
-    return None
+        return nu_sigma, GemResult(m_opt, math.pi, nu_sigma, h_function(nu_sigma, log_base), 2)
+    return nu_sigma, None
 
 
 def _result(m_min: float, theta: float, extrema: int, log_base) -> GemResult:
@@ -426,16 +415,18 @@ def minimize_m(
     states short-circuit to m_opt = 1; symmetric states take the closed
     result nu_tilde_opt = nu_tilde_minus(sigma) at theta = pi, which is also
     where a pure state's flat profile (a zero quartic) reports its minimum.
-    ``extrema_found`` counts the distinct stationary angles.
+    ``extrema_found`` counts the distinct stationary angles.  This is
+    ``minimize_block`` of the one form; its error is raised.
     """
-    if not near_separable_tol >= 0.0:
-        raise DomainError(f"near_separable_tol must be >= 0, got {near_separable_tol!r}")
-    closed = _closed_form(sf, near_separable_tol, log_base)
-    return _minimize_profile(sf, log_base) if closed is None else closed
+    outcome = minimize_block([sf], log_base, near_separable_tol)[0]
+    if isinstance(outcome, TwoModeError):
+        raise outcome
+    return outcome[1]
 
 
 def _minimize_profile(sf: StandardForm, log_base=2) -> GemResult:
-    """``minimize_m``'s general path, for a physical and entangled form."""
+    """The per-form route of the general path, for a physical and entangled
+    form."""
     ordered = sf.sign_ordered()
     profile = _ThetaProfile.of(ordered)
     angles, extrema = _stationary_angles(profile.quartic())
@@ -449,49 +440,56 @@ def _minimize_profile(sf: StandardForm, log_base=2) -> GemResult:
     return _result(float(vals[best]), float(angles[best]), extrema, log_base)
 
 
-def minimize_block(forms, log_base=2) -> list[GemResult | None]:
-    """``minimize_m(sf, log_base=log_base)`` of every form, bit for bit, or
-    None where that call raises: the caller calls it there for the error.
+def minimize_block(
+    forms,
+    log_base=2,
+    near_separable_tol: float = NEAR_SEPARABLE_TOL,
+) -> list[tuple[float, GemResult] | TwoModeError]:
+    """Each form's outcome: its nu_tilde_minus and ``minimize_m``'s result,
+    or the ``TwoModeError`` that ``minimize_m`` raises for it; a bad
+    ``near_separable_tol`` or ``log_base`` raises DomainError at once.
 
-    Each form passes ``minimize_m``'s gate, near-separable cut and symmetric
-    closed form on its own; the general forms are then minimized together,
-    their profiles and quartics as arrays and their roots by
-    ``_block_angles``.  The entries of the forms must stay far below 1e100
-    (the sampler's do, at s_max <= 1e6).  Past that, c_minus**3 can raise
-    OverflowError on a form that ``minimize_m`` never cubes, and one
-    non-finite quartic makes ``np.linalg.eigvals`` raise for the whole
-    block.
+    Entries must stay far below 1e100 (the sampler's do, at s_max <= 1e6):
+    past that, c_minus**3 can raise OverflowError on a form the per-form
+    route never cubes, and one non-finite quartic makes
+    ``np.linalg.eigvals`` raise for the whole array route.
     """
-    results: list[GemResult | None] = [None] * len(forms)
-    rows: list[int] = []
-    ordered: list[StandardForm] = []
+    if not near_separable_tol >= 0.0:
+        raise DomainError(f"near_separable_tol must be >= 0, got {near_separable_tol!r}")
+    _log_divisor(log_base)  # DomainError for a base other than 2 and "e"
+    outcomes: list = [None] * len(forms)
+    general: list[tuple[int, float]] = []
     for i, sf in enumerate(forms):
         try:
-            closed = _closed_form(sf, NEAR_SEPARABLE_TOL, log_base)
-        except TwoModeError:
+            nu_sigma, closed = _gate(sf, near_separable_tol, log_base)
+        except TwoModeError as exc:
+            outcomes[i] = exc
             continue
         if closed is None:
-            rows.append(i)
-            ordered.append(sf.sign_ordered())
+            general.append((i, nu_sigma))
         else:
-            results[i] = closed
-    if not rows:
-        return results
-    a, b, cp, cm = np.array([(f.a, f.b, f.c_plus, f.c_minus) for f in ordered]).T
-    profile = _ThetaProfile.of_block(a, b, cp, cm)
-    angles, extrema = _block_angles(np.stack(profile.quartic(), axis=1))
-    columns = _ThetaProfile(*(c[:, None] for c in (profile.n0, profile.n1, profile.d0,
-                                                     profile.dc, profile.ds)))
-    vals = columns(angles)
-    best = vals.argmin(axis=1)
-    lead = np.arange(len(rows))
-    minima = zip(vals[lead, best].tolist(), angles[lead, best].tolist(), extrema.tolist())
-    # a row with a non-finite value stays None: minimize_m raises there
-    for i, finite, (m_min, theta, count) in zip(rows, np.isfinite(vals).all(axis=1).tolist(),
-                                                minima):
-        if finite:
-            results[i] = _result(m_min, theta, count, log_base)
-    return results
+            outcomes[i] = nu_sigma, closed
+    minima: list[GemResult | None] = [None]
+    if len(general) > 1:  # the array route's fixed cost pays off from two forms on
+        ordered = [forms[i].sign_ordered() for i, _ in general]
+        a, b, cp, cm = np.array([(f.a, f.b, f.c_plus, f.c_minus) for f in ordered]).T
+        profile = _ThetaProfile.of_block(a, b, cp, cm)
+        angles, extrema = _block_angles(np.stack(profile.quartic(), axis=1))
+        vals = _ThetaProfile(*(getattr(profile, k)[:, None] for k in profile.__slots__))(angles)
+        best = vals.argmin(axis=1)
+        lead = np.arange(len(general))
+        minima = [_result(m_min, theta, count, log_base) if finite else None
+                  for finite, m_min, theta, count in zip(
+                      np.isfinite(vals).all(axis=1).tolist(), vals[lead, best].tolist(),
+                      angles[lead, best].tolist(), extrema.tolist())]
+    for (i, nu_sigma), gem in zip(general, minima):
+        try:
+            if gem is None:  # a lone general form, or a row left non-finite above
+                gem = _minimize_profile(forms[i], log_base)
+            outcomes[i] = nu_sigma, gem
+        except TwoModeError as exc:
+            outcomes[i] = exc
+    return outcomes
 
 
 def gaussian_eof(sf: StandardForm, log_base=2, **kwargs) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedInputError, UnphysicalStateError
+from .errors import DomainError, MalformedInputError, UnphysicalStateError
 
 OMEGA = np.array([
     [0.0, 1.0, 0.0, 0.0],
@@ -113,9 +113,11 @@ class StandardForm:
         """Message template of the first violated physicality inequality, or
         None.  Det sigma >= 1, Delta <= 1 + Det sigma and sigma >= 0 are
         equivalent to nu_minus >= 1, which implies a, b >= 1 up to rounding.
-        Invariants that overflow to inf or NaN would pass every comparison,
-        so they fail first.
+        Invariants that overflow to inf or NaN, or a NaN ``tol``, would pass
+        every comparison, so they fail first (a bad ``tol`` as DomainError).
         """
+        if not tol >= 0.0:
+            raise DomainError(f"physicality tolerance must be >= 0, got {tol!r}")
         a, b, cp, cm = self.a, self.b, self.c_plus, self.c_minus
         det_sigma, delta, _ = _dets(a, b, cp, cm)
         if not (math.isfinite(det_sigma) and math.isfinite(delta)):
@@ -204,6 +206,7 @@ def validate_physical(cm, tol: float = DEFAULT_TOL) -> bool:
 
     Raises:
         MalformedInputError: if the input is not a symmetric 4x4 matrix.
+        DomainError: if ``tol`` is NaN or negative.
     """
     try:
         to_standard_form(cm, tol)
@@ -283,6 +286,7 @@ def to_standard_form(cm, tol: float = DEFAULT_TOL) -> StandardForm:
         MalformedInputError: if the input is not a symmetric 4x4 matrix.
         UnphysicalStateError: if a local block is not positive definite, or
             naming the first violated inequality of the standard form.
+        DomainError: if ``tol`` is NaN or negative.
     """
     arr = _check_matrix(cm, tol)
     a, s1 = _local_normalizer(arr[:2, :2])

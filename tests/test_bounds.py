@@ -156,6 +156,11 @@ class TestExperiment:
         assert result.min_upper_slack >= -1e-9
         assert result.min_m_max_slack >= -1e-9
 
+    def test_bad_log_base_raises(self):
+        # not a failure recorded for every state
+        with pytest.raises(DomainError, match="log_base"):
+            bound_experiment(SamplerConfig(seed=1, count=5), log_base=10)
+
     def test_points_lie_between_curves(self):
         for p in bound_experiment(SamplerConfig(seed=27, count=100)).points:
             assert p.nu_tilde_opt <= nu_opt_upper(p.nu_tilde_sigma) + 1e-9

@@ -17,11 +17,11 @@ from twomode import (
 )
 from twomode.bounds import SamplerConfig, iter_samples
 from twomode.errors import DomainError, TwoModeError, UnphysicalStateError
+from twomode import gaussian_em
 from twomode.gaussian_em import (
     NEAR_SEPARABLE_TOL,
     _minimize_profile,
     _block_angles,
-    _roots,
     _stationary_angles,
     _ThetaProfile,
     minimize_block,
@@ -266,8 +266,14 @@ def _root_cases(rng):
 
 
 def test_roots_match_np_roots(rng):
+    # the companion-matrix branch and the np.roots branch alike
     for coeffs in _root_cases(rng):
-        np.testing.assert_array_equal(_roots(coeffs), np.roots(list(coeffs)), strict=True)
+        roots = np.roots(list(coeffs))
+        angles, extrema = _stationary_angles(coeffs)
+        np.testing.assert_array_equal(
+            angles, np.append(2.0 * np.arctan(roots.real), np.pi), strict=True)
+        distinct = len({r.real for r in roots.tolist() if r.imag == 0.0})
+        assert extrema == distinct + int(coeffs[0] == 0.0)
 
 
 def test_block_angles_match_stationary_angles(rng):
@@ -325,14 +331,67 @@ def test_block_matches_minimize_m_bit_for_bit(mode, seed, s_max, count):
     forms = [s.standard_form for s in iter_samples(SamplerConfig(seed, count, s_max, mode))]
     forms[count // 2:count // 2] = BLOCK_ROWS
     log_base = 2 if seed == 1 else "e"
-    for sf, gem in zip(forms, minimize_block(forms, log_base)):
+    for sf, outcome in zip(forms, minimize_block(forms, log_base)):
         try:
             expected = minimize_m(sf, log_base=log_base)
-        except TwoModeError:
-            assert gem is None
+        except TwoModeError as exc:
+            assert (type(outcome), str(outcome)) == (type(exc), str(exc))
             continue
-        assert gem is not None
+        nu_sigma, gem = outcome
+        assert nu_sigma.hex() == sf.spectrum().nu_tilde_minus.hex()
         assert _fields(gem) == _fields(expected)
+
+
+def _no_array_route(*args):
+    raise AssertionError("the array route ran")
+
+
+def test_lone_general_form_takes_the_per_form_route(monkeypatch):
+    symmetric, separable, *_, cube, unphysical = BLOCK_ROWS
+    monkeypatch.setattr(gaussian_em, "_block_angles", _no_array_route)
+    outcomes = minimize_block([symmetric, cube, separable, unphysical])
+    nu_sigma, gem = outcomes[1]
+    assert nu_sigma == cube.spectrum().nu_tilde_minus
+    assert _fields(gem) == _fields(_minimize_profile(cube))
+    assert isinstance(outcomes[3], UnphysicalStateError)
+
+
+@pytest.mark.parametrize("sf,message", [
+    (UNPHYSICAL, "not a physical state"),
+    # Det sigma < 0: the spectrum fails before the physicality check
+    (StandardForm(1.0, 1.0, 2.0, 0.0), "spectrum undefined"),
+])
+def test_block_of_one_failing_form(sf, message):
+    [outcome] = minimize_block([sf])
+    assert type(outcome) is UnphysicalStateError
+    assert message in str(outcome)
+    with pytest.raises(UnphysicalStateError, match=message):
+        minimize_m(sf)
+
+
+def test_non_finite_row_gets_the_per_form_outcome(monkeypatch):
+    forms = [BLOCK_ROWS[5], build_state(GMEMS_EX)]
+    block_angles = gaussian_em._block_angles
+
+    def poisoned(quartics):
+        angles, extrema = block_angles(quartics)
+        angles[0] = np.nan
+        return angles, extrema
+
+    monkeypatch.setattr(gaussian_em, "_block_angles", poisoned)
+    outcomes = minimize_block(forms)
+    for sf, (_, gem) in zip(forms, outcomes):
+        assert _fields(gem) == _fields(_minimize_profile(sf))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: minimize_m(StandardForm(2.0, 1.5, 0.3, 0.2), log_base=10),
+    lambda: minimize_block([build_state(GMEMS_EX)], log_base=10),
+])
+def test_bad_log_base_raises_at_entry(call):
+    # the separable form never reaches h_function
+    with pytest.raises(DomainError, match="log_base"):
+        call()
 
 
 class TestGaussianEof:

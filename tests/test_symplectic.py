@@ -19,7 +19,7 @@ from twomode import (
     cm_from_json_dict,
     minimize_m,
 )
-from twomode.errors import MalformedInputError, UnphysicalStateError
+from twomode.errors import DomainError, MalformedInputError, UnphysicalStateError
 
 from conftest import BLOCK_NOT_POSITIVE_DEFINITE, draw_entangled_states
 
@@ -102,6 +102,17 @@ class TestValidatePhysical:
         assert not sf.is_physical()
         with pytest.raises(UnphysicalStateError):
             minimize_m(sf)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-12])
+    @pytest.mark.parametrize("check", [
+        lambda sf, tol: sf.is_physical(tol),
+        lambda sf, tol: to_standard_form(sf.to_matrix(), tol),
+        lambda sf, tol: validate_physical(sf.to_matrix(), tol),
+    ])
+    def test_nan_or_negative_tolerance_is_rejected(self, check, tol):
+        # every "x < 1 - nan" compares False, which would accept this form
+        with pytest.raises(DomainError, match="tolerance"):
+            check(StandardForm(0.8, 0.8, 0.1, -0.1), tol)
 
 
 class TestLocalInvariants:
