@@ -28,17 +28,21 @@ formation.
 ``minimize_block`` is the one minimizer and ``minimize_m`` its call on one
 form.  Each form passes the gate (spectrum, physicality, near-separable cut,
 symmetric closed form) on its own, and each outcome is a value: a result or
-the error ``minimize_m`` raises.  A lone general form takes the per-form
-route (floats, ``if``); two or more take the array route (masks, stacked
-companion matrices, one ``np.linalg.eigvals`` call), with the same bits.
-The profile and quartic arithmetic is written once for both; ``np.roots``
-solves the degenerate quartics of pure and minimum-uncertainty forms.
+the error ``minimize_m`` raises.  ``_ThetaProfile.of`` is the one profile
+builder, run per form, so every branch is scalar code.  A lone general form
+takes the per-form route; two or more stack their profiles as columns and
+batch only branch-free work: the quartic coefficients, one
+``np.linalg.eigvals`` call on the stacked companion matrices and one
+evaluation of m at the candidate angles.  Both routes give the same bits;
+``np.roots`` solves the degenerate quartics of pure and minimum-uncertainty
+forms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,117 +139,78 @@ def _require_rim(sf: StandardForm, nu: float) -> None:
 _EPS = 2.220446049250313e-16
 
 
-def _rim_terms(a, b, cp, cm):
-    """(dq, n0, d0, R, floors) of a sign-ordered form, elementwise for arrays:
-    dq = ab - c_minus^2, the profile's n0 and d0, the squared rim radius
-    R = r1 r2 and the two terms of its degeneracy floor, whose larger one R
-    must exceed."""
-    dq = a * b - cm * cm
-    r1 = a - b * dq
-    r2 = b - a * dq
-    # Both differences above cancel as states approach purity, so the
-    # degeneracy threshold covers the rounding envelope of R, not just
-    # a fixed epsilon.
-    floors = (
-        SQRT_CLAMP * (1.0 + r1 * r1 + r2 * r2),
-        64.0 * _EPS * ((abs(a) + abs(b * dq)) * abs(r2)
-                       + (abs(b) + abs(a * dq)) * abs(r1) + 1.0),
-    )
-    # The common factor 2(ab - c_minus^2) multiplies the whole angular
-    # bracket of the denominator; together with the numerator square this
-    # makes m - 1 = [2 dq x1]^2 / [(2 dq)^2 det Gamma] on the rim.
-    d0 = 2.0 * dq * (a * a + b * b + 2.0 * cp * cm)
-    return dq, cp * dq - cm, d0, r1 * r2, floors
-
-
-def _angle_terms(a, b, cp, cm, cm3, dq):
-    """(dc sqrt(R), ds / sqrt(s_arg), slack, Det sigma, Delta) of a
-    non-degenerate rim, elementwise for arrays; ``cm3`` is c_minus**3 as
-    Python's float power rounds it (numpy's array power differs in the last
-    bit for a few percent of values).
-
-    The sin(theta) coefficient is ds = 2 dq (a^2 - b^2) sqrt(1 - A^2/R) with
-    A = cp dq + cm.  The stable route uses the identity
-    R - A^2 = dq (1 + Det sigma - Delta): the argument s_arg = dq slack / R
-    carries the uncertainty-relation slack, which vanishes identically for
-    partial-minimum-uncertainty states.
-    """
-    quad = a * a + b * b
-    h_coeff = (
-        2.0 * a * b * cm3
-        + quad * cp * cm * cm
-        + (quad - 2.0 * a * a * b * b) * cm
-        - a * b * (quad - 2.0) * cp
-    )
-    det_sigma, delta, _ = _dets(a, b, cp, cm)
-    return -2.0 * dq * h_coeff, 2.0 * dq * (a * a - b * b), 1.0 + det_sigma - delta, det_sigma, delta
-
-
-class _ThetaProfile:
-    """Coefficients of m(theta) = 1 + num(theta)/den(theta), floats for one
-    form or arrays for a block.
+class _ThetaProfile(NamedTuple):
+    """Coefficients of m(theta) = 1 + num(theta)/den(theta): floats for one
+    form, or columns of a block stacked from the rows ``of`` builds.
 
     num(theta) = (n0 + n1 cos theta)^2 and
     den(theta) = d0 + dc cos theta + ds sin theta; only the three
     theta-independent square roots need domain clamping.
 
-    ``of`` builds them for one physical (``_physical_nu``), entangled and
-    sign-ordered (``_require_rim``, or the gate's near-separable cut and
-    ``sign_ordered()``) form, so nothing there raises: the
-    diagonal of gamma_q >= gamma_p^{-1} (the Schur complement of
-    sigma + i Omega >= 0) gives r1, r2 <= 0, hence R = r1 r2 >= 0 up to
-    rounding, and the uncertainty slack is at least -1e-9.
+    ``of`` is the one builder, and it runs per form: its branches stay in
+    scalar code.  Arrays carry only the branch-free ``quartic`` and
+    ``__call__``, so a block's rows are bit for bit those of its forms.
     """
 
-    __slots__ = ("n0", "n1", "d0", "dc", "ds")
-
-    def __init__(self, n0, n1, d0, dc, ds):
-        self.n0 = n0
-        self.n1 = n1
-        self.d0 = d0
-        self.dc = dc
-        self.ds = ds
+    n0: float
+    n1: float
+    d0: float
+    dc: float
+    ds: float
 
     @classmethod
     def of(cls, sf: StandardForm) -> "_ThetaProfile":
+        """The profile of one physical (``_physical_nu``), entangled and
+        sign-ordered (``_require_rim``, or the gate's near-separable cut and
+        ``sign_ordered()``) form, so nothing here raises: the diagonal of
+        gamma_q >= gamma_p^{-1} (the Schur complement of
+        sigma + i Omega >= 0) gives r1, r2 <= 0, hence R = r1 r2 >= 0 up to
+        rounding, and the uncertainty slack is at least -1e-9."""
         a, b, cp, cm = sf.a, sf.b, sf.c_plus, sf.c_minus
-        dq, n0, d0, rr, floors = _rim_terms(a, b, cp, cm)
-        if not rr > max(floors):
+        dq = a * b - cm * cm
+        r1 = a - b * dq
+        r2 = b - a * dq
+        rr = r1 * r2
+        quad = a * a + b * b
+        # The common factor 2(ab - c_minus^2) multiplies the whole angular
+        # bracket of the denominator; together with the numerator square this
+        # makes m - 1 = [2 dq x1]^2 / [(2 dq)^2 det Gamma] on the rim.
+        n0 = cp * dq - cm
+        d0 = 2.0 * dq * (quad + 2.0 * cp * cm)
+        # Both differences r1, r2 cancel as states approach purity, so the
+        # degeneracy threshold covers the rounding envelope of R, not just
+        # a fixed epsilon.
+        if not rr > max(SQRT_CLAMP * (1.0 + r1 * r1 + r2 * r2),
+                        64.0 * _EPS * ((abs(a) + abs(b * dq)) * abs(r2)
+                                       + (abs(b) + abs(a * dq)) * abs(r1) + 1.0)):
             # Degenerate rim (pure state): the profile is the constant
             # 1 + n0^2 / d0, the limit of the full expression.
             return cls(n0, 0.0, d0, 0.0, 0.0)
-        dc_num, ds_factor, slack, det_sigma, delta = _angle_terms(a, b, cp, cm, cm**3, dq)
+        h_coeff = (
+            2.0 * a * b * cm**3
+            + quad * cp * cm * cm
+            + (quad - 2.0 * a * a * b * b) * cm
+            - a * b * (quad - 2.0) * cp
+        )
+        # The sin(theta) coefficient is ds = 2 dq (a^2 - b^2) sqrt(1 - A^2/R)
+        # with A = cp dq + cm.  The stable route uses the identity
+        # R - A^2 = dq (1 + Det sigma - Delta): the square root's argument
+        # dq slack / R carries the uncertainty-relation slack, which vanishes
+        # identically for partial-minimum-uncertainty states.
+        det_sigma, delta, _ = _dets(a, b, cp, cm)
+        slack = 1.0 + det_sigma - delta
         if slack <= 1e-11 * max(1.0, det_sigma, abs(delta)):
             # at most rounding noise away from minimum uncertainty,
             # where the sin(theta) term vanishes identically
             slack = 0.0
         sqrt_r = math.sqrt(rr)
-        return cls(n0, sqrt_r, d0, dc_num / sqrt_r, ds_factor * math.sqrt(dq * slack / rr))
-
-    @classmethod
-    def of_block(cls, a, b, cp, cm) -> "_ThetaProfile":
-        """``of`` on arrays of sign-ordered forms, with masks for its
-        branches.  A row where ``of`` would take the square root of a
-        negative number gets ds = NaN."""
-        dq, n0, d0, rr, (f1, f2) = _rim_terms(a, b, cp, cm)
-        live = rr > np.where(f2 > f1, f2, f1)  # max(floors) as Python takes it
-        cm3 = np.array([c**3 for c in cm.tolist()])
-        dc_num, ds_factor, slack, det_sigma, delta = _angle_terms(a, b, cp, cm, cm3, dq)
-        abs_delta = abs(delta)
-        scale = np.where(det_sigma > 1.0, det_sigma, 1.0)
-        scale = np.where(abs_delta > scale, abs_delta, scale)
-        slack = np.where(slack <= 1e-11 * scale, 0.0, slack)
-        zeros = np.zeros_like(rr)
-        sqrt_r = np.sqrt(rr, out=zeros.copy(), where=live)
-        s_arg = np.divide(dq * slack, rr, out=zeros.copy(), where=live)
-        root = np.sqrt(s_arg, out=np.full_like(rr, np.nan), where=s_arg >= 0.0)
-        return cls(n0, sqrt_r, d0, np.divide(dc_num, sqrt_r, out=zeros, where=live),
-                   np.where(live, ds_factor * root, 0.0))
+        return cls(n0, sqrt_r, d0, -2.0 * dq * h_coeff / sqrt_r,
+                   2.0 * dq * (a * a - b * b) * math.sqrt(dq * slack / rr))
 
     def quartic(self):
         """Coefficients, highest first, of the quartic in t = tan(theta/2)
         whose real roots are the stationary angles (``_stationary_angles``)."""
-        n0, n1, d0, dc, ds = self.n0, self.n1, self.d0, self.dc, self.ds
+        n0, n1, d0, dc, ds = self
         a_co = n0 * dc - 2.0 * n1 * d0
         b_co = -n0 * ds
         c_co = -n1 * dc
@@ -449,10 +414,11 @@ def minimize_block(
     or the ``TwoModeError`` that ``minimize_m`` raises for it; a bad
     ``near_separable_tol`` or ``log_base`` raises DomainError at once.
 
-    Entries must stay far below 1e100 (the sampler's do, at s_max <= 1e6):
-    past that, c_minus**3 can raise OverflowError on a form the per-form
-    route never cubes, and one non-finite quartic makes
-    ``np.linalg.eigvals`` raise for the whole array route.
+    Two or more general forms take the array route: their ``_ThetaProfile.of``
+    rows are stacked, and the quartic solve and the evaluation run on the
+    stack.  One non-finite quartic makes ``np.linalg.eigvals`` raise for the
+    whole array route, so entries must stay far below 1e100 (the sampler's
+    do, at s_max <= 1e6).
     """
     if not near_separable_tol >= 0.0:
         raise DomainError(f"near_separable_tol must be >= 0, got {near_separable_tol!r}")
@@ -471,11 +437,9 @@ def minimize_block(
             outcomes[i] = nu_sigma, closed
     minima: list[GemResult | None] = [None]
     if len(general) > 1:  # the array route's fixed cost pays off from two forms on
-        ordered = [forms[i].sign_ordered() for i, _ in general]
-        a, b, cp, cm = np.array([(f.a, f.b, f.c_plus, f.c_minus) for f in ordered]).T
-        profile = _ThetaProfile.of_block(a, b, cp, cm)
-        angles, extrema = _block_angles(np.stack(profile.quartic(), axis=1))
-        vals = _ThetaProfile(*(getattr(profile, k)[:, None] for k in profile.__slots__))(angles)
+        columns = np.array([_ThetaProfile.of(forms[i].sign_ordered()) for i, _ in general]).T
+        angles, extrema = _block_angles(np.stack(_ThetaProfile(*columns).quartic(), axis=1))
+        vals = _ThetaProfile(*columns[:, :, None])(angles)
         best = vals.argmin(axis=1)
         lead = np.arange(len(general))
         minima = [_result(m_min, theta, count, log_base) if finite else None

@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NotSymmetricError
-from .symplectic import DEFAULT_TOL, SYMMETRY_RTOL, StandardForm, SymplecticSpectrum
+from .symplectic import (
+    DEFAULT_TOL, SYMMETRY_RTOL, StandardForm, SymplecticSpectrum, _require_tol,
+)
 
 _LN2 = math.log(2.0)
 
@@ -43,7 +45,12 @@ def _nu_tilde(spectrum_or_value) -> float:
 
 
 def is_separable_ppt(spectrum, tol: float = DEFAULT_TOL) -> bool:
-    """PPT criterion: separable iff nu_tilde_minus >= 1 (within tol)."""
+    """PPT criterion: separable iff nu_tilde_minus >= 1 (within tol).
+
+    Raises:
+        DomainError: if ``tol`` is NaN or negative.
+    """
+    _require_tol("separability", tol)
     return _nu_tilde(spectrum) >= 1.0 - tol
 
 

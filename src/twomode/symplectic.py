@@ -116,8 +116,7 @@ class StandardForm:
         Invariants that overflow to inf or NaN, or a NaN ``tol``, would pass
         every comparison, so they fail first (a bad ``tol`` as DomainError).
         """
-        if not tol >= 0.0:
-            raise DomainError(f"physicality tolerance must be >= 0, got {tol!r}")
+        _require_tol("physicality", tol)
         a, b, cp, cm = self.a, self.b, self.c_plus, self.c_minus
         det_sigma, delta, _ = _dets(a, b, cp, cm)
         if not (math.isfinite(det_sigma) and math.isfinite(delta)):
@@ -149,6 +148,13 @@ class StandardForm:
         if cp < 0.0:
             cp, cm = -cp, -cm
         return StandardForm(self.a, self.b, cp, cm)
+
+
+def _require_tol(name: str, tol: float) -> None:
+    """DomainError unless ``tol`` >= 0: against a NaN slack every comparison
+    is False, which accepts any state."""
+    if not tol >= 0.0:
+        raise DomainError(f"{name} tolerance must be >= 0, got {tol!r}")
 
 
 def _dets(a, b, c_plus, c_minus):
@@ -288,6 +294,7 @@ def to_standard_form(cm, tol: float = DEFAULT_TOL) -> StandardForm:
             naming the first violated inequality of the standard form.
         DomainError: if ``tol`` is NaN or negative.
     """
+    _require_tol("physicality", tol)  # before a local block can fail
     arr = _check_matrix(cm, tol)
     a, s1 = _local_normalizer(arr[:2, :2])
     b, s2 = _local_normalizer(arr[2:, 2:])
@@ -325,8 +332,11 @@ def make_two_mode_squeezed(r: float) -> np.ndarray:
     """
     if not math.isfinite(r) or r < 0.0:
         raise MalformedInputError(f"squeezing parameter must be finite and >= 0, got {r!r}")
-    ch = math.cosh(2.0 * r)
-    sh = math.sinh(2.0 * r)
+    try:
+        ch = math.cosh(2.0 * r)
+        sh = math.sinh(2.0 * r)
+    except OverflowError:
+        raise MalformedInputError(f"squeezing parameter {r!r} overflows cosh(2r)") from None
     return StandardForm(ch, ch, sh, -sh).to_matrix()
 
 

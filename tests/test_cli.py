@@ -86,6 +86,11 @@ class TestMeasure:
         assert code == EXIT_UNPHYSICAL
         assert named in err
 
+    def test_overflowing_squeezing_exits_2(self, capsys):
+        code, _, err = run(capsys, "measure", "--squeezed-r", "400")
+        assert code == EXIT_UNPHYSICAL
+        assert "overflows" in err
+
     def test_asymmetric_matrix_exits_2_with_diagnostic(self, capsys, tmp_path):
         path = tmp_path / "asym.json"
         cm = [[1, 0.3, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]

@@ -296,7 +296,9 @@ def _fields(gem):
 # c at which StandardForm(2, 2.5, c, -c) has nu_tilde_minus = 1 - 5e-9
 NEAR_SEPARABLE_C = 1.2247448764946924
 # a seed-11 sampler state whose c_minus**3 numpy's array power rounds one
-# ulp away from Python's on AVX-512 hosts
+# ulp away from Python's on AVX-512 hosts; the one profile builder cubes
+# with Python's float power on both routes, and the row stays as a
+# general-form input
 CUBE_ROUNDING = StandardForm(23.224957903223615, 7.281572419936001,
                              12.722095110686082, -9.976006620644796)
 BLOCK_ROWS = [
@@ -324,10 +326,15 @@ def test_block_rows_take_the_branches_they_name():
     assert not unphysical.is_physical()
 
 
-@pytest.mark.parametrize("mode", ["extremal_params", "raw_standard_form"])
-@pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("s_max,count", [(1.5, 300), (20.0, 300), (200.0, 60)])
-def test_block_matches_minimize_m_bit_for_bit(mode, seed, s_max, count):
+@pytest.mark.parametrize("s_max,count,seed,mode", [
+    *((s_max, count, seed, mode)
+      for s_max, count in [(1.5, 300), (20.0, 300), (200.0, 60)] for seed in (1, 2)
+      for mode in ("extremal_params", "raw_standard_form")),
+    # large entries, where the routes' rounding would differ first; raw mode
+    # runs out of sampler retries at this s_max
+    *((1e5, 60, seed, "extremal_params") for seed in (1, 2)),
+])
+def test_block_matches_minimize_m_bit_for_bit(s_max, count, seed, mode):
     forms = [s.standard_form for s in iter_samples(SamplerConfig(seed, count, s_max, mode))]
     forms[count // 2:count // 2] = BLOCK_ROWS
     log_base = 2 if seed == 1 else "e"

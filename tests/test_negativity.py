@@ -121,6 +121,14 @@ class TestSeparability:
         assert is_separable_ppt(1.2)
         assert not is_separable_ppt(0.4)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    def test_nan_or_negative_tolerance_is_rejected(self, tol):
+        # "1.5 >= 1 - nan" is False, which reported separable states entangled
+        with pytest.raises(DomainError, match="tolerance"):
+            is_separable_ppt(1.5, tol)
+        with pytest.raises(DomainError, match="tolerance"):
+            negativity_report(StandardForm(2.0, 1.5, 0.3, 0.2), tol=tol)
+
 
 class TestEofSymmetric:
     def test_pure_squeezed(self):

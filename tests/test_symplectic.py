@@ -114,6 +114,14 @@ class TestValidatePhysical:
         with pytest.raises(DomainError, match="tolerance"):
             check(StandardForm(0.8, 0.8, 0.1, -0.1), tol)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1e-12])
+    @pytest.mark.parametrize("check", [to_standard_form, validate_physical])
+    def test_bad_tolerance_is_rejected_before_the_local_blocks(self, check, tol):
+        # the second local block is not positive definite; the tolerance
+        # must still fail first, as it does for a matrix with good blocks
+        with pytest.raises(DomainError, match="physicality tolerance"):
+            check(np.diag([4.0, 4.0, 4.0, -1.0]), tol)
+
 
 class TestLocalInvariants:
     def test_vacuum(self):
@@ -305,6 +313,12 @@ class TestMisc:
     def test_make_two_mode_squeezed_rejects_bad_input(self):
         with pytest.raises(MalformedInputError):
             make_two_mode_squeezed(float("nan"))
+
+    @pytest.mark.parametrize("r", [355.5, 400.0, 1e300])
+    def test_make_two_mode_squeezed_rejects_overflowing_r(self, r):
+        # cosh(2r) overflows a double from 2r ~ 710.5 on
+        with pytest.raises(MalformedInputError, match="overflows"):
+            make_two_mode_squeezed(r)
 
     def test_partial_transpose_flips_det_gamma(self):
         cm = StandardForm(2.0, 1.4, 0.9, -0.6).to_matrix()

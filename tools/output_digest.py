@@ -5,12 +5,14 @@ Usage, from anywhere:
     python tools/output_digest.py
 
 The runs are the `bounds` experiment (seed 1, 4000 states, both sampler
-modes, and 200 raw-mode states at s_max 200, where the sampler rejects
-hundreds of attempts per state), the criterion-5 `scan` window at resolutions 200 and 60, the README
-`scan3d` window at resolution 24, and four `measure` reports.  They run in a
-temporary directory against the `twomode` package in this checkout's `src/`,
-and each output prints as one `sha256  label` line.  Running it on two
-commits and diffing the lines shows which outputs a change moved.
+modes; 200 raw-mode states at s_max 200, where the sampler rejects hundreds
+of attempts per state; 1000 extremal states at s_max 1e5, where large
+entries stress the minimizer's rounding), the criterion-5 `scan` window at
+resolutions 200 and 60, the README `scan3d` window at resolution 24, and
+four `measure` reports.  They run in a temporary directory against the
+`twomode` package in this checkout's `src/`, and each output prints as one
+`sha256  label` line.  Running it on two commits and diffing the lines
+shows which outputs a change moved.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ def _run(argv: list[str]) -> bytes:
 def _outputs():
     """(label, bytes) of every output, in a fixed order."""
     runs = [("extremal_params", "4000", "20", ""), ("raw_standard_form", "4000", "20", ""),
-            ("raw_standard_form", "200", "200", " s_max 200")]
+            ("raw_standard_form", "200", "200", " s_max 200"),
+            ("extremal_params", "1000", "1e5", " s_max 1e5")]
     for mode, samples, s_max, tag in runs:
         _run(["bounds", "--samples", samples, "--seed", "1", "--mode", mode, "--s-max", s_max,
               "--points", "points.csv", "--curves", "curves.csv",
