@@ -1,16 +1,16 @@
 """Command-line front end: single-state reports, ordering scans, bound experiments.
 
 Exit codes: 0 success, 2 unphysical input, 3 bound violation in --strict
-mode, 64 usage or parse error.  Numeric CSV output uses 17 significant
-digits so every double round-trips exactly; JSON floats use Python's
-shortest round-trip representation.
+mode, 64 usage or parse error.  CSV rows are written as they are formatted:
+%.17g for floats, so every double round-trips exactly, %d for ints and
+flags, and CRLF line ends.  JSON floats use Python's shortest round-trip
+representation.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import math
 import os
@@ -63,20 +63,28 @@ def _above(kind, floor, *, inclusive=False, ceiling=None):
     return parse
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+def _finite(text: str) -> float:
+    """argparse type: a finite float."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+_finite.__name__ = "float"  # argparse names the type in "invalid float value"
+
+
+def _write_csv(path: str, header: list[str], row_template: str, rows) -> None:
+    """Write ``header`` and then ``row_template % row`` for each row, as
+    they come.  Templates use %.17g for floats, %d for ints and bools and
+    end in CRLF, so the bytes are those of ``csv.writer`` on the values
+    formatted that way (no field here needs quoting)."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row_template % row for row in rows)
+
+
+_FLOATS_3 = "%.17g,%.17g,%.17g\r\n"
 
 
 def _log_base(text: str):
@@ -176,14 +184,19 @@ def _cmd_measure(args) -> int:
     return EXIT_OK
 
 
-def _scan_rows(cells):
-    for c in cells:
-        yield (c.s, c.d, c.g, c.m_gmems, c.m_glems,
-               c.nu_tilde_gmems, c.nu_tilde_glems, c.regime.value)
+def _scan_rows(cells, resolution: int):
+    """Grid rows: each column's (s, d) and each g are formatted once."""
+    g_texts = ["%.17g," % cell.g for cell in cells[:resolution]]
+    for start in range(0, len(cells), resolution):
+        head = "%.17g,%.17g," % cells[start][:2]
+        for cell, g_text in zip(cells[start:start + resolution], g_texts):
+            yield (head, g_text, cell.m_gmems, cell.m_glems,
+                   cell.nu_tilde_gmems, cell.nu_tilde_glems, cell.regime.value)
 
 
 _SCAN_HEADER = ["s", "d", "g", "m_gmems", "m_glems",
                 "nu_tilde_gmems", "nu_tilde_glems", "regime"]
+_SCAN_ROW = "%s%s%.17g,%.17g,%.17g,%.17g,%s\r\n"
 
 
 def _cmd_scan(args) -> int:
@@ -195,9 +208,8 @@ def _cmd_scan(args) -> int:
         cells, boundary = extremal.scan_ordering_3d(
             tuple(args.s_range), tuple(args.d_range), tuple(args.g_range), args.resolution
         )
-    _write_csv(args.grid, _SCAN_HEADER, _scan_rows(cells))
-    _write_csv(args.boundary, ["s", "d", "g_boundary"],
-               ((p.s, p.d, p.g) for p in boundary))
+    _write_csv(args.grid, _SCAN_HEADER, _SCAN_ROW, _scan_rows(cells, args.resolution))
+    _write_csv(args.boundary, ["s", "d", "g_boundary"], _FLOATS_3, boundary)
     counts = {}
     for c in cells:
         counts[c.regime.value] = counts.get(c.regime.value, 0) + 1
@@ -219,10 +231,11 @@ def _cmd_bounds(args) -> int:
         args.points,
         ["index", "s", "d", "g", "lambda", "nu_tilde_sigma", "nu_tilde_opt",
          "log_neg", "geof", "violates_42", "violates_46"],
+        "%d," + "%.17g," * 8 + "%d,%d\r\n",
         ((p.index, p.s, p.d, p.g, p.lam, p.nu_tilde_sigma, p.nu_tilde_opt,
           p.log_neg, p.geof, p.violates_42, p.violates_46) for p in result.points),
     )
-    _write_csv(args.curves, ["nu_tilde", "lower", "upper"],
+    _write_csv(args.curves, ["nu_tilde", "lower", "upper"], _FLOATS_3,
                bounds_mod.bound_curves(args.curve_resolution))
     if args.geof_curves:
         rows = []
@@ -232,7 +245,7 @@ def _cmd_bounds(args) -> int:
                 continue
             lo, hi = bounds_mod.geof_bounds(e_n, base)
             rows.append((e_n, lo, hi))
-        _write_csv(args.geof_curves, ["log_neg", "geof_lower", "geof_upper"], rows)
+        _write_csv(args.geof_curves, ["log_neg", "geof_lower", "geof_upper"], _FLOATS_3, rows)
     summary = {
         "samples": args.samples,
         "seed": args.seed,
@@ -278,9 +291,9 @@ def _build_parser() -> _Parser:
     measure.set_defaults(func=_cmd_measure)
 
     scan = sub.add_parser("scan", help="extremal-ordering map over (b, g) at fixed a")
-    scan.add_argument("--fixed-a", type=float, required=True)
-    scan.add_argument("--b-range", type=float, nargs=2, required=True, metavar=("LO", "HI"))
-    scan.add_argument("--g-range", type=float, nargs=2, required=True, metavar=("LO", "HI"))
+    scan.add_argument("--fixed-a", type=_finite, required=True)
+    scan.add_argument("--b-range", type=_finite, nargs=2, required=True, metavar=("LO", "HI"))
+    scan.add_argument("--g-range", type=_finite, nargs=2, required=True, metavar=("LO", "HI"))
     scan.add_argument("--resolution", type=_above(int, 1), default=200)
     scan.add_argument("--grid", default="ordering_grid.csv", help="cell table output path")
     scan.add_argument("--boundary", default="ordering_boundary.csv",
@@ -288,9 +301,9 @@ def _build_parser() -> _Parser:
     scan.set_defaults(func=_cmd_scan)
 
     scan3d = sub.add_parser("scan3d", help="extremal-ordering map over (s, d, g)")
-    scan3d.add_argument("--s-range", type=float, nargs=2, required=True, metavar=("LO", "HI"))
-    scan3d.add_argument("--d-range", type=float, nargs=2, required=True, metavar=("LO", "HI"))
-    scan3d.add_argument("--g-range", type=float, nargs=2, required=True, metavar=("LO", "HI"))
+    scan3d.add_argument("--s-range", type=_finite, nargs=2, required=True, metavar=("LO", "HI"))
+    scan3d.add_argument("--d-range", type=_finite, nargs=2, required=True, metavar=("LO", "HI"))
+    scan3d.add_argument("--g-range", type=_finite, nargs=2, required=True, metavar=("LO", "HI"))
     scan3d.add_argument("--resolution", type=_above(int, 1), default=48)
     scan3d.add_argument("--grid", default="ordering_grid_3d.csv")
     scan3d.add_argument("--boundary", default="ordering_boundary_3d.csv")

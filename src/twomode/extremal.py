@@ -20,6 +20,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import DomainError
 from .symplectic import StandardForm, _nu_pair
@@ -42,16 +45,34 @@ class ExtremalParams:
             raise DomainError(f"constraint -1 <= lambda <= 1 violated (lambda = {self.lam!r})")
 
 
+_CONSTRAINTS = (
+    "constraint s >= 1 violated (s = {s!r})",
+    "constraint |d| <= s - 1 violated (s = {s!r}, d = {d!r})",
+    "constraint g >= 2|d| + 1 violated (d = {d!r}, g = {g!r})",
+    "constraint g <= s^2 - d^2 violated (s = {s!r}, d = {d!r}, g = {g!r})",
+)
+
+
+def _constraints(s, d, g):
+    """The four constraints on (s, d, g) in the order of ``_CONSTRAINTS``,
+    elementwise for arrays; NaN fails each."""
+    return (s >= 1.0 - _PARAM_TOL,
+            abs(d) <= s - 1.0 + _PARAM_TOL,
+            g >= 2.0 * abs(d) + 1.0 - _PARAM_TOL,
+            g <= (s - d) * (s + d) + _PARAM_TOL)
+
+
+def _in_domain(s, d, g):
+    """Elementwise: (s, d, g) satisfies every constraint."""
+    holds = _constraints(s, d, g)
+    return holds[0] & holds[1] & holds[2] & holds[3]
+
+
 def _domain_error(s: float, d: float, g: float) -> str | None:
     """The first violated constraint on (s, d, g), or None inside the domain."""
-    if not s >= 1.0 - _PARAM_TOL:
-        return f"constraint s >= 1 violated (s = {s!r})"
-    if not abs(d) <= s - 1.0 + _PARAM_TOL:
-        return f"constraint |d| <= s - 1 violated (s = {s!r}, d = {d!r})"
-    if not g >= 2.0 * abs(d) + 1.0 - _PARAM_TOL:
-        return f"constraint g >= 2|d| + 1 violated (d = {d!r}, g = {g!r})"
-    if not g <= (s - d) * (s + d) + _PARAM_TOL:
-        return f"constraint g <= s^2 - d^2 violated (s = {s!r}, d = {d!r}, g = {g!r})"
+    for holds, message in zip(_constraints(s, d, g), _CONSTRAINTS):
+        if not holds:
+            return message.format(s=s, d=d, g=g)
     return None
 
 
@@ -83,14 +104,15 @@ class OrderingVerdict:
     regime: Regime
 
 
-def gmems_threshold(s: float) -> float:
-    """GMEMS are entangled iff g < 2s - 1."""
+def gmems_threshold(s):
+    """GMEMS are entangled iff g < 2s - 1 (elementwise for arrays)."""
     return 2.0 * s - 1.0
 
 
-def glems_threshold(s: float, d: float) -> float:
-    """GLEMS are entangled iff g < sqrt(2(s^2 + d^2) - 1)."""
-    return math.sqrt(2.0 * (s * s + d * d) - 1.0)
+def glems_threshold(s, d):
+    """GLEMS are entangled iff g < sqrt(2(s^2 + d^2) - 1) (elementwise for
+    arrays)."""
+    return np.sqrt(2.0 * (s * s + d * d) - 1.0)
 
 
 def _shift(d: float, g: float, lam: float) -> float:
@@ -176,12 +198,15 @@ def nu_tilde_glems(s: float, d: float, g: float) -> float:
     return _nu_pair(4.0 * (s * s + d * d) - g * g - 1.0, g * g, disc)[0]
 
 
-def _m_gmems(s: float, d: float, g: float) -> float:
-    """m_opt of an entangled GMEMS (g < 2s - 1); see ``m_opt_gmems``.  The
-    clamps absorb the domain tolerance and the last rounding at threshold."""
-    edge = max((g - 1.0 - 2.0 * d) * (g - 1.0 + 2.0 * d), 0.0)
-    root = math.sqrt(edge * max((s - d) * (s + d) - g, 0.0))
-    return max(((4.0 * s * s + edge) / (2.0 * ((g + 1.0) * s + root))) ** 2, 1.0)
+def _m_gmems(s, d, g):
+    """m_opt of an entangled GMEMS (g < 2s - 1), elementwise; see
+    ``m_opt_gmems``.  The clamps absorb the domain tolerance and the last
+    rounding at threshold.  Squares are products: Python's float ``**``
+    calls libm ``pow``, which misrounds some squares."""
+    edge = np.maximum((g - 1.0 - 2.0 * d) * (g - 1.0 + 2.0 * d), 0.0)
+    root = np.sqrt(edge * np.maximum((s - d) * (s + d) - g, 0.0))
+    q = (4.0 * s * s + edge) / (2.0 * ((g + 1.0) * s + root))
+    return np.maximum(q * q, 1.0)
 
 
 def m_opt_gmems(s: float, d: float, g: float) -> float:
@@ -197,27 +222,26 @@ def m_opt_gmems(s: float, d: float, g: float) -> float:
     s^2 - d^2 - g > (s-1)^2 - d^2 >= 0 as g < 2s - 1.
     """
     _require_domain(s, d, g)
-    if g >= gmems_threshold(s):
-        return 1.0
-    return _m_gmems(s, d, g)
+    return float(_closed_forms(s, d, g)[0])
 
 
-def _m_glems(s: float, d: float, g: float) -> float:
-    """m_opt of an entangled GLEMS (g < min(2s - 1, g_thr)); see ``m_opt_glems``."""
-    x = math.sqrt(max((g + 1.0 - 2.0 * d) * (g + 1.0 + 2.0 * d)
-                      * ((g - 1.0 - 2.0 * d) * (g - 1.0 + 2.0 * d)), 0.0))
-    y = math.sqrt(max((2.0 * s + 1.0 + g) * (2.0 * s - 1.0 + g)
-                      * ((2.0 * s + 1.0 - g) * (2.0 * s - 1.0 - g)), 0.0))
+def _m_glems(s, d, g):
+    """m_opt of an entangled GLEMS (g < min(2s - 1, g_thr)), elementwise;
+    see ``m_opt_glems``."""
+    x = np.sqrt(np.maximum((g + 1.0 - 2.0 * d) * (g + 1.0 + 2.0 * d)
+                           * ((g - 1.0 - 2.0 * d) * (g - 1.0 + 2.0 * d)), 0.0))
+    y = np.sqrt(np.maximum((2.0 * s + 1.0 + g) * (2.0 * s - 1.0 + g)
+                           * ((2.0 * s + 1.0 - g) * (2.0 * s - 1.0 - g)), 0.0))
     ab = (s + d) * (s - d)
-    root_ab = math.sqrt(ab)
+    root_ab = np.sqrt(ab)
     c_abs = 2.0 * root_ab * (2.0 * (s * s + d * d) - 1.0 - g * g) / (x + y)
     v = root_ab + c_abs
     k = 64.0 * ab * root_ab * g * g / (v * (4.0 * ab + x + y))
-    u = (x + math.sqrt(x * x + k)) / (4.0 * root_ab)
+    u = (x + np.sqrt(x * x + k)) / (4.0 * root_ab)
     m = 1.0 + c_abs * c_abs / (u * v)
-    if g > 1.0 + _PARAM_TOL and d * d * y >= s * s * x:
-        m = max(min(m, 16.0 * s * s * d * d / ((g - 1.0) * (g + 1.0)) ** 2), 1.0)
-    return m
+    w = (g - 1.0) * (g + 1.0)
+    at_theta_star = np.maximum(np.minimum(m, 16.0 * s * s * d * d / (w * w)), 1.0)
+    return np.where((g > 1.0 + _PARAM_TOL) & (d * d * y >= s * s * x), at_theta_star, m)
 
 
 def m_opt_glems(s: float, d: float, g: float) -> float:
@@ -248,9 +272,7 @@ def m_opt_glems(s: float, d: float, g: float) -> float:
     pass 2s - 1: g >= 2s - 1 is separable too (GMEMS entangle the most).
     """
     _require_domain(s, d, g)
-    if g >= gmems_threshold(s) or g * g >= 2.0 * (s * s + d * d) - 1.0:
-        return 1.0
-    return _m_glems(s, d, g)
+    return float(_closed_forms(s, d, g)[1])
 
 
 def m_opt_gmemms(s: float, nu_tilde_minus: float) -> float:
@@ -277,24 +299,48 @@ def m_max(nu_tilde_minus: float) -> float:
     return 1.0 / (nu * nu)
 
 
+#: Regime of each code ``_ordering`` returns, by index.
+_REGIMES = (Regime.UNPHYSICAL, Regime.BOTH_SEPARABLE, Regime.COEXISTENCE,
+            Regime.ORDERING_PRESERVED, Regime.ORDERING_INVERTED)
+
+
+def _closed_forms(s, d, g):
+    """(m_gmems, m_glems, kind) of every (s, d, g), elementwise.  The kind
+    is 0 outside the domain (NaN included), where both m are NaN, 1 where
+    both families are separable, 2 where only the GLEMS is, and 3 where
+    both are entangled; a separable family's m is 1.  Floats become NumPy
+    scalars (``[()]`` unwraps a 0-d array and leaves others whole), whose
+    arithmetic follows ``np.errstate`` where Python's would raise."""
+    s, d, g = (np.asarray(x, dtype=float)[()] for x in (s, d, g))
+    with np.errstate(all="ignore"):
+        kind = np.where(g >= gmems_threshold(s), 1, np.where(g >= glems_threshold(s, d), 2, 3))
+        kind = np.where(_in_domain(s, d, g), kind, 0)
+        m_g = np.where(kind >= 2, _m_gmems(s, d, g), 1.0)
+        m_l = np.where(kind == 3, _m_glems(s, d, g), 1.0)
+        return np.where(kind == 0, np.nan, m_g), np.where(kind == 0, np.nan, m_l), kind
+
+
+def _ordering(s, d, g):
+    """(m_gmems, m_glems, regime code) of every (s, d, g), elementwise; the
+    code indexes ``_REGIMES`` (the kinds of ``_closed_forms``, with 3 split
+    into preserved and inverted).  On the GMEMMS line g = 2|d| + 1 the
+    families are one state: m_glems = m_gmems, a tie that counts as
+    preserved."""
+    m_g, m_l, code = _closed_forms(s, d, g)
+    with np.errstate(all="ignore"):
+        m_l = np.where((code == 3) & (g <= 2.0 * abs(d) + 1.0 + _PARAM_TOL), m_g, m_l)
+        return m_g, m_l, np.where((code == 3) & ~(m_g >= m_l), 4, code)
+
+
 def ordering_compare(s: float, d: float, g: float) -> OrderingVerdict:
     """Compare the Gaussian-measure ordering of the two extremal families at
     one purity assignment.  On the GMEMMS line g = 2|d| + 1 they are one
     state: m_glems = m_gmems, and the ordering counts as preserved."""
-    if _domain_error(s, d, g) is not None:
-        return OrderingVerdict(math.nan, math.nan, Regime.UNPHYSICAL)
-    if g >= gmems_threshold(s):
-        return OrderingVerdict(1.0, 1.0, Regime.BOTH_SEPARABLE)
-    m_g = _m_gmems(s, d, g)
-    if g >= glems_threshold(s, d):
-        return OrderingVerdict(m_g, 1.0, Regime.COEXISTENCE)
-    m_l = m_g if g <= 2.0 * abs(d) + 1.0 + _PARAM_TOL else _m_glems(s, d, g)
-    regime = Regime.ORDERING_PRESERVED if m_g >= m_l else Regime.ORDERING_INVERTED
-    return OrderingVerdict(m_g, m_l, regime)
+    m_g, m_l, code = _ordering(s, d, g)
+    return OrderingVerdict(float(m_g), float(m_l), _REGIMES[int(code)])
 
 
-@dataclass(frozen=True)
-class ScanCell:
+class ScanCell(NamedTuple):
     s: float
     d: float
     g: float
@@ -305,76 +351,99 @@ class ScanCell:
     regime: Regime
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
+class BoundaryPoint(NamedTuple):
     s: float
     d: float
     g: float
 
 
-def _scan_cell(s: float, d: float, g: float) -> ScanCell:
-    verdict = ordering_compare(s, d, g)
-    nus = ((math.nan, math.nan) if verdict.regime is Regime.UNPHYSICAL
-           else (nu_tilde_gmems(s, d, g), nu_tilde_glems(s, d, g)))
-    return ScanCell(s, d, g, verdict.m_gmems, verdict.m_glems, *nus, verdict.regime)
-
-
-def _ordering_gap(s: float, d: float, g: float) -> float:
+def _ordering_gap(s, d, g):
     return _m_gmems(s, d, g) - _m_glems(s, d, g)
 
 
-def _boundary_in_column(s: float, d: float) -> list[float]:
-    """g values where the two closed forms cross, bisected to 1e-9 inside
-    the window where both families are entangled."""
+#: Evenly spaced g samples per column at which the crossings are bracketed.
+_SAMPLES = 64
+
+
+def _crossings(s: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(column, g) of every g where the two closed forms cross, over the
+    columns (s, d), in column order and then in g: the window
+    2|d| + 1 < g < g_thr of each column, where both families are entangled,
+    is sampled at ``_SAMPLES`` midpoints, and each sign change is bisected
+    to 1e-9, all columns' brackets in one loop.  A sample where the gap is
+    exactly 0 is a crossing itself.  A bracket also stops when its midpoint
+    rounds to an end (no double lies between them, as happens from
+    g ~ 1e7 on)."""
     lo = 2.0 * abs(d) + 1.0
     hi = glems_threshold(s, d)
-    if hi - lo <= 4e-9:
-        return []
-    samples = 64
-    crossings = []
-    gs = [lo + (hi - lo) * (i + 0.5) / samples for i in range(samples)]
-    gaps = [_ordering_gap(s, d, g) for g in gs]
-    for i in range(samples - 1):
-        if gaps[i] == 0.0:
-            crossings.append(gs[i])
-        elif gaps[i] * gaps[i + 1] < 0.0:
-            a, b = gs[i], gs[i + 1]
-            fa = gaps[i]
-            while b - a > 1e-9:
-                mid = 0.5 * (a + b)
-                fm = _ordering_gap(s, d, mid)
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if fa * fm < 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            crossings.append(0.5 * (a + b))
-    return crossings
+    wide = np.flatnonzero(hi - lo > 4e-9)
+    s, d, lo, hi = s[wide, None], d[wide, None], lo[wide, None], hi[wide, None]
+    gs = lo + (hi - lo) * (np.arange(_SAMPLES) + 0.5) / _SAMPLES
+    gaps = _ordering_gap(s, d, gs)
+    sign_change = gaps[:, :-1] * gaps[:, 1:] < 0.0
+    col, i = np.nonzero(sign_change)
+    a, b, fa = gs[col, i], gs[col, i + 1], gaps[col, i]
+    s, d = s[col, 0], d[col, 0]
+    active = np.flatnonzero(b - a > 1e-9)
+    # each bracket takes the steps of bisecting it alone: an exact zero
+    # closes it on the midpoint, else the midpoint replaces the end whose
+    # gap has the midpoint's sign
+    while active.size:
+        a_k, b_k, fa_k = a[active], b[active], fa[active]
+        mid = 0.5 * (a_k + b_k)
+        fm = _ordering_gap(s[active], d[active], mid)
+        hit = fm == 0.0
+        left = fa_k * fm < 0.0
+        a[active] = np.where(hit | ~left, mid, a_k)
+        b[active] = np.where(hit | left, mid, b_k)
+        fa[active] = np.where(left, fa_k, fm)
+        stuck = (mid == a_k) | (mid == b_k)
+        active = active[~(hit | stuck) & (b[active] - a[active] > 1e-9)]
+    found = gs[:, :-1].copy()
+    found[col, i] = 0.5 * (a + b)
+    col, i = np.nonzero(sign_change | (gaps[:, :-1] == 0.0))
+    return wide[col], found[col, i]
 
 
-def _axis(rng: tuple[float, float], resolution: int) -> list[float]:
+def _axis(rng: tuple[float, float], resolution: int) -> np.ndarray:
     if resolution < 2:
         raise DomainError("resolution must be at least 2")
-    return [rng[0] + (rng[1] - rng[0]) * i / (resolution - 1) for i in range(resolution)]
+    if not (math.isfinite(rng[0]) and math.isfinite(rng[1])):
+        raise DomainError(f"axis range must be finite, got {tuple(rng)!r}")
+    return rng[0] + (rng[1] - rng[0]) * np.arange(resolution) / (resolution - 1)
 
 
 def _scan_columns(
-    columns: list[tuple[float, float]],
+    s: np.ndarray,
+    d: np.ndarray,
     g_range: tuple[float, float],
     resolution: int,
 ) -> tuple[list[ScanCell], list[BoundaryPoint]]:
-    """Cells of every (s, d) column over the g axis, row-major, and the
-    bisected crossings of each column whose GMEMMS line is valid."""
+    """Cells of every column (s[k], d[k]) over the g axis, row-major, and
+    the bisected crossings of each column whose GMEMMS line is valid.  The
+    closed forms, regimes and crossings are computed on whole arrays; the
+    nu_tilde columns come from the scalar ``nu_tilde_*`` per physical cell."""
     gs = _axis(g_range, resolution)
+    with np.errstate(all="ignore"):
+        lines = np.flatnonzero(_in_domain(s, d, 2.0 * abs(d) + 1.0))
+        col, g_boundary = _crossings(s[lines], d[lines])
+    col = lines[col]
+    boundary = list(map(BoundaryPoint._make, zip(s[col].tolist(), d[col].tolist(),
+                                                 g_boundary.tolist())))
+    m_g, m_l, code = _ordering(np.repeat(s, resolution), np.repeat(d, resolution),
+                               np.tile(gs, len(s)))
+    g_list = gs.tolist()
     cells = []
-    boundary = []
-    for s, d in columns:
-        cells.extend(_scan_cell(s, d, g) for g in gs)
-        if _domain_error(s, d, 2.0 * abs(d) + 1.0) is not None:
-            continue
-        boundary.extend(BoundaryPoint(s, d, g) for g in _boundary_in_column(s, d))
+    # a column at a time, its cells sharing the float objects of s, d and g
+    for k, (s_k, d_k) in enumerate(zip(s.tolist(), d.tolist())):
+        column = slice(k * resolution, (k + 1) * resolution)
+        codes = code[column].tolist()
+        cells.extend(map(ScanCell._make, zip(
+            [s_k] * resolution, [d_k] * resolution, g_list,
+            m_g[column].tolist(), m_l[column].tolist(),
+            [nu_tilde_gmems(s_k, d_k, g) if c else math.nan for g, c in zip(g_list, codes)],
+            [nu_tilde_glems(s_k, d_k, g) if c else math.nan for g, c in zip(g_list, codes)],
+            [_REGIMES[c] for c in codes])))
     return cells, boundary
 
 
@@ -389,8 +458,8 @@ def scan_ordering_slice(
     Returns the row-major cell table (b slow axis, g fast axis) and the
     bisected polyline where the two closed forms agree.
     """
-    columns = [(0.5 * (fixed_a + b), 0.5 * (fixed_a - b)) for b in _axis(b_range, resolution)]
-    return _scan_columns(columns, g_range, resolution)
+    b = _axis(b_range, resolution)
+    return _scan_columns(0.5 * (fixed_a + b), 0.5 * (fixed_a - b), g_range, resolution)
 
 
 def scan_ordering_3d(
@@ -400,6 +469,7 @@ def scan_ordering_3d(
     resolution: int = 48,
 ) -> tuple[list[ScanCell], list[BoundaryPoint]]:
     """Classify an (s, d, g) grid; same outputs as the fixed-a slice,
-    with the boundary bisected in g for every (s, d) pair."""
-    columns = [(s, d) for s in _axis(s_range, resolution) for d in _axis(d_range, resolution)]
-    return _scan_columns(columns, g_range, resolution)
+    with the boundary bisected in g for every (s, d) pair (s slowest)."""
+    s = _axis(s_range, resolution)
+    d = _axis(d_range, resolution)
+    return _scan_columns(np.repeat(s, resolution), np.tile(d, resolution), g_range, resolution)

@@ -1,8 +1,10 @@
+import csv
 import json
 import math
 
 import pytest
 
+from twomode import cli
 from twomode.cli import EXIT_OK, EXIT_UNPHYSICAL, EXIT_USAGE, main
 
 from conftest import BLOCK_NOT_POSITIVE_DEFINITE
@@ -211,6 +213,65 @@ def test_out_of_range_option_exits_64(argv, tmp_path, capsys, monkeypatch):
     assert code == EXIT_USAGE
     assert expected in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+SCAN_SLICE = ["scan", "--fixed-a", "5", "--b-range", "1", "5", "--g-range", "1", "9"]
+SCAN_3D = ["scan3d", "--s-range", "1.5", "4", "--d-range", "-1", "1", "--g-range", "1", "7"]
+
+
+def _with(argv, flag, position, value):
+    """``argv`` with the ``position``-th value after ``flag`` replaced."""
+    argv = list(argv)
+    argv[argv.index(flag) + 1 + position] = value
+    return argv
+
+
+NOT_FINITE = [
+    _with(SCAN_SLICE, "--fixed-a", 0, "nan"),
+    _with(SCAN_SLICE, "--b-range", 1, "inf"),
+    _with(SCAN_SLICE, "--g-range", 0, "inf"),
+    _with(SCAN_3D, "--s-range", 1, "inf"),
+    _with(SCAN_3D, "--d-range", 0, "nan"),
+    _with(SCAN_3D, "--g-range", 1, "inf"),
+]
+
+
+@pytest.mark.parametrize("argv", NOT_FINITE)
+def test_non_finite_scan_option_exits_64(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == EXIT_USAGE
+    assert "must be finite" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def _fmt(value) -> str:
+    """How values were written before the template writer."""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    floats = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, -1.7976931348623157e308,
+              0.1, 1.0 / 3.0, 2.0 ** 60, 123456789.0, 1e-17]
+    rows = [(i, x, -x, i % 2 == 0, x > 0.0, regime)
+            for i, x in enumerate(floats)
+            for regime in ("unphysical", "ordering_inverted")]
+    rows.append((10 ** 12, 1.0, 2.5, True, False, "coexistence"))
+    header = ["index", "x", "minus_x", "even", "positive", "regime"]
+    cli._write_csv(str(tmp_path / "new.csv"), header, "%d,%.17g,%.17g,%d,%d,%s\r\n", rows)
+    with open(tmp_path / "old.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    assert new.count(b"\r\n") == len(rows) + 1 == new.count(b"\n")
 
 
 @pytest.mark.parametrize("value", ["-0.5", "nan"])

@@ -1,0 +1,182 @@
+"""The columnar scan against its scalar definitions.
+
+The closed forms, the separability thresholds and the regime rule are
+written once, elementwise; ``ordering_compare``, ``m_opt_gmems`` and
+``m_opt_glems`` call them on floats.  These tests hold a batched call to the
+per-point calls bit for bit, the scan's cells to ``ordering_compare`` and
+``nu_tilde_*`` cell by cell, and its bisection to the per-column loop it
+replaced, kept here as the reference.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twomode import (
+    Regime,
+    m_opt_glems,
+    m_opt_gmems,
+    nu_tilde_glems,
+    nu_tilde_gmems,
+    ordering_compare,
+    scan_ordering_3d,
+    scan_ordering_slice,
+)
+from twomode.errors import DomainError
+from twomode.extremal import (
+    _closed_forms,
+    _crossings,
+    _domain_error,
+    _ordering,
+    _ordering_gap,
+    glems_threshold,
+)
+
+
+def _same(x, y):
+    """Equal bits, NaN matching any NaN."""
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+def _on_borders(s, d, g_kind, nudge):
+    """A g on one of the lines where a rule switches, moved by ``nudge`` ulps."""
+    g = {
+        "gmemms": 2.0 * abs(d) + 1.0,
+        "gmemms_tol": 2.0 * abs(d) + 1.0 + 1e-12,
+        "gmems": 2.0 * s - 1.0,
+        "glems": float(glems_threshold(s, d)),
+        "fischer": (s - d) * (s + d),
+    }[g_kind]
+    for _ in range(abs(nudge)):
+        g = math.nextafter(g, math.copysign(math.inf, nudge))
+    return g
+
+
+@st.composite
+def points(draw):
+    """(s, d, g) over the domain and around it: one in four on a border
+    (moved by at most 2 ulps), one in ten with a NaN coordinate."""
+    s = 1.0 + draw(st.floats(0.0, 1e5))
+    d = (s - 1.0) * draw(st.floats(-1.0, 1.0))
+    kind = draw(st.sampled_from(["inside"] * 6 + ["border"] * 3 + ["nan"]))
+    if kind == "border":
+        g = _on_borders(s, d, draw(st.sampled_from(
+            ["gmemms", "gmemms_tol", "gmems", "glems", "fischer"])), draw(st.integers(-2, 2)))
+    else:
+        lo, hi = 2.0 * abs(d) + 1.0, max(2.0 * abs(d) + 1.0, (s - d) * (s + d))
+        g = lo + (hi - lo) * draw(st.floats(-0.05, 1.05))
+    if kind == "nan":
+        coords = [s, d, g]
+        coords[draw(st.integers(0, 2))] = math.nan
+        s, d, g = coords
+    return s, d, g
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch=st.lists(points(), min_size=1, max_size=40))
+def test_batched_core_equals_per_point_calls(batch):
+    s, d, g = (np.array(column) for column in zip(*batch))
+    m_g, m_l, code = _ordering(s, d, g)
+    fam_g, fam_l, _ = _closed_forms(s, d, g)
+    for k, (sk, dk, gk) in enumerate(batch):
+        verdict = ordering_compare(sk, dk, gk)
+        assert _same(verdict.m_gmems, m_g[k]) and _same(verdict.m_glems, m_l[k])
+        assert verdict.regime is [Regime.UNPHYSICAL, Regime.BOTH_SEPARABLE, Regime.COEXISTENCE,
+                                  Regime.ORDERING_PRESERVED, Regime.ORDERING_INVERTED][code[k]]
+        if _domain_error(sk, dk, gk) is None:
+            assert m_opt_gmems(sk, dk, gk) == fam_g[k]
+            assert m_opt_glems(sk, dk, gk) == fam_l[k]
+        else:
+            assert verdict.regime is Regime.UNPHYSICAL
+            assert math.isnan(verdict.m_gmems) and math.isnan(verdict.m_glems)
+            with pytest.raises(DomainError):
+                m_opt_gmems(sk, dk, gk)
+        if any(math.isnan(x) for x in (sk, dk, gk)):
+            assert verdict.regime is Regime.UNPHYSICAL
+
+
+def _assert_cells_match_scalars(cells):
+    for cell in cells:
+        verdict = ordering_compare(cell.s, cell.d, cell.g)
+        assert cell.regime is verdict.regime
+        assert _same(cell.m_gmems, verdict.m_gmems) and _same(cell.m_glems, verdict.m_glems)
+        if verdict.regime is Regime.UNPHYSICAL:
+            assert math.isnan(cell.nu_tilde_gmems) and math.isnan(cell.nu_tilde_glems)
+        else:
+            assert _same(cell.nu_tilde_gmems, nu_tilde_gmems(cell.s, cell.d, cell.g))
+            assert _same(cell.nu_tilde_glems, nu_tilde_glems(cell.s, cell.d, cell.g))
+
+
+def test_slice_cells_equal_scalar_calls():
+    cells, _ = scan_ordering_slice(5.0, (1.0, 5.0), (1.0, 9.0), 60)
+    assert len(cells) == 60 * 60
+    _assert_cells_match_scalars(cells)
+
+
+def test_large_s_window_cells_equal_scalar_calls():
+    cells, _ = scan_ordering_3d((87307.69230769231, 87400.0), (-2564.1025641025626, -2500.0),
+                                (123077.30769230769, 123100.0), 4)
+    assert {cell.regime for cell in cells} - {Regime.UNPHYSICAL}
+    _assert_cells_match_scalars(cells)
+
+
+def _boundary_in_column(s, d):
+    """The per-column bisection the batched one replaced."""
+    lo = 2.0 * abs(d) + 1.0
+    hi = math.sqrt(2.0 * (s * s + d * d) - 1.0)
+    if hi - lo <= 4e-9:
+        return []
+    samples = 64
+    crossings = []
+    gs = [lo + (hi - lo) * (i + 0.5) / samples for i in range(samples)]
+    gaps = [float(_ordering_gap(s, d, g)) for g in gs]
+    for i in range(samples - 1):
+        if gaps[i] == 0.0:
+            crossings.append(gs[i])
+        elif gaps[i] * gaps[i + 1] < 0.0:
+            a, b = gs[i], gs[i + 1]
+            fa = gaps[i]
+            while b - a > 1e-9:
+                mid = 0.5 * (a + b)
+                fm = float(_ordering_gap(s, d, mid))
+                if fm == 0.0:
+                    a = b = mid
+                    break
+                if fa * fm < 0.0:
+                    b = mid
+                else:
+                    a, fa = mid, fm
+            crossings.append(0.5 * (a + b))
+    return crossings
+
+
+@pytest.mark.parametrize("scan, args", [
+    (scan_ordering_slice, (5.0, (1.0, 5.0), (1.0, 9.0), 60)),
+    (scan_ordering_3d, ((1.5, 5.0), (-2.0, 2.0), (1.0, 9.0), 12)),
+    (scan_ordering_3d, ((87307.69230769231, 87400.0), (-2564.1025641025626, -2500.0),
+                        (123077.30769230769, 123100.0), 3)),
+])
+def test_boundary_equals_the_per_column_loop(scan, args):
+    cells, boundary = scan(*args)
+    columns = dict.fromkeys((cell.s, cell.d) for cell in cells)
+    expected = [(s, d, g) for s, d in columns
+                if _domain_error(s, d, 2.0 * abs(d) + 1.0) is None
+                for g in _boundary_in_column(s, d)]
+    assert boundary
+    assert [tuple(p) for p in boundary] == expected
+
+
+def test_bisection_stops_where_no_double_lies_between():
+    # near g ~ 1e7 a bracket can close to adjacent doubles above 1e-9 apart;
+    # the per-column loop then never ended
+    s = np.array([1e7, 1.3e8])
+    d = 0.5 * (s - 1.0)
+    col, g = _crossings(s, d)
+    assert col.tolist() == [0, 1]
+    lo = 2.0 * np.abs(d) + 1.0
+    assert np.all((lo < g) & (g < glems_threshold(s, d)))
+    below, above = np.nextafter(g, -np.inf), np.nextafter(g, np.inf)
+    assert np.all(_ordering_gap(s, d, below) * _ordering_gap(s, d, above) <= 0.0)

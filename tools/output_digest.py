@@ -8,7 +8,8 @@ The runs are the `bounds` experiment (seed 1, 4000 states, both sampler
 modes; 200 raw-mode states at s_max 200, where the sampler rejects hundreds
 of attempts per state; 1000 extremal states at s_max 1e5, where large
 entries stress the minimizer's rounding), the criterion-5 `scan` window at
-resolutions 200 and 60, the README `scan3d` window at resolution 24, and
+resolutions 200 and 60, the README `scan3d` window at resolution 24, a
+`scan3d` window at s ~ 8.73e4 at resolution 8 (every cell physical), and
 four `measure` reports.  They run in a temporary directory against the
 `twomode` package in this checkout's `src/`, and each output prints as one
 `sha256  label` line.  Running it on two commits and diffing the lines
@@ -31,6 +32,9 @@ from twomode import cli  # noqa: E402
 
 SCAN_WINDOW = ["--fixed-a", "5", "--b-range", "1", "5", "--g-range", "1", "9"]
 SCAN3D_WINDOW = ["--s-range", "1.5", "5", "--d-range", "-2", "2", "--g-range", "1", "9"]
+LARGE_S_WINDOW = ["--s-range", "87307.69230769231", "87400",
+                  "--d-range", "-2564.1025641025626", "-2500",
+                  "--g-range", "123077.30769230769", "123100"]
 MEASURES = [
     ["--squeezed-r", "0.5493"],
     ["--params", "2", "0.5", "2.5", "1"],
@@ -60,13 +64,13 @@ def _outputs():
               "--geof-curves", "geof.csv", "--summary", "summary.json"])
         for name in ("points.csv", "curves.csv", "geof.csv", "summary.json"):
             yield f"bounds {mode}{tag} {name}", Path(name).read_bytes()
-    scans = [("scan", SCAN_WINDOW, 200), ("scan", SCAN_WINDOW, 60),
-             ("scan3d", SCAN3D_WINDOW, 24)]
-    for command, window, resolution in scans:
+    scans = [("scan", SCAN_WINDOW, 200, ""), ("scan", SCAN_WINDOW, 60, ""),
+             ("scan3d", SCAN3D_WINDOW, 24, ""), ("scan3d", LARGE_S_WINDOW, 8, " large-s")]
+    for command, window, resolution, tag in scans:
         _run([command, *window, "--resolution", str(resolution),
               "--grid", "grid.csv", "--boundary", "boundary.csv"])
         for name in ("grid.csv", "boundary.csv"):
-            yield f"{command} {resolution} {name}", Path(name).read_bytes()
+            yield f"{command}{tag} {resolution} {name}", Path(name).read_bytes()
     for argv in MEASURES:
         yield "measure " + " ".join(argv), _run(["measure", *argv])
 
