@@ -33,6 +33,11 @@ VIOLATION_TOL = 1e-9
 
 _MAX_REJECTIONS = 1_000_000
 
+#: Largest accepted sample count.  Index i's stream is numpy's
+#: ``SeedSequence(entropy=seed, spawn_key=(i,))``, which the sampler hashes
+#: with one uint32 word per index, so indices stay below 2**32.
+COUNT_LIMIT = 2**32
+
 #: Largest accepted s_max.  It covers the documented range of s (up to about
 #: 1e5) tenfold, and s^4, the largest power the sampler and the minimizer
 #: form, stays far below overflow.
@@ -78,8 +83,9 @@ class SamplerConfig:
     def validate(self) -> None:
         if self.seed < 0:
             raise DomainError(f"seed must be at least 0, got {self.seed!r}")
-        if self.count < 1:
-            raise DomainError(f"count must be >= 1, got {self.count!r}")
+        if not 1 <= self.count <= COUNT_LIMIT:
+            raise DomainError(
+                f"count must be >= 1 and at most {COUNT_LIMIT}, got {self.count!r}")
         if not 1.0 < self.s_max <= S_MAX_LIMIT:
             raise DomainError(
                 f"s_max must exceed 1 and be at most {S_MAX_LIMIT:g}, got {self.s_max!r}")
@@ -122,27 +128,141 @@ class ExperimentResult:
     min_m_max_slack: float
 
 
-def _rng_for(seed: int, index: int) -> np.random.Generator:
-    # One independent substream per sample index: parallel evaluation (or a
-    # resumed run) regenerates identical states.
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-
-
 # Attempts are drawn and screened in rounds.  Each round tops up every
 # pending index's buffer of unwalked doubles to a row of whole attempts, one
-# ``rng.random(n)`` call per index, and screens all the rows as one array;
+# ``random(n)`` call per index, and screens all the rows as one array;
 # only an attempt that passes the screen builds a StandardForm.  Each index
 # then walks its row to the first attempt that the screen keeps or that
 # stops early, and the next round resumes from the doubles after it.  Each
 # attempt reads the doubles that scalar ``rng.uniform`` calls would, in the
 # same order, so sample i is the same as drawn one value at a time.  Doubles
 # drawn past the accepted attempt are never used: every index owns its
-# generator.
+# stream.
 
-#: Indices whose rows are screened as one array.  Larger chunks save
-#: little time and raise a run's peak memory: at 64 the screen's
-#: temporaries doubled the traced peak of a 1000-state raw run.
-_CHUNK = 16
+#: Indices seeded in one array pass, and states minimized at once by
+#: ``bound_experiment``: enough to spread the per-call cost of the array
+#: routes thin, few enough to keep what a block holds (its samples, results
+#: and array temporaries, about 0.5 KB per state) small.
+_BLOCK = 256
+
+# Index i's stream is that of
+# ``default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))``.  SeedSequence
+# pads the seed's uint32 words with zeros to its pool of 4 and hashes them
+# into the pool before the spawn word i, so that prefix is computed once per
+# run; the index word and ``generate_state(4, uint64)`` are hashed for a
+# window of indices in uint32 arrays, and PCG64's seeding (O'Neill,
+# HMC-CS-2014-0905) turns each window row into its (state, inc).  The
+# constants are numpy's (numpy/random/bit_generator.pyx and pcg64.h).
+_MASK32 = 0xFFFF_FFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _hash_chain(init: int, mult: int) -> Iterator[tuple[int, int]]:
+    """The (xor, multiplier) pairs of successive SeedSequence hashes: each
+    hash xors with the running constant, steps it and multiplies by it."""
+    while True:
+        stepped = init * mult & _MASK32
+        yield init, stepped
+        init = stepped
+
+
+def _mix(x: int, y: int) -> int:
+    """SeedSequence's mix of two pool words."""
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+#: The pairs of ``generate_state``'s 8 hashes of the pool words.
+_STATE_HASH = list(itertools.islice(_hash_chain(_INIT_B, _MULT_B), 8))
+
+
+#: A run's SeedSequence pool and index-word hash pairs (``_seed_prefix``).
+_Prefix = tuple[list[int], list[tuple[int, int]]]
+
+
+def _seed_prefix(seed: int) -> _Prefix:
+    """The pool of ``SeedSequence(entropy=seed, spawn_key=(i,))`` before the
+    index word i is mixed in, and the hash pairs that mix it into each pool
+    word.  Neither depends on i."""
+    words = [seed >> k & _MASK32 for k in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    chain = _hash_chain(_INIT_A, _MULT_A)
+
+    def hashmix(value: int) -> int:
+        xor, mult = next(chain)
+        value = (value ^ xor) * mult & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        pool = [_mix(p, hashmix(w)) for p in pool]
+    return pool, list(itertools.islice(chain, 4))
+
+
+def _pcg64_states(prefix: _Prefix, indices: range) -> list[tuple[int, int]]:
+    """PCG64's (state, inc) after ``default_rng(SeedSequence(entropy=seed,
+    spawn_key=(i,)))`` for each i in ``indices``, given ``_seed_prefix(seed)``."""
+    u32 = np.uint32
+    index = np.arange(indices.start, indices.stop, dtype=np.int64).astype(u32)
+    pool = []
+    for p, (xor, mult) in zip(*prefix):
+        # the index word's hash, mixed into pool word p as ``_mix`` does
+        h = (index ^ u32(xor)) * u32(mult)
+        h ^= h >> u32(16)
+        w = u32(_MIX_MULT_L * p & _MASK32) - u32(_MIX_MULT_R) * h
+        pool.append(w ^ w >> u32(16))
+    out = []
+    for k, (xor, mult) in enumerate(_STATE_HASH):
+        # generate_state hashes the pool words cyclically into 8 uint32 words
+        w = (pool[k % 4] ^ u32(xor)) * u32(mult)
+        out.append((w ^ w >> u32(16)).astype(np.uint64))
+    # generate_state's uint64 word j is out[2j] | out[2j + 1] << 32; words
+    # 0-1 are initstate's high and low halves, words 2-3 initseq's.
+    words = ((out[j] | out[j + 1] << np.uint64(32)).tolist() for j in range(0, 8, 2))
+    states = []
+    for state_hi, state_lo, seq_hi, seq_lo in zip(*words):
+        # pcg64_set_seed: inc from initseq, one step from state 0, add
+        # initstate, one more step
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        state = ((state_hi << 64 | state_lo) + inc) * _PCG64_MULT + inc
+        states.append((state & _MASK128, inc))
+    return states
+
+
+class _Stream:
+    """One index's PCG64 stream, drawn by a generator that every stream of
+    a run shares: ``random`` loads the stream's state, draws and stores
+    the state back, so streams never see each other's draws."""
+
+    __slots__ = ("generator", "state")
+
+    def __init__(self, generator: np.random.Generator, state: int, inc: int):
+        self.generator = generator
+        self.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+
+    def random(self, n: int) -> np.ndarray:
+        bits = self.generator.bit_generator
+        bits.state = self.state
+        doubles = self.generator.random(n)
+        self.state = bits.state
+        return doubles
+
+
+def _streams(prefix: _Prefix, indices: range,
+             generator: np.random.Generator) -> list[_Stream]:
+    """The streams of ``indices``, seeded in one array pass."""
+    return [_Stream(generator, state, inc) for state, inc in _pcg64_states(prefix, indices)]
+
+
 #: The row of attempts doubles each round after the first
 #: (``_Mode.first_block``), up to this many attempts.
 _MAX_BLOCK = 512
@@ -232,24 +352,29 @@ class _Mode:
     #: Attempts in the first round's rows: an extremal state takes about 1.3
     #: attempts, a raw one 37 at s_max 20 and 740 at s_max 200.
     first_block: int
+    #: Indices whose rows are screened as one array.  Extremal rows are short,
+    #: so a whole seeding window goes at once.  Raw rows are long: larger
+    #: chunks save little time and raise a run's peak memory (at 64 the
+    #: screen's temporaries doubled the traced peak of a 1000-state raw run).
+    chunk: int
 
 
 _MODES = {
-    "extremal_params": _Mode(_screen_extremal, _confirm_extremal, 3, 4),
-    "raw_standard_form": _Mode(_screen_raw, _confirm_raw, 2, 64),
+    "extremal_params": _Mode(_screen_extremal, _confirm_extremal, 3, 4, _BLOCK),
+    "raw_standard_form": _Mode(_screen_raw, _confirm_raw, 2, 64, 16),
 }
 
 
 class _IndexWalk:
-    """One index's generator, the doubles it drew and has not yet walked,
+    """One index's stream, the doubles it drew and has not yet walked,
     the attempts walked, and the accepted draw.  Each round reads a
     ``row`` and ``advance``s past the attempts walked in it."""
 
-    __slots__ = ("index", "rng", "buffer", "walked", "draw")
+    __slots__ = ("index", "stream", "buffer", "walked", "draw")
 
-    def __init__(self, seed: int, index: int):
+    def __init__(self, index: int, stream: _Stream):
         self.index = index
-        self.rng = _rng_for(seed, index)
+        self.stream = stream
         self.buffer = np.empty(0)
         self.walked = 0
         self.draw: _Draw | None = None
@@ -257,7 +382,7 @@ class _IndexWalk:
     def row(self, attempts: int) -> np.ndarray:
         """The next ``attempts`` * 4 doubles of the stream: the buffer, topped
         up by one draw."""
-        fresh = self.rng.random(_WIDTH * attempts - self.buffer.size)
+        fresh = self.stream.random(_WIDTH * attempts - self.buffer.size)
         self.buffer = np.concatenate((self.buffer, fresh)) if self.buffer.size else fresh
         return self.buffer
 
@@ -268,12 +393,11 @@ class _IndexWalk:
         self.buffer = self.buffer[doubles:]
 
 
-def _chunk_samples(cfg: SamplerConfig, indices: range) -> Iterator[Sample]:
+def _chunk_samples(mode: _Mode, s_max: float, indices: range,
+                   streams: list[_Stream]) -> Iterator[Sample]:
     """Samples of consecutive ``indices``, each yielded once it and every
     index before it is decided."""
-    mode = _MODES[cfg.mode]
-    s_max = float(cfg.s_max)
-    walks = [_IndexWalk(cfg.seed, index) for index in indices]
+    walks = [_IndexWalk(index, stream) for index, stream in zip(indices, streams)]
     pending = walks
     attempts = mode.first_block
     done = 0
@@ -320,18 +444,26 @@ def iter_samples(cfg: SamplerConfig) -> Iterator[Sample]:
     (2|d| + 1, 2s - 1), which contains it); ``raw_standard_form`` mode
     rejection-samples correlation boxes directly.  Sample i depends only on
     (seed, i, s_max, mode): it is the first accepted attempt of its own
-    generator, whose doubles are drawn in rounds.
+    stream, whose doubles are drawn in rounds.
+
+    The stream of index i is the doubles of
+    ``default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))``, bit for
+    bit.  The streams are seeded in one array pass per window of 256
+    indices and drawn by numpy's PCG64, on one generator per call that
+    loads each stream's state for its draw.  ``cfg.count`` is at most
+    ``COUNT_LIMIT`` (2**32).
     """
     cfg.validate()
-    for start in range(0, cfg.count, _CHUNK):
-        yield from _chunk_samples(cfg, range(start, min(start + _CHUNK, cfg.count)))
-
-
-#: States minimized at once by ``bound_experiment``: enough to spread the
-#: per-call cost of the array route thin, few enough to keep what a block
-#: holds (its samples, results and array temporaries, about 0.5 KB per
-#: state) small.
-_BLOCK = 256
+    mode = _MODES[cfg.mode]
+    s_max = float(cfg.s_max)
+    prefix = _seed_prefix(cfg.seed)
+    generator = np.random.Generator(np.random.PCG64(0))
+    for start in range(0, cfg.count, _BLOCK):
+        window = range(start, min(start + _BLOCK, cfg.count))
+        streams = _streams(prefix, window, generator)
+        for k in range(0, len(window), mode.chunk):
+            yield from _chunk_samples(
+                mode, s_max, window[k:k + mode.chunk], streams[k:k + mode.chunk])
 
 
 def bound_experiment(cfg: SamplerConfig, log_base=2) -> ExperimentResult:

@@ -56,7 +56,10 @@ def _above(kind, floor, *, inclusive=False, ceiling=None):
         if not ((value >= floor if inclusive else value > floor)
                 and (ceiling is None or value <= ceiling)):
             relation = "be at least" if inclusive else "exceed"
-            limit = "" if ceiling is None else f" and be at most {ceiling:g}"
+            limit = ""
+            if ceiling is not None:
+                shown = f"{ceiling:g}" if kind is float else ceiling
+                limit = f" and be at most {shown}"
             raise argparse.ArgumentTypeError(f"must {relation} {floor}{limit}, got {text}")
         return value
     parse.__name__ = kind.__name__
@@ -310,7 +313,8 @@ def _build_parser() -> _Parser:
     scan3d.set_defaults(func=_cmd_scan)
 
     bnd = sub.add_parser("bounds", help="random-state bound experiment")
-    bnd.add_argument("--samples", type=_above(int, 0), required=True)
+    bnd.add_argument("--samples", type=_above(int, 0, ceiling=bounds_mod.COUNT_LIMIT),
+                     required=True)
     bnd.add_argument("--seed", type=_above(int, 0, inclusive=True), default=None)
     bnd.add_argument("--s-max", type=_above(float, 1.0, ceiling=bounds_mod.S_MAX_LIMIT),
                      default=20.0)

@@ -135,6 +135,8 @@ class TestSampler:
     def test_config_validation(self):
         with pytest.raises(DomainError):
             list(iter_samples(SamplerConfig(seed=1, count=0)))
+        with pytest.raises(DomainError, match="at most 4294967296"):
+            list(iter_samples(SamplerConfig(seed=1, count=2**32 + 1)))
         with pytest.raises(DomainError, match="seed"):
             list(iter_samples(SamplerConfig(seed=-1, count=1)))
         with pytest.raises(DomainError):

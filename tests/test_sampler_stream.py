@@ -1,10 +1,12 @@
 """The block sampler against the scalar attempt walk it replaces.
 
-``iter_samples`` draws each index's doubles in blocks and screens them as
-arrays.  The reference here is the scalar walk: one ``rng.uniform`` call per
-value, one ``StandardForm`` per attempt, from the same per-index generator.
-Both must give equal samples, attempt by attempt, including the attempts
-that read fewer than four doubles and the limit on attempts.
+``iter_samples`` seeds each window of indices in one array pass, draws each
+index's doubles in blocks and screens them as arrays.  The reference here is
+the scalar walk: one ``rng.uniform`` call per value, one ``StandardForm`` per
+attempt, from numpy's own per-index generator (``_rng_for``).  Both must
+give equal samples, attempt by attempt, including the attempts that read
+fewer than four doubles and the limit on attempts, and the array seeding
+must give numpy's PCG64 state bit for bit.
 """
 
 import dataclasses
@@ -20,6 +22,11 @@ from twomode.bounds import NEAR_SEPARABLE_TOL, Sample, SamplerConfig, iter_sampl
 from twomode.errors import SamplingError, TwoModeError
 from twomode.extremal import ExtremalParams, build_state
 from twomode.symplectic import StandardForm
+
+
+def _rng_for(seed, index):
+    """The generator of sample ``index``: one independent substream per index."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
 def _draw_extremal(rng, s_max):
@@ -59,10 +66,11 @@ def _draw_raw(rng, s_max):
 _REFERENCE_DRAWS = {"extremal_params": _draw_extremal, "raw_standard_form": _draw_raw}
 
 
-def reference_sample(cfg, index):
-    """Sample ``index`` by the scalar walk over ``rng.uniform``."""
+def reference_sample(cfg, index, rng=None):
+    """Sample ``index`` by the scalar walk over ``rng.uniform``, by default
+    on numpy's generator of the index."""
     draw = _REFERENCE_DRAWS[cfg.mode]
-    rng = bounds._rng_for(cfg.seed, index)
+    rng = _rng_for(cfg.seed, index) if rng is None else rng
     for _ in range(bounds._MAX_REJECTIONS):
         fields = draw(rng, cfg.s_max)
         if fields is not None:
@@ -72,11 +80,15 @@ def reference_sample(cfg, index):
     )
 
 
-# Counts cross chunk boundaries.  Raw mode needs about 740 attempts per
-# state at s_max 200, so there the reference checks a few indices on both
-# sides of one boundary.
-COUNT = 3 * bounds._CHUNK + 6
-AROUND_BOUNDARY = [0, 1, bounds._CHUNK - 1, bounds._CHUNK, COUNT - 1]
+# Counts cross raw-mode chunk boundaries.  Raw mode needs about 740
+# attempts per state at s_max 200, so there the reference checks a few
+# indices on both sides of one boundary.
+RAW_CHUNK = bounds._MODES["raw_standard_form"].chunk
+COUNT = 3 * RAW_CHUNK + 6
+AROUND_BOUNDARY = [0, 1, RAW_CHUNK - 1, RAW_CHUNK, COUNT - 1]
+# A count of 600 crosses two seeding windows, which are also extremal-mode
+# chunks.
+AROUND_WINDOWS = [0, 255, 256, 257, 511, 512, 599]
 STREAM_CASES = [
     ("extremal_params", seed, s_max, range(COUNT))
     for seed in (1, 2) for s_max in (1.5, 20.0, 200.0)
@@ -85,14 +97,18 @@ STREAM_CASES = [
     for seed in (1, 2) for s_max in (1.5, 20.0)
 ] + [
     ("raw_standard_form", seed, 200.0, AROUND_BOUNDARY) for seed in (1, 2)
+] + [
+    (mode, 3, 20.0, AROUND_WINDOWS) for mode in ("extremal_params", "raw_standard_form")
 ]
 
 
 @pytest.mark.parametrize("mode, seed, s_max, indices", STREAM_CASES)
 def test_block_draws_equal_the_scalar_walk(mode, seed, s_max, indices):
-    cfg = SamplerConfig(seed=seed, count=COUNT, s_max=s_max, mode=mode)
+    # the last index checked is the last one drawn
+    count = max(indices) + 1
+    cfg = SamplerConfig(seed=seed, count=count, s_max=s_max, mode=mode)
     samples = list(iter_samples(cfg))
-    assert [s.index for s in samples] == list(range(COUNT))
+    assert [s.index for s in samples] == list(range(count))
     for i in indices:
         assert samples[i] == reference_sample(cfg, i)
         assert all(type(v) is float for v in (samples[i].s, samples[i].d, samples[i].g))
@@ -115,6 +131,53 @@ def test_screen_keeps_every_attempt_the_scalar_test_accepts(mode, s_max):
 def test_sample_does_not_depend_on_count(mode):
     long = list(iter_samples(SamplerConfig(seed=7, count=300, mode=mode)))
     assert list(iter_samples(SamplerConfig(seed=7, count=5, mode=mode))) == long[:5]
+
+
+def test_interleaved_iterators_yield_what_each_yields_alone():
+    # every call owns a generator, and each draw loads and stores its
+    # stream's state without yielding in between
+    configs = [SamplerConfig(seed=5, count=300, mode="extremal_params"),
+               SamplerConfig(seed=2**128, count=300, mode="raw_standard_form")]
+    alone = [list(iter_samples(cfg)) for cfg in configs]
+    streams = [iter_samples(cfg) for cfg in configs]
+    together = [[next(stream) for stream in streams] for _ in range(300)]
+    assert [list(samples) for samples in zip(*together)] == alone
+
+
+# Seeds of 1 to 5 uint32 words, at each word count's edges.
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96, 2**128 - 1, 2**128,
+              2**160 - 1]
+# Windows at both ends of the index range.
+INDEX_STARTS = [0, 1, 2**31, 2**32 - 8]
+
+
+def _numpy_state(seed, index):
+    state = _rng_for(seed, index).bit_generator.state
+    assert state["has_uint32"] == 0 and state["uinteger"] == 0
+    return state["state"]["state"], state["state"]["inc"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**160)),
+       start=st.one_of(st.sampled_from(INDEX_STARTS), st.integers(0, 2**32 - 8)),
+       width=st.integers(1, 8))
+def test_array_seeding_equals_numpy_seed_sequence(seed, start, width):
+    indices = range(start, start + width)
+    got = bounds._pcg64_states(bounds._seed_prefix(seed), indices)
+    assert got == [_numpy_state(seed, i) for i in indices]
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**128])
+def test_streams_draw_the_doubles_of_numpy_generators(seed):
+    generator = np.random.Generator(np.random.PCG64(0))
+    indices = range(2**32 - bounds._BLOCK, 2**32)
+    streams = bounds._streams(bounds._seed_prefix(seed), indices, generator)
+    for i in (indices[0], indices[1], indices[-1]):
+        stream, rng = streams[i - indices.start], _rng_for(seed, i)
+        for n in (5, 1, 12):
+            assert stream.random(n).tolist() == rng.random(n).tolist()
+    # the first of a window's streams again, after its neighbours drew
+    assert streams[0].random(3).tolist() == _rng_for(seed, indices[0]).random(21)[18:].tolist()
 
 
 class ScriptedGenerator:
@@ -151,13 +214,21 @@ REJECT = {"raw_standard_form": RAW_REJECT, "extremal_params": EXT_REJECT}
 SHORT = {"raw_standard_form": RAW_SHORT, "extremal_params": EXT_SHORT}
 
 
+def _script_streams(monkeypatch, script_of):
+    """Give every index of ``iter_samples`` the scripted generator
+    ``script_of(index)`` in place of its stream."""
+    monkeypatch.setattr(bounds, "_streams", lambda prefix, indices, generator: [
+        ScriptedGenerator(script_of(i)) for i in indices])
+
+
 def _scripted(monkeypatch, mode, script):
     """(iter_samples output or its error, reference output or its error,
     doubles the reference read) for one index on scripted generators."""
-    monkeypatch.setattr(bounds, "_rng_for", lambda seed, index: ScriptedGenerator(script))
+    _script_streams(monkeypatch, lambda index: script)
     cfg = SamplerConfig(seed=0, count=1, s_max=S_MAX, mode=mode)
     outputs = []
-    for run in (lambda: list(iter_samples(cfg)), lambda: [reference_sample(cfg, 0)]):
+    for run in (lambda: list(iter_samples(cfg)),
+                lambda: [reference_sample(cfg, 0, ScriptedGenerator(script))]):
         try:
             outputs.append(run())
         except SamplingError as exc:
@@ -215,7 +286,7 @@ def test_attempt_limit(monkeypatch, mode):
     assert got == want == "no acceptable state after 3 rejections at index 0"
     # the failing index is reported after the samples before it
     monkeypatch.setattr(bounds, "_MAX_REJECTIONS", 1)
-    monkeypatch.setattr(bounds, "_rng_for", lambda seed, index: ScriptedGenerator(
+    _script_streams(monkeypatch, lambda index: (
         ACCEPT[mode] if index < 2 else REJECT[mode] + ACCEPT[mode]))
     stream = iter_samples(SamplerConfig(seed=0, count=4, s_max=S_MAX, mode=mode))
     assert [next(stream).index, next(stream).index] == [0, 1]

@@ -7,10 +7,11 @@ Usage, from anywhere:
 The runs are the `bounds` experiment (seed 1, 4000 states, both sampler
 modes; 200 raw-mode states at s_max 200, where the sampler rejects hundreds
 of attempts per state; 1000 extremal states at s_max 1e5, where large
-entries stress the minimizer's rounding), the criterion-5 `scan` window at
-resolutions 200 and 60, the README `scan3d` window at resolution 24, a
-`scan3d` window at s ~ 8.73e4 at resolution 8 (every cell physical), and
-four `measure` reports.  They run in a temporary directory against the
+entries stress the minimizer's rounding; 500 extremal states at seed
+2**128 + 12345, whose five uint32 words take the seeding's longest hash),
+the criterion-5 `scan` window at resolutions 200 and 60, the README
+`scan3d` window at resolution 24, a `scan3d` window at s ~ 8.73e4 at
+resolution 8 (every cell physical), and four `measure` reports.  They run in a temporary directory against the
 `twomode` package in this checkout's `src/`, and each output prints as one
 `sha256  label` line.  Running it on two commits and diffing the lines
 shows which outputs a change moved.
@@ -55,11 +56,13 @@ def _run(argv: list[str]) -> bytes:
 
 def _outputs():
     """(label, bytes) of every output, in a fixed order."""
-    runs = [("extremal_params", "4000", "20", ""), ("raw_standard_form", "4000", "20", ""),
-            ("raw_standard_form", "200", "200", " s_max 200"),
-            ("extremal_params", "1000", "1e5", " s_max 1e5")]
-    for mode, samples, s_max, tag in runs:
-        _run(["bounds", "--samples", samples, "--seed", "1", "--mode", mode, "--s-max", s_max,
+    runs = [("extremal_params", "4000", "20", "1", ""),
+            ("raw_standard_form", "4000", "20", "1", ""),
+            ("raw_standard_form", "200", "200", "1", " s_max 200"),
+            ("extremal_params", "1000", "1e5", "1", " s_max 1e5"),
+            ("extremal_params", "500", "20", str(2**128 + 12345), " seed 2**128+12345")]
+    for mode, samples, s_max, seed, tag in runs:
+        _run(["bounds", "--samples", samples, "--seed", seed, "--mode", mode, "--s-max", s_max,
               "--points", "points.csv", "--curves", "curves.csv",
               "--geof-curves", "geof.csv", "--summary", "summary.json"])
         for name in ("points.csv", "curves.csv", "geof.csv", "summary.json"):
