@@ -239,21 +239,24 @@ def _pcg64_states(prefix: _Prefix, indices: range) -> list[tuple[int, int]]:
 
 class _Stream:
     """One index's PCG64 stream, drawn by a generator that every stream of
-    a run shares: ``random`` loads the stream's state, draws and stores
-    the state back, so streams never see each other's draws."""
+    a run shares: ``random`` loads the stream's (state, inc), draws and
+    stores the state back, so streams never see each other's draws.  Only
+    the two ints are kept between draws: doubles never use PCG64's buffered
+    uint32, and a window's streams then hold little more than their seeds."""
 
-    __slots__ = ("generator", "state")
+    __slots__ = ("generator", "state", "inc")
 
     def __init__(self, generator: np.random.Generator, state: int, inc: int):
         self.generator = generator
-        self.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0}
+        self.state = state
+        self.inc = inc
 
     def random(self, n: int) -> np.ndarray:
         bits = self.generator.bit_generator
-        bits.state = self.state
+        bits.state = {"bit_generator": "PCG64", "state": {"state": self.state, "inc": self.inc},
+                      "has_uint32": 0, "uinteger": 0}
         doubles = self.generator.random(n)
-        self.state = bits.state
+        self.state = bits.state["state"]["state"]
         return doubles
 
 

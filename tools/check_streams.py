@@ -2,7 +2,7 @@
 
 Usage, from anywhere:
 
-    python tools/check_streams.py [--pairs N]
+    python tools/check_streams.py
 
 For every pair, the PCG64 (state, inc) that ``twomode.bounds`` computes in
 its array pass must equal the state of
@@ -11,14 +11,13 @@ first index of every window must draw the same doubles.  The seeds span one
 to six uint32 words (word-count edges such as 2**32 - 1, 2**32, 2**128 - 1
 and 2**128, then random ones); the windows of 256 indices sit at 0, at the
 top of the index range (2**32 - 256) and at random starts.  It prints the
-pair count and the mismatch count, and exits 1 on any mismatch.  At the
-default 1,000,000 pairs it takes about 20 s on a 2-core x86_64 host, almost
+pair count and the mismatch count, and exits 1 on any mismatch.  At
+PAIRS = 1,000,000 it takes about 20 s on a 2-core x86_64 host, almost
 all of it in numpy's per-pair construction.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
 
@@ -31,6 +30,7 @@ from twomode import bounds  # noqa: E402
 EDGE_SEEDS = [0, 1, 11, 2**32 - 1, 2**32, 2**32 + 5, 2**64 - 1, 2**64, 2**70 + 3, 2**96,
               2**128 - 1, 2**128, 2**128 + 12345, 2**140 + 7, 2**160 - 1, 2**192 - 1]
 RANDOM_SEEDS = 24
+PAIRS = 1_000_000
 WINDOW = bounds._BLOCK
 INDEX_TOP = bounds.COUNT_LIMIT - WINDOW
 
@@ -45,14 +45,10 @@ def _window_starts(rng: np.random.Generator, count: int) -> list[int]:
     return ([0, INDEX_TOP] + rng.integers(0, INDEX_TOP, max(count - 2, 0)).tolist())[:count]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--pairs", type=int, default=1_000_000,
-                        help="(seed, index) pairs to compare (default 1,000,000)")
-    args = parser.parse_args(argv)
+def main() -> int:
     rng = np.random.default_rng(20261018)
     seeds = _seeds(rng)
-    windows_per_seed = -(-args.pairs // (WINDOW * len(seeds)))
+    windows_per_seed = -(-PAIRS // (WINDOW * len(seeds)))
     generator = np.random.Generator(np.random.PCG64(0))
     pairs = mismatches = 0
     for seed in seeds:
