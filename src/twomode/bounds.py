@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -81,6 +82,11 @@ class SamplerConfig:
     mode: str = "extremal_params"
 
     def validate(self) -> None:
+        for name, value in (("seed", self.seed), ("count", self.count)):
+            try:
+                operator.index(value)
+            except TypeError:
+                raise DomainError(f"{name} must be an integer, got {value!r}") from None
         if self.seed < 0:
             raise DomainError(f"seed must be at least 0, got {self.seed!r}")
         if not 1 <= self.count <= COUNT_LIMIT:
@@ -128,16 +134,13 @@ class ExperimentResult:
     min_m_max_slack: float
 
 
-# Attempts are drawn and screened in rounds.  Each round tops up every
-# pending index's buffer of unwalked doubles to a row of whole attempts, one
-# ``random(n)`` call per index, and screens all the rows as one array;
-# only an attempt that passes the screen builds a StandardForm.  Each index
-# then walks its row to the first attempt that the screen keeps or that
-# stops early, and the next round resumes from the doubles after it.  Each
-# attempt reads the doubles that scalar ``rng.uniform`` calls would, in the
-# same order, so sample i is the same as drawn one value at a time.  Doubles
-# drawn past the accepted attempt are never used: every index owns its
-# stream.
+# Attempts are drawn and screened in rounds.  Each round draws every
+# pending index's row of whole attempts from the offset it has walked to and
+# screens all the rows as one array; only an attempt that passes the screen
+# builds a StandardForm.  Each index walks its row to the first attempt that
+# the screen keeps or that stops early.  Each attempt reads the doubles that
+# scalar ``rng.uniform`` calls would, in the same order, so sample i is the
+# same as drawn one value at a time.
 
 #: Indices seeded in one array pass, and states minimized at once by
 #: ``bound_experiment``: enough to spread the per-call cost of the array
@@ -146,9 +149,8 @@ class ExperimentResult:
 _BLOCK = 256
 
 # Index i's stream is that of
-# ``default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))``.  SeedSequence
-# pads the seed's uint32 words with zeros to its pool of 4 and hashes them
-# into the pool before the spawn word i, so that prefix is computed once per
+# ``default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))``.  Its pool
+# before the spawn word i is ``SeedSequence(seed).pool``, taken once per
 # run; the index word and ``generate_state(4, uint64)`` are hashed for a
 # window of indices in uint32 arrays, and PCG64's seeding (O'Neill,
 # HMC-CS-2014-0905) turns each window row into its (state, inc).  The
@@ -170,12 +172,6 @@ def _hash_chain(init: int, mult: int) -> Iterator[tuple[int, int]]:
         init = stepped
 
 
-def _mix(x: int, y: int) -> int:
-    """SeedSequence's mix of two pool words."""
-    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return r ^ r >> 16
-
-
 #: The pairs of ``generate_state``'s 8 hashes of the pool words.
 _STATE_HASH = list(itertools.islice(_hash_chain(_INIT_B, _MULT_B), 8))
 
@@ -188,23 +184,10 @@ def _seed_prefix(seed: int) -> _Prefix:
     """The pool of ``SeedSequence(entropy=seed, spawn_key=(i,))`` before the
     index word i is mixed in, and the hash pairs that mix it into each pool
     word.  Neither depends on i."""
-    words = [seed >> k & _MASK32 for k in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words))
-    chain = _hash_chain(_INIT_A, _MULT_A)
-
-    def hashmix(value: int) -> int:
-        xor, mult = next(chain)
-        value = (value ^ xor) * mult & _MASK32
-        return value ^ value >> 16
-
-    pool = [hashmix(w) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for w in words[4:]:
-        pool = [_mix(p, hashmix(w)) for p in pool]
-    return pool, list(itertools.islice(chain, 4))
+    # the pool uses 4 hashes per seed word (at least 4 words), the index word the next 4
+    words = max(4, -(-max(seed.bit_length(), 1) // 32))
+    chain = itertools.islice(_hash_chain(_INIT_A, _MULT_A), 4 * words, 4 * words + 4)
+    return np.random.SeedSequence(seed).pool.tolist(), list(chain)
 
 
 def _pcg64_states(prefix: _Prefix, indices: range) -> list[tuple[int, int]]:
@@ -214,7 +197,7 @@ def _pcg64_states(prefix: _Prefix, indices: range) -> list[tuple[int, int]]:
     index = np.arange(indices.start, indices.stop, dtype=np.int64).astype(u32)
     pool = []
     for p, (xor, mult) in zip(*prefix):
-        # the index word's hash, mixed into pool word p as ``_mix`` does
+        # the index word's hash, mixed into pool word p by SeedSequence's mix
         h = (index ^ u32(xor)) * u32(mult)
         h ^= h >> u32(16)
         w = u32(_MIX_MULT_L * p & _MASK32) - u32(_MIX_MULT_R) * h
@@ -237,27 +220,22 @@ def _pcg64_states(prefix: _Prefix, indices: range) -> list[tuple[int, int]]:
     return states
 
 
-class _Stream:
-    """One index's PCG64 stream, drawn by a generator that every stream of
-    a run shares: ``random`` loads the stream's (state, inc), draws and
-    stores the state back, so streams never see each other's draws.  Only
-    the two ints are kept between draws: doubles never use PCG64's buffered
-    uint32, and a window's streams then hold little more than their seeds."""
+class _Stream(NamedTuple):
+    """One index's seeded PCG64 (state, inc), drawn by a generator that
+    every stream of a run shares and that each draw loads afresh."""
 
-    __slots__ = ("generator", "state", "inc")
+    generator: np.random.Generator
+    state: int
+    inc: int
 
-    def __init__(self, generator: np.random.Generator, state: int, inc: int):
-        self.generator = generator
-        self.state = state
-        self.inc = inc
-
-    def random(self, n: int) -> np.ndarray:
+    def draw(self, offset: int, n: int) -> np.ndarray:
+        """Doubles ``offset`` to ``offset + n - 1``, one 64-bit output each."""
         bits = self.generator.bit_generator
         bits.state = {"bit_generator": "PCG64", "state": {"state": self.state, "inc": self.inc},
                       "has_uint32": 0, "uinteger": 0}
-        doubles = self.generator.random(n)
-        self.state = bits.state["state"]["state"]
-        return doubles
+        if offset:
+            bits.advance(offset)
+        return self.generator.random(n)
 
 
 def _streams(prefix: _Prefix, indices: range,
@@ -369,31 +347,23 @@ _MODES = {
 
 
 class _IndexWalk:
-    """One index's stream, the doubles it drew and has not yet walked,
-    the attempts walked, and the accepted draw.  Each round reads a
-    ``row`` and ``advance``s past the attempts walked in it."""
+    """One index's stream, the doubles and attempts it has walked, and the
+    accepted draw.  Each round draws a row at ``offset`` and ``advance``s."""
 
-    __slots__ = ("index", "stream", "buffer", "walked", "draw")
+    __slots__ = ("index", "stream", "offset", "walked", "draw")
 
     def __init__(self, index: int, stream: _Stream):
         self.index = index
         self.stream = stream
-        self.buffer = np.empty(0)
+        self.offset = 0
         self.walked = 0
         self.draw: _Draw | None = None
 
-    def row(self, attempts: int) -> np.ndarray:
-        """The next ``attempts`` * 4 doubles of the stream: the buffer, topped
-        up by one draw."""
-        fresh = self.stream.random(_WIDTH * attempts - self.buffer.size)
-        self.buffer = np.concatenate((self.buffer, fresh)) if self.buffer.size else fresh
-        return self.buffer
-
     def advance(self, attempts: int, doubles: int) -> None:
-        """Walk ``attempts`` attempts, which read the buffer's first
-        ``doubles`` doubles."""
+        """Walk ``attempts`` attempts, which read the row's first ``doubles``
+        doubles."""
         self.walked += attempts
-        self.buffer = self.buffer[doubles:]
+        self.offset += doubles
 
 
 def _chunk_samples(mode: _Mode, s_max: float, indices: range,
@@ -405,7 +375,7 @@ def _chunk_samples(mode: _Mode, s_max: float, indices: range,
     attempts = mode.first_block
     done = 0
     while pending:
-        rows = np.stack([w.row(attempts) for w in pending])
+        rows = np.stack([w.stream.draw(w.offset, _WIDTH * attempts) for w in pending])
         fields, short, keep = mode.screen(rows.reshape(len(pending), attempts, _WIDTH), s_max)
         # Each row is walked to its first attempt that the screen keeps or
         # that stops early, and no further.
@@ -453,13 +423,13 @@ def iter_samples(cfg: SamplerConfig) -> Iterator[Sample]:
     ``default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))``, bit for
     bit.  The streams are seeded in one array pass per window of 256
     indices and drawn by numpy's PCG64, on one generator per call that
-    loads each stream's state for its draw.  ``cfg.count`` is at most
-    ``COUNT_LIMIT`` (2**32).
+    each round seeds and advances to the index's walked offset.
+    ``cfg.count`` is at most ``COUNT_LIMIT`` (2**32).
     """
     cfg.validate()
     mode = _MODES[cfg.mode]
     s_max = float(cfg.s_max)
-    prefix = _seed_prefix(cfg.seed)
+    prefix = _seed_prefix(operator.index(cfg.seed))
     generator = np.random.Generator(np.random.PCG64(0))
     for start in range(0, cfg.count, _BLOCK):
         window = range(start, min(start + _BLOCK, cfg.count))

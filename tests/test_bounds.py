@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from twomode import (
@@ -146,6 +147,18 @@ class TestSampler:
         for s_max in (math.inf, 1e80, math.nan):
             with pytest.raises(DomainError, match="s_max"):
                 list(iter_samples(SamplerConfig(seed=1, count=1, s_max=s_max)))
+
+    def test_numpy_integer_seed_and_count_equal_python_ints(self):
+        want = list(iter_samples(SamplerConfig(seed=5, count=2)))
+        assert want[0].s == 8.659251036864394
+        assert list(iter_samples(SamplerConfig(seed=np.int64(5), count=2))) == want
+        assert list(iter_samples(SamplerConfig(seed=5, count=np.int64(2)))) == want
+
+    def test_seed_and_count_must_be_integers(self):
+        with pytest.raises(DomainError, match="seed must be an integer, got 5.0"):
+            list(iter_samples(SamplerConfig(seed=5.0, count=2)))
+        with pytest.raises(DomainError, match="count must be an integer, got 3.0"):
+            list(iter_samples(SamplerConfig(seed=5, count=3.0)))
 
 
 class TestExperiment:

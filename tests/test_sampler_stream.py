@@ -134,8 +134,8 @@ def test_sample_does_not_depend_on_count(mode):
 
 
 def test_interleaved_iterators_yield_what_each_yields_alone():
-    # every call owns a generator, and each draw loads and stores its
-    # stream's state without yielding in between
+    # every call owns a generator, and each draw loads its stream's seeded
+    # state without yielding in between
     configs = [SamplerConfig(seed=5, count=300, mode="extremal_params"),
                SamplerConfig(seed=2**128, count=300, mode="raw_standard_form")]
     alone = [list(iter_samples(cfg)) for cfg in configs]
@@ -174,16 +174,41 @@ def test_streams_draw_the_doubles_of_numpy_generators(seed):
     streams = bounds._streams(bounds._seed_prefix(seed), indices, generator)
     for i in (indices[0], indices[1], indices[-1]):
         stream, rng = streams[i - indices.start], _rng_for(seed, i)
+        offset = 0
         for n in (5, 1, 12):
-            assert stream.random(n).tolist() == rng.random(n).tolist()
+            assert stream.draw(offset, n).tolist() == rng.random(n).tolist()
+            offset += n
     # the first of a window's streams again, after its neighbours drew
-    assert streams[0].random(3).tolist() == _rng_for(seed, indices[0]).random(21)[18:].tolist()
+    assert streams[0].draw(18, 3).tolist() == _rng_for(seed, indices[0]).random(21)[18:].tolist()
+
+
+# Offsets as far as the attempt limit lets a walk reach.
+LAST_OFFSET = bounds._WIDTH * bounds._MAX_REJECTIONS
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**160)),
+       index=st.one_of(st.sampled_from([0, 1, 2**32 - 2, 2**32 - 1]), st.integers(0, 2**32 - 1)),
+       offset=st.one_of(st.sampled_from([0, 1, LAST_OFFSET]), st.integers(0, LAST_OFFSET)),
+       n=st.integers(1, 64))
+def test_draw_at_an_offset_equals_numpy_doubles(seed, index, offset, n):
+    # the stream and its neighbour in a window of two share one generator
+    pair = range(index & ~1, (index & ~1) + 2)
+    streams = bounds._streams(
+        bounds._seed_prefix(seed), pair, np.random.Generator(np.random.PCG64(0)))
+    stream, neighbour = streams[index - pair.start], streams[pair.start + 1 - index]
+    want = _rng_for(seed, index).random(offset + n)[offset:].tolist()
+    neighbour.draw(offset, 8)
+    assert stream.draw(offset, n).tolist() == want
+    neighbour.draw(0, 8)
+    assert stream.draw(offset, n).tolist() == want
 
 
 class ScriptedGenerator:
-    """Generator test double: ``uniform`` and ``random`` read one shared list
-    of doubles, then zeros, which make every attempt stop early (a = b = 1 in
-    raw mode, |d| = s - 1 in extremal mode) so none is ever accepted."""
+    """Generator and stream test double: ``uniform`` reads a list of doubles
+    in turn and ``draw`` at an offset, then zeros, which make every attempt
+    stop early (a = b = 1 in raw mode, |d| = s - 1 in extremal mode) so none
+    is ever accepted."""
 
     def __init__(self, doubles):
         self.doubles = list(doubles)
@@ -197,8 +222,9 @@ class ScriptedGenerator:
     def uniform(self, low, high):
         return low + (high - low) * self._next()
 
-    def random(self, n):
-        return np.array([self._next() for _ in range(n)])
+    def draw(self, offset, n):
+        return np.array([self.doubles[k] if k < len(self.doubles) else 0.0
+                         for k in range(offset, offset + n)])
 
 
 S_MAX = 20.0
@@ -302,9 +328,9 @@ def test_many_rounds_at_a_small_cap_equal_the_scalar_walk(
         mode, kinds, first_block, growth, over_limit):
     # Rows of at most first_block + growth attempts: an index takes many
     # rounds at the cap, and each early stop or attempt that only the scalar
-    # test rejects leaves doubles in its buffer for the next round.  The
-    # accepted attempt is the last one the limit allows, or the first one
-    # past it, so a walk that miscounts its attempts fails fast.
+    # test rejects leaves part of its row for the next round to draw again.
+    # The accepted attempt is the last one the limit allows, or the first
+    # one past it, so a walk that miscounts its attempts fails fast.
     attempts = {"reject": REJECT[mode], "short": SHORT[mode], "edge": _edge_attempt(mode)}
     script = [u for kind in kinds for u in attempts[kind]] + ACCEPT[mode]
     with pytest.MonkeyPatch.context() as mp:

@@ -7,13 +7,15 @@ Usage, from anywhere:
 For every pair, the PCG64 (state, inc) that ``twomode.bounds`` computes in
 its array pass must equal the state of
 ``default_rng(SeedSequence(entropy=seed, spawn_key=(index,)))``, and the
-first index of every window must draw the same doubles.  The seeds span one
-to six uint32 words (word-count edges such as 2**32 - 1, 2**32, 2**128 - 1
-and 2**128, then random ones); the windows of 256 indices sit at 0, at the
-top of the index range (2**32 - 256) and at random starts.  It prints the
-pair count and the mismatch count, and exits 1 on any mismatch.  At
-PAIRS = 1,000,000 it takes about 20 s on a 2-core x86_64 host, almost
-all of it in numpy's per-pair construction.
+first index of every window must draw the same doubles: its first 8, and 8
+at a random offset up to the sampler's attempt limit (log-uniform, so both
+short and long ``advance`` jumps are checked).  The seeds span one to six
+uint32 words (word-count edges such as 2**32 - 1, 2**32, 2**128 - 1 and
+2**128, then random ones); the windows of 256 indices sit at 0, at the top
+of the index range (2**32 - 256) and at random starts.  It prints the pair
+count and the mismatch count, and exits 1 on any mismatch.  At
+PAIRS = 1,000,000 it takes about 20 s on a 2-core x86_64 host, most of it
+in numpy's per-pair construction.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ RANDOM_SEEDS = 24
 PAIRS = 1_000_000
 WINDOW = bounds._BLOCK
 INDEX_TOP = bounds.COUNT_LIMIT - WINDOW
+#: The furthest a sample's walk draws into its stream.
+LAST_OFFSET = bounds._WIDTH * bounds._MAX_REJECTIONS
 
 
 def _seeds(rng: np.random.Generator) -> list[int]:
@@ -66,9 +70,12 @@ def main() -> int:
                     print(f"state mismatch: seed {seed}, index {index}")
                 elif index == start:
                     stream = bounds._streams(prefix, range(index, index + 1), generator)[0]
-                    if stream.random(8).tolist() != reference.random(8).tolist():
+                    offset = int(LAST_OFFSET ** rng.random())  # at least 1
+                    doubles = reference.random(offset + 8)
+                    if (stream.draw(0, 8).tolist() != doubles[:8].tolist()
+                            or stream.draw(offset, 8).tolist() != doubles[offset:].tolist()):
                         mismatches += 1
-                        print(f"draw mismatch: seed {seed}, index {index}")
+                        print(f"draw mismatch: seed {seed}, index {index}, offset {offset}")
     print(f"pairs {pairs}  seeds {len(seeds)}  mismatches {mismatches}")
     return 1 if mismatches else 0
 
