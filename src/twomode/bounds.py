@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
@@ -22,7 +23,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import DomainError, SamplingError, TwoModeError
-from .extremal import ExtremalParams, _delta_tilde, build_state
+from .extremal import ExtremalParams, _delta_tilde, build_state, gmems_threshold
 # minimize_m is unused here, but perfbench/bench_trace.py patches bounds.minimize_m
 from .gaussian_em import NEAR_SEPARABLE_TOL, minimize_block, minimize_m
 from .negativity import h_function, log_negativity
@@ -92,7 +93,7 @@ class SamplerConfig:
         if not 1 <= self.count <= COUNT_LIMIT:
             raise DomainError(
                 f"count must be >= 1 and at most {COUNT_LIMIT}, got {self.count!r}")
-        if not 1.0 < self.s_max <= S_MAX_LIMIT:
+        if not (isinstance(self.s_max, numbers.Real) and 1.0 < self.s_max <= S_MAX_LIMIT):
             raise DomainError(
                 f"s_max must exceed 1 and be at most {S_MAX_LIMIT:g}, got {self.s_max!r}")
         if self.mode not in ("extremal_params", "raw_standard_form"):
@@ -275,7 +276,7 @@ def _screen_extremal(u: np.ndarray, s_max: float):
     d = _uniform(-(s - 1.0), s - 1.0, u[..., 1])
     lam = _uniform(-1.0, 1.0, u[..., 2])
     g_lo = 2.0 * np.abs(d) + 1.0
-    g_hi = 2.0 * s - 1.0
+    g_hi = gmems_threshold(s)
     short = g_hi - g_lo <= 1e-9
     g = _uniform(g_lo, g_hi, u[..., 3])
     keep = ~short & _may_be_entangled(_delta_tilde(s, d, g, lam), g * g)

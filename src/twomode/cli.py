@@ -152,7 +152,7 @@ def _measure_report(cm, params, args) -> dict:
         s, d, g, lam = params
         family = None
         m_closed = None
-        if abs(g - (2.0 * abs(d) + 1.0)) <= 1e-12:
+        if abs(g - (2.0 * abs(d) + 1.0)) <= extremal._PARAM_TOL:
             family, m_closed = "gmemms", extremal.m_opt_gmems(s=s, d=d, g=g)
         elif lam == 1.0:
             family, m_closed = "gmems", extremal.m_opt_gmems(s=s, d=d, g=g)

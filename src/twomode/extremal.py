@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -28,6 +29,10 @@ from .errors import DomainError
 from .symplectic import StandardForm, _nu_pair
 
 _PARAM_TOL = 1e-12
+
+#: The closed forms' ``xp`` on floats; max and min keep a NaN first argument.
+_FLOATS = SimpleNamespace(sqrt=math.sqrt, maximum=max, minimum=min,
+                          where=lambda cond, a, b: a if cond else b)
 
 
 @dataclass(frozen=True)
@@ -112,7 +117,11 @@ def gmems_threshold(s):
 def glems_threshold(s, d):
     """GLEMS are entangled iff g < sqrt(2(s^2 + d^2) - 1) (elementwise for
     arrays)."""
-    return np.sqrt(2.0 * (s * s + d * d) - 1.0)
+    return _glems_threshold(s, d, np)
+
+
+def _glems_threshold(s, d, xp):
+    return xp.sqrt(2.0 * (s * s + d * d) - 1.0)
 
 
 def _shift(d: float, g: float, lam: float) -> float:
@@ -198,15 +207,15 @@ def nu_tilde_glems(s: float, d: float, g: float) -> float:
     return _nu_pair(4.0 * (s * s + d * d) - g * g - 1.0, g * g, disc)[0]
 
 
-def _m_gmems(s, d, g):
-    """m_opt of an entangled GMEMS (g < 2s - 1), elementwise; see
-    ``m_opt_gmems``.  The clamps absorb the domain tolerance and the last
+def _m_gmems(s, d, g, xp=np):
+    """m_opt of an entangled GMEMS (g < 2s - 1), elementwise under ``xp``;
+    see ``m_opt_gmems``.  The clamps absorb the domain tolerance and the last
     rounding at threshold.  Squares are products: Python's float ``**``
     calls libm ``pow``, which misrounds some squares."""
-    edge = np.maximum((g - 1.0 - 2.0 * d) * (g - 1.0 + 2.0 * d), 0.0)
-    root = np.sqrt(edge * np.maximum((s - d) * (s + d) - g, 0.0))
+    edge = xp.maximum((g - 1.0 - 2.0 * d) * (g - 1.0 + 2.0 * d), 0.0)
+    root = xp.sqrt(edge * xp.maximum((s - d) * (s + d) - g, 0.0))
     q = (4.0 * s * s + edge) / (2.0 * ((g + 1.0) * s + root))
-    return np.maximum(q * q, 1.0)
+    return xp.maximum(q * q, 1.0)
 
 
 def m_opt_gmems(s: float, d: float, g: float) -> float:
@@ -222,26 +231,27 @@ def m_opt_gmems(s: float, d: float, g: float) -> float:
     s^2 - d^2 - g > (s-1)^2 - d^2 >= 0 as g < 2s - 1.
     """
     _require_domain(s, d, g)
-    return float(_closed_forms(s, d, g)[0])
+    return _closed_forms(float(s), float(d), float(g), _FLOATS)[0]
 
 
-def _m_glems(s, d, g):
-    """m_opt of an entangled GLEMS (g < min(2s - 1, g_thr)), elementwise;
-    see ``m_opt_glems``."""
-    x = np.sqrt(np.maximum((g + 1.0 - 2.0 * d) * (g + 1.0 + 2.0 * d)
+def _m_glems(s, d, g, xp=np):
+    """m_opt of an entangled GLEMS (g < min(2s - 1, g_thr)) under ``xp``;
+    see ``m_opt_glems``.  w is NaN where theta* is not taken (no 0 / 0)."""
+    x = xp.sqrt(xp.maximum((g + 1.0 - 2.0 * d) * (g + 1.0 + 2.0 * d)
                            * ((g - 1.0 - 2.0 * d) * (g - 1.0 + 2.0 * d)), 0.0))
-    y = np.sqrt(np.maximum((2.0 * s + 1.0 + g) * (2.0 * s - 1.0 + g)
+    y = xp.sqrt(xp.maximum((2.0 * s + 1.0 + g) * (2.0 * s - 1.0 + g)
                            * ((2.0 * s + 1.0 - g) * (2.0 * s - 1.0 - g)), 0.0))
     ab = (s + d) * (s - d)
-    root_ab = np.sqrt(ab)
+    root_ab = xp.sqrt(ab)
     c_abs = 2.0 * root_ab * (2.0 * (s * s + d * d) - 1.0 - g * g) / (x + y)
     v = root_ab + c_abs
     k = 64.0 * ab * root_ab * g * g / (v * (4.0 * ab + x + y))
-    u = (x + np.sqrt(x * x + k)) / (4.0 * root_ab)
+    u = (x + xp.sqrt(x * x + k)) / (4.0 * root_ab)
     m = 1.0 + c_abs * c_abs / (u * v)
-    w = (g - 1.0) * (g + 1.0)
-    at_theta_star = np.maximum(np.minimum(m, 16.0 * s * s * d * d / (w * w)), 1.0)
-    return np.where((g > 1.0 + _PARAM_TOL) & (d * d * y >= s * s * x), at_theta_star, m)
+    theta_star = (g > 1.0 + _PARAM_TOL) & (d * d * y >= s * s * x)
+    w = xp.where(theta_star, (g - 1.0) * (g + 1.0), math.nan)
+    at_theta_star = xp.maximum(xp.minimum(m, 16.0 * s * s * d * d / (w * w)), 1.0)
+    return xp.where(theta_star, at_theta_star, m)
 
 
 def m_opt_glems(s: float, d: float, g: float) -> float:
@@ -272,7 +282,7 @@ def m_opt_glems(s: float, d: float, g: float) -> float:
     pass 2s - 1: g >= 2s - 1 is separable too (GMEMS entangle the most).
     """
     _require_domain(s, d, g)
-    return float(_closed_forms(s, d, g)[1])
+    return _closed_forms(float(s), float(d), float(g), _FLOATS)[1]
 
 
 def m_opt_gmemms(s: float, nu_tilde_minus: float) -> float:
@@ -304,40 +314,39 @@ _REGIMES = (Regime.UNPHYSICAL, Regime.BOTH_SEPARABLE, Regime.COEXISTENCE,
             Regime.ORDERING_PRESERVED, Regime.ORDERING_INVERTED)
 
 
-def _closed_forms(s, d, g):
-    """(m_gmems, m_glems, kind) of every (s, d, g), elementwise.  The kind
-    is 0 outside the domain (NaN included), where both m are NaN, 1 where
-    both families are separable, 2 where only the GLEMS is, and 3 where
-    both are entangled; a separable family's m is 1.  Floats become NumPy
-    scalars (``[()]`` unwraps a 0-d array and leaves others whole), whose
-    arithmetic follows ``np.errstate`` where Python's would raise."""
-    s, d, g = (np.asarray(x, dtype=float)[()] for x in (s, d, g))
-    with np.errstate(all="ignore"):
-        kind = np.where(g >= gmems_threshold(s), 1, np.where(g >= glems_threshold(s, d), 2, 3))
-        kind = np.where(_in_domain(s, d, g), kind, 0)
-        m_g = np.where(kind >= 2, _m_gmems(s, d, g), 1.0)
-        m_l = np.where(kind == 3, _m_glems(s, d, g), 1.0)
-        return np.where(kind == 0, np.nan, m_g), np.where(kind == 0, np.nan, m_l), kind
+def _closed_forms(s, d, g, xp=np):
+    """(m_gmems, m_glems, kind) of every (s, d, g) under ``xp``: ``np`` for
+    arrays, ``_FLOATS`` for floats.  The kind is 0 outside the domain (NaN
+    included; both m NaN), 1 where both families are separable, 2 where only
+    the GLEMS is, 3 where both are entangled; a separable family's m is 1.
+    No branch divides by 0 or takes a negative root: s is NaN outside the
+    domain, and for ``_m_glems`` where kind < 3 (``_m_gmems``'s divisor exceeds 2s)."""
+    inside = _in_domain(s, d, g)
+    s = xp.where(inside, s, math.nan)
+    kind = xp.where(g >= gmems_threshold(s), 1, xp.where(g >= _glems_threshold(s, d, xp), 2, 3))
+    kind = xp.where(inside, kind, 0)
+    m_g = xp.where(kind >= 2, _m_gmems(s, d, g, xp), 1.0)
+    m_l = xp.where(kind == 3, _m_glems(xp.where(kind == 3, s, math.nan), d, g, xp), 1.0)
+    return xp.where(inside, m_g, math.nan), xp.where(inside, m_l, math.nan), kind
 
 
-def _ordering(s, d, g):
-    """(m_gmems, m_glems, regime code) of every (s, d, g), elementwise; the
-    code indexes ``_REGIMES`` (the kinds of ``_closed_forms``, with 3 split
-    into preserved and inverted).  On the GMEMMS line g = 2|d| + 1 the
-    families are one state: m_glems = m_gmems, a tie that counts as
-    preserved."""
-    m_g, m_l, code = _closed_forms(s, d, g)
-    with np.errstate(all="ignore"):
-        m_l = np.where((code == 3) & (g <= 2.0 * abs(d) + 1.0 + _PARAM_TOL), m_g, m_l)
-        return m_g, m_l, np.where((code == 3) & ~(m_g >= m_l), 4, code)
+def _ordering(s, d, g, xp=np):
+    """(m_gmems, m_glems, regime code) of every (s, d, g), elementwise under
+    ``xp``; the code indexes ``_REGIMES`` (the kinds of ``_closed_forms``,
+    with 3 split into preserved and inverted).  On the GMEMMS line
+    g = 2|d| + 1 the families are one state: m_glems = m_gmems, a tie that
+    counts as preserved."""
+    m_g, m_l, code = _closed_forms(s, d, g, xp)
+    m_l = xp.where((code == 3) & (g <= 2.0 * abs(d) + 1.0 + _PARAM_TOL), m_g, m_l)
+    return m_g, m_l, xp.where(code == 3, xp.where(m_g >= m_l, 3, 4), code)
 
 
 def ordering_compare(s: float, d: float, g: float) -> OrderingVerdict:
     """Compare the Gaussian-measure ordering of the two extremal families at
     one purity assignment.  On the GMEMMS line g = 2|d| + 1 they are one
     state: m_glems = m_gmems, and the ordering counts as preserved."""
-    m_g, m_l, code = _ordering(s, d, g)
-    return OrderingVerdict(float(m_g), float(m_l), _REGIMES[int(code)])
+    m_g, m_l, code = _ordering(float(s), float(d), float(g), _FLOATS)
+    return OrderingVerdict(m_g, m_l, _REGIMES[code])
 
 
 class ScanCell(NamedTuple):
@@ -424,9 +433,8 @@ def _scan_columns(
     closed forms, regimes and crossings are computed on whole arrays; the
     nu_tilde columns come from the scalar ``nu_tilde_*`` per physical cell."""
     gs = _axis(g_range, resolution)
-    with np.errstate(all="ignore"):
-        lines = np.flatnonzero(_in_domain(s, d, 2.0 * abs(d) + 1.0))
-        col, g_boundary = _crossings(s[lines], d[lines])
+    lines = np.flatnonzero(_in_domain(s, d, 2.0 * abs(d) + 1.0))
+    col, g_boundary = _crossings(s[lines], d[lines])
     col = lines[col]
     boundary = list(map(BoundaryPoint._make, zip(s[col].tolist(), d[col].tolist(),
                                                  g_boundary.tolist())))

@@ -144,7 +144,7 @@ class TestSampler:
             list(iter_samples(SamplerConfig(seed=1, count=1, s_max=1.0)))
         with pytest.raises(DomainError):
             list(iter_samples(SamplerConfig(seed=1, count=1, mode="bogus")))
-        for s_max in (math.inf, 1e80, math.nan):
+        for s_max in (math.inf, 1e80, math.nan, "20", None):
             with pytest.raises(DomainError, match="s_max"):
                 list(iter_samples(SamplerConfig(seed=1, count=1, s_max=s_max)))
 
@@ -153,6 +153,9 @@ class TestSampler:
         assert want[0].s == 8.659251036864394
         assert list(iter_samples(SamplerConfig(seed=np.int64(5), count=2))) == want
         assert list(iter_samples(SamplerConfig(seed=5, count=np.int64(2)))) == want
+        # an int or NumPy s_max samples as the float does
+        for s_max in (20, np.float64(20.0)):
+            assert list(iter_samples(SamplerConfig(seed=5, count=2, s_max=s_max))) == want
 
     def test_seed_and_count_must_be_integers(self):
         with pytest.raises(DomainError, match="seed must be an integer, got 5.0"):

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twomode import (
@@ -77,18 +77,31 @@ def points(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(batch=st.lists(points(), min_size=1, max_size=40))
+# g = 1 at d = 0, where the GLEMS theta* cap divides by (g - 1)(g + 1)
+@example(batch=[(1.0, 0.0, 1.0), (1.5, 0.0, 1.0), (1e5, 0.0, 1.0)])
+# g = 2|d| + 1 = 2s - 1, where both GLEMS roots vanish
+@example(batch=[(3.0, 2.0, 5.0), (3.0, -2.0, 5.0)])
+# a hair above s = 1, where every window is about 1e-13 wide
+@example(batch=[(1.0 + 1e-13, 0.0, 1.0), (1.0 + 1e-13, 0.0, 1.0 + 1e-13)])
+# outside the domain, where 2(s^2 + d^2) - 1 < 0 and where (g + 1)s + sqrt(P) = 0
+@example(batch=[(0.5, 0.0, 1.0), (-1.0, 0.0, 0.0)])
+# ints and NumPy floats give the Python floats of the float call
+@example(batch=[(2, 0, 2), (3, 2, 5), (5, 1, 4),
+                (np.float64(2.0), np.float64(0.5), np.float64(2.5))])
 def test_batched_core_equals_per_point_calls(batch):
-    s, d, g = (np.array(column) for column in zip(*batch))
+    s, d, g = (np.array(column, dtype=float) for column in zip(*batch))
     m_g, m_l, code = _ordering(s, d, g)
     fam_g, fam_l, _ = _closed_forms(s, d, g)
     for k, (sk, dk, gk) in enumerate(batch):
         verdict = ordering_compare(sk, dk, gk)
+        assert type(verdict.m_gmems) is type(verdict.m_glems) is float
         assert _same(verdict.m_gmems, m_g[k]) and _same(verdict.m_glems, m_l[k])
         assert verdict.regime is [Regime.UNPHYSICAL, Regime.BOTH_SEPARABLE, Regime.COEXISTENCE,
                                   Regime.ORDERING_PRESERVED, Regime.ORDERING_INVERTED][code[k]]
         if _domain_error(sk, dk, gk) is None:
-            assert m_opt_gmems(sk, dk, gk) == fam_g[k]
-            assert m_opt_glems(sk, dk, gk) == fam_l[k]
+            m_gmems, m_glems = m_opt_gmems(sk, dk, gk), m_opt_glems(sk, dk, gk)
+            assert type(m_gmems) is type(m_glems) is float
+            assert m_gmems == fam_g[k] and m_glems == fam_l[k]
         else:
             assert verdict.regime is Regime.UNPHYSICAL
             assert math.isnan(verdict.m_gmems) and math.isnan(verdict.m_glems)
