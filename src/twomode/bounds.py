@@ -23,11 +23,11 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import DomainError, SamplingError, TwoModeError
-from .extremal import ExtremalParams, _delta_tilde, build_state, gmems_threshold
+from .extremal import _FLOATS, ExtremalParams, _delta_tilde, _state, build_state, gmems_threshold
 # minimize_m is unused here, but perfbench/bench_trace.py patches bounds.minimize_m
 from .gaussian_em import NEAR_SEPARABLE_TOL, minimize_block, minimize_m
 from .negativity import h_function, log_negativity
-from .symplectic import DEFAULT_TOL, StandardForm, _dets
+from .symplectic import DEFAULT_TOL, StandardForm, _dets, _nu_pairs
 
 #: Slack on the proven upper-curve inequality before a sample counts as a
 #: violation.
@@ -60,7 +60,12 @@ def nu_opt_lower(nu_tilde_sigma: float) -> float:
     nu = float(nu_tilde_sigma)
     if not 0.0 < nu <= 1.0:
         raise DomainError(f"nu_tilde_sigma must lie in (0, 1], got {nu!r}")
-    return nu / (1.0 + math.sqrt(max(0.0, (1.0 - nu) * (1.0 + nu))))
+    return _lower_curve(nu, _FLOATS)
+
+
+def _lower_curve(nu, xp=np):
+    """``nu_opt_lower`` of every nu in (0, 1] under ``xp``."""
+    return nu / (1.0 + xp.sqrt(xp.maximum(0.0, (1.0 - nu) * (1.0 + nu))))
 
 
 def geof_bounds(log_neg: float, log_base=2) -> tuple[float, float]:
@@ -100,8 +105,7 @@ class SamplerConfig:
             raise DomainError(f"unknown sampler mode {self.mode!r}")
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     index: int
     standard_form: StandardForm
     s: float
@@ -110,8 +114,8 @@ class Sample:
     lam: float
 
 
-@dataclass(frozen=True)
-class BoundPoint:
+class BoundPoint(NamedTuple):
+    """One state's row of the ``bounds`` points CSV, in its column order."""
     index: int
     s: float
     d: float
@@ -302,8 +306,12 @@ def _screen_raw(u: np.ndarray, s_max: float):
     return (a, b, cp, cm), short, keep
 
 
-# A draw returns the fields of a Sample after its index, or None on rejection.
-_Draw = tuple[StandardForm, float, float, float, float]
+# A confirm returns the fields of a Sample after its index and the
+# nu_tilde_minus it computed, or None on rejection.
+_Draw = tuple[tuple[StandardForm, float, float, float, float], float]
+
+#: nu_tilde_minus below which a confirmed attempt is entangled enough.
+_CUT = 1.0 - NEAR_SEPARABLE_TOL
 
 
 def _confirm_extremal(s: float, d: float, g: float, lam: float) -> _Draw | None:
@@ -311,24 +319,49 @@ def _confirm_extremal(s: float, d: float, g: float, lam: float) -> _Draw | None:
         sf = build_state(ExtremalParams(s, d, g, lam))
     except TwoModeError:
         return None
-    if not sf.spectrum().nu_tilde_minus < 1.0 - NEAR_SEPARABLE_TOL:
+    nu = sf.spectrum().nu_tilde_minus
+    if not nu < _CUT:
         return None
-    return sf, s, d, g, lam
+    return (sf, s, d, g, lam), nu
 
 
 def _confirm_raw(a: float, b: float, cp: float, cm: float) -> _Draw | None:
     sf = StandardForm(a, b, cp, cm)
     if not sf.is_physical():
         return None
-    if not sf.spectrum().nu_tilde_minus < 1.0 - NEAR_SEPARABLE_TOL:
+    nu = sf.spectrum().nu_tilde_minus
+    if not nu < _CUT:
         return None
-    return sf, 0.5 * (a + b), 0.5 * (a - b), math.sqrt(sf.invariants().det_sigma), math.nan
+    return (sf, 0.5 * (a + b), 0.5 * (a - b), math.sqrt(sf.invariants().det_sigma), math.nan), nu
+
+
+def _confirm_extremal_rows(s, d, g, lam) -> list[_Draw | None]:
+    """``_confirm_extremal`` of each row of the columns: ``build_state``'s
+    arithmetic and checks and the spectrum run on the columns, and a row
+    that any of their tests rejects takes the scalar route, which gives it
+    the same outcome or raises the same error."""
+    form, _, fits = _state(s, d, g, lam)
+    det_sigma, delta, delta_tilde = _dets(*form)
+    # spectrum() computes nu_minus too, and raises where it has none
+    nu_minus, nu = (_nu_pairs(x, det_sigma, x * x - 4.0 * det_sigma)[0]
+                    for x in (delta, delta_tilde))
+    ok = fits & np.isfinite(form[2]) & np.isfinite(form[3]) & ~np.isnan(nu_minus) & (nu < _CUT)
+    rows = zip(ok.tolist(), *(c.tolist() for c in (*form, s, d, g, lam, nu)))
+    return [((StandardForm(a, b, cp, cm), s_k, d_k, g_k, lam_k), nu_k) if accept
+            else _confirm_extremal(s_k, d_k, g_k, lam_k)
+            for accept, a, b, cp, cm, s_k, d_k, g_k, lam_k, nu_k in rows]
+
+
+def _confirm_raw_rows(a, b, cp, cm) -> list[_Draw | None]:
+    """``_confirm_raw`` of each row of the columns, one row at a time."""
+    return [_confirm_raw(*row) for row in zip(a.tolist(), b.tolist(), cp.tolist(), cm.tolist())]
 
 
 @dataclass(frozen=True)
 class _Mode:
     screen: Callable
-    confirm: Callable[..., _Draw | None]
+    #: The test of the attempts that a round's screen keeps, given as columns.
+    confirm: Callable[..., list[_Draw | None]]
     #: Doubles an attempt reads when it stops early.
     short_width: int
     #: Attempts in the first round's rows: an extremal state takes about 1.3
@@ -342,8 +375,8 @@ class _Mode:
 
 
 _MODES = {
-    "extremal_params": _Mode(_screen_extremal, _confirm_extremal, 3, 4, _BLOCK),
-    "raw_standard_form": _Mode(_screen_raw, _confirm_raw, 2, 64, 16),
+    "extremal_params": _Mode(_screen_extremal, _confirm_extremal_rows, 3, 4, _BLOCK),
+    "raw_standard_form": _Mode(_screen_raw, _confirm_raw_rows, 2, 64, 16),
 }
 
 
@@ -368,9 +401,9 @@ class _IndexWalk:
 
 
 def _chunk_samples(mode: _Mode, s_max: float, indices: range,
-                   streams: list[_Stream]) -> Iterator[Sample]:
-    """Samples of consecutive ``indices``, each yielded once it and every
-    index before it is decided."""
+                   streams: list[_Stream]) -> Iterator[tuple[Sample, float]]:
+    """Samples of consecutive ``indices`` with their nu_tilde_minus, each
+    yielded once it and every index before it is decided."""
     walks = [_IndexWalk(index, stream) for index, stream in zip(indices, streams)]
     pending = walks
     attempts = mode.first_block
@@ -379,22 +412,27 @@ def _chunk_samples(mode: _Mode, s_max: float, indices: range,
         rows = np.stack([w.stream.draw(w.offset, _WIDTH * attempts) for w in pending])
         fields, short, keep = mode.screen(rows.reshape(len(pending), attempts, _WIDTH), s_max)
         # Each row is walked to its first attempt that the screen keeps or
-        # that stops early, and no further.
+        # that stops early, and no further.  The kept attempts of the round
+        # are confirmed together.
         stop = short | keep
         lead = np.arange(len(pending))
         first = stop.argmax(axis=1)
-        first_stop = stop[lead, first].tolist()
-        first_keep = keep[lead, first].tolist()
-        first_fields = zip(*(f[lead, first].tolist() for f in fields))
-        for w, k, stops, kept, values in zip(
-                pending, first.tolist(), first_stop, first_keep, first_fields):
+        first_keep = keep[lead, first]
+        kept = []
+        for w, k, stops, keeps in zip(pending, first.tolist(), stop[lead, first].tolist(),
+                                      first_keep.tolist()):
             if not stops:
                 w.advance(attempts, _WIDTH * attempts)
-            elif kept:
-                w.draw = mode.confirm(*values)
+            elif keeps:
+                kept.append(w)
                 w.advance(k + 1, _WIDTH * (k + 1))
             else:
                 w.advance(k + 1, _WIDTH * k + mode.short_width)
+        if kept:
+            rows_kept = lead[first_keep]
+            columns = (f[rows_kept, first[rows_kept]] for f in fields)
+            for w, draw in zip(kept, mode.confirm(*columns)):
+                w.draw = draw
         pending = [w for w in pending if w.draw is None and w.walked < _MAX_REJECTIONS]
         for w in walks[done:]:
             if w.draw is None and w.walked < _MAX_REJECTIONS:
@@ -404,29 +442,14 @@ def _chunk_samples(mode: _Mode, s_max: float, indices: range,
                     f"no acceptable state after {_MAX_REJECTIONS} rejections at index {w.index}"
                 )
             done += 1
-            yield Sample(w.index, *w.draw)
+            fields_k, nu = w.draw
+            yield Sample(w.index, *fields_k), nu
         attempts = min(2 * attempts, _MAX_BLOCK)
 
 
-def iter_samples(cfg: SamplerConfig) -> Iterator[Sample]:
-    """Reproducible stream of entangled standard forms with their draw
-    parameters.
-
-    In ``extremal_params`` mode, (s, d, lambda) are uniform over their
-    constraint ranges and g is uniform over the entangled window at those
-    values (realized by rejection from the proposal window
-    (2|d| + 1, 2s - 1), which contains it); ``raw_standard_form`` mode
-    rejection-samples correlation boxes directly.  Sample i depends only on
-    (seed, i, s_max, mode): it is the first accepted attempt of its own
-    stream, whose doubles are drawn in rounds.
-
-    The stream of index i is the doubles of
-    ``default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))``, bit for
-    bit.  The streams are seeded in one array pass per window of 256
-    indices and drawn by numpy's PCG64, on one generator per call that
-    each round seeds and advances to the index's walked offset.
-    ``cfg.count`` is at most ``COUNT_LIMIT`` (2**32).
-    """
+def _confirmed_samples(cfg: SamplerConfig) -> Iterator[tuple[Sample, float]]:
+    """``iter_samples`` with the nu_tilde_minus that each sample's confirm
+    computed."""
     cfg.validate()
     mode = _MODES[cfg.mode]
     s_max = float(cfg.s_max)
@@ -440,6 +463,31 @@ def iter_samples(cfg: SamplerConfig) -> Iterator[Sample]:
                 mode, s_max, window[k:k + mode.chunk], streams[k:k + mode.chunk])
 
 
+def iter_samples(cfg: SamplerConfig) -> Iterator[Sample]:
+    """Reproducible stream of entangled standard forms with their draw
+    parameters.
+
+    In ``extremal_params`` mode, (s, d, lambda) are uniform over their
+    constraint ranges and g is uniform over the entangled window at those
+    values (realized by rejection from the proposal window
+    (2|d| + 1, 2s - 1), which contains it); ``raw_standard_form`` mode
+    rejection-samples correlation boxes directly.  Sample i depends only on
+    (seed, i, s_max, mode): it is the first accepted attempt of its own
+    stream, whose doubles are drawn in rounds.  Each round screens its
+    attempts as arrays and confirms the kept ones together: in extremal
+    mode ``build_state`` and the spectrum run on their columns, and an
+    attempt that a column test rejects is confirmed alone.
+
+    The stream of index i is the doubles of
+    ``default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))``, bit for
+    bit.  The streams are seeded in one array pass per window of 256
+    indices and drawn by numpy's PCG64, on one generator per call that
+    each round seeds and advances to the index's walked offset.
+    ``cfg.count`` is at most ``COUNT_LIMIT`` (2**32).
+    """
+    return (sample for sample, _ in _confirmed_samples(cfg))
+
+
 def bound_experiment(cfg: SamplerConfig, log_base=2) -> ExperimentResult:
     """Minimize every sampled state and test both bound curves.
 
@@ -450,7 +498,10 @@ def bound_experiment(cfg: SamplerConfig, log_base=2) -> ExperimentResult:
     the counts and listed separately.
 
     The stream is minimized in blocks of ``_BLOCK`` states by
-    ``minimize_block``; a state's failure is the error ``minimize_m`` raises.
+    ``minimize_block``, whose gate reads the sampler's nu_tilde_minus; a
+    state's failure is the error ``minimize_m`` raises.  A block's bound
+    tests, slacks and counts are array expressions; log_neg and 1/nu^2 stay
+    on Python floats, whose log and power can differ from numpy's.
     """
     points: list[BoundPoint] = []
     failures: list[tuple[int, str]] = []
@@ -458,33 +509,34 @@ def bound_experiment(cfg: SamplerConfig, log_base=2) -> ExperimentResult:
     violations_lower = 0
     min_upper_slack = math.inf
     min_m_max_slack = math.inf
-    samples = iter_samples(cfg)
-    while block := list(itertools.islice(samples, _BLOCK)):
-        outcomes = minimize_block([sample.standard_form for sample in block], log_base)
-        for sample, outcome in zip(block, outcomes):
-            if isinstance(outcome, TwoModeError):
-                failures.append((sample.index, str(outcome)))
-                continue
-            nu_sigma, gem = outcome
-            violates_upper = gem.nu_tilde_opt > nu_opt_upper(nu_sigma) + VIOLATION_TOL
-            violates_lower = gem.nu_tilde_opt < nu_opt_lower(nu_sigma) - VIOLATION_TOL
-            violations_upper += violates_upper
-            violations_lower += violates_lower
-            min_upper_slack = min(min_upper_slack, nu_sigma - gem.nu_tilde_opt)
-            min_m_max_slack = min(min_m_max_slack, 1.0 / nu_sigma**2 - gem.m_opt)
-            points.append(BoundPoint(
-                index=sample.index,
-                s=sample.s,
-                d=sample.d,
-                g=sample.g,
-                lam=sample.lam,
-                nu_tilde_sigma=nu_sigma,
-                nu_tilde_opt=gem.nu_tilde_opt,
-                log_neg=log_negativity(nu_sigma, log_base),
-                geof=gem.gaussian_eof,
-                violates_42=violates_upper,
-                violates_46=violates_lower,
-            ))
+    confirmed = _confirmed_samples(cfg)
+    while block := list(itertools.islice(confirmed, _BLOCK)):
+        samples, nus = zip(*block)
+        outcomes = minimize_block([sample.standard_form for sample in samples], log_base,
+                                  nu_sigmas=nus)
+        failures += [(sample.index, str(outcome)) for sample, outcome in zip(samples, outcomes)
+                     if isinstance(outcome, TwoModeError)]
+        passed = [(sample, *outcome) for sample, outcome in zip(samples, outcomes)
+                  if not isinstance(outcome, TwoModeError)]
+        if not passed:
+            continue
+        # each nu_sigma lies in (0, 1), the domain of both curves: the
+        # confirm cut it below 1, and the gate fails a form with Det sigma < 1
+        samples, nu_list, gems = zip(*passed)
+        nu_sigma = np.array(nu_list)
+        nu_opt_list = [gem.nu_tilde_opt for gem in gems]
+        nu_opt = np.array(nu_opt_list)
+        upper = nu_opt > nu_sigma + VIOLATION_TOL
+        lower = nu_opt < _lower_curve(nu_sigma) - VIOLATION_TOL
+        violations_upper += int(np.count_nonzero(upper))
+        violations_lower += int(np.count_nonzero(lower))
+        min_upper_slack = min(min_upper_slack, (nu_sigma - nu_opt).min().item())
+        m_max_slack = np.array([1.0 / nu**2 for nu in nu_list]) - [gem.m_opt for gem in gems]
+        min_m_max_slack = min(min_m_max_slack, m_max_slack.min().item())
+        points.extend(map(BoundPoint._make, zip(
+            [sample.index for sample in samples], *zip(*(sample[2:] for sample in samples)),
+            nu_list, nu_opt_list, [log_negativity(nu, log_base) for nu in nu_list],
+            [gem.gaussian_eof for gem in gems], upper.tolist(), lower.tolist())))
     return ExperimentResult(
         points, violations_upper, violations_lower, failures,
         min_upper_slack, min_m_max_slack,
@@ -495,8 +547,5 @@ def bound_curves(resolution: int = 512) -> list[tuple[float, float, float]]:
     """(nu_tilde, lower, upper) rows of the two analytic curves on (0, 1)."""
     if resolution < 2:
         raise DomainError("resolution must be at least 2")
-    rows = []
-    for i in range(resolution):
-        nu = (i + 1) / (resolution + 1)
-        rows.append((nu, nu_opt_lower(nu), nu_opt_upper(nu)))
-    return rows
+    nu = np.arange(1, resolution + 1) / (resolution + 1)
+    return list(zip(nu.tolist(), _lower_curve(nu).tolist(), nu.tolist()))

@@ -66,15 +66,16 @@ def _above(kind, floor, *, inclusive=False, ceiling=None):
     return parse
 
 
-def _finite(text: str) -> float:
-    """argparse type: a finite float."""
+def _bounded(text: str) -> float:
+    """argparse type: a float of magnitude at most ``extremal.SCAN_LIMIT``."""
     value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    if not abs(value) <= extremal.SCAN_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and at most {extremal.SCAN_LIMIT:g} in magnitude, got {text}")
     return value
 
 
-_finite.__name__ = "float"  # argparse names the type in "invalid float value"
+_bounded.__name__ = "float"  # argparse names the type in "invalid float value"
 
 
 def _write_csv(path: str, header: list[str], row_template: str, rows) -> None:
@@ -235,8 +236,7 @@ def _cmd_bounds(args) -> int:
         ["index", "s", "d", "g", "lambda", "nu_tilde_sigma", "nu_tilde_opt",
          "log_neg", "geof", "violates_42", "violates_46"],
         "%d," + "%.17g," * 8 + "%d,%d\r\n",
-        ((p.index, p.s, p.d, p.g, p.lam, p.nu_tilde_sigma, p.nu_tilde_opt,
-          p.log_neg, p.geof, p.violates_42, p.violates_46) for p in result.points),
+        result.points,
     )
     _write_csv(args.curves, ["nu_tilde", "lower", "upper"], _FLOATS_3,
                bounds_mod.bound_curves(args.curve_resolution))
@@ -294,9 +294,9 @@ def _build_parser() -> _Parser:
     measure.set_defaults(func=_cmd_measure)
 
     scan = sub.add_parser("scan", help="extremal-ordering map over (b, g) at fixed a")
-    scan.add_argument("--fixed-a", type=_finite, required=True)
-    scan.add_argument("--b-range", type=_finite, nargs=2, required=True, metavar=("LO", "HI"))
-    scan.add_argument("--g-range", type=_finite, nargs=2, required=True, metavar=("LO", "HI"))
+    scan.add_argument("--fixed-a", type=_bounded, required=True)
+    scan.add_argument("--b-range", type=_bounded, nargs=2, required=True, metavar=("LO", "HI"))
+    scan.add_argument("--g-range", type=_bounded, nargs=2, required=True, metavar=("LO", "HI"))
     scan.add_argument("--resolution", type=_above(int, 1), default=200)
     scan.add_argument("--grid", default="ordering_grid.csv", help="cell table output path")
     scan.add_argument("--boundary", default="ordering_boundary.csv",
@@ -304,9 +304,9 @@ def _build_parser() -> _Parser:
     scan.set_defaults(func=_cmd_scan)
 
     scan3d = sub.add_parser("scan3d", help="extremal-ordering map over (s, d, g)")
-    scan3d.add_argument("--s-range", type=_finite, nargs=2, required=True, metavar=("LO", "HI"))
-    scan3d.add_argument("--d-range", type=_finite, nargs=2, required=True, metavar=("LO", "HI"))
-    scan3d.add_argument("--g-range", type=_finite, nargs=2, required=True, metavar=("LO", "HI"))
+    scan3d.add_argument("--s-range", type=_bounded, nargs=2, required=True, metavar=("LO", "HI"))
+    scan3d.add_argument("--d-range", type=_bounded, nargs=2, required=True, metavar=("LO", "HI"))
+    scan3d.add_argument("--g-range", type=_bounded, nargs=2, required=True, metavar=("LO", "HI"))
     scan3d.add_argument("--resolution", type=_above(int, 1), default=48)
     scan3d.add_argument("--grid", default="ordering_grid_3d.csv")
     scan3d.add_argument("--boundary", default="ordering_boundary_3d.csv")

@@ -30,6 +30,11 @@ from .symplectic import StandardForm, _nu_pair
 
 _PARAM_TOL = 1e-12
 
+#: Largest magnitude of a scan's axis endpoints and fixed a: ten million times
+#: the documented range of s, and the closed forms' largest intermediate,
+#: 64 (ab)^(3/2) g^2 in ``_m_glems``, stays below 1e62, far from overflow.
+SCAN_LIMIT = 1e12
+
 #: The closed forms' ``xp`` on floats; max and min keep a NaN first argument.
 _FLOATS = SimpleNamespace(sqrt=math.sqrt, maximum=max, minimum=min,
                           where=lambda cond, a, b: a if cond else b)
@@ -135,6 +140,32 @@ def _delta_tilde(s, d, g, lam):
     return 4.0 * (s * s + d * d) + _shift(d, g, lam)
 
 
+def _state(s, d, g, lam, xp=np):
+    """``build_state``'s standard form (a, b, c_plus, c_minus) of every
+    (s, d, g, lambda) under ``xp`` (as in ``_closed_forms``), its two
+    square-root arguments, each with the mask where it is negative beyond
+    tolerance (and taken as 0), and the mask where all of ``build_state``'s
+    checks pass.  s is NaN outside the domain (no negative root)."""
+    inside = _in_domain(s, d, g)
+    fits = inside & (lam >= -1.0 - _PARAM_TOL) & (lam <= 1.0 + _PARAM_TOL)
+    s = xp.where(inside, s, math.nan)
+    shift = _shift(d, g, lam)
+    four_g_sq = 4.0 * g * g
+    roots, args = [], []
+    for t in (4.0 * d * d + shift, 4.0 * s * s + shift):
+        arg = t * t - four_g_sq
+        scale = xp.maximum(xp.maximum(t * t, four_g_sq), 1.0)
+        negative = arg < -1e-10 * scale
+        fits = xp.where(negative, False, fits)
+        args.append((arg, negative))
+        # exactly zero at lambda = +1 and on the g = 2|d| + 1 line; rounding
+        # noise under the square root would shift c_pm
+        roots.append(xp.sqrt(xp.where(arg <= 1e-12 * scale, 0.0, arg)))
+    norm = 4.0 * xp.sqrt(s * s - d * d)
+    form = (s + d, s - d, (roots[0] + roots[1]) / norm, (roots[0] - roots[1]) / norm)
+    return form, args, fits
+
+
 def build_state(p: ExtremalParams) -> StandardForm:
     """Standard form (s + d, s - d, c_plus, c_minus) with purities
     (1/g, 1/(s+d), 1/(s-d)).
@@ -142,6 +173,7 @@ def build_state(p: ExtremalParams) -> StandardForm:
     The off-diagonal correlations are
     c_pm = [sqrt(Td^2 - 4g^2) +- sqrt(Ts^2 - 4g^2)] / (4 sqrt(s^2 - d^2))
     with Tx = 4x^2 + (g^2 + 1)(lambda - 1)/2 - (2d^2 + g)(lambda + 1).
+    This is ``_state`` on floats.
 
     Raises:
         DomainError: when a constraint fails or either square-root argument
@@ -151,29 +183,15 @@ def build_state(p: ExtremalParams) -> StandardForm:
     """
     p.validate()
     s, d, g, lam = p.s, p.d, p.g, p.lam
-    shift = _shift(d, g, lam)
-    t_d = 4.0 * d * d + shift
-    t_s = 4.0 * s * s + shift
-    four_g_sq = 4.0 * g * g
-
-    def _sqrt_arg(t: float, label: str) -> float:
-        arg = t * t - four_g_sq
-        scale = max(t * t, four_g_sq, 1.0)
-        if arg < -1e-10 * scale:
+    form, args, _ = _state(s, d, g, lam, _FLOATS)
+    for (arg, negative), label in zip(args, ("Td^2 - 4g^2", "Ts^2 - 4g^2")):
+        if negative:
             raise DomainError(
                 f"square-root argument {label} = {arg:g} is negative: "
                 f"(s, d, g, lambda) = ({s}, {d}, {g}, {lam}) is outside the "
                 "real domain of the parametrization"
             )
-        if arg <= 1e-12 * scale:
-            # exactly zero at lambda = +1 and on the g = 2|d| + 1 line;
-            # rounding noise under the square root would shift c_pm
-            return 0.0
-        return arg
-    root_d = math.sqrt(_sqrt_arg(t_d, "Td^2 - 4g^2"))
-    root_s = math.sqrt(_sqrt_arg(t_s, "Ts^2 - 4g^2"))
-    norm = 4.0 * math.sqrt(s * s - d * d)
-    return StandardForm(s + d, s - d, (root_d + root_s) / norm, (root_d - root_s) / norm)
+    return StandardForm(*form)
 
 
 def classify_entanglement(p: ExtremalParams) -> Entanglement:
@@ -417,8 +435,9 @@ def _crossings(s: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _axis(rng: tuple[float, float], resolution: int) -> np.ndarray:
     if resolution < 2:
         raise DomainError("resolution must be at least 2")
-    if not (math.isfinite(rng[0]) and math.isfinite(rng[1])):
-        raise DomainError(f"axis range must be finite, got {tuple(rng)!r}")
+    if not (abs(rng[0]) <= SCAN_LIMIT and abs(rng[1]) <= SCAN_LIMIT):
+        raise DomainError(f"axis range must be finite and at most {SCAN_LIMIT:g} in "
+                          f"magnitude, got {tuple(rng)!r}")
     return rng[0] + (rng[1] - rng[0]) * np.arange(resolution) / (resolution - 1)
 
 
@@ -464,9 +483,13 @@ def scan_ordering_slice(
     """Classify a (b, g) grid at fixed local mixedness a of mode 1.
 
     Returns the row-major cell table (b slow axis, g fast axis) and the
-    bisected polyline where the two closed forms agree.
+    bisected polyline where the two closed forms agree.  An endpoint or a
+    beyond ``SCAN_LIMIT`` in magnitude raises DomainError.
     """
     b = _axis(b_range, resolution)
+    if not abs(fixed_a) <= SCAN_LIMIT:
+        raise DomainError(
+            f"fixed a must be finite and at most {SCAN_LIMIT:g} in magnitude, got {fixed_a!r}")
     return _scan_columns(0.5 * (fixed_a + b), 0.5 * (fixed_a - b), g_range, resolution)
 
 

@@ -28,14 +28,15 @@ formation.
 ``minimize_block`` is the one minimizer and ``minimize_m`` its call on one
 form.  Each form passes the gate (spectrum, physicality, near-separable cut,
 symmetric closed form) on its own, and each outcome is a value: a result or
-the error ``minimize_m`` raises.  ``_ThetaProfile.of`` is the one profile
-builder, run per form, so every branch is scalar code.  A lone general form
-takes the per-form route; two or more stack their profiles as columns and
-batch only branch-free work: the quartic coefficients, one
-``np.linalg.eigvals`` call on the stacked companion matrices and one
-evaluation of m at the candidate angles.  Both routes give the same bits;
-``np.roots`` solves the degenerate quartics of pure and minimum-uncertainty
-forms.
+the error ``minimize_m`` raises.  The gate reads a nu_tilde_minus that the
+caller hands it (the bound experiment hands the sampler's) and checks every
+form's physicality.  ``_ThetaProfile.of`` is the one profile builder, run
+per form, so every branch is scalar code.  A lone general form takes the
+per-form route; two or more stack their profiles as columns and batch only
+branch-free work: the quartic coefficients, one ``np.linalg.eigvals`` call
+on the stacked companion matrices and one evaluation of m at the candidate
+angles.  Both routes give the same bits; ``np.roots`` solves the degenerate
+quartics of pure and minimum-uncertainty forms.
 """
 
 from __future__ import annotations
@@ -115,12 +116,14 @@ def m_from_nu_tilde(nu: float) -> float:
     return half_sum * half_sum
 
 
-def _physical_nu(sf: StandardForm) -> float:
-    """nu_tilde_minus of ``sf``, taken first so that a form without one fails
-    there, then the module's one physicality check, made on polynomial
-    inequalities: for pure states nu_minus itself sits on a vanishing
-    discriminant and carries sqrt-amplified rounding noise."""
-    nu = sf.spectrum().nu_tilde_minus
+def _physical_nu(sf: StandardForm, nu: float | None = None) -> float:
+    """nu_tilde_minus of ``sf`` (``nu`` when the caller has it), taken first
+    so that a form without one fails there, then the module's one
+    physicality check, made on polynomial inequalities: for pure states
+    nu_minus itself sits on a vanishing discriminant and carries
+    sqrt-amplified rounding noise."""
+    if nu is None:
+        nu = sf.spectrum().nu_tilde_minus
     if not sf.is_physical(1e-9):
         raise UnphysicalStateError(f"not a physical state: {sf}")
     return nu
@@ -347,11 +350,12 @@ def _block_angles(quartics: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return angles, extrema
 
 
-def _gate(sf: StandardForm, near_separable_tol: float, log_base) -> tuple[float, GemResult | None]:
-    """nu_tilde_minus of the form, with ``minimize_m``'s result for a
-    separable or symmetric form and None for the general path; raises on a
-    form without a spectrum or an unphysical one."""
-    nu_sigma = _physical_nu(sf)
+def _gate(sf: StandardForm, nu: float | None, near_separable_tol: float,
+          log_base) -> tuple[float, GemResult | None]:
+    """nu_tilde_minus of the form (``_physical_nu``), with ``minimize_m``'s
+    result for a separable or symmetric form and None for the general path;
+    raises on a form without a spectrum or an unphysical one."""
+    nu_sigma = _physical_nu(sf, nu)
     if nu_sigma >= 1.0 - near_separable_tol:
         return nu_sigma, GemResult(1.0, 0.0, 1.0, 0.0, 1)
     if sf.is_symmetric():
@@ -409,10 +413,13 @@ def minimize_block(
     forms,
     log_base=2,
     near_separable_tol: float = NEAR_SEPARABLE_TOL,
+    nu_sigmas=None,
 ) -> list[tuple[float, GemResult] | TwoModeError]:
     """Each form's outcome: its nu_tilde_minus and ``minimize_m``'s result,
     or the ``TwoModeError`` that ``minimize_m`` raises for it; a bad
     ``near_separable_tol`` or ``log_base`` raises DomainError at once.
+    The gate reads each form's nu_tilde_minus from ``nu_sigmas`` where the
+    caller has it (not None) and from its spectrum otherwise.
 
     Two or more general forms take the array route: their ``_ThetaProfile.of``
     rows are stacked, and the quartic solve and the evaluation run on the
@@ -425,9 +432,9 @@ def minimize_block(
     _log_divisor(log_base)  # DomainError for a base other than 2 and "e"
     outcomes: list = [None] * len(forms)
     general: list[tuple[int, float]] = []
-    for i, sf in enumerate(forms):
+    for i, (sf, nu) in enumerate(zip(forms, nu_sigmas or [None] * len(forms))):
         try:
-            nu_sigma, closed = _gate(sf, near_separable_tol, log_base)
+            nu_sigma, closed = _gate(sf, nu, near_separable_tol, log_base)
         except TwoModeError as exc:
             outcomes[i] = exc
             continue

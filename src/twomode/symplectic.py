@@ -77,8 +77,9 @@ class StandardForm:
     c_minus: float
 
     def __post_init__(self):
-        vals = (self.a, self.b, self.c_plus, self.c_minus)
-        if not all(math.isfinite(v) for v in vals):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)
+                and math.isfinite(self.c_plus) and math.isfinite(self.c_minus)):
+            vals = (self.a, self.b, self.c_plus, self.c_minus)
             raise MalformedInputError(f"standard form entries must be finite, got {vals}")
         if self.a <= 0.0 or self.b <= 0.0:
             raise MalformedInputError("diagonal correlations a, b must be positive")
@@ -136,13 +137,16 @@ class StandardForm:
         return abs(self.invariants().det_sigma - 1.0) <= tol
 
     def sign_ordered(self) -> "StandardForm":
-        """Equivalent standard form with c_plus >= |c_minus| and c_plus >= 0.
+        """Equivalent standard form with c_plus >= |c_minus| and c_plus >= 0:
+        the form itself when it already is.
 
         The two residual local freedoms are a simultaneous sign flip of both
         off-diagonal correlations and the exchange of which quadrature pair
         carries the larger one; both are local rotations.
         """
         cp, cm = self.c_plus, self.c_minus
+        if cp >= abs(cm):
+            return self
         if abs(cm) > abs(cp):
             cp, cm = -cm, -cp
         if cp < 0.0:
@@ -202,6 +206,16 @@ def _nu_pair(delta: float, det_sigma: float, disc: float) -> tuple[float, float]
             f"symplectic spectrum undefined (Delta={delta:g}, Det={det_sigma:g})"
         )
     return math.sqrt(det_sigma / hi_sq), math.sqrt(hi_sq)
+
+
+def _nu_pairs(delta, det_sigma, disc):
+    """``_nu_pair`` on arrays, NaN where it raises, in its steps and so its
+    bits.  Its float checks stop at the first that decides: run through
+    this masked body, a float call takes about 4x as long."""
+    floor = -_DISC_RTOL * np.maximum(np.maximum(delta * delta, abs(4.0 * det_sigma)), 1.0)
+    hi_sq = 0.5 * (delta + np.sqrt(np.maximum(disc, 0.0)))
+    hi_sq = np.where((disc >= floor) & (hi_sq > 0.0) & (det_sigma >= 0.0), hi_sq, math.nan)
+    return np.sqrt(det_sigma / hi_sq), np.sqrt(hi_sq)
 
 
 def validate_physical(cm, tol: float = DEFAULT_TOL) -> bool:

@@ -22,6 +22,7 @@ from twomode import (
 from twomode import bounds
 from twomode.bounds import VIOLATION_TOL, ExperimentResult, BoundPoint
 from twomode.errors import DomainError, TwoModeError
+from twomode.gaussian_em import GemResult, m_from_nu_tilde
 from twomode.negativity import log_negativity
 
 
@@ -58,6 +59,10 @@ class TestCurves:
                 nu_opt_lower(bad)
             with pytest.raises(DomainError):
                 nu_opt_upper(bad)
+
+    def test_array_lower_curve_equals_the_float_curve(self, rng):
+        nus = [*rng.uniform(0.0, 1.0, 2000).tolist(), 1.0, 5e-324, 0.5]
+        assert bounds._lower_curve(np.array(nus)).tolist() == [nu_opt_lower(nu) for nu in nus]
 
     def test_bound_curves_table(self):
         rows = bound_curves(64)
@@ -233,6 +238,49 @@ def _scalar_experiment(samples, log_base=2):
     return ExperimentResult(points, upper, lower, failures, min_upper_slack, min_m_max_slack)
 
 
+@pytest.mark.parametrize("log_base", [2, "e"])
+@pytest.mark.parametrize("mode, s_max, count", [
+    ("extremal_params", 20.0, 600),
+    ("extremal_params", 1e5, 600),
+    ("raw_standard_form", 20.0, 300),
+    # raw mode runs out of attempts at index 0 here (ROADMAP item 6)
+    ("raw_standard_form", 1e5, 3),
+])
+def test_block_experiment_equals_the_scalar_loop(mode, s_max, count, log_base):
+    cfg = SamplerConfig(seed=8, count=count, s_max=s_max, mode=mode)
+    outcomes = []
+    for run in (lambda: bound_experiment(cfg, log_base),
+                lambda: _scalar_experiment(iter_samples(cfg), log_base)):
+        try:
+            outcomes.append(run())
+        except TwoModeError as exc:
+            outcomes.append((type(exc), str(exc)))
+    got, want = outcomes
+    assert got == want
+    # every float bit for bit: repr round-trips doubles, -0.0 and NaN included
+    assert repr(got) == repr(want)
+    if isinstance(got, ExperimentResult):
+        assert len(got.points) + len(got.failures) == count
+
+
+def test_violations_count_beyond_the_tolerance(monkeypatch):
+    # nu_tilde_opt half and twice VIOLATION_TOL beyond each curve at nu = 0.5
+    nu = 0.5
+    lower = nu_opt_lower(nu)
+    cases = [(nu + 0.5 * VIOLATION_TOL, False, False), (nu + 2.0 * VIOLATION_TOL, True, False),
+             (lower - 0.5 * VIOLATION_TOL, False, False), (lower - 2.0 * VIOLATION_TOL, False, True)]
+    sf = StandardForm(2.0, 1.5, 1.0, -0.8)
+    samples = [bounds.Sample(i, sf, 1.75, 0.25, 1.5, 0.0) for i in range(len(cases))]
+    gems = [(nu, GemResult(m_from_nu_tilde(x), 0.0, x, 0.0, 1)) for x, _, _ in cases]
+    monkeypatch.setattr(bounds, "_confirmed_samples", lambda cfg: ((s, nu) for s in samples))
+    monkeypatch.setattr(bounds, "minimize_block", lambda forms, log_base, nu_sigmas: gems)
+    result = bound_experiment(SamplerConfig(seed=0, count=len(cases)))
+    assert [(p.violates_42, p.violates_46) for p in result.points] == [c[1:] for c in cases]
+    assert (result.violations_upper, result.violations_lower) == (1, 1)
+    assert result.min_upper_slack == nu - cases[1][0]
+    assert result.min_m_max_slack == 1.0 / nu**2 - m_from_nu_tilde(cases[3][0])
+
+
 class TestExperimentFailures:
     # fails the physicality gate in minimize_m; its spectrum exists
     UNPHYSICAL = StandardForm(0.8, 0.8, 0.1, -0.1)
@@ -249,7 +297,10 @@ class TestExperimentFailures:
         for at in (5, 255, 530):
             params.insert(at, (2.0, 0.0, 1.5, 0.0))
         stream = [bounds.Sample(i, sf, *p) for i, (sf, p) in enumerate(zip(states, params))]
-        monkeypatch.setattr(bounds, "iter_samples", lambda cfg: iter(stream))
+        # the sampler hands each state's nu_tilde_minus to the gate; a form
+        # without a spectrum has none, and the gate computes it
+        nus = [None if sf is self.NO_SPECTRUM else sf.spectrum().nu_tilde_minus for sf in states]
+        monkeypatch.setattr(bounds, "_confirmed_samples", lambda cfg: zip(stream, nus))
         result = bound_experiment(SamplerConfig(seed=3, count=len(stream)), log_base="e")
         expected = _scalar_experiment(stream, log_base="e")
         assert [index for index, _ in result.failures] == [5, 255, 530]

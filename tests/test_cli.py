@@ -248,6 +248,47 @@ def test_non_finite_scan_option_exits_64(argv, tmp_path, capsys, monkeypatch):
     assert not any(tmp_path.iterdir())
 
 
+# Beyond extremal.SCAN_LIMIT = 1e12 in magnitude; the first is the window
+# whose closed forms once overflowed into a cell labelled from inf - inf.
+BEYOND_LIMIT = [
+    ["scan", "--fixed-a", "1e200", "--b-range", "1e199", "1e200", "--g-range", "1", "1e250",
+     "--resolution", "4"],
+    # argparse reads "-2e12" as an option; a decimal point makes it a number
+    _with(SCAN_SLICE, "--fixed-a", 0, "-2000000000000.0"),
+    _with(SCAN_SLICE, "--b-range", 1, "1.0000000000001e12"),
+    _with(SCAN_3D, "--s-range", 0, "-10000000000000.0"),
+    _with(SCAN_3D, "--d-range", 1, "1e300"),
+    _with(SCAN_3D, "--g-range", 1, "2e12"),
+]
+
+
+@pytest.mark.parametrize("argv", BEYOND_LIMIT)
+def test_scan_option_beyond_the_limit_exits_64(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == EXIT_USAGE
+    assert "at most 1e+12 in magnitude" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--fixed-a", "1e12", "--b-range", "-1000000000000.0", "1e12",
+     "--g-range", "1", "1e12"],
+    ["scan", "--fixed-a", "-1000000000000.0", "--b-range", "1", "1e12",
+     "--g-range", "-1000000000000.0", "1e12"],
+    ["scan3d", "--s-range", "1", "1e12", "--d-range", "-1000000000000.0", "1e12",
+     "--g-range", "1", "1e12"],
+])
+def test_scan_at_the_limit_runs_without_floating_point_warnings(argv, tmp_path, capsys):
+    # RuntimeWarnings are errors in this suite
+    code, out, err = run(capsys, *argv, "--resolution", "6",
+                         "--grid", str(tmp_path / "grid.csv"),
+                         "--boundary", str(tmp_path / "b.csv"))
+    assert code == EXIT_OK, err
+    assert json.loads(out)["cells"] == 6 ** (3 if argv[0] == "scan3d" else 2)
+
+
 def _fmt(value) -> str:
     """How values were written before the template writer."""
     if isinstance(value, bool):

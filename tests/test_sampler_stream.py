@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twomode import bounds
@@ -120,10 +120,11 @@ def test_block_draws_equal_the_scalar_walk(mode, seed, s_max, indices):
 ])
 def test_screen_keeps_every_attempt_the_scalar_test_accepts(mode, s_max):
     u = np.random.default_rng(20261018).random((4000, 4))
-    spec = bounds._MODES[mode]
-    fields, short, keep = spec.screen(u, s_max)
+    fields, short, keep = bounds._MODES[mode].screen(u, s_max)
+    confirm = {"extremal_params": bounds._confirm_extremal,
+               "raw_standard_form": bounds._confirm_raw}[mode]
     for k, values in enumerate(zip(*(f.tolist() for f in fields))):
-        if not short[k] and spec.confirm(*values) is not None:
+        if not short[k] and confirm(*values) is not None:
             assert keep[k], values
 
 
@@ -342,3 +343,82 @@ def test_many_rounds_at_a_small_cap_equal_the_scalar_walk(
     assert read == len(script)
     assert got == want
     assert isinstance(got, str) if over_limit else len(got) == 1
+
+
+# Extremal attempts at the edges of every test the array confirm makes.
+CONFIRM_EDGES = [
+    (3.0, 0.5, 3.0, 1.0),  # lambda = +1
+    (3.0, 0.5, 3.0, -1.0),  # lambda = -1
+    (5.0, 1.5, 4.0, 0.3),  # g = 2|d| + 1
+    # Td^2 - 4g^2 rounds into (-1e-10 scale, 0) and into (0, 1e-12 scale]
+    (8.063821023262053, -6.4456265535238755, 13.891253107047751, -0.33768969776485314),
+    (26.07925961031258, 5.334312209796009, 11.668624419592017, 1.0),
+    # a near-pure GLEMS whose nu_minus discriminant rounds below -1e-9
+    # relative: spectrum() raises, so the confirm must too
+    (427650.34765625, 0.0, 1.0000855298695313, -1.0),
+    # Ts^2 - 4g^2 is negative beyond tolerance
+    (13.818994578216504, 12.136217415888211, 31.914135177452234, 0.32470433756239037),
+    # the domain's edges: beyond its tolerance 1e-12, or inside it (s and
+    # lambda below), where g <= s^2 - d^2 + 1e-12 still fails by rounding
+    (1.0 - 2e-12, 0.0, 1.0, 0.0),
+    (1.0 - 5e-13, 0.0, 1.0, 0.0),
+    (3.0, 2.000000000002, 5.000000000004, 0.5),
+    (3.0, 0.5, 1.999999999998, 0.0),
+    (2.0, 0.5, 3.75 + 2e-12, -1.0),
+    (3.0, 0.5, 2.5, 1.0 + 2e-12),
+    (3.0, 0.5, 2.5, -1.0 - 5e-13),
+    # nu_tilde_minus on either side of 1 - NEAR_SEPARABLE_TOL
+    (3.0, 0.5, 4.589762277224925, 0.2),
+    (3.0, 0.5, 4.589762277224926, 0.2),
+    (7.5, -2.0, 11.339803934091343, -0.6),
+    (7.5, -2.0, 11.339803934091345, -0.6),
+]
+
+
+@st.composite
+def _extremal_attempts(draw):
+    """(s, d, g, lambda) as the screen draws them, g also a little outside
+    the proposal window and lambda often at +-1."""
+    s = draw(st.floats(1.0, 1e6))
+    d = draw(st.floats(-1.0, 1.0)) * (s - 1.0)
+    g_lo = 2.0 * abs(d) + 1.0
+    g = g_lo + (2.0 * s - 1.0 - g_lo) * draw(st.floats(-0.01, 1.01))
+    lam = draw(st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)))
+    return s, d, g, lam
+
+
+def _outcome(confirm, *args):
+    """What ``confirm`` returns, or the type and message of its error."""
+    try:
+        return confirm(*args)
+    except TwoModeError as exc:
+        return type(exc), str(exc)
+
+
+def _bits(draw):
+    """An accepted draw's floats as hex strings, None for a rejection."""
+    if draw is None:
+        return None
+    (sf, *params), nu = draw
+    values = (sf.a, sf.b, sf.c_plus, sf.c_minus, *params, nu)
+    assert all(type(v) is float for v in values)
+    return [v.hex() for v in values]
+
+
+def _with_confirm_edges(test):
+    for row in CONFIRM_EDGES:
+        test = example(rows=[row])(test)
+    return example(rows=CONFIRM_EDGES)(test)
+
+
+@settings(max_examples=200, deadline=None)
+@_with_confirm_edges
+@given(rows=st.lists(_extremal_attempts(), min_size=1, max_size=8))
+def test_array_confirm_equals_the_scalar_confirm(rows):
+    want = [_outcome(bounds._confirm_extremal, *row) for row in rows]
+    got = _outcome(bounds._confirm_extremal_rows, *(np.array(c) for c in zip(*rows)))
+    raised = [w for w in want if w is not None and isinstance(w[0], type)]
+    if raised:
+        assert got == raised[0]
+    else:
+        assert [_bits(x) for x in got] == [_bits(x) for x in want]

@@ -27,6 +27,7 @@ from twomode import (
 )
 from twomode.errors import DomainError
 from twomode.extremal import (
+    SCAN_LIMIT,
     _closed_forms,
     _crossings,
     _domain_error,
@@ -193,3 +194,34 @@ def test_bisection_stops_where_no_double_lies_between():
     assert np.all((lo < g) & (g < glems_threshold(s, d)))
     below, above = np.nextafter(g, -np.inf), np.nextafter(g, np.inf)
     assert np.all(_ordering_gap(s, d, below) * _ordering_gap(s, d, above) <= 0.0)
+
+
+@pytest.mark.parametrize("scan, args, message", [
+    (scan_ordering_slice, (1e200, (1.0, 5.0), (1.0, 9.0)), "fixed a must be finite and at most"),
+    (scan_ordering_slice, (math.nan, (1.0, 5.0), (1.0, 9.0)), "fixed a must be finite"),
+    (scan_ordering_slice, (5.0, (1e199, 1e200), (1.0, 9.0)), "axis range must be finite and"),
+    (scan_ordering_slice, (5.0, (1.0, 5.0), (1.0, 2.0 * SCAN_LIMIT)), "at most 1e+12 in magnitude"),
+    (scan_ordering_3d, ((1.0, 5.0), (-SCAN_LIMIT * 1.5, 0.0), (1.0, 9.0)), "axis range"),
+    (scan_ordering_3d, ((1.0, math.inf), (0.0, 1.0), (1.0, 9.0)), "axis range"),
+])
+def test_scan_endpoints_beyond_the_limit_raise(scan, args, message):
+    with pytest.raises(DomainError, match=message.replace("+", r"\+")):
+        scan(*args, resolution=4)
+
+
+def test_scans_at_the_limit_stay_finite():
+    # every physical cell's closed forms and nu_tilde columns are finite, and
+    # no floating-point warning is raised (they are errors in this suite)
+    windows = [
+        (scan_ordering_slice, (SCAN_LIMIT, (-SCAN_LIMIT, SCAN_LIMIT), (1.0, SCAN_LIMIT))),
+        (scan_ordering_slice, (SCAN_LIMIT, (0.999 * SCAN_LIMIT, SCAN_LIMIT), (0.99 * SCAN_LIMIT,
+                                                                            SCAN_LIMIT))),
+        (scan_ordering_3d, ((0.5 * SCAN_LIMIT, SCAN_LIMIT), (-1e9, 1e9), (1.0, SCAN_LIMIT))),
+    ]
+    for scan, args in windows:
+        cells, _ = scan(*args, resolution=8)
+        physical = [c for c in cells if c.regime is not Regime.UNPHYSICAL]
+        assert physical
+        for c in physical:
+            assert math.isfinite(c.m_gmems) and math.isfinite(c.m_glems)
+            assert math.isfinite(c.nu_tilde_gmems)

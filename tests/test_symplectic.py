@@ -20,6 +20,7 @@ from twomode import (
     minimize_m,
 )
 from twomode.errors import DomainError, MalformedInputError, UnphysicalStateError
+from twomode.symplectic import _nu_pair, _nu_pairs
 
 from conftest import BLOCK_NOT_POSITIVE_DEFINITE, draw_entangled_states
 
@@ -164,6 +165,18 @@ class TestLocalInvariants:
             assert getattr(inv, field) == pytest.approx(getattr(ref, field), rel=1e-9, abs=1e-9)
 
 
+def _invariants_with_noisy_disc(values):
+    """(Delta, Det sigma, disc) of eigenvalues nu1 and nu2 = nu1 (1 + rel),
+    with disc moved by eps relative: below -1e-9 it has no spectrum, and a
+    negative disc above that is clamped to 0."""
+    nu1, rel, eps = values
+    nu2 = nu1 * (1.0 + rel)
+    delta = nu1 * nu1 + nu2 * nu2
+    det_sigma = (nu1 * nu2) * (nu1 * nu2)
+    scale = max(delta * delta, 4.0 * det_sigma, 1.0)
+    return delta, det_sigma, delta * delta - 4.0 * det_sigma + eps * scale
+
+
 class TestSpectrum:
     def test_vacuum(self):
         sp = symplectic_spectrum(np.eye(4))
@@ -207,6 +220,24 @@ class TestSpectrum:
     def test_physical_states_respect_uncertainty(self, rng):
         for _, sf in draw_entangled_states(rng, 25):
             assert sf.spectrum().nu_minus >= 1.0 - 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.one_of(
+        st.tuples(st.floats(0.1, 100.0), st.sampled_from([0.0, 1e-12, 1e-6, 0.5]),
+                  st.floats(-2e-9, 1e-9)).map(_invariants_with_noisy_disc),
+        # no spectrum (Delta^2 / 4 below Det sigma, Det sigma < 0) and a NaN
+        st.sampled_from([(-1.0, 1.0, 0.0), (2.0, -1.0, 8.0), (math.nan, 1.0, 1.0)]),
+    ), min_size=1, max_size=12))
+    def test_array_pairs_equal_float_pairs(self, rows):
+        # bit for bit, and NaN where the float call raises
+        got = _nu_pairs(*(np.array(c) for c in zip(*rows)))
+        for k, row in enumerate(rows):
+            try:
+                want = _nu_pair(*row)
+            except UnphysicalStateError:
+                want = (math.nan, math.nan)
+            for x, y in zip((got[0][k], got[1][k]), want):
+                assert float(x).hex() == y.hex() or (math.isnan(x) and math.isnan(y))
 
 
 class TestStandardForm:

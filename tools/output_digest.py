@@ -8,7 +8,9 @@ The runs are the `bounds` experiment (seed 1, 4000 states, both sampler
 modes; 200 raw-mode states at s_max 200, where the sampler rejects hundreds
 of attempts per state; 1000 extremal states at s_max 1e5, where large
 entries stress the minimizer's rounding; 500 extremal states at seed
-2**128 + 12345, whose five uint32 words take the seeding's longest hash),
+2**128 + 12345, whose five uint32 words take the seeding's longest hash;
+1000 extremal states with --log-base e, the only run whose log_neg and geof
+columns take natural logarithms),
 the criterion-5 `scan` window at resolutions 200 and 60, the README
 `scan3d` window at resolution 24, a `scan3d` window at s ~ 8.73e4 at
 resolution 8 (every cell physical), and four `measure` reports.  They run in a temporary directory against the
@@ -56,14 +58,15 @@ def _run(argv: list[str]) -> bytes:
 
 def _outputs():
     """(label, bytes) of every output, in a fixed order."""
-    runs = [("extremal_params", "4000", "20", "1", ""),
-            ("raw_standard_form", "4000", "20", "1", ""),
-            ("raw_standard_form", "200", "200", "1", " s_max 200"),
-            ("extremal_params", "1000", "1e5", "1", " s_max 1e5"),
-            ("extremal_params", "500", "20", str(2**128 + 12345), " seed 2**128+12345")]
-    for mode, samples, s_max, seed, tag in runs:
+    runs = [("extremal_params", "4000", "20", "1", "2", ""),
+            ("raw_standard_form", "4000", "20", "1", "2", ""),
+            ("raw_standard_form", "200", "200", "1", "2", " s_max 200"),
+            ("extremal_params", "1000", "1e5", "1", "2", " s_max 1e5"),
+            ("extremal_params", "500", "20", str(2**128 + 12345), "2", " seed 2**128+12345"),
+            ("extremal_params", "1000", "20", "1", "e", " log-base e")]
+    for mode, samples, s_max, seed, base, tag in runs:
         _run(["bounds", "--samples", samples, "--seed", seed, "--mode", mode, "--s-max", s_max,
-              "--points", "points.csv", "--curves", "curves.csv",
+              "--log-base", base, "--points", "points.csv", "--curves", "curves.csv",
               "--geof-curves", "geof.csv", "--summary", "summary.json"])
         for name in ("points.csv", "curves.csv", "geof.csv", "summary.json"):
             yield f"bounds {mode}{tag} {name}", Path(name).read_bytes()
