@@ -140,12 +140,13 @@ class ExperimentResult:
 
 
 # Attempts are drawn and screened in rounds.  Each round draws every
-# pending index's row of whole attempts from the offset it has walked to and
+# pending index's row of whole attempts from the double it has walked to and
 # screens all the rows as one array; only an attempt that passes the screen
 # builds a StandardForm.  Each index walks its row to the first attempt that
-# the screen keeps or that stops early.  Each attempt reads the doubles that
-# scalar ``rng.uniform`` calls would, in the same order, so sample i is the
-# same as drawn one value at a time.
+# the screen keeps or that stops early, and its PCG64 state, carried in
+# uint64 words, jumps past the doubles those attempts read.  Each attempt
+# reads the doubles that scalar ``rng.uniform`` calls would, in the same
+# order, so sample i is the same as drawn one value at a time.
 
 #: Indices seeded in one array pass, and states minimized at once by
 #: ``bound_experiment``: enough to spread the per-call cost of the array
@@ -161,6 +162,7 @@ _BLOCK = 256
 # HMC-CS-2014-0905) turns each window row into its (state, inc).  The
 # constants are numpy's (numpy/random/bit_generator.pyx and pcg64.h).
 _MASK32 = 0xFFFF_FFFF
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
 _INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
@@ -195,9 +197,40 @@ def _seed_prefix(seed: int) -> _Prefix:
     return np.random.SeedSequence(seed).pool.tolist(), list(chain)
 
 
-def _pcg64_states(prefix: _Prefix, indices: range) -> list[tuple[int, int]]:
-    """PCG64's (state, inc) after ``default_rng(SeedSequence(entropy=seed,
-    spawn_key=(i,)))`` for each i in ``indices``, given ``_seed_prefix(seed)``."""
+# PCG64's 128-bit states are carried as uint64 arrays of shape (2, ...): the
+# high words, then the low words.  Products wrap mod 2**64 in uint64, and the
+# high word of a low-word product is built from 32-bit limbs.
+_U32 = np.uint64(32)
+_LOW32 = np.uint64(_MASK32)
+
+
+def _words(values: list[int]) -> np.ndarray:
+    """Python ints below 2**128 as (high, low) uint64 words."""
+    return np.array([[v >> 64 for v in values], [v & _MASK64 for v in values]], dtype=np.uint64)
+
+
+def _mul_high(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """High words of the 128-bit products of uint64 arrays."""
+    x0, x1 = x & _LOW32, x >> _U32
+    y0, y1 = y & _LOW32, y >> _U32
+    cross0, cross1 = x0 * y1, x1 * y0
+    carry = (x0 * y0 >> _U32) + (cross0 & _LOW32) + (cross1 & _LOW32)
+    return x1 * y1 + (cross0 >> _U32) + (cross1 >> _U32) + (carry >> _U32)
+
+
+def _mul_add(a, x, c, y) -> tuple[np.ndarray, np.ndarray]:
+    """a x + c y mod 2**128 on (high, low) words; the words broadcast."""
+    ax, cy = a[1] * x[1], c[1] * y[1]
+    low = ax + cy
+    high = (_mul_high(a[1], x[1]) + a[0] * x[1] + a[1] * x[0]
+            + _mul_high(c[1], y[1]) + c[0] * y[1] + c[1] * y[0] + (low < cy))
+    return high, low
+
+
+def _pcg64_states(prefix: _Prefix, indices: range) -> tuple[np.ndarray, np.ndarray]:
+    """PCG64's state and inc words after ``default_rng(SeedSequence(entropy=
+    seed, spawn_key=(i,)))`` for each i in ``indices``, given
+    ``_seed_prefix(seed)``."""
     u32 = np.uint32
     index = np.arange(indices.start, indices.stop, dtype=np.int64).astype(u32)
     pool = []
@@ -214,39 +247,25 @@ def _pcg64_states(prefix: _Prefix, indices: range) -> list[tuple[int, int]]:
         out.append((w ^ w >> u32(16)).astype(np.uint64))
     # generate_state's uint64 word j is out[2j] | out[2j + 1] << 32; words
     # 0-1 are initstate's high and low halves, words 2-3 initseq's.
-    words = ((out[j] | out[j + 1] << np.uint64(32)).tolist() for j in range(0, 8, 2))
-    states = []
-    for state_hi, state_lo, seq_hi, seq_lo in zip(*words):
-        # pcg64_set_seed: inc from initseq, one step from state 0, add
-        # initstate, one more step
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-        state = ((state_hi << 64 | state_lo) + inc) * _PCG64_MULT + inc
-        states.append((state & _MASK128, inc))
-    return states
+    init_hi, init_lo, seq_hi, seq_lo = (out[j] | out[j + 1] << _U32 for j in range(0, 8, 2))
+    one = np.uint64(1)
+    inc = np.array([seq_hi << one | seq_lo >> np.uint64(63), seq_lo << one | one])
+    # pcg64_set_seed: inc from initseq, one step from state 0, add initstate,
+    # one more step: a (initstate + inc) + inc
+    mult, mult_1 = _words([_PCG64_MULT, _PCG64_MULT + 1]).T[:, :, None]
+    return np.array(_mul_add(mult, (init_hi, init_lo), mult_1, inc)), inc
 
 
-class _Stream(NamedTuple):
-    """One index's seeded PCG64 (state, inc), drawn by a generator that
-    every stream of a run shares and that each draw loads afresh."""
-
-    generator: np.random.Generator
-    state: int
-    inc: int
-
-    def draw(self, offset: int, n: int) -> np.ndarray:
-        """Doubles ``offset`` to ``offset + n - 1``, one 64-bit output each."""
-        bits = self.generator.bit_generator
-        bits.state = {"bit_generator": "PCG64", "state": {"state": self.state, "inc": self.inc},
-                      "has_uint32": 0, "uinteger": 0}
-        if offset:
-            bits.advance(offset)
-        return self.generator.random(n)
-
-
-def _streams(prefix: _Prefix, indices: range,
-             generator: np.random.Generator) -> list[_Stream]:
-    """The streams of ``indices``, seeded in one array pass."""
-    return [_Stream(generator, state, inc) for state, inc in _pcg64_states(prefix, indices)]
+def _lcg_powers(step: tuple[int, int], count: int) -> list[tuple[int, int]]:
+    """(A_j, C_j) of 0 .. count - 1 repeats of the jump ``step`` = (A, C) of
+    PCG64's LCG.  k steps take state s to A_k s + C_k inc mod 2**128, with
+    A_k = a**k and C_k = a**(k-1) + ... + a + 1 (Brown, Trans. Am. Nucl.
+    Soc. 71, 1994); one more jump gives A A_j and A C_j + C."""
+    table = [(1, 0)]
+    while len(table) < count:
+        a_j, c_j = table[-1]
+        table.append((step[0] * a_j & _MASK128, (step[0] * c_j + step[1]) & _MASK128))
+    return table
 
 
 #: The row of attempts doubles each round after the first
@@ -368,48 +387,100 @@ class _Mode:
     #: attempts, a raw one 37 at s_max 20 and 740 at s_max 200.
     first_block: int
     #: Indices whose rows are screened as one array.  Extremal rows are short,
-    #: so a whole seeding window goes at once.  Raw rows are long: larger
-    #: chunks save little time and raise a run's peak memory (at 64 the
-    #: screen's temporaries doubled the traced peak of a 1000-state raw run).
+    #: so a whole seeding window goes at once.  Raw rows are long, and a
+    #: chunk takes about two rounds of fixed per-call costs: 24 indices took
+    #: about 10% less sampler time than 16, and 32 raised the traced peak
+    #: of a 4000-state raw bound_experiment by 6.5% over 16 (24 by 4%).
     chunk: int
 
 
 _MODES = {
     "extremal_params": _Mode(_screen_extremal, _confirm_extremal_rows, 3, 4, _BLOCK),
-    "raw_standard_form": _Mode(_screen_raw, _confirm_raw_rows, 2, 64, 16),
+    "raw_standard_form": _Mode(_screen_raw, _confirm_raw_rows, 2, 64, 24),
 }
 
 
-class _IndexWalk:
-    """One index's stream, the doubles and attempts it has walked, and the
-    accepted draw.  Each round draws a row at ``offset`` and ``advance``s."""
-
-    __slots__ = ("index", "stream", "offset", "walked", "draw")
-
-    def __init__(self, index: int, stream: _Stream):
-        self.index = index
-        self.stream = stream
-        self.offset = 0
-        self.walked = 0
-        self.draw: _Draw | None = None
-
-    def advance(self, attempts: int, doubles: int) -> None:
-        """Walk ``attempts`` attempts, which read the row's first ``doubles``
-        doubles."""
-        self.walked += attempts
-        self.offset += doubles
+#: Longest row, in doubles, that ``_Streams.draw`` computes in one array
+#: pass; numpy's generator draws longer ones.  Per row of a 256-row pass on
+#: a 2-core x86_64 host: 0.95, 2.4 and 4.6 us at 16, 32 and 64 doubles,
+#: against 4.0 us by numpy.
+_ARRAY_ROW = 32
+#: The longest walk of a round: a full row of ``_MAX_BLOCK`` attempts.
+_LONGEST_WALK = _WIDTH * _MAX_BLOCK
+#: Jumps of 0 .. 63 steps, and of the multiples of 64 steps up to
+#: _LONGEST_WALK: about 100 entries where one table would need 2049.
+_NEAR_JUMPS = _lcg_powers((_PCG64_MULT, 1), 65)
+_FAR_JUMPS = _lcg_powers(_NEAR_JUMPS[64], _LONGEST_WALK // 64 + 1)
 
 
-def _chunk_samples(mode: _Mode, s_max: float, indices: range,
-                   streams: list[_Stream]) -> Iterator[tuple[Sample, float]]:
-    """Samples of consecutive ``indices`` with their nu_tilde_minus, each
-    yielded once it and every index before it is decided."""
-    walks = [_IndexWalk(index, stream) for index, stream in zip(indices, streams)]
-    pending = walks
+def _jump(k: int) -> tuple[int, int]:
+    """(A_k, C_k) for 0 <= k <= _LONGEST_WALK: a far jump, then a near one."""
+    (a_far, c_far), (a, c) = _FAR_JUMPS[k >> 6], _NEAR_JUMPS[k & 63]
+    return a * a_far & _MASK128, (a * c_far + c) & _MASK128
+
+
+#: The words of (A_k, C_k) for k = 1 .. _ARRAY_ROW: (A or C, high or low, k).
+_STEPS = np.array([_words(list(column)) for column in zip(*map(_jump, range(1, _ARRAY_ROW + 1)))])
+
+
+class _Streams:
+    """The PCG64 streams of a window of indices, each carried in (high, low)
+    words to the double its walk has reached.  ``draw`` reads rows from
+    there and ``walk`` carries the rows of the last draw on: the one seam
+    between the walk and its random numbers."""
+
+    def __init__(self, prefix: _Prefix, indices: range):
+        self.state, self.inc = _pcg64_states(prefix, indices)
+        self.generator = np.random.Generator(np.random.PCG64(0))
+        self._drawn = None
+
+    def draw(self, rows: np.ndarray, n: int) -> np.ndarray:
+        """The next ``n`` doubles of each of ``rows``, one row each."""
+        state, inc = self.state[:, rows], self.inc[:, rows]
+        if n <= _ARRAY_ROW:
+            # the states after 1 .. n steps of every row; each is a double
+            steps = _STEPS[:, :, None, :n]
+            high, low = _mul_add(steps[0], state[:, :, None], steps[1], inc[:, :, None])
+            self._drawn = rows, lambda moved, doubles: (high[moved, doubles - 1],
+                                                        low[moved, doubles - 1])
+            # numpy's random(): the XSL-RR output rotr64(high ^ low, high >>
+            # 58), then its top 53 bits times 2**-53
+            x, turn = high ^ low, high >> np.uint64(58)
+            x = x >> turn | x << ((np.uint64(64) - turn) & np.uint64(63))
+            return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        states, incs = ([hi << 64 | lo for hi, lo in zip(*w.tolist())] for w in (state, inc))
+        self._drawn = rows, lambda moved, doubles: _words([
+            (a * states[k] + c * incs[k]) & _MASK128
+            for k, (a, c) in zip(moved.tolist(), map(_jump, doubles.tolist()))])
+        bits = self.generator.bit_generator
+        u = np.empty((len(rows), n))
+        for row, s, i in zip(u, states, incs):
+            bits.state = {"bit_generator": "PCG64", "state": {"state": s, "inc": i},
+                          "has_uint32": 0, "uinteger": 0}
+            self.generator.random(out=row)
+        return u
+
+    def walk(self, moved: np.ndarray, doubles: np.ndarray) -> None:
+        """Carry the rows ``moved`` of the last draw past their first
+        ``doubles`` (1 to n) doubles; the other rows keep their state."""
+        rows, carry = self._drawn
+        self._drawn = None
+        self.state[:, rows[moved]] = carry(moved, doubles)
+
+
+def _chunk_samples(mode: _Mode, s_max: float, indices: range, streams: _Streams,
+                   start: int) -> Iterator[tuple[Sample, float]]:
+    """Samples of consecutive ``indices``, rows ``start`` on of ``streams``,
+    with their nu_tilde_minus, each yielded once it and every index before
+    it is decided."""
+    size = len(indices)
+    walked = np.zeros(size, dtype=np.int64)
+    draws: list[_Draw | None] = [None] * size
+    pending = np.arange(size)
     attempts = mode.first_block
     done = 0
-    while pending:
-        rows = np.stack([w.stream.draw(w.offset, _WIDTH * attempts) for w in pending])
+    while pending.size:
+        rows = streams.draw(start + pending, _WIDTH * attempts)
         fields, short, keep = mode.screen(rows.reshape(len(pending), attempts, _WIDTH), s_max)
         # Each row is walked to its first attempt that the screen keeps or
         # that stops early, and no further.  The kept attempts of the round
@@ -417,33 +488,30 @@ def _chunk_samples(mode: _Mode, s_max: float, indices: range,
         stop = short | keep
         lead = np.arange(len(pending))
         first = stop.argmax(axis=1)
-        first_keep = keep[lead, first]
-        kept = []
-        for w, k, stops, keeps in zip(pending, first.tolist(), stop[lead, first].tolist(),
-                                      first_keep.tolist()):
-            if not stops:
-                w.advance(attempts, _WIDTH * attempts)
-            elif keeps:
-                kept.append(w)
-                w.advance(k + 1, _WIDTH * (k + 1))
-            else:
-                w.advance(k + 1, _WIDTH * k + mode.short_width)
-        if kept:
-            rows_kept = lead[first_keep]
-            columns = (f[rows_kept, first[rows_kept]] for f in fields)
-            for w, draw in zip(kept, mode.confirm(*columns)):
-                w.draw = draw
-        pending = [w for w in pending if w.draw is None and w.walked < _MAX_REJECTIONS]
-        for w in walks[done:]:
-            if w.draw is None and w.walked < _MAX_REJECTIONS:
-                break
-            if w.draw is None or w.walked > _MAX_REJECTIONS:
+        stops, keeps = stop[lead, first], keep[lead, first]
+        steps = np.where(stops, first + 1, attempts)
+        walked[pending] += steps
+        # an early stop reads short_width of its _WIDTH doubles
+        read = _WIDTH * steps - (_WIDTH - mode.short_width) * short[lead, first]
+        kept = lead[keeps]
+        if kept.size:
+            confirmed = mode.confirm(*(f[kept, first[kept]] for f in fields))
+            for k, draw in zip(pending[kept].tolist(), confirmed):
+                draws[k] = draw
+        undecided = np.array([draws[k] is None for k in pending.tolist()], dtype=bool)
+        # only the rows that go on need their streams carried
+        going = np.flatnonzero(undecided & (walked[pending] < _MAX_REJECTIONS))
+        streams.walk(going, read[going])
+        pending = pending[going]
+        end = int(pending[0]) if pending.size else size
+        for k, walked_k in zip(range(done, end), walked[done:end].tolist()):
+            if draws[k] is None or walked_k > _MAX_REJECTIONS:
                 raise SamplingError(
-                    f"no acceptable state after {_MAX_REJECTIONS} rejections at index {w.index}"
+                    f"no acceptable state after {_MAX_REJECTIONS} rejections at index {indices[k]}"
                 )
-            done += 1
-            fields_k, nu = w.draw
-            yield Sample(w.index, *fields_k), nu
+            fields_k, nu = draws[k]
+            yield Sample(indices[k], *fields_k), nu
+        done = end
         attempts = min(2 * attempts, _MAX_BLOCK)
 
 
@@ -454,13 +522,11 @@ def _confirmed_samples(cfg: SamplerConfig) -> Iterator[tuple[Sample, float]]:
     mode = _MODES[cfg.mode]
     s_max = float(cfg.s_max)
     prefix = _seed_prefix(operator.index(cfg.seed))
-    generator = np.random.Generator(np.random.PCG64(0))
     for start in range(0, cfg.count, _BLOCK):
         window = range(start, min(start + _BLOCK, cfg.count))
-        streams = _streams(prefix, window, generator)
+        streams = _Streams(prefix, window)
         for k in range(0, len(window), mode.chunk):
-            yield from _chunk_samples(
-                mode, s_max, window[k:k + mode.chunk], streams[k:k + mode.chunk])
+            yield from _chunk_samples(mode, s_max, window[k:k + mode.chunk], streams, k)
 
 
 def iter_samples(cfg: SamplerConfig) -> Iterator[Sample]:
@@ -481,9 +547,12 @@ def iter_samples(cfg: SamplerConfig) -> Iterator[Sample]:
     The stream of index i is the doubles of
     ``default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))``, bit for
     bit.  The streams are seeded in one array pass per window of 256
-    indices and drawn by numpy's PCG64, on one generator per call that
-    each round seeds and advances to the index's walked offset.
-    ``cfg.count`` is at most ``COUNT_LIMIT`` (2**32).
+    indices, and each index's PCG64 state is carried in uint64 words to
+    the double its walk has reached: k steps of the LCG are one
+    multiply-add from a jump table.  A round's rows of up to 32 doubles are
+    computed for all pending indices in one array pass; numpy's generator
+    draws longer rows from each loaded state.  ``cfg.count`` is at most
+    ``COUNT_LIMIT`` (2**32).
     """
     return (sample for sample, _ in _confirmed_samples(cfg))
 

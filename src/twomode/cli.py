@@ -14,6 +14,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict
 
@@ -44,6 +45,12 @@ SEED_ENV_VAR = "TWOMODE_SEED"
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern reads "-2e0" as an option, not a number;
+        # subparsers are built by this class too
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 

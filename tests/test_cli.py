@@ -253,8 +253,10 @@ def test_non_finite_scan_option_exits_64(argv, tmp_path, capsys, monkeypatch):
 BEYOND_LIMIT = [
     ["scan", "--fixed-a", "1e200", "--b-range", "1e199", "1e200", "--g-range", "1", "1e250",
      "--resolution", "4"],
-    # argparse reads "-2e12" as an option; a decimal point makes it a number
+    # negative values in decimal and in exponent form
     _with(SCAN_SLICE, "--fixed-a", 0, "-2000000000000.0"),
+    _with(SCAN_SLICE, "--fixed-a", 0, "-2e12"),
+    ["scan3d", "--s-range", "1.5", "5", "--d-range", "-1e13", "2", "--g-range", "1", "9"],
     _with(SCAN_SLICE, "--b-range", 1, "1.0000000000001e12"),
     _with(SCAN_3D, "--s-range", 0, "-10000000000000.0"),
     _with(SCAN_3D, "--d-range", 1, "1e300"),
@@ -270,6 +272,27 @@ def test_scan_option_beyond_the_limit_exits_64(argv, tmp_path, capsys, monkeypat
     assert info.value.code == EXIT_USAGE
     assert "at most 1e+12 in magnitude" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("plain, exponent", [("-2", "-2e0"), ("-1.5", "-1.5E+0")])
+def test_negative_values_in_exponent_form_are_numbers(plain, exponent, tmp_path, capsys):
+    grids = []
+    for k, value in enumerate((plain, exponent)):
+        grid = tmp_path / f"grid{k}.csv"
+        code, _, err = run(capsys, "scan3d", "--s-range", "1.5", "5", "--d-range", value, "2",
+                           "--g-range", "1", "9", "--resolution", "5",
+                           "--grid", str(grid), "--boundary", str(tmp_path / "b.csv"))
+        assert code == EXIT_OK, err
+        grids.append(grid.read_bytes())
+    assert grids[0] == grids[1]
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["scan3d", "-h"], ["bounds", "-h"]])
+def test_help_options_still_parse(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: twomode")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,12 +1,14 @@
 """The block sampler against the scalar attempt walk it replaces.
 
-``iter_samples`` seeds each window of indices in one array pass, draws each
-index's doubles in blocks and screens them as arrays.  The reference here is
-the scalar walk: one ``rng.uniform`` call per value, one ``StandardForm`` per
-attempt, from numpy's own per-index generator (``_rng_for``).  Both must
-give equal samples, attempt by attempt, including the attempts that read
-fewer than four doubles and the limit on attempts, and the array seeding
-must give numpy's PCG64 state bit for bit.
+``iter_samples`` seeds each window of indices in one array pass, carries
+each index's PCG64 state in uint64 words, draws its doubles in rows and
+screens them as arrays.  The reference here is the scalar walk: one
+``rng.uniform`` call per value, one ``StandardForm`` per attempt, from
+numpy's own per-index generator (``_rng_for``).  Both must give equal
+samples, attempt by attempt, including the attempts that read fewer than
+four doubles and the limit on attempts, and the array seeding, the 128-bit
+arithmetic and the rows drawn from carried states must give numpy's PCG64
+states and doubles bit for bit.
 """
 
 import dataclasses
@@ -135,8 +137,8 @@ def test_sample_does_not_depend_on_count(mode):
 
 
 def test_interleaved_iterators_yield_what_each_yields_alone():
-    # every call owns a generator, and each draw loads its stream's seeded
-    # state without yielding in between
+    # every window owns its streams and generator, and each draw loads a
+    # stream's carried state without yielding in between
     configs = [SamplerConfig(seed=5, count=300, mode="extremal_params"),
                SamplerConfig(seed=2**128, count=300, mode="raw_standard_form")]
     alone = [list(iter_samples(cfg)) for cfg in configs]
@@ -150,6 +152,13 @@ EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96, 2**128 - 1, 2**12
               2**160 - 1]
 # Windows at both ends of the index range.
 INDEX_STARTS = [0, 1, 2**31, 2**32 - 8]
+MASK64 = 2**64 - 1
+MASK128 = 2**128 - 1
+
+
+def _ints(words):
+    """The Python ints of (high, low) uint64 word columns."""
+    return [hi << 64 | lo for hi, lo in zip(*np.asarray(words).tolist())]
 
 
 def _numpy_state(seed, index):
@@ -164,27 +173,116 @@ def _numpy_state(seed, index):
        width=st.integers(1, 8))
 def test_array_seeding_equals_numpy_seed_sequence(seed, start, width):
     indices = range(start, start + width)
-    got = bounds._pcg64_states(bounds._seed_prefix(seed), indices)
+    state, inc = bounds._pcg64_states(bounds._seed_prefix(seed), indices)
+    got = list(zip(_ints(state), _ints(inc)))
     assert got == [_numpy_state(seed, i) for i in indices]
+
+
+# 128-bit values whose words carry into the next limb or word when added or
+# multiplied.
+CARRY_EDGES = [MASK64, MASK64 << 64, MASK128, 2**64, 2**63, 2**32 - 1, 2**96 - 1]
+
+
+@settings(max_examples=100, deadline=None)
+@example(a=MASK64, x=MASK64, c=MASK64, y=MASK64)
+@example(a=MASK64 << 64, x=MASK64, c=MASK64, y=MASK64 << 64)
+@example(a=MASK128, x=MASK128, c=MASK128, y=MASK128)
+@given(a=st.one_of(st.sampled_from(CARRY_EDGES), st.integers(0, MASK128)),
+       x=st.one_of(st.sampled_from(CARRY_EDGES), st.integers(0, MASK128)),
+       c=st.one_of(st.sampled_from(CARRY_EDGES), st.integers(0, MASK128)),
+       y=st.one_of(st.sampled_from(CARRY_EDGES), st.integers(0, MASK128)))
+def test_mul_add_equals_python_ints(a, x, c, y):
+    words = [bounds._words([v]) for v in (a, x, c, y)]
+    assert _ints(bounds._mul_add(*words)) == [(a * x + c * y) & MASK128]
+
+
+def _generator_at(state, inc):
+    """A numpy generator loaded with the PCG64 (state, inc)."""
+    generator = np.random.Generator(np.random.PCG64(0))
+    generator.bit_generator.state = {"bit_generator": "PCG64",
+                                     "state": {"state": state, "inc": inc},
+                                     "has_uint32": 0, "uinteger": 0}
+    return generator
+
+
+def test_jump_table_equals_numpy_advance():
+    state, inc = _numpy_state(20261019, 0)
+    bits = _generator_at(state, inc).bit_generator
+    for k in range(bounds._LONGEST_WALK + 1):
+        a, c = bounds._jump(k)
+        bits.state = _generator_at(state, inc).bit_generator.state
+        bits.advance(k)
+        assert bits.state["state"]["state"] == (a * state + c * inc) & MASK128, k
+
+
+# The widest row a round draws, and the longest walk it takes.
+FULL_ROW = bounds._LONGEST_WALK
+WIDE = bounds._ARRAY_ROW + 1
+
+
+@settings(max_examples=60, deadline=None)
+@example(state=MASK64, inc=MASK64, n=1, walk=1)  # the first step, (A_1, C_1)
+@example(state=MASK64 << 64, inc=MASK64 << 64 | 1, n=bounds._ARRAY_ROW, walk=bounds._ARRAY_ROW)
+@example(state=MASK128, inc=MASK128, n=WIDE, walk=1)
+@example(state=MASK128, inc=MASK64, n=FULL_ROW, walk=FULL_ROW)  # the last jump
+@example(state=0, inc=1, n=bounds._ARRAY_ROW, walk=1)
+@given(state=st.one_of(st.sampled_from(CARRY_EDGES), st.integers(0, MASK128)),
+       inc=st.one_of(st.sampled_from(CARRY_EDGES), st.integers(0, MASK128)).map(lambda v: v | 1),
+       n=st.one_of(st.sampled_from([1, bounds._ARRAY_ROW, WIDE, FULL_ROW]),
+                   st.integers(1, 2 * bounds._ARRAY_ROW)),
+       walk=st.integers(1, FULL_ROW))
+def test_carried_states_draw_numpy_doubles(state, inc, n, walk):
+    # Two rows on both sides of the crossover between the array pass and
+    # numpy's generator: the given state, walked ``walk`` doubles of its
+    # row, and its complement, walked the whole row.
+    walk = min(walk, n)
+    pairs = [(state, inc), (MASK128 - state, inc)]
+    streams = bounds._Streams(bounds._seed_prefix(0), range(2))
+    streams.state, streams.inc = (bounds._words(list(v)) for v in zip(*pairs))
+    rows = np.array([0, 1])
+    got = streams.draw(rows, n)
+    streams.walk(np.arange(2), np.array([walk, n]))
+    then = streams.draw(rows, n)
+    for k, offset in enumerate((walk, n)):
+        want = _generator_at(*pairs[k]).random(offset + n)
+        assert got[k].tolist() == want[:n].tolist()
+        assert then[k].tolist() == want[offset:].tolist()
+        bits = _generator_at(*pairs[k]).bit_generator
+        bits.advance(offset)
+        assert _ints(streams.state)[k] == bits.state["state"]["state"]
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**128])
 def test_streams_draw_the_doubles_of_numpy_generators(seed):
-    generator = np.random.Generator(np.random.PCG64(0))
     indices = range(2**32 - bounds._BLOCK, 2**32)
-    streams = bounds._streams(bounds._seed_prefix(seed), indices, generator)
-    for i in (indices[0], indices[1], indices[-1]):
-        stream, rng = streams[i - indices.start], _rng_for(seed, i)
-        offset = 0
-        for n in (5, 1, 12):
-            assert stream.draw(offset, n).tolist() == rng.random(n).tolist()
-            offset += n
-    # the first of a window's streams again, after its neighbours drew
-    assert streams[0].draw(18, 3).tolist() == _rng_for(seed, indices[0]).random(21)[18:].tolist()
+    streams = bounds._Streams(bounds._seed_prefix(seed), indices)
+    edges = [indices[0], indices[1], indices[-1]]
+    rows = np.array([i - indices.start for i in edges])
+    generators = [_rng_for(seed, i) for i in edges]
+    for n in (5, 1, 12):
+        got = streams.draw(rows, n)
+        streams.walk(np.arange(len(rows)), np.full(len(rows), n))
+        assert got.tolist() == [rng.random(n).tolist() for rng in generators]
+    # the first of a window's streams again, after its neighbours drew a
+    # row of numpy's generator
+    streams.draw(rows[1:], WIDE)
+    streams.walk(np.arange(2), np.full(2, WIDE))
+    assert (streams.draw(rows[:1], 3).tolist()
+            == [_rng_for(seed, indices[0]).random(21)[18:].tolist()])
 
 
 # Offsets as far as the attempt limit lets a walk reach.
 LAST_OFFSET = bounds._WIDTH * bounds._MAX_REJECTIONS
+
+
+def _walk_to(streams, rows, offset):
+    """Carry ``rows`` of ``streams`` ``offset`` doubles on, one jump per
+    row drawn, each at most a full row."""
+    while offset:
+        n = min(offset, FULL_ROW)
+        streams.draw(rows, n)
+        streams.walk(np.arange(len(rows)), np.full(len(rows), n))
+        offset -= n
 
 
 @settings(max_examples=30, deadline=None)
@@ -193,23 +291,22 @@ LAST_OFFSET = bounds._WIDTH * bounds._MAX_REJECTIONS
        offset=st.one_of(st.sampled_from([0, 1, LAST_OFFSET]), st.integers(0, LAST_OFFSET)),
        n=st.integers(1, 64))
 def test_draw_at_an_offset_equals_numpy_doubles(seed, index, offset, n):
-    # the stream and its neighbour in a window of two share one generator
+    # the stream and its neighbour in a window of two, each walked on its own
     pair = range(index & ~1, (index & ~1) + 2)
-    streams = bounds._streams(
-        bounds._seed_prefix(seed), pair, np.random.Generator(np.random.PCG64(0)))
-    stream, neighbour = streams[index - pair.start], streams[pair.start + 1 - index]
+    streams = bounds._Streams(bounds._seed_prefix(seed), pair)
+    row, neighbour = np.array([index - pair.start]), np.array([pair.start + 1 - index])
     want = _rng_for(seed, index).random(offset + n)[offset:].tolist()
-    neighbour.draw(offset, 8)
-    assert stream.draw(offset, n).tolist() == want
-    neighbour.draw(0, 8)
-    assert stream.draw(offset, n).tolist() == want
+    _walk_to(streams, row, offset)
+    _walk_to(streams, neighbour, 8)
+    assert streams.draw(row, n)[0].tolist() == want
+    streams.draw(neighbour, 8)
+    assert streams.draw(row, n)[0].tolist() == want
 
 
 class ScriptedGenerator:
-    """Generator and stream test double: ``uniform`` reads a list of doubles
-    in turn and ``draw`` at an offset, then zeros, which make every attempt
-    stop early (a = b = 1 in raw mode, |d| = s - 1 in extremal mode) so none
-    is ever accepted."""
+    """Generator test double: ``uniform`` reads a list of doubles in turn,
+    then zeros, which make every attempt stop early (a = b = 1 in raw mode,
+    |d| = s - 1 in extremal mode) so none is ever accepted."""
 
     def __init__(self, doubles):
         self.doubles = list(doubles)
@@ -223,9 +320,26 @@ class ScriptedGenerator:
     def uniform(self, low, high):
         return low + (high - low) * self._next()
 
-    def draw(self, offset, n):
-        return np.array([self.doubles[k] if k < len(self.doubles) else 0.0
-                         for k in range(offset, offset + n)])
+
+class ScriptedStreams:
+    """``bounds._Streams`` test double: each row's doubles are its script
+    from the offset its walk has reached, then zeros, as for
+    ``ScriptedGenerator``."""
+
+    def __init__(self, scripts):
+        self.scripts = [list(script) for script in scripts]
+        self.offsets = [0] * len(self.scripts)
+        self.rows = []
+
+    def draw(self, rows, n):
+        self.rows = rows.tolist()
+        return np.array([[script[k] if k < len(script) else 0.0 for k in range(offset, offset + n)]
+                         for script, offset in ((self.scripts[r], self.offsets[r])
+                                                for r in self.rows)])
+
+    def walk(self, moved, doubles):
+        for k, n in zip(moved.tolist(), doubles.tolist()):
+            self.offsets[self.rows[k]] += n
 
 
 S_MAX = 20.0
@@ -242,10 +356,10 @@ SHORT = {"raw_standard_form": RAW_SHORT, "extremal_params": EXT_SHORT}
 
 
 def _script_streams(monkeypatch, script_of):
-    """Give every index of ``iter_samples`` the scripted generator
-    ``script_of(index)`` in place of its stream."""
-    monkeypatch.setattr(bounds, "_streams", lambda prefix, indices, generator: [
-        ScriptedGenerator(script_of(i)) for i in indices])
+    """Give every index of ``iter_samples`` the doubles ``script_of(index)``
+    in place of its stream."""
+    monkeypatch.setattr(bounds, "_Streams", lambda prefix, indices: ScriptedStreams(
+        script_of(i) for i in indices))
 
 
 def _scripted(monkeypatch, mode, script):

@@ -1,4 +1,4 @@
-"""Check the sampler's array seeding against numpy on many (seed, index) pairs.
+"""Check the sampler's array seeding and rows against numpy on many (seed, index) pairs.
 
 Usage, from anywhere:
 
@@ -7,15 +7,18 @@ Usage, from anywhere:
 For every pair, the PCG64 (state, inc) that ``twomode.bounds`` computes in
 its array pass must equal the state of
 ``default_rng(SeedSequence(entropy=seed, spawn_key=(index,)))``, and the
-first index of every window must draw the same doubles: its first 8, and 8
+first 8 doubles that the sampler's array pass draws for the index must be
+numpy's.  The first index of every window must also draw numpy's 8 doubles
 at a random offset up to the sampler's attempt limit (log-uniform, so both
-short and long ``advance`` jumps are checked).  The seeds span one to six
-uint32 words (word-count edges such as 2**32 - 1, 2**32, 2**128 - 1 and
-2**128, then random ones); the windows of 256 indices sit at 0, at the top
-of the index range (2**32 - 256) and at random starts.  It prints the pair
-count and the mismatch count, and exits 1 on any mismatch.  At
-PAIRS = 1,000,000 it takes about 20 s on a 2-core x86_64 host, most of it
-in numpy's per-pair construction.
+short and long walks are checked), reached as the sampler reaches it: one
+jump of the carried state per row drawn, each at most a full row.  The
+seeds span one to six uint32 words (word-count edges such as 2**32 - 1,
+2**32, 2**128 - 1 and 2**128, then random ones); the windows of 256 indices
+sit at 0, at the top of the index range (2**32 - 256) and at random starts.
+It prints the pair count and the mismatch count, and exits 1 on any
+mismatch.  At PAIRS = 1,000,000 it takes about 45 s on a 2-core x86_64
+host: about 30 s in numpy's per-pair construction, most of the rest in the
+walks.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ WINDOW = bounds._BLOCK
 INDEX_TOP = bounds.COUNT_LIMIT - WINDOW
 #: The furthest a sample's walk draws into its stream.
 LAST_OFFSET = bounds._WIDTH * bounds._MAX_REJECTIONS
+#: The longest row, and so the longest jump, of a sampler round.
+FULL_ROW = bounds._LONGEST_WALK
 
 
 def _seeds(rng: np.random.Generator) -> list[int]:
@@ -49,33 +54,64 @@ def _window_starts(rng: np.random.Generator, count: int) -> list[int]:
     return ([0, INDEX_TOP] + rng.integers(0, INDEX_TOP, max(count - 2, 0)).tolist())[:count]
 
 
+def _ints(words: np.ndarray) -> list[int]:
+    return [hi << 64 | lo for hi, lo in zip(*words.tolist())]
+
+
+def _walked_rows(streams: bounds._Streams, offsets: np.ndarray, n: int) -> np.ndarray:
+    """The ``n`` doubles of each row of ``streams`` at its offset, reached
+    as the sampler reaches it: a row of at most FULL_ROW doubles drawn and
+    walked at a time."""
+    left = offsets.copy()
+    while (rows := np.flatnonzero(left)).size:
+        streams.draw(rows, FULL_ROW)
+        step = np.minimum(left[rows], FULL_ROW)
+        streams.walk(np.arange(len(rows)), step)
+        left[rows] -= step
+    return streams.draw(np.arange(len(offsets)), n)
+
+
 def main() -> int:
     rng = np.random.default_rng(20261018)
     seeds = _seeds(rng)
     windows_per_seed = -(-PAIRS // (WINDOW * len(seeds)))
-    generator = np.random.Generator(np.random.PCG64(0))
     pairs = mismatches = 0
     for seed in seeds:
         prefix = bounds._seed_prefix(seed)
+        # each window's first stream: its words, offset and numpy's doubles there
+        states, incs, offsets, firsts, wanted = [], [], [], [], []
         for start in _window_starts(rng, windows_per_seed):
             indices = range(start, start + WINDOW)
-            got = bounds._pcg64_states(prefix, indices)
-            for index, (state, inc) in zip(indices, got):
+            streams = bounds._Streams(prefix, indices)
+            got = zip(indices, _ints(streams.state), _ints(streams.inc),
+                      streams.draw(np.arange(WINDOW), 8).tolist())
+            offset = int(LAST_OFFSET ** rng.random())  # at least 1
+            for index, state, inc, row in got:
                 reference = np.random.default_rng(
                     np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
                 want = reference.bit_generator.state
                 pairs += 1
+                doubles = reference.random(offset + 8 if index == start else 8)
                 if (state, inc) != (want["state"]["state"], want["state"]["inc"]):
                     mismatches += 1
                     print(f"state mismatch: seed {seed}, index {index}")
+                elif row != doubles[:8].tolist():
+                    mismatches += 1
+                    print(f"row mismatch: seed {seed}, index {index}")
                 elif index == start:
-                    stream = bounds._streams(prefix, range(index, index + 1), generator)[0]
-                    offset = int(LAST_OFFSET ** rng.random())  # at least 1
-                    doubles = reference.random(offset + 8)
-                    if (stream.draw(0, 8).tolist() != doubles[:8].tolist()
-                            or stream.draw(offset, 8).tolist() != doubles[offset:].tolist()):
-                        mismatches += 1
-                        print(f"draw mismatch: seed {seed}, index {index}, offset {offset}")
+                    states.append(streams.state[:, :1])
+                    incs.append(streams.inc[:, :1])
+                    offsets.append(offset)
+                    firsts.append(index)
+                    wanted.append(doubles[offset:].tolist())
+        # every window's first stream walks to its offset in one set of rows
+        streams = bounds._Streams(prefix, range(len(firsts)))
+        streams.state, streams.inc = np.hstack(states), np.hstack(incs)
+        got = _walked_rows(streams, np.array(offsets), 8).tolist()
+        for index, offset, row, want in zip(firsts, offsets, got, wanted):
+            if row != want:
+                mismatches += 1
+                print(f"draw mismatch: seed {seed}, index {index}, offset {offset}")
     print(f"pairs {pairs}  seeds {len(seeds)}  mismatches {mismatches}")
     return 1 if mismatches else 0
 
