@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .symplectic import StandardForm, _nu_pair
+from .symplectic import StandardForm, _nu_pair, _nu_pairs
 
 _PARAM_TOL = 1e-12
 
@@ -204,25 +204,34 @@ def classify_entanglement(p: ExtremalParams) -> Entanglement:
     return Entanglement.ENTANGLED if entangled else Entanglement.SEPARABLE
 
 
+def _gmems_pt(s, d, g, xp=np):
+    """(Delta_tilde, Det sigma, disc) of the GMEMS under ``xp``: 4s^2 - 2g, g^2
+    and Delta_tilde^2 - 4g^2 = 16s^2 (s^2 - g), the last factor taken as
+    (s-1)(s+1) - (g-1), free of cancellation near purity."""
+    return 4.0 * s * s - 2.0 * g, g * g, 16.0 * s * s * ((s - 1.0) * (s + 1.0) - (g - 1.0))
+
+
+def _glems_pt(s, d, g, xp=np):
+    """(Delta_tilde, Det sigma, disc) of the GLEMS under ``xp``: disc is the
+    product of the factors 4(s^2 + d^2) - (g +- 1)^2, written so that neither
+    cancels, the first clamped at 0."""
+    disc = (xp.maximum((2.0 * s - 1.0 - g) * (2.0 * s + 1.0 + g) + 4.0 * d * d, 0.0)
+            * ((2.0 * s + 1.0 - g) * (2.0 * s - 1.0 + g) + 4.0 * d * d))
+    return 4.0 * (s * s + d * d) - g * g - 1.0, g * g, disc
+
+
 def nu_tilde_gmems(s: float, d: float, g: float) -> float:
-    """Smallest PT symplectic eigenvalue of the GMEMS at (s, d, g):
-    Delta_tilde = 4s^2 - 2g and Delta_tilde^2 - 4g^2 = 16s^2 (s^2 - g), the
-    last factor taken as (s-1)(s+1) - (g-1), free of cancellation near purity."""
-    disc = 16.0 * s * s * ((s - 1.0) * (s + 1.0) - (g - 1.0))
-    return _nu_pair(4.0 * s * s - 2.0 * g, g * g, disc)[0]
+    """Smallest PT symplectic eigenvalue of the GMEMS at (s, d, g)."""
+    return _nu_pair(*_gmems_pt(s, d, g, _FLOATS))[0]
 
 
 def nu_tilde_glems(s: float, d: float, g: float) -> float:
     """Smallest PT symplectic eigenvalue of the GLEMS at (s, d, g), NaN for
-    g > 2s - 1 (no state): Delta_tilde^2 - 4g^2 is the product of the
-    factors 4(s^2 + d^2) - (g +- 1)^2, written so that neither cancels.
-    A g within the domain tolerance above 2s - 1 (where |d| = s - 1 puts
-    the GMEMMS edge on it) is kept, its first factor clamped at 0."""
+    g > 2s - 1 (no state).  A g within the domain tolerance above 2s - 1
+    (where |d| = s - 1 puts the GMEMMS edge on it) is kept."""
     if g > gmems_threshold(s) + _PARAM_TOL:
         return math.nan
-    disc = (max((2.0 * s - 1.0 - g) * (2.0 * s + 1.0 + g) + 4.0 * d * d, 0.0)
-            * ((2.0 * s + 1.0 - g) * (2.0 * s - 1.0 + g) + 4.0 * d * d))
-    return _nu_pair(4.0 * (s * s + d * d) - g * g - 1.0, g * g, disc)[0]
+    return _nu_pair(*_glems_pt(s, d, g, _FLOATS))[0]
 
 
 def _m_gmems(s, d, g, xp=np):
@@ -432,6 +441,22 @@ def _crossings(s: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return wide[col], found[col, i]
 
 
+def _nu_tilde_columns(s, d, g, physical):
+    """``nu_tilde_gmems`` and ``nu_tilde_glems`` of every (s, d, g) where
+    ``physical``, NaN elsewhere, bit for bit: each family's invariants go
+    through ``_nu_pairs`` with s NaN where it has no value, and an entry
+    left NaN where it has one takes the float call, which raises as alone."""
+    s_g = np.where(physical, s, math.nan)
+    s_l = np.where(g > gmems_threshold(s_g) + _PARAM_TOL, math.nan, s_g)
+    columns = []
+    for s_f, pt, scalar in ((s_g, _gmems_pt, nu_tilde_gmems), (s_l, _glems_pt, nu_tilde_glems)):
+        nu = _nu_pairs(*pt(s_f, d, g))[0]
+        for k in np.flatnonzero(np.isnan(nu) & ~np.isnan(s_f)).tolist():
+            nu[k] = scalar(float(s_f[k]), float(d[k]), float(g[k]))
+        columns.append(nu)
+    return columns
+
+
 def _axis(rng: tuple[float, float], resolution: int) -> np.ndarray:
     if resolution < 2:
         raise DomainError("resolution must be at least 2")
@@ -449,28 +474,26 @@ def _scan_columns(
 ) -> tuple[list[ScanCell], list[BoundaryPoint]]:
     """Cells of every column (s[k], d[k]) over the g axis, row-major, and
     the bisected crossings of each column whose GMEMMS line is valid.  The
-    closed forms, regimes and crossings are computed on whole arrays; the
-    nu_tilde columns come from the scalar ``nu_tilde_*`` per physical cell."""
+    closed forms, regimes, crossings and nu_tilde columns are computed on
+    whole arrays."""
     gs = _axis(g_range, resolution)
     lines = np.flatnonzero(_in_domain(s, d, 2.0 * abs(d) + 1.0))
     col, g_boundary = _crossings(s[lines], d[lines])
     col = lines[col]
     boundary = list(map(BoundaryPoint._make, zip(s[col].tolist(), d[col].tolist(),
                                                  g_boundary.tolist())))
-    m_g, m_l, code = _ordering(np.repeat(s, resolution), np.repeat(d, resolution),
-                               np.tile(gs, len(s)))
+    s_all, d_all, g_all = np.repeat(s, resolution), np.repeat(d, resolution), np.tile(gs, len(s))
+    m_g, m_l, code = _ordering(s_all, d_all, g_all)
+    nu = [nu_f.tolist() for nu_f in _nu_tilde_columns(s_all, d_all, g_all, code != 0)]
+    m_g, m_l, regimes = m_g.tolist(), m_l.tolist(), list(map(_REGIMES.__getitem__, code.tolist()))
     g_list = gs.tolist()
     cells = []
     # a column at a time, its cells sharing the float objects of s, d and g
     for k, (s_k, d_k) in enumerate(zip(s.tolist(), d.tolist())):
         column = slice(k * resolution, (k + 1) * resolution)
-        codes = code[column].tolist()
         cells.extend(map(ScanCell._make, zip(
-            [s_k] * resolution, [d_k] * resolution, g_list,
-            m_g[column].tolist(), m_l[column].tolist(),
-            [nu_tilde_gmems(s_k, d_k, g) if c else math.nan for g, c in zip(g_list, codes)],
-            [nu_tilde_glems(s_k, d_k, g) if c else math.nan for g, c in zip(g_list, codes)],
-            [_REGIMES[c] for c in codes])))
+            [s_k] * resolution, [d_k] * resolution, g_list, m_g[column], m_l[column],
+            nu[0][column], nu[1][column], regimes[column])))
     return cells, boundary
 
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from twomode import cli
+from twomode import cli, extremal
 from twomode.cli import EXIT_OK, EXIT_UNPHYSICAL, EXIT_USAGE, main
 
 from conftest import BLOCK_NOT_POSITIVE_DEFINITE
@@ -219,6 +219,39 @@ def test_out_of_range_option_exits_64(argv, tmp_path, capsys, monkeypatch):
 
 SCAN_SLICE = ["scan", "--fixed-a", "5", "--b-range", "1", "5", "--g-range", "1", "9"]
 SCAN_3D = ["scan3d", "--s-range", "1.5", "4", "--d-range", "-1", "1", "--g-range", "1", "7"]
+
+
+@pytest.mark.parametrize("argv, scan, args", [
+    (SCAN_SLICE, extremal.scan_ordering_slice, (5.0, (1.0, 5.0), (1.0, 9.0), 24)),
+    (SCAN_3D, extremal.scan_ordering_3d, ((1.5, 4.0), (-1.0, 1.0), (1.0, 7.0), 8)),
+])
+def test_scan_outputs_equal_the_library_cells(argv, scan, args, tmp_path, capsys):
+    grid = tmp_path / "grid.csv"
+    code, out, err = run(capsys, *argv, "--resolution", str(args[-1]), "--grid", str(grid),
+                         "--boundary", str(tmp_path / "b.csv"))
+    assert code == EXIT_OK and err == ""
+    cells, boundary = scan(*args)
+    rows = ["%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s" % (*cell[:7], cell.regime.value)
+            for cell in cells]
+    assert grid.read_bytes().decode().split("\r\n")[1:] == rows + [""]
+    counts = {}  # in order of first appearance
+    for cell in cells:
+        counts[cell.regime.value] = counts.get(cell.regime.value, 0) + 1
+    summary = json.loads(out)
+    assert list(summary["regimes"].items()) == list(counts.items())
+    assert (summary["cells"], summary["boundary_points"]) == (len(cells), len(boundary))
+
+
+def test_scan_without_physical_cells_warns(tmp_path, capsys):
+    # g > s^2 - d^2 everywhere in this window
+    code, out, err = run(capsys, "scan", "--fixed-a", "2", "--b-range", "2", "3",
+                         "--g-range", "20", "30", "--resolution", "4",
+                         "--grid", str(tmp_path / "grid.csv"),
+                         "--boundary", str(tmp_path / "b.csv"))
+    assert code == EXIT_OK
+    summary = json.loads(out)
+    assert (summary["cells"], summary["regimes"]) == (16, {"unphysical": 16})
+    assert err == "warning: scan window contains no physical cells\n"
 
 
 def _with(argv, flag, position, value):

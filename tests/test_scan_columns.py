@@ -3,9 +3,9 @@
 The closed forms, the separability thresholds and the regime rule are
 written once, elementwise; ``ordering_compare``, ``m_opt_gmems`` and
 ``m_opt_glems`` call them on floats.  These tests hold a batched call to the
-per-point calls bit for bit, the scan's cells to ``ordering_compare`` and
-``nu_tilde_*`` cell by cell, and its bisection to the per-column loop it
-replaced, kept here as the reference.
+per-point calls bit for bit, the scan's nu_tilde columns and cells to
+``ordering_compare`` and ``nu_tilde_*`` cell by cell, and its bisection to
+the per-column loop it replaced, kept here as the reference.
 """
 
 import math
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from twomode import (
     Regime,
+    extremal,
     m_opt_glems,
     m_opt_gmems,
     nu_tilde_glems,
@@ -31,6 +32,8 @@ from twomode.extremal import (
     _closed_forms,
     _crossings,
     _domain_error,
+    _in_domain,
+    _nu_tilde_columns,
     _ordering,
     _ordering_gap,
     glems_threshold,
@@ -42,6 +45,13 @@ def _same(x, y):
     return x == y or (math.isnan(x) and math.isnan(y))
 
 
+def _nextafter(x, n):
+    """``x`` moved by ``n`` ulps."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
 def _on_borders(s, d, g_kind, nudge):
     """A g on one of the lines where a rule switches, moved by ``nudge`` ulps."""
     g = {
@@ -51,9 +61,7 @@ def _on_borders(s, d, g_kind, nudge):
         "glems": float(glems_threshold(s, d)),
         "fischer": (s - d) * (s + d),
     }[g_kind]
-    for _ in range(abs(nudge)):
-        g = math.nextafter(g, math.copysign(math.inf, nudge))
-    return g
+    return _nextafter(g, nudge)
 
 
 @st.composite
@@ -122,6 +130,51 @@ def _assert_cells_match_scalars(cells):
         else:
             assert _same(cell.nu_tilde_gmems, nu_tilde_gmems(cell.s, cell.d, cell.g))
             assert _same(cell.nu_tilde_glems, nu_tilde_glems(cell.s, cell.d, cell.g))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(batch=st.lists(points(), min_size=1, max_size=40))
+# g = 2s - 1 -+ the domain tolerance, where the GLEMS column ends
+@example(batch=[(3.0, 0.5, 5.0 - 1e-12), (3.0, 0.5, 5.0 + 1e-12),
+                (3.0, 0.5, _nextafter(5.0 + 1e-12, 1)), (3.0, 2.0, 5.0 + 1e-12)])
+# the GMEMMS line g = 2|d| + 1, and |d| = s - 1 with g on both lines
+@example(batch=[(3.0, 1.5, 4.0), (3.0, -1.5, 4.0), (3.0, 2.0, 5.0), (3.0, -2.0, 5.0)])
+# g -> 1+ at purity
+@example(batch=[(1.0, 0.0, 1.0), (1.0 + 1e-13, 0.0, 1.0 + 1e-13),
+                (1.5, 0.0, _nextafter(1.0, 1))])
+# s ~ 1e5 near each threshold, and the scans' largest magnitudes
+@example(batch=[(1e5, 3e4, 6e4 + 1.0), (1e5, 3e4, 2e5 - 1.0),
+                (1e5, 0.0, float(glems_threshold(1e5, 0.0))), (SCAN_LIMIT, 0.0, SCAN_LIMIT),
+                (SCAN_LIMIT, SCAN_LIMIT - 1.0, 2.0 * SCAN_LIMIT - 1.0),
+                (SCAN_LIMIT, -0.5 * SCAN_LIMIT, 1.5 * SCAN_LIMIT)])
+def test_nu_tilde_columns_equal_per_point_calls(batch):
+    s, d, g = (np.array(column, dtype=float) for column in zip(*batch))
+    physical = _in_domain(s, d, g)
+    nu_g, nu_l = _nu_tilde_columns(s, d, g, physical)
+    for k, (sk, dk, gk) in enumerate(batch):
+        if physical[k]:
+            assert _same(nu_g[k], nu_tilde_gmems(sk, dk, gk))
+            assert _same(nu_l[k], nu_tilde_glems(sk, dk, gk))
+        else:
+            assert math.isnan(nu_g[k]) and math.isnan(nu_l[k])
+
+
+def test_nu_tilde_columns_take_the_float_call_where_the_arrays_give_nan(monkeypatch):
+    # the float call raises where the array route has no value; here it
+    # fills in every entry the stubbed array route leaves NaN
+    def no_values(delta, det_sigma, disc):
+        return np.full_like(delta, math.nan), np.full_like(delta, math.nan)
+
+    s, d, g = (np.array(column) for column in
+               ([3.0, 3.0, 3.0, 0.5], [0.5, 0.5, 0.5, 0.0], [2.5, 4.5, 5.5, 1.0]))
+    physical = _in_domain(s, d, g)
+    expected = _nu_tilde_columns(s, d, g, physical)
+    monkeypatch.setattr(extremal, "_nu_pairs", no_values)
+    got = _nu_tilde_columns(s, d, g, physical)
+    assert np.array_equal(got[0], expected[0], equal_nan=True)
+    assert np.array_equal(got[1], expected[1], equal_nan=True)
+    assert np.isnan(got[1][2:]).all() and np.isnan(got[0][3])
 
 
 def test_slice_cells_equal_scalar_calls():

@@ -13,10 +13,12 @@ entries stress the minimizer's rounding; 500 extremal states at seed
 columns take natural logarithms),
 the criterion-5 `scan` window at resolutions 200 and 60, the README
 `scan3d` window at resolution 24, a `scan3d` window at s ~ 8.73e4 at
-resolution 8 (every cell physical), and four `measure` reports.  They run in a temporary directory against the
-`twomode` package in this checkout's `src/`, and each output prints as one
-`sha256  label` line.  Running it on two commits and diffing the lines
-shows which outputs a change moved.
+resolution 8 (every cell physical), and four `measure` reports.  Each scan
+contributes its grid and boundary CSVs and its stdout summary (cell count,
+boundary-point count and cells per regime).  They run in a temporary
+directory against the `twomode` package in this checkout's `src/`, and each
+output prints as one `sha256  label` line.  Running it on two commits and
+diffing the lines shows which outputs a change moved.
 """
 
 from __future__ import annotations
@@ -73,10 +75,11 @@ def _outputs():
     scans = [("scan", SCAN_WINDOW, 200, ""), ("scan", SCAN_WINDOW, 60, ""),
              ("scan3d", SCAN3D_WINDOW, 24, ""), ("scan3d", LARGE_S_WINDOW, 8, " large-s")]
     for command, window, resolution, tag in scans:
-        _run([command, *window, "--resolution", str(resolution),
-              "--grid", "grid.csv", "--boundary", "boundary.csv"])
+        summary = _run([command, *window, "--resolution", str(resolution),
+                        "--grid", "grid.csv", "--boundary", "boundary.csv"])
         for name in ("grid.csv", "boundary.csv"):
             yield f"{command}{tag} {resolution} {name}", Path(name).read_bytes()
+        yield f"{command}{tag} {resolution} stdout", summary
     for argv in MEASURES:
         yield "measure " + " ".join(argv), _run(["measure", *argv])
 
