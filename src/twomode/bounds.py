@@ -23,7 +23,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import DomainError, SamplingError, TwoModeError
-from .extremal import _FLOATS, ExtremalParams, _delta_tilde, _state, build_state, gmems_threshold
+from .extremal import _FLOATS, ExtremalParams, _integer, _state, build_state, gmems_threshold
 # minimize_m is unused here, but perfbench/bench_trace.py patches bounds.minimize_m
 from .gaussian_em import NEAR_SEPARABLE_TOL, minimize_block, minimize_m
 from .negativity import h_function, log_negativity
@@ -88,14 +88,10 @@ class SamplerConfig:
     mode: str = "extremal_params"
 
     def validate(self) -> None:
-        for name, value in (("seed", self.seed), ("count", self.count)):
-            try:
-                operator.index(value)
-            except TypeError:
-                raise DomainError(f"{name} must be an integer, got {value!r}") from None
-        if self.seed < 0:
+        seed, count = _integer("seed", self.seed), _integer("count", self.count)
+        if seed < 0:
             raise DomainError(f"seed must be at least 0, got {self.seed!r}")
-        if not 1 <= self.count <= COUNT_LIMIT:
+        if not 1 <= count <= COUNT_LIMIT:
             raise DomainError(
                 f"count must be >= 1 and at most {COUNT_LIMIT}, got {self.count!r}")
         if not (isinstance(self.s_max, numbers.Real) and 1.0 < self.s_max <= S_MAX_LIMIT):
@@ -139,11 +135,12 @@ class ExperimentResult:
     min_m_max_slack: float
 
 
-# Attempts are drawn and screened in rounds.  Each round draws every
-# pending index's row of whole attempts from the double it has walked to and
-# screens all the rows as one array; only an attempt that passes the screen
-# builds a StandardForm.  Each index walks its row to the first attempt that
-# the screen keeps or that stops early, and its PCG64 state, carried in
+# Attempts are drawn and tested in rounds.  Each round draws every pending
+# index's row of whole attempts from the double it has walked to and tests
+# every attempt of every row at once, exactly: an attempt gets the outcome
+# that the scalar test (``_confirm_extremal`` or ``_confirm_raw``) gives it.
+# Each index walks its row to the first attempt that stops early, is
+# accepted or has an undefined spectrum, and its PCG64 state, carried in
 # uint64 words, jumps past the doubles those attempts read.  Each attempt
 # reads the doubles that scalar ``rng.uniform`` calls would, in the same
 # order, so sample i is the same as drawn one value at a time.
@@ -273,9 +270,6 @@ def _lcg_powers(step: tuple[int, int], count: int) -> list[tuple[int, int]]:
 _MAX_BLOCK = 512
 #: Doubles a full attempt reads.
 _WIDTH = 4
-#: Relative slack by which the screens' entanglement test is looser than the
-#: scalar one; the rounding between the two routes is orders smaller.
-_SCREEN_RTOL = 1e-6
 
 
 def _uniform(low, high, u):
@@ -284,52 +278,11 @@ def _uniform(low, high, u):
     return low + (high - low) * u
 
 
-def _may_be_entangled(delta_tilde, det_sigma):
-    """Necessary condition for nu_tilde_minus < 1 - NEAR_SEPARABLE_TOL at
-    Det sigma >= 1 (nu_tilde_minus < 1 iff Delta_tilde > 1 + Det sigma),
-    with slack for rounding."""
-    bar = 1.0 + det_sigma
-    return delta_tilde - bar > -_SCREEN_RTOL * (np.abs(delta_tilde) + bar)
-
-
-def _screen_extremal(u: np.ndarray, s_max: float):
-    """Fields (s, d, g, lambda) of the attempts u[..., :4], the mask of those
-    that stop after 3 doubles (empty g window) and of those that may pass."""
-    s = _uniform(1.0, s_max, u[..., 0])
-    d = _uniform(-(s - 1.0), s - 1.0, u[..., 1])
-    lam = _uniform(-1.0, 1.0, u[..., 2])
-    g_lo = 2.0 * np.abs(d) + 1.0
-    g_hi = gmems_threshold(s)
-    short = g_hi - g_lo <= 1e-9
-    g = _uniform(g_lo, g_hi, u[..., 3])
-    keep = ~short & _may_be_entangled(_delta_tilde(s, d, g, lam), g * g)
-    return (s, d, g, lam), short, keep
-
-
-def _screen_raw(u: np.ndarray, s_max: float):
-    """Fields (a, b, c_plus, c_minus) of the attempts u[..., :4], the mask of
-    those that stop after 2 doubles (a b <= 1) and of those that may pass:
-    the first two inequalities of ``StandardForm.is_physical`` as it
-    evaluates them, and a loose entanglement test."""
-    a = _uniform(1.0, s_max, u[..., 0])
-    b = _uniform(1.0, s_max, u[..., 1])
-    c_cap = np.sqrt(np.maximum(a * b - 1.0, 0.0))
-    short = c_cap <= 0.0
-    cp = _uniform(0.0, c_cap, u[..., 2])
-    cm = _uniform(-cp, 0.0, u[..., 3])
-    det_sigma, delta, delta_tilde = _dets(a, b, cp, cm)
-    keep = (~short
-            & (det_sigma >= 1.0 - DEFAULT_TOL)
-            & (delta <= 1.0 + det_sigma + DEFAULT_TOL)
-            & _may_be_entangled(delta_tilde, det_sigma))
-    return (a, b, cp, cm), short, keep
-
-
 # A confirm returns the fields of a Sample after its index and the
 # nu_tilde_minus it computed, or None on rejection.
 _Draw = tuple[tuple[StandardForm, float, float, float, float], float]
 
-#: nu_tilde_minus below which a confirmed attempt is entangled enough.
+#: nu_tilde_minus below which an attempt is entangled enough.
 _CUT = 1.0 - NEAR_SEPARABLE_TOL
 
 
@@ -339,9 +292,7 @@ def _confirm_extremal(s: float, d: float, g: float, lam: float) -> _Draw | None:
     except TwoModeError:
         return None
     nu = sf.spectrum().nu_tilde_minus
-    if not nu < _CUT:
-        return None
-    return (sf, s, d, g, lam), nu
+    return ((sf, s, d, g, lam), nu) if nu < _CUT else None
 
 
 def _confirm_raw(a: float, b: float, cp: float, cm: float) -> _Draw | None:
@@ -349,44 +300,87 @@ def _confirm_raw(a: float, b: float, cp: float, cm: float) -> _Draw | None:
     if not sf.is_physical():
         return None
     nu = sf.spectrum().nu_tilde_minus
-    if not nu < _CUT:
-        return None
-    return (sf, 0.5 * (a + b), 0.5 * (a - b), math.sqrt(sf.invariants().det_sigma), math.nan), nu
+    return (((sf, 0.5 * (a + b), 0.5 * (a - b), math.sqrt(sf.invariants().det_sigma), math.nan), nu)
+            if nu < _CUT else None)
 
 
-def _confirm_extremal_rows(s, d, g, lam) -> list[_Draw | None]:
-    """``_confirm_extremal`` of each row of the columns: ``build_state``'s
-    arithmetic and checks and the spectrum run on the columns, and a row
-    that any of their tests rejects takes the scalar route, which gives it
-    the same outcome or raises the same error."""
-    form, _, fits = _state(s, d, g, lam)
-    det_sigma, delta, delta_tilde = _dets(*form)
-    # spectrum() computes nu_minus too, and raises where it has none
+def _test(args, form, params, passes, dets) -> tuple:
+    """A confirm run on arrays.  ``args`` are the attempts' values,
+    ``form`` their standard forms with (Det sigma, Delta, Delta_tilde)
+    ``dets``, and ``passes`` the mask where they pass the confirm's tests
+    before the spectrum.  Returns the masks of the attempts it accepts and
+    of those where it raises (``_nu_pairs`` gives NaN), ``args``, and a
+    function from an index (index arrays or a mask) to the accepted draws
+    there, whose fields after the form ``params`` gives."""
+    det_sigma, delta, delta_tilde = dets
     nu_minus, nu = (_nu_pairs(x, det_sigma, x * x - 4.0 * det_sigma)[0]
                     for x in (delta, delta_tilde))
-    ok = fits & np.isfinite(form[2]) & np.isfinite(form[3]) & ~np.isnan(nu_minus) & (nu < _CUT)
-    rows = zip(ok.tolist(), *(c.tolist() for c in (*form, s, d, g, lam, nu)))
-    return [((StandardForm(a, b, cp, cm), s_k, d_k, g_k, lam_k), nu_k) if accept
-            else _confirm_extremal(s_k, d_k, g_k, lam_k)
-            for accept, a, b, cp, cm, s_k, d_k, g_k, lam_k, nu_k in rows]
+    undefined = passes & (np.isnan(nu_minus) | np.isnan(nu))
+
+    def draws(at) -> list[_Draw]:
+        columns = zip(*(c[at].tolist() for c in form), *params(at), nu[at].tolist())
+        return [((StandardForm(a, b, cp, cm), *fields), nu_k)
+                for a, b, cp, cm, *fields, nu_k in columns]
+    return passes & ~undefined & (nu < _CUT), undefined, args, draws
 
 
-def _confirm_raw_rows(a, b, cp, cm) -> list[_Draw | None]:
-    """``_confirm_raw`` of each row of the columns, one row at a time."""
-    return [_confirm_raw(*row) for row in zip(a.tolist(), b.tolist(), cp.tolist(), cm.tolist())]
+def _test_extremal(s, d, g, lam) -> tuple:
+    """``_confirm_extremal`` of every (s, d, g, lambda) on arrays:
+    ``build_state``'s arithmetic and checks run on the columns."""
+    form, _, fits = _state(s, d, g, lam)
+    return _test((s, d, g, lam), form, lambda at: [c[at].tolist() for c in (s, d, g, lam)],
+                 fits & np.isfinite(form[2]) & np.isfinite(form[3]), _dets(*form))
+
+
+def _test_raw(a, b, cp, cm) -> tuple:
+    """``_confirm_raw`` of every raw draw (a, b, c_plus, c_minus) on arrays.
+    Of ``is_physical``'s inequalities only two can fail on a draw, and they
+    are evaluated as it evaluates them: a, b >= 1 and a b - c_pm^2 >=
+    1 - O(a b eps) hold by construction for s_max up to ``S_MAX_LIMIT``."""
+    det_sigma, delta, delta_tilde = _dets(a, b, cp, cm)
+    passes = (det_sigma >= 1.0 - DEFAULT_TOL) & (delta <= 1.0 + det_sigma + DEFAULT_TOL)
+
+    def params(at):
+        a_k, b_k = a[at], b[at]
+        return [(0.5 * (a_k + b_k)).tolist(), (0.5 * (a_k - b_k)).tolist(),
+                np.sqrt(det_sigma[at]).tolist(), [math.nan] * a_k.size]
+    return _test((a, b, cp, cm), (a, b, cp, cm), params, passes, (det_sigma, delta, delta_tilde))
+
+
+def _attempts_extremal(u: np.ndarray, s_max: float) -> tuple:
+    """The mask of the attempts u[..., :4] that stop after 3 doubles (empty
+    g window), and ``_test_extremal`` of their (s, d, g, lambda)."""
+    s = _uniform(1.0, s_max, u[..., 0])
+    d = _uniform(-(s - 1.0), s - 1.0, u[..., 1])
+    lam = _uniform(-1.0, 1.0, u[..., 2])
+    g_lo = 2.0 * np.abs(d) + 1.0
+    g_hi = gmems_threshold(s)
+    return g_hi - g_lo <= 1e-9, _test_extremal(s, d, _uniform(g_lo, g_hi, u[..., 3]), lam)
+
+
+def _attempts_raw(u: np.ndarray, s_max: float) -> tuple:
+    """The mask of the attempts u[..., :4] that stop after 2 doubles
+    (a b <= 1), and ``_test_raw`` of their (a, b, c_plus, c_minus)."""
+    a = _uniform(1.0, s_max, u[..., 0])
+    b = _uniform(1.0, s_max, u[..., 1])
+    c_cap = np.sqrt(np.maximum(a * b - 1.0, 0.0))
+    cp = _uniform(0.0, c_cap, u[..., 2])
+    return c_cap <= 0.0, _test_raw(a, b, cp, _uniform(-cp, 0.0, u[..., 3]))
 
 
 @dataclass(frozen=True)
 class _Mode:
-    screen: Callable
-    #: The test of the attempts that a round's screen keeps, given as columns.
-    confirm: Callable[..., list[_Draw | None]]
+    #: The early-stop mask and the ``_test`` of attempts u[..., :4] at s_max.
+    test: Callable[[np.ndarray, float], tuple]
+    #: The scalar test of one attempt; it replays an attempt whose spectrum
+    #: is undefined, and raises as ``spectrum()`` does.
+    confirm: Callable[..., _Draw | None]
     #: Doubles an attempt reads when it stops early.
     short_width: int
     #: Attempts in the first round's rows: an extremal state takes about 1.3
     #: attempts, a raw one 37 at s_max 20 and 740 at s_max 200.
     first_block: int
-    #: Indices whose rows are screened as one array.  Extremal rows are short,
+    #: Indices whose rows are tested as one array.  Extremal rows are short,
     #: so a whole seeding window goes at once.  Raw rows are long, and a
     #: chunk takes about two rounds of fixed per-call costs: 24 indices took
     #: about 10% less sampler time than 16, and 32 raised the traced peak
@@ -395,8 +389,8 @@ class _Mode:
 
 
 _MODES = {
-    "extremal_params": _Mode(_screen_extremal, _confirm_extremal_rows, 3, 4, _BLOCK),
-    "raw_standard_form": _Mode(_screen_raw, _confirm_raw_rows, 2, 64, 24),
+    "extremal_params": _Mode(_attempts_extremal, _confirm_extremal, 3, 4, _BLOCK),
+    "raw_standard_form": _Mode(_attempts_raw, _confirm_raw, 2, 64, 24),
 }
 
 
@@ -481,26 +475,27 @@ def _chunk_samples(mode: _Mode, s_max: float, indices: range, streams: _Streams,
     done = 0
     while pending.size:
         rows = streams.draw(start + pending, _WIDTH * attempts)
-        fields, short, keep = mode.screen(rows.reshape(len(pending), attempts, _WIDTH), s_max)
-        # Each row is walked to its first attempt that the screen keeps or
-        # that stops early, and no further.  The kept attempts of the round
-        # are confirmed together.
-        stop = short | keep
+        short, (accept, undefined, args, accepted) = mode.test(
+            rows.reshape(len(pending), attempts, _WIDTH), s_max)
+        accept, undefined = accept & ~short, undefined & ~short
+        # Each row is walked to its first attempt that stops early, is
+        # accepted or has an undefined spectrum, and no further.
+        stop = short | accept | undefined
         lead = np.arange(len(pending))
         first = stop.argmax(axis=1)
-        stops, keeps = stop[lead, first], keep[lead, first]
-        steps = np.where(stops, first + 1, attempts)
+        steps = np.where(stop[lead, first], first + 1, attempts)
         walked[pending] += steps
         # an early stop reads short_width of its _WIDTH doubles
         read = _WIDTH * steps - (_WIDTH - mode.short_width) * short[lead, first]
-        kept = lead[keeps]
-        if kept.size:
-            confirmed = mode.confirm(*(f[kept, first[kept]] for f in fields))
-            for k, draw in zip(pending[kept].tolist(), confirmed):
-                draws[k] = draw
-        undecided = np.array([draws[k] is None for k in pending.tolist()], dtype=bool)
+        decided = accept[lead, first]
+        for k, draw in zip(pending[decided].tolist(), accepted((lead[decided], first[decided]))):
+            draws[k] = draw
+        # the confirm replays an attempt whose spectrum is undefined, and raises
+        for k in np.flatnonzero(undefined[lead, first]).tolist():
+            draw = draws[pending[k]] = mode.confirm(*(c[k, first[k]].item() for c in args))
+            decided[k] = draw is not None
         # only the rows that go on need their streams carried
-        going = np.flatnonzero(undecided & (walked[pending] < _MAX_REJECTIONS))
+        going = np.flatnonzero(~decided & (walked[pending] < _MAX_REJECTIONS))
         streams.walk(going, read[going])
         pending = pending[going]
         end = int(pending[0]) if pending.size else size
@@ -516,7 +511,7 @@ def _chunk_samples(mode: _Mode, s_max: float, indices: range, streams: _Streams,
 
 
 def _confirmed_samples(cfg: SamplerConfig) -> Iterator[tuple[Sample, float]]:
-    """``iter_samples`` with the nu_tilde_minus that each sample's confirm
+    """``iter_samples`` with the nu_tilde_minus that each sample's test
     computed."""
     cfg.validate()
     mode = _MODES[cfg.mode]
@@ -539,10 +534,11 @@ def iter_samples(cfg: SamplerConfig) -> Iterator[Sample]:
     (2|d| + 1, 2s - 1), which contains it); ``raw_standard_form`` mode
     rejection-samples correlation boxes directly.  Sample i depends only on
     (seed, i, s_max, mode): it is the first accepted attempt of its own
-    stream, whose doubles are drawn in rounds.  Each round screens its
-    attempts as arrays and confirms the kept ones together: in extremal
-    mode ``build_state`` and the spectrum run on their columns, and an
-    attempt that a column test rejects is confirmed alone.
+    stream, whose doubles are drawn in rounds.  Each round decides every
+    attempt once, exactly, on arrays: ``build_state``'s checks (extremal
+    mode) or the physicality test (raw mode) and the spectrum run on the
+    attempts' columns with the scalar test's operations, so its bits.  An
+    attempt whose spectrum is undefined is replayed alone, and raises.
 
     The stream of index i is the doubles of
     ``default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))``, bit for
@@ -590,7 +586,7 @@ def bound_experiment(cfg: SamplerConfig, log_base=2) -> ExperimentResult:
         if not passed:
             continue
         # each nu_sigma lies in (0, 1), the domain of both curves: the
-        # confirm cut it below 1, and the gate fails a form with Det sigma < 1
+        # sampler cut it below 1, and the gate fails a form with Det sigma < 1
         samples, nu_list, gems = zip(*passed)
         nu_sigma = np.array(nu_list)
         nu_opt_list = [gem.nu_tilde_opt for gem in gems]
@@ -614,7 +610,7 @@ def bound_experiment(cfg: SamplerConfig, log_base=2) -> ExperimentResult:
 
 def bound_curves(resolution: int = 512) -> list[tuple[float, float, float]]:
     """(nu_tilde, lower, upper) rows of the two analytic curves on (0, 1)."""
-    if resolution < 2:
+    if _integer("resolution", resolution) < 2:
         raise DomainError("resolution must be at least 2")
     nu = np.arange(1, resolution + 1) / (resolution + 1)
     return list(zip(nu.tolist(), _lower_curve(nu).tolist(), nu.tolist()))

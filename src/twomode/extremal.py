@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -90,6 +91,15 @@ def _require_domain(s: float, d: float, g: float) -> None:
     problem = _domain_error(s, d, g)
     if problem is not None:
         raise DomainError(problem)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int, through ``operator.index``: DomainError for a
+    float or any other non-integer, which numpy would take or broadcast."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 class Entanglement(enum.Enum):
@@ -458,7 +468,7 @@ def _nu_tilde_columns(s, d, g, physical):
 
 
 def _axis(rng: tuple[float, float], resolution: int) -> np.ndarray:
-    if resolution < 2:
+    if _integer("resolution", resolution) < 2:
         raise DomainError("resolution must be at least 2")
     if not (abs(rng[0]) <= SCAN_LIMIT and abs(rng[1]) <= SCAN_LIMIT):
         raise DomainError(f"axis range must be finite and at most {SCAN_LIMIT:g} in "
@@ -506,8 +516,11 @@ def scan_ordering_slice(
     """Classify a (b, g) grid at fixed local mixedness a of mode 1.
 
     Returns the row-major cell table (b slow axis, g fast axis) and the
-    bisected polyline where the two closed forms agree.  An endpoint or a
-    beyond ``SCAN_LIMIT`` in magnitude raises DomainError.
+    bisected polyline where the two closed forms agree.  The polyline
+    covers each column's whole entangled window 2|d| + 1 < g <
+    sqrt(2(s^2 + d^2) - 1), not only ``g_range``.  An endpoint or a beyond
+    ``SCAN_LIMIT`` in magnitude, or a non-integer ``resolution``, raises
+    DomainError.
     """
     b = _axis(b_range, resolution)
     if not abs(fixed_a) <= SCAN_LIMIT:
@@ -523,7 +536,8 @@ def scan_ordering_3d(
     resolution: int = 48,
 ) -> tuple[list[ScanCell], list[BoundaryPoint]]:
     """Classify an (s, d, g) grid; same outputs as the fixed-a slice,
-    with the boundary bisected in g for every (s, d) pair (s slowest)."""
+    with the boundary bisected in g for every (s, d) pair (s slowest) over
+    its whole entangled window, not only ``g_range``."""
     s = _axis(s_range, resolution)
     d = _axis(d_range, resolution)
     return _scan_columns(np.repeat(s, resolution), np.tile(d, resolution), g_range, resolution)

@@ -164,7 +164,7 @@ def _require_tol(name: str, tol: float) -> None:
 def _dets(a, b, c_plus, c_minus):
     """(Det sigma, Delta, Delta_tilde) of the standard form (a, b, c_plus,
     c_minus), elementwise for arrays: the one derivation that ``invariants``,
-    ``spectrum``, the physicality test and the sampler's screen all read."""
+    ``spectrum``, the physicality test and the sampler's array tests all read."""
     det_gamma = c_plus * c_minus
     quad = a * a + b * b
     return (

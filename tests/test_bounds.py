@@ -71,6 +71,14 @@ class TestCurves:
             assert 0.0 < nu < 1.0
             assert lo <= hi == nu
 
+    def test_bound_curves_reject_a_non_integer_resolution(self):
+        for resolution in (2.5, 64.0, "64"):
+            with pytest.raises(DomainError, match="resolution must be an integer"):
+                bound_curves(resolution)
+        with pytest.raises(DomainError, match="at least 2"):
+            bound_curves(1)
+        assert bound_curves(np.int64(64)) == bound_curves(64)
+
 
 class TestGeofBounds:
     def test_unit_log_negativity(self):

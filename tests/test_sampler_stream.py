@@ -2,7 +2,7 @@
 
 ``iter_samples`` seeds each window of indices in one array pass, carries
 each index's PCG64 state in uint64 words, draws its doubles in rows and
-screens them as arrays.  The reference here is the scalar walk: one
+tests every attempt on arrays.  The reference here is the scalar walk: one
 ``rng.uniform`` call per value, one ``StandardForm`` per attempt, from
 numpy's own per-index generator (``_rng_for``).  Both must give equal
 samples, attempt by attempt, including the attempts that read fewer than
@@ -19,11 +19,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twomode import bounds
+from twomode import bounds, symplectic
 from twomode.bounds import NEAR_SEPARABLE_TOL, Sample, SamplerConfig, iter_samples
 from twomode.errors import SamplingError, TwoModeError
 from twomode.extremal import ExtremalParams, build_state
-from twomode.symplectic import StandardForm
+from twomode.symplectic import DEFAULT_TOL, StandardForm
 
 
 def _rng_for(seed, index):
@@ -118,16 +118,18 @@ def test_block_draws_equal_the_scalar_walk(mode, seed, s_max, indices):
 
 @pytest.mark.parametrize("mode, s_max", [
     ("extremal_params", 1.5), ("extremal_params", 20.0), ("extremal_params", 1e5),
+    ("extremal_params", bounds.S_MAX_LIMIT),
     ("raw_standard_form", 1.5), ("raw_standard_form", 20.0), ("raw_standard_form", 200.0),
 ])
-def test_screen_keeps_every_attempt_the_scalar_test_accepts(mode, s_max):
+def test_array_test_decides_each_attempt_as_the_scalar_test(mode, s_max):
     u = np.random.default_rng(20261018).random((4000, 4))
-    fields, short, keep = bounds._MODES[mode].screen(u, s_max)
-    confirm = {"extremal_params": bounds._confirm_extremal,
-               "raw_standard_form": bounds._confirm_raw}[mode]
-    for k, values in enumerate(zip(*(f.tolist() for f in fields))):
-        if not short[k] and confirm(*values) is not None:
-            assert keep[k], values
+    short, tested = bounds._MODES[mode].test(u, s_max)
+    confirm = bounds._MODES[mode].confirm
+    got = _array_outcomes(confirm, tested)
+    drawn = np.flatnonzero(~short).tolist()
+    want = [_outcome(confirm, *(c[k].item() for c in tested[2])) for k in drawn]
+    assert [_bits(got[k]) for k in drawn] == [_bits(x) for x in want]
+    assert any(got[k] is not None for k in drawn)
 
 
 @pytest.mark.parametrize("mode", ["extremal_params", "raw_standard_form"])
@@ -400,15 +402,15 @@ def _edge_attempt(mode):
 def test_early_stops_shift_the_attempts_after_them(monkeypatch, mode):
     block = bounds._MODES[mode].first_block
     edge = _edge_attempt(mode)
-    _, _, kept = bounds._MODES[mode].screen(np.array([edge]), S_MAX)
-    assert kept.tolist() == [True]
+    short, (accept, undefined, _, _) = bounds._MODES[mode].test(np.array([edge]), S_MAX)
+    assert (short | accept | undefined).tolist() == [False]
     scripts = [
         SHORT[mode] + ACCEPT[mode],
         REJECT[mode] + SHORT[mode] + SHORT[mode] + REJECT[mode] + ACCEPT[mode],
         # an early stop at the end of the first block carries the doubles
         # left over into the second one
         REJECT[mode] * (block - 1) + SHORT[mode] + REJECT[mode] * 3 + ACCEPT[mode],
-        # an attempt that only the scalar test rejects, then an early stop
+        # an attempt just on the rejected side of the cut, then an early stop
         edge + SHORT[mode] + ACCEPT[mode],
     ]
     for script in scripts:
@@ -416,6 +418,21 @@ def test_early_stops_shift_the_attempts_after_them(monkeypatch, mode):
         assert read == len(script)
         assert got == want
         assert len(got) == 1
+
+
+@pytest.mark.parametrize("mode", ["extremal_params", "raw_standard_form"])
+def test_an_early_stop_is_never_accepted(monkeypatch, mode):
+    # the array test also evaluates the doubles after an early stop as part
+    # of its attempt; even a test that accepts them must not decide it
+    def eager(test):
+        def wrapped(u, s_max):
+            short, (accept, undefined, args, accepted) = test(u, s_max)
+            return short, (accept | short, undefined, args, accepted)
+        return wrapped
+    monkeypatch.setitem(bounds._MODES, mode, dataclasses.replace(
+        bounds._MODES[mode], test=eager(bounds._MODES[mode].test)))
+    got, want, _ = _scripted(monkeypatch, mode, SHORT[mode] + SHORT[mode] + ACCEPT[mode])
+    assert got == want and len(got) == 1
 
 
 @pytest.mark.parametrize("mode", ["extremal_params", "raw_standard_form"])
@@ -442,8 +459,9 @@ def test_attempt_limit(monkeypatch, mode):
 def test_many_rounds_at_a_small_cap_equal_the_scalar_walk(
         mode, kinds, first_block, growth, over_limit):
     # Rows of at most first_block + growth attempts: an index takes many
-    # rounds at the cap, and each early stop or attempt that only the scalar
-    # test rejects leaves part of its row for the next round to draw again.
+    # rounds at the cap, and each early stop leaves part of its row for the
+    # next round to draw again, while rejections, also those just past the
+    # cut, are walked past within a round.
     # The accepted attempt is the last one the limit allows, or the first
     # one past it, so a walk that miscounts its attempts fails fast.
     attempts = {"reject": REJECT[mode], "short": SHORT[mode], "edge": _edge_attempt(mode)}
@@ -459,7 +477,7 @@ def test_many_rounds_at_a_small_cap_equal_the_scalar_walk(
     assert isinstance(got, str) if over_limit else len(got) == 1
 
 
-# Extremal attempts at the edges of every test the array confirm makes.
+# Extremal attempts at the edges of every test the array test makes.
 CONFIRM_EDGES = [
     (3.0, 0.5, 3.0, 1.0),  # lambda = +1
     (3.0, 0.5, 3.0, -1.0),  # lambda = -1
@@ -468,7 +486,7 @@ CONFIRM_EDGES = [
     (8.063821023262053, -6.4456265535238755, 13.891253107047751, -0.33768969776485314),
     (26.07925961031258, 5.334312209796009, 11.668624419592017, 1.0),
     # a near-pure GLEMS whose nu_minus discriminant rounds below -1e-9
-    # relative: spectrum() raises, so the confirm must too
+    # relative: spectrum() raises, so the array test must replay it
     (427650.34765625, 0.0, 1.0000855298695313, -1.0),
     # Ts^2 - 4g^2 is negative beyond tolerance
     (13.818994578216504, 12.136217415888211, 31.914135177452234, 0.32470433756239037),
@@ -489,9 +507,65 @@ CONFIRM_EDGES = [
 ]
 
 
+def _straddle(row_of, holds, lo, hi):
+    """The rows ``row_of(x)`` of the two adjacent doubles x in [lo, hi]
+    between which ``holds(row_of(x))`` flips, found by bisection."""
+    at_lo = holds(row_of(lo))
+    while math.nextafter(lo, hi) != hi:
+        mid = 0.5 * (lo + hi)
+        if holds(row_of(mid)) == at_lo:
+            lo = mid
+        else:
+            hi = mid
+    return [row_of(lo), row_of(hi)]
+
+
+def _physical(row):
+    return StandardForm(*row).is_physical()
+
+
+def _entangled(row):
+    return StandardForm(*row).spectrum().nu_tilde_minus < 1.0 - NEAR_SEPARABLE_TOL
+
+
+# Raw attempts on both sides of each test the array test makes:
+# Det sigma = 1 - DEFAULT_TOL (the pure states (2, 2, c, -c) at c ~ sqrt 3),
+# Delta = 1 + Det sigma + DEFAULT_TOL, and nu_tilde_minus = 1 -
+# NEAR_SEPARABLE_TOL (the symmetric states (3, 3, c, -c) at c ~ 2).  Each
+# side's other tests pass.
+RAW_EDGES = [
+    *_straddle(lambda c: (2.0, 2.0, c, -c), _physical, 1.7, 1.8),
+    *_straddle(lambda c: (1.5, 1.5, c, -0.1), _physical, 0.8, 0.95),
+    *_straddle(lambda c: (3.0, 3.0, c, -c), _entangled, 1.9, 2.1),
+]
+
+
+def _raw_row(s_max, u):
+    """(a, b, c_plus, c_minus) as ``_draw_raw`` draws them from the doubles u."""
+    a = 1.0 + (s_max - 1.0) * u[0]
+    b = 1.0 + (s_max - 1.0) * u[1]
+    c_cap = math.sqrt(max(a * b - 1.0, 0.0))
+    cp = c_cap * u[2]
+    return a, b, cp, -cp + cp * u[3]
+
+
+# The largest double below 1: the end of every draw's range.
+BELOW_ONE = 1.0 - 2.0**-53
+
+
+@st.composite
+def _raw_attempts(draw):
+    """Raw draws at s_max up to S_MAX_LIMIT, often at the end of a range."""
+    s_max = draw(st.one_of(st.floats(1.0, 3.0, exclude_min=True),
+                           st.floats(1.0, bounds.S_MAX_LIMIT, exclude_min=True)))
+    unit = st.one_of(st.sampled_from([0.0, 0.5, BELOW_ONE]),
+                     st.floats(0.0, 1.0, exclude_max=True))
+    return _raw_row(s_max, [draw(unit) for _ in range(4)])
+
+
 @st.composite
 def _extremal_attempts(draw):
-    """(s, d, g, lambda) as the screen draws them, g also a little outside
+    """(s, d, g, lambda) as the sampler draws them, g also a little outside
     the proposal window and lambda often at +-1."""
     s = draw(st.floats(1.0, 1e6))
     d = draw(st.floats(-1.0, 1.0)) * (s - 1.0)
@@ -509,30 +583,76 @@ def _outcome(confirm, *args):
         return type(exc), str(exc)
 
 
+def _array_outcomes(confirm, tested):
+    """What the sampler's walk makes of each attempt that ``tested``, an
+    array test, holds: the accepted draw, None, or, for an undefined
+    spectrum, the outcome of its replay by ``confirm``."""
+    accept, undefined, args, accepted = tested
+    draws = iter(accepted(accept))
+    return [_outcome(confirm, *(c[k].item() for c in args)) if undefined[k]
+            else next(draws) if accept[k] else None
+            for k in range(len(accept))]
+
+
 def _bits(draw):
-    """An accepted draw's floats as hex strings, None for a rejection."""
-    if draw is None:
-        return None
+    """An accepted draw's floats as hex strings, None for a rejection; an
+    error stays as it is."""
+    if draw is None or isinstance(draw[0], type):
+        return draw
     (sf, *params), nu = draw
     values = (sf.a, sf.b, sf.c_plus, sf.c_minus, *params, nu)
     assert all(type(v) is float for v in values)
     return [v.hex() for v in values]
 
 
-def _with_confirm_edges(test):
-    for row in CONFIRM_EDGES:
-        test = example(rows=[row])(test)
-    return example(rows=CONFIRM_EDGES)(test)
+def _with_edges(edges):
+    def decorate(test):
+        for row in edges:
+            test = example(rows=[row])(test)
+        return example(rows=edges)(test)
+    return decorate
+
+
+def _array_test_equals_the_scalar_confirm(test, confirm, rows):
+    want = [_outcome(confirm, *row) for row in rows]
+    tested = test(*(np.array(c) for c in zip(*rows)))
+    # only an attempt that the scalar test raises on is replayed
+    assert tested[1].tolist() == [w is not None and isinstance(w[0], type) for w in want]
+    assert [_bits(x) for x in _array_outcomes(confirm, tested)] == [_bits(x) for x in want]
 
 
 @settings(max_examples=200, deadline=None)
-@_with_confirm_edges
+@_with_edges(CONFIRM_EDGES)
 @given(rows=st.lists(_extremal_attempts(), min_size=1, max_size=8))
 def test_array_confirm_equals_the_scalar_confirm(rows):
-    want = [_outcome(bounds._confirm_extremal, *row) for row in rows]
-    got = _outcome(bounds._confirm_extremal_rows, *(np.array(c) for c in zip(*rows)))
-    raised = [w for w in want if w is not None and isinstance(w[0], type)]
-    if raised:
-        assert got == raised[0]
-    else:
-        assert [_bits(x) for x in got] == [_bits(x) for x in want]
+    _array_test_equals_the_scalar_confirm(bounds._test_extremal, bounds._confirm_extremal, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@_with_edges(RAW_EDGES)
+@given(rows=st.lists(_raw_attempts(), min_size=1, max_size=8))
+def test_raw_array_confirm_equals_the_scalar_confirm(rows):
+    _array_test_equals_the_scalar_confirm(bounds._test_raw, bounds._confirm_raw, rows)
+
+
+def test_raw_edges_straddle_each_test():
+    physical = [_physical(row) for row in RAW_EDGES]
+    entangled = [_entangled(row) for row in RAW_EDGES]
+    assert physical == [True, False, True, False, True, True]
+    assert entangled[0] and entangled[2] and entangled[4] != entangled[5]
+    for row in RAW_EDGES:
+        a, b, cp, cm = row
+        assert a * b - cp * cp >= 0.0 and a * b - cm * cm >= 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@example(row=_raw_row(bounds.S_MAX_LIMIT, [BELOW_ONE] * 4))
+@example(row=_raw_row(bounds.S_MAX_LIMIT, [BELOW_ONE, 0.5, BELOW_ONE, BELOW_ONE]))
+@example(row=_raw_row(1.0 + 2.0**-52, [BELOW_ONE] * 4))
+@given(row=_raw_attempts())
+def test_raw_draws_fail_physicality_only_on_the_two_dets_inequalities(row):
+    # why the array test of raw draws checks only Det sigma and Delta: the
+    # other inequalities of _violation hold on every draw
+    det_sigma, delta, _ = symplectic._dets(*row)
+    holds = det_sigma >= 1.0 - DEFAULT_TOL and delta <= 1.0 + det_sigma + DEFAULT_TOL
+    assert (StandardForm(*row)._violation(DEFAULT_TOL) is None) == holds

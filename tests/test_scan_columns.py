@@ -262,6 +262,20 @@ def test_scan_endpoints_beyond_the_limit_raise(scan, args, message):
         scan(*args, resolution=4)
 
 
+@pytest.mark.parametrize("scan, args", [
+    (scan_ordering_slice, (5.0, (1.0, 5.0), (1.0, 9.0))),
+    (scan_ordering_3d, ((1.5, 5.0), (-2.0, 2.0), (1.0, 9.0))),
+])
+@pytest.mark.parametrize("resolution", [3.5, 2.5, 5.0, "5"])
+def test_scans_reject_a_non_integer_resolution(scan, args, resolution):
+    # a float once went on to numpy: 3.5 failed to broadcast (16,) with
+    # (12,), and bound_curves(2.5) drew 3 rows
+    with pytest.raises(DomainError, match="resolution must be an integer"):
+        scan(*args, resolution=resolution)
+    cells, _ = scan(*args, resolution=np.int64(3))
+    assert len(cells) == (9 if scan is scan_ordering_slice else 27)
+
+
 def test_scans_at_the_limit_stay_finite():
     # every physical cell's closed forms and nu_tilde columns are finite, and
     # no floating-point warning is raised (they are errors in this suite)

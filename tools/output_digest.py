@@ -7,7 +7,9 @@ Usage, from anywhere:
 The runs are the `bounds` experiment (seed 1, 4000 states, both sampler
 modes; 200 raw-mode states at s_max 200, where the sampler rejects hundreds
 of attempts per state; 1000 extremal states at s_max 1e5, where large
-entries stress the minimizer's rounding; 500 extremal states at seed
+entries stress the minimizer's rounding; 1000 extremal states at s_max 1e6,
+the sampler's upper limit ``S_MAX_LIMIT``, where its array tests decide on
+the largest entries; 500 extremal states at seed
 2**128 + 12345, whose five uint32 words take the seeding's longest hash;
 1000 extremal states with --log-base e, the only run whose log_neg and geof
 columns take natural logarithms),
@@ -64,6 +66,7 @@ def _outputs():
             ("raw_standard_form", "4000", "20", "1", "2", ""),
             ("raw_standard_form", "200", "200", "1", "2", " s_max 200"),
             ("extremal_params", "1000", "1e5", "1", "2", " s_max 1e5"),
+            ("extremal_params", "1000", "1e6", "1", "2", " s_max 1e6"),
             ("extremal_params", "500", "20", str(2**128 + 12345), "2", " seed 2**128+12345"),
             ("extremal_params", "1000", "20", "1", "e", " log-base e")]
     for mode, samples, s_max, seed, base, tag in runs:
