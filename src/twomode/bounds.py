@@ -564,9 +564,9 @@ def bound_experiment(cfg: SamplerConfig, log_base=2) -> ExperimentResult:
 
     The stream is minimized in blocks of ``_BLOCK`` states by
     ``minimize_block``, whose gate reads the sampler's nu_tilde_minus; a
-    state's failure is the error ``minimize_m`` raises.  A block's bound
-    tests, slacks and counts are array expressions; log_neg and 1/nu^2 stay
-    on Python floats, whose log and power can differ from numpy's.
+    state's failure is the error ``minimize_m`` raises.  A block's results,
+    bound tests, slacks and counts are columns; log_neg and 1/nu^2 stay on
+    Python floats, whose log and power can differ from numpy's.
     """
     points: list[BoundPoint] = []
     failures: list[tuple[int, str]] = []
@@ -577,31 +577,28 @@ def bound_experiment(cfg: SamplerConfig, log_base=2) -> ExperimentResult:
     confirmed = _confirmed_samples(cfg)
     while block := list(itertools.islice(confirmed, _BLOCK)):
         samples, nus = zip(*block)
-        outcomes = minimize_block([sample.standard_form for sample in samples], log_base,
-                                  nu_sigmas=nus)
-        failures += [(sample.index, str(outcome)) for sample, outcome in zip(samples, outcomes)
-                     if isinstance(outcome, TwoModeError)]
-        passed = [(sample, *outcome) for sample, outcome in zip(samples, outcomes)
-                  if not isinstance(outcome, TwoModeError)]
-        if not passed:
+        gems = minimize_block([sample.standard_form for sample in samples], log_base,
+                              nu_sigmas=nus)
+        failures += [(samples[i].index, str(error)) for i, error in gems.errors.items()]
+        kept = np.flatnonzero(gems.m_opt == gems.m_opt)  # a failed row reads NaN
+        if not kept.size:
             continue
         # each nu_sigma lies in (0, 1), the domain of both curves: the
         # sampler cut it below 1, and the gate fails a form with Det sigma < 1
-        samples, nu_list, gems = zip(*passed)
-        nu_sigma = np.array(nu_list)
-        nu_opt_list = [gem.nu_tilde_opt for gem in gems]
-        nu_opt = np.array(nu_opt_list)
+        nu_sigma, nu_opt = gems.nu_tilde_sigma[kept], gems.nu_tilde_opt[kept]
         upper = nu_opt > nu_sigma + VIOLATION_TOL
         lower = nu_opt < _lower_curve(nu_sigma) - VIOLATION_TOL
         violations_upper += int(np.count_nonzero(upper))
         violations_lower += int(np.count_nonzero(lower))
         min_upper_slack = min(min_upper_slack, (nu_sigma - nu_opt).min().item())
-        m_max_slack = np.array([1.0 / nu**2 for nu in nu_list]) - [gem.m_opt for gem in gems]
+        nu_list = nu_sigma.tolist()
+        m_max_slack = np.array([1.0 / nu**2 for nu in nu_list]) - gems.m_opt[kept]
         min_m_max_slack = min(min_m_max_slack, m_max_slack.min().item())
+        samples = [samples[i] for i in kept.tolist()]
         points.extend(map(BoundPoint._make, zip(
             [sample.index for sample in samples], *zip(*(sample[2:] for sample in samples)),
-            nu_list, nu_opt_list, [log_negativity(nu, log_base) for nu in nu_list],
-            [gem.gaussian_eof for gem in gems], upper.tolist(), lower.tolist())))
+            nu_list, nu_opt.tolist(), [log_negativity(nu, log_base) for nu in nu_list],
+            gems.gaussian_eof[kept].tolist(), upper.tolist(), lower.tolist())))
     return ExperimentResult(
         points, violations_upper, violations_lower, failures,
         min_upper_slack, min_m_max_slack,

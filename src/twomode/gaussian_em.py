@@ -25,31 +25,36 @@ nu_tilde = sqrt(m) - sqrt(m - 1) is the partially-transposed symplectic
 eigenvalue of the optimal pure state and h(nu_tilde) its entanglement of
 formation.
 
-``minimize_block`` is the one minimizer and ``minimize_m`` its call on one
-form.  Each form passes the gate (spectrum, physicality, near-separable cut,
-symmetric closed form) on its own, and each outcome is a value: a result or
-the error ``minimize_m`` raises.  The gate reads a nu_tilde_minus that the
-caller hands it (the bound experiment hands the sampler's) and checks every
-form's physicality.  ``_ThetaProfile.of`` is the one profile builder, run
-per form, so every branch is scalar code.  A lone general form takes the
-per-form route; two or more stack their profiles as columns and batch only
-branch-free work: the quartic coefficients, one ``np.linalg.eigvals`` call
-on the stacked companion matrices and one evaluation of m at the candidate
-angles.  Both routes give the same bits; ``np.roots`` solves the degenerate
-quartics of pure and minimum-uncertainty forms.
+``minimize_m`` and ``minimize_block`` run one body: the gate (spectrum,
+physicality, near-separable cut, symmetric closed form), the sign ordering,
+``_ThetaProfile.of`` and the optimum are each written once against a
+namespace ``xp``.  ``minimize_m`` passes one form's Python floats
+(``_FLOATS``, ``math``), so a single call pays no array overhead;
+``minimize_block`` passes a block's columns (``_ARRAYS``, NumPy), whose
+branches are masks.  Both take the roots of the stationary quartics from
+``np.linalg.eigvals`` of their companion matrices (``np.roots`` for the
+degenerate quartics of pure and minimum-uncertainty forms) and evaluate m
+with NumPy's trigonometry, so both give the same bits.  A block row that
+fails the gate's mask is replayed through ``minimize_m``'s route, so each
+error keeps its type and message; a row whose profile is not finite at its
+stationary angles gets its ``MinimizationError`` in the block.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import astuple, dataclass
+from functools import reduce
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
+from . import extremal
 from .errors import DomainError, MinimizationError, TwoModeError, UnphysicalStateError
 from .negativity import _log_divisor, h_function
-from .symplectic import StandardForm, _dets
+from .symplectic import SYMMETRY_RTOL, StandardForm, _dets, _inequalities, _nu_pairs
 
 #: States with nu_tilde_minus inside [1 - this, 1] are treated as separable
 #: by the minimizer, which then returns m_opt = 1 exactly.
@@ -62,6 +67,15 @@ SQRT_CLAMP = 1e-12
 
 _ETA = np.array([1.0, -1.0, -1.0])  # Minkowski metric signature (+, -, -)
 _SUBDIAGONAL = np.eye(4, k=-1)  # companion matrices of quartics, first row aside
+
+#: The one body's ``xp`` on one form's floats: ``extremal._FLOATS``, and the
+#: cube as Python's float power.
+_FLOATS = SimpleNamespace(**vars(extremal._FLOATS), cube=lambda x: x**3)
+#: Its ``xp`` on a block's columns: NumPy, except the cube.  NumPy's array
+#: power equals Python's float power on only about 97% of doubles (and
+#: x*x*x on 74%), so each entry is cubed as a Python float.
+_ARRAYS = SimpleNamespace(sqrt=np.sqrt, maximum=np.maximum, where=np.where,
+                          cube=lambda x: np.array([v**3 for v in x.tolist()]))
 
 
 @dataclass(frozen=True)
@@ -105,28 +119,52 @@ def nu_tilde_from_m(m: float) -> float:
     single-mode determinant m; evaluated as 1/(sqrt(m) + sqrt(m-1))."""
     if m < 1.0:
         raise DomainError(f"single-mode determinant must be >= 1, got {m!r}")
-    return 1.0 / (math.sqrt(m) + math.sqrt(m - 1.0))
+    return _nu_of_m(m, _FLOATS)
+
+
+def _nu_of_m(m, xp):
+    return 1.0 / (xp.sqrt(m) + xp.sqrt(m - 1.0))
 
 
 def m_from_nu_tilde(nu: float) -> float:
     """Inverse of ``nu_tilde_from_m``: m = ((nu + 1/nu) / 2)^2."""
     if not 0.0 < nu <= 1.0:
         raise DomainError(f"nu_tilde must lie in (0, 1], got {nu!r}")
+    return _m_of_nu(nu)
+
+
+def _m_of_nu(nu):
     half_sum = 0.5 * (nu + 1.0 / nu)
     return half_sum * half_sum
 
 
-def _physical_nu(sf: StandardForm, nu: float | None = None) -> float:
-    """nu_tilde_minus of ``sf`` (``nu`` when the caller has it), taken first
-    so that a form without one fails there, then the module's one
-    physicality check, made on polynomial inequalities: for pure states
-    nu_minus itself sits on a vanishing discriminant and carries
-    sqrt-amplified rounding noise."""
+def _gate(a, b, cp, cm, nu, near_separable_tol: float, xp):
+    """``minimize_m``'s checks before the rim, on the floats of one form or
+    the columns of a block (``xp``), with nu = its nu_tilde_minus: where the
+    form passes (nu is a number and ``StandardForm.is_physical(1e-9)``
+    holds), where it is near separable (m_opt = 1) and where symmetric
+    (m_opt = ``m_from_nu_tilde(nu)``)."""
+    passes = (nu == nu) & reduce(operator.and_, _inequalities(a, b, cp, cm, 1e-9))
+    return (passes, nu >= 1.0 - near_separable_tol,
+            abs(a - b) <= SYMMETRY_RTOL * xp.maximum(a, b))
+
+
+def _scalar_gate(sf: StandardForm, nu: float | None = None,
+                 near_separable_tol: float = NEAR_SEPARABLE_TOL) -> tuple[float, bool, bool]:
+    """``_gate`` of one form, with nu_tilde_minus taken from its spectrum
+    unless the caller has it (``nu``), so that a form without one fails
+    there first: nu_tilde_minus and the separable and symmetric verdicts.
+    Raises UnphysicalStateError where the form does not pass.  Physicality
+    is decided on polynomial inequalities: for pure states nu_minus itself
+    sits on a vanishing discriminant and carries sqrt-amplified rounding
+    noise."""
     if nu is None:
         nu = sf.spectrum().nu_tilde_minus
-    if not sf.is_physical(1e-9):
+    passes, separable, symmetric = _gate(sf.a, sf.b, sf.c_plus, sf.c_minus, nu,
+                                         near_separable_tol, _FLOATS)
+    if not passes:
         raise UnphysicalStateError(f"not a physical state: {sf}")
-    return nu
+    return nu, separable, symmetric
 
 
 def _require_rim(sf: StandardForm, nu: float) -> None:
@@ -139,20 +177,25 @@ def _require_rim(sf: StandardForm, nu: float) -> None:
         raise DomainError(f"state is separable (nu_tilde_minus = {nu:.12g})")
 
 
+def _sign_ordered(cp, cm, xp):
+    """(c_plus, c_minus) of ``StandardForm.sign_ordered`` under ``xp``: a
+    pair with c_plus >= |c_minus| passes both steps unchanged."""
+    swap = abs(cm) > abs(cp)
+    cp, cm = xp.where(swap, -cm, cp), xp.where(swap, -cp, cm)
+    flip = cp < 0.0
+    return xp.where(flip, -cp, cp), xp.where(flip, -cm, cm)
+
+
 _EPS = 2.220446049250313e-16
 
 
 class _ThetaProfile(NamedTuple):
     """Coefficients of m(theta) = 1 + num(theta)/den(theta): floats for one
-    form, or columns of a block stacked from the rows ``of`` builds.
+    form, or columns for a block.
 
     num(theta) = (n0 + n1 cos theta)^2 and
     den(theta) = d0 + dc cos theta + ds sin theta; only the three
     theta-independent square roots need domain clamping.
-
-    ``of`` is the one builder, and it runs per form: its branches stay in
-    scalar code.  Arrays carry only the branch-free ``quartic`` and
-    ``__call__``, so a block's rows are bit for bit those of its forms.
     """
 
     n0: float
@@ -162,14 +205,14 @@ class _ThetaProfile(NamedTuple):
     ds: float
 
     @classmethod
-    def of(cls, sf: StandardForm) -> "_ThetaProfile":
-        """The profile of one physical (``_physical_nu``), entangled and
+    def of(cls, a, b, cp, cm, xp) -> "_ThetaProfile":
+        """The profile of physical (``_scalar_gate``), entangled and
         sign-ordered (``_require_rim``, or the gate's near-separable cut and
-        ``sign_ordered()``) form, so nothing here raises: the diagonal of
-        gamma_q >= gamma_p^{-1} (the Schur complement of
-        sigma + i Omega >= 0) gives r1, r2 <= 0, hence R = r1 r2 >= 0 up to
-        rounding, and the uncertainty slack is at least -1e-9."""
-        a, b, cp, cm = sf.a, sf.b, sf.c_plus, sf.c_minus
+        ``_sign_ordered``) forms (a, b, c_plus, c_minus) under ``xp``.
+        Nothing here raises or warns: the diagonal of gamma_q >= gamma_p^{-1}
+        (the Schur complement of sigma + i Omega >= 0) gives r1, r2 <= 0,
+        hence R = r1 r2 >= 0 up to rounding, and the uncertainty slack is at
+        least -1e-9; a degenerate rim divides by 1 in place of R."""
         dq = a * b - cm * cm
         r1 = a - b * dq
         r2 = b - a * dq
@@ -182,15 +225,13 @@ class _ThetaProfile(NamedTuple):
         d0 = 2.0 * dq * (quad + 2.0 * cp * cm)
         # Both differences r1, r2 cancel as states approach purity, so the
         # degeneracy threshold covers the rounding envelope of R, not just
-        # a fixed epsilon.
-        if not rr > max(SQRT_CLAMP * (1.0 + r1 * r1 + r2 * r2),
-                        64.0 * _EPS * ((abs(a) + abs(b * dq)) * abs(r2)
-                                       + (abs(b) + abs(a * dq)) * abs(r1) + 1.0)):
-            # Degenerate rim (pure state): the profile is the constant
-            # 1 + n0^2 / d0, the limit of the full expression.
-            return cls(n0, 0.0, d0, 0.0, 0.0)
+        # a fixed epsilon.  On a degenerate rim (pure state) the profile is
+        # the constant 1 + n0^2 / d0, the limit of the full expression.
+        rim = rr > xp.maximum(SQRT_CLAMP * (1.0 + r1 * r1 + r2 * r2),
+                              64.0 * _EPS * ((abs(a) + abs(b * dq)) * abs(r2)
+                                             + (abs(b) + abs(a * dq)) * abs(r1) + 1.0))
         h_coeff = (
-            2.0 * a * b * cm**3
+            2.0 * a * b * xp.cube(cm)
             + quad * cp * cm * cm
             + (quad - 2.0 * a * a * b * b) * cm
             - a * b * (quad - 2.0) * cp
@@ -202,13 +243,15 @@ class _ThetaProfile(NamedTuple):
         # identically for partial-minimum-uncertainty states.
         det_sigma, delta, _ = _dets(a, b, cp, cm)
         slack = 1.0 + det_sigma - delta
-        if slack <= 1e-11 * max(1.0, det_sigma, abs(delta)):
-            # at most rounding noise away from minimum uncertainty,
-            # where the sin(theta) term vanishes identically
-            slack = 0.0
-        sqrt_r = math.sqrt(rr)
-        return cls(n0, sqrt_r, d0, -2.0 * dq * h_coeff / sqrt_r,
-                   2.0 * dq * (a * a - b * b) * math.sqrt(dq * slack / rr))
+        # at most rounding noise away from minimum uncertainty, where the
+        # sin(theta) term vanishes identically
+        slack = xp.where(slack <= 1e-11 * xp.maximum(xp.maximum(1.0, det_sigma), abs(delta)),
+                         0.0, slack)
+        rr = xp.where(rim, rr, 1.0)
+        sqrt_r = xp.sqrt(rr)
+        return cls(n0, xp.where(rim, sqrt_r, 0.0), d0,
+                   xp.where(rim, -2.0 * dq * h_coeff / sqrt_r, 0.0),
+                   xp.where(rim, 2.0 * dq * (a * a - b * b) * xp.sqrt(dq * slack / rr), 0.0))
 
     def quartic(self):
         """Coefficients, highest first, of the quartic in t = tan(theta/2)
@@ -234,8 +277,8 @@ def m_theta(sf: StandardForm, theta):
     (else UnphysicalStateError), entangled and sign-ordered with
     c_plus >= |c_minus| (else DomainError); the result is >= 1 for every theta.
     """
-    _require_rim(sf, _physical_nu(sf))
-    out = _ThetaProfile.of(sf)(theta)
+    _require_rim(sf, _scalar_gate(sf)[0])
+    out = _ThetaProfile.of(sf.a, sf.b, sf.c_plus, sf.c_minus, _FLOATS)(theta)
     return float(out) if np.isscalar(theta) else out
 
 
@@ -288,15 +331,15 @@ def gamma_from_theta(sf: StandardForm, theta: float) -> GammaCoordinates:
         DomainError: if it is separable or not sign-ordered (no optimization
             rim), or if the rim is too close to lightlike to parametrize.
     """
-    _require_rim(sf, _physical_nu(sf))
+    _require_rim(sf, _scalar_gate(sf)[0])
     center, w_axis, p_axis = _rim_geometry(sf)
     x = center + math.cos(theta) * w_axis + math.sin(theta) * p_axis
     return GammaCoordinates(float(x[0]), float(x[1]), float(x[2]))
 
 
 def _stationary_angles(quartic: tuple[float, ...]) -> tuple[np.ndarray, int]:
-    """Candidate angles that include every minimizer of m(theta), and the
-    number of distinct stationary angles, from the profile's
+    """Five candidate angles that include every minimizer of m(theta), and
+    the number of distinct stationary angles, from the profile's
     ``_ThetaProfile.quartic()``.
 
     With N = n0 + n1 cos and D = d0 + dc cos + ds sin, m' = N F / D^2 where
@@ -304,9 +347,11 @@ def _stationary_angles(quartic: tuple[float, ...]) -> tuple[np.ndarray, int]:
     reached on entangled states.  Under t = tan(theta/2), F (1 + t^2)^2 is a
     quartic in t, so there are at most four extrema per period.
     theta = pi (t = infinity) is always a candidate and counts as stationary
-    when the t^4 coefficient F(pi) vanishes.  The roots are those of
-    ``np.roots``, bit for bit; a quartic with nonzero end coefficients skips
-    its wrapper for the same companion-matrix solve.
+    when the t^4 coefficient F(pi) vanishes; it follows the roots and
+    repeats where there are fewer than four, which leaves the first minimum
+    in place.  The roots are those of ``np.roots``, bit for bit; a quartic
+    with nonzero end coefficients skips its wrapper for the same
+    companion-matrix solve.
     """
     if quartic[0] != 0.0 and quartic[4] != 0.0:
         companion = _SUBDIAGONAL.copy()
@@ -318,7 +363,8 @@ def _stationary_angles(quartic: tuple[float, ...]) -> tuple[np.ndarray, int]:
     # zero imaginary part; evaluating m at the real parts of complex roots
     # too is harmless, since every angle bounds the minimum from above.
     distinct = len({r.real for r in roots.tolist() if r.imag == 0.0})
-    angles = np.append(2.0 * np.arctan(roots.real), math.pi)
+    angles = np.full(5, math.pi)
+    angles[:len(roots)] = 2.0 * np.arctan(roots.real)
     return angles, distinct + int(quartic[0] == 0.0)
 
 
@@ -328,9 +374,7 @@ def _block_angles(quartics: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Quartics with nonzero leading and trailing coefficients share one
     ``np.linalg.eigvals`` call on their stacked companion matrices, which
-    are ``_stationary_angles``' own; the others go through it.  A row with
-    fewer than four roots repeats theta = pi, which leaves its first minimum
-    in place.
+    are ``_stationary_angles``' own; the others go through it.
     """
     angles = np.full((len(quartics), 5), math.pi)
     extrema = np.zeros(len(quartics), dtype=int)
@@ -345,29 +389,32 @@ def _block_angles(quartics: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         extrema[full] = (np.count_nonzero(~np.isnan(real), axis=1)
                          - np.count_nonzero(real[:, 1:] == real[:, :-1], axis=1))
     for i in np.flatnonzero(~full).tolist():
-        row_angles, extrema[i] = _stationary_angles(tuple(quartics[i].tolist()))
-        angles[i, :len(row_angles)] = row_angles
+        angles[i], extrema[i] = _stationary_angles(tuple(quartics[i].tolist()))
     return angles, extrema
 
 
-def _gate(sf: StandardForm, nu: float | None, near_separable_tol: float,
-          log_base) -> tuple[float, GemResult | None]:
-    """nu_tilde_minus of the form (``_physical_nu``), with ``minimize_m``'s
-    result for a separable or symmetric form and None for the general path;
-    raises on a form without a spectrum or an unphysical one."""
-    nu_sigma = _physical_nu(sf, nu)
-    if nu_sigma >= 1.0 - near_separable_tol:
-        return nu_sigma, GemResult(1.0, 0.0, 1.0, 0.0, 1)
-    if sf.is_symmetric():
-        m_opt = m_from_nu_tilde(nu_sigma)
-        return nu_sigma, GemResult(m_opt, math.pi, nu_sigma, h_function(nu_sigma, log_base), 2)
-    return nu_sigma, None
+def _optimum(m_min, theta, xp):
+    """(m_opt, theta_opt, nu_tilde_opt) from the least m found and its
+    angle: m_opt is at least 1 and theta_opt lies in [0, 2 pi)."""
+    m_opt = xp.maximum(m_min, 1.0)
+    return m_opt, theta % (2.0 * math.pi), _nu_of_m(m_opt, xp)
 
 
-def _result(m_min: float, theta: float, extrema: int, log_base) -> GemResult:
-    m_opt = max(m_min, 1.0)
-    nu_opt = nu_tilde_from_m(m_opt)
-    return GemResult(m_opt, theta % (2.0 * math.pi), nu_opt, h_function(nu_opt, log_base), extrema)
+def _not_finite(angles: np.ndarray, a: float, b: float, cp: float, cm: float) -> MinimizationError:
+    return MinimizationError(
+        f"angular profile is not finite at its stationary angles {angles} "
+        f"for standard form {StandardForm(a, b, cp, cm)}"
+    )
+
+
+def _require_arguments(near_separable_tol: float, log_base) -> None:
+    if not near_separable_tol >= 0.0:
+        raise DomainError(f"near_separable_tol must be >= 0, got {near_separable_tol!r}")
+    _log_divisor(log_base)  # DomainError for a base other than 2 and "e"
+
+
+#: ``minimize_m``'s result for a separable or near-separable form.
+_SEPARABLE = GemResult(1.0, 0.0, 1.0, 0.0, 1)
 
 
 def minimize_m(
@@ -384,29 +431,48 @@ def minimize_m(
     states short-circuit to m_opt = 1; symmetric states take the closed
     result nu_tilde_opt = nu_tilde_minus(sigma) at theta = pi, which is also
     where a pure state's flat profile (a zero quartic) reports its minimum.
-    ``extrema_found`` counts the distinct stationary angles.  This is
-    ``minimize_block`` of the one form; its error is raised.
+    ``extrema_found`` counts the distinct stationary angles.  This is the
+    one body on floats; ``minimize_block`` gives each of its forms the same
+    bits.
     """
-    outcome = minimize_block([sf], log_base, near_separable_tol)[0]
-    if isinstance(outcome, TwoModeError):
-        raise outcome
-    return outcome[1]
+    _require_arguments(near_separable_tol, log_base)
+    return _minimize(sf, None, near_separable_tol, log_base)[1]
 
 
-def _minimize_profile(sf: StandardForm, log_base=2) -> GemResult:
-    """The per-form route of the general path, for a physical and entangled
-    form."""
-    ordered = sf.sign_ordered()
-    profile = _ThetaProfile.of(ordered)
+def _minimize(sf: StandardForm, nu: float | None, near_separable_tol: float,
+              log_base) -> tuple[float, GemResult]:
+    """nu_tilde_minus and ``minimize_m``'s result of one form on floats,
+    given its nu_tilde_minus where the caller has it (``nu``)."""
+    nu, separable, symmetric = _scalar_gate(sf, nu, near_separable_tol)
+    if separable:
+        return nu, _SEPARABLE
+    if symmetric:
+        return nu, GemResult(m_from_nu_tilde(nu), math.pi, nu, h_function(nu, log_base), 2)
+    a, b = sf.a, sf.b
+    cp, cm = _sign_ordered(sf.c_plus, sf.c_minus, _FLOATS)
+    profile = _ThetaProfile.of(a, b, cp, cm, _FLOATS)
     angles, extrema = _stationary_angles(profile.quartic())
     vals = profile(angles)
-    if not np.all(np.isfinite(vals)):
-        raise MinimizationError(
-            f"angular profile is not finite at its stationary angles {angles} "
-            f"for standard form {ordered}"
-        )
-    best = int(np.argmin(vals))
-    return _result(float(vals[best]), float(angles[best]), extrema, log_base)
+    if not np.isfinite(vals).all():
+        raise _not_finite(angles, a, b, cp, cm)
+    best = int(vals.argmin())
+    m_opt, theta, nu_opt = _optimum(vals[best].item(), angles[best].item(), _FLOATS)
+    return nu, GemResult(m_opt, theta, nu_opt, h_function(nu_opt, log_base), extrema)
+
+
+class GemBlock(NamedTuple):
+    """``minimize_block``'s outcomes as columns, one row per form: its
+    nu_tilde_minus and the ``GemResult`` fields that ``minimize_m`` returns
+    for it, and by row the ``TwoModeError`` that ``minimize_m`` raises
+    instead; such a row reads NaN (0 extrema) in the result columns."""
+
+    nu_tilde_sigma: np.ndarray
+    m_opt: np.ndarray
+    theta_opt: np.ndarray
+    nu_tilde_opt: np.ndarray
+    gaussian_eof: np.ndarray
+    extrema_found: np.ndarray
+    errors: dict[int, TwoModeError]
 
 
 def minimize_block(
@@ -414,53 +480,75 @@ def minimize_block(
     log_base=2,
     near_separable_tol: float = NEAR_SEPARABLE_TOL,
     nu_sigmas=None,
-) -> list[tuple[float, GemResult] | TwoModeError]:
-    """Each form's outcome: its nu_tilde_minus and ``minimize_m``'s result,
-    or the ``TwoModeError`` that ``minimize_m`` raises for it; a bad
-    ``near_separable_tol`` or ``log_base`` raises DomainError at once.
-    The gate reads each form's nu_tilde_minus from ``nu_sigmas`` where the
-    caller has it (not None) and from its spectrum otherwise.
+) -> GemBlock:
+    """``minimize_m`` of every form, as columns; a bad ``near_separable_tol``
+    or ``log_base`` raises DomainError at once.
 
-    Two or more general forms take the array route: their ``_ThetaProfile.of``
-    rows are stacked, and the quartic solve and the evaluation run on the
-    stack.  One non-finite quartic makes ``np.linalg.eigvals`` raise for the
-    whole array route, so entries must stay far below 1e100 (the sampler's
-    do, at s_max <= 1e6).
+    ``nu_sigmas``, a sequence or array with one entry per form (else
+    DomainError), holds each form's nu_tilde_minus where the caller has it;
+    an entry that is None or NaN, or a missing ``nu_sigmas``, leaves it to
+    the form's spectrum.  The gate runs as masks on the columns, and a row
+    that fails it (no spectrum, unphysical) is replayed through
+    ``minimize_m``'s route.  The other rows' profiles, quartics, roots and
+    minima are columns too, and a row whose profile is not finite at its
+    stationary angles gets its ``MinimizationError``.  Entries must stay
+    far below 1e77 (the sampler's do, at s_max <= 1e6): above it Det sigma
+    overflows and NumPy warns where ``minimize_m`` is silent, and one
+    non-finite quartic makes ``np.linalg.eigvals`` raise for the whole block.
     """
-    if not near_separable_tol >= 0.0:
-        raise DomainError(f"near_separable_tol must be >= 0, got {near_separable_tol!r}")
-    _log_divisor(log_base)  # DomainError for a base other than 2 and "e"
-    outcomes: list = [None] * len(forms)
-    general: list[tuple[int, float]] = []
-    for i, (sf, nu) in enumerate(zip(forms, nu_sigmas or [None] * len(forms))):
+    _require_arguments(near_separable_tol, log_base)
+    n = len(forms)
+    a, b, cp, cm = np.array([(sf.a, sf.b, sf.c_plus, sf.c_minus) for sf in forms],
+                            dtype=float).reshape(n, 4).T
+    nu = np.full(n, math.nan) if nu_sigmas is None else np.array(nu_sigmas, dtype=float)
+    if nu.shape != (n,):
+        raise DomainError(f"nu_sigmas must hold one value per form ({n}), got shape {nu.shape}")
+    given = nu == nu
+    if not given.all():
+        # spectrum() raises when either pair is undefined: NaN, and a replay
+        det_sigma, delta, delta_tilde = _dets(a[~given], b[~given], cp[~given], cm[~given])
+        nu_minus, nu_tilde = (_nu_pairs(x, det_sigma, x * x - 4.0 * det_sigma)[0]
+                              for x in (delta, delta_tilde))
+        nu[~given] = np.where(nu_minus == nu_minus, nu_tilde, math.nan)
+    passes, separable, symmetric = _gate(a, b, cp, cm, nu, near_separable_tol, _ARRAYS)
+    symmetric &= passes & ~separable
+    general = np.flatnonzero(passes & ~separable & ~symmetric)
+    m_opt, theta, nu_opt = np.ones(n), np.zeros(n), np.ones(n)
+    extrema = np.where(symmetric, 2, 1)
+    m_opt[symmetric] = _m_of_nu(nu[symmetric])
+    theta[symmetric] = math.pi
+    nu_opt[symmetric] = nu[symmetric]
+
+    ga, gb = a[general], b[general]
+    gcp, gcm = _sign_ordered(cp[general], cm[general], _ARRAYS)
+    profile = _ThetaProfile.of(ga, gb, gcp, gcm, _ARRAYS)
+    angles, extrema[general] = _block_angles(np.stack(profile.quartic(), axis=1))
+    vals = _ThetaProfile(*(c[:, None] for c in profile))(angles)
+    lead = np.arange(len(general))
+    best = vals.argmin(axis=1)
+    m_opt[general], theta[general], nu_opt[general] = _optimum(
+        vals[lead, best], angles[lead, best], _ARRAYS)
+    errors = {general[k].item(): _not_finite(angles[k], *(c[k].item() for c in (ga, gb, gcp, gcm)))
+              for k in np.flatnonzero(~np.isfinite(vals).all(axis=1)).tolist()}
+
+    # The mask is the scalar gate's arithmetic, so the replay raises; the
+    # row takes whatever minimize_m's route gives it all the same.
+    for i in np.flatnonzero(~passes).tolist():
         try:
-            nu_sigma, closed = _gate(sf, nu, near_separable_tol, log_base)
+            nu[i], gem = _minimize(forms[i], nu[i].item() if given[i] else None,
+                                   near_separable_tol, log_base)
         except TwoModeError as exc:
-            outcomes[i] = exc
-            continue
-        if closed is None:
-            general.append((i, nu_sigma))
+            errors[i] = exc
         else:
-            outcomes[i] = nu_sigma, closed
-    minima: list[GemResult | None] = [None]
-    if len(general) > 1:  # the array route's fixed cost pays off from two forms on
-        columns = np.array([_ThetaProfile.of(forms[i].sign_ordered()) for i, _ in general]).T
-        angles, extrema = _block_angles(np.stack(_ThetaProfile(*columns).quartic(), axis=1))
-        vals = _ThetaProfile(*columns[:, :, None])(angles)
-        best = vals.argmin(axis=1)
-        lead = np.arange(len(general))
-        minima = [_result(m_min, theta, count, log_base) if finite else None
-                  for finite, m_min, theta, count in zip(
-                      np.isfinite(vals).all(axis=1).tolist(), vals[lead, best].tolist(),
-                      angles[lead, best].tolist(), extrema.tolist())]
-    for (i, nu_sigma), gem in zip(general, minima):
-        try:
-            if gem is None:  # a lone general form, or a row left non-finite above
-                gem = _minimize_profile(forms[i], log_base)
-            outcomes[i] = nu_sigma, gem
-        except TwoModeError as exc:
-            outcomes[i] = exc
-    return outcomes
+            m_opt[i], theta[i], nu_opt[i], _, extrema[i] = astuple(gem)
+    failed = sorted(errors)
+    m_opt[failed] = theta[failed] = nu_opt[failed] = math.nan
+    extrema[failed] = 0
+    geof = np.zeros(n)
+    entangled = np.flatnonzero(nu_opt < 1.0)
+    geof[entangled] = [h_function(x, log_base) for x in nu_opt[entangled].tolist()]
+    return GemBlock(nu, m_opt, theta, nu_opt, geof, extrema,
+                    {i: errors[i] for i in failed})
 
 
 def gaussian_eof(sf: StandardForm, log_base=2, **kwargs) -> float:

@@ -111,27 +111,11 @@ class StandardForm:
         return self._violation(tol) is None
 
     def _violation(self, tol: float) -> str | None:
-        """Message template of the first violated physicality inequality, or
-        None.  Det sigma >= 1, Delta <= 1 + Det sigma and sigma >= 0 are
-        equivalent to nu_minus >= 1, which implies a, b >= 1 up to rounding.
-        Invariants that overflow to inf or NaN, or a NaN ``tol``, would pass
-        every comparison, so they fail first (a bad ``tol`` as DomainError).
-        """
+        """Message template of the first violated physicality inequality
+        (``_inequalities``), or None; a NaN ``tol`` raises DomainError."""
         _require_tol("physicality", tol)
-        a, b, cp, cm = self.a, self.b, self.c_plus, self.c_minus
-        det_sigma, delta, _ = _dets(a, b, cp, cm)
-        if not (math.isfinite(det_sigma) and math.isfinite(delta)):
-            return "invariants Det sigma = {det_sigma:.12g}, Delta = {delta:.12g} are not finite"
-        if det_sigma < 1.0 - tol:
-            return "Det sigma = {det_sigma:.12g} < 1 violates the purity bound"
-        if delta > 1.0 + det_sigma + tol:
-            return "Delta = {delta:.12g} exceeds 1 + Det sigma = {bound:.12g}"
-        ab = a * b
-        if ab - cp**2 < -tol or ab - cm**2 < -tol:
-            return "covariance matrix is not positive semidefinite"
-        if a < 1.0 - tol or b < 1.0 - tol:
-            return "local determinants ({a:.12g}^2, {b:.12g}^2) fall below 1"
-        return None
+        holds = _inequalities(self.a, self.b, self.c_plus, self.c_minus, tol)
+        return next((message for ok, message in zip(holds, _VIOLATIONS) if not ok), None)
 
     def is_pure(self, tol: float = DEFAULT_TOL) -> bool:
         return abs(self.invariants().det_sigma - 1.0) <= tol
@@ -159,6 +143,34 @@ def _require_tol(name: str, tol: float) -> None:
     is False, which accepts any state."""
     if not tol >= 0.0:
         raise DomainError(f"{name} tolerance must be >= 0, got {tol!r}")
+
+
+#: ``_violation``'s message templates, one per ``_inequalities`` entry.
+_VIOLATIONS = (
+    "invariants Det sigma = {det_sigma:.12g}, Delta = {delta:.12g} are not finite",
+    "Det sigma = {det_sigma:.12g} < 1 violates the purity bound",
+    "Delta = {delta:.12g} exceeds 1 + Det sigma = {bound:.12g}",
+    "covariance matrix is not positive semidefinite",
+    "local determinants ({a:.12g}^2, {b:.12g}^2) fall below 1",
+)
+
+
+def _inequalities(a, b, c_plus, c_minus, tol):
+    """The physicality inequalities of the standard form (a, b, c_plus,
+    c_minus) within ``tol``, each True where it holds, elementwise for
+    arrays: the one physicality test.  Det sigma >= 1, Delta <= 1 + Det
+    sigma and sigma >= 0 are equivalent to nu_minus >= 1, which implies
+    a, b >= 1 up to rounding.  Invariants that overflow to inf or NaN would
+    pass every later comparison, so the first entry fails them."""
+    det_sigma, delta, _ = _dets(a, b, c_plus, c_minus)
+    ab = a * b
+    return (
+        (abs(det_sigma) < math.inf) & (abs(delta) < math.inf),
+        det_sigma >= 1.0 - tol,
+        delta <= 1.0 + det_sigma + tol,
+        (ab - c_plus * c_plus >= -tol) & (ab - c_minus * c_minus >= -tol),
+        (a >= 1.0 - tol) & (b >= 1.0 - tol),
+    )
 
 
 def _dets(a, b, c_plus, c_minus):

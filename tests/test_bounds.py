@@ -22,7 +22,7 @@ from twomode import (
 from twomode import bounds
 from twomode.bounds import VIOLATION_TOL, ExperimentResult, BoundPoint
 from twomode.errors import DomainError, TwoModeError
-from twomode.gaussian_em import GemResult, m_from_nu_tilde
+from twomode.gaussian_em import GemBlock, m_from_nu_tilde
 from twomode.negativity import log_negativity
 
 
@@ -279,7 +279,10 @@ def test_violations_count_beyond_the_tolerance(monkeypatch):
              (lower - 0.5 * VIOLATION_TOL, False, False), (lower - 2.0 * VIOLATION_TOL, False, True)]
     sf = StandardForm(2.0, 1.5, 1.0, -0.8)
     samples = [bounds.Sample(i, sf, 1.75, 0.25, 1.5, 0.0) for i in range(len(cases))]
-    gems = [(nu, GemResult(m_from_nu_tilde(x), 0.0, x, 0.0, 1)) for x, _, _ in cases]
+    nu_opt = np.array([x for x, _, _ in cases])
+    size = len(cases)
+    gems = GemBlock(np.full(size, nu), np.array([m_from_nu_tilde(x) for x in nu_opt.tolist()]),
+                    np.zeros(size), nu_opt, np.zeros(size), np.ones(size, dtype=int), {})
     monkeypatch.setattr(bounds, "_confirmed_samples", lambda cfg: ((s, nu) for s in samples))
     monkeypatch.setattr(bounds, "minimize_block", lambda forms, log_base, nu_sigmas: gems)
     result = bound_experiment(SamplerConfig(seed=0, count=len(cases)))

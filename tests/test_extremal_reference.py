@@ -65,11 +65,15 @@ def _ref_glems(s, d, g):
 
 
 def _ref_nu(s, d, g, delta_tilde):
-    """sqrt((Delta~ - sqrt(Delta~^2 - 4 Det)) / 2) with Det sigma = g^2."""
+    """sqrt((Delta~ - sqrt(Delta~^2 - 4 Det)) / 2) with Det sigma = g^2.
+    On the corner |d| = s - 1, g = 2|d| + 1 can round one ulp above 2s - 1,
+    inside the domain tolerance; the discriminant vanishes at the corner
+    and is negative just past it, so it is taken as 0 there, as the
+    package's factored discriminant is."""
     with mp.workdps(DIGITS):
         dt = delta_tilde(mp.mpf(s), mp.mpf(d), mp.mpf(g))
         g = mp.mpf(g)
-        return mp.sqrt((dt - mp.sqrt(dt * dt - 4 * g * g)) / 2)
+        return mp.sqrt((dt - mp.sqrt(max(dt * dt - 4 * g * g, 0))) / 2)
 
 
 def _gmems_delta_tilde(s, d, g):

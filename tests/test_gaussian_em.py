@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from twomode import (
     ExtremalParams,
@@ -16,12 +17,16 @@ from twomode import (
     nu_tilde_from_m,
 )
 from twomode.bounds import SamplerConfig, iter_samples
-from twomode.errors import DomainError, TwoModeError, UnphysicalStateError
+from twomode.errors import DomainError, MinimizationError, TwoModeError, UnphysicalStateError
 from twomode import gaussian_em
+from twomode.extremal import gmems_threshold
 from twomode.gaussian_em import (
     NEAR_SEPARABLE_TOL,
-    _minimize_profile,
+    GemResult,
+    _ARRAYS,
+    _FLOATS,
     _block_angles,
+    _sign_ordered,
     _stationary_angles,
     _ThetaProfile,
     minimize_block,
@@ -36,6 +41,18 @@ GLEMS_EX = ExtremalParams(2.0, 0.5, 2.5, -1.0)
 UNPHYSICAL = StandardForm(0.8, 0.8, 0.1, -0.1)
 
 THETAS = np.linspace(0.0, 2.0 * math.pi, 61)
+
+
+def _general_path(sf):
+    """``minimize_m`` with the symmetric closed form switched off, so that a
+    symmetric form takes the general path too."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gaussian_em, "SYMMETRY_RTOL", -1.0)
+        return minimize_m(sf)
+
+
+def _profile(sf):
+    return _ThetaProfile.of(sf.a, sf.b, sf.c_plus, sf.c_minus, _FLOATS)
 
 
 class TestRimOracle:
@@ -152,7 +169,7 @@ class TestMinimize:
         assert gem.m_opt == pytest.approx(25 / 9, rel=1e-10)
         assert gem.nu_tilde_opt == pytest.approx(1 / 3, rel=1e-9)
         # general path: the rim collapses to a point and the profile is flat
-        flat = _minimize_profile(PURE_53)
+        flat = _general_path(PURE_53)
         assert flat.m_opt == pytest.approx(25 / 9, rel=1e-10)
         # the quartic vanishes identically; theta = pi is the one candidate,
         # as in the symmetric closed result
@@ -202,7 +219,7 @@ class TestMinimize:
             nu = sf.spectrum().nu_tilde_minus
             closed = m_from_nu_tilde(nu)
             shortcut = minimize_m(sf)
-            general = _minimize_profile(sf)
+            general = _general_path(sf)
             assert shortcut.m_opt == pytest.approx(closed, rel=1e-12)
             assert general.m_opt == pytest.approx(closed, rel=1e-9)
             assert abs(general.nu_tilde_opt - nu) <= 1e-9
@@ -236,7 +253,7 @@ class TestMinimize:
 
     def test_extrema_count_in_claimed_range(self, rng):
         for _, sf in draw_entangled_states(rng, 60):
-            gem = _minimize_profile(sf)
+            gem = _general_path(sf)
             assert 1 <= gem.extrema_found <= 4
 
     def test_entangled_minimum_exceeds_one(self, rng):
@@ -270,8 +287,10 @@ def test_roots_match_np_roots(rng):
     for coeffs in _root_cases(rng):
         roots = np.roots(list(coeffs))
         angles, extrema = _stationary_angles(coeffs)
+        # theta = pi follows the roots, and repeats up to five candidates
         np.testing.assert_array_equal(
-            angles, np.append(2.0 * np.arctan(roots.real), np.pi), strict=True)
+            angles, np.append(2.0 * np.arctan(roots.real), [np.pi] * (5 - len(roots))),
+            strict=True)
         distinct = len({r.real for r in roots.tolist() if r.imag == 0.0})
         assert extrema == distinct + int(coeffs[0] == 0.0)
 
@@ -283,14 +302,21 @@ def test_block_angles_match_stationary_angles(rng):
     angles, extrema = _block_angles(np.array(rows))
     for row, got, count in zip(rows, angles, extrema.tolist()):
         expected, expected_count = _stationary_angles(row)
-        np.testing.assert_array_equal(got[:len(expected)], expected, strict=True)
-        assert (got[len(expected):] == math.pi).all()
+        np.testing.assert_array_equal(got, expected, strict=True)
         assert count == expected_count
 
 
 def _fields(gem):
     return (gem.m_opt.hex(), gem.theta_opt.hex(), gem.nu_tilde_opt.hex(),
             gem.gaussian_eof.hex(), gem.extrema_found)
+
+
+def _outcomes(block):
+    """Each row of a ``GemBlock``: its error, or its nu_tilde_minus and
+    ``GemResult``."""
+    rows = zip(*(column.tolist() for column in block[:6]))
+    return [block.errors[i] if i in block.errors else (nu, GemResult(*fields))
+            for i, (nu, *fields) in enumerate(rows)]
 
 
 # c at which StandardForm(2, 2.5, c, -c) has nu_tilde_minus = 1 - 5e-9
@@ -319,10 +345,10 @@ def test_block_rows_take_the_branches_they_name():
     assert 1.0 - NEAR_SEPARABLE_TOL <= near_separable.spectrum().nu_tilde_minus < 1.0
     for sf in (pure, glems, cube):
         assert sf.is_physical() and not sf.is_symmetric()
-    assert not any(_ThetaProfile.of(pure.sign_ordered()).quartic())
-    lead, *_, trail = _ThetaProfile.of(glems.sign_ordered()).quartic()
+    assert not any(_profile(pure.sign_ordered()).quartic())
+    lead, *_, trail = _profile(glems.sign_ordered()).quartic()
     assert lead == 0.0 and trail == 0.0
-    assert all(_ThetaProfile.of(cube).quartic())
+    assert all(_profile(cube).quartic())
     assert not unphysical.is_physical()
 
 
@@ -338,7 +364,7 @@ def test_block_matches_minimize_m_bit_for_bit(s_max, count, seed, mode):
     forms = [s.standard_form for s in iter_samples(SamplerConfig(seed, count, s_max, mode))]
     forms[count // 2:count // 2] = BLOCK_ROWS
     log_base = 2 if seed == 1 else "e"
-    for sf, outcome in zip(forms, minimize_block(forms, log_base)):
+    for sf, outcome in zip(forms, _outcomes(minimize_block(forms, log_base))):
         try:
             expected = minimize_m(sf, log_base=log_base)
         except TwoModeError as exc:
@@ -349,17 +375,14 @@ def test_block_matches_minimize_m_bit_for_bit(s_max, count, seed, mode):
         assert _fields(gem) == _fields(expected)
 
 
-def _no_array_route(*args):
-    raise AssertionError("the array route ran")
-
-
-def test_lone_general_form_takes_the_per_form_route(monkeypatch):
+def test_lone_general_form_takes_the_per_form_route():
+    # one general form among closed-form and failing rows: the block's one
+    # route gives it minimize_m's bits
     symmetric, separable, *_, cube, unphysical = BLOCK_ROWS
-    monkeypatch.setattr(gaussian_em, "_block_angles", _no_array_route)
-    outcomes = minimize_block([symmetric, cube, separable, unphysical])
+    outcomes = _outcomes(minimize_block([symmetric, cube, separable, unphysical]))
     nu_sigma, gem = outcomes[1]
     assert nu_sigma == cube.spectrum().nu_tilde_minus
-    assert _fields(gem) == _fields(_minimize_profile(cube))
+    assert _fields(gem) == _fields(minimize_m(cube))
     assert isinstance(outcomes[3], UnphysicalStateError)
 
 
@@ -369,7 +392,7 @@ def test_lone_general_form_takes_the_per_form_route(monkeypatch):
     (StandardForm(1.0, 1.0, 2.0, 0.0), "spectrum undefined"),
 ])
 def test_block_of_one_failing_form(sf, message):
-    [outcome] = minimize_block([sf])
+    [outcome] = _outcomes(minimize_block([sf]))
     assert type(outcome) is UnphysicalStateError
     assert message in str(outcome)
     with pytest.raises(UnphysicalStateError, match=message):
@@ -377,18 +400,157 @@ def test_block_of_one_failing_form(sf, message):
 
 
 def test_non_finite_row_gets_the_per_form_outcome(monkeypatch):
+    # the cube row's candidate angles turn NaN on both routes: its profile
+    # is not finite there, and both raise the same MinimizationError
     forms = [BLOCK_ROWS[5], build_state(GMEMS_EX)]
-    block_angles = gaussian_em._block_angles
+    expected = minimize_m(forms[1])
+    block_angles, stationary_angles = gaussian_em._block_angles, gaussian_em._stationary_angles
 
-    def poisoned(quartics):
+    def poisoned_block(quartics):
         angles, extrema = block_angles(quartics)
         angles[0] = np.nan
         return angles, extrema
 
-    monkeypatch.setattr(gaussian_em, "_block_angles", poisoned)
-    outcomes = minimize_block(forms)
-    for sf, (_, gem) in zip(forms, outcomes):
-        assert _fields(gem) == _fields(_minimize_profile(sf))
+    def poisoned_one(quartic):
+        angles, extrema = stationary_angles(quartic)
+        return np.full_like(angles, np.nan), extrema
+
+    monkeypatch.setattr(gaussian_em, "_block_angles", poisoned_block)
+    monkeypatch.setattr(gaussian_em, "_stationary_angles", poisoned_one)
+    failed, (_, gem) = _outcomes(minimize_block(forms))
+    with pytest.raises(MinimizationError) as raised:
+        minimize_m(forms[0])
+    assert (type(failed), str(failed)) == (MinimizationError, str(raised.value))
+    assert _fields(gem) == _fields(expected)
+
+
+def _comparable(outcome):
+    if isinstance(outcome, TwoModeError):
+        return type(outcome), str(outcome)
+    return repr(outcome)
+
+
+def _spectrum_nu(sf):
+    try:
+        return sf.spectrum().nu_tilde_minus
+    except TwoModeError:
+        return None
+
+
+NO_SPECTRUM = StandardForm(1.0, 1.0, 2.0, 0.0)
+
+
+@pytest.mark.parametrize("convert", [list, tuple, np.array])
+def test_block_reads_nu_sigmas_from_any_sequence(convert):
+    forms = [*BLOCK_ROWS, NO_SPECTRUM]
+    expected = [_comparable(outcome) for outcome in _outcomes(minimize_block(forms))]
+    nus = [_spectrum_nu(sf) for sf in forms]
+    for nu_sigmas in (nus, [None] * len(forms), [math.nan if nu is None else nu for nu in nus]):
+        got = _outcomes(minimize_block(forms, nu_sigmas=convert(nu_sigmas)))
+        assert [_comparable(outcome) for outcome in got] == expected
+
+
+@pytest.mark.parametrize("size", [0, 2, 4])
+def test_nu_sigmas_of_another_length_raise(size):
+    with pytest.raises(DomainError, match="nu_sigmas"):
+        minimize_block(BLOCK_ROWS[:3], nu_sigmas=[0.5] * size)
+
+
+# nu_tilde_minus of StandardForm(2, 2.5, c, -c) at these adjacent doubles c
+# lies just above and just below 1 - NEAR_SEPARABLE_TOL
+NEAR_CUT = (1.2247448815977962, 1.2247448815977964)
+# |3 - b| <= SYMMETRY_RTOL * b holds at the first of these adjacent doubles b
+SYMMETRY_EDGE = (3.000000003, 3.0000000030000002)
+
+
+def _reordered(sf, order, swap):
+    """An equivalent form: its correlations as they are, as (-c_minus,
+    -c_plus) (c_plus < |c_minus|) or negated (c_plus < 0), and the modes
+    swapped or not."""
+    a, b, cp, cm = sf.a, sf.b, sf.c_plus, sf.c_minus
+    cp, cm = [(cp, cm), (-cm, -cp), (-cp, -cm)][order]
+    return StandardForm(b, a, cp, cm) if swap else StandardForm(a, b, cp, cm)
+
+
+@st.composite
+def _forms(draw):
+    """Extremal forms over 1 < s <= 1e5 (GLEMS and GMEMS included), or raw
+    entries, most of them unphysical; under a random equivalent ordering."""
+    if draw(st.booleans()):
+        s = draw(st.floats(1.0 + 1e-6, 1e5))
+        d = draw(st.floats(-1.0, 1.0)) * (s - 1.0)
+        g_lo = 2.0 * abs(d) + 1.0
+        g = g_lo + draw(st.floats(0.0, 1.0)) * (gmems_threshold(s) - g_lo)
+        lam = draw(st.sampled_from([-1.0, 1.0]) | st.floats(-1.0, 1.0))
+        try:
+            sf = build_state(ExtremalParams(s, d, g, lam))
+        except DomainError:
+            sf = StandardForm(s + d, s - d, 0.0, 0.0)
+    else:
+        entry = st.floats(-50.0, 50.0)
+        sf = StandardForm(draw(st.floats(0.5, 50.0)), draw(st.floats(0.5, 50.0)),
+                          draw(entry), draw(entry))
+    return _reordered(sf, draw(st.integers(0, 2)), draw(st.booleans()))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(forms=st.lists(_forms(), min_size=1, max_size=8), log_base=st.sampled_from([2, "e"]),
+       pass_nu=st.booleans())
+@example(forms=[StandardForm(2.0, 2.5, c, -c) for c in NEAR_CUT], log_base=2, pass_nu=True)
+@example(forms=[StandardForm(3.0, b, 2.5, -2.0) for b in SYMMETRY_EDGE], log_base=2, pass_nu=False)
+@example(forms=[BLOCK_ROWS[3]], log_base=2, pass_nu=False)  # pure: degenerate rim
+@example(forms=[build_state(GLEMS_EX)], log_base="e", pass_nu=False)  # zero leading coefficient
+# minimum uncertainty: a slack of -3.9e-10 is zeroed
+@example(forms=[build_state(ExtremalParams(40.0, 3.0, 31.859301824974466, -1.0))], log_base=2,
+         pass_nu=True)
+@example(forms=[_reordered(CUBE_ROUNDING, order, False) for order in (1, 2)], log_base=2,
+         pass_nu=False)  # c_plus < |c_minus|, then c_plus < 0
+@example(forms=[UNPHYSICAL, NO_SPECTRUM], log_base=2, pass_nu=True)
+# spectrum() raises on the pair of sigma itself, not of its partial transpose
+@example(forms=[StandardForm(11034.0, 11034.0, 11033.999954679055, -11033.999954671983)],
+         log_base=2, pass_nu=False)
+@example(forms=[build_state(ExtremalParams(9.9e4, 1234.5, 71244.01366877697, 0.3))],
+         log_base=2, pass_nu=False)  # s near 1e5
+def test_block_rows_equal_minimize_m(forms, log_base, pass_nu):
+    nu_sigmas = [_spectrum_nu(sf) for sf in forms] if pass_nu else None
+    block = _outcomes(minimize_block(forms, log_base, nu_sigmas=nu_sigmas))
+    for sf, outcome in zip(forms, block):
+        try:
+            expected = minimize_m(sf, log_base=log_base)
+        except TwoModeError as exc:
+            assert _comparable(outcome) == _comparable(exc)
+            continue
+        nu_sigma, gem = outcome
+        assert nu_sigma.hex() == sf.spectrum().nu_tilde_minus.hex()
+        assert repr(gem) == repr(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(forms=st.lists(_forms(), min_size=1, max_size=8))
+@example(forms=[StandardForm(2.0, 2.0, 0.0, -0.0), StandardForm(2.0, 2.0, -0.0, 0.0),
+                StandardForm(2.0, 2.0, 0.5, -0.5), StandardForm(2.0, 2.0, -0.5, 0.5)])
+def test_sign_ordering_equals_the_form_method(forms):
+    expected = [(sf.sign_ordered().c_plus, sf.sign_ordered().c_minus) for sf in forms]
+    floats = [_sign_ordered(sf.c_plus, sf.c_minus, _FLOATS) for sf in forms]
+    columns = _sign_ordered(*(np.array([getattr(sf, name) for sf in forms])
+                              for name in ("c_plus", "c_minus")), _ARRAYS)
+    assert repr(floats) == repr(expected)
+    assert repr(list(zip(*(c.tolist() for c in columns)))) == repr(expected)
+
+
+def test_row_the_mask_fails_takes_minimize_m_route(monkeypatch):
+    # a gate mask that fails good rows: their replay is their whole outcome
+    forms = [build_state(GMEMS_EX), CUBE_ROUNDING, StandardForm(3.0, 3.0, 2.5, -2.0)]
+    expected = [repr((sf.spectrum().nu_tilde_minus, minimize_m(sf))) for sf in forms]
+    gate = gaussian_em._gate
+
+    def failing(a, b, cp, cm, nu, near_separable_tol, xp):
+        passes, separable, symmetric = gate(a, b, cp, cm, nu, near_separable_tol, xp)
+        return (passes if xp is _FLOATS else passes & False), separable, symmetric
+
+    monkeypatch.setattr(gaussian_em, "_gate", failing)
+    assert [repr(outcome) for outcome in _outcomes(minimize_block(forms))] == expected
 
 
 @pytest.mark.parametrize("call", [
