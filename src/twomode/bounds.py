@@ -35,10 +35,10 @@ VIOLATION_TOL = 1e-9
 
 _MAX_REJECTIONS = 1_000_000
 
-#: Largest accepted sample count.  Index i's stream is numpy's
-#: ``SeedSequence(entropy=seed, spawn_key=(i,))``, which the sampler hashes
-#: with one uint32 word per index, so indices stay below 2**32.
-COUNT_LIMIT = 2**32
+#: Largest accepted sample count.  Index i is a uint64 word of its attempts'
+#: Philox counters and an entry of the sampler's int64 index arrays, so
+#: indices stay below 2**63.
+COUNT_LIMIT = 2**63
 
 #: Largest accepted s_max.  It covers the documented range of s (up to about
 #: 1e5) tenfold, and s^4, the largest power the sampler and the minimizer
@@ -135,140 +135,32 @@ class ExperimentResult:
     min_m_max_slack: float
 
 
+# Attempt k of index i reads the first four doubles of numpy's
+# ``Generator(Philox(key=SeedSequence(seed).generate_state(2, np.uint64),
+# counter=[k, i, 0, 0]))``.  Philox4x64-10 is counter-based (Salmon,
+# Moraes, Dror and Shaw, SC'11), and numpy steps the counter before its
+# first block, so attempt k is the block of counter (k + 1, i, 0, 0), and
+# attempts k .. k + n - 1 are one draw of 4n doubles.  Each attempt is a
+# pure function of (seed, i, k): one that stops early, after 2 or 3
+# doubles, shifts no later attempt, and nothing is carried between rounds.
 # Attempts are drawn and tested in rounds.  Each round draws every pending
-# index's row of whole attempts from the double it has walked to and tests
+# index's row of attempts from the first one it has not tested and tests
 # every attempt of every row at once, exactly: an attempt gets the outcome
 # that the scalar test (``_confirm_extremal`` or ``_confirm_raw``) gives it.
-# Each index walks its row to the first attempt that stops early, is
-# accepted or has an undefined spectrum, and its PCG64 state, carried in
-# uint64 words, jumps past the doubles those attempts read.  Each attempt
-# reads the doubles that scalar ``rng.uniform`` calls would, in the same
-# order, so sample i is the same as drawn one value at a time.
+# Each index stops at its first attempt that is accepted or has an
+# undefined spectrum.
 
-#: Indices seeded in one array pass, and states minimized at once by
-#: ``bound_experiment``: enough to spread the per-call cost of the array
-#: routes thin, few enough to keep what a block holds (its samples, results
-#: and array temporaries, about 0.5 KB per state) small.
+#: States minimized at once by ``bound_experiment``, and indices whose
+#: extremal rows are tested as one array: enough to spread the per-call
+#: cost of the array routes thin, few enough to keep what a block holds (its
+#: samples, results and array temporaries, about 0.5 KB per state) small.
 _BLOCK = 256
-
-# Index i's stream is that of
-# ``default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))``.  Its pool
-# before the spawn word i is ``SeedSequence(seed).pool``, taken once per
-# run; the index word and ``generate_state(4, uint64)`` are hashed for a
-# window of indices in uint32 arrays, and PCG64's seeding (O'Neill,
-# HMC-CS-2014-0905) turns each window row into its (state, inc).  The
-# constants are numpy's (numpy/random/bit_generator.pyx and pcg64.h).
-_MASK32 = 0xFFFF_FFFF
-_MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
-_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
-_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
-
-
-def _hash_chain(init: int, mult: int) -> Iterator[tuple[int, int]]:
-    """The (xor, multiplier) pairs of successive SeedSequence hashes: each
-    hash xors with the running constant, steps it and multiplies by it."""
-    while True:
-        stepped = init * mult & _MASK32
-        yield init, stepped
-        init = stepped
-
-
-#: The pairs of ``generate_state``'s 8 hashes of the pool words.
-_STATE_HASH = list(itertools.islice(_hash_chain(_INIT_B, _MULT_B), 8))
-
-
-#: A run's SeedSequence pool and index-word hash pairs (``_seed_prefix``).
-_Prefix = tuple[list[int], list[tuple[int, int]]]
-
-
-def _seed_prefix(seed: int) -> _Prefix:
-    """The pool of ``SeedSequence(entropy=seed, spawn_key=(i,))`` before the
-    index word i is mixed in, and the hash pairs that mix it into each pool
-    word.  Neither depends on i."""
-    # the pool uses 4 hashes per seed word (at least 4 words), the index word the next 4
-    words = max(4, -(-max(seed.bit_length(), 1) // 32))
-    chain = itertools.islice(_hash_chain(_INIT_A, _MULT_A), 4 * words, 4 * words + 4)
-    return np.random.SeedSequence(seed).pool.tolist(), list(chain)
-
-
-# PCG64's 128-bit states are carried as uint64 arrays of shape (2, ...): the
-# high words, then the low words.  Products wrap mod 2**64 in uint64, and the
-# high word of a low-word product is built from 32-bit limbs.
-_U32 = np.uint64(32)
-_LOW32 = np.uint64(_MASK32)
-
-
-def _words(values: list[int]) -> np.ndarray:
-    """Python ints below 2**128 as (high, low) uint64 words."""
-    return np.array([[v >> 64 for v in values], [v & _MASK64 for v in values]], dtype=np.uint64)
-
-
-def _mul_high(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """High words of the 128-bit products of uint64 arrays."""
-    x0, x1 = x & _LOW32, x >> _U32
-    y0, y1 = y & _LOW32, y >> _U32
-    cross0, cross1 = x0 * y1, x1 * y0
-    carry = (x0 * y0 >> _U32) + (cross0 & _LOW32) + (cross1 & _LOW32)
-    return x1 * y1 + (cross0 >> _U32) + (cross1 >> _U32) + (carry >> _U32)
-
-
-def _mul_add(a, x, c, y) -> tuple[np.ndarray, np.ndarray]:
-    """a x + c y mod 2**128 on (high, low) words; the words broadcast."""
-    ax, cy = a[1] * x[1], c[1] * y[1]
-    low = ax + cy
-    high = (_mul_high(a[1], x[1]) + a[0] * x[1] + a[1] * x[0]
-            + _mul_high(c[1], y[1]) + c[0] * y[1] + c[1] * y[0] + (low < cy))
-    return high, low
-
-
-def _pcg64_states(prefix: _Prefix, indices: range) -> tuple[np.ndarray, np.ndarray]:
-    """PCG64's state and inc words after ``default_rng(SeedSequence(entropy=
-    seed, spawn_key=(i,)))`` for each i in ``indices``, given
-    ``_seed_prefix(seed)``."""
-    u32 = np.uint32
-    index = np.arange(indices.start, indices.stop, dtype=np.int64).astype(u32)
-    pool = []
-    for p, (xor, mult) in zip(*prefix):
-        # the index word's hash, mixed into pool word p by SeedSequence's mix
-        h = (index ^ u32(xor)) * u32(mult)
-        h ^= h >> u32(16)
-        w = u32(_MIX_MULT_L * p & _MASK32) - u32(_MIX_MULT_R) * h
-        pool.append(w ^ w >> u32(16))
-    out = []
-    for k, (xor, mult) in enumerate(_STATE_HASH):
-        # generate_state hashes the pool words cyclically into 8 uint32 words
-        w = (pool[k % 4] ^ u32(xor)) * u32(mult)
-        out.append((w ^ w >> u32(16)).astype(np.uint64))
-    # generate_state's uint64 word j is out[2j] | out[2j + 1] << 32; words
-    # 0-1 are initstate's high and low halves, words 2-3 initseq's.
-    init_hi, init_lo, seq_hi, seq_lo = (out[j] | out[j + 1] << _U32 for j in range(0, 8, 2))
-    one = np.uint64(1)
-    inc = np.array([seq_hi << one | seq_lo >> np.uint64(63), seq_lo << one | one])
-    # pcg64_set_seed: inc from initseq, one step from state 0, add initstate,
-    # one more step: a (initstate + inc) + inc
-    mult, mult_1 = _words([_PCG64_MULT, _PCG64_MULT + 1]).T[:, :, None]
-    return np.array(_mul_add(mult, (init_hi, init_lo), mult_1, inc)), inc
-
-
-def _lcg_powers(step: tuple[int, int], count: int) -> list[tuple[int, int]]:
-    """(A_j, C_j) of 0 .. count - 1 repeats of the jump ``step`` = (A, C) of
-    PCG64's LCG.  k steps take state s to A_k s + C_k inc mod 2**128, with
-    A_k = a**k and C_k = a**(k-1) + ... + a + 1 (Brown, Trans. Am. Nucl.
-    Soc. 71, 1994); one more jump gives A A_j and A C_j + C."""
-    table = [(1, 0)]
-    while len(table) < count:
-        a_j, c_j = table[-1]
-        table.append((step[0] * a_j & _MASK128, (step[0] * c_j + step[1]) & _MASK128))
-    return table
 
 
 #: The row of attempts doubles each round after the first
 #: (``_Mode.first_block``), up to this many attempts.
 _MAX_BLOCK = 512
-#: Doubles a full attempt reads.
+#: Doubles of an attempt: one Philox block.
 _WIDTH = 4
 
 
@@ -375,118 +267,67 @@ class _Mode:
     #: The scalar test of one attempt; it replays an attempt whose spectrum
     #: is undefined, and raises as ``spectrum()`` does.
     confirm: Callable[..., _Draw | None]
-    #: Doubles an attempt reads when it stops early.
-    short_width: int
     #: Attempts in the first round's rows: an extremal state takes about 1.3
     #: attempts, a raw one 37 at s_max 20 and 740 at s_max 200.
     first_block: int
     #: Indices whose rows are tested as one array.  Extremal rows are short,
-    #: so a whole seeding window goes at once.  Raw rows are long, and a
-    #: chunk takes about two rounds of fixed per-call costs: 24 indices took
-    #: about 10% less sampler time than 16, and 32 raised the traced peak
-    #: of a 4000-state raw bound_experiment by 6.5% over 16 (24 by 4%).
+    #: so a whole block goes at once.  Raw rows are long, and a chunk takes
+    #: about two rounds of fixed per-call costs: 24 indices took about 10%
+    #: less sampler time than 16, and 32 raised the traced peak of a
+    #: 4000-state raw bound_experiment by 6.5% over 16 (24 by 4%).
     chunk: int
 
 
 _MODES = {
-    "extremal_params": _Mode(_attempts_extremal, _confirm_extremal, 3, 4, _BLOCK),
-    "raw_standard_form": _Mode(_attempts_raw, _confirm_raw, 2, 64, 24),
+    "extremal_params": _Mode(_attempts_extremal, _confirm_extremal, 4, _BLOCK),
+    "raw_standard_form": _Mode(_attempts_raw, _confirm_raw, 64, 24),
 }
 
 
-#: Longest row, in doubles, that ``_Streams.draw`` computes in one array
-#: pass; numpy's generator draws longer ones.  Per row of a 256-row pass on
-#: a 2-core x86_64 host: 0.95, 2.4 and 4.6 us at 16, 32 and 64 doubles,
-#: against 4.0 us by numpy.
-_ARRAY_ROW = 32
-#: The longest walk of a round: a full row of ``_MAX_BLOCK`` attempts.
-_LONGEST_WALK = _WIDTH * _MAX_BLOCK
-#: Jumps of 0 .. 63 steps, and of the multiples of 64 steps up to
-#: _LONGEST_WALK: about 100 entries where one table would need 2049.
-_NEAR_JUMPS = _lcg_powers((_PCG64_MULT, 1), 65)
-_FAR_JUMPS = _lcg_powers(_NEAR_JUMPS[64], _LONGEST_WALK // 64 + 1)
-
-
-def _jump(k: int) -> tuple[int, int]:
-    """(A_k, C_k) for 0 <= k <= _LONGEST_WALK: a far jump, then a near one."""
-    (a_far, c_far), (a, c) = _FAR_JUMPS[k >> 6], _NEAR_JUMPS[k & 63]
-    return a * a_far & _MASK128, (a * c_far + c) & _MASK128
-
-
-#: The words of (A_k, C_k) for k = 1 .. _ARRAY_ROW: (A or C, high or low, k).
-_STEPS = np.array([_words(list(column)) for column in zip(*map(_jump, range(1, _ARRAY_ROW + 1)))])
-
-
 class _Streams:
-    """The PCG64 streams of a window of indices, each carried in (high, low)
-    words to the double its walk has reached.  ``draw`` reads rows from
-    there and ``walk`` carries the rows of the last draw on: the one seam
-    between the walk and its random numbers."""
+    """The attempts of a run's indices, drawn by numpy's Philox: the one
+    seam between the walk and its random numbers."""
 
-    def __init__(self, prefix: _Prefix, indices: range):
-        self.state, self.inc = _pcg64_states(prefix, indices)
-        self.generator = np.random.Generator(np.random.PCG64(0))
-        self._drawn = None
+    def __init__(self, seed: int):
+        key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+        self.bits = np.random.Philox(key=key)
+        self.generator = np.random.Generator(self.bits)
+        self.counter = [0, 0, 0, 0]
+        # the state setter reads Python ints faster than the getter's arrays
+        self.state = {**self.bits.state, "state": {"counter": self.counter, "key": key.tolist()},
+                      "buffer": [0, 0, 0, 0]}
 
-    def draw(self, rows: np.ndarray, n: int) -> np.ndarray:
-        """The next ``n`` doubles of each of ``rows``, one row each."""
-        state, inc = self.state[:, rows], self.inc[:, rows]
-        if n <= _ARRAY_ROW:
-            # the states after 1 .. n steps of every row; each is a double
-            steps = _STEPS[:, :, None, :n]
-            high, low = _mul_add(steps[0], state[:, :, None], steps[1], inc[:, :, None])
-            self._drawn = rows, lambda moved, doubles: (high[moved, doubles - 1],
-                                                        low[moved, doubles - 1])
-            # numpy's random(): the XSL-RR output rotr64(high ^ low, high >>
-            # 58), then its top 53 bits times 2**-53
-            x, turn = high ^ low, high >> np.uint64(58)
-            x = x >> turn | x << ((np.uint64(64) - turn) & np.uint64(63))
-            return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        states, incs = ([hi << 64 | lo for hi, lo in zip(*w.tolist())] for w in (state, inc))
-        self._drawn = rows, lambda moved, doubles: _words([
-            (a * states[k] + c * incs[k]) & _MASK128
-            for k, (a, c) in zip(moved.tolist(), map(_jump, doubles.tolist()))])
-        bits = self.generator.bit_generator
-        u = np.empty((len(rows), n))
-        for row, s, i in zip(u, states, incs):
-            bits.state = {"bit_generator": "PCG64", "state": {"state": s, "inc": i},
-                          "has_uint32": 0, "uinteger": 0}
+    def draw(self, indices: np.ndarray, first: np.ndarray, n: int) -> np.ndarray:
+        """Attempts ``first`` .. ``first + n - 1`` of each of ``indices``,
+        as doubles of shape (len(indices), n, 4)."""
+        u = np.empty((len(indices), n, _WIDTH))
+        for row, i, k in zip(u, indices.tolist(), first.tolist()):
+            # a row is whole blocks, so the state's buffer stays spent
+            self.counter[0], self.counter[1] = k, i
+            self.bits.state = self.state
             self.generator.random(out=row)
         return u
 
-    def walk(self, moved: np.ndarray, doubles: np.ndarray) -> None:
-        """Carry the rows ``moved`` of the last draw past their first
-        ``doubles`` (1 to n) doubles; the other rows keep their state."""
-        rows, carry = self._drawn
-        self._drawn = None
-        self.state[:, rows[moved]] = carry(moved, doubles)
 
-
-def _chunk_samples(mode: _Mode, s_max: float, indices: range, streams: _Streams,
-                   start: int) -> Iterator[tuple[Sample, float]]:
-    """Samples of consecutive ``indices``, rows ``start`` on of ``streams``,
-    with their nu_tilde_minus, each yielded once it and every index before
-    it is decided."""
+def _chunk_samples(mode: _Mode, s_max: float, indices: range,
+                   streams: _Streams) -> Iterator[tuple[Sample, float]]:
+    """Samples of consecutive ``indices`` with their nu_tilde_minus, each
+    yielded once it and every index before it is decided."""
     size = len(indices)
-    walked = np.zeros(size, dtype=np.int64)
+    walked = np.zeros(size, dtype=np.int64)  # each row's next attempt
     draws: list[_Draw | None] = [None] * size
     pending = np.arange(size)
     attempts = mode.first_block
     done = 0
     while pending.size:
-        rows = streams.draw(start + pending, _WIDTH * attempts)
         short, (accept, undefined, args, accepted) = mode.test(
-            rows.reshape(len(pending), attempts, _WIDTH), s_max)
+            streams.draw(indices.start + pending, walked[pending], attempts), s_max)
+        # an attempt that stops early is rejected, whatever its unread doubles
         accept, undefined = accept & ~short, undefined & ~short
-        # Each row is walked to its first attempt that stops early, is
-        # accepted or has an undefined spectrum, and no further.
-        stop = short | accept | undefined
+        stop = accept | undefined
         lead = np.arange(len(pending))
         first = stop.argmax(axis=1)
-        steps = np.where(stop[lead, first], first + 1, attempts)
-        walked[pending] += steps
-        # an early stop reads short_width of its _WIDTH doubles
-        read = _WIDTH * steps - (_WIDTH - mode.short_width) * short[lead, first]
+        walked[pending] += np.where(stop[lead, first], first + 1, attempts)
         decided = accept[lead, first]
         for k, draw in zip(pending[decided].tolist(), accepted((lead[decided], first[decided]))):
             draws[k] = draw
@@ -494,10 +335,7 @@ def _chunk_samples(mode: _Mode, s_max: float, indices: range, streams: _Streams,
         for k in np.flatnonzero(undefined[lead, first]).tolist():
             draw = draws[pending[k]] = mode.confirm(*(c[k, first[k]].item() for c in args))
             decided[k] = draw is not None
-        # only the rows that go on need their streams carried
-        going = np.flatnonzero(~decided & (walked[pending] < _MAX_REJECTIONS))
-        streams.walk(going, read[going])
-        pending = pending[going]
+        pending = pending[~decided & (walked[pending] < _MAX_REJECTIONS)]
         end = int(pending[0]) if pending.size else size
         for k, walked_k in zip(range(done, end), walked[done:end].tolist()):
             if draws[k] is None or walked_k > _MAX_REJECTIONS:
@@ -516,12 +354,10 @@ def _confirmed_samples(cfg: SamplerConfig) -> Iterator[tuple[Sample, float]]:
     cfg.validate()
     mode = _MODES[cfg.mode]
     s_max = float(cfg.s_max)
-    prefix = _seed_prefix(operator.index(cfg.seed))
-    for start in range(0, cfg.count, _BLOCK):
-        window = range(start, min(start + _BLOCK, cfg.count))
-        streams = _Streams(prefix, window)
-        for k in range(0, len(window), mode.chunk):
-            yield from _chunk_samples(mode, s_max, window[k:k + mode.chunk], streams, k)
+    streams = _Streams(operator.index(cfg.seed))
+    for start in range(0, cfg.count, mode.chunk):
+        yield from _chunk_samples(mode, s_max, range(start, min(start + mode.chunk, cfg.count)),
+                                  streams)
 
 
 def iter_samples(cfg: SamplerConfig) -> Iterator[Sample]:
@@ -533,22 +369,18 @@ def iter_samples(cfg: SamplerConfig) -> Iterator[Sample]:
     values (realized by rejection from the proposal window
     (2|d| + 1, 2s - 1), which contains it); ``raw_standard_form`` mode
     rejection-samples correlation boxes directly.  Sample i depends only on
-    (seed, i, s_max, mode): it is the first accepted attempt of its own
-    stream, whose doubles are drawn in rounds.  Each round decides every
-    attempt once, exactly, on arrays: ``build_state``'s checks (extremal
-    mode) or the physicality test (raw mode) and the spectrum run on the
-    attempts' columns with the scalar test's operations, so its bits.  An
-    attempt whose spectrum is undefined is replayed alone, and raises.
-
-    The stream of index i is the doubles of
-    ``default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))``, bit for
-    bit.  The streams are seeded in one array pass per window of 256
-    indices, and each index's PCG64 state is carried in uint64 words to
-    the double its walk has reached: k steps of the LCG are one
-    multiply-add from a jump table.  A round's rows of up to 32 doubles are
-    computed for all pending indices in one array pass; numpy's generator
-    draws longer rows from each loaded state.  ``cfg.count`` is at most
-    ``COUNT_LIMIT`` (2**32).
+    (seed, i, s_max, mode): it is the first accepted attempt of index i.
+    Attempt k reads the first four doubles of numpy's
+    ``Generator(Philox(key=SeedSequence(seed).generate_state(2, np.uint64),
+    counter=[k, i, 0, 0]))``, that is the Philox4x64-10 block of counter
+    (k + 1, i, 0, 0), whether it reads all four or stops early.  The
+    attempts are drawn in rounds, a row of consecutive attempts per index
+    in one draw.  Each round decides every attempt once, exactly, on
+    arrays: ``build_state``'s checks (extremal mode) or the physicality
+    test (raw mode) and the spectrum run on the attempts' columns with the
+    scalar test's operations, so its bits.  An attempt whose spectrum is
+    undefined is replayed alone, and raises.  ``cfg.count`` is at most
+    ``COUNT_LIMIT`` (2**63).
     """
     return (sample for sample, _ in _confirmed_samples(cfg))
 

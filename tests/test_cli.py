@@ -181,8 +181,8 @@ EXCEEDS = [
     ["scan3d", "--s-range", "1.5", "4", "--d-range", "-1", "1", "--g-range", "1", "7",
      "--resolution", "1"],
     ["bounds", "--samples", "0"],
-    # index 2**32 would need a second spawn-key word
-    ["bounds", "--samples", "4294967297"],
+    # index 2**63 would not fit the sampler's int64 index arrays
+    ["bounds", "--samples", "9223372036854775809"],
     ["bounds", "--samples", "5", "--s-max", "1"],
     ["bounds", "--samples", "5", "--s-max", "inf"],
     ["bounds", "--samples", "5", "--s-max", "1e80"],

@@ -1,14 +1,14 @@
 """The block sampler against the scalar attempt walk it replaces.
 
-``iter_samples`` seeds each window of indices in one array pass, carries
-each index's PCG64 state in uint64 words, draws its doubles in rows and
-tests every attempt on arrays.  The reference here is the scalar walk: one
-``rng.uniform`` call per value, one ``StandardForm`` per attempt, from
-numpy's own per-index generator (``_rng_for``).  Both must give equal
-samples, attempt by attempt, including the attempts that read fewer than
-four doubles and the limit on attempts, and the array seeding, the 128-bit
-arithmetic and the rows drawn from carried states must give numpy's PCG64
-states and doubles bit for bit.
+Attempt k of sample index i reads the first four doubles of numpy's
+``Generator(Philox(key=SeedSequence(seed).generate_state(2, np.uint64),
+counter=[k, i, 0, 0]))``.  ``iter_samples`` draws each index's attempts in
+rows and tests every attempt on arrays.  The reference here is the scalar
+walk: one such generator per attempt, one ``rng.uniform`` call per value
+and one ``StandardForm`` per attempt.  Both must give equal samples,
+including the attempts that read fewer than four doubles and the limit on
+attempts, and each attempt must be the Philox4x64-10 block that the
+contract names.
 """
 
 import dataclasses
@@ -26,9 +26,13 @@ from twomode.extremal import ExtremalParams, build_state
 from twomode.symplectic import DEFAULT_TOL, StandardForm
 
 
-def _rng_for(seed, index):
-    """The generator of sample ``index``: one independent substream per index."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+def _key(seed):
+    return np.random.SeedSequence(seed).generate_state(2, np.uint64)
+
+
+def _attempt_rng(key, index, k):
+    """The generator of attempt ``k`` of sample ``index``."""
+    return np.random.Generator(np.random.Philox(key=key, counter=[k, index, 0, 0]))
 
 
 def _draw_extremal(rng, s_max):
@@ -68,13 +72,13 @@ def _draw_raw(rng, s_max):
 _REFERENCE_DRAWS = {"extremal_params": _draw_extremal, "raw_standard_form": _draw_raw}
 
 
-def reference_sample(cfg, index, rng=None):
-    """Sample ``index`` by the scalar walk over ``rng.uniform``, by default
-    on numpy's generator of the index."""
+def reference_sample(cfg, index, rng_of=None):
+    """Sample ``index`` by the scalar walk over ``rng.uniform``, attempt k
+    on ``rng_of(k)``, by default the Philox generator of the attempt."""
     draw = _REFERENCE_DRAWS[cfg.mode]
-    rng = _rng_for(cfg.seed, index) if rng is None else rng
-    for _ in range(bounds._MAX_REJECTIONS):
-        fields = draw(rng, cfg.s_max)
+    key = _key(cfg.seed)
+    for k in range(bounds._MAX_REJECTIONS):
+        fields = draw(_attempt_rng(key, index, k) if rng_of is None else rng_of(k), cfg.s_max)
         if fields is not None:
             return Sample(index, *fields)
     raise SamplingError(
@@ -88,8 +92,7 @@ def reference_sample(cfg, index, rng=None):
 RAW_CHUNK = bounds._MODES["raw_standard_form"].chunk
 COUNT = 3 * RAW_CHUNK + 6
 AROUND_BOUNDARY = [0, 1, RAW_CHUNK - 1, RAW_CHUNK, COUNT - 1]
-# A count of 600 crosses two seeding windows, which are also extremal-mode
-# chunks.
+# A count of 600 crosses two extremal-mode chunks.
 AROUND_WINDOWS = [0, 255, 256, 257, 511, 512, 599]
 STREAM_CASES = [
     ("extremal_params", seed, s_max, range(COUNT))
@@ -101,6 +104,8 @@ STREAM_CASES = [
     ("raw_standard_form", seed, 200.0, AROUND_BOUNDARY) for seed in (1, 2)
 ] + [
     (mode, 3, 20.0, AROUND_WINDOWS) for mode in ("extremal_params", "raw_standard_form")
+] + [
+    ("extremal_params", seed, 1e5, range(COUNT)) for seed in (1, 2)
 ]
 
 
@@ -139,8 +144,8 @@ def test_sample_does_not_depend_on_count(mode):
 
 
 def test_interleaved_iterators_yield_what_each_yields_alone():
-    # every window owns its streams and generator, and each draw loads a
-    # stream's carried state without yielding in between
+    # every run owns its generator, and each row's draw loads its counter
+    # without yielding in between
     configs = [SamplerConfig(seed=5, count=300, mode="extremal_params"),
                SamplerConfig(seed=2**128, count=300, mode="raw_standard_form")]
     alone = [list(iter_samples(cfg)) for cfg in configs]
@@ -149,203 +154,96 @@ def test_interleaved_iterators_yield_what_each_yields_alone():
     assert [list(samples) for samples in zip(*together)] == alone
 
 
-# Seeds of 1 to 5 uint32 words, at each word count's edges.
-EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96, 2**128 - 1, 2**128,
-              2**160 - 1]
-# Windows at both ends of the index range.
-INDEX_STARTS = [0, 1, 2**31, 2**32 - 8]
+# Philox4x64-10 (Salmon, Moraes, Dror and Shaw, SC'11): its two round
+# multipliers and the Weyl increments of its key.
+PHILOX_MULT = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 MASK64 = 2**64 - 1
-MASK128 = 2**128 - 1
 
 
-def _ints(words):
-    """The Python ints of (high, low) uint64 word columns."""
-    return [hi << 64 | lo for hi, lo in zip(*np.asarray(words).tolist())]
+def _philox_block(counter, key):
+    """The four words of the Philox4x64-10 block of ``counter``, in Python
+    ints."""
+    x, k = list(counter), list(key)
+    for _ in range(10):
+        p0, p1 = PHILOX_MULT[0] * x[0], PHILOX_MULT[1] * x[2]
+        x = [(p1 >> 64) ^ x[1] ^ k[0], p1 & MASK64, (p0 >> 64) ^ x[3] ^ k[1], p0 & MASK64]
+        k = [(k[0] + PHILOX_WEYL[0]) & MASK64, (k[1] + PHILOX_WEYL[1]) & MASK64]
+    return x
 
 
-def _numpy_state(seed, index):
-    state = _rng_for(seed, index).bit_generator.state
-    assert state["has_uint32"] == 0 and state["uinteger"] == 0
-    return state["state"]["state"], state["state"]["inc"]
+# Attempts at both ends of the index range and of a walk, and random ones.
+EDGE_ROWS = [(i, k) for i in (0, 1, 2**32 - 1, 2**32, bounds.COUNT_LIMIT - 1)
+             for k in (0, 1, bounds._MAX_REJECTIONS - 2, bounds._MAX_REJECTIONS - 1)]
+RANDOM_ROWS = list(zip(
+    np.random.default_rng(20261019).integers(0, bounds.COUNT_LIMIT, 8).tolist(),
+    np.random.default_rng(20261020).integers(0, bounds._MAX_REJECTIONS, 8).tolist()))
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**160)),
-       start=st.one_of(st.sampled_from(INDEX_STARTS), st.integers(0, 2**32 - 8)),
-       width=st.integers(1, 8))
-def test_array_seeding_equals_numpy_seed_sequence(seed, start, width):
-    indices = range(start, start + width)
-    state, inc = bounds._pcg64_states(bounds._seed_prefix(seed), indices)
-    got = list(zip(_ints(state), _ints(inc)))
-    assert got == [_numpy_state(seed, i) for i in indices]
-
-
-# 128-bit values whose words carry into the next limb or word when added or
-# multiplied.
-CARRY_EDGES = [MASK64, MASK64 << 64, MASK128, 2**64, 2**63, 2**32 - 1, 2**96 - 1]
-
-
-@settings(max_examples=100, deadline=None)
-@example(a=MASK64, x=MASK64, c=MASK64, y=MASK64)
-@example(a=MASK64 << 64, x=MASK64, c=MASK64, y=MASK64 << 64)
-@example(a=MASK128, x=MASK128, c=MASK128, y=MASK128)
-@given(a=st.one_of(st.sampled_from(CARRY_EDGES), st.integers(0, MASK128)),
-       x=st.one_of(st.sampled_from(CARRY_EDGES), st.integers(0, MASK128)),
-       c=st.one_of(st.sampled_from(CARRY_EDGES), st.integers(0, MASK128)),
-       y=st.one_of(st.sampled_from(CARRY_EDGES), st.integers(0, MASK128)))
-def test_mul_add_equals_python_ints(a, x, c, y):
-    words = [bounds._words([v]) for v in (a, x, c, y)]
-    assert _ints(bounds._mul_add(*words)) == [(a * x + c * y) & MASK128]
-
-
-def _generator_at(state, inc):
-    """A numpy generator loaded with the PCG64 (state, inc)."""
-    generator = np.random.Generator(np.random.PCG64(0))
-    generator.bit_generator.state = {"bit_generator": "PCG64",
-                                     "state": {"state": state, "inc": inc},
-                                     "has_uint32": 0, "uinteger": 0}
-    return generator
-
-
-def test_jump_table_equals_numpy_advance():
-    state, inc = _numpy_state(20261019, 0)
-    bits = _generator_at(state, inc).bit_generator
-    for k in range(bounds._LONGEST_WALK + 1):
-        a, c = bounds._jump(k)
-        bits.state = _generator_at(state, inc).bit_generator.state
-        bits.advance(k)
-        assert bits.state["state"]["state"] == (a * state + c * inc) & MASK128, k
-
-
-# The widest row a round draws, and the longest walk it takes.
-FULL_ROW = bounds._LONGEST_WALK
-WIDE = bounds._ARRAY_ROW + 1
-
-
-@settings(max_examples=60, deadline=None)
-@example(state=MASK64, inc=MASK64, n=1, walk=1)  # the first step, (A_1, C_1)
-@example(state=MASK64 << 64, inc=MASK64 << 64 | 1, n=bounds._ARRAY_ROW, walk=bounds._ARRAY_ROW)
-@example(state=MASK128, inc=MASK128, n=WIDE, walk=1)
-@example(state=MASK128, inc=MASK64, n=FULL_ROW, walk=FULL_ROW)  # the last jump
-@example(state=0, inc=1, n=bounds._ARRAY_ROW, walk=1)
-@given(state=st.one_of(st.sampled_from(CARRY_EDGES), st.integers(0, MASK128)),
-       inc=st.one_of(st.sampled_from(CARRY_EDGES), st.integers(0, MASK128)).map(lambda v: v | 1),
-       n=st.one_of(st.sampled_from([1, bounds._ARRAY_ROW, WIDE, FULL_ROW]),
-                   st.integers(1, 2 * bounds._ARRAY_ROW)),
-       walk=st.integers(1, FULL_ROW))
-def test_carried_states_draw_numpy_doubles(state, inc, n, walk):
-    # Two rows on both sides of the crossover between the array pass and
-    # numpy's generator: the given state, walked ``walk`` doubles of its
-    # row, and its complement, walked the whole row.
-    walk = min(walk, n)
-    pairs = [(state, inc), (MASK128 - state, inc)]
-    streams = bounds._Streams(bounds._seed_prefix(0), range(2))
-    streams.state, streams.inc = (bounds._words(list(v)) for v in zip(*pairs))
-    rows = np.array([0, 1])
-    got = streams.draw(rows, n)
-    streams.walk(np.arange(2), np.array([walk, n]))
-    then = streams.draw(rows, n)
-    for k, offset in enumerate((walk, n)):
-        want = _generator_at(*pairs[k]).random(offset + n)
-        assert got[k].tolist() == want[:n].tolist()
-        assert then[k].tolist() == want[offset:].tolist()
-        bits = _generator_at(*pairs[k]).bit_generator
-        bits.advance(offset)
-        assert _ints(streams.state)[k] == bits.state["state"]["state"]
-
-
-@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**128])
+# Seeds of 1 to 6 uint32 words, at word-count edges.
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**128,
+                                  2**160 - 1, 2**160])
 def test_streams_draw_the_doubles_of_numpy_generators(seed):
-    indices = range(2**32 - bounds._BLOCK, 2**32)
-    streams = bounds._Streams(bounds._seed_prefix(seed), indices)
-    edges = [indices[0], indices[1], indices[-1]]
-    rows = np.array([i - indices.start for i in edges])
-    generators = [_rng_for(seed, i) for i in edges]
-    for n in (5, 1, 12):
-        got = streams.draw(rows, n)
-        streams.walk(np.arange(len(rows)), np.full(len(rows), n))
-        assert got.tolist() == [rng.random(n).tolist() for rng in generators]
-    # the first of a window's streams again, after its neighbours drew a
-    # row of numpy's generator
-    streams.draw(rows[1:], WIDE)
-    streams.walk(np.arange(2), np.full(2, WIDE))
-    assert (streams.draw(rows[:1], 3).tolist()
-            == [_rng_for(seed, indices[0]).random(21)[18:].tolist()])
+    key = _key(seed)
+    rows = EDGE_ROWS + RANDOM_ROWS
+    indices, firsts = (np.array(c, dtype=np.int64) for c in zip(*rows))
+    got = bounds._Streams(seed).draw(indices, firsts, 2)
+    assert got.shape == (len(rows), 2, 4)
+    for row, (i, first) in zip(got.tolist(), rows):
+        for k, attempt in enumerate(row, first):
+            # the first four doubles of the attempt's own generator
+            assert attempt == _attempt_rng(key, i, k).random(4).tolist()
+            # numpy steps the counter before its first block
+            words = _philox_block([k + 1, i, 0, 0], key.tolist())
+            assert attempt == [(w >> 11) * 2.0**-53 for w in words]
 
 
-# Offsets as far as the attempt limit lets a walk reach.
-LAST_OFFSET = bounds._WIDTH * bounds._MAX_REJECTIONS
-
-
-def _walk_to(streams, rows, offset):
-    """Carry ``rows`` of ``streams`` ``offset`` doubles on, one jump per
-    row drawn, each at most a full row."""
-    while offset:
-        n = min(offset, FULL_ROW)
-        streams.draw(rows, n)
-        streams.walk(np.arange(len(rows)), np.full(len(rows), n))
-        offset -= n
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**160)),
-       index=st.one_of(st.sampled_from([0, 1, 2**32 - 2, 2**32 - 1]), st.integers(0, 2**32 - 1)),
-       offset=st.one_of(st.sampled_from([0, 1, LAST_OFFSET]), st.integers(0, LAST_OFFSET)),
-       n=st.integers(1, 64))
-def test_draw_at_an_offset_equals_numpy_doubles(seed, index, offset, n):
-    # the stream and its neighbour in a window of two, each walked on its own
-    pair = range(index & ~1, (index & ~1) + 2)
-    streams = bounds._Streams(bounds._seed_prefix(seed), pair)
-    row, neighbour = np.array([index - pair.start]), np.array([pair.start + 1 - index])
-    want = _rng_for(seed, index).random(offset + n)[offset:].tolist()
-    _walk_to(streams, row, offset)
-    _walk_to(streams, neighbour, 8)
-    assert streams.draw(row, n)[0].tolist() == want
-    streams.draw(neighbour, 8)
-    assert streams.draw(row, n)[0].tolist() == want
+def test_raw_walk_at_s_max_1e5_equals_the_scalar_walk_under_a_small_cap(monkeypatch):
+    # raw mode runs dry at s_max 1e5 (ROADMAP item 6), so the scalar walk
+    # of its 1e6 attempts is out of reach: both walks reject the same
+    # first 2000 attempts here
+    monkeypatch.setattr(bounds, "_MAX_REJECTIONS", 2000)
+    cfg = SamplerConfig(seed=8, count=3, s_max=1e5, mode="raw_standard_form")
+    want = "no acceptable state after 2000 rejections at index 0"
+    with pytest.raises(SamplingError, match=want):
+        reference_sample(cfg, 0)
+    with pytest.raises(SamplingError, match=want):
+        list(iter_samples(cfg))
 
 
 class ScriptedGenerator:
-    """Generator test double: ``uniform`` reads a list of doubles in turn,
-    then zeros, which make every attempt stop early (a = b = 1 in raw mode,
-    |d| = s - 1 in extremal mode) so none is ever accepted."""
+    """Generator test double for one attempt: ``uniform`` reads a list of
+    doubles in turn, then zeros."""
 
     def __init__(self, doubles):
         self.doubles = list(doubles)
         self.read = 0
 
-    def _next(self):
+    def uniform(self, low, high):
         u = self.doubles[self.read] if self.read < len(self.doubles) else 0.0
         self.read += 1
-        return u
-
-    def uniform(self, low, high):
-        return low + (high - low) * self._next()
+        return low + (high - low) * u
 
 
 class ScriptedStreams:
-    """``bounds._Streams`` test double: each row's doubles are its script
-    from the offset its walk has reached, then zeros, as for
-    ``ScriptedGenerator``."""
+    """``bounds._Streams`` test double: attempt k of index i is the doubles
+    ``script_of(i)[k]``, padded with zeros to four.  Attempts past the
+    script are zeros, which make every attempt stop early (a = b = 1 in raw
+    mode, |d| = s - 1 in extremal mode) so none is ever accepted."""
 
-    def __init__(self, scripts):
-        self.scripts = [list(script) for script in scripts]
-        self.offsets = [0] * len(self.scripts)
-        self.rows = []
+    def __init__(self, script_of):
+        self.script_of = script_of
 
-    def draw(self, rows, n):
-        self.rows = rows.tolist()
-        return np.array([[script[k] if k < len(script) else 0.0 for k in range(offset, offset + n)]
-                         for script, offset in ((self.scripts[r], self.offsets[r])
-                                                for r in self.rows)])
-
-    def walk(self, moved, doubles):
-        for k, n in zip(moved.tolist(), doubles.tolist()):
-            self.offsets[self.rows[k]] += n
+    def draw(self, indices, first, n):
+        u = np.zeros((len(indices), n, bounds._WIDTH))
+        for row, i, k in zip(u, indices.tolist(), first.tolist()):
+            for j, attempt in enumerate(self.script_of(i)[k:k + n]):
+                row[j, :len(attempt)] = attempt
+        return u
 
 
 S_MAX = 20.0
-# Attempts of 4 doubles (3 or 2 for an early stop) at s_max 20.
+# Attempts at s_max 20; an early stop reads 2 (raw) or 3 (extremal) doubles.
 RAW_ACCEPT = [0.125, 0.125, 0.875, 0.125]
 RAW_REJECT = [0.5, 0.5, 0.0, 0.5]  # c_plus = c_minus = 0: a product state
 RAW_SHORT = [0.0, 0.0]  # a = b = 1, so a b - 1 = 0 and c_plus has no range
@@ -358,30 +256,29 @@ SHORT = {"raw_standard_form": RAW_SHORT, "extremal_params": EXT_SHORT}
 
 
 def _script_streams(monkeypatch, script_of):
-    """Give every index of ``iter_samples`` the doubles ``script_of(index)``
+    """Give every index i of ``iter_samples`` the attempts ``script_of(i)``
     in place of its stream."""
-    monkeypatch.setattr(bounds, "_Streams", lambda prefix, indices: ScriptedStreams(
-        script_of(i) for i in indices))
+    monkeypatch.setattr(bounds, "_Streams", lambda seed: ScriptedStreams(script_of))
 
 
 def _scripted(monkeypatch, mode, script):
     """(iter_samples output or its error, reference output or its error,
-    doubles the reference read) for one index on scripted generators."""
+    attempts up to the first accepted one) for one index on the scripted
+    attempts."""
     _script_streams(monkeypatch, lambda index: script)
     cfg = SamplerConfig(seed=0, count=1, s_max=S_MAX, mode=mode)
+
+    def rng_of(k):
+        return ScriptedGenerator(script[k] if k < len(script) else [])
     outputs = []
-    for run in (lambda: list(iter_samples(cfg)),
-                lambda: [reference_sample(cfg, 0, ScriptedGenerator(script))]):
+    for run in (lambda: list(iter_samples(cfg)), lambda: [reference_sample(cfg, 0, rng_of)]):
         try:
             outputs.append(run())
         except SamplingError as exc:
             outputs.append(str(exc))
-    reader = ScriptedGenerator(script)
     draw = _REFERENCE_DRAWS[mode]
-    for _ in range(len(script)):
-        if draw(reader, S_MAX) is not None:
-            break
-    return outputs[0], outputs[1], reader.read
+    accepted = [draw(ScriptedGenerator(attempt), S_MAX) is not None for attempt in script]
+    return outputs[0], outputs[1], accepted.index(True) + 1 if any(accepted) else None
 
 
 def _edge_attempt(mode):
@@ -399,25 +296,30 @@ def _edge_attempt(mode):
 
 
 @pytest.mark.parametrize("mode", ["extremal_params", "raw_standard_form"])
-def test_early_stops_shift_the_attempts_after_them(monkeypatch, mode):
+def test_an_early_stop_leaves_later_attempts_unchanged(monkeypatch, mode):
     block = bounds._MODES[mode].first_block
     edge = _edge_attempt(mode)
     short, (accept, undefined, _, _) = bounds._MODES[mode].test(np.array([edge]), S_MAX)
     assert (short | accept | undefined).tolist() == [False]
+    # an early stop whose unread doubles are those of an accepted attempt
+    unread = SHORT[mode] + ACCEPT[mode][len(SHORT[mode]):]
     scripts = [
-        SHORT[mode] + ACCEPT[mode],
-        REJECT[mode] + SHORT[mode] + SHORT[mode] + REJECT[mode] + ACCEPT[mode],
-        # an early stop at the end of the first block carries the doubles
-        # left over into the second one
-        REJECT[mode] * (block - 1) + SHORT[mode] + REJECT[mode] * 3 + ACCEPT[mode],
+        [SHORT[mode], ACCEPT[mode]],
+        [REJECT[mode], unread, SHORT[mode], REJECT[mode], ACCEPT[mode]],
+        # an early stop at the end of the first row, then a second row
+        [REJECT[mode]] * (block - 1) + [unread] + [REJECT[mode]] * 3 + [ACCEPT[mode]],
         # an attempt just on the rejected side of the cut, then an early stop
-        edge + SHORT[mode] + ACCEPT[mode],
+        [edge, unread, ACCEPT[mode]],
     ]
     for script in scripts:
         got, want, read = _scripted(monkeypatch, mode, script)
         assert read == len(script)
         assert got == want
         assert len(got) == 1
+        # the attempts after an early stop are those after a full rejection
+        full = [REJECT[mode] if attempt in (SHORT[mode], unread) else attempt
+                for attempt in script]
+        assert _scripted(monkeypatch, mode, full)[:2] == (got, want)
 
 
 @pytest.mark.parametrize("mode", ["extremal_params", "raw_standard_form"])
@@ -431,21 +333,21 @@ def test_an_early_stop_is_never_accepted(monkeypatch, mode):
         return wrapped
     monkeypatch.setitem(bounds._MODES, mode, dataclasses.replace(
         bounds._MODES[mode], test=eager(bounds._MODES[mode].test)))
-    got, want, _ = _scripted(monkeypatch, mode, SHORT[mode] + SHORT[mode] + ACCEPT[mode])
+    got, want, _ = _scripted(monkeypatch, mode, [SHORT[mode], SHORT[mode], ACCEPT[mode]])
     assert got == want and len(got) == 1
 
 
 @pytest.mark.parametrize("mode", ["extremal_params", "raw_standard_form"])
 def test_attempt_limit(monkeypatch, mode):
     monkeypatch.setattr(bounds, "_MAX_REJECTIONS", 3)
-    got, want, _ = _scripted(monkeypatch, mode, REJECT[mode] + SHORT[mode] + ACCEPT[mode])
+    got, want, _ = _scripted(monkeypatch, mode, [REJECT[mode], SHORT[mode], ACCEPT[mode]])
     assert got == want and len(got) == 1
-    got, want, _ = _scripted(monkeypatch, mode, REJECT[mode] * 3 + ACCEPT[mode])
+    got, want, _ = _scripted(monkeypatch, mode, [REJECT[mode]] * 3 + [ACCEPT[mode]])
     assert got == want == "no acceptable state after 3 rejections at index 0"
     # the failing index is reported after the samples before it
     monkeypatch.setattr(bounds, "_MAX_REJECTIONS", 1)
     _script_streams(monkeypatch, lambda index: (
-        ACCEPT[mode] if index < 2 else REJECT[mode] + ACCEPT[mode]))
+        [ACCEPT[mode]] if index < 2 else [REJECT[mode], ACCEPT[mode]]))
     stream = iter_samples(SamplerConfig(seed=0, count=4, s_max=S_MAX, mode=mode))
     assert [next(stream).index, next(stream).index] == [0, 1]
     with pytest.raises(SamplingError, match="after 1 rejections at index 2$"):
@@ -459,13 +361,11 @@ def test_attempt_limit(monkeypatch, mode):
 def test_many_rounds_at_a_small_cap_equal_the_scalar_walk(
         mode, kinds, first_block, growth, over_limit):
     # Rows of at most first_block + growth attempts: an index takes many
-    # rounds at the cap, and each early stop leaves part of its row for the
-    # next round to draw again, while rejections, also those just past the
-    # cut, are walked past within a round.
+    # rounds at the cap, each from the attempt after the last one tested.
     # The accepted attempt is the last one the limit allows, or the first
     # one past it, so a walk that miscounts its attempts fails fast.
     attempts = {"reject": REJECT[mode], "short": SHORT[mode], "edge": _edge_attempt(mode)}
-    script = [u for kind in kinds for u in attempts[kind]] + ACCEPT[mode]
+    script = [attempts[kind] for kind in kinds] + [ACCEPT[mode]]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bounds, "_MAX_REJECTIONS", len(kinds) + 1 - over_limit)
         mp.setattr(bounds, "_MAX_BLOCK", first_block + growth)

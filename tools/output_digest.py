@@ -10,7 +10,7 @@ of attempts per state; 1000 extremal states at s_max 1e5, where large
 entries stress the minimizer's rounding; 1000 extremal states at s_max 1e6,
 the sampler's upper limit ``S_MAX_LIMIT``, where its array tests decide on
 the largest entries; 500 extremal states at seed
-2**128 + 12345, whose five uint32 words take the seeding's longest hash;
+2**128 + 12345, a seed of five uint32 words;
 1000 extremal states with --log-base e, the only run whose log_neg and geof
 columns take natural logarithms),
 the criterion-5 `scan` window at resolutions 200 and 60, the README
