@@ -17,7 +17,7 @@ import itertools
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -25,8 +25,8 @@ import numpy as np
 from .errors import DomainError, SamplingError, TwoModeError
 from .extremal import _FLOATS, ExtremalParams, _integer, _state, build_state, gmems_threshold
 # minimize_m is unused here, but perfbench/bench_trace.py patches bounds.minimize_m
-from .gaussian_em import NEAR_SEPARABLE_TOL, minimize_block, minimize_m
-from .negativity import h_function, log_negativity
+from .gaussian_em import NEAR_SEPARABLE_TOL, minimize_columns, minimize_m
+from .negativity import _log_divisor, h_function
 from .symplectic import DEFAULT_TOL, StandardForm, _dets, _nu_pairs
 
 #: Slack on the proven upper-curve inequality before a sample counts as a
@@ -126,8 +126,39 @@ class BoundPoint(NamedTuple):
 
 
 @dataclass(frozen=True)
+class BoundPoints:
+    """The ``bounds`` points as columns: one list per ``BoundPoint`` field,
+    in the CSV's column order.  The lists hold Python ints, floats and
+    bools, so ``==`` and ``repr`` compare every value exactly.  Iterating
+    builds each state's ``BoundPoint`` row."""
+    index: list[int]
+    s: list[float]
+    d: list[float]
+    g: list[float]
+    lam: list[float]
+    nu_tilde_sigma: list[float]
+    nu_tilde_opt: list[float]
+    log_neg: list[float]
+    geof: list[float]
+    violates_42: list[bool]
+    violates_46: list[bool]
+
+    def columns(self) -> list[list]:
+        return [getattr(self, field.name) for field in fields(self)]
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __iter__(self) -> Iterator[BoundPoint]:
+        return map(BoundPoint._make, zip(*self.columns()))
+
+
+@dataclass(frozen=True)
 class ExperimentResult:
-    points: list[BoundPoint]
+    """``bound_experiment``'s outcome: the points of the states minimized,
+    as columns, the violation counts and minimal slacks over them, and the
+    (index, message) of each state that failed instead."""
+    points: BoundPoints
     violations_upper: int
     violations_lower: int
     failures: list[tuple[int, str]]
@@ -153,7 +184,8 @@ class ExperimentResult:
 #: States minimized at once by ``bound_experiment``, and indices whose
 #: extremal rows are tested as one array: enough to spread the per-call
 #: cost of the array routes thin, few enough to keep what a block holds (its
-#: samples, results and array temporaries, about 0.5 KB per state) small.
+#: columns, results and array temporaries, about 0.7 KB per state by
+#: tracemalloc) small.
 _BLOCK = 256
 
 
@@ -170,9 +202,13 @@ def _uniform(low, high, u):
     return low + (high - low) * u
 
 
-# A confirm returns the fields of a Sample after its index and the
-# nu_tilde_minus it computed, or None on rejection.
-_Draw = tuple[tuple[StandardForm, float, float, float, float], float]
+# A confirm returns a sample's values in ``_COLUMNS`` order, or None on
+# rejection.
+_Draw = tuple[float, float, float, float, float, float, float, float, float]
+
+#: The columns of a block of samples, by row of its values: each sample's
+#: draw parameters, standard form and nu_tilde_minus.
+_COLUMNS = ("s", "d", "g", "lam", "a", "b", "c_plus", "c_minus", "nu_tilde_minus")
 
 #: nu_tilde_minus below which an attempt is entangled enough.
 _CUT = 1.0 - NEAR_SEPARABLE_TOL
@@ -184,7 +220,7 @@ def _confirm_extremal(s: float, d: float, g: float, lam: float) -> _Draw | None:
     except TwoModeError:
         return None
     nu = sf.spectrum().nu_tilde_minus
-    return ((sf, s, d, g, lam), nu) if nu < _CUT else None
+    return (s, d, g, lam, sf.a, sf.b, sf.c_plus, sf.c_minus, nu) if nu < _CUT else None
 
 
 def _confirm_raw(a: float, b: float, cp: float, cm: float) -> _Draw | None:
@@ -192,8 +228,8 @@ def _confirm_raw(a: float, b: float, cp: float, cm: float) -> _Draw | None:
     if not sf.is_physical():
         return None
     nu = sf.spectrum().nu_tilde_minus
-    return (((sf, 0.5 * (a + b), 0.5 * (a - b), math.sqrt(sf.invariants().det_sigma), math.nan), nu)
-            if nu < _CUT else None)
+    return ((0.5 * (a + b), 0.5 * (a - b), math.sqrt(sf.invariants().det_sigma), math.nan,
+             a, b, cp, cm, nu) if nu < _CUT else None)
 
 
 def _test(args, form, params, passes, dets) -> tuple:
@@ -202,25 +238,23 @@ def _test(args, form, params, passes, dets) -> tuple:
     ``dets``, and ``passes`` the mask where they pass the confirm's tests
     before the spectrum.  Returns the masks of the attempts it accepts and
     of those where it raises (``_nu_pairs`` gives NaN), ``args``, and a
-    function from an index (index arrays or a mask) to the accepted draws
-    there, whose fields after the form ``params`` gives."""
+    function from an index (index arrays or a mask) to the ``_COLUMNS``
+    there, whose draw parameters ``params`` gives."""
     det_sigma, delta, delta_tilde = dets
     nu_minus, nu = (_nu_pairs(x, det_sigma, x * x - 4.0 * det_sigma)[0]
                     for x in (delta, delta_tilde))
     undefined = passes & (np.isnan(nu_minus) | np.isnan(nu))
 
-    def draws(at) -> list[_Draw]:
-        columns = zip(*(c[at].tolist() for c in form), *params(at), nu[at].tolist())
-        return [((StandardForm(a, b, cp, cm), *fields), nu_k)
-                for a, b, cp, cm, *fields, nu_k in columns]
-    return passes & ~undefined & (nu < _CUT), undefined, args, draws
+    def columns(at) -> list[np.ndarray]:
+        return [*params(at), *(c[at] for c in form), nu[at]]
+    return passes & ~undefined & (nu < _CUT), undefined, args, columns
 
 
 def _test_extremal(s, d, g, lam) -> tuple:
     """``_confirm_extremal`` of every (s, d, g, lambda) on arrays:
     ``build_state``'s arithmetic and checks run on the columns."""
     form, _, fits = _state(s, d, g, lam)
-    return _test((s, d, g, lam), form, lambda at: [c[at].tolist() for c in (s, d, g, lam)],
+    return _test((s, d, g, lam), form, lambda at: [c[at] for c in (s, d, g, lam)],
                  fits & np.isfinite(form[2]) & np.isfinite(form[3]), _dets(*form))
 
 
@@ -234,8 +268,8 @@ def _test_raw(a, b, cp, cm) -> tuple:
 
     def params(at):
         a_k, b_k = a[at], b[at]
-        return [(0.5 * (a_k + b_k)).tolist(), (0.5 * (a_k - b_k)).tolist(),
-                np.sqrt(det_sigma[at]).tolist(), [math.nan] * a_k.size]
+        return [0.5 * (a_k + b_k), 0.5 * (a_k - b_k), np.sqrt(det_sigma[at]),
+                np.full(a_k.shape, math.nan)]
     return _test((a, b, cp, cm), (a, b, cp, cm), params, passes, (det_sigma, delta, delta_tilde))
 
 
@@ -309,18 +343,21 @@ class _Streams:
         return u
 
 
-def _chunk_samples(mode: _Mode, s_max: float, indices: range,
-                   streams: _Streams) -> Iterator[tuple[Sample, float]]:
-    """Samples of consecutive ``indices`` with their nu_tilde_minus, each
-    yielded once it and every index before it is decided."""
+def _chunk_columns(mode: _Mode, s_max: float, indices: range,
+                   streams: _Streams) -> tuple[np.ndarray, SamplingError | None]:
+    """The ``_COLUMNS`` of the samples of consecutive ``indices``, as the
+    rows of a (9, len(indices)) array.  Where an index runs out of attempts
+    the columns end before it, and the ``SamplingError`` that names it
+    comes with them; else that error is None."""
     size = len(indices)
     walked = np.zeros(size, dtype=np.int64)  # each row's next attempt
-    draws: list[_Draw | None] = [None] * size
+    values = np.empty((len(_COLUMNS), size))
+    filled = np.zeros(size, dtype=bool)
     pending = np.arange(size)
     attempts = mode.first_block
     done = 0
     while pending.size:
-        short, (accept, undefined, args, accepted) = mode.test(
+        short, (accept, undefined, args, columns) = mode.test(
             streams.draw(indices.start + pending, walked[pending], attempts), s_max)
         # an attempt that stops early is rejected, whatever its unread doubles
         accept, undefined = accept & ~short, undefined & ~short
@@ -329,35 +366,57 @@ def _chunk_samples(mode: _Mode, s_max: float, indices: range,
         first = stop.argmax(axis=1)
         walked[pending] += np.where(stop[lead, first], first + 1, attempts)
         decided = accept[lead, first]
-        for k, draw in zip(pending[decided].tolist(), accepted((lead[decided], first[decided]))):
-            draws[k] = draw
+        values[:, pending[decided]] = columns((lead[decided], first[decided]))
         # the confirm replays an attempt whose spectrum is undefined, and raises
         for k in np.flatnonzero(undefined[lead, first]).tolist():
-            draw = draws[pending[k]] = mode.confirm(*(c[k, first[k]].item() for c in args))
-            decided[k] = draw is not None
+            draw = mode.confirm(*(c[k, first[k]].item() for c in args))
+            if draw is not None:
+                values[:, pending[k]] = draw
+                decided[k] = True
+        filled[pending[decided]] = True
         pending = pending[~decided & (walked[pending] < _MAX_REJECTIONS)]
         end = int(pending[0]) if pending.size else size
-        for k, walked_k in zip(range(done, end), walked[done:end].tolist()):
-            if draws[k] is None or walked_k > _MAX_REJECTIONS:
-                raise SamplingError(
-                    f"no acceptable state after {_MAX_REJECTIONS} rejections at index {indices[k]}"
-                )
-            fields_k, nu = draws[k]
-            yield Sample(indices[k], *fields_k), nu
+        bad = np.flatnonzero(~filled[done:end] | (walked[done:end] > _MAX_REJECTIONS))
+        if bad.size:
+            k = done + int(bad[0])
+            return values[:, :k], SamplingError(
+                f"no acceptable state after {_MAX_REJECTIONS} rejections at index {indices[k]}")
         done = end
         attempts = min(2 * attempts, _MAX_BLOCK)
+    return values, None
 
 
-def _confirmed_samples(cfg: SamplerConfig) -> Iterator[tuple[Sample, float]]:
-    """``iter_samples`` with the nu_tilde_minus that each sample's test
-    computed."""
+def _sample_blocks(cfg: SamplerConfig) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, values) of each block of ``_BLOCK`` samples, the last one
+    shorter: the ``_COLUMNS`` of samples start, start + 1, ... as the rows
+    of ``values``.  Raw mode's chunks are joined.  The config is checked at
+    once; a ``SamplingError`` is raised after the block that ends before
+    the index it names."""
     cfg.validate()
-    mode = _MODES[cfg.mode]
-    s_max = float(cfg.s_max)
-    streams = _Streams(operator.index(cfg.seed))
-    for start in range(0, cfg.count, mode.chunk):
-        yield from _chunk_samples(mode, s_max, range(start, min(start + mode.chunk, cfg.count)),
-                                  streams)
+    return _blocks(_MODES[cfg.mode], float(cfg.s_max), cfg.count,
+                   _Streams(operator.index(cfg.seed)))
+
+
+def _blocks(mode: _Mode, s_max: float, count: int,
+            streams: _Streams) -> Iterator[tuple[int, np.ndarray]]:
+    start, held = 0, np.empty((len(_COLUMNS), 0))
+    for first in range(0, count, mode.chunk):
+        values, error = _chunk_columns(mode, s_max, range(first, min(first + mode.chunk, count)),
+                                       streams)
+        held = np.concatenate((held, values), axis=1) if held.shape[1] else values
+        last = error is not None or first + mode.chunk >= count
+        while held.shape[1] >= _BLOCK or last and held.shape[1]:
+            yield start, held[:, :_BLOCK]
+            start, held = start + _BLOCK, held[:, _BLOCK:]
+        if error is not None:
+            raise error
+
+
+def _nan_as_one(values: list[float]) -> list[float]:
+    """``values`` with each NaN replaced by ``math.nan``, so that lists of
+    the same floats compare equal: lists and tuples match items by identity
+    before ``==``, and NaN == NaN is false."""
+    return [x if x == x else math.nan for x in values]
 
 
 def iter_samples(cfg: SamplerConfig) -> Iterator[Sample]:
@@ -379,10 +438,16 @@ def iter_samples(cfg: SamplerConfig) -> Iterator[Sample]:
     arrays: ``build_state``'s checks (extremal mode) or the physicality
     test (raw mode) and the spectrum run on the attempts' columns with the
     scalar test's operations, so its bits.  An attempt whose spectrum is
-    undefined is replayed alone, and raises.  ``cfg.count`` is at most
+    undefined is replayed alone, and raises.  The samples are kept as
+    columns (``bound_experiment`` reads them so); this builds each
+    ``Sample`` and its ``StandardForm`` from them.  ``cfg.count`` is at most
     ``COUNT_LIMIT`` (2**63).
     """
-    return (sample for sample, _ in _confirmed_samples(cfg))
+    for start, values in _sample_blocks(cfg):
+        s, d, g, lam, *form, _ = values.tolist()
+        for index, s_k, d_k, g_k, lam_k, *form_k in zip(
+                itertools.count(start), s, d, g, _nan_as_one(lam), *form):
+            yield Sample(index, StandardForm(*form_k), s_k, d_k, g_k, lam_k)
 
 
 def bound_experiment(cfg: SamplerConfig, log_base=2) -> ExperimentResult:
@@ -392,26 +457,28 @@ def bound_experiment(cfg: SamplerConfig, log_base=2) -> ExperimentResult:
     theorem, so they should always count zero; lower-curve violations would
     be a genuine counterexample to the conjectured floor and are reported
     rather than raised.  Per-sample numerical failures are excluded from
-    the counts and listed separately.
+    the counts and listed separately.  The config and then ``log_base`` are
+    checked before any state is drawn.
 
-    The stream is minimized in blocks of ``_BLOCK`` states by
-    ``minimize_block``, whose gate reads the sampler's nu_tilde_minus; a
-    state's failure is the error ``minimize_m`` raises.  A block's results,
-    bound tests, slacks and counts are columns; log_neg and 1/nu^2 stay on
-    Python floats, whose log and power can differ from numpy's.
+    The experiment runs on columns from the sampler to the points: each
+    block of ``_BLOCK`` samples is minimized by ``minimize_columns``, whose
+    gate reads the sampler's nu_tilde_minus, and a state's failure is the
+    error ``minimize_m`` raises.  A block's results, bound tests, slacks
+    and counts are columns; log_neg and 1/nu^2 stay on Python floats, whose
+    log and power can differ from numpy's.  The points are lists, one per
+    CSV column.
     """
-    points: list[BoundPoint] = []
+    blocks = _sample_blocks(cfg)
+    divisor = _log_divisor(log_base)
+    columns: list[list] = [[] for _ in BoundPoint._fields]
     failures: list[tuple[int, str]] = []
     violations_upper = 0
     violations_lower = 0
     min_upper_slack = math.inf
     min_m_max_slack = math.inf
-    confirmed = _confirmed_samples(cfg)
-    while block := list(itertools.islice(confirmed, _BLOCK)):
-        samples, nus = zip(*block)
-        gems = minimize_block([sample.standard_form for sample in samples], log_base,
-                              nu_sigmas=nus)
-        failures += [(samples[i].index, str(error)) for i, error in gems.errors.items()]
+    for start, (s, d, g, lam, a, b, cp, cm, nu) in blocks:
+        gems = minimize_columns(a, b, cp, cm, nu, log_base)
+        failures += [(start + i, str(error)) for i, error in gems.errors.items()]
         kept = np.flatnonzero(gems.m_opt == gems.m_opt)  # a failed row reads NaN
         if not kept.size:
             continue
@@ -424,15 +491,17 @@ def bound_experiment(cfg: SamplerConfig, log_base=2) -> ExperimentResult:
         violations_lower += int(np.count_nonzero(lower))
         min_upper_slack = min(min_upper_slack, (nu_sigma - nu_opt).min().item())
         nu_list = nu_sigma.tolist()
-        m_max_slack = np.array([1.0 / nu**2 for nu in nu_list]) - gems.m_opt[kept]
+        m_max_slack = np.array([1.0 / x**2 for x in nu_list]) - gems.m_opt[kept]
         min_m_max_slack = min(min_m_max_slack, m_max_slack.min().item())
-        samples = [samples[i] for i in kept.tolist()]
-        points.extend(map(BoundPoint._make, zip(
-            [sample.index for sample in samples], *zip(*(sample[2:] for sample in samples)),
-            nu_list, nu_opt.tolist(), [log_negativity(nu, log_base) for nu in nu_list],
-            gems.gaussian_eof[kept].tolist(), upper.tolist(), lower.tolist())))
+        block = [(kept + start).tolist(), s[kept].tolist(), d[kept].tolist(), g[kept].tolist(),
+                 _nan_as_one(lam[kept].tolist()), nu_list, nu_opt.tolist(),
+                 # log_negativity's expression, with its divisor taken once
+                 [max(0.0, -math.log(x) / divisor) for x in nu_list],
+                 gems.gaussian_eof[kept].tolist(), upper.tolist(), lower.tolist()]
+        for column, values in zip(columns, block):
+            column += values
     return ExperimentResult(
-        points, violations_upper, violations_lower, failures,
+        BoundPoints(*columns), violations_upper, violations_lower, failures,
         min_upper_slack, min_m_max_slack,
     )
 

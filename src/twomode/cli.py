@@ -1,10 +1,10 @@
 """Command-line front end: single-state reports, ordering scans, bound experiments.
 
 Exit codes: 0 success, 2 unphysical input, 3 bound violation in --strict
-mode, 64 usage or parse error.  CSV rows are written as they are formatted:
-%.17g for floats, so every double round-trips exactly, %d for ints and
-flags, and CRLF line ends.  JSON floats use Python's shortest round-trip
-representation.
+mode, 64 usage or parse error.  A CSV is written once its command has
+computed every row, from columns: %.17g for floats, so every double
+round-trips exactly, %d for ints and flags, and CRLF line ends.  JSON floats
+use Python's shortest round-trip representation.
 """
 
 from __future__ import annotations
@@ -87,14 +87,28 @@ def _bounded(text: str) -> float:
 _bounded.__name__ = "float"  # argparse names the type in "invalid float value"
 
 
-def _write_csv(path: str, header: list[str], row_template: str, rows) -> None:
-    """Write ``header`` and then ``row_template % row`` for each row, as
-    they come.  Templates use %.17g for floats, %d for ints and bools and
-    end in CRLF, so the bytes are those of ``csv.writer`` on the values
-    formatted that way (no field here needs quoting)."""
+#: Rows formatted by one ``%`` call of ``_write_csv``.
+_ROWS_PER_CALL = 256
+
+
+def _write_csv(path: str, header: list[str], row_template: str, columns) -> None:
+    """Write ``header`` and then ``row_template`` for each row of
+    ``columns``, a sequence of equal-length sequences (none for no rows).
+    Each slice of ``_ROWS_PER_CALL`` rows is one ``(row_template * k) %
+    values`` call on its values, row by row.  Templates use %.17g for
+    floats, %d for ints and bools and end in CRLF, so the bytes are those
+    of ``csv.writer`` on the values formatted that way (no field here needs
+    quoting)."""
+    width = len(columns)
+    rows = len(columns[0]) if width else 0
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(row_template % row for row in rows)
+        for start in range(0, rows, _ROWS_PER_CALL):
+            stop = min(start + _ROWS_PER_CALL, rows)
+            values = [None] * (width * (stop - start))
+            for j, column in enumerate(columns):
+                values[j::width] = column[start:stop]
+            fh.write((row_template * (stop - start)) % tuple(values))
 
 
 _FLOATS_3 = "%.17g,%.17g,%.17g\r\n"
@@ -197,15 +211,15 @@ def _cmd_measure(args) -> int:
     return EXIT_OK
 
 
-def _scan_rows(cells, resolution: int):
-    """Grid rows: each column's (s, d) and each g are formatted once.  The
-    regime's text is read as ``_value_``, not through the slow ``.value``."""
-    g_texts = ["%.17g," % cell.g for cell in cells[:resolution]]
-    for start in range(0, len(cells), resolution):
-        head = "%.17g,%.17g," % cells[start][:2]
-        for cell, g_text in zip(cells[start:start + resolution], g_texts):
-            yield (head, g_text, cell.m_gmems, cell.m_glems,
-                   cell.nu_tilde_gmems, cell.nu_tilde_glems, cell.regime._value_)
+def _scan_columns(cells, resolution: int) -> list:
+    """Grid columns: each grid column's (s, d) and each g are formatted
+    once.  The regime's text is read as ``_value_``, not through the slow
+    ``.value``."""
+    _, _, g, *measures, regimes = zip(*cells)
+    heads = ["%.17g,%.17g," % cell[:2] for cell in cells[::resolution]]
+    g_texts = ["%.17g," % x for x in g[:resolution]]
+    return [[head for head in heads for _ in range(resolution)], g_texts * len(heads),
+            *measures, [regime._value_ for regime in regimes]]
 
 
 _SCAN_HEADER = ["s", "d", "g", "m_gmems", "m_glems",
@@ -222,8 +236,8 @@ def _cmd_scan(args) -> int:
         cells, boundary = extremal.scan_ordering_3d(
             tuple(args.s_range), tuple(args.d_range), tuple(args.g_range), args.resolution
         )
-    _write_csv(args.grid, _SCAN_HEADER, _SCAN_ROW, _scan_rows(cells, args.resolution))
-    _write_csv(args.boundary, ["s", "d", "g_boundary"], _FLOATS_3, boundary)
+    _write_csv(args.grid, _SCAN_HEADER, _SCAN_ROW, _scan_columns(cells, args.resolution))
+    _write_csv(args.boundary, ["s", "d", "g_boundary"], _FLOATS_3, list(zip(*boundary)))
     # in order of first appearance
     counts = dict(collections.Counter(map(operator.attrgetter("regime._value_"), cells)))
     json.dump({"cells": len(cells), "boundary_points": len(boundary),
@@ -245,19 +259,20 @@ def _cmd_bounds(args) -> int:
         ["index", "s", "d", "g", "lambda", "nu_tilde_sigma", "nu_tilde_opt",
          "log_neg", "geof", "violates_42", "violates_46"],
         "%d," + "%.17g," * 8 + "%d,%d\r\n",
-        result.points,
+        result.points.columns(),
     )
-    _write_csv(args.curves, ["nu_tilde", "lower", "upper"], _FLOATS_3,
-               bounds_mod.bound_curves(args.curve_resolution))
+    curves = bounds_mod.bound_curves(args.curve_resolution)
+    _write_csv(args.curves, ["nu_tilde", "lower", "upper"], _FLOATS_3, list(zip(*curves)))
     if args.geof_curves:
         rows = []
-        for nu, lower, _upper in bounds_mod.bound_curves(args.curve_resolution):
+        for nu, lower, _upper in curves:
             e_n = log_negativity(nu, base)
             if e_n <= 0.0:
                 continue
             lo, hi = bounds_mod.geof_bounds(e_n, base)
             rows.append((e_n, lo, hi))
-        _write_csv(args.geof_curves, ["log_neg", "geof_lower", "geof_upper"], _FLOATS_3, rows)
+        _write_csv(args.geof_curves, ["log_neg", "geof_lower", "geof_upper"], _FLOATS_3,
+                   list(zip(*rows)))
     summary = {
         "samples": args.samples,
         "seed": args.seed,

@@ -25,13 +25,14 @@ nu_tilde = sqrt(m) - sqrt(m - 1) is the partially-transposed symplectic
 eigenvalue of the optimal pure state and h(nu_tilde) its entanglement of
 formation.
 
-``minimize_m`` and ``minimize_block`` run one body: the gate (spectrum,
+``minimize_m`` and ``minimize_columns`` run one body: the gate (spectrum,
 physicality, near-separable cut, symmetric closed form), the sign ordering,
 ``_ThetaProfile.of`` and the optimum are each written once against a
 namespace ``xp``.  ``minimize_m`` passes one form's Python floats
 (``_FLOATS``, ``math``), so a single call pays no array overhead;
-``minimize_block`` passes a block's columns (``_ARRAYS``, NumPy), whose
-branches are masks.  Both take the roots of the stationary quartics from
+``minimize_columns`` passes a block's columns (``_ARRAYS``, NumPy), whose
+branches are masks, and ``minimize_block`` is its wrapper for a list of
+forms.  Both take the roots of the stationary quartics from
 ``np.linalg.eigvals`` of their companion matrices (``np.roots`` for the
 degenerate quartics of pure and minimum-uncertainty forms) and evaluate m
 with NumPy's trigonometry, so both give the same bits.  A block row that
@@ -432,8 +433,8 @@ def minimize_m(
     result nu_tilde_opt = nu_tilde_minus(sigma) at theta = pi, which is also
     where a pure state's flat profile (a zero quartic) reports its minimum.
     ``extrema_found`` counts the distinct stationary angles.  This is the
-    one body on floats; ``minimize_block`` gives each of its forms the same
-    bits.
+    one body on floats; ``minimize_columns`` gives each of its forms the
+    same bits.
     """
     _require_arguments(near_separable_tol, log_base)
     return _minimize(sf, None, near_separable_tol, log_base)[1]
@@ -461,7 +462,7 @@ def _minimize(sf: StandardForm, nu: float | None, near_separable_tol: float,
 
 
 class GemBlock(NamedTuple):
-    """``minimize_block``'s outcomes as columns, one row per form: its
+    """``minimize_columns``' outcomes as columns, one row per form: its
     nu_tilde_minus and the ``GemResult`` fields that ``minimize_m`` returns
     for it, and by row the ``TwoModeError`` that ``minimize_m`` raises
     instead; such a row reads NaN (0 extrema) in the result columns."""
@@ -481,29 +482,49 @@ def minimize_block(
     near_separable_tol: float = NEAR_SEPARABLE_TOL,
     nu_sigmas=None,
 ) -> GemBlock:
-    """``minimize_m`` of every form, as columns; a bad ``near_separable_tol``
-    or ``log_base`` raises DomainError at once.
-
-    ``nu_sigmas``, a sequence or array with one entry per form (else
-    DomainError), holds each form's nu_tilde_minus where the caller has it;
-    an entry that is None or NaN, or a missing ``nu_sigmas``, leaves it to
-    the form's spectrum.  The gate runs as masks on the columns, and a row
-    that fails it (no spectrum, unphysical) is replayed through
-    ``minimize_m``'s route.  The other rows' profiles, quartics, roots and
-    minima are columns too, and a row whose profile is not finite at its
-    stationary angles gets its ``MinimizationError``.  Entries must stay
-    far below 1e77 (the sampler's do, at s_max <= 1e6): above it Det sigma
-    overflows and NumPy warns where ``minimize_m`` is silent, and one
-    non-finite quartic makes ``np.linalg.eigvals`` raise for the whole block.
-    """
-    _require_arguments(near_separable_tol, log_base)
+    """``minimize_m`` of every form, as columns: ``minimize_columns`` of
+    their entries.  ``nu_sigmas``, a sequence or array with one entry per
+    form (else DomainError), holds each form's nu_tilde_minus where the
+    caller has it; an entry that is None or NaN, or a missing
+    ``nu_sigmas``, leaves it to the form's spectrum."""
     n = len(forms)
     a, b, cp, cm = np.array([(sf.a, sf.b, sf.c_plus, sf.c_minus) for sf in forms],
                             dtype=float).reshape(n, 4).T
     nu = np.full(n, math.nan) if nu_sigmas is None else np.array(nu_sigmas, dtype=float)
     if nu.shape != (n,):
         raise DomainError(f"nu_sigmas must hold one value per form ({n}), got shape {nu.shape}")
+    return minimize_columns(a, b, cp, cm, nu, log_base, near_separable_tol)
+
+
+def minimize_columns(
+    a: np.ndarray,
+    b: np.ndarray,
+    cp: np.ndarray,
+    cm: np.ndarray,
+    nu: np.ndarray,
+    log_base=2,
+    near_separable_tol: float = NEAR_SEPARABLE_TOL,
+) -> GemBlock:
+    """``minimize_m`` of every standard form (a, b, c_plus, c_minus), given
+    as float columns of one length, with ``nu`` its nu_tilde_minus or NaN to
+    leave it to the form's spectrum; a bad ``near_separable_tol`` or
+    ``log_base`` raises DomainError at once.
+
+    The gate runs as masks on the columns, and a row that fails it (no
+    spectrum, unphysical, or entries that are no ``StandardForm``) is
+    replayed through ``minimize_m``'s route on the ``StandardForm`` of its
+    own floats, so its error keeps its type and message.  The other rows'
+    profiles, quartics, roots and minima are columns too, and a row whose
+    profile is not finite at its stationary angles gets its
+    ``MinimizationError``.  Entries must stay far below 1e77 (the sampler's
+    do, at s_max <= 1e6): above it Det sigma overflows and NumPy warns where
+    ``minimize_m`` is silent, and one non-finite quartic makes
+    ``np.linalg.eigvals`` raise for the whole block.
+    """
+    _require_arguments(near_separable_tol, log_base)
+    n = len(a)
     given = nu == nu
+    nu = nu.copy()
     if not given.all():
         # spectrum() raises when either pair is undefined: NaN, and a replay
         det_sigma, delta, delta_tilde = _dets(a[~given], b[~given], cp[~given], cm[~given])
@@ -535,7 +556,8 @@ def minimize_block(
     # row takes whatever minimize_m's route gives it all the same.
     for i in np.flatnonzero(~passes).tolist():
         try:
-            nu[i], gem = _minimize(forms[i], nu[i].item() if given[i] else None,
+            sf = StandardForm(*(c[i].item() for c in (a, b, cp, cm)))
+            nu[i], gem = _minimize(sf, nu[i].item() if given[i] else None,
                                    near_separable_tol, log_base)
         except TwoModeError as exc:
             errors[i] = exc

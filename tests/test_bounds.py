@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from twomode import (
     nu_opt_upper,
 )
 from twomode import bounds
-from twomode.bounds import VIOLATION_TOL, ExperimentResult, BoundPoint
+from twomode.bounds import VIOLATION_TOL, BoundPoint, BoundPoints, ExperimentResult
 from twomode.errors import DomainError, TwoModeError
 from twomode.gaussian_em import GemBlock, m_from_nu_tilde
 from twomode.negativity import log_negativity
@@ -220,9 +221,14 @@ class TestExperiment:
         assert gaps[-1] < 0.01
 
 
+def _points(rows) -> BoundPoints:
+    """``BoundPoint`` rows as ``bound_experiment`` holds them: columns."""
+    return BoundPoints(*([getattr(row, name) for row in rows] for name in BoundPoint._fields))
+
+
 def _scalar_experiment(samples, log_base=2):
     """``bound_experiment``'s loop one state at a time with ``minimize_m``:
-    the reference for its block route."""
+    the reference for its column route."""
     points, failures = [], []
     upper = lower = 0
     min_upper_slack = min_m_max_slack = math.inf
@@ -244,7 +250,8 @@ def _scalar_experiment(samples, log_base=2):
             gem.nu_tilde_opt, log_negativity(nu_sigma, log_base), gem.gaussian_eof,
             violates_upper, violates_lower,
         ))
-    return ExperimentResult(points, upper, lower, failures, min_upper_slack, min_m_max_slack)
+    return ExperimentResult(_points(points), upper, lower, failures, min_upper_slack,
+                            min_m_max_slack)
 
 
 @pytest.mark.parametrize("log_base", [2, "e"])
@@ -298,6 +305,61 @@ def test_ceiling_defects_are_sampled_states():
         assert ExtremalParams(*samples[i][2:]) == params
 
 
+@pytest.mark.parametrize("mode, s_max, count", [
+    ("extremal_params", 20.0, 600),
+    ("extremal_params", 1e5, 300),
+    ("extremal_params", bounds.S_MAX_LIMIT, 300),
+    ("raw_standard_form", 20.0, 300),
+    ("raw_standard_form", 200.0, 30),
+])
+def test_sample_columns_are_the_samples(mode, s_max, count):
+    # StandardForm's checks, finite entries and a, b > 0, hold on every
+    # sampled state's columns, and iter_samples is their per-sample view
+    cfg = SamplerConfig(seed=13, count=count, s_max=s_max, mode=mode)
+    samples = iter(iter_samples(cfg))
+    for start, values in bounds._sample_blocks(cfg):
+        s, d, g, lam, a, b, cp, cm, nu = values
+        assert np.isfinite(values[[0, 1, 2, 4, 5, 6, 7, 8]]).all()
+        assert (a > 0.0).all() and (b > 0.0).all() and (nu < 1.0).all()
+        assert np.isnan(lam).all() == (mode == "raw_standard_form")
+        for k, (s_k, d_k, g_k, lam_k, *form) in enumerate(values[:8].T.tolist()):
+            view = bounds.Sample(start + k, StandardForm(*form), s_k, d_k, g_k, lam_k)
+            assert repr(next(samples)) == repr(view)
+    assert next(samples, None) is None
+
+
+# Doubles at the ends of every draw's range, then random ones.
+_EDGE_DOUBLES = np.array([[x, y, z, w] for x in (0.0, 0.5, 1.0 - 2.0**-53)
+                          for y in (0.0, 1.0 - 2.0**-53) for z in (0.0, 1.0 - 2.0**-53)
+                          for w in (0.0, 1.0 - 2.0**-53)])
+
+
+@pytest.mark.parametrize("mode", ["extremal_params", "raw_standard_form"])
+@pytest.mark.parametrize("s_max", [1.5, 20.0, 1e5, bounds.S_MAX_LIMIT])
+def test_accepted_attempts_are_standard_forms(mode, s_max):
+    # The array test keeps no StandardForm, so its checks must hold on the
+    # columns: on every attempt the extremal test accepts (build_state's
+    # own checks reject the rest), and on every raw draw that does not stop
+    # early (the scalar test builds its StandardForm before testing it).
+    u = np.concatenate([_EDGE_DOUBLES, np.random.default_rng(20261019).random((4000, 4))])
+    short, (accept, _, _, columns) = bounds._MODES[mode].test(u, s_max)
+    at = accept & ~short if mode == "extremal_params" else ~short
+    a, b, cp, cm = columns(at)[4:8]
+    assert a.size
+    assert np.isfinite([a, b, cp, cm]).all()
+    assert (a > 0.0).all() and (b > 0.0).all()
+
+
+def blocks_of(samples, nus):
+    """A stand-in for ``bounds._sample_blocks`` that hands out the samples of
+    indices 0, 1, ... with their nu_tilde_minus (None for none) as blocks
+    of ``_COLUMNS``."""
+    rows = [(p.s, p.d, p.g, p.lam, *dataclasses.astuple(p.standard_form),
+             math.nan if nu is None else nu) for p, nu in zip(samples, nus)]
+    return lambda cfg: ((start, np.array(rows[start:start + bounds._BLOCK]).T)
+                        for start in range(0, len(rows), bounds._BLOCK))
+
+
 def test_violations_count_beyond_the_tolerance(monkeypatch):
     # nu_tilde_opt half and twice VIOLATION_TOL beyond each curve at nu = 0.5
     nu = 0.5
@@ -310,8 +372,8 @@ def test_violations_count_beyond_the_tolerance(monkeypatch):
     size = len(cases)
     gems = GemBlock(np.full(size, nu), np.array([m_from_nu_tilde(x) for x in nu_opt.tolist()]),
                     np.zeros(size), nu_opt, np.zeros(size), np.ones(size, dtype=int), {})
-    monkeypatch.setattr(bounds, "_confirmed_samples", lambda cfg: ((s, nu) for s in samples))
-    monkeypatch.setattr(bounds, "minimize_block", lambda forms, log_base, nu_sigmas: gems)
+    monkeypatch.setattr(bounds, "_sample_blocks", blocks_of(samples, [nu] * size))
+    monkeypatch.setattr(bounds, "minimize_columns", lambda a, b, cp, cm, nu, log_base: gems)
     result = bound_experiment(SamplerConfig(seed=0, count=len(cases)))
     assert [(p.violates_42, p.violates_46) for p in result.points] == [c[1:] for c in cases]
     assert (result.violations_upper, result.violations_lower) == (1, 1)
@@ -319,26 +381,34 @@ def test_violations_count_beyond_the_tolerance(monkeypatch):
     assert result.min_m_max_slack == 1.0 / nu**2 - m_from_nu_tilde(cases[3][0])
 
 
-class TestExperimentFailures:
-    # fails the physicality gate in minimize_m; its spectrum exists
-    UNPHYSICAL = StandardForm(0.8, 0.8, 0.1, -0.1)
-    # Det sigma < 0: fails already in spectrum()
-    NO_SPECTRUM = StandardForm(1.0, 1.0, 2.0, 0.0)
+# fails the physicality gate in minimize_m; its spectrum exists
+UNPHYSICAL = StandardForm(0.8, 0.8, 0.1, -0.1)
+# Det sigma < 0: fails already in spectrum()
+NO_SPECTRUM = StandardForm(1.0, 1.0, 2.0, 0.0)
 
+
+def failing_stream(good, failing):
+    """``good`` samples with the forms of ``failing`` (position, form)
+    inserted, re-indexed 0, 1, ..., and each sample's nu_tilde_minus as the
+    sampler hands it to the gate: a form without a spectrum has none, and
+    the gate computes it."""
+    states = [s.standard_form for s in good]
+    params = [(s.s, s.d, s.g, s.lam) for s in good]
+    for at, sf in failing:
+        states.insert(at, sf)
+        params.insert(at, (2.0, 0.0, 1.5, 0.0))
+    stream = [bounds.Sample(i, sf, *p) for i, (sf, p) in enumerate(zip(states, params))]
+    nus = [None if sf is NO_SPECTRUM else sf.spectrum().nu_tilde_minus for sf in states]
+    return stream, nus
+
+
+class TestExperimentFailures:
     def test_failures_match_the_scalar_loop(self, monkeypatch):
         good = list(iter_samples(SamplerConfig(seed=3, count=600)))
-        states = [s.standard_form for s in good]
         # failing forms inside the first block, on its last row and in the third
-        for at, sf in ((5, self.UNPHYSICAL), (255, self.NO_SPECTRUM), (530, self.UNPHYSICAL)):
-            states.insert(at, sf)
-        params = [(s.s, s.d, s.g, s.lam) for s in good]
-        for at in (5, 255, 530):
-            params.insert(at, (2.0, 0.0, 1.5, 0.0))
-        stream = [bounds.Sample(i, sf, *p) for i, (sf, p) in enumerate(zip(states, params))]
-        # the sampler hands each state's nu_tilde_minus to the gate; a form
-        # without a spectrum has none, and the gate computes it
-        nus = [None if sf is self.NO_SPECTRUM else sf.spectrum().nu_tilde_minus for sf in states]
-        monkeypatch.setattr(bounds, "_confirmed_samples", lambda cfg: zip(stream, nus))
+        stream, nus = failing_stream(good, [(5, UNPHYSICAL), (255, NO_SPECTRUM),
+                                            (530, UNPHYSICAL)])
+        monkeypatch.setattr(bounds, "_sample_blocks", blocks_of(stream, nus))
         result = bound_experiment(SamplerConfig(seed=3, count=len(stream)), log_base="e")
         expected = _scalar_experiment(stream, log_base="e")
         assert [index for index, _ in result.failures] == [5, 255, 530]

@@ -4,10 +4,12 @@ import math
 
 import pytest
 
-from twomode import cli, extremal
+from twomode import bounds, cli, extremal
+from twomode.bounds import SamplerConfig, iter_samples
 from twomode.cli import EXIT_OK, EXIT_UNPHYSICAL, EXIT_USAGE, main
 
 from conftest import BLOCK_NOT_POSITIVE_DEFINITE
+from test_bounds import NO_SPECTRUM, UNPHYSICAL, _scalar_experiment, blocks_of, failing_stream
 
 R_53 = 0.5 * math.acosh(5.0 / 3.0)
 
@@ -361,8 +363,11 @@ def test_write_csv_matches_csv_writer(tmp_path):
             for i, x in enumerate(floats)
             for regime in ("unphysical", "ordering_inverted")]
     rows.append((10 ** 12, 1.0, 2.5, True, False, "coexistence"))
+    # rows on both sides of a slice that one % call formats
+    rows *= 2 * cli._ROWS_PER_CALL // len(rows) + 1
     header = ["index", "x", "minus_x", "even", "positive", "regime"]
-    cli._write_csv(str(tmp_path / "new.csv"), header, "%d,%.17g,%.17g,%d,%d,%s\r\n", rows)
+    cli._write_csv(str(tmp_path / "new.csv"), header, "%d,%.17g,%.17g,%d,%d,%s\r\n",
+                   list(zip(*rows)))
     with open(tmp_path / "old.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -371,6 +376,9 @@ def test_write_csv_matches_csv_writer(tmp_path):
     new = (tmp_path / "new.csv").read_bytes()
     assert new == (tmp_path / "old.csv").read_bytes()
     assert new.count(b"\r\n") == len(rows) + 1 == new.count(b"\n")
+    # no rows: the header alone
+    cli._write_csv(str(tmp_path / "empty.csv"), header, "%d\r\n", [])
+    assert (tmp_path / "empty.csv").read_bytes() == b"index,x,minus_x,even,positive,regime\r\n"
 
 
 @pytest.mark.parametrize("value", ["-0.5", "nan"])
@@ -434,3 +442,104 @@ class TestBounds:
         for line in lines[1:]:
             _, lo, hi = (float(x) for x in line.split(","))
             assert lo <= hi
+
+
+POINTS_HEADER = ["index", "s", "d", "g", "lambda", "nu_tilde_sigma", "nu_tilde_opt",
+                 "log_neg", "geof", "violates_42", "violates_46"]
+
+
+def _csv_writer_bytes(path, header, rows) -> bytes:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+    return path.read_bytes()
+
+
+def _points_equal_the_scalar_loop(capsys, tmp_path, cfg, log_base, samples):
+    """Run ``bounds`` on ``cfg`` and check its points CSV, byte for byte,
+    against the rows of the scalar loop over ``samples``; returns them."""
+    points = tmp_path / "points.csv"
+    code, _, err = run(capsys, "bounds", "--samples", str(cfg.count), "--seed", str(cfg.seed),
+                       "--mode", cfg.mode, "--s-max", repr(cfg.s_max), "--log-base", log_base,
+                       "--points", str(points), "--curves", str(tmp_path / "curves.csv"),
+                       "--summary", str(tmp_path / "summary.json"))
+    assert code == EXIT_OK, err
+    rows = list(_scalar_experiment(samples, 2 if log_base == "2" else "e").points)
+    assert points.read_bytes() == _csv_writer_bytes(tmp_path / "want.csv", POINTS_HEADER, rows)
+    return rows
+
+
+class TestPointsBytes:
+    @pytest.mark.parametrize("log_base", ["2", "e"])
+    @pytest.mark.parametrize("mode", ["extremal_params", "raw_standard_form"])
+    @pytest.mark.parametrize("count", [1, 257, 600])
+    def test_points_csv_equals_the_scalar_loop(self, capsys, tmp_path, mode, log_base, count):
+        cfg = SamplerConfig(seed=4, count=count, mode=mode)
+        rows = _points_equal_the_scalar_loop(capsys, tmp_path, cfg, log_base, iter_samples(cfg))
+        assert len(rows) == count
+
+    @pytest.mark.parametrize("log_base", ["2", "e"])
+    def test_failing_rows_around_a_block_boundary(self, capsys, tmp_path, monkeypatch, log_base):
+        good = list(iter_samples(SamplerConfig(seed=6, count=500)))
+        block = bounds._BLOCK
+        # the last row of the first block, the first of the second, and
+        # every row of the third: that block hands the writer no rows
+        failing = [(block - 1, UNPHYSICAL), (block, NO_SPECTRUM),
+                   *((at, UNPHYSICAL if at % 2 else NO_SPECTRUM)
+                     for at in range(2 * block, 3 * block))]
+        stream, nus = failing_stream(good, failing)
+        monkeypatch.setattr(bounds, "_sample_blocks", blocks_of(stream, nus))
+        cfg = SamplerConfig(seed=6, count=len(stream))
+        rows = _points_equal_the_scalar_loop(capsys, tmp_path, cfg, log_base, stream)
+        assert len(rows) == len(good) == len(stream) - block - 2
+        assert [row.index for row in rows[block - 2:block + 1]] == [block - 2, block + 1,
+                                                                   block + 2]
+
+    @pytest.mark.parametrize("count", [1, 300])
+    def test_every_row_failing_writes_the_header_alone(self, capsys, tmp_path, monkeypatch,
+                                                       count):
+        stream, nus = failing_stream([], [(at, UNPHYSICAL) for at in range(count)])
+        monkeypatch.setattr(bounds, "_sample_blocks", blocks_of(stream, nus))
+        cfg = SamplerConfig(seed=6, count=count)
+        assert _points_equal_the_scalar_loop(capsys, tmp_path, cfg, "2", stream) == []
+        assert (tmp_path / "points.csv").read_bytes() == (",".join(POINTS_HEADER) + "\r\n").encode()
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["numerical_failures"] == count
+
+
+def test_a_failed_bounds_run_leaves_its_files_untouched(capsys, tmp_path, monkeypatch):
+    # raw mode at s_max 1e4 finds no state in 50 attempts at index 0
+    monkeypatch.setattr(bounds, "_MAX_REJECTIONS", 50)
+    paths = {name: tmp_path / name for name in ("points.csv", "curves.csv", "summary.json")}
+    for name, path in paths.items():
+        path.write_text(f"earlier {name}\n")
+    before = {name: path.stat().st_mtime_ns for name, path in paths.items()}
+    code, out, err = run(capsys, "bounds", "--samples", "600", "--seed", "1",
+                         "--mode", "raw_standard_form", "--s-max", "1e4",
+                         "--points", str(paths["points.csv"]),
+                         "--curves", str(paths["curves.csv"]),
+                         "--summary", str(paths["summary.json"]))
+    assert code == EXIT_UNPHYSICAL
+    assert out == ""
+    assert err == "twomode: error: no acceptable state after 50 rejections at index 0\n"
+    for name, path in paths.items():
+        assert path.read_text() == f"earlier {name}\n"
+        assert path.stat().st_mtime_ns == before[name]
+
+
+def test_geof_curves_reuse_the_bound_curves(capsys, tmp_path, monkeypatch):
+    calls = []
+    bound_curves = bounds.bound_curves
+
+    def counted(resolution):
+        calls.append(resolution)
+        return bound_curves(resolution)
+    monkeypatch.setattr(cli.bounds_mod, "bound_curves", counted)
+    code, _, _ = run(capsys, "bounds", "--samples", "3", "--seed", "1",
+                     "--points", str(tmp_path / "p.csv"), "--curves", str(tmp_path / "c.csv"),
+                     "--geof-curves", str(tmp_path / "g.csv"), "--curve-resolution", "16",
+                     "--summary", str(tmp_path / "s.json"))
+    assert code == EXIT_OK
+    assert calls == [16]

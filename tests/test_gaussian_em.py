@@ -17,7 +17,9 @@ from twomode import (
     nu_tilde_from_m,
 )
 from twomode.bounds import SamplerConfig, iter_samples
-from twomode.errors import DomainError, MinimizationError, TwoModeError, UnphysicalStateError
+from twomode.errors import (
+    DomainError, MalformedInputError, MinimizationError, TwoModeError, UnphysicalStateError,
+)
 from twomode import gaussian_em
 from twomode.extremal import gmems_threshold
 from twomode.gaussian_em import (
@@ -30,6 +32,7 @@ from twomode.gaussian_em import (
     _stationary_angles,
     _ThetaProfile,
     minimize_block,
+    minimize_columns,
 )
 
 from conftest import draw_entangled_states
@@ -448,6 +451,25 @@ def test_block_reads_nu_sigmas_from_any_sequence(convert):
     for nu_sigmas in (nus, [None] * len(forms), [math.nan if nu is None else nu for nu in nus]):
         got = _outcomes(minimize_block(forms, nu_sigmas=convert(nu_sigmas)))
         assert [_comparable(outcome) for outcome in got] == expected
+
+
+def test_columns_that_are_no_standard_form_fail_as_its_constructor():
+    # a row that fails the gate is replayed on the StandardForm of its own
+    # floats: entries that make none get the constructor's error
+    rows = [*BLOCK_ROWS, (math.nan, 2.0, 1.0, -1.0), (-2.0, 2.0, 1.0, -1.0)]
+    a, b, cp, cm = (np.array(c) for c in zip(*(
+        (sf.a, sf.b, sf.c_plus, sf.c_minus) if isinstance(sf, StandardForm) else sf
+        for sf in rows)))
+    nu = np.full(len(rows), math.nan)
+    gems = minimize_columns(a, b, cp, cm, nu)
+    assert np.isnan(nu).all()  # the caller's column is not written
+    expected = _outcomes(minimize_block(BLOCK_ROWS))
+    got = _outcomes(gems)
+    assert [_comparable(x) for x in got[:len(BLOCK_ROWS)]] == [_comparable(x) for x in expected]
+    for outcome, values in zip(got[len(BLOCK_ROWS):], rows[len(BLOCK_ROWS):]):
+        with pytest.raises(MalformedInputError) as raised:
+            StandardForm(*values)
+        assert (type(outcome), str(outcome)) == (MalformedInputError, str(raised.value))
 
 
 @pytest.mark.parametrize("size", [0, 2, 4])

@@ -338,6 +338,24 @@ def test_an_early_stop_is_never_accepted(monkeypatch, mode):
 
 
 @pytest.mark.parametrize("mode", ["extremal_params", "raw_standard_form"])
+def test_a_replayed_attempt_writes_its_own_row(monkeypatch, mode):
+    # an array test that leaves every attempt it would accept to the scalar
+    # replay: the replay accepts them, and the samples are those of the
+    # array route
+    cfg = SamplerConfig(seed=9, count=40, mode=mode)
+    want = list(iter_samples(cfg))
+
+    def replayed(test):
+        def wrapped(u, s_max):
+            short, (accept, undefined, args, columns) = test(u, s_max)
+            return short, (accept & False, undefined | accept, args, columns)
+        return wrapped
+    monkeypatch.setitem(bounds._MODES, mode, dataclasses.replace(
+        bounds._MODES[mode], test=replayed(bounds._MODES[mode].test)))
+    assert repr(list(iter_samples(cfg))) == repr(want)
+
+
+@pytest.mark.parametrize("mode", ["extremal_params", "raw_standard_form"])
 def test_attempt_limit(monkeypatch, mode):
     monkeypatch.setattr(bounds, "_MAX_REJECTIONS", 3)
     got, want, _ = _scripted(monkeypatch, mode, [REJECT[mode], SHORT[mode], ACCEPT[mode]])
@@ -487,8 +505,8 @@ def _array_outcomes(confirm, tested):
     """What the sampler's walk makes of each attempt that ``tested``, an
     array test, holds: the accepted draw, None, or, for an undefined
     spectrum, the outcome of its replay by ``confirm``."""
-    accept, undefined, args, accepted = tested
-    draws = iter(accepted(accept))
+    accept, undefined, args, columns = tested
+    draws = zip(*(c.tolist() for c in columns(accept)))
     return [_outcome(confirm, *(c[k].item() for c in args)) if undefined[k]
             else next(draws) if accept[k] else None
             for k in range(len(accept))]
@@ -499,10 +517,9 @@ def _bits(draw):
     error stays as it is."""
     if draw is None or isinstance(draw[0], type):
         return draw
-    (sf, *params), nu = draw
-    values = (sf.a, sf.b, sf.c_plus, sf.c_minus, *params, nu)
-    assert all(type(v) is float for v in values)
-    return [v.hex() for v in values]
+    assert len(draw) == len(bounds._COLUMNS)
+    assert all(type(v) is float for v in draw)
+    return [v.hex() for v in draw]
 
 
 def _with_edges(edges):

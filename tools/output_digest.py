@@ -12,7 +12,8 @@ the sampler's upper limit ``S_MAX_LIMIT``, where its array tests decide on
 the largest entries; 500 extremal states at seed
 2**128 + 12345, a seed of five uint32 words;
 1000 extremal states with --log-base e, the only run whose log_neg and geof
-columns take natural logarithms),
+columns take natural logarithms; one state in each mode, the benchmark's
+cold-start command, whose one block is partial),
 the criterion-5 `scan` window at resolutions 200 and 60, the README
 `scan3d` window at resolution 24, a `scan3d` window at s ~ 8.73e4 at
 resolution 8 (every cell physical), and four `measure` reports.  Each scan
@@ -68,7 +69,9 @@ def _outputs():
             ("extremal_params", "1000", "1e5", "1", "2", " s_max 1e5"),
             ("extremal_params", "1000", "1e6", "1", "2", " s_max 1e6"),
             ("extremal_params", "500", "20", str(2**128 + 12345), "2", " seed 2**128+12345"),
-            ("extremal_params", "1000", "20", "1", "e", " log-base e")]
+            ("extremal_params", "1000", "20", "1", "e", " log-base e"),
+            ("extremal_params", "1", "20", "1", "2", " samples 1"),
+            ("raw_standard_form", "1", "20", "1", "2", " samples 1")]
     for mode, samples, s_max, seed, base, tag in runs:
         _run(["bounds", "--samples", samples, "--seed", seed, "--mode", mode, "--s-max", s_max,
               "--log-base", base, "--points", "points.csv", "--curves", "curves.csv",
