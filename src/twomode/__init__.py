@@ -33,6 +33,7 @@ from .errors import (
 )
 from .extremal import (
     BoundaryPoint,
+    ColumnTable,
     Entanglement,
     ExtremalParams,
     OrderingVerdict,

@@ -17,13 +17,14 @@ import itertools
 import math
 import numbers
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, SamplingError, TwoModeError
-from .extremal import _FLOATS, ExtremalParams, _integer, _state, build_state, gmems_threshold
+from .extremal import (_FLOATS, ColumnTable, ExtremalParams, _integer, _state, build_state,
+                       gmems_threshold)
 # minimize_m is unused here, but perfbench/bench_trace.py patches bounds.minimize_m
 from .gaussian_em import NEAR_SEPARABLE_TOL, minimize_columns, minimize_m
 from .negativity import _log_divisor, h_function
@@ -126,39 +127,11 @@ class BoundPoint(NamedTuple):
 
 
 @dataclass(frozen=True)
-class BoundPoints:
-    """The ``bounds`` points as columns: one list per ``BoundPoint`` field,
-    in the CSV's column order.  The lists hold Python ints, floats and
-    bools, so ``==`` and ``repr`` compare every value exactly.  Iterating
-    builds each state's ``BoundPoint`` row."""
-    index: list[int]
-    s: list[float]
-    d: list[float]
-    g: list[float]
-    lam: list[float]
-    nu_tilde_sigma: list[float]
-    nu_tilde_opt: list[float]
-    log_neg: list[float]
-    geof: list[float]
-    violates_42: list[bool]
-    violates_46: list[bool]
-
-    def columns(self) -> list[list]:
-        return [getattr(self, field.name) for field in fields(self)]
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    def __iter__(self) -> Iterator[BoundPoint]:
-        return map(BoundPoint._make, zip(*self.columns()))
-
-
-@dataclass(frozen=True)
 class ExperimentResult:
-    """``bound_experiment``'s outcome: the points of the states minimized,
-    as columns, the violation counts and minimal slacks over them, and the
-    (index, message) of each state that failed instead."""
-    points: BoundPoints
+    """``bound_experiment``'s outcome: the table of ``BoundPoint`` of the
+    states minimized, the violation counts and minimal slacks over them, and
+    the (index, message) of each state that failed instead."""
+    points: ColumnTable
     violations_upper: int
     violations_lower: int
     failures: list[tuple[int, str]]
@@ -465,8 +438,8 @@ def bound_experiment(cfg: SamplerConfig, log_base=2) -> ExperimentResult:
     gate reads the sampler's nu_tilde_minus, and a state's failure is the
     error ``minimize_m`` raises.  A block's results, bound tests, slacks
     and counts are columns; log_neg and 1/nu^2 stay on Python floats, whose
-    log and power can differ from numpy's.  The points are lists, one per
-    CSV column.
+    log and power can differ from numpy's.  The points are a ``ColumnTable``
+    of ``BoundPoint``: one list per CSV column.
     """
     blocks = _sample_blocks(cfg)
     divisor = _log_divisor(log_base)
@@ -494,14 +467,14 @@ def bound_experiment(cfg: SamplerConfig, log_base=2) -> ExperimentResult:
         m_max_slack = np.array([1.0 / x**2 for x in nu_list]) - gems.m_opt[kept]
         min_m_max_slack = min(min_m_max_slack, m_max_slack.min().item())
         block = [(kept + start).tolist(), s[kept].tolist(), d[kept].tolist(), g[kept].tolist(),
-                 _nan_as_one(lam[kept].tolist()), nu_list, nu_opt.tolist(),
+                 lam[kept].tolist(), nu_list, nu_opt.tolist(),
                  # log_negativity's expression, with its divisor taken once
                  [max(0.0, -math.log(x) / divisor) for x in nu_list],
                  gems.gaussian_eof[kept].tolist(), upper.tolist(), lower.tolist()]
         for column, values in zip(columns, block):
             column += values
     return ExperimentResult(
-        BoundPoints(*columns), violations_upper, violations_lower, failures,
+        ColumnTable(BoundPoint, columns), violations_upper, violations_lower, failures,
         min_upper_slack, min_m_max_slack,
     )
 

@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 2 unphysical input, 3 bound violation in --strict
 mode, 64 usage or parse error.  A CSV is written once its command has
-computed every row, from columns: %.17g for floats, so every double
-round-trips exactly, %d for ints and flags, and CRLF line ends.  JSON floats
-use Python's shortest round-trip representation.
+computed every row, from the columns of the library's ``ColumnTable``
+(scan cells and boundary, bound points) without building a row object:
+%.17g for floats, so every double round-trips exactly, %d for ints and
+flags, and CRLF line ends.  JSON floats use Python's shortest round-trip
+representation.
 """
 
 from __future__ import annotations
@@ -132,14 +134,16 @@ def _default_seed() -> int:
 
 
 def _read_state_json(source: str):
-    if source == "-":
-        text = sys.stdin.read()
-    else:
-        with open(source) as fh:
-            text = fh.read()
+    # bytes that are not UTF-8, nesting past the recursion limit and integer
+    # literals past Python's digit limit are parse errors too
     try:
+        if source == "-":
+            text = sys.stdin.read()
+        else:
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read()
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise _ParseFailure(f"invalid JSON input: {exc}")
     return cm_from_json_dict(obj)
 
@@ -211,17 +215,6 @@ def _cmd_measure(args) -> int:
     return EXIT_OK
 
 
-def _scan_columns(cells, resolution: int) -> list:
-    """Grid columns: each grid column's (s, d) and each g are formatted
-    once.  The regime's text is read as ``_value_``, not through the slow
-    ``.value``."""
-    _, _, g, *measures, regimes = zip(*cells)
-    heads = ["%.17g,%.17g," % cell[:2] for cell in cells[::resolution]]
-    g_texts = ["%.17g," % x for x in g[:resolution]]
-    return [[head for head in heads for _ in range(resolution)], g_texts * len(heads),
-            *measures, [regime._value_ for regime in regimes]]
-
-
 _SCAN_HEADER = ["s", "d", "g", "m_gmems", "m_glems",
                 "nu_tilde_gmems", "nu_tilde_glems", "regime"]
 _SCAN_ROW = "%s%s%.17g,%.17g,%.17g,%.17g,%s\r\n"
@@ -236,10 +229,17 @@ def _cmd_scan(args) -> int:
         cells, boundary = extremal.scan_ordering_3d(
             tuple(args.s_range), tuple(args.d_range), tuple(args.g_range), args.resolution
         )
-    _write_csv(args.grid, _SCAN_HEADER, _SCAN_ROW, _scan_columns(cells, args.resolution))
-    _write_csv(args.boundary, ["s", "d", "g_boundary"], _FLOATS_3, list(zip(*boundary)))
-    # in order of first appearance
-    counts = dict(collections.Counter(map(operator.attrgetter("regime._value_"), cells)))
+    # each grid column's (s, d) and each g are formatted once, and a regime's
+    # text is read as ``_value_``, not through the slow ``.value``
+    s, d, g, *measures, regimes = cells.columns
+    r = args.resolution
+    heads = ["%.17g,%.17g," % sd for sd in zip(s[::r], d[::r])]
+    texts = list(map(operator.attrgetter("_value_"), regimes))
+    _write_csv(args.grid, _SCAN_HEADER, _SCAN_ROW,
+               [[head for head in heads for _ in range(r)],
+                ["%.17g," % x for x in g[:r]] * len(heads), *measures, texts])
+    _write_csv(args.boundary, ["s", "d", "g_boundary"], _FLOATS_3, boundary.columns)
+    counts = dict(collections.Counter(texts))  # in order of first appearance
     json.dump({"cells": len(cells), "boundary_points": len(boundary),
                "regimes": counts}, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -259,7 +259,7 @@ def _cmd_bounds(args) -> int:
         ["index", "s", "d", "g", "lambda", "nu_tilde_sigma", "nu_tilde_opt",
          "log_neg", "geof", "violates_42", "violates_46"],
         "%d," + "%.17g," * 8 + "%d,%d\r\n",
-        result.points.columns(),
+        result.points.columns,
     )
     curves = bounds_mod.bound_curves(args.curve_resolution)
     _write_csv(args.curves, ["nu_tilde", "lower", "upper"], _FLOATS_3, list(zip(*curves)))

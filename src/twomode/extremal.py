@@ -403,6 +403,32 @@ class BoundaryPoint(NamedTuple):
     g: float
 
 
+def _same_values(x: list, y: list) -> bool:
+    return x == y or len(x) == len(y) and all(
+        a == b or a != a and b != b for a, b in zip(x, y))
+
+
+@dataclass(frozen=True, eq=False)
+class ColumnTable:
+    """Rows of the NamedTuple class ``row``, held as ``columns``: one list
+    of Python scalars per field, in field order.  ``==`` compares every
+    value, NaN matching NaN, and iterating builds the rows."""
+
+    row: type
+    columns: list[list]
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self):
+        return map(self.row._make, zip(*self.columns))
+
+    def __eq__(self, other):
+        if not isinstance(other, ColumnTable):
+            return NotImplemented
+        return self.row is other.row and all(map(_same_values, self.columns, other.columns))
+
+
 def _ordering_gap(s, d, g):
     return _m_gmems(s, d, g) - _m_glems(s, d, g)
 
@@ -481,29 +507,26 @@ def _scan_columns(
     d: np.ndarray,
     g_range: tuple[float, float],
     resolution: int,
-) -> tuple[list[ScanCell], list[BoundaryPoint]]:
+) -> tuple[ColumnTable, ColumnTable]:
     """Cells of every column (s[k], d[k]) over the g axis, row-major, and
-    the bisected crossings of each column whose GMEMMS line is valid.  The
-    closed forms, regimes, crossings and nu_tilde columns are computed on
-    whole arrays."""
+    the bisected crossings of each column whose GMEMMS line is valid, as
+    tables.  The closed forms, regimes, crossings and nu_tilde columns are
+    computed on whole arrays."""
     gs = _axis(g_range, resolution)
     lines = np.flatnonzero(_in_domain(s, d, 2.0 * abs(d) + 1.0))
     col, g_boundary = _crossings(s[lines], d[lines])
     col = lines[col]
-    boundary = list(map(BoundaryPoint._make, zip(s[col].tolist(), d[col].tolist(),
-                                                 g_boundary.tolist())))
+    boundary = ColumnTable(BoundaryPoint, [s[col].tolist(), d[col].tolist(),
+                                           g_boundary.tolist()])
     s_all, d_all, g_all = np.repeat(s, resolution), np.repeat(d, resolution), np.tile(gs, len(s))
     m_g, m_l, code = _ordering(s_all, d_all, g_all)
     nu = [nu_f.tolist() for nu_f in _nu_tilde_columns(s_all, d_all, g_all, code != 0)]
-    m_g, m_l, regimes = m_g.tolist(), m_l.tolist(), list(map(_REGIMES.__getitem__, code.tolist()))
-    g_list = gs.tolist()
-    cells = []
-    # a column at a time, its cells sharing the float objects of s, d and g
-    for k, (s_k, d_k) in enumerate(zip(s.tolist(), d.tolist())):
-        column = slice(k * resolution, (k + 1) * resolution)
-        cells.extend(map(ScanCell._make, zip(
-            [s_k] * resolution, [d_k] * resolution, g_list, m_g[column], m_l[column],
-            nu[0][column], nu[1][column], regimes[column])))
+    # the cells of a grid column share the float objects of its s and d
+    s_cells, d_cells = ([x for x in column.tolist() for _ in range(resolution)]
+                        for column in (s, d))
+    regimes = list(map(_REGIMES.__getitem__, code.tolist()))
+    cells = ColumnTable(ScanCell, [s_cells, d_cells, gs.tolist() * len(s), m_g.tolist(),
+                                   m_l.tolist(), *nu, regimes])
     return cells, boundary
 
 
@@ -512,13 +535,14 @@ def scan_ordering_slice(
     b_range: tuple[float, float],
     g_range: tuple[float, float],
     resolution: int = 200,
-) -> tuple[list[ScanCell], list[BoundaryPoint]]:
+) -> tuple[ColumnTable, ColumnTable]:
     """Classify a (b, g) grid at fixed local mixedness a of mode 1.
 
-    Returns the row-major cell table (b slow axis, g fast axis) and the
-    bisected polyline where the two closed forms agree.  The polyline
-    covers each column's whole entangled window 2|d| + 1 < g <
-    sqrt(2(s^2 + d^2) - 1), not only ``g_range``.  An endpoint or a beyond
+    Returns the row-major table of ``ScanCell`` (b slow axis, g fast axis)
+    and the table of ``BoundaryPoint`` on the bisected polyline where the
+    two closed forms agree.  The polyline covers each column's whole
+    entangled window 2|d| + 1 < g < sqrt(2(s^2 + d^2) - 1), not only
+    ``g_range``.  An endpoint or a beyond
     ``SCAN_LIMIT`` in magnitude, or a non-integer ``resolution``, raises
     DomainError.
     """
@@ -534,8 +558,8 @@ def scan_ordering_3d(
     d_range: tuple[float, float],
     g_range: tuple[float, float],
     resolution: int = 48,
-) -> tuple[list[ScanCell], list[BoundaryPoint]]:
-    """Classify an (s, d, g) grid; same outputs as the fixed-a slice,
+) -> tuple[ColumnTable, ColumnTable]:
+    """Classify an (s, d, g) grid; the same two tables as the fixed-a slice,
     with the boundary bisected in g for every (s, d) pair (s slowest) over
     its whole entangled window, not only ``g_range``."""
     s = _axis(s_range, resolution)

@@ -377,7 +377,7 @@ def cm_from_json_dict(obj) -> np.ndarray:
     if "cm" in obj:
         try:
             arr = np.asarray(obj["cm"], dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise MalformedInputError(f"invalid 'cm' entries: {exc}") from None
         if arr.shape != (4, 4):
             raise MalformedInputError(f"'cm' must be 4x4 row-major, got shape {arr.shape}")
@@ -388,6 +388,6 @@ def cm_from_json_dict(obj) -> np.ndarray:
             return StandardForm(
                 float(sf["a"]), float(sf["b"]), float(sf["c_plus"]), float(sf["c_minus"])
             ).to_matrix()
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedInputError(f"invalid 'standard_form' object: {exc}") from None
     raise MalformedInputError("state JSON needs a 'cm' or 'standard_form' key")

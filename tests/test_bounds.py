@@ -6,6 +6,7 @@ import pytest
 
 from twomode import (
     nu_tilde_from_m,
+    ColumnTable,
     ExtremalParams,
     SamplerConfig,
     StandardForm,
@@ -21,7 +22,7 @@ from twomode import (
     nu_opt_upper,
 )
 from twomode import bounds
-from twomode.bounds import VIOLATION_TOL, BoundPoint, BoundPoints, ExperimentResult
+from twomode.bounds import VIOLATION_TOL, BoundPoint, ExperimentResult
 from twomode.errors import DomainError, TwoModeError
 from twomode.gaussian_em import GemBlock, m_from_nu_tilde
 from twomode.negativity import log_negativity
@@ -221,9 +222,10 @@ class TestExperiment:
         assert gaps[-1] < 0.01
 
 
-def _points(rows) -> BoundPoints:
+def _points(rows) -> ColumnTable:
     """``BoundPoint`` rows as ``bound_experiment`` holds them: columns."""
-    return BoundPoints(*([getattr(row, name) for row in rows] for name in BoundPoint._fields))
+    return ColumnTable(BoundPoint, [[getattr(row, name) for row in rows]
+                                    for name in BoundPoint._fields])
 
 
 def _scalar_experiment(samples, log_base=2):

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import sys
 
 import pytest
 
@@ -109,6 +110,32 @@ class TestMeasure:
         code, _, err = run(capsys, "measure", str(path))
         assert code == EXIT_USAGE
         assert "invalid JSON" in err
+
+    @pytest.mark.parametrize("text", [
+        b'\xff\xfe{"cm": 1}',  # not UTF-8
+        b"[" * 200_000 + b"]" * 200_000,  # nested past the recursion limit
+        pytest.param(b'{"standard_form": {"a": 1' + b"0" * 5000 + b"}}",  # past the digit limit
+                     marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                              reason="no int-string digit limit")),
+    ], ids=["not-utf8", "deep-nesting", "digit-limit"])
+    def test_unparsable_input_exits_64(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        code, _, err = run(capsys, "measure", str(path))
+        assert code == EXIT_USAGE
+        assert err.startswith("twomode: error: invalid JSON input: ")
+
+    @pytest.mark.parametrize("text", [
+        '{"standard_form": {"a": 1%s, "b": 1, "c_plus": 0, "c_minus": 0}}' % ("0" * 400),
+        '{"cm": [[1%s, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}' % ("0" * 400),
+    ], ids=["standard_form", "cm"])
+    def test_integer_beyond_the_float_range_exits_2(self, capsys, tmp_path, text):
+        # as 1e400 does, which JSON reads as inf
+        path = tmp_path / "big.json"
+        path.write_text(text)
+        code, _, err = run(capsys, "measure", str(path))
+        assert code == EXIT_UNPHYSICAL
+        assert err.startswith("twomode: unphysical or invalid state: invalid '")
 
     def test_unbuildable_params_exit_2(self, capsys):
         code, _, err = run(capsys, "measure", "--params", "2", "0.5", "1.5", "1")
@@ -242,6 +269,29 @@ def test_scan_outputs_equal_the_library_cells(argv, scan, args, tmp_path, capsys
     summary = json.loads(out)
     assert list(summary["regimes"].items()) == list(counts.items())
     assert (summary["cells"], summary["boundary_points"]) == (len(cells), len(boundary))
+
+
+def _no_rows(name):
+    """A stand-in for the row class ``name`` whose construction raises."""
+    def build(*args, **kwargs):
+        raise AssertionError(f"a {name} was built")
+    return type(name, (), {"__new__": build, "_make": staticmethod(build)})
+
+
+@pytest.mark.parametrize("argv", [[*SCAN_SLICE, "--resolution", "24"],
+                                  [*SCAN_3D, "--resolution", "8"]])
+def test_scans_build_no_row_object(argv, tmp_path, capsys, monkeypatch):
+    outputs = []
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(extremal, "ScanCell", _no_rows("ScanCell"))
+            monkeypatch.setattr(extremal, "BoundaryPoint", _no_rows("BoundaryPoint"))
+        code, out, err = run(capsys, *argv, "--grid", str(tmp_path / "grid.csv"),
+                             "--boundary", str(tmp_path / "b.csv"))
+        assert code == EXIT_OK, err
+        outputs.append(((tmp_path / "grid.csv").read_bytes(),
+                        (tmp_path / "b.csv").read_bytes(), out, err))
+    assert outputs[0] == outputs[1]
 
 
 def test_scan_without_physical_cells_warns(tmp_path, capsys):

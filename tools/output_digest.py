@@ -16,11 +16,13 @@ columns take natural logarithms; one state in each mode, the benchmark's
 cold-start command, whose one block is partial),
 the criterion-5 `scan` window at resolutions 200 and 60, the README
 `scan3d` window at resolution 24, a `scan3d` window at s ~ 8.73e4 at
-resolution 8 (every cell physical), and four `measure` reports.  Each scan
-contributes its grid and boundary CSVs and its stdout summary (cell count,
-boundary-point count and cells per regime).  They run in a temporary
-directory against the `twomode` package in this checkout's `src/`, and each
-output prints as one `sha256  label` line.  Running it on two commits and
+resolution 8 (every cell physical), two `scan` windows at resolution 4, one
+with no boundary point and one with no physical cell, and four `measure`
+reports.  Each scan contributes its grid and boundary CSVs, its stdout
+summary (cell count, boundary-point count and cells per regime) and its
+stderr (the warning of a window with no physical cell).  They run in a
+temporary directory against the `twomode` package in this checkout's
+`src/`, and each output prints as one `sha256  label` line.  Running it on two commits and
 diffing the lines shows which outputs a change moved.
 """
 
@@ -43,6 +45,10 @@ SCAN3D_WINDOW = ["--s-range", "1.5", "5", "--d-range", "-2", "2", "--g-range", "
 LARGE_S_WINDOW = ["--s-range", "87307.69230769231", "87400",
                   "--d-range", "-2564.1025641025626", "-2500",
                   "--g-range", "123077.30769230769", "123100"]
+#: No column crosses: the boundary CSV is its header alone.
+NO_BOUNDARY_WINDOW = ["--fixed-a", "1", "--b-range", "1", "1.2", "--g-range", "1", "1.5"]
+#: g > s^2 - d^2 everywhere: every cell is unphysical, and the scan warns.
+NO_PHYSICAL_WINDOW = ["--fixed-a", "2", "--b-range", "2", "3", "--g-range", "20", "30"]
 MEASURES = [
     ["--squeezed-r", "0.5493"],
     ["--params", "2", "0.5", "2.5", "1"],
@@ -51,14 +57,15 @@ MEASURES = [
 ]
 
 
-def _run(argv: list[str]) -> bytes:
-    """Run one CLI command and return its stdout; a nonzero exit is fatal."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+def _run(argv: list[str]) -> tuple[bytes, bytes]:
+    """Run one CLI command and return its stdout and stderr; a nonzero exit
+    is fatal."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     if code != cli.EXIT_OK:
-        raise SystemExit(f"twomode {' '.join(argv)} exited {code}")
-    return out.getvalue().encode()
+        raise SystemExit(f"twomode {' '.join(argv)} exited {code}: {err.getvalue()}")
+    return out.getvalue().encode(), err.getvalue().encode()
 
 
 def _outputs():
@@ -79,15 +86,18 @@ def _outputs():
         for name in ("points.csv", "curves.csv", "geof.csv", "summary.json"):
             yield f"bounds {mode}{tag} {name}", Path(name).read_bytes()
     scans = [("scan", SCAN_WINDOW, 200, ""), ("scan", SCAN_WINDOW, 60, ""),
-             ("scan3d", SCAN3D_WINDOW, 24, ""), ("scan3d", LARGE_S_WINDOW, 8, " large-s")]
+             ("scan3d", SCAN3D_WINDOW, 24, ""), ("scan3d", LARGE_S_WINDOW, 8, " large-s"),
+             ("scan", NO_BOUNDARY_WINDOW, 4, " no-boundary"),
+             ("scan", NO_PHYSICAL_WINDOW, 4, " no-physical")]
     for command, window, resolution, tag in scans:
-        summary = _run([command, *window, "--resolution", str(resolution),
-                        "--grid", "grid.csv", "--boundary", "boundary.csv"])
+        summary, warning = _run([command, *window, "--resolution", str(resolution),
+                                 "--grid", "grid.csv", "--boundary", "boundary.csv"])
         for name in ("grid.csv", "boundary.csv"):
             yield f"{command}{tag} {resolution} {name}", Path(name).read_bytes()
         yield f"{command}{tag} {resolution} stdout", summary
+        yield f"{command}{tag} {resolution} stderr", warning
     for argv in MEASURES:
-        yield "measure " + " ".join(argv), _run(["measure", *argv])
+        yield "measure " + " ".join(argv), _run(["measure", *argv])[0]
 
 
 def main() -> int:
