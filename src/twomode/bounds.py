@@ -22,10 +22,10 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, SamplingError, TwoModeError
-from .extremal import (_FLOATS, ColumnTable, ExtremalParams, _integer, _state, build_state,
-                       gmems_threshold)
-# minimize_m is unused here, but perfbench/bench_trace.py patches bounds.minimize_m
+from .errors import DomainError, SamplingError
+# build_state and minimize_m are unused here: perfbench/bench_trace.py patches
+# bounds.build_state and bounds.minimize_m
+from .extremal import _FLOATS, ColumnTable, _integer, _state, build_state, gmems_threshold
 from .gaussian_em import NEAR_SEPARABLE_TOL, minimize_columns, minimize_m
 from .negativity import _log_divisor, h_function
 from .symplectic import DEFAULT_TOL, StandardForm, _dets, _nu_pairs
@@ -150,9 +150,10 @@ class ExperimentResult:
 # Attempts are drawn and tested in rounds.  Each round draws every pending
 # index's row of attempts from the first one it has not tested and tests
 # every attempt of every row at once, exactly: an attempt gets the outcome
-# that the scalar test (``_confirm_extremal`` or ``_confirm_raw``) gives it.
-# Each index stops at its first attempt that is accepted or has an
-# undefined spectrum.
+# that ``build_state`` (extremal mode) or ``is_physical`` (raw mode), then
+# ``spectrum()`` and the entanglement cut, give its floats.  Each index
+# stops at its first attempt that is accepted or has an undefined spectrum,
+# where ``spectrum()`` of its standard form raises.
 
 #: States minimized at once by ``bound_experiment``, and indices whose
 #: extremal rows are tested as one array: enough to spread the per-call
@@ -175,10 +176,6 @@ def _uniform(low, high, u):
     return low + (high - low) * u
 
 
-# A confirm returns a sample's values in ``_COLUMNS`` order, or None on
-# rejection.
-_Draw = tuple[float, float, float, float, float, float, float, float, float]
-
 #: The columns of a block of samples, by row of its values: each sample's
 #: draw parameters, standard form and nu_tilde_minus.
 _COLUMNS = ("s", "d", "g", "lam", "a", "b", "c_plus", "c_minus", "nu_tilde_minus")
@@ -187,32 +184,14 @@ _COLUMNS = ("s", "d", "g", "lam", "a", "b", "c_plus", "c_minus", "nu_tilde_minus
 _CUT = 1.0 - NEAR_SEPARABLE_TOL
 
 
-def _confirm_extremal(s: float, d: float, g: float, lam: float) -> _Draw | None:
-    try:
-        sf = build_state(ExtremalParams(s, d, g, lam))
-    except TwoModeError:
-        return None
-    nu = sf.spectrum().nu_tilde_minus
-    return (s, d, g, lam, sf.a, sf.b, sf.c_plus, sf.c_minus, nu) if nu < _CUT else None
-
-
-def _confirm_raw(a: float, b: float, cp: float, cm: float) -> _Draw | None:
-    sf = StandardForm(a, b, cp, cm)
-    if not sf.is_physical():
-        return None
-    nu = sf.spectrum().nu_tilde_minus
-    return ((0.5 * (a + b), 0.5 * (a - b), math.sqrt(sf.invariants().det_sigma), math.nan,
-             a, b, cp, cm, nu) if nu < _CUT else None)
-
-
-def _test(args, form, params, passes, dets) -> tuple:
-    """A confirm run on arrays.  ``args`` are the attempts' values,
-    ``form`` their standard forms with (Det sigma, Delta, Delta_tilde)
-    ``dets``, and ``passes`` the mask where they pass the confirm's tests
-    before the spectrum.  Returns the masks of the attempts it accepts and
-    of those where it raises (``_nu_pairs`` gives NaN), ``args``, and a
-    function from an index (index arrays or a mask) to the ``_COLUMNS``
-    there, whose draw parameters ``params`` gives."""
+def _test(form, params, passes, dets) -> tuple:
+    """The test of attempts on arrays.  ``form`` are their standard forms
+    with (Det sigma, Delta, Delta_tilde) ``dets``, and ``passes`` the mask
+    where they pass the tests before the spectrum.  Returns the masks of
+    the attempts it accepts and of those whose spectrum is undefined
+    (``_nu_pairs`` gives NaN, where ``spectrum()`` raises), and a function
+    from an index (index arrays or a mask) to the ``_COLUMNS`` there, whose
+    draw parameters ``params`` gives."""
     det_sigma, delta, delta_tilde = dets
     nu_minus, nu = (_nu_pairs(x, det_sigma, x * x - 4.0 * det_sigma)[0]
                     for x in (delta, delta_tilde))
@@ -220,22 +199,23 @@ def _test(args, form, params, passes, dets) -> tuple:
 
     def columns(at) -> list[np.ndarray]:
         return [*params(at), *(c[at] for c in form), nu[at]]
-    return passes & ~undefined & (nu < _CUT), undefined, args, columns
+    return passes & ~undefined & (nu < _CUT), undefined, columns
 
 
 def _test_extremal(s, d, g, lam) -> tuple:
-    """``_confirm_extremal`` of every (s, d, g, lambda) on arrays:
-    ``build_state``'s arithmetic and checks run on the columns."""
+    """``_test`` of every (s, d, g, lambda): ``build_state``'s arithmetic
+    and checks run on the columns."""
     form, _, fits = _state(s, d, g, lam)
-    return _test((s, d, g, lam), form, lambda at: [c[at] for c in (s, d, g, lam)],
+    return _test(form, lambda at: [c[at] for c in (s, d, g, lam)],
                  fits & np.isfinite(form[2]) & np.isfinite(form[3]), _dets(*form))
 
 
 def _test_raw(a, b, cp, cm) -> tuple:
-    """``_confirm_raw`` of every raw draw (a, b, c_plus, c_minus) on arrays.
-    Of ``is_physical``'s inequalities only two can fail on a draw, and they
-    are evaluated as it evaluates them: a, b >= 1 and a b - c_pm^2 >=
-    1 - O(a b eps) hold by construction for s_max up to ``S_MAX_LIMIT``."""
+    """``_test`` of every raw draw (a, b, c_plus, c_minus), whose standard
+    form must pass ``is_physical``.  Of its inequalities only two can fail
+    on a draw, and they are evaluated as it evaluates them: a, b >= 1 and
+    a b - c_pm^2 >= 1 - O(a b eps) hold by construction for s_max up to
+    ``S_MAX_LIMIT``."""
     det_sigma, delta, delta_tilde = _dets(a, b, cp, cm)
     passes = (det_sigma >= 1.0 - DEFAULT_TOL) & (delta <= 1.0 + det_sigma + DEFAULT_TOL)
 
@@ -243,7 +223,7 @@ def _test_raw(a, b, cp, cm) -> tuple:
         a_k, b_k = a[at], b[at]
         return [0.5 * (a_k + b_k), 0.5 * (a_k - b_k), np.sqrt(det_sigma[at]),
                 np.full(a_k.shape, math.nan)]
-    return _test((a, b, cp, cm), (a, b, cp, cm), params, passes, (det_sigma, delta, delta_tilde))
+    return _test((a, b, cp, cm), params, passes, (det_sigma, delta, delta_tilde))
 
 
 def _attempts_extremal(u: np.ndarray, s_max: float) -> tuple:
@@ -271,9 +251,6 @@ def _attempts_raw(u: np.ndarray, s_max: float) -> tuple:
 class _Mode:
     #: The early-stop mask and the ``_test`` of attempts u[..., :4] at s_max.
     test: Callable[[np.ndarray, float], tuple]
-    #: The scalar test of one attempt; it replays an attempt whose spectrum
-    #: is undefined, and raises as ``spectrum()`` does.
-    confirm: Callable[..., _Draw | None]
     #: Attempts in the first round's rows: an extremal state takes about 1.3
     #: attempts, a raw one 37 at s_max 20 and 740 at s_max 200.
     first_block: int
@@ -286,8 +263,8 @@ class _Mode:
 
 
 _MODES = {
-    "extremal_params": _Mode(_attempts_extremal, _confirm_extremal, 4, _BLOCK),
-    "raw_standard_form": _Mode(_attempts_raw, _confirm_raw, 64, 24),
+    "extremal_params": _Mode(_attempts_extremal, 4, _BLOCK),
+    "raw_standard_form": _Mode(_attempts_raw, 64, 24),
 }
 
 
@@ -321,7 +298,8 @@ def _chunk_columns(mode: _Mode, s_max: float, indices: range,
     """The ``_COLUMNS`` of the samples of consecutive ``indices``, as the
     rows of a (9, len(indices)) array.  Where an index runs out of attempts
     the columns end before it, and the ``SamplingError`` that names it
-    comes with them; else that error is None."""
+    comes with them; else that error is None.  An attempt whose spectrum is
+    undefined raises the ``UnphysicalStateError`` of ``spectrum()``."""
     size = len(indices)
     walked = np.zeros(size, dtype=np.int64)  # each row's next attempt
     values = np.empty((len(_COLUMNS), size))
@@ -330,7 +308,7 @@ def _chunk_columns(mode: _Mode, s_max: float, indices: range,
     attempts = mode.first_block
     done = 0
     while pending.size:
-        short, (accept, undefined, args, columns) = mode.test(
+        short, (accept, undefined, columns) = mode.test(
             streams.draw(indices.start + pending, walked[pending], attempts), s_max)
         # an attempt that stops early is rejected, whatever its unread doubles
         accept, undefined = accept & ~short, undefined & ~short
@@ -340,12 +318,9 @@ def _chunk_columns(mode: _Mode, s_max: float, indices: range,
         walked[pending] += np.where(stop[lead, first], first + 1, attempts)
         decided = accept[lead, first]
         values[:, pending[decided]] = columns((lead[decided], first[decided]))
-        # the confirm replays an attempt whose spectrum is undefined, and raises
         for k in np.flatnonzero(undefined[lead, first]).tolist():
-            draw = mode.confirm(*(c[k, first[k]].item() for c in args))
-            if draw is not None:
-                values[:, pending[k]] = draw
-                decided[k] = True
+            # raises UnphysicalStateError: the spectrum is undefined
+            StandardForm(*(x.item() for x in columns((k, first[k]))[4:8])).spectrum()
         filled[pending[decided]] = True
         pending = pending[~decided & (walked[pending] < _MAX_REJECTIONS)]
         end = int(pending[0]) if pending.size else size
@@ -396,13 +371,18 @@ def iter_samples(cfg: SamplerConfig) -> Iterator[Sample]:
     """Reproducible stream of entangled standard forms with their draw
     parameters.
 
-    In ``extremal_params`` mode, (s, d, lambda) are uniform over their
-    constraint ranges and g is uniform over the entangled window at those
-    values (realized by rejection from the proposal window
-    (2|d| + 1, 2s - 1), which contains it); ``raw_standard_form`` mode
-    rejection-samples correlation boxes directly.  Sample i depends only on
-    (seed, i, s_max, mode): it is the first accepted attempt of index i.
-    Attempt k reads the first four doubles of numpy's
+    In ``extremal_params`` mode an attempt draws s uniform on (1, s_max),
+    then d uniform on (-(s - 1), s - 1), lambda uniform on (-1, 1) and g
+    uniform on the proposal window (2|d| + 1, 2s - 1).  It is accepted where
+    ``build_state`` builds an entangled state from them, and a rejection
+    redraws all four.  A sample's law is therefore the proposal conditioned
+    on acceptance: g is uniform over the accepted part of its window, and
+    (s, d, lambda) are weighted by that part's share of the window, so they
+    are not uniform over their ranges (lambda > 0 is the likelier sign).
+    ``raw_standard_form`` mode rejection-samples correlation boxes
+    directly.  Sample i depends only on (seed, i, s_max, mode): it is the
+    first accepted attempt of index i.  Attempt k reads the first four
+    doubles of numpy's
     ``Generator(Philox(key=SeedSequence(seed).generate_state(2, np.uint64),
     counter=[k, i, 0, 0]))``, that is the Philox4x64-10 block of counter
     (k + 1, i, 0, 0), whether it reads all four or stops early.  The
@@ -410,10 +390,11 @@ def iter_samples(cfg: SamplerConfig) -> Iterator[Sample]:
     in one draw.  Each round decides every attempt once, exactly, on
     arrays: ``build_state``'s checks (extremal mode) or the physicality
     test (raw mode) and the spectrum run on the attempts' columns with the
-    scalar test's operations, so its bits.  An attempt whose spectrum is
-    undefined is replayed alone, and raises.  The samples are kept as
-    columns (``bound_experiment`` reads them so); this builds each
-    ``Sample`` and its ``StandardForm`` from them.  ``cfg.count`` is at most
+    operations of one ``StandardForm``'s methods, so their bits.  Where an
+    attempt's spectrum is undefined, ``spectrum()`` of its standard form
+    raises its ``UnphysicalStateError``.  The samples are kept as columns
+    (``bound_experiment`` reads them so); this builds each ``Sample`` and
+    its ``StandardForm`` from them.  ``cfg.count`` is at most
     ``COUNT_LIMIT`` (2**63).
     """
     for start, values in _sample_blocks(cfg):

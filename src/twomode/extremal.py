@@ -329,6 +329,8 @@ def m_opt_gmemms(s: float, nu_tilde_minus: float) -> float:
     nu = float(nu_tilde_minus)
     if not 0.0 < nu < 1.0:
         raise DomainError(f"nu_tilde_minus must lie in (0, 1), got {nu!r}")
+    if not math.isfinite(s):
+        raise DomainError(f"s must be finite, got {s!r}")
     s_min = (1.0 + nu * nu) / (2.0 * nu)
     if s < s_min - 1e-12 * s_min:
         raise DomainError(

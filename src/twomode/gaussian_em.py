@@ -31,13 +31,13 @@ physicality, near-separable cut, symmetric closed form), the sign ordering,
 namespace ``xp``.  ``minimize_m`` passes one form's Python floats
 (``_FLOATS``, ``math``), so a single call pays no array overhead;
 ``minimize_columns`` passes a block's columns (``_ARRAYS``, NumPy), whose
-branches are masks, and ``minimize_block`` is its wrapper for a list of
-forms.  Both take the roots of the stationary quartics from
+branches are masks.  Both take the roots of the stationary quartics from
 ``np.linalg.eigvals`` of their companion matrices (``np.roots`` for the
 degenerate quartics of pure and minimum-uncertainty forms) and evaluate m
 with NumPy's trigonometry, so both give the same bits.  A block row that
-fails the gate's mask is replayed through ``minimize_m``'s route, so each
-error keeps its type and message; a row whose profile is not finite at its
+fails the gate's mask, a missing nu_tilde_minus included, falls back on
+``minimize_m``'s float route, which computes its spectrum, so each error
+keeps its type and message; a row whose profile is not finite at its
 stationary angles gets its ``MinimizationError`` in the block.
 """
 
@@ -55,7 +55,7 @@ import numpy as np
 from . import extremal
 from .errors import DomainError, MinimizationError, TwoModeError, UnphysicalStateError
 from .negativity import _log_divisor, h_function
-from .symplectic import SYMMETRY_RTOL, StandardForm, _dets, _inequalities, _nu_pairs
+from .symplectic import SYMMETRY_RTOL, StandardForm, _dets, _inequalities
 
 #: States with nu_tilde_minus inside [1 - this, 1] are treated as separable
 #: by the minimizer, which then returns m_opt = 1 exactly.
@@ -150,16 +150,16 @@ def _gate(a, b, cp, cm, nu, near_separable_tol: float, xp):
             abs(a - b) <= SYMMETRY_RTOL * xp.maximum(a, b))
 
 
-def _scalar_gate(sf: StandardForm, nu: float | None = None,
+def _scalar_gate(sf: StandardForm, nu: float = math.nan,
                  near_separable_tol: float = NEAR_SEPARABLE_TOL) -> tuple[float, bool, bool]:
     """``_gate`` of one form, with nu_tilde_minus taken from its spectrum
-    unless the caller has it (``nu``), so that a form without one fails
-    there first: nu_tilde_minus and the separable and symmetric verdicts.
-    Raises UnphysicalStateError where the form does not pass.  Physicality
-    is decided on polynomial inequalities: for pure states nu_minus itself
-    sits on a vanishing discriminant and carries sqrt-amplified rounding
-    noise."""
-    if nu is None:
+    unless the caller has it (``nu`` is not NaN), so that a form without one
+    fails there first: nu_tilde_minus and the separable and symmetric
+    verdicts.  Raises UnphysicalStateError where the form does not pass.
+    Physicality is decided on polynomial inequalities: for pure states
+    nu_minus itself sits on a vanishing discriminant and carries
+    sqrt-amplified rounding noise."""
+    if nu != nu:
         nu = sf.spectrum().nu_tilde_minus
     passes, separable, symmetric = _gate(sf.a, sf.b, sf.c_plus, sf.c_minus, nu,
                                          near_separable_tol, _FLOATS)
@@ -408,12 +408,6 @@ def _not_finite(angles: np.ndarray, a: float, b: float, cp: float, cm: float) ->
     )
 
 
-def _require_arguments(near_separable_tol: float, log_base) -> None:
-    if not near_separable_tol >= 0.0:
-        raise DomainError(f"near_separable_tol must be >= 0, got {near_separable_tol!r}")
-    _log_divisor(log_base)  # DomainError for a base other than 2 and "e"
-
-
 #: ``minimize_m``'s result for a separable or near-separable form.
 _SEPARABLE = GemResult(1.0, 0.0, 1.0, 0.0, 1)
 
@@ -436,14 +430,16 @@ def minimize_m(
     one body on floats; ``minimize_columns`` gives each of its forms the
     same bits.
     """
-    _require_arguments(near_separable_tol, log_base)
-    return _minimize(sf, None, near_separable_tol, log_base)[1]
+    if not near_separable_tol >= 0.0:
+        raise DomainError(f"near_separable_tol must be >= 0, got {near_separable_tol!r}")
+    _log_divisor(log_base)  # DomainError for a base other than 2 and "e"
+    return _minimize(sf, math.nan, near_separable_tol, log_base)[1]
 
 
-def _minimize(sf: StandardForm, nu: float | None, near_separable_tol: float,
+def _minimize(sf: StandardForm, nu: float, near_separable_tol: float,
               log_base) -> tuple[float, GemResult]:
     """nu_tilde_minus and ``minimize_m``'s result of one form on floats,
-    given its nu_tilde_minus where the caller has it (``nu``)."""
+    given its nu_tilde_minus where the caller has it (else ``nu`` is NaN)."""
     nu, separable, symmetric = _scalar_gate(sf, nu, near_separable_tol)
     if separable:
         return nu, _SEPARABLE
@@ -463,9 +459,10 @@ def _minimize(sf: StandardForm, nu: float | None, near_separable_tol: float,
 
 class GemBlock(NamedTuple):
     """``minimize_columns``' outcomes as columns, one row per form: its
-    nu_tilde_minus and the ``GemResult`` fields that ``minimize_m`` returns
-    for it, and by row the ``TwoModeError`` that ``minimize_m`` raises
-    instead; such a row reads NaN (0 extrema) in the result columns."""
+    nu_tilde_minus (the caller's, or the spectrum's where the caller had
+    none) and the ``GemResult`` fields that ``minimize_m`` returns for it,
+    and by row the ``TwoModeError`` that ``minimize_m`` raises instead;
+    such a row reads NaN (0 extrema) in the result columns."""
 
     nu_tilde_sigma: np.ndarray
     m_opt: np.ndarray
@@ -476,26 +473,6 @@ class GemBlock(NamedTuple):
     errors: dict[int, TwoModeError]
 
 
-def minimize_block(
-    forms,
-    log_base=2,
-    near_separable_tol: float = NEAR_SEPARABLE_TOL,
-    nu_sigmas=None,
-) -> GemBlock:
-    """``minimize_m`` of every form, as columns: ``minimize_columns`` of
-    their entries.  ``nu_sigmas``, a sequence or array with one entry per
-    form (else DomainError), holds each form's nu_tilde_minus where the
-    caller has it; an entry that is None or NaN, or a missing
-    ``nu_sigmas``, leaves it to the form's spectrum."""
-    n = len(forms)
-    a, b, cp, cm = np.array([(sf.a, sf.b, sf.c_plus, sf.c_minus) for sf in forms],
-                            dtype=float).reshape(n, 4).T
-    nu = np.full(n, math.nan) if nu_sigmas is None else np.array(nu_sigmas, dtype=float)
-    if nu.shape != (n,):
-        raise DomainError(f"nu_sigmas must hold one value per form ({n}), got shape {nu.shape}")
-    return minimize_columns(a, b, cp, cm, nu, log_base, near_separable_tol)
-
-
 def minimize_columns(
     a: np.ndarray,
     b: np.ndarray,
@@ -503,35 +480,28 @@ def minimize_columns(
     cm: np.ndarray,
     nu: np.ndarray,
     log_base=2,
-    near_separable_tol: float = NEAR_SEPARABLE_TOL,
 ) -> GemBlock:
     """``minimize_m`` of every standard form (a, b, c_plus, c_minus), given
-    as float columns of one length, with ``nu`` its nu_tilde_minus or NaN to
-    leave it to the form's spectrum; a bad ``near_separable_tol`` or
-    ``log_base`` raises DomainError at once.
+    as float columns of one length, with ``nu`` its nu_tilde_minus or NaN
+    where the caller has none; a bad ``log_base`` raises DomainError at
+    once.
 
-    The gate runs as masks on the columns, and a row that fails it (no
-    spectrum, unphysical, or entries that are no ``StandardForm``) is
-    replayed through ``minimize_m``'s route on the ``StandardForm`` of its
-    own floats, so its error keeps its type and message.  The other rows'
-    profiles, quartics, roots and minima are columns too, and a row whose
-    profile is not finite at its stationary angles gets its
-    ``MinimizationError``.  Entries must stay far below 1e77 (the sampler's
-    do, at s_max <= 1e6): above it Det sigma overflows and NumPy warns where
-    ``minimize_m`` is silent, and one non-finite quartic makes
-    ``np.linalg.eigvals`` raise for the whole block.
+    The gate runs as masks on the columns.  A row that fails it (NaN nu, no
+    spectrum, unphysical, or entries that are no ``StandardForm``) falls
+    back on ``minimize_m``'s float route on the ``StandardForm`` of its own
+    floats, which computes the spectrum where nu is NaN, so the row gets
+    the result or the error, with its type and message, that ``minimize_m``
+    gives.  The other rows' profiles, quartics, roots and minima are
+    columns too, and a row whose profile is not finite at its stationary
+    angles gets its ``MinimizationError``.  Entries must stay far below
+    1e77 (the sampler's do, at s_max <= 1e6): above it Det sigma overflows
+    and NumPy warns where ``minimize_m`` is silent, and one non-finite
+    quartic makes ``np.linalg.eigvals`` raise for the whole block.
     """
-    _require_arguments(near_separable_tol, log_base)
+    _log_divisor(log_base)  # DomainError for a base other than 2 and "e"
     n = len(a)
-    given = nu == nu
     nu = nu.copy()
-    if not given.all():
-        # spectrum() raises when either pair is undefined: NaN, and a replay
-        det_sigma, delta, delta_tilde = _dets(a[~given], b[~given], cp[~given], cm[~given])
-        nu_minus, nu_tilde = (_nu_pairs(x, det_sigma, x * x - 4.0 * det_sigma)[0]
-                              for x in (delta, delta_tilde))
-        nu[~given] = np.where(nu_minus == nu_minus, nu_tilde, math.nan)
-    passes, separable, symmetric = _gate(a, b, cp, cm, nu, near_separable_tol, _ARRAYS)
+    passes, separable, symmetric = _gate(a, b, cp, cm, nu, NEAR_SEPARABLE_TOL, _ARRAYS)
     symmetric &= passes & ~separable
     general = np.flatnonzero(passes & ~separable & ~symmetric)
     m_opt, theta, nu_opt = np.ones(n), np.zeros(n), np.ones(n)
@@ -552,13 +522,12 @@ def minimize_columns(
     errors = {general[k].item(): _not_finite(angles[k], *(c[k].item() for c in (ga, gb, gcp, gcm)))
               for k in np.flatnonzero(~np.isfinite(vals).all(axis=1)).tolist()}
 
-    # The mask is the scalar gate's arithmetic, so the replay raises; the
-    # row takes whatever minimize_m's route gives it all the same.
+    # The mask is the scalar gate's arithmetic, so the float route raises
+    # unless nu is NaN; the row takes whatever that route gives it.
     for i in np.flatnonzero(~passes).tolist():
         try:
             sf = StandardForm(*(c[i].item() for c in (a, b, cp, cm)))
-            nu[i], gem = _minimize(sf, nu[i].item() if given[i] else None,
-                                   near_separable_tol, log_base)
+            nu[i], gem = _minimize(sf, nu[i].item(), NEAR_SEPARABLE_TOL, log_base)
         except TwoModeError as exc:
             errors[i] = exc
         else:

@@ -134,6 +134,15 @@ class TestSampler:
             assert sf.spectrum().nu_tilde_minus < 1.0
             assert sf.c_plus >= abs(sf.c_minus)
 
+    def test_lambda_is_weighted_by_the_entangled_share_of_the_g_window(self):
+        # a rejection redraws (s, d, lambda) with g, so the accepted law
+        # weights them by the accepted share of their g window, and lambda > 0
+        # keeps more of it: the mean lambda is about 0.09 here, where 0.05
+        # lies 5.5 standard errors (0.577 / sqrt(4000)) above a uniform
+        # lambda's mean
+        lams = [s.lam for s in iter_samples(SamplerConfig(seed=3, count=4000, s_max=20.0))]
+        assert sum(lams) / len(lams) > 0.05
+
     def test_raw_mode(self):
         for sample in iter_samples(SamplerConfig(seed=5, count=40, mode="raw_standard_form")):
             sf = sample.standard_form
@@ -344,7 +353,7 @@ def test_accepted_attempts_are_standard_forms(mode, s_max):
     # own checks reject the rest), and on every raw draw that does not stop
     # early (the scalar test builds its StandardForm before testing it).
     u = np.concatenate([_EDGE_DOUBLES, np.random.default_rng(20261019).random((4000, 4))])
-    short, (accept, _, _, columns) = bounds._MODES[mode].test(u, s_max)
+    short, (accept, _, columns) = bounds._MODES[mode].test(u, s_max)
     at = accept & ~short if mode == "extremal_params" else ~short
     a, b, cp, cm = columns(at)[4:8]
     assert a.size

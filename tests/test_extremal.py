@@ -251,6 +251,11 @@ class TestGmemms:
         with pytest.raises(DomainError):
             m_max(1.0)
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_s_is_rejected(self, s):
+        with pytest.raises(DomainError, match="s must be finite"):
+            m_opt_gmemms(s, 0.5)
+
 
 class TestOrdering:
     def test_preserved_example(self):

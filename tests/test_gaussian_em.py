@@ -31,7 +31,6 @@ from twomode.gaussian_em import (
     _sign_ordered,
     _stationary_angles,
     _ThetaProfile,
-    minimize_block,
     minimize_columns,
 )
 
@@ -314,6 +313,24 @@ def _fields(gem):
             gem.gaussian_eof.hex(), gem.extrema_found)
 
 
+def _spectrum_nu(sf):
+    """nu_tilde_minus of ``sf``, or NaN where ``spectrum()`` raises."""
+    try:
+        return sf.spectrum().nu_tilde_minus
+    except TwoModeError:
+        return math.nan
+
+
+def _minimize_forms(forms, log_base=2, pass_nu=True):
+    """``minimize_columns`` of the forms' entries, given each form's
+    nu_tilde_minus (``_spectrum_nu``), or NaN for every form unless
+    ``pass_nu``."""
+    a, b, cp, cm = (np.array([getattr(sf, name) for sf in forms], dtype=float)
+                    for name in ("a", "b", "c_plus", "c_minus"))
+    nu = np.array([_spectrum_nu(sf) if pass_nu else math.nan for sf in forms])
+    return minimize_columns(a, b, cp, cm, nu, log_base)
+
+
 def _outcomes(block):
     """Each row of a ``GemBlock``: its error, or its nu_tilde_minus and
     ``GemResult``."""
@@ -367,7 +384,7 @@ def test_block_matches_minimize_m_bit_for_bit(s_max, count, seed, mode):
     forms = [s.standard_form for s in iter_samples(SamplerConfig(seed, count, s_max, mode))]
     forms[count // 2:count // 2] = BLOCK_ROWS
     log_base = 2 if seed == 1 else "e"
-    for sf, outcome in zip(forms, _outcomes(minimize_block(forms, log_base))):
+    for sf, outcome in zip(forms, _outcomes(_minimize_forms(forms, log_base))):
         try:
             expected = minimize_m(sf, log_base=log_base)
         except TwoModeError as exc:
@@ -382,7 +399,7 @@ def test_lone_general_form_takes_the_per_form_route():
     # one general form among closed-form and failing rows: the block's one
     # route gives it minimize_m's bits
     symmetric, separable, *_, cube, unphysical = BLOCK_ROWS
-    outcomes = _outcomes(minimize_block([symmetric, cube, separable, unphysical]))
+    outcomes = _outcomes(_minimize_forms([symmetric, cube, separable, unphysical]))
     nu_sigma, gem = outcomes[1]
     assert nu_sigma == cube.spectrum().nu_tilde_minus
     assert _fields(gem) == _fields(minimize_m(cube))
@@ -395,7 +412,7 @@ def test_lone_general_form_takes_the_per_form_route():
     (StandardForm(1.0, 1.0, 2.0, 0.0), "spectrum undefined"),
 ])
 def test_block_of_one_failing_form(sf, message):
-    [outcome] = _outcomes(minimize_block([sf]))
+    [outcome] = _outcomes(_minimize_forms([sf]))
     assert type(outcome) is UnphysicalStateError
     assert message in str(outcome)
     with pytest.raises(UnphysicalStateError, match=message):
@@ -420,7 +437,7 @@ def test_non_finite_row_gets_the_per_form_outcome(monkeypatch):
 
     monkeypatch.setattr(gaussian_em, "_block_angles", poisoned_block)
     monkeypatch.setattr(gaussian_em, "_stationary_angles", poisoned_one)
-    failed, (_, gem) = _outcomes(minimize_block(forms))
+    failed, (_, gem) = _outcomes(_minimize_forms(forms))
     with pytest.raises(MinimizationError) as raised:
         minimize_m(forms[0])
     assert (type(failed), str(failed)) == (MinimizationError, str(raised.value))
@@ -433,24 +450,19 @@ def _comparable(outcome):
     return repr(outcome)
 
 
-def _spectrum_nu(sf):
-    try:
-        return sf.spectrum().nu_tilde_minus
-    except TwoModeError:
-        return None
-
-
+# Det sigma < 0: spectrum() raises before the physicality check
 NO_SPECTRUM = StandardForm(1.0, 1.0, 2.0, 0.0)
 
 
-@pytest.mark.parametrize("convert", [list, tuple, np.array])
-def test_block_reads_nu_sigmas_from_any_sequence(convert):
+def test_a_missing_nu_tilde_minus_gives_the_same_outcome():
+    # a NaN nu fails the gate, and minimize_m's float route computes the
+    # spectrum: results, nu_tilde_minus and errors equal those of the rows
+    # whose nu comes from spectrum()
     forms = [*BLOCK_ROWS, NO_SPECTRUM]
-    expected = [_comparable(outcome) for outcome in _outcomes(minimize_block(forms))]
-    nus = [_spectrum_nu(sf) for sf in forms]
-    for nu_sigmas in (nus, [None] * len(forms), [math.nan if nu is None else nu for nu in nus]):
-        got = _outcomes(minimize_block(forms, nu_sigmas=convert(nu_sigmas)))
-        assert [_comparable(outcome) for outcome in got] == expected
+    given = _outcomes(_minimize_forms(forms))
+    assert [_comparable(x) for x in _outcomes(_minimize_forms(forms, pass_nu=False))] == [
+        _comparable(x) for x in given]
+    assert [isinstance(x, UnphysicalStateError) for x in given[-2:]] == [True, True]
 
 
 def test_columns_that_are_no_standard_form_fail_as_its_constructor():
@@ -463,19 +475,13 @@ def test_columns_that_are_no_standard_form_fail_as_its_constructor():
     nu = np.full(len(rows), math.nan)
     gems = minimize_columns(a, b, cp, cm, nu)
     assert np.isnan(nu).all()  # the caller's column is not written
-    expected = _outcomes(minimize_block(BLOCK_ROWS))
+    expected = _outcomes(_minimize_forms(BLOCK_ROWS))
     got = _outcomes(gems)
     assert [_comparable(x) for x in got[:len(BLOCK_ROWS)]] == [_comparable(x) for x in expected]
     for outcome, values in zip(got[len(BLOCK_ROWS):], rows[len(BLOCK_ROWS):]):
         with pytest.raises(MalformedInputError) as raised:
             StandardForm(*values)
         assert (type(outcome), str(outcome)) == (MalformedInputError, str(raised.value))
-
-
-@pytest.mark.parametrize("size", [0, 2, 4])
-def test_nu_sigmas_of_another_length_raise(size):
-    with pytest.raises(DomainError, match="nu_sigmas"):
-        minimize_block(BLOCK_ROWS[:3], nu_sigmas=[0.5] * size)
 
 
 # nu_tilde_minus of StandardForm(2, 2.5, c, -c) at these adjacent doubles c
@@ -535,8 +541,7 @@ def _forms(draw):
 @example(forms=[build_state(ExtremalParams(9.9e4, 1234.5, 71244.01366877697, 0.3))],
          log_base=2, pass_nu=False)  # s near 1e5
 def test_block_rows_equal_minimize_m(forms, log_base, pass_nu):
-    nu_sigmas = [_spectrum_nu(sf) for sf in forms] if pass_nu else None
-    block = _outcomes(minimize_block(forms, log_base, nu_sigmas=nu_sigmas))
+    block = _outcomes(_minimize_forms(forms, log_base, pass_nu))
     for sf, outcome in zip(forms, block):
         try:
             expected = minimize_m(sf, log_base=log_base)
@@ -572,12 +577,12 @@ def test_row_the_mask_fails_takes_minimize_m_route(monkeypatch):
         return (passes if xp is _FLOATS else passes & False), separable, symmetric
 
     monkeypatch.setattr(gaussian_em, "_gate", failing)
-    assert [repr(outcome) for outcome in _outcomes(minimize_block(forms))] == expected
+    assert [repr(outcome) for outcome in _outcomes(_minimize_forms(forms))] == expected
 
 
 @pytest.mark.parametrize("call", [
     lambda: minimize_m(StandardForm(2.0, 1.5, 0.3, 0.2), log_base=10),
-    lambda: minimize_block([build_state(GMEMS_EX)], log_base=10),
+    lambda: _minimize_forms([build_state(GMEMS_EX)], log_base=10),
 ])
 def test_bad_log_base_raises_at_entry(call):
     # the separable form never reaches h_function

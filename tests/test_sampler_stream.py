@@ -5,7 +5,9 @@ Attempt k of sample index i reads the first four doubles of numpy's
 counter=[k, i, 0, 0]))``.  ``iter_samples`` draws each index's attempts in
 rows and tests every attempt on arrays.  The reference here is the scalar
 walk: one such generator per attempt, one ``rng.uniform`` call per value
-and one ``StandardForm`` per attempt.  Both must give equal samples,
+and one ``StandardForm`` per attempt, tested by ``_confirm_extremal`` or
+``_confirm_raw``, which are also the oracles of the array tests of
+attempts.  Both walks must give equal samples,
 including the attempts that read fewer than four doubles and the limit on
 attempts, and each attempt must be the Philox4x64-10 block that the
 contract names.
@@ -19,9 +21,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twomode import bounds, symplectic
-from twomode.bounds import NEAR_SEPARABLE_TOL, Sample, SamplerConfig, iter_samples
-from twomode.errors import SamplingError, TwoModeError
+from twomode import bounds, cli, symplectic
+from twomode.bounds import (NEAR_SEPARABLE_TOL, Sample, SamplerConfig, bound_experiment,
+                            iter_samples)
+from twomode.errors import SamplingError, TwoModeError, UnphysicalStateError
 from twomode.extremal import ExtremalParams, build_state
 from twomode.symplectic import DEFAULT_TOL, StandardForm
 
@@ -35,7 +38,34 @@ def _attempt_rng(key, index, k):
     return np.random.Generator(np.random.Philox(key=key, counter=[k, index, 0, 0]))
 
 
+#: nu_tilde_minus below which an attempt is entangled enough.
+CUT = 1.0 - NEAR_SEPARABLE_TOL
+
+
+def _confirm_extremal(s, d, g, lam):
+    """The scalar test of extremal values: the sample's ``bounds._COLUMNS``,
+    or None on rejection.  Raises as ``spectrum()`` does."""
+    try:
+        sf = build_state(ExtremalParams(s, d, g, lam))
+    except TwoModeError:
+        return None
+    nu = sf.spectrum().nu_tilde_minus
+    return (s, d, g, lam, sf.a, sf.b, sf.c_plus, sf.c_minus, nu) if nu < CUT else None
+
+
+def _confirm_raw(a, b, cp, cm):
+    """The scalar test of a raw draw, as ``_confirm_extremal``."""
+    sf = StandardForm(a, b, cp, cm)
+    if not sf.is_physical():
+        return None
+    nu = sf.spectrum().nu_tilde_minus
+    return ((0.5 * (a + b), 0.5 * (a - b), math.sqrt(sf.invariants().det_sigma), math.nan,
+             a, b, cp, cm, nu) if nu < CUT else None)
+
+
 def _draw_extremal(rng, s_max):
+    """One extremal attempt on ``rng``: its ``_confirm_extremal``, or None
+    where the g window is empty (3 doubles read)."""
     s = rng.uniform(1.0, s_max)
     d = rng.uniform(-(s - 1.0), s - 1.0)
     lam = rng.uniform(-1.0, 1.0)
@@ -43,30 +73,19 @@ def _draw_extremal(rng, s_max):
     g_hi = 2.0 * s - 1.0
     if g_hi - g_lo <= 1e-9:
         return None
-    g = rng.uniform(g_lo, g_hi)
-    try:
-        sf = build_state(ExtremalParams(s, d, g, lam))
-    except TwoModeError:
-        return None
-    if not sf.spectrum().nu_tilde_minus < 1.0 - NEAR_SEPARABLE_TOL:
-        return None
-    return sf, s, d, g, lam
+    return _confirm_extremal(s, d, rng.uniform(g_lo, g_hi), lam)
 
 
 def _draw_raw(rng, s_max):
+    """One raw attempt on ``rng``: its ``_confirm_raw``, or None where
+    a b <= 1 (2 doubles read)."""
     a = rng.uniform(1.0, s_max)
     b = rng.uniform(1.0, s_max)
     c_cap = math.sqrt(max(a * b - 1.0, 0.0))
     if c_cap <= 0.0:
         return None
     cp = rng.uniform(0.0, c_cap)
-    cm = rng.uniform(-cp, 0.0)
-    sf = StandardForm(a, b, cp, cm)
-    if not sf.is_physical():
-        return None
-    if not sf.spectrum().nu_tilde_minus < 1.0 - NEAR_SEPARABLE_TOL:
-        return None
-    return sf, 0.5 * (a + b), 0.5 * (a - b), math.sqrt(sf.invariants().det_sigma), math.nan
+    return _confirm_raw(a, b, cp, rng.uniform(-cp, 0.0))
 
 
 _REFERENCE_DRAWS = {"extremal_params": _draw_extremal, "raw_standard_form": _draw_raw}
@@ -78,9 +97,9 @@ def reference_sample(cfg, index, rng_of=None):
     draw = _REFERENCE_DRAWS[cfg.mode]
     key = _key(cfg.seed)
     for k in range(bounds._MAX_REJECTIONS):
-        fields = draw(_attempt_rng(key, index, k) if rng_of is None else rng_of(k), cfg.s_max)
-        if fields is not None:
-            return Sample(index, *fields)
+        values = draw(_attempt_rng(key, index, k) if rng_of is None else rng_of(k), cfg.s_max)
+        if values is not None:
+            return Sample(index, StandardForm(*values[4:8]), *values[:4])
     raise SamplingError(
         f"no acceptable state after {bounds._MAX_REJECTIONS} rejections at index {index}"
     )
@@ -129,10 +148,10 @@ def test_block_draws_equal_the_scalar_walk(mode, seed, s_max, indices):
 def test_array_test_decides_each_attempt_as_the_scalar_test(mode, s_max):
     u = np.random.default_rng(20261018).random((4000, 4))
     short, tested = bounds._MODES[mode].test(u, s_max)
-    confirm = bounds._MODES[mode].confirm
-    got = _array_outcomes(confirm, tested)
+    got = _array_outcomes(tested)
     drawn = np.flatnonzero(~short).tolist()
-    want = [_outcome(confirm, *(c[k].item() for c in tested[2])) for k in drawn]
+    draw = _REFERENCE_DRAWS[mode]
+    want = [_outcome(draw, ScriptedGenerator(u[k].tolist()), s_max) for k in drawn]
     assert [_bits(got[k]) for k in drawn] == [_bits(x) for x in want]
     assert any(got[k] is not None for k in drawn)
 
@@ -299,7 +318,7 @@ def _edge_attempt(mode):
 def test_an_early_stop_leaves_later_attempts_unchanged(monkeypatch, mode):
     block = bounds._MODES[mode].first_block
     edge = _edge_attempt(mode)
-    short, (accept, undefined, _, _) = bounds._MODES[mode].test(np.array([edge]), S_MAX)
+    short, (accept, undefined, _) = bounds._MODES[mode].test(np.array([edge]), S_MAX)
     assert (short | accept | undefined).tolist() == [False]
     # an early stop whose unread doubles are those of an accepted attempt
     unread = SHORT[mode] + ACCEPT[mode][len(SHORT[mode]):]
@@ -328,31 +347,13 @@ def test_an_early_stop_is_never_accepted(monkeypatch, mode):
     # of its attempt; even a test that accepts them must not decide it
     def eager(test):
         def wrapped(u, s_max):
-            short, (accept, undefined, args, accepted) = test(u, s_max)
-            return short, (accept | short, undefined, args, accepted)
+            short, (accept, undefined, columns) = test(u, s_max)
+            return short, (accept | short, undefined, columns)
         return wrapped
     monkeypatch.setitem(bounds._MODES, mode, dataclasses.replace(
         bounds._MODES[mode], test=eager(bounds._MODES[mode].test)))
     got, want, _ = _scripted(monkeypatch, mode, [SHORT[mode], SHORT[mode], ACCEPT[mode]])
     assert got == want and len(got) == 1
-
-
-@pytest.mark.parametrize("mode", ["extremal_params", "raw_standard_form"])
-def test_a_replayed_attempt_writes_its_own_row(monkeypatch, mode):
-    # an array test that leaves every attempt it would accept to the scalar
-    # replay: the replay accepts them, and the samples are those of the
-    # array route
-    cfg = SamplerConfig(seed=9, count=40, mode=mode)
-    want = list(iter_samples(cfg))
-
-    def replayed(test):
-        def wrapped(u, s_max):
-            short, (accept, undefined, args, columns) = test(u, s_max)
-            return short, (accept & False, undefined | accept, args, columns)
-        return wrapped
-    monkeypatch.setitem(bounds._MODES, mode, dataclasses.replace(
-        bounds._MODES[mode], test=replayed(bounds._MODES[mode].test)))
-    assert repr(list(iter_samples(cfg))) == repr(want)
 
 
 @pytest.mark.parametrize("mode", ["extremal_params", "raw_standard_form"])
@@ -370,6 +371,53 @@ def test_attempt_limit(monkeypatch, mode):
     assert [next(stream).index, next(stream).index] == [0, 1]
     with pytest.raises(SamplingError, match="after 1 rejections at index 2$"):
         next(stream)
+
+
+# s_max at which the extremal attempt (0.5, 0.5, 0.0, u) draws s =
+# 427650.34765625, d = 0 and lambda = -1: the near-pure GLEMS of
+# CONFIRM_EDGES whose spectrum is undefined, at the double u that gives its g
+UNDEFINED_S_MAX = 855299.6953125
+UNDEFINED_G = 1.0000855298695313
+
+
+def _undefined_attempt():
+    """(0.5, 0.5, 0.0, u) with u the least double whose g is UNDEFINED_G."""
+    def g_of(u):
+        s = 1.0 + (UNDEFINED_S_MAX - 1.0) * 0.5
+        return 1.0 + (2.0 * s - 1.0 - 1.0) * u
+    lo, hi = 0.0, 1e-9
+    while math.nextafter(lo, hi) != hi:
+        mid = 0.5 * (lo + hi)
+        if g_of(mid) < UNDEFINED_G:
+            lo = mid
+        else:
+            hi = mid
+    assert g_of(hi) == UNDEFINED_G
+    return [0.5, 0.5, 0.0, hi]
+
+
+def test_an_undefined_spectrum_raises_end_to_end(monkeypatch, capsys, tmp_path):
+    # every attempt is the near-pure GLEMS whose spectrum() raises: the
+    # sampler, the experiment and the CLI fail with its error
+    _script_streams(monkeypatch, lambda index: [_undefined_attempt()] * 4)
+    cfg = SamplerConfig(seed=0, count=3, s_max=UNDEFINED_S_MAX)
+    sf = build_state(ExtremalParams(427650.34765625, 0.0, UNDEFINED_G, -1.0))
+    with pytest.raises(UnphysicalStateError) as raised:
+        sf.spectrum()
+    message = str(raised.value)
+    assert message.startswith(
+        "symplectic discriminant is negative (Delta=2.00012, Det=1.00015); ")
+    for run in (lambda: list(iter_samples(cfg)), lambda: bound_experiment(cfg)):
+        with pytest.raises(UnphysicalStateError) as raised:
+            run()
+        assert str(raised.value) == message
+    points, curves = tmp_path / "points.csv", tmp_path / "curves.csv"
+    code = cli.main(["bounds", "--samples", "3", "--seed", "0", "--s-max", str(UNDEFINED_S_MAX),
+                     "--points", str(points), "--curves", str(curves)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (cli.EXIT_UNPHYSICAL, "")
+    assert err == f"twomode: unphysical or invalid state: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("mode", ["extremal_params", "raw_standard_form"])
@@ -404,7 +452,7 @@ CONFIRM_EDGES = [
     (8.063821023262053, -6.4456265535238755, 13.891253107047751, -0.33768969776485314),
     (26.07925961031258, 5.334312209796009, 11.668624419592017, 1.0),
     # a near-pure GLEMS whose nu_minus discriminant rounds below -1e-9
-    # relative: spectrum() raises, so the array test must replay it
+    # relative: spectrum() raises, so the array test must find it undefined
     (427650.34765625, 0.0, 1.0000855298695313, -1.0),
     # Ts^2 - 4g^2 is negative beyond tolerance
     (13.818994578216504, 12.136217415888211, 31.914135177452234, 0.32470433756239037),
@@ -493,21 +541,25 @@ def _extremal_attempts(draw):
     return s, d, g, lam
 
 
-def _outcome(confirm, *args):
-    """What ``confirm`` returns, or the type and message of its error."""
+def _outcome(function, *args):
+    """What ``function`` returns, or the type and message of its error."""
     try:
-        return confirm(*args)
+        return function(*args)
     except TwoModeError as exc:
         return type(exc), str(exc)
 
 
-def _array_outcomes(confirm, tested):
+def _spectrum(a, b, cp, cm):
+    return StandardForm(a, b, cp, cm).spectrum()
+
+
+def _array_outcomes(tested):
     """What the sampler's walk makes of each attempt that ``tested``, an
     array test, holds: the accepted draw, None, or, for an undefined
-    spectrum, the outcome of its replay by ``confirm``."""
-    accept, undefined, args, columns = tested
-    draws = zip(*(c.tolist() for c in columns(accept)))
-    return [_outcome(confirm, *(c[k].item() for c in args)) if undefined[k]
+    spectrum, what ``spectrum()`` of its standard form raises."""
+    accept, undefined, columns = tested
+    draws = zip(*(c.tolist() for c in columns(accept | undefined)))
+    return [_outcome(_spectrum, *next(draws)[4:8]) if undefined[k]
             else next(draws) if accept[k] else None
             for k in range(len(accept))]
 
@@ -533,23 +585,23 @@ def _with_edges(edges):
 def _array_test_equals_the_scalar_confirm(test, confirm, rows):
     want = [_outcome(confirm, *row) for row in rows]
     tested = test(*(np.array(c) for c in zip(*rows)))
-    # only an attempt that the scalar test raises on is replayed
+    # the spectrum is undefined exactly where the scalar test raises
     assert tested[1].tolist() == [w is not None and isinstance(w[0], type) for w in want]
-    assert [_bits(x) for x in _array_outcomes(confirm, tested)] == [_bits(x) for x in want]
+    assert [_bits(x) for x in _array_outcomes(tested)] == [_bits(x) for x in want]
 
 
 @settings(max_examples=200, deadline=None)
 @_with_edges(CONFIRM_EDGES)
 @given(rows=st.lists(_extremal_attempts(), min_size=1, max_size=8))
 def test_array_confirm_equals_the_scalar_confirm(rows):
-    _array_test_equals_the_scalar_confirm(bounds._test_extremal, bounds._confirm_extremal, rows)
+    _array_test_equals_the_scalar_confirm(bounds._test_extremal, _confirm_extremal, rows)
 
 
 @settings(max_examples=200, deadline=None)
 @_with_edges(RAW_EDGES)
 @given(rows=st.lists(_raw_attempts(), min_size=1, max_size=8))
 def test_raw_array_confirm_equals_the_scalar_confirm(rows):
-    _array_test_equals_the_scalar_confirm(bounds._test_raw, bounds._confirm_raw, rows)
+    _array_test_equals_the_scalar_confirm(bounds._test_raw, _confirm_raw, rows)
 
 
 def test_raw_edges_straddle_each_test():

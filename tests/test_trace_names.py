@@ -34,6 +34,8 @@ def test_tracer_patches_and_restores_every_name(monkeypatch):
     with bench_trace.Tracer().installed():
         patched = _changed(before)
     assert ("twomode.bounds", "minimize_m") in patched
+    assert ("twomode.bounds", "build_state") in patched
+    assert ("twomode.bounds", "StandardForm") in patched
     assert ("twomode.gaussian_em", "minimize_m") in patched
     assert not _changed(before)
     assert [set(vars(owner)) for owner in OWNERS] == [set(saved) for saved in before]
