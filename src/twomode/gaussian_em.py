@@ -482,9 +482,9 @@ def minimize_columns(
     log_base=2,
 ) -> GemBlock:
     """``minimize_m`` of every standard form (a, b, c_plus, c_minus), given
-    as float columns of one length, with ``nu`` its nu_tilde_minus or NaN
-    where the caller has none; a bad ``log_base`` raises DomainError at
-    once.
+    as float columns of one length, with ``nu`` its nu_tilde_minus, read
+    from any sequence, NaN or None where the caller has none; a bad
+    ``log_base`` raises DomainError at once.
 
     The gate runs as masks on the columns.  A row that fails it (NaN nu, no
     spectrum, unphysical, or entries that are no ``StandardForm``) falls
@@ -500,7 +500,7 @@ def minimize_columns(
     """
     _log_divisor(log_base)  # DomainError for a base other than 2 and "e"
     n = len(a)
-    nu = nu.copy()
+    nu = np.array(nu, dtype=float)  # a copy; None reads as NaN
     passes, separable, symmetric = _gate(a, b, cp, cm, nu, NEAR_SEPARABLE_TOL, _ARRAYS)
     symmetric &= passes & ~separable
     general = np.flatnonzero(passes & ~separable & ~symmetric)

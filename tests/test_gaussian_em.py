@@ -465,6 +465,20 @@ def test_a_missing_nu_tilde_minus_gives_the_same_outcome():
     assert [isinstance(x, UnphysicalStateError) for x in given[-2:]] == [True, True]
 
 
+@pytest.mark.parametrize("convert", [list, tuple, np.array])
+def test_block_reads_nu_sigmas_from_any_sequence(convert):
+    # the nu column as a list, tuple or array, NaN or None where a row has
+    # none: every row gets the outcome it gets with the array of spectrum()
+    forms = [*BLOCK_ROWS, NO_SPECTRUM]
+    expected = [_comparable(x) for x in _outcomes(_minimize_forms(forms))]
+    a, b, cp, cm = (np.array([getattr(sf, name) for sf in forms])
+                    for name in ("a", "b", "c_plus", "c_minus"))
+    nus = [_spectrum_nu(sf) for sf in forms]
+    for nu in (nus, [None] * len(forms), [None if math.isnan(x) else x for x in nus]):
+        got = _outcomes(minimize_columns(a, b, cp, cm, convert(nu)))
+        assert [_comparable(x) for x in got] == expected
+
+
 def test_columns_that_are_no_standard_form_fail_as_its_constructor():
     # a row that fails the gate is replayed on the StandardForm of its own
     # floats: entries that make none get the constructor's error

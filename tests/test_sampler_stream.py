@@ -357,6 +357,23 @@ def test_an_early_stop_is_never_accepted(monkeypatch, mode):
 
 
 @pytest.mark.parametrize("mode", ["extremal_params", "raw_standard_form"])
+def test_a_replayed_attempt_writes_its_own_row(mode):
+    # each index's attempts replayed by the scalar oracle: the first one it
+    # accepts is the row of nine floats the sampler writes, nu_tilde_minus
+    # included
+    cfg = SamplerConfig(seed=9, count=40, mode=mode)
+    draw, key = _REFERENCE_DRAWS[mode], _key(cfg.seed)
+    rows = 0
+    for start, values in bounds._sample_blocks(cfg):
+        for i, row in enumerate(values.T.tolist(), start):
+            replayed = (draw(_attempt_rng(key, i, k), cfg.s_max)
+                        for k in range(bounds._MAX_REJECTIONS))
+            assert _bits(row) == _bits(next(v for v in replayed if v is not None))
+            rows += 1
+    assert rows == cfg.count
+
+
+@pytest.mark.parametrize("mode", ["extremal_params", "raw_standard_form"])
 def test_attempt_limit(monkeypatch, mode):
     monkeypatch.setattr(bounds, "_MAX_REJECTIONS", 3)
     got, want, _ = _scripted(monkeypatch, mode, [REJECT[mode], SHORT[mode], ACCEPT[mode]])
