@@ -17,6 +17,7 @@ import itertools
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
@@ -74,10 +75,12 @@ def geof_bounds(log_neg: float, log_base=2) -> tuple[float, float]:
     of formation at fixed logarithmic negativity E > 0:
     (h(base^-E), h of the lower-curve image of base^-E)."""
     e_n = float(log_neg)
-    if not e_n > 0.0:
-        raise DomainError(f"log negativity must be positive, got {e_n!r}")
+    if not 0.0 < e_n < math.inf:
+        raise DomainError(f"log negativity must be positive and finite, got {e_n!r}")
     # h_function rejects any base other than 2 and "e"
     nu = 2.0 ** (-e_n) if log_base == 2 else math.exp(-e_n)
+    if nu < sys.float_info.min:
+        raise DomainError(f"log negativity {e_n!r} is too large: base^-E = {nu!r} underflows")
     return h_function(nu, log_base), h_function(nu_opt_lower(nu), log_base)
 
 

@@ -84,6 +84,9 @@ def _domain_error(s: float, d: float, g: float) -> str | None:
     for holds, message in zip(_constraints(s, d, g), _CONSTRAINTS):
         if not holds:
             return message.format(s=s, d=d, g=g)
+    if not (math.isfinite(s) and math.isfinite(d) and math.isfinite(g)):
+        # an infinite s meets every constraint above
+        return f"s, d and g must be finite, got ({s!r}, {d!r}, {g!r})"
     return None
 
 

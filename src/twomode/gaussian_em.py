@@ -27,18 +27,18 @@ formation.
 
 ``minimize_m`` and ``minimize_columns`` run one body: the gate (spectrum,
 physicality, near-separable cut, symmetric closed form), the sign ordering,
-``_ThetaProfile.of`` and the optimum are each written once against a
-namespace ``xp``.  ``minimize_m`` passes one form's Python floats
-(``_FLOATS``, ``math``), so a single call pays no array overhead;
-``minimize_columns`` passes a block's columns (``_ARRAYS``, NumPy), whose
-branches are masks.  Both take the roots of the stationary quartics from
-``np.linalg.eigvals`` of their companion matrices (``np.roots`` for the
-degenerate quartics of pure and minimum-uncertainty forms) and evaluate m
-with NumPy's trigonometry, so both give the same bits.  A block row that
-fails the gate's mask, a missing nu_tilde_minus included, falls back on
-``minimize_m``'s float route, which computes its spectrum, so each error
-keeps its type and message; a row whose profile is not finite at its
-stationary angles gets its ``MinimizationError`` in the block.
+``_ThetaProfile.of``, the quartic's roots (``_stationary_points``), the
+profile at those roots (``_ThetaProfile.at``) and the optimum are each
+written once against a namespace ``xp``.  ``minimize_m`` passes one form's
+Python floats (``_FLOATS``, ``math``), so a single call pays no array
+overhead; ``minimize_columns`` passes a block's columns (``_ARRAYS``,
+NumPy), whose branches are masks.  The body uses only +, -, *, /, sqrt and
+selection, which IEEE arithmetic rounds the same way on both, and
+``math.atan`` of the winning root on both, so both give the same bits.  A
+block row that fails the gate's mask, a missing nu_tilde_minus included,
+falls back on ``minimize_m``'s float route, which computes its spectrum, so
+each error keeps its type and message; a row whose profile is not finite
+at its stationary points gets its ``MinimizationError`` in the block.
 """
 
 from __future__ import annotations
@@ -67,16 +67,21 @@ NEAR_SEPARABLE_TOL = 1e-8
 SQRT_CLAMP = 1e-12
 
 _ETA = np.array([1.0, -1.0, -1.0])  # Minkowski metric signature (+, -, -)
-_SUBDIAGONAL = np.eye(4, k=-1)  # companion matrices of quartics, first row aside
 
-#: The one body's ``xp`` on one form's floats: ``extremal._FLOATS``, and the
-#: cube as Python's float power.
-_FLOATS = SimpleNamespace(**vars(extremal._FLOATS), cube=lambda x: x**3)
-#: Its ``xp`` on a block's columns: NumPy, except the cube.  NumPy's array
-#: power equals Python's float power on only about 97% of doubles (and
-#: x*x*x on 74%), so each entry is cubed as a Python float.
-_ARRAYS = SimpleNamespace(sqrt=np.sqrt, maximum=np.maximum, where=np.where,
-                          cube=lambda x: np.array([v**3 for v in x.tolist()]))
+#: The one body's ``xp`` on one form's floats: ``extremal._FLOATS``;
+#: ``any`` of a Newton loop's one flag; and ``each``, which maps f over
+#: the four stationary points one at a time.
+_FLOATS = SimpleNamespace(**vars(extremal._FLOATS), any=bool,
+                          each=lambda f, *args: [f(*point) for point in zip(*args)])
+#: Its ``xp`` on a block's columns: NumPy, and ``each`` as one call of f on
+#: the points' stacked columns.
+_ARRAYS = SimpleNamespace(sqrt=np.sqrt, maximum=np.maximum, where=np.where, any=np.any,
+                          each=lambda f, *args: list(f(*map(np.stack, args))))
+
+#: Most Newton steps that one root of the root step takes.  Sampled
+#: profiles need at most 6; a double root converges linearly, about one bit
+#: per step.
+_NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -118,7 +123,7 @@ class GemResult:
 def nu_tilde_from_m(m: float) -> float:
     """sqrt(m) - sqrt(m - 1), the PT eigenvalue of a pure state with
     single-mode determinant m; evaluated as 1/(sqrt(m) + sqrt(m-1))."""
-    if m < 1.0:
+    if not m >= 1.0:
         raise DomainError(f"single-mode determinant must be >= 1, got {m!r}")
     return _nu_of_m(m, _FLOATS)
 
@@ -232,7 +237,7 @@ class _ThetaProfile(NamedTuple):
                               64.0 * _EPS * ((abs(a) + abs(b * dq)) * abs(r2)
                                              + (abs(b) + abs(a * dq)) * abs(r1) + 1.0))
         h_coeff = (
-            2.0 * a * b * xp.cube(cm)
+            2.0 * a * b * (cm * cm * cm)
             + quad * cp * cm * cm
             + (quad - 2.0 * a * a * b * b) * cm
             - a * b * (quad - 2.0) * cp
@@ -256,7 +261,14 @@ class _ThetaProfile(NamedTuple):
 
     def quartic(self):
         """Coefficients, highest first, of the quartic in t = tan(theta/2)
-        whose real roots are the stationary angles (``_stationary_angles``)."""
+        whose real roots are the stationary angles other than theta = pi,
+        which is stationary where the t^4 coefficient vanishes.
+
+        With N = n0 + n1 cos and D = d0 + dc cos + ds sin, m' = N F / D^2
+        where F = A sin + B cos + C sin cos + E (1 + sin^2); the zeros of N
+        are never reached on entangled states, and F (1 + t^2)^2 is this
+        quartic, so there are at most four extrema per period.
+        """
         n0, n1, d0, dc, ds = self
         a_co = n0 * dc - 2.0 * n1 * d0
         b_co = -n0 * ds
@@ -264,7 +276,25 @@ class _ThetaProfile(NamedTuple):
         e_co = -n1 * ds
         return e_co - b_co, 2.0 * (a_co - c_co), 6.0 * e_co, 2.0 * (a_co + c_co), b_co + e_co
 
+    def flipped(self, flip, xp) -> "_ThetaProfile":
+        """The profile in u = 1/t where ``flip``: t -> 1/t swaps the ends of
+        N and D in ``at``, as negating n1 and dc does."""
+        return self._replace(n1=xp.where(flip, -self.n1, self.n1),
+                             dc=xp.where(flip, -self.dc, self.dc))
+
+    def at(self, x):
+        """m at t = tan(theta/2) = x, in arithmetic alone:
+        m - 1 = N^2 / ((1 + t^2) D) with N = (n0 - n1) t^2 + (n0 + n1) and
+        D = (d0 - dc) t^2 + 2 ds t + (d0 + dc); at t = 0 of a ``flipped``
+        profile it is theta = pi, m = 1 + (n0 - n1)^2 / (d0 - dc)."""
+        n0, n1, d0, dc, ds = self
+        x2 = x * x
+        num = (n0 - n1) * x2 + (n0 + n1)
+        return 1.0 + num / (1.0 + x2) * (num / ((d0 - dc) * x2 + 2.0 * ds * x + (d0 + dc)))
+
     def __call__(self, theta):
+        """m at the angles theta, by NumPy's trigonometry: ``m_theta``, and
+        an independent check of ``at``."""
         ct = np.cos(theta)
         st = np.sin(theta)
         num = (self.n0 + self.n1 * ct) ** 2
@@ -338,60 +368,167 @@ def gamma_from_theta(sf: StandardForm, theta: float) -> GammaCoordinates:
     return GammaCoordinates(float(x[0]), float(x[1]), float(x[2]))
 
 
-def _stationary_angles(quartic: tuple[float, ...]) -> tuple[np.ndarray, int]:
-    """Five candidate angles that include every minimizer of m(theta), and
-    the number of distinct stationary angles, from the profile's
-    ``_ThetaProfile.quartic()``.
+def _newton(x, f, moving, xp):
+    """x after Newton steps x - f(x)/f'(x) (``f`` returns both) on the
+    entries where ``moving`` holds, each for as long as its steps shrink,
+    its slope is not zero and its last step exceeded 1e-8 of it (past that
+    a quadratically convergent step leaves only rounding), and at most
+    ``_NEWTON_STEPS``: an entry's steps depend on it alone, so it gets the
+    same bits on floats and in any block."""
+    last = xp.where(moving, math.inf, 0.0)
+    for _ in range(_NEWTON_STEPS):
+        if not xp.any(moving):
+            break
+        value, slope = f(x)
+        step = value / xp.where(slope == 0.0, 1.0, slope)
+        moving = (abs(step) < last) & (slope != 0.0)
+        x = xp.where(moving, x - step, x)
+        moving = moving & (abs(step) > 1e-8 * abs(x))
+        last = xp.where(moving, abs(step), 0.0)
+    return x
 
-    With N = n0 + n1 cos and D = d0 + dc cos + ds sin, m' = N F / D^2 where
-    F = A sin + B cos + C sin cos + E (1 + sin^2); the zeros of N are never
-    reached on entangled states.  Under t = tan(theta/2), F (1 + t^2)^2 is a
-    quartic in t, so there are at most four extrema per period.
-    theta = pi (t = infinity) is always a candidate and counts as stationary
-    when the t^4 coefficient F(pi) vanishes; it follows the roots and
-    repeats where there are fewer than four, which leaves the first minimum
-    in place.  The roots are those of ``np.roots``, bit for bit; a quartic
-    with nonzero end coefficients skips its wrapper for the same
-    companion-matrix solve.
+
+def _by_product(x1, x2, prod, xp):
+    """Two numbers whose product is ``prod``: where one is under a quarter
+    of the other, it has cancelled, and is taken as prod over the other."""
+    size1, size2 = abs(x1), abs(x2)
+    return (xp.where(4.0 * size1 < size2, prod / xp.where(x2 == 0.0, 1.0, x2), x1),
+            xp.where(4.0 * size2 < size1, prod / xp.where(x1 == 0.0, 1.0, x1), x2))
+
+
+def _cube_root_above(r, xp):
+    """A bound at most 2.6 times the cube root of r >= 0, from square roots:
+    r^(1/4 + 1/16 + 1/64 + 1/256) = r^(1/3 - 1/768) lies within a factor
+    2.7 of the root for every positive double, and a Newton step on
+    y^3 = r lands above the root from either side."""
+    s = est = xp.sqrt(xp.sqrt(r))
+    for _ in range(3):
+        s = xp.sqrt(xp.sqrt(s))
+        est = est * s
+    est = xp.where(est == 0.0, 1.0, est)
+    return xp.where(r == 0.0, 0.0, (2.0 * est + r / (est * est)) / 3.0)
+
+
+def _positive(x, xp):
+    """max(x, 0) with +0 for every x <= 0: Python's max and NumPy's
+    maximum disagree on the sign of max(-0.0, 0.0)."""
+    return xp.where(x > 0.0, x, 0.0)
+
+
+def _stationary_points(quartic, xp):
+    """Where the profile of a ``_ThetaProfile.quartic()`` is stationary:
+    whether the points are taken in u = 1/t rather than t (``flip``), four
+    candidates x in that variable, each with whether it is a real root
+    (they include all of them), and the number of distinct stationary
+    angles, theta = pi included.
+
+    The variable is the one whose leading coefficient is the larger end, so
+    that no root runs off to infinity (theta = pi is u = 0).  A quartic with
+    both ends zero is divided by t, which keeps t = 0 a root and drops
+    theta = pi, which the caller evaluates anyway; the zero quartic of a
+    flat profile reads as the constant 1, stationary at theta = pi alone.
+    The monic quartic x^4 + a x^3 + b x^2 + c x + d factors into
+    (x^2 + al1 x + be1)(x^2 + al2 x + be2) at the largest root
+    y = be1 + be2 of its resolvent cubic, found by Halley steps, and each
+    factor's real roots are polished by Newton steps on the quartic.  A complex pair stands in by
+    its real part, which bounds the minimum from above like any angle.
     """
-    if quartic[0] != 0.0 and quartic[4] != 0.0:
-        companion = _SUBDIAGONAL.copy()
-        companion[0] = [-c / quartic[0] for c in quartic[1:]]
-        roots = np.linalg.eigvals(companion)
-    else:
-        roots = np.roots(quartic)
-    # LAPACK returns real eigenvalues of the companion matrix with an exactly
-    # zero imaginary part; evaluating m at the real parts of complex roots
-    # too is harmless, since every angle bounds the minimum from above.
-    distinct = len({r.real for r in roots.tolist() if r.imag == 0.0})
-    angles = np.full(5, math.pi)
-    angles[:len(roots)] = 2.0 * np.arctan(roots.real)
-    return angles, distinct + int(quartic[0] == 0.0)
+    c4, c3, c2, c1, c0 = quartic
+    c0 = xp.where((c4 == 0.0) & (c3 == 0.0) & (c2 == 0.0) & (c1 == 0.0) & (c0 == 0.0), 1.0, c0)
+    flip = abs(c4) < abs(c0)
+    e = (xp.where(flip, c0, c4), xp.where(flip, c1, c3), c2,
+         xp.where(flip, c3, c1), xp.where(flip, c4, c0))
+    ends = e[0] == 0.0  # then e[4] == 0 too
+    for _ in range(3):
+        lead = e[0] == 0.0
+        if not xp.any(lead):
+            break
+        e = tuple(xp.where(lead, nxt, cur) for cur, nxt in zip(e, (*e[1:], 0.0)))
+    e4, e3, e2, e1, e0 = e
+    a, b, c, d = e3 / e4, e2 / e4, e1 / e4, e0 / e4
+    r1, r0 = a * c - 4.0 * d, (4.0 * b - a * a) * d - c * c
+
+    def resolvent(y):
+        return ((y - b) * y + r1) * y + r0, (3.0 * y - 2.0 * b) * y + r1
+
+    def halley(y):  # Newton steps on R / sqrt(R'): Halley's, cubically convergent
+        value, slope = resolvent(y)
+        return value, slope - value * (3.0 * y - b) / xp.where(slope == 0.0, 1.0, slope)
+
+    # Shifted by b/3 the cubic reads z^3 + P z + Q, whose roots lie within
+    # max(sqrt(2 max(-P, 0)), cbrt(2 |Q|)) of 0.  Its largest root lies right
+    # of its minimum, where it is convex, unless it is positive there; then
+    # it is the one root, left of its maximum, where it is concave.  The
+    # steps start from the bound on that side.
+    q_shift, p_shift = resolvent(b / 3.0)
+    turn = xp.sqrt(_positive(-p_shift, xp) / 3.0)
+    bound = xp.maximum(xp.sqrt(2.0 * _positive(-p_shift, xp)),
+                       _cube_root_above(2.0 * abs(q_shift), xp))
+    right = resolvent(b / 3.0 + turn)[0] <= 0.0
+    y = _newton(b / 3.0 + xp.where(right, bound, -bound), halley, True, xp)
+    # c = d = 0: R(y) = y^2 (y - b), whose double root the steps approach slowly
+    y = xp.where((c == 0.0) & (d == 0.0), _positive(b, xp), y)
+    # al = a/2 +- p and be = y/2 +- q, with p q = (a y - 2c)/4: the larger
+    # of p^2 and q^2 is taken by its square root, and its pair gives the
+    # other through al1 + al2 = a, be1 + be2 = y and al1 be2 + al2 be1 = c
+    p2, q2, pq = a * a / 4.0 + (y - b), y * y / 4.0 - d, (a * y - 2.0 * c) / 4.0
+    by_q, by_p = (q2 >= p2) & (q2 > 0.0), (p2 > q2) & (p2 > 0.0)
+    p = xp.where(by_q, pq / xp.where(by_q, xp.sqrt(_positive(q2, xp)), 1.0),
+                 xp.sqrt(_positive(p2, xp)))
+    q = xp.where(by_p, pq / xp.where(by_p, p, 1.0), xp.sqrt(_positive(q2, xp)))
+    al1, al2 = _by_product(a / 2.0 + p, a / 2.0 - p, b - y, xp)
+    be1, be2 = _by_product(y / 2.0 + q, y / 2.0 - q, d, xp)
+    two_q, two_p = 2.0 * xp.where(by_q, q, 1.0), 2.0 * xp.where(by_p, p, 1.0)
+    al1, al2 = (xp.where(by_q, (a * be1 - c) / two_q, al1),
+                xp.where(by_q, (c - a * be2) / two_q, al2))
+    be1, be2 = _by_product(xp.where(by_p, (y * al1 - c) / two_p, be1),
+                           xp.where(by_p, (c - y * al2) / two_p, be2), d, xp)
+
+    def quartic_at(x):
+        return ((((e4 * x + e3) * x + e2) * x + e1) * x + e0,
+                ((4.0 * e4 * x + 3.0 * e3) * x + 2.0 * e2) * x + e1)
+
+    xs, real, cplx = [], [], []
+    for al, be in ((al1, be1), (al2, be2)):
+        disc = al * al / 4.0 - be
+        root = xp.sqrt(_positive(disc, xp))
+        xs += _by_product(-al / 2.0 + root, -al / 2.0 - root, be, xp)
+        real += [disc >= 0.0] * 2
+        cplx += [disc < 0.0] * 2
+    xs = xp.each(lambda x, moving: _newton(x, quartic_at, moving, xp), xs, real)
+    extrema = xp.where(ends, 1, 0)
+    for i, x in enumerate(xs):
+        new = real[i]
+        for j in range(i):
+            new = new & (cplx[j] | (xs[j] != x))
+        extrema = extrema + xp.where(new, 1, 0)
+    return flip, list(zip(xs, real)), extrema
 
 
-def _block_angles(quartics: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_stationary_angles`` of each row of (n, 5) quartic coefficients:
-    (n, 5) candidate angles and their extrema counts.
+def _rim_minimum(profile: _ThetaProfile, xp):
+    """(m_min, x, flip, extrema, finite): the least m over the stationary
+    points of the profile (``_stationary_points``) and theta = pi, the
+    first of them where several tie; the point where it lies; the number of
+    distinct stationary angles; and whether m is finite at all of them."""
+    flip, points, extrema = _stationary_points(profile.quartic(), xp)
+    oriented = profile.flipped(flip, xp)
+    xs = [x for x, _ in points]
+    (m_min, *ms), x_min = xp.each(oriented.at, xs), xs[0]
+    finite = abs(m_min) < math.inf
+    for m, x in zip(ms, xs[1:]):
+        finite = finite & (abs(m) < math.inf)
+        lower = m < m_min
+        m_min, x_min = xp.where(lower, m, m_min), xp.where(lower, x, x_min)
+    m_pi = profile.flipped(True, xp).at(0.0)  # theta = pi, u = 0
+    at_pi = m_pi < m_min
+    return (xp.where(at_pi, m_pi, m_min), xp.where(at_pi, 0.0, x_min), xp.where(at_pi, True, flip),
+            extrema, finite & (abs(m_pi) < math.inf))
 
-    Quartics with nonzero leading and trailing coefficients share one
-    ``np.linalg.eigvals`` call on their stacked companion matrices, which
-    are ``_stationary_angles``' own; the others go through it.
-    """
-    angles = np.full((len(quartics), 5), math.pi)
-    extrema = np.zeros(len(quartics), dtype=int)
-    full = (quartics[:, 0] != 0.0) & (quartics[:, 4] != 0.0)
-    if full.any():
-        companions = np.broadcast_to(_SUBDIAGONAL, (np.count_nonzero(full), 4, 4)).copy()
-        companions[:, 0] = -quartics[full, 1:] / quartics[full, :1]
-        roots = np.linalg.eigvals(companions)
-        angles[full, :4] = 2.0 * np.arctan(roots.real)
-        # distinct real roots, as the set in _stationary_angles counts them
-        real = np.sort(np.where(roots.imag == 0.0, roots.real, np.nan), axis=1)
-        extrema[full] = (np.count_nonzero(~np.isnan(real), axis=1)
-                         - np.count_nonzero(real[:, 1:] == real[:, :-1], axis=1))
-    for i in np.flatnonzero(~full).tolist():
-        angles[i], extrema[i] = _stationary_angles(tuple(quartics[i].tolist()))
-    return angles, extrema
+
+def _theta(x: float, flip: bool) -> float:
+    """theta = 2 atan(t) at t = x, or at t = 1/x where ``flip``, by Python's
+    atan on both routes (NumPy's differs on about 0.4% of doubles)."""
+    return math.pi - 2.0 * math.atan(x) if flip else 2.0 * math.atan(x)
 
 
 def _optimum(m_min, theta, xp):
@@ -401,9 +538,9 @@ def _optimum(m_min, theta, xp):
     return m_opt, theta % (2.0 * math.pi), _nu_of_m(m_opt, xp)
 
 
-def _not_finite(angles: np.ndarray, a: float, b: float, cp: float, cm: float) -> MinimizationError:
+def _not_finite(a: float, b: float, cp: float, cm: float) -> MinimizationError:
     return MinimizationError(
-        f"angular profile is not finite at its stationary angles {angles} "
+        f"angular profile is not finite at its stationary points "
         f"for standard form {StandardForm(a, b, cp, cm)}"
     )
 
@@ -447,13 +584,10 @@ def _minimize(sf: StandardForm, nu: float, near_separable_tol: float,
         return nu, GemResult(m_from_nu_tilde(nu), math.pi, nu, h_function(nu, log_base), 2)
     a, b = sf.a, sf.b
     cp, cm = _sign_ordered(sf.c_plus, sf.c_minus, _FLOATS)
-    profile = _ThetaProfile.of(a, b, cp, cm, _FLOATS)
-    angles, extrema = _stationary_angles(profile.quartic())
-    vals = profile(angles)
-    if not np.isfinite(vals).all():
-        raise _not_finite(angles, a, b, cp, cm)
-    best = int(vals.argmin())
-    m_opt, theta, nu_opt = _optimum(vals[best].item(), angles[best].item(), _FLOATS)
+    m_min, x, flip, extrema, finite = _rim_minimum(_ThetaProfile.of(a, b, cp, cm, _FLOATS), _FLOATS)
+    if not finite:
+        raise _not_finite(a, b, cp, cm)
+    m_opt, theta, nu_opt = _optimum(m_min, _theta(x, flip), _FLOATS)
     return nu, GemResult(m_opt, theta, nu_opt, h_function(nu_opt, log_base), extrema)
 
 
@@ -493,10 +627,10 @@ def minimize_columns(
     the result or the error, with its type and message, that ``minimize_m``
     gives.  The other rows' profiles, quartics, roots and minima are
     columns too, and a row whose profile is not finite at its stationary
-    angles gets its ``MinimizationError``.  Entries must stay far below
-    1e77 (the sampler's do, at s_max <= 1e6): above it Det sigma overflows
-    and NumPy warns where ``minimize_m`` is silent, and one non-finite
-    quartic makes ``np.linalg.eigvals`` raise for the whole block.
+    points gets its ``MinimizationError`` while the others keep their
+    results.  Entries must stay far below 1e77 (the sampler's do, at
+    s_max <= 1e6): above it Det sigma overflows and NumPy warns where
+    ``minimize_m`` is silent.
     """
     _log_divisor(log_base)  # DomainError for a base other than 2 and "e"
     n = len(a)
@@ -512,15 +646,12 @@ def minimize_columns(
 
     ga, gb = a[general], b[general]
     gcp, gcm = _sign_ordered(cp[general], cm[general], _ARRAYS)
-    profile = _ThetaProfile.of(ga, gb, gcp, gcm, _ARRAYS)
-    angles, extrema[general] = _block_angles(np.stack(profile.quartic(), axis=1))
-    vals = _ThetaProfile(*(c[:, None] for c in profile))(angles)
-    lead = np.arange(len(general))
-    best = vals.argmin(axis=1)
+    m_min, x, flip, extrema[general], finite = _rim_minimum(
+        _ThetaProfile.of(ga, gb, gcp, gcm, _ARRAYS), _ARRAYS)
     m_opt[general], theta[general], nu_opt[general] = _optimum(
-        vals[lead, best], angles[lead, best], _ARRAYS)
-    errors = {general[k].item(): _not_finite(angles[k], *(c[k].item() for c in (ga, gb, gcp, gcm)))
-              for k in np.flatnonzero(~np.isfinite(vals).all(axis=1)).tolist()}
+        m_min, np.array([_theta(*point) for point in zip(x.tolist(), flip.tolist())]), _ARRAYS)
+    errors = {general[k].item(): _not_finite(*(c[k].item() for c in (ga, gb, gcp, gcm)))
+              for k in np.flatnonzero(~finite).tolist()}
 
     # The mask is the scalar gate's arithmetic, so the float route raises
     # unless nu is NaN; the row takes whatever that route gives it.

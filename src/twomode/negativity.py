@@ -88,8 +88,11 @@ def h_function(x: float, log_base=2) -> float:
     t = (1.0 - x) ** 2 / (4.0 * x)
     if t == 0.0:
         return 0.0
-    # u log u with u = 1 + t, via log1p; the t log t term vanishes at t -> 0.
-    return ((1.0 + t) * math.log1p(t) - t * math.log(t)) / div
+    if t == math.inf:  # x below about 1.4e-309: h = 1 - log(4x) to the last bit
+        return (1.0 - math.log(4.0 * x)) / div
+    # u log u - t log t = log1p(t) + t log1p(1/t): two positive terms, where
+    # the two large ones of the difference cancel for small x
+    return (math.log1p(t) + t * math.log1p(1.0 / t)) / div
 
 
 def eof_symmetric(sf: StandardForm, log_base=2, rtol: float = SYMMETRY_RTOL) -> float:

@@ -25,6 +25,7 @@ from twomode import bounds
 from twomode.bounds import VIOLATION_TOL, BoundPoint, ExperimentResult
 from twomode.errors import DomainError, TwoModeError
 from twomode.gaussian_em import GemBlock, m_from_nu_tilde
+from twomode.extremal import m_opt_glems, m_opt_gmems
 from twomode.negativity import log_negativity
 
 
@@ -113,6 +114,21 @@ class TestGeofBounds:
             geof_bounds(0.0)
         with pytest.raises(DomainError):
             geof_bounds(1.0, log_base=10)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: nu_tilde_from_m(math.nan), "single-mode determinant must be >= 1"),
+    (lambda: m_opt_gmems(math.inf, 0.5, 2.5), "must be finite"),
+    (lambda: m_opt_glems(math.inf, 0.5, 2.5), "must be finite"),
+    (lambda: geof_bounds(math.inf), "log negativity must be positive and finite"),
+    (lambda: geof_bounds(1100.0), "underflows"),  # 2^-E is 0
+    (lambda: geof_bounds(1030.0), "underflows"),  # 2^-E is subnormal
+    (lambda: geof_bounds(710.0, log_base="e"), "underflows"),
+], ids=["nu_tilde_from_m-nan", "m_opt_gmems-inf", "m_opt_glems-inf", "geof_bounds-inf",
+        "geof_bounds-zero", "geof_bounds-subnormal", "geof_bounds-e-subnormal"])
+def test_non_finite_input_is_rejected_in_its_own_words(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
 
 
 class TestSampler:

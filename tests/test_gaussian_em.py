@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -27,9 +29,8 @@ from twomode.gaussian_em import (
     GemResult,
     _ARRAYS,
     _FLOATS,
-    _block_angles,
     _sign_ordered,
-    _stationary_angles,
+    _stationary_points,
     _ThetaProfile,
     minimize_columns,
 )
@@ -156,6 +157,19 @@ class TestProfile:
     def test_requires_physical(self):
         with pytest.raises(UnphysicalStateError):
             m_theta(UNPHYSICAL, 0.0)
+
+    def test_rational_evaluation_matches_trigonometry(self, rng):
+        # the minimizer's m at t = tan(theta/2), or at u = 1/t, against the
+        # profile's own trigonometric evaluation
+        for _, sf in draw_entangled_states(rng, 30):
+            profile = _profile(sf)
+            for theta in THETAS[1:-1:3]:
+                t = math.tan(theta / 2.0)
+                assert profile.at(t) == pytest.approx(profile(theta), rel=1e-12)
+                assert profile.flipped(True, _FLOATS).at(1.0 / t) == pytest.approx(
+                    profile(theta), rel=1e-12)
+            assert profile.flipped(True, _FLOATS).at(0.0) == pytest.approx(
+                profile(math.pi), rel=1e-12)
 
     def test_accepts_array_argument(self):
         sf = build_state(GMEMS_EX)
@@ -284,28 +298,64 @@ def _root_cases(rng):
     ]
 
 
-def test_roots_match_np_roots(rng):
-    # the companion-matrix branch and the np.roots branch alike
-    for coeffs in _root_cases(rng):
+# A general form's quartic at seed 42, s_max 20, with one root near
+# theta = pi (t = -1.45e-4 against a t^4 coefficient of 24): a monic
+# quartic in t loses it, so the root step solves it in u = 1/t.
+NEAR_PI_QUARTIC = (24.32192234875822, -645083.6802913728, -3780.2073552279676,
+                   -8841038.455310741, -1284.3910407580806)
+# Quartics with exactly repeated real roots, (t - 1)(t - 1/2)(t + 4)^2 and
+# (t^2 - 1/4)^2, and their real roots: np.roots splits the double root 1/2
+# of the second into a complex pair.
+REPEATED_ROOTS = {(1.0, 6.5, 4.5, -20.0, 8.0): [-4.0, 0.5, 1.0],
+                  (1.0, 0.0, -0.5, 0.0, 0.0625): [-0.5, 0.5]}
+
+
+def _real_roots(coeffs):
+    """The distinct finite real roots t that the root step finds in the
+    quartic, and its extrema count."""
+    flip, points, extrema = _stationary_points(coeffs, _FLOATS)
+    return sorted({1.0 / x if flip else x for x, real in points
+                   if real and not (flip and x == 0.0)}), extrema
+
+
+def _backward_error(coeffs, t):
+    """|p(t)| / sum |c_k t^k|, exactly: how far t is from a root of a
+    quartic whose coefficients are within that relative distance."""
+    terms = [Fraction(c) * Fraction(t) ** k for k, c in enumerate(reversed(coeffs))]
+    return abs(sum(terms)) / sum(abs(term) for term in terms)
+
+
+def test_root_step_matches_np_roots(rng):
+    for coeffs in [*_root_cases(rng), NEAR_PI_QUARTIC, *REPEATED_ROOTS]:
         roots = np.roots(list(coeffs))
-        angles, extrema = _stationary_angles(coeffs)
-        # theta = pi follows the roots, and repeats up to five candidates
-        np.testing.assert_array_equal(
-            angles, np.append(2.0 * np.arctan(roots.real), [np.pi] * (5 - len(roots))),
-            strict=True)
-        distinct = len({r.real for r in roots.tolist() if r.imag == 0.0})
-        assert extrema == distinct + int(coeffs[0] == 0.0)
+        expected = REPEATED_ROOTS.get(coeffs) or sorted(
+            {r.real for r in roots.tolist() if r.imag == 0.0})
+        got, extrema = _real_roots(coeffs)
+        # theta = pi is stationary where the t^4 coefficient vanishes
+        assert extrema == len(expected) + int(coeffs[0] == 0.0), coeffs
+        assert len(got) == len(expected), coeffs
+        for t, reference in zip(got, expected):
+            if abs(t - reference) <= 1e-12 * abs(reference):
+                continue
+            # np.roots loses accuracy on ill-conditioned roots, and the root
+            # step's root is then the better one
+            assert _backward_error(coeffs, t) <= min(1e-15, _backward_error(coeffs, reference))
 
 
-def test_block_angles_match_stationary_angles(rng):
-    # two quartics whose companion matrices have an exactly repeated real
-    # eigenvalue, which the extrema count must count once
-    rows = [*_root_cases(rng), (1.0, 6.5, 4.5, -20.0, 8.0), (1.0, 0.0, -0.5, 0.0, 0.0625)]
-    angles, extrema = _block_angles(np.array(rows))
-    for row, got, count in zip(rows, angles, extrema.tolist()):
-        expected, expected_count = _stationary_angles(row)
-        np.testing.assert_array_equal(got, expected, strict=True)
-        assert count == expected_count
+def test_root_step_keeps_the_root_near_pi():
+    # a naive monic quartic in t returns 55.64 here
+    got, _ = _real_roots(NEAR_PI_QUARTIC)
+    assert -1.4527604704507705e-4 in [pytest.approx(t, rel=1e-12) for t in got]
+
+
+def test_root_step_gives_equal_bits_on_floats_and_columns(rng):
+    rows = [*_root_cases(rng), NEAR_PI_QUARTIC, *REPEATED_ROOTS]
+    flips, points, extrema = _stationary_points(tuple(np.array(rows).T), _ARRAYS)
+    for k, coeffs in enumerate(rows):
+        flip, row_points, count = _stationary_points(coeffs, _FLOATS)
+        assert (flip, count) == (flips[k], extrema[k])
+        assert [(x.hex(), real) for x, real in row_points] == [
+            (x[k].item().hex(), real[k]) for x, real in points]
 
 
 def _fields(gem):
@@ -342,8 +392,8 @@ def _outcomes(block):
 # c at which StandardForm(2, 2.5, c, -c) has nu_tilde_minus = 1 - 5e-9
 NEAR_SEPARABLE_C = 1.2247448764946924
 # a seed-11 sampler state whose c_minus**3 numpy's array power rounds one
-# ulp away from Python's on AVX-512 hosts; the one profile builder cubes
-# with Python's float power on both routes, and the row stays as a
+# ulp away from Python's on AVX-512 hosts; the profile builder cubes it as
+# c_minus * c_minus * c_minus on both routes, and the row stays as a
 # general-form input
 CUBE_ROUNDING = StandardForm(23.224957903223615, 7.281572419936001,
                              12.722095110686082, -9.976006620644796)
@@ -420,28 +470,46 @@ def test_block_of_one_failing_form(sf, message):
 
 
 def test_non_finite_row_gets_the_per_form_outcome(monkeypatch):
-    # the cube row's candidate angles turn NaN on both routes: its profile
+    # the cube row's stationary points turn NaN on both routes: its profile
     # is not finite there, and both raise the same MinimizationError
     forms = [BLOCK_ROWS[5], build_state(GMEMS_EX)]
     expected = minimize_m(forms[1])
-    block_angles, stationary_angles = gaussian_em._block_angles, gaussian_em._stationary_angles
+    stationary_points = gaussian_em._stationary_points
 
-    def poisoned_block(quartics):
-        angles, extrema = block_angles(quartics)
-        angles[0] = np.nan
-        return angles, extrema
+    def poisoned(quartic, xp):
+        flip, points, extrema = stationary_points(quartic, xp)
+        if xp is _FLOATS:
+            return flip, [(math.nan, real) for _, real in points], extrema
+        for x, _ in points:
+            x[0] = math.nan
+        return flip, points, extrema
 
-    def poisoned_one(quartic):
-        angles, extrema = stationary_angles(quartic)
-        return np.full_like(angles, np.nan), extrema
-
-    monkeypatch.setattr(gaussian_em, "_block_angles", poisoned_block)
-    monkeypatch.setattr(gaussian_em, "_stationary_angles", poisoned_one)
+    monkeypatch.setattr(gaussian_em, "_stationary_points", poisoned)
     failed, (_, gem) = _outcomes(_minimize_forms(forms))
     with pytest.raises(MinimizationError) as raised:
         minimize_m(forms[0])
     assert (type(failed), str(failed)) == (MinimizationError, str(raised.value))
     assert _fields(gem) == _fields(expected)
+
+
+def test_non_finite_profile_fails_its_own_row_only(monkeypatch):
+    # a NaN profile coefficient in one row of a block: that row gets the
+    # float route's MinimizationError, and the others keep their bits (a
+    # stacked eigenvalue solve of the quartics would raise for all of them)
+    forms = [build_state(GMEMS_EX), CUBE_ROUNDING, build_state(GLEMS_EX)]
+    expected = [minimize_m(sf) for sf in forms]
+    of = _ThetaProfile.of
+
+    def poisoned(a, b, cp, cm, xp):
+        profile = of(a, b, cp, cm, xp)
+        return profile._replace(n0=xp.where(a == CUBE_ROUNDING.a, math.nan, profile.n0))
+
+    monkeypatch.setattr(_ThetaProfile, "of", staticmethod(poisoned))
+    first, failed, last = _outcomes(_minimize_forms(forms))
+    with pytest.raises(MinimizationError) as raised:
+        minimize_m(CUBE_ROUNDING)
+    assert (type(failed), str(failed)) == (MinimizationError, str(raised.value))
+    assert [_fields(gem) for _, gem in (first, last)] == [_fields(expected[0]), _fields(expected[2])]
 
 
 def _comparable(outcome):
@@ -649,3 +717,74 @@ class TestConversions:
             m_from_nu_tilde(0.0)
         with pytest.raises(DomainError):
             m_from_nu_tilde(1.5)
+
+
+def _general_forms(s_max, count=200):
+    """The first ``count`` sampled forms (seed 42) that take minimize_m's
+    general path."""
+    forms = []
+    for sample in iter_samples(SamplerConfig(42, 4 * count, s_max)):
+        sf = sample.standard_form
+        if not sf.is_symmetric() and sf.spectrum().nu_tilde_minus < 1.0 - NEAR_SEPARABLE_TOL:
+            forms.append(sf)
+    return forms[:count]
+
+
+def _exact_minimum(profile):
+    """The least m of the float profile at 60 digits: m' = 0 where
+    F = 2 N' D - N D' vanishes (N = n0 + n1 cos, D = d0 + dc cos + ds sin),
+    a quartic in t = tan(theta/2) once F is multiplied by (1 + t^2)^2, or
+    at theta = pi.  Its roots are NumPy's double-precision ones (real parts
+    of complex pairs included), polished by Newton steps at 60 digits."""
+    n0, n1, d0, dc, ds = (mpmath.mpf(c) for c in profile)
+
+    def mul(p, q):  # polynomials in t, lowest power first
+        out = [mpmath.mpf(0)] * (len(p) + len(q) - 1)
+        for i, pi in enumerate(p):
+            for j, qj in enumerate(q):
+                out[i + j] += pi * qj
+        return out
+
+    def add(*ps):
+        return [sum(p[k] if k < len(p) else 0 for p in ps) for k in range(max(map(len, ps)))]
+
+    cos, sin, one = [1, 0, -1], [0, 2], [1, 0, 1]  # each times 1 + t^2
+    n = add([n0 * c for c in one], [n1 * c for c in cos])
+    d = add([d0 * c for c in one], [dc * c for c in cos], [ds * c for c in sin])
+    n_dot = [-n1 * c for c in sin]
+    d_dot = add([-dc * c for c in sin], [ds * c for c in cos])
+    f = add(mul([2 * c for c in n_dot], d), [-c for c in mul(n, d_dot)])[::-1]
+    angles = [mpmath.pi]
+    for seed in np.roots([float(c) for c in f]).real.tolist():
+        t = mpmath.mpf(seed)
+        for _ in range(4):  # from 16 digits to 60 and beyond
+            value, slope = mpmath.polyval(f, t, derivative=True)
+            if slope == 0:
+                break
+            t -= value / slope
+        angles.append(2 * mpmath.atan(t))
+    return min(1 + (n0 + n1 * mpmath.cos(a)) ** 2 / (d0 + dc * mpmath.cos(a) + ds * mpmath.sin(a))
+               for a in angles)
+
+
+def _eigenvalue_route(profile):
+    """The minimum as the eigenvalue route found it: the real parts of
+    np.roots of the quartic as angles, and theta = pi, in the trigonometric
+    profile."""
+    angles = np.append(2.0 * np.arctan(np.roots(profile.quartic()).real), np.pi)
+    return max(float(np.min(profile(angles))), 1.0)
+
+
+@pytest.mark.parametrize("s_max", [20.0, 1e5])
+def test_minimum_matches_60_digits(s_max):
+    errors, eigenvalue_route_errors = [], []
+    with mpmath.workdps(60):
+        for sf in _general_forms(s_max):
+            cp, cm = _sign_ordered(sf.c_plus, sf.c_minus, _FLOATS)
+            profile = _ThetaProfile.of(sf.a, sf.b, cp, cm, _FLOATS)
+            exact = _exact_minimum(profile)
+            errors.append(float(abs(minimize_m(sf).m_opt - exact) / exact))
+            eigenvalue_route_errors.append(float(abs(_eigenvalue_route(profile) - exact) / exact))
+    # the eigenvalue route's worst is 5.7e-15 at s_max 20 and 1.05e-7 at 1e5
+    bound = 1e-13 if s_max == 20.0 else max(eigenvalue_route_errors)
+    assert all(error <= bound for error in errors), max(errors)

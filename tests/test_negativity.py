@@ -1,5 +1,7 @@
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,6 +49,19 @@ class TestHFunction:
     def test_matches_direct_evaluation(self, rng):
         for x in rng.uniform(1e-3, 1.0, size=200):
             assert h_function(float(x)) == pytest.approx(h_direct(float(x)), rel=1e-11, abs=1e-13)
+
+    def test_matches_60_digits_down_to_tiny_x(self):
+        # u log u - t log t, with u - t = 1, cancels for small x; 60 digits
+        # beyond those of 1/x keep both terms exact
+        xs = [*np.logspace(-17.5, 0.0, 4500).tolist(), *(1.0 - k * 2.0**-53 for k in range(1, 40)),
+              *(1.0 - 10.0**-k for k in range(1, 16)), 1e-300, 1e-310, 5e-324]
+        errors = []
+        for x in xs:
+            with mpmath.workdps(60 - int(math.log10(x))):
+                t = (1 - mpmath.mpf(x)) ** 2 / (4 * mpmath.mpf(x))
+                exact = (1 + t) * mpmath.log(1 + t, 2) - (t * mpmath.log(t, 2) if t else 0)
+                errors.append(float(abs(h_function(x) - exact) / exact) if t else h_function(x))
+        assert all(error <= 2e-15 for error in errors), max(errors)
 
     def test_natural_log_base(self):
         assert h_function(0.5, log_base="e") == pytest.approx(h_function(0.5) * math.log(2.0), rel=1e-12)
