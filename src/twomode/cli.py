@@ -30,15 +30,9 @@ from .errors import (
     TwoModeError,
     UnphysicalStateError,
 )
-from .gaussian_em import NEAR_SEPARABLE_TOL, minimize_m
+from .gaussian_em import minimize_m
 from .negativity import log_negativity, negativity_report
-from .symplectic import (
-    DEFAULT_TOL,
-    SYMMETRY_RTOL,
-    cm_from_json_dict,
-    make_two_mode_squeezed,
-    to_standard_form,
-)
+from .symplectic import cm_from_json_dict, make_two_mode_squeezed, to_standard_form
 
 EXIT_OK = 0
 EXIT_UNPHYSICAL = 2
@@ -153,16 +147,11 @@ class _ParseFailure(Exception):
 
 
 def _measure_report(cm, params, args) -> dict:
-    sf = to_standard_form(cm, tol=args.tol_physical)
+    sf = to_standard_form(cm)
     inv = sf.invariants()
     base = _log_base(args.log_base)
-    neg = negativity_report(sf, tol=args.tol_physical, log_base=base,
-                            sym_rtol=args.tol_symmetry)
-    gem = minimize_m(
-        sf,
-        near_separable_tol=args.tol_near_separable,
-        log_base=base,
-    )
+    neg = negativity_report(sf, log_base=base)
+    gem = minimize_m(sf, log_base=base)
     report = {
         "standard_form": asdict(sf),
         "purities": {
@@ -306,15 +295,6 @@ def _build_parser() -> _Parser:
                          metavar=("S", "D", "G", "LAMBDA"),
                          help="mixedness parameters of an extremal-family state")
     measure.add_argument("--log-base", choices=["2", "e"], default="2")
-    measure.add_argument("--tol-physical", type=_above(float, 0.0, inclusive=True),
-                         default=DEFAULT_TOL,
-                         help="slack on the physicality inequalities")
-    measure.add_argument("--tol-near-separable", type=_above(float, 0.0, inclusive=True),
-                         default=NEAR_SEPARABLE_TOL,
-                         help="width of the band around separability treated as separable")
-    measure.add_argument("--tol-symmetry", type=_above(float, 0.0, inclusive=True),
-                         default=SYMMETRY_RTOL,
-                         help="relative a == b tolerance for the symmetric closed form")
     measure.set_defaults(func=_cmd_measure)
 
     scan = sub.add_parser("scan", help="extremal-ordering map over (b, g) at fixed a")

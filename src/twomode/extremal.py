@@ -61,22 +61,26 @@ _CONSTRAINTS = (
     "constraint |d| <= s - 1 violated (s = {s!r}, d = {d!r})",
     "constraint g >= 2|d| + 1 violated (d = {d!r}, g = {g!r})",
     "constraint g <= s^2 - d^2 violated (s = {s!r}, d = {d!r}, g = {g!r})",
+    "s, d and g must be finite, got ({s!r}, {d!r}, {g!r})",
 )
 
 
 def _constraints(s, d, g):
-    """The four constraints on (s, d, g) in the order of ``_CONSTRAINTS``,
-    elementwise for arrays; NaN fails each."""
+    """The constraints on (s, d, g) in the order of ``_CONSTRAINTS``,
+    elementwise for arrays; NaN fails each.  An infinite s meets the first
+    four, so finiteness is the last; where those hold, s bounds |d| and
+    s and g are bounded below, so s, g < inf is all it needs."""
     return (s >= 1.0 - _PARAM_TOL,
             abs(d) <= s - 1.0 + _PARAM_TOL,
             g >= 2.0 * abs(d) + 1.0 - _PARAM_TOL,
-            g <= (s - d) * (s + d) + _PARAM_TOL)
+            g <= (s - d) * (s + d) + _PARAM_TOL,
+            (s < math.inf) & (g < math.inf))
 
 
 def _in_domain(s, d, g):
     """Elementwise: (s, d, g) satisfies every constraint."""
     holds = _constraints(s, d, g)
-    return holds[0] & holds[1] & holds[2] & holds[3]
+    return holds[0] & holds[1] & holds[2] & holds[3] & holds[4]
 
 
 def _domain_error(s: float, d: float, g: float) -> str | None:
@@ -84,9 +88,6 @@ def _domain_error(s: float, d: float, g: float) -> str | None:
     for holds, message in zip(_constraints(s, d, g), _CONSTRAINTS):
         if not holds:
             return message.format(s=s, d=d, g=g)
-    if not (math.isfinite(s) and math.isfinite(d) and math.isfinite(g)):
-        # an infinite s meets every constraint above
-        return f"s, d and g must be finite, got ({s!r}, {d!r}, {g!r})"
     return None
 
 
@@ -234,14 +235,18 @@ def _glems_pt(s, d, g, xp=np):
 
 
 def nu_tilde_gmems(s: float, d: float, g: float) -> float:
-    """Smallest PT symplectic eigenvalue of the GMEMS at (s, d, g)."""
+    """Smallest PT symplectic eigenvalue of the GMEMS at (s, d, g); outside
+    the domain, DomainError."""
+    _require_domain(s, d, g)
     return _nu_pair(*_gmems_pt(s, d, g, _FLOATS))[0]
 
 
 def nu_tilde_glems(s: float, d: float, g: float) -> float:
     """Smallest PT symplectic eigenvalue of the GLEMS at (s, d, g), NaN for
-    g > 2s - 1 (no state).  A g within the domain tolerance above 2s - 1
-    (where |d| = s - 1 puts the GMEMMS edge on it) is kept."""
+    g > 2s - 1 (no state); outside the domain, DomainError.  A g within the
+    domain tolerance above 2s - 1 (where |d| = s - 1 puts the GMEMMS edge on
+    it) is kept."""
+    _require_domain(s, d, g)
     if g > gmems_threshold(s) + _PARAM_TOL:
         return math.nan
     return _nu_pair(*_glems_pt(s, d, g, _FLOATS))[0]

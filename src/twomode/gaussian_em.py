@@ -61,6 +61,10 @@ from .symplectic import SYMMETRY_RTOL, StandardForm, _dets, _inequalities
 #: by the minimizer, which then returns m_opt = 1 exactly.
 NEAR_SEPARABLE_TOL = 1e-8
 
+#: Slack of the minimizer's physicality gate: ``StandardForm.is_physical``
+#: with this tolerance.
+GATE_TOL = 1e-9
+
 #: Square-root arguments in the angular profile may round slightly below
 #: zero exactly on feasibility boundaries; a rim radius R this close to zero
 #: (relative) is degenerate, and the sign-order check allows this much slack.
@@ -144,19 +148,18 @@ def _m_of_nu(nu):
     return half_sum * half_sum
 
 
-def _gate(a, b, cp, cm, nu, near_separable_tol: float, xp):
+def _gate(a, b, cp, cm, nu, xp):
     """``minimize_m``'s checks before the rim, on the floats of one form or
     the columns of a block (``xp``), with nu = its nu_tilde_minus: where the
-    form passes (nu is a number and ``StandardForm.is_physical(1e-9)``
+    form passes (nu is a number and ``StandardForm.is_physical(GATE_TOL)``
     holds), where it is near separable (m_opt = 1) and where symmetric
     (m_opt = ``m_from_nu_tilde(nu)``)."""
-    passes = (nu == nu) & reduce(operator.and_, _inequalities(a, b, cp, cm, 1e-9))
-    return (passes, nu >= 1.0 - near_separable_tol,
+    passes = (nu == nu) & reduce(operator.and_, _inequalities(a, b, cp, cm, GATE_TOL))
+    return (passes, nu >= 1.0 - NEAR_SEPARABLE_TOL,
             abs(a - b) <= SYMMETRY_RTOL * xp.maximum(a, b))
 
 
-def _scalar_gate(sf: StandardForm, nu: float = math.nan,
-                 near_separable_tol: float = NEAR_SEPARABLE_TOL) -> tuple[float, bool, bool]:
+def _scalar_gate(sf: StandardForm, nu: float = math.nan) -> tuple[float, bool, bool]:
     """``_gate`` of one form, with nu_tilde_minus taken from its spectrum
     unless the caller has it (``nu`` is not NaN), so that a form without one
     fails there first: nu_tilde_minus and the separable and symmetric
@@ -166,8 +169,7 @@ def _scalar_gate(sf: StandardForm, nu: float = math.nan,
     sqrt-amplified rounding noise."""
     if nu != nu:
         nu = sf.spectrum().nu_tilde_minus
-    passes, separable, symmetric = _gate(sf.a, sf.b, sf.c_plus, sf.c_minus, nu,
-                                         near_separable_tol, _FLOATS)
+    passes, separable, symmetric = _gate(sf.a, sf.b, sf.c_plus, sf.c_minus, nu, _FLOATS)
     if not passes:
         raise UnphysicalStateError(f"not a physical state: {sf}")
     return nu, separable, symmetric
@@ -218,7 +220,7 @@ class _ThetaProfile(NamedTuple):
         Nothing here raises or warns: the diagonal of gamma_q >= gamma_p^{-1}
         (the Schur complement of sigma + i Omega >= 0) gives r1, r2 <= 0,
         hence R = r1 r2 >= 0 up to rounding, and the uncertainty slack is at
-        least -1e-9; a degenerate rim divides by 1 in place of R."""
+        least -GATE_TOL; a degenerate rim divides by 1 in place of R."""
         dq = a * b - cm * cm
         r1 = a - b * dq
         r2 = b - a * dq
@@ -549,12 +551,7 @@ def _not_finite(a: float, b: float, cp: float, cm: float) -> MinimizationError:
 _SEPARABLE = GemResult(1.0, 0.0, 1.0, 0.0, 1)
 
 
-def minimize_m(
-    sf: StandardForm,
-    *,
-    near_separable_tol: float = NEAR_SEPARABLE_TOL,
-    log_base=2,
-) -> GemResult:
+def minimize_m(sf: StandardForm, *, log_base=2) -> GemResult:
     """Globally minimize the single-mode determinant over the rim angle.
 
     The stationary angles of the profile are the real roots of a quartic in
@@ -567,17 +564,14 @@ def minimize_m(
     one body on floats; ``minimize_columns`` gives each of its forms the
     same bits.
     """
-    if not near_separable_tol >= 0.0:
-        raise DomainError(f"near_separable_tol must be >= 0, got {near_separable_tol!r}")
     _log_divisor(log_base)  # DomainError for a base other than 2 and "e"
-    return _minimize(sf, math.nan, near_separable_tol, log_base)[1]
+    return _minimize(sf, math.nan, log_base)[1]
 
 
-def _minimize(sf: StandardForm, nu: float, near_separable_tol: float,
-              log_base) -> tuple[float, GemResult]:
+def _minimize(sf: StandardForm, nu: float, log_base) -> tuple[float, GemResult]:
     """nu_tilde_minus and ``minimize_m``'s result of one form on floats,
     given its nu_tilde_minus where the caller has it (else ``nu`` is NaN)."""
-    nu, separable, symmetric = _scalar_gate(sf, nu, near_separable_tol)
+    nu, separable, symmetric = _scalar_gate(sf, nu)
     if separable:
         return nu, _SEPARABLE
     if symmetric:
@@ -635,7 +629,7 @@ def minimize_columns(
     _log_divisor(log_base)  # DomainError for a base other than 2 and "e"
     n = len(a)
     nu = np.array(nu, dtype=float)  # a copy; None reads as NaN
-    passes, separable, symmetric = _gate(a, b, cp, cm, nu, NEAR_SEPARABLE_TOL, _ARRAYS)
+    passes, separable, symmetric = _gate(a, b, cp, cm, nu, _ARRAYS)
     symmetric &= passes & ~separable
     general = np.flatnonzero(passes & ~separable & ~symmetric)
     m_opt, theta, nu_opt = np.ones(n), np.zeros(n), np.ones(n)
@@ -658,7 +652,7 @@ def minimize_columns(
     for i in np.flatnonzero(~passes).tolist():
         try:
             sf = StandardForm(*(c[i].item() for c in (a, b, cp, cm)))
-            nu[i], gem = _minimize(sf, nu[i].item(), NEAR_SEPARABLE_TOL, log_base)
+            nu[i], gem = _minimize(sf, nu[i].item(), log_base)
         except TwoModeError as exc:
             errors[i] = exc
         else:
@@ -673,7 +667,7 @@ def minimize_columns(
                     {i: errors[i] for i in failed})
 
 
-def gaussian_eof(sf: StandardForm, log_base=2, **kwargs) -> float:
+def gaussian_eof(sf: StandardForm, log_base=2) -> float:
     """Gaussian entanglement of formation: h applied to the optimal
     pure-state PT eigenvalue; 0 for separable states."""
-    return minimize_m(sf, log_base=log_base, **kwargs).gaussian_eof
+    return minimize_m(sf, log_base=log_base).gaussian_eof

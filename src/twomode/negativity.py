@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NotSymmetricError
+# SYMMETRY_RTOL is unused here: perfbench/bench_trace.py imports
+# negativity.SYMMETRY_RTOL
 from .symplectic import (
     DEFAULT_TOL, SYMMETRY_RTOL, StandardForm, SymplecticSpectrum, _require_tol,
 )
@@ -95,7 +97,7 @@ def h_function(x: float, log_base=2) -> float:
     return (math.log1p(t) + t * math.log1p(1.0 / t)) / div
 
 
-def eof_symmetric(sf: StandardForm, log_base=2, rtol: float = SYMMETRY_RTOL) -> float:
+def eof_symmetric(sf: StandardForm, log_base=2) -> float:
     """Entanglement of formation of a symmetric (a == b) two-mode state.
 
     Equals h(nu_tilde_minus), 0 when separable; for symmetric states the optimal
@@ -103,9 +105,9 @@ def eof_symmetric(sf: StandardForm, log_base=2, rtol: float = SYMMETRY_RTOL) -> 
     convex-roof value.
 
     Raises:
-        NotSymmetricError: if |a - b| exceeds ``rtol * max(a, b)``.
+        NotSymmetricError: unless ``sf.is_symmetric()``.
     """
-    if not sf.is_symmetric(rtol):
+    if not sf.is_symmetric():
         raise NotSymmetricError(
             f"closed-form entanglement of formation needs a == b, got a={sf.a!r}, b={sf.b!r}"
         )
@@ -115,17 +117,12 @@ def eof_symmetric(sf: StandardForm, log_base=2, rtol: float = SYMMETRY_RTOL) -> 
     return h_function(nu, log_base)
 
 
-def negativity_report(
-    sf: StandardForm,
-    tol: float = DEFAULT_TOL,
-    log_base=2,
-    sym_rtol: float = SYMMETRY_RTOL,
-) -> NegativityReport:
+def negativity_report(sf: StandardForm, *, log_base=2) -> NegativityReport:
     """All PPT-based quantities for one state, plus the symmetric closed form
     when it applies."""
     nu = sf.spectrum().nu_tilde_minus
-    separable = is_separable_ppt(nu, tol)
-    eof = eof_symmetric(sf, log_base, sym_rtol) if sf.is_symmetric(sym_rtol) else None
+    separable = is_separable_ppt(nu)
+    eof = eof_symmetric(sf, log_base) if sf.is_symmetric() else None
     if separable:
         return NegativityReport(True, 0.0, 0.0, eof, log_base)
     return NegativityReport(

@@ -107,13 +107,14 @@ class StandardForm:
         return abs(self.a - self.b) <= rtol * max(self.a, self.b)
 
     def is_physical(self, tol: float = DEFAULT_TOL) -> bool:
-        """True iff the form satisfies the uncertainty principle within ``tol``."""
+        """True iff the form satisfies the uncertainty principle within ``tol``;
+        a NaN or negative ``tol`` raises DomainError."""
+        _require_tol("physicality", tol)
         return self._violation(tol) is None
 
     def _violation(self, tol: float) -> str | None:
         """Message template of the first violated physicality inequality
-        (``_inequalities``), or None; a NaN ``tol`` raises DomainError."""
-        _require_tol("physicality", tol)
+        (``_inequalities``) within ``tol``, or None."""
         holds = _inequalities(self.a, self.b, self.c_plus, self.c_minus, tol)
         return next((message for ok, message in zip(holds, _VIOLATIONS) if not ok), None)
 
@@ -139,8 +140,8 @@ class StandardForm:
 
 
 def _require_tol(name: str, tol: float) -> None:
-    """DomainError unless ``tol`` >= 0: against a NaN slack every comparison
-    is False, which accepts any state."""
+    """DomainError unless a predicate's ``tol`` is >= 0: against a NaN slack
+    every comparison is False, which accepts any state."""
     if not tol >= 0.0:
         raise DomainError(f"{name} tolerance must be >= 0, got {tol!r}")
 
@@ -186,14 +187,14 @@ def _dets(a, b, c_plus, c_minus):
     )
 
 
-def _check_matrix(cm, tol: float) -> np.ndarray:
+def _check_matrix(cm) -> np.ndarray:
     arr = np.asarray(cm, dtype=float)
     if arr.shape != (4, 4):
         raise MalformedInputError(f"expected a 4x4 covariance matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise MalformedInputError("covariance matrix contains non-finite entries")
     asym = np.max(np.abs(arr - arr.T))
-    if asym > max(tol, 1e-8 * np.max(np.abs(arr))):
+    if asym > max(DEFAULT_TOL, 1e-8 * np.max(np.abs(arr))):
         raise MalformedInputError(f"covariance matrix is not symmetric (max asymmetry {asym:g})")
     return 0.5 * (arr + arr.T)
 
@@ -230,35 +231,34 @@ def _nu_pairs(delta, det_sigma, disc):
     return np.sqrt(det_sigma / hi_sq), np.sqrt(hi_sq)
 
 
-def validate_physical(cm, tol: float = DEFAULT_TOL) -> bool:
+def validate_physical(cm) -> bool:
     """Check the uncertainty principle for a candidate covariance matrix.
 
-    True iff ``to_standard_form(cm, tol)`` accepts the matrix, i.e. iff it
-    satisfies ``StandardForm.is_physical(tol)``.
+    True iff ``to_standard_form(cm)`` accepts the matrix, i.e. iff it
+    satisfies ``StandardForm.is_physical()``.
 
     Raises:
         MalformedInputError: if the input is not a symmetric 4x4 matrix.
-        DomainError: if ``tol`` is NaN or negative.
     """
     try:
-        to_standard_form(cm, tol)
+        to_standard_form(cm)
     except UnphysicalStateError:
         return False
     return True
 
 
-def local_invariants(cm, tol: float = DEFAULT_TOL) -> SymplecticInvariants:
+def local_invariants(cm) -> SymplecticInvariants:
     """Block determinants and the Delta invariants of a physical matrix."""
-    return to_standard_form(cm, tol).invariants()
+    return to_standard_form(cm).invariants()
 
 
-def symplectic_spectrum(cm, tol: float = DEFAULT_TOL) -> SymplecticSpectrum:
+def symplectic_spectrum(cm) -> SymplecticSpectrum:
     """Symplectic eigenvalues of ``cm`` and of its partial transpose.
 
     Computed from the invariants: 2 nu_{-+}^2 = Delta -+ sqrt(Delta^2 - 4 Det),
     and the same with Delta_tilde for the partially transposed matrix.
     """
-    return to_standard_form(cm, tol).spectrum()
+    return to_standard_form(cm).spectrum()
 
 
 def spectrum_via_eigenvalues(cm) -> SymplecticSpectrum:
@@ -267,7 +267,7 @@ def spectrum_via_eigenvalues(cm) -> SymplecticSpectrum:
     Kept as an independent oracle for the closed-form path, not for
     production use.
     """
-    arr = _check_matrix(cm, DEFAULT_TOL)
+    arr = _check_matrix(cm)
 
     def _pair(mat):
         eigs = np.sort(np.abs(np.linalg.eigvals(1j * OMEGA @ mat)))
@@ -304,7 +304,7 @@ def _local_normalizer(block: np.ndarray) -> tuple[float, np.ndarray]:
     return root_det, np.array([[m11 + root_det, -m01], [-m01, m00 + root_det]]) * scale
 
 
-def to_standard_form(cm, tol: float = DEFAULT_TOL) -> StandardForm:
+def to_standard_form(cm) -> StandardForm:
     """Reduce a physical covariance matrix to its unique standard form.
 
     Local symplectic maps bring the diagonal blocks to a*I and b*I; the
@@ -318,10 +318,8 @@ def to_standard_form(cm, tol: float = DEFAULT_TOL) -> StandardForm:
         MalformedInputError: if the input is not a symmetric 4x4 matrix.
         UnphysicalStateError: if a local block is not positive definite, or
             naming the first violated inequality of the standard form.
-        DomainError: if ``tol`` is NaN or negative.
     """
-    _require_tol("physicality", tol)  # before a local block can fail
-    arr = _check_matrix(cm, tol)
+    arr = _check_matrix(cm)
     a, s1 = _local_normalizer(arr[:2, :2])
     b, s2 = _local_normalizer(arr[2:, 2:])
     (g00, g01), (g10, g11) = (s1 @ arr[:2, 2:] @ s2.T).tolist()
@@ -330,7 +328,7 @@ def to_standard_form(cm, tol: float = DEFAULT_TOL) -> StandardForm:
     p = math.hypot(g00 + g11, g01 - g10)
     q = math.hypot(g00 - g11, g01 + g10)
     sf = StandardForm(a, b, 0.5 * (p + q), 0.5 * (p - q))
-    problem = sf._violation(tol)
+    problem = sf._violation(DEFAULT_TOL)
     if problem is not None:
         inv = sf.invariants()
         raise UnphysicalStateError(problem.format(
@@ -339,14 +337,14 @@ def to_standard_form(cm, tol: float = DEFAULT_TOL) -> StandardForm:
     return sf
 
 
-def global_purity(cm, tol: float = DEFAULT_TOL) -> float:
+def global_purity(cm) -> float:
     """Tr rho^2 = 1 / sqrt(Det sigma)."""
-    return 1.0 / math.sqrt(to_standard_form(cm, tol).invariants().det_sigma)
+    return 1.0 / math.sqrt(to_standard_form(cm).invariants().det_sigma)
 
 
-def local_purities(cm, tol: float = DEFAULT_TOL) -> tuple[float, float]:
+def local_purities(cm) -> tuple[float, float]:
     """Purities of the two reduced single-mode states."""
-    sf = to_standard_form(cm, tol)
+    sf = to_standard_form(cm)
     return 1.0 / sf.a, 1.0 / sf.b
 
 

@@ -216,6 +216,17 @@ class TestNuTilde:
         nu = nu_tilde_glems(2.0, 0.5, 2.9)
         assert math.isfinite(nu) and nu >= 1.0
 
+    @pytest.mark.parametrize("nu_tilde", [nu_tilde_gmems, nu_tilde_glems])
+    @pytest.mark.parametrize("point, message", [
+        ((2.0, 1.5, 2.5), r"\|d\| <= s - 1"),  # no state, though both had a value
+        ((0.5, 0.0, 1.0), "s >= 1"),  # one raised UnphysicalStateError, one gave NaN
+        ((math.inf, 0.5, 2.5), "must be finite"),
+        ((math.nan, 0.5, 2.5), "s >= 1"),  # NaN fails the first constraint
+    ])
+    def test_out_of_domain_is_rejected(self, nu_tilde, point, message):
+        with pytest.raises(DomainError, match=message):
+            nu_tilde(*point)
+
 
 class TestGmemms:
     def test_pure_symmetric_case(self):
@@ -275,6 +286,15 @@ class TestOrdering:
 
     def test_unphysical(self):
         assert ordering_compare(2.0, 0.5, 1.5).regime is Regime.UNPHYSICAL
+
+    @pytest.mark.parametrize("point", [
+        (math.inf, 0.5, 2.5),  # meets the four constraints; was inverted with NaN m
+        (1e200, 0.5, math.inf),  # g <= s^2 - d^2 = inf; was both separable
+    ])
+    def test_non_finite_points_are_unphysical(self, point):
+        verdict = ordering_compare(*point)
+        assert verdict.regime is Regime.UNPHYSICAL
+        assert math.isnan(verdict.m_gmems) and math.isnan(verdict.m_glems)
 
     def test_inversion_exists_at_fixed_a_five(self):
         cells, _ = scan_ordering_slice(5.0, (1.0, 5.0), (1.0, 9.0), 60)

@@ -216,15 +216,6 @@ class TestMinimize:
         assert gem.m_opt == 1.0
         assert gem.gaussian_eof == 0.0
 
-    @pytest.mark.parametrize("tol", [-0.5, -1e-12, math.nan])
-    def test_negative_or_nan_near_separable_tol_is_rejected(self, tol):
-        # a separable state that a negative band would push onto the rim
-        with pytest.raises(DomainError, match="near_separable_tol"):
-            minimize_m(StandardForm(2.0, 1.5, 0.3, 0.2), near_separable_tol=tol)
-
-    def test_zero_near_separable_tol_is_accepted(self):
-        assert minimize_m(StandardForm(2.0, 2.0, 0.3, 0.2), near_separable_tol=0.0).m_opt == 1.0
-
     def test_symmetric_reduction_matches_general_path(self, rng):
         worst = 0.0
         for a in rng.uniform(1.3, 8.0, size=25):
@@ -654,8 +645,8 @@ def test_row_the_mask_fails_takes_minimize_m_route(monkeypatch):
     expected = [repr((sf.spectrum().nu_tilde_minus, minimize_m(sf))) for sf in forms]
     gate = gaussian_em._gate
 
-    def failing(a, b, cp, cm, nu, near_separable_tol, xp):
-        passes, separable, symmetric = gate(a, b, cp, cm, nu, near_separable_tol, xp)
+    def failing(a, b, cp, cm, nu, xp):
+        passes, separable, symmetric = gate(a, b, cp, cm, nu, xp)
         return (passes if xp is _FLOATS else passes & False), separable, symmetric
 
     monkeypatch.setattr(gaussian_em, "_gate", failing)

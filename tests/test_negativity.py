@@ -141,8 +141,6 @@ class TestSeparability:
         # "1.5 >= 1 - nan" is False, which reported separable states entangled
         with pytest.raises(DomainError, match="tolerance"):
             is_separable_ppt(1.5, tol)
-        with pytest.raises(DomainError, match="tolerance"):
-            negativity_report(StandardForm(2.0, 1.5, 0.3, 0.2), tol=tol)
 
 
 class TestEofSymmetric:
