@@ -105,24 +105,35 @@ def eof_symmetric(sf: StandardForm, log_base=2) -> float:
     convex-roof value.
 
     Raises:
+        DomainError: if ``log_base`` is not 2 or "e".
         NotSymmetricError: unless ``sf.is_symmetric()``.
     """
+    _log_divisor(log_base)
     if not sf.is_symmetric():
         raise NotSymmetricError(
             f"closed-form entanglement of formation needs a == b, got a={sf.a!r}, b={sf.b!r}"
         )
-    nu = sf.spectrum().nu_tilde_minus
-    if nu >= 1.0:
+    return _eof_symmetric(sf.spectrum().nu_tilde_minus, log_base)
+
+
+def _eof_symmetric(nu_tilde_minus: float, log_base) -> float:
+    """``eof_symmetric`` of a symmetric form from its nu_tilde_minus."""
+    if nu_tilde_minus >= 1.0:
         return 0.0
-    return h_function(nu, log_base)
+    return h_function(nu_tilde_minus, log_base)
 
 
 def negativity_report(sf: StandardForm, *, log_base=2) -> NegativityReport:
     """All PPT-based quantities for one state, plus the symmetric closed form
-    when it applies."""
+    when it applies.
+
+    Raises:
+        DomainError: if ``log_base`` is not 2 or "e", separable state or not.
+    """
+    _log_divisor(log_base)
     nu = sf.spectrum().nu_tilde_minus
     separable = is_separable_ppt(nu)
-    eof = eof_symmetric(sf, log_base) if sf.is_symmetric() else None
+    eof = _eof_symmetric(nu, log_base) if sf.is_symmetric() else None
     if separable:
         return NegativityReport(True, 0.0, 0.0, eof, log_base)
     return NegativityReport(

@@ -187,16 +187,21 @@ def _dets(a, b, c_plus, c_minus):
     )
 
 
-def _check_matrix(cm) -> np.ndarray:
+def _check_matrix(cm) -> list[list[float]]:
+    """Rows of the symmetrized 4x4 matrix ``cm`` as Python floats, after the
+    shape, finiteness and asymmetry checks."""
     arr = np.asarray(cm, dtype=float)
     if arr.shape != (4, 4):
         raise MalformedInputError(f"expected a 4x4 covariance matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    rows = arr.tolist()
+    flat = rows[0] + rows[1] + rows[2] + rows[3]
+    if not all(map(math.isfinite, flat)):
         raise MalformedInputError("covariance matrix contains non-finite entries")
-    asym = np.max(np.abs(arr - arr.T))
-    if asym > max(DEFAULT_TOL, 1e-8 * np.max(np.abs(arr))):
+    cols = list(zip(*rows))
+    asym = max(abs(x - y) for row, col in zip(rows, cols) for x, y in zip(row, col))
+    if asym > max(DEFAULT_TOL, 1e-8 * max(map(abs, flat))):
         raise MalformedInputError(f"covariance matrix is not symmetric (max asymmetry {asym:g})")
-    return 0.5 * (arr + arr.T)
+    return [[0.5 * (x + y) for x, y in zip(row, col)] for row, col in zip(rows, cols)]
 
 
 def _nu_pair(delta: float, det_sigma: float, disc: float) -> tuple[float, float]:
@@ -267,7 +272,7 @@ def spectrum_via_eigenvalues(cm) -> SymplecticSpectrum:
     Kept as an independent oracle for the closed-form path, not for
     production use.
     """
-    arr = _check_matrix(cm)
+    arr = np.array(_check_matrix(cm))
 
     def _pair(mat):
         eigs = np.sort(np.abs(np.linalg.eigvals(1j * OMEGA @ mat)))
@@ -285,14 +290,14 @@ def partial_transpose(cm) -> np.ndarray:
     return flip @ arr @ flip
 
 
-def _local_normalizer(block: np.ndarray) -> tuple[float, np.ndarray]:
-    """sqrt(det M) and the local symplectic S with S M S^T = sqrt(det M) I,
-    for a positive-definite 2x2 block M.
+def _local_normalizer(m00: float, m01: float, m11: float) -> tuple[float, float, float, float]:
+    """sqrt(det M) and the entries (s00, s01, s11) of the symmetric local
+    symplectic S with S M S^T = sqrt(det M) I, for a positive-definite 2x2
+    block M = [[m00, m01], [m01, m11]].
 
     S = adj(sqrt M) / det(M)^(1/4), with the closed-form matrix square root
     sqrt M = (M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M)).
     """
-    (m00, m01), (_, m11) = block.tolist()
     det = m00 * m11 - m01 * m01
     if not (m00 > 0.0 and det > 0.0):
         raise UnphysicalStateError(
@@ -301,7 +306,7 @@ def _local_normalizer(block: np.ndarray) -> tuple[float, np.ndarray]:
         )
     root_det = math.sqrt(det)
     scale = 1.0 / math.sqrt((m00 + m11 + 2.0 * root_det) * root_det)
-    return root_det, np.array([[m11 + root_det, -m01], [-m01, m00 + root_det]]) * scale
+    return root_det, (m11 + root_det) * scale, -m01 * scale, (m00 + root_det) * scale
 
 
 def to_standard_form(cm) -> StandardForm:
@@ -319,10 +324,18 @@ def to_standard_form(cm) -> StandardForm:
         UnphysicalStateError: if a local block is not positive definite, or
             naming the first violated inequality of the standard form.
     """
-    arr = _check_matrix(cm)
-    a, s1 = _local_normalizer(arr[:2, :2])
-    b, s2 = _local_normalizer(arr[2:, 2:])
-    (g00, g01), (g10, g11) = (s1 @ arr[:2, 2:] @ s2.T).tolist()
+    (m00, m01, c00, c01), (_, m11, c10, c11), (_, _, n00, n01), (*_, n11) = _check_matrix(cm)
+    a, s00, s01, s11 = _local_normalizer(m00, m01, m11)
+    b, t00, t01, t11 = _local_normalizer(n00, n01, n11)
+    # G = (S1 gamma) S2^T, both S symmetric
+    h00 = s00 * c00 + s01 * c10
+    h01 = s00 * c01 + s01 * c11
+    h10 = s01 * c00 + s11 * c10
+    h11 = s01 * c01 + s11 * c11
+    g00 = h00 * t00 + h01 * t01
+    g01 = h00 * t01 + h01 * t11
+    g10 = h10 * t00 + h11 * t01
+    g11 = h10 * t01 + h11 * t11
     # (P + Q) / 2 and (P - Q) / 2 are the signed singular values of G, since
     # P^2 - Q^2 = 4 Det G
     p = math.hypot(g00 + g11, g01 - g10)

@@ -161,6 +161,12 @@ class TestEofSymmetric:
         with pytest.raises(NotSymmetricError):
             eof_symmetric(StandardForm(2.0, 1.5, 1.0, -1.0))
 
+    def test_bad_log_base_raises_on_a_separable_state(self):
+        # the base is checked before the spectrum decides that no logarithm
+        # is taken
+        with pytest.raises(DomainError, match="log_base"):
+            eof_symmetric(StandardForm(2.0, 2.0, 0.3, 0.2), log_base=10)
+
     def test_order_equivalence_with_negativity(self, rng):
         # on symmetric states both measures sort any pair identically
         states = []
@@ -190,6 +196,27 @@ class TestReport:
         assert rep.negativity == 0.0
         assert rep.log_negativity == 0.0
         assert rep.eof_symmetric == 0.0
+
+    @pytest.mark.parametrize("sf", [StandardForm(2.0, 1.5, 0.3, 0.2),
+                                    StandardForm(2.0, 2.0, 0.3, 0.2)])
+    def test_bad_log_base_raises_on_a_separable_state(self, sf):
+        assert negativity_report(sf).separable
+        with pytest.raises(DomainError, match="log_base"):
+            negativity_report(sf, log_base=10)
+
+    def test_symmetric_closed_form_equals_eof_symmetric(self, rng):
+        # the report reuses its own nu_tilde_minus: same bits as the public call
+        separable = []
+        for a, u, v in rng.uniform(size=(60, 3)):
+            a = 1.0 + 5.0 * a
+            c = math.sqrt(a * a - 1.0)
+            sf = StandardForm(a, a, u * c, -v * c)
+            if not sf.is_physical():
+                continue
+            separable.append(negativity_report(sf).separable)
+            for base in (2, "e"):
+                assert negativity_report(sf, log_base=base).eof_symmetric == eof_symmetric(sf, base)
+        assert separable.count(True) >= 20 and separable.count(False) >= 5
 
     def test_asymmetric_report_has_no_closed_form(self, rng):
         for _, sf in draw_entangled_states(rng, 10):

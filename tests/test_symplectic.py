@@ -1,5 +1,7 @@
 import math
+import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -306,6 +308,86 @@ class TestStandardForm:
         inv_b = sf.invariants()
         assert inv_a.det_gamma == pytest.approx(inv_b.det_gamma)
         assert inv_a.det_sigma == pytest.approx(inv_b.det_sigma)
+
+
+def _reference_standard_form(cm):
+    """(a, b, c_plus, c_minus) of the binary matrix ``cm`` at 50 digits, from
+    local invariants alone: a and b are the square roots of the block
+    determinants, c_plus c_minus = Det gamma, and
+    c_plus^2 + c_minus^2 = tr(gamma adj(beta) gamma^T adj(alpha)) / (a b)."""
+    with mpmath.workdps(50):
+        (s00, s01, g00, g01), (_, s11, g10, g11), (_, _, t00, t01), (*_, t11) = [
+            [mpmath.mpf(x) for x in row] for row in cm.tolist()]
+        a = mpmath.sqrt(s00 * s11 - s01 * s01)
+        b = mpmath.sqrt(t00 * t11 - t01 * t01)
+        gamma = mpmath.matrix([[g00, g01], [g10, g11]])
+        adj_alpha = mpmath.matrix([[s11, -s01], [-s01, s00]])
+        adj_beta = mpmath.matrix([[t11, -t01], [-t01, t00]])
+        prod = mpmath.det(gamma)
+        squares = sum((gamma * adj_beta * gamma.T * adj_alpha)[k, k] for k in range(2)) / (a * b)
+        plus = mpmath.sqrt(squares + 2 * prod)
+        minus = mpmath.sqrt(max(squares - 2 * prod, 0))
+        return a, b, (plus + minus) / 2, (plus - minus) / 2
+
+
+def _raw_matrices(rng, count):
+    """Physical standard forms with a, b in [1, 20] seen through random local
+    symplectic maps: rotation, squeeze exp(+-r) with |r| <= 0.75, rotation."""
+    out = []
+    while len(out) < count:
+        a, b = rng.uniform(1.0, 20.0, size=2)
+        c_plus = rng.uniform(0.0, math.sqrt(a * b - 1.0))
+        sf = StandardForm(a, b, c_plus, rng.uniform(-c_plus, c_plus))
+        if not sf.is_physical():
+            continue
+        phi, psi = rng.uniform(0.0, 2.0 * math.pi, size=(2, 2))
+        r1, r2 = rng.uniform(-0.75, 0.75, size=2)
+        s = local_rotation(*phi) @ np.diag([math.exp(r1), math.exp(-r1), math.exp(r2), math.exp(-r2)]) \
+            @ local_rotation(*psi)
+        m = s @ sf.to_matrix() @ s.T
+        out.append(0.5 * (m + m.T))
+    return out
+
+
+class TestReductionAccuracy:
+    def test_matches_50_digit_reduction(self):
+        # bound fixed before the run: 8e-15 relative to max(|x|, 1) on each
+        # of a, b, c_plus and c_minus
+        worst = 0.0
+        for cm in _raw_matrices(np.random.default_rng(28), 300):
+            got = to_standard_form(cm)
+            ref = _reference_standard_form(cm)
+            for x, want in zip((got.a, got.b, got.c_plus, got.c_minus), ref):
+                worst = max(worst, float(abs(mpmath.mpf(x) - want) / max(abs(want), 1)))
+        assert worst <= 8e-15
+
+    def test_list_tuple_int_and_array_inputs_agree(self):
+        cm = _raw_matrices(np.random.default_rng(5), 1)[0]
+        want = to_standard_form(cm)
+        assert to_standard_form(cm.tolist()) == want
+        assert to_standard_form(tuple(map(tuple, cm.tolist()))) == want
+        # an asymmetry within the bound is averaged away before the reduction
+        skewed = cm + 1e-12 * np.triu(np.ones((4, 4)), 1)
+        assert to_standard_form(skewed) == to_standard_form(0.5 * (skewed + skewed.T))
+        ints = [[3, 0, 2, 0], [0, 3, 0, -2], [2, 0, 3, 0], [0, -2, 0, 3]]
+        assert to_standard_form(ints) == to_standard_form(np.array(ints, dtype=float)) \
+            == StandardForm(3.0, 3.0, 2.0, -2.0)
+
+    @pytest.mark.parametrize("cm, message", [
+        (np.eye(3), "expected a 4x4 covariance matrix, got shape (3, 3)"),
+        ([[1.0, 2.0]], "expected a 4x4 covariance matrix, got shape (1, 2)"),
+        (np.diag([1.0, math.inf, 1.0, 1.0]), "covariance matrix contains non-finite entries"),
+        (np.diag([1.0, 1.0, math.nan, 1.0]), "covariance matrix contains non-finite entries"),
+        ([[1, 0.5, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+         "covariance matrix is not symmetric (max asymmetry 0.5)"),
+        (3e3 * np.eye(4) + np.diag([1e-4], 3),
+         "covariance matrix is not symmetric (max asymmetry 0.0001)"),
+    ])
+    def test_malformed_messages(self, cm, message):
+        with pytest.raises(MalformedInputError, match=f"^{re.escape(message)}$"):
+            to_standard_form(cm)
+        with pytest.raises(MalformedInputError, match=f"^{re.escape(message)}$"):
+            spectrum_via_eigenvalues(cm)
 
 
 class TestPurities:

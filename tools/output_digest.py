@@ -17,10 +17,12 @@ cold-start command, whose one block is partial),
 the criterion-5 `scan` window at resolutions 200 and 60, the README
 `scan3d` window at resolution 24, a `scan3d` window at s ~ 8.73e4 at
 resolution 8 (every cell physical), two `scan` windows at resolution 4, one
-with no boundary point and one with no physical cell, and four `measure`
-reports.  Each scan contributes its grid and boundary CSVs, its stdout
-summary (cell count, boundary-point count and cells per regime) and its
-stderr (the warning of a window with no physical cell).  They run in a
+with no boundary point and one with no physical cell, four `measure`
+reports of already-standard matrices and one of a raw JSON ``cm``, which
+takes the full reduction to the standard form.  Each scan contributes its
+grid and boundary CSVs, its stdout summary (cell count, boundary-point
+count and cells per regime) and its stderr (the warning of a window with no
+physical cell).  They run in a
 temporary directory against the `twomode` package in this checkout's
 `src/`, and each output prints as one `sha256  label` line.  Running it on two commits and
 diffing the lines shows which outputs a change moved.
@@ -31,6 +33,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -55,6 +58,29 @@ MEASURES = [
     ["--params", "2", "0.5", "2.5", "-1"],
     ["--params", "2", "0.5", "2", "0.3"],
 ]
+
+#: The raw ``cm`` measured from a JSON file: the entangled general standard
+#: form (a, b, c_plus, c_minus) = (2.5, 1.5, 1.2, -1.0) seen through local
+#: symplectic maps, each a squeeze diag(z, 1/z) followed by a rotation of
+#: rational cosine.  Built in Python floats, so its bytes do not depend on
+#: numpy.
+RAW_FORM = (2.5, 1.5, 1.2, -1.0)
+RAW_LOCAL_MAPS = ((0.6, 0.8, 2.0), (5 / 13, 12 / 13, 0.8))
+
+
+def _raw_cm() -> list[list[float]]:
+    """S sigma S^T for sigma of RAW_FORM and S the direct sum of the two
+    RAW_LOCAL_MAPS."""
+    a, b, cp, cm = RAW_FORM
+    sigma = [[a, 0.0, cp, 0.0], [0.0, a, 0.0, cm], [cp, 0.0, b, 0.0], [0.0, cm, 0.0, b]]
+    s = [[0.0] * 4 for _ in range(4)]
+    for k, (cos, sin, z) in zip((0, 2), RAW_LOCAL_MAPS):
+        s[k][k], s[k][k + 1], s[k + 1][k], s[k + 1][k + 1] = cos * z, -sin / z, sin * z, cos / z
+
+    def product(x, y):
+        return [[sum(x[i][k] * y[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
+
+    return product(product(s, sigma), [list(col) for col in zip(*s)])
 
 
 def _run(argv: list[str]) -> tuple[bytes, bytes]:
@@ -98,6 +124,8 @@ def _outputs():
         yield f"{command}{tag} {resolution} stderr", warning
     for argv in MEASURES:
         yield "measure " + " ".join(argv), _run(["measure", *argv])[0]
+    Path("raw_cm.json").write_text(json.dumps({"cm": _raw_cm()}))
+    yield "measure raw_cm.json", _run(["measure", "raw_cm.json"])[0]
 
 
 def main() -> int:
