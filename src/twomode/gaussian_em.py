@@ -34,11 +34,17 @@ Python floats (``_FLOATS``, ``math``), so a single call pays no array
 overhead; ``minimize_columns`` passes a block's columns (``_ARRAYS``,
 NumPy), whose branches are masks.  The body uses only +, -, *, /, sqrt and
 selection, which IEEE arithmetic rounds the same way on both, and
-``math.atan`` of the winning root on both, so both give the same bits.  A
-block row that fails the gate's mask, a missing nu_tilde_minus included,
-falls back on ``minimize_m``'s float route, which computes its spectrum, so
-each error keeps its type and message; a row whose profile is not finite
-at its stationary points gets its ``MinimizationError`` in the block.
+``math.atan`` of the winning root on both, so both give the same bits.
+Selections that few forms take (the zero quartic of a flat profile,
+c = d = 0 in the monic quartic, the cancelled member of a root pair, the
+Newton polish of a complex pair) run behind ``xp.any`` of their mask, so
+one form's float route pays for them only where it takes them.
+``minimize_m``'s gate reads the spectrum the form keeps once computed
+(``StandardForm.spectrum()``).  A block row that fails the gate's mask, a
+missing nu_tilde_minus included, falls back on ``minimize_m``'s float
+route, which computes its spectrum, so each error keeps its type and
+message; a row whose profile is not finite at its stationary points gets
+its ``MinimizationError`` in the block.
 """
 
 from __future__ import annotations
@@ -73,13 +79,15 @@ SQRT_CLAMP = 1e-12
 _ETA = np.array([1.0, -1.0, -1.0])  # Minkowski metric signature (+, -, -)
 
 #: The one body's ``xp`` on one form's floats: ``extremal._FLOATS``;
-#: ``any`` of a Newton loop's one flag; and ``each``, which maps f over
-#: the four stationary points one at a time.
+#: ``any`` of a guard's or a Newton loop's one flag; and ``each``, which
+#: maps f over the four stationary points one at a time.
 _FLOATS = SimpleNamespace(**vars(extremal._FLOATS), any=bool,
                           each=lambda f, *args: [f(*point) for point in zip(*args)])
-#: Its ``xp`` on a block's columns: NumPy, and ``each`` as one call of f on
-#: the points' stacked columns.
-_ARRAYS = SimpleNamespace(sqrt=np.sqrt, maximum=np.maximum, where=np.where, any=np.any,
+#: Its ``xp`` on a block's columns: NumPy; ``any`` as ``np.count_nonzero``,
+#: nonzero where some entry holds, at about a sixth of the cost of an
+#: ``np.any`` call on a block; and ``each`` as one call of f on the points'
+#: stacked columns.
+_ARRAYS = SimpleNamespace(sqrt=np.sqrt, maximum=np.maximum, where=np.where, any=np.count_nonzero,
                           each=lambda f, *args: list(f(*map(np.stack, args))))
 
 #: Most Newton steps that one root of the root step takes.  Sampled
@@ -281,18 +289,23 @@ class _ThetaProfile(NamedTuple):
     def flipped(self, flip, xp) -> "_ThetaProfile":
         """The profile in u = 1/t where ``flip``: t -> 1/t swaps the ends of
         N and D in ``at``, as negating n1 and dc does."""
-        return self._replace(n1=xp.where(flip, -self.n1, self.n1),
-                             dc=xp.where(flip, -self.dc, self.dc))
+        n0, n1, d0, dc, ds = self
+        return _ThetaProfile(n0, xp.where(flip, -n1, n1), d0, xp.where(flip, -dc, dc), ds)
 
     def at(self, x):
         """m at t = tan(theta/2) = x, in arithmetic alone:
         m - 1 = N^2 / ((1 + t^2) D) with N = (n0 - n1) t^2 + (n0 + n1) and
-        D = (d0 - dc) t^2 + 2 ds t + (d0 + dc); at t = 0 of a ``flipped``
-        profile it is theta = pi, m = 1 + (n0 - n1)^2 / (d0 - dc)."""
+        D = (d0 - dc) t^2 + 2 ds t + (d0 + dc)."""
         n0, n1, d0, dc, ds = self
         x2 = x * x
         num = (n0 - n1) * x2 + (n0 + n1)
         return 1.0 + num / (1.0 + x2) * (num / ((d0 - dc) * x2 + 2.0 * ds * x + (d0 + dc)))
+
+    def at_pi(self):
+        """m at theta = pi, 1 + (n0 - n1)^2 / (d0 - dc): what ``at`` of the
+        ``flipped`` profile gives at u = 0, where its terms in u vanish."""
+        n0, n1, d0, dc, _ = self
+        return 1.0 + (n0 - n1) * ((n0 - n1) / (d0 - dc))
 
     def __call__(self, theta):
         """m at the angles theta, by NumPy's trigonometry: ``m_theta``, and
@@ -376,16 +389,19 @@ def _newton(x, f, moving, xp):
     its slope is not zero and its last step exceeded 1e-8 of it (past that
     a quadratically convergent step leaves only rounding), and at most
     ``_NEWTON_STEPS``: an entry's steps depend on it alone, so it gets the
-    same bits on floats and in any block."""
+    same bits on floats and in any block.  Where no entry moves, nothing
+    runs."""
+    if not xp.any(moving):
+        return x
     last = xp.where(moving, math.inf, 0.0)
     for _ in range(_NEWTON_STEPS):
-        if not xp.any(moving):
-            break
         value, slope = f(x)
         step = value / xp.where(slope == 0.0, 1.0, slope)
         moving = (abs(step) < last) & (slope != 0.0)
         x = xp.where(moving, x - step, x)
         moving = moving & (abs(step) > 1e-8 * abs(x))
+        if not xp.any(moving):
+            break
         last = xp.where(moving, abs(step), 0.0)
     return x
 
@@ -394,8 +410,9 @@ def _by_product(x1, x2, prod, xp):
     """Two numbers whose product is ``prod``: where one is under a quarter
     of the other, it has cancelled, and is taken as prod over the other."""
     size1, size2 = abs(x1), abs(x2)
-    return (xp.where(4.0 * size1 < size2, prod / xp.where(x2 == 0.0, 1.0, x2), x1),
-            xp.where(4.0 * size2 < size1, prod / xp.where(x1 == 0.0, 1.0, x1), x2))
+    small1, small2 = 4.0 * size1 < size2, 4.0 * size2 < size1
+    return (xp.where(small1, prod / xp.where(x2 == 0.0, 1.0, x2), x1) if xp.any(small1) else x1,
+            xp.where(small2, prod / xp.where(x1 == 0.0, 1.0, x1), x2) if xp.any(small2) else x2)
 
 
 def _cube_root_above(r, xp):
@@ -436,7 +453,9 @@ def _stationary_points(quartic, xp):
     its real part, which bounds the minimum from above like any angle.
     """
     c4, c3, c2, c1, c0 = quartic
-    c0 = xp.where((c4 == 0.0) & (c3 == 0.0) & (c2 == 0.0) & (c1 == 0.0) & (c0 == 0.0), 1.0, c0)
+    zero = (c4 == 0.0) & (c3 == 0.0) & (c2 == 0.0) & (c1 == 0.0) & (c0 == 0.0)
+    if xp.any(zero):
+        c0 = xp.where(zero, 1.0, c0)
     flip = abs(c4) < abs(c0)
     e = (xp.where(flip, c0, c4), xp.where(flip, c1, c3), c2,
          xp.where(flip, c3, c1), xp.where(flip, c4, c0))
@@ -469,7 +488,9 @@ def _stationary_points(quartic, xp):
     right = resolvent(b / 3.0 + turn)[0] <= 0.0
     y = _newton(b / 3.0 + xp.where(right, bound, -bound), halley, True, xp)
     # c = d = 0: R(y) = y^2 (y - b), whose double root the steps approach slowly
-    y = xp.where((c == 0.0) & (d == 0.0), _positive(b, xp), y)
+    level = (c == 0.0) & (d == 0.0)
+    if xp.any(level):
+        y = xp.where(level, _positive(b, xp), y)
     # al = a/2 +- p and be = y/2 +- q, with p q = (a y - 2c)/4: the larger
     # of p^2 and q^2 is taken by its square root, and its pair gives the
     # other through al1 + al2 = a, be1 + be2 = y and al1 be2 + al2 be1 = c
@@ -498,12 +519,12 @@ def _stationary_points(quartic, xp):
         real += [disc >= 0.0] * 2
         cplx += [disc < 0.0] * 2
     xs = xp.each(lambda x, moving: _newton(x, quartic_at, moving, xp), xs, real)
-    extrema = xp.where(ends, 1, 0)
+    extrema = 0 + ends  # a count on floats and on columns alike
     for i, x in enumerate(xs):
         new = real[i]
         for j in range(i):
             new = new & (cplx[j] | (xs[j] != x))
-        extrema = extrema + xp.where(new, 1, 0)
+        extrema = extrema + new
     return flip, list(zip(xs, real)), extrema
 
 
@@ -521,7 +542,7 @@ def _rim_minimum(profile: _ThetaProfile, xp):
         finite = finite & (abs(m) < math.inf)
         lower = m < m_min
         m_min, x_min = xp.where(lower, m, m_min), xp.where(lower, x, x_min)
-    m_pi = profile.flipped(True, xp).at(0.0)  # theta = pi, u = 0
+    m_pi = profile.at_pi()
     at_pi = m_pi < m_min
     return (xp.where(at_pi, m_pi, m_min), xp.where(at_pi, 0.0, x_min), xp.where(at_pi, True, flip),
             extrema, finite & (abs(m_pi) < math.inf))

@@ -98,10 +98,21 @@ class StandardForm:
         return SymplecticInvariants(a * a, b * b, cp * cm, *_dets(a, b, cp, cm))
 
     def spectrum(self) -> SymplecticSpectrum:
-        det_sigma, delta, delta_tilde = _dets(self.a, self.b, self.c_plus, self.c_minus)
-        nu = _nu_pair(delta, det_sigma, delta * delta - 4.0 * det_sigma)
-        nu_t = _nu_pair(delta_tilde, det_sigma, delta_tilde * delta_tilde - 4.0 * det_sigma)
-        return SymplecticSpectrum(*nu, *nu_t)
+        """The spectrum, computed on the first call and kept in the
+        instance ``__dict__`` outside the fields, so equality, hashing,
+        ``repr``, ``asdict``, ``replace`` and pickling never see it; a call
+        that raises keeps nothing."""
+        spectrum = self.__dict__.get("_spectrum")
+        if spectrum is None:
+            det_sigma, delta, delta_tilde = _dets(self.a, self.b, self.c_plus, self.c_minus)
+            nu = _nu_pair(delta, det_sigma, delta * delta - 4.0 * det_sigma)
+            nu_t = _nu_pair(delta_tilde, det_sigma, delta_tilde * delta_tilde - 4.0 * det_sigma)
+            spectrum = self.__dict__["_spectrum"] = SymplecticSpectrum(*nu, *nu_t)
+        return spectrum
+
+    def __getstate__(self):
+        """Pickled state: the fields, without the kept spectrum."""
+        return {name: value for name, value in self.__dict__.items() if name != "_spectrum"}
 
     def is_symmetric(self, rtol: float = SYMMETRY_RTOL) -> bool:
         return abs(self.a - self.b) <= rtol * max(self.a, self.b)
@@ -189,7 +200,9 @@ def _dets(a, b, c_plus, c_minus):
 
 def _check_matrix(cm) -> list[list[float]]:
     """Rows of the symmetrized 4x4 matrix ``cm`` as Python floats, after the
-    shape, finiteness and asymmetry checks."""
+    shape, finiteness and asymmetry checks.  Each off-diagonal pair is
+    halved before it is summed, which no finite pair overflows; a diagonal
+    entry is its own mean."""
     arr = np.asarray(cm, dtype=float)
     if arr.shape != (4, 4):
         raise MalformedInputError(f"expected a 4x4 covariance matrix, got shape {arr.shape}")
@@ -197,11 +210,14 @@ def _check_matrix(cm) -> list[list[float]]:
     flat = rows[0] + rows[1] + rows[2] + rows[3]
     if not all(map(math.isfinite, flat)):
         raise MalformedInputError("covariance matrix contains non-finite entries")
-    cols = list(zip(*rows))
-    asym = max(abs(x - y) for row, col in zip(rows, cols) for x, y in zip(row, col))
+    x00, x01, x02, x03, x10, x11, x12, x13, x20, x21, x22, x23, x30, x31, x32, x33 = flat
+    asym = max(abs(x01 - x10), abs(x02 - x20), abs(x03 - x30),
+               abs(x12 - x21), abs(x13 - x31), abs(x23 - x32))
     if asym > max(DEFAULT_TOL, 1e-8 * max(map(abs, flat))):
         raise MalformedInputError(f"covariance matrix is not symmetric (max asymmetry {asym:g})")
-    return [[0.5 * (x + y) for x, y in zip(row, col)] for row, col in zip(rows, cols)]
+    s01, s02, s03 = 0.5 * x01 + 0.5 * x10, 0.5 * x02 + 0.5 * x20, 0.5 * x03 + 0.5 * x30
+    s12, s13, s23 = 0.5 * x12 + 0.5 * x21, 0.5 * x13 + 0.5 * x31, 0.5 * x23 + 0.5 * x32
+    return [[x00, s01, s02, s03], [s01, x11, s12, s13], [s02, s12, x22, s23], [s03, s13, s23, x33]]
 
 
 def _nu_pair(delta: float, det_sigma: float, disc: float) -> tuple[float, float]:
@@ -276,7 +292,7 @@ def spectrum_via_eigenvalues(cm) -> SymplecticSpectrum:
 
     def _pair(mat):
         eigs = np.sort(np.abs(np.linalg.eigvals(1j * OMEGA @ mat)))
-        return float(0.5 * (eigs[0] + eigs[1])), float(0.5 * (eigs[2] + eigs[3]))
+        return float(0.5 * eigs[0] + 0.5 * eigs[1]), float(0.5 * eigs[2] + 0.5 * eigs[3])
 
     nu_minus, nu_plus = _pair(arr)
     nu_t_minus, nu_t_plus = _pair(partial_transpose(arr))

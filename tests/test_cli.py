@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from twomode import bounds, cli, extremal
+from twomode import bounds, cli, extremal, symplectic
 from twomode.bounds import SamplerConfig, iter_samples
 from twomode.cli import EXIT_OK, EXIT_UNPHYSICAL, EXIT_USAGE, main
 
@@ -51,6 +51,23 @@ class TestMeasure:
         assert code == EXIT_OK
         report = json.loads(out)
         assert report["standard_form"]["a"] == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("state", [
+        {"standard_form": {"a": 5 / 3, "b": 5 / 3, "c_plus": 4 / 3, "c_minus": -4 / 3}},
+        {"cm": [[2.0, 0.3, 1.1, 0.0], [0.3, 2.0, 0.0, -1.0],
+                [1.1, 0.0, 1.5, 0.2], [0.0, -1.0, 0.2, 1.5]]},  # a general form
+    ])
+    def test_one_spectrum_per_report(self, state, capsys, tmp_path, monkeypatch):
+        # the report, negativity_report and minimize_m all read the form's
+        # one stored spectrum: one pair for sigma, one for its transpose
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state))
+        pairs = []
+        nu_pair = symplectic._nu_pair
+        monkeypatch.setattr(symplectic, "_nu_pair", lambda *args: pairs.append(args) or nu_pair(*args))
+        code, out, _ = run(capsys, "measure", str(path))
+        assert code == EXIT_OK and json.loads(out)["gaussian_em"]["gaussian_eof"] > 0.0
+        assert len(pairs) == 2
 
     def test_params_input_reports_closed_form(self, capsys):
         code, out, _ = run(capsys, "measure", "--params", "2", "0.5", "2.5", "1")

@@ -779,3 +779,72 @@ def test_minimum_matches_60_digits(s_max):
     # the eigenvalue route's worst is 5.7e-15 at s_max 20 and 1.05e-7 at 1e5
     bound = 1e-13 if s_max == 20.0 else max(eigenvalue_route_errors)
     assert all(error <= bound for error in errors), max(errors)
+
+
+# One block on which each guarded selection of the root step holds in some
+# rows and not in others, with the float route's bits of each row: the
+# profile of the first is flat (a zero quartic), the monic quartics of the
+# next two have c = d = 0, and the others have complex pairs and cancelled
+# members of a pair that _by_product takes by its product.  Without its
+# selection, each of the rows from the third on would get other bits.
+GUARDED_ROWS = {
+    BLOCK_ROWS[3]: ("0x1.638e387981c99p+1", "0x1.921fb54442d18p+1", "0x1.55555594f6650p-2",
+                    "0x1.14ea90310dc48p+0", 1),
+    BLOCK_ROWS[4]: ("0x1.0e216837af1a6p+0", "0x1.921fb54442d18p+1", "0x1.95a6a3fa291bdp-1",
+                    "0x1.aaa79f0e4bb5cp-4", 2),
+    # c = d = 0, where the Halley steps would end short of the double root
+    StandardForm(77.34495282175133, 252.61553116967832, 139.5422926035002, -138.08834785698522):
+        ("0x1.b632c1746cc21p+1", "0x1.9db494f99dc84p+1", "0x1.2c8f1c239a6e3p-2",
+         "0x1.40c3b6db64971p+0", 4),
+    # the first and the second member of a pair cancel
+    StandardForm(1.1020302117069825, 1.0078763335820364, 0.07950040160244184, -0.05231900392618696):
+        ("0x1.00651ff8c1f77p+0", "0x1.8ab16c4322ac9p+1", "0x1.ec485e888047ep-1",
+         "0x1.430f0ea582f87p-8", 2),
+    StandardForm(1.1954329690581864, 1.332549501566223, 0.6202383061513952, -0.5594267827639536):
+        ("0x1.2efccf43981d8p+0", "0x1.aba0e1d6c4b07p+1", "0x1.51a846d2338b2p-1",
+         "0x1.0d3c6627c7e88p-2", 2),
+    CUBE_ROUNDING: ("0x1.208ca0ac45f59p+0", "0x1.8b522e30e9761p+1", "0x1.69025c0018d93p-1",
+                    "0x1.9978b4edbd4abp-3", 2),
+}
+
+
+def test_guarded_selections_keep_the_bits_of_every_row(monkeypatch):
+    forms = list(GUARDED_ROWS)
+    cancelled = []
+    by_product = gaussian_em._by_product
+
+    def recording(x1, x2, prod, xp):
+        if xp is _FLOATS:
+            cancelled[-1] |= 4.0 * abs(x1) < abs(x2) or 4.0 * abs(x2) < abs(x1)
+        return by_product(x1, x2, prod, xp)
+
+    monkeypatch.setattr(gaussian_em, "_by_product", recording)
+    flat, level, complex_pair = [], [], []
+    for sf in forms:
+        quartic = _profile(sf.sign_ordered()).quartic()
+        cancelled.append(False)
+        _, points, _ = _stationary_points(quartic, _FLOATS)
+        flat.append(not any(quartic))
+        level.append(quartic[0] == quartic[-1] == 0.0 and quartic[1] != 0.0)
+        complex_pair.append(not all(real for _, real in points))
+    for guard in (flat, level, cancelled, complex_pair):
+        assert any(guard) and not all(guard)
+
+    outcomes = _outcomes(_minimize_forms(forms))
+    for sf, (nu_sigma, gem) in zip(forms, outcomes):
+        assert _fields(minimize_m(sf)) == _fields(gem) == GUARDED_ROWS[sf]
+        assert nu_sigma == sf.spectrum().nu_tilde_minus
+
+
+def test_float_route_selection_budget(monkeypatch):
+    # Each selection on the float route is a Python call: a regression that
+    # adds some shows in this count long before it shows in timings.
+    forms = [s.standard_form for s in iter_samples(SamplerConfig(3, 200, 20.0, "extremal_params"))]
+    assert all(sf.spectrum().nu_tilde_minus < 1.0 - NEAR_SEPARABLE_TOL and not sf.is_symmetric()
+               for sf in forms)
+    calls = []
+    where = _FLOATS.where
+    monkeypatch.setattr(_FLOATS, "where", lambda cond, x, y: calls.append(cond) or where(cond, x, y))
+    for sf in forms:
+        minimize_m(sf)
+    assert len(calls) <= 14782  # 20422 before the guards

@@ -1,5 +1,9 @@
+import copy
+import dataclasses
 import math
+import pickle
 import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -21,8 +25,8 @@ from twomode import (
     cm_from_json_dict,
     minimize_m,
 )
-from twomode.errors import DomainError, MalformedInputError, UnphysicalStateError
-from twomode.symplectic import _nu_pair, _nu_pairs
+from twomode.errors import DomainError, MalformedInputError, TwoModeError, UnphysicalStateError
+from twomode.symplectic import _check_matrix, _nu_pair, _nu_pairs
 
 from conftest import BLOCK_NOT_POSITIVE_DEFINITE, draw_entangled_states
 
@@ -227,6 +231,48 @@ class TestSpectrum:
                 want = (math.nan, math.nan)
             for x, y in zip((got[0][k], got[1][k]), want):
                 assert float(x).hex() == y.hex() or (math.isnan(x) and math.isnan(y))
+
+
+class TestStoredSpectrum:
+    """A form keeps its spectrum once computed, outside its fields."""
+
+    def test_fields_ignore_the_stored_spectrum(self):
+        kept, fresh = StandardForm(2.0, 1.4, 0.9, -0.6), StandardForm(2.0, 1.4, 0.9, -0.6)
+        spectrum = kept.spectrum()
+        assert kept == fresh and hash(kept) == hash(fresh) and repr(kept) == repr(fresh)
+        assert dataclasses.asdict(kept) == dataclasses.asdict(fresh)
+        for other in (dataclasses.replace(kept), pickle.loads(pickle.dumps(kept)),
+                      copy.copy(kept), copy.deepcopy(kept)):
+            assert other == kept and vars(other) == vars(fresh)
+            assert other.spectrum() == spectrum
+        assert dataclasses.replace(kept, b=1.5).spectrum() == StandardForm(2.0, 1.5, 0.9, -0.6).spectrum()
+
+    def test_second_call_returns_the_same_object(self):
+        sf = StandardForm(2.0, 1.4, 0.9, -0.6)
+        assert sf.spectrum() is sf.spectrum()
+
+    def test_a_raising_spectrum_raises_again(self):
+        sf = StandardForm(1.0, 1.0, 2.0, 0.0)  # Det sigma < 0
+        messages = []
+        for _ in range(2):
+            with pytest.raises(UnphysicalStateError, match="spectrum undefined") as info:
+                sf.spectrum()
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert vars(sf) == vars(StandardForm(1.0, 1.0, 2.0, 0.0))
+
+
+def test_entries_near_the_largest_double():
+    # each pair is halved before it is summed: 0.5 * (x + y) overflows here
+    cm = 1e308 * np.eye(4)
+    edge = [[1e308, 1.7e308, 0.0, 0.0], [1.7e308, 1e308, 0.0, 0.0],
+            [0.0, 0.0, 1e308, -1.7e308], [0.0, 0.0, -1.7e308, 1e308]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dataclasses.astuple(spectrum_via_eigenvalues(cm)) == (1e308,) * 4
+        assert _check_matrix(edge) == edge
+        with pytest.raises(TwoModeError):
+            to_standard_form(cm)
 
 
 class TestStandardForm:
