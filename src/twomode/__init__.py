@@ -41,6 +41,7 @@ from .extremal import (
     ScanCell,
     build_state,
     classify_entanglement,
+    entanglement_threshold,
     glems_threshold,
     gmems_threshold,
     m_max,

@@ -26,7 +26,8 @@ import numpy as np
 from .errors import DomainError, SamplingError
 # build_state and minimize_m are unused here: perfbench/bench_trace.py patches
 # bounds.build_state and bounds.minimize_m
-from .extremal import _FLOATS, ColumnTable, _integer, _state, build_state, gmems_threshold
+from .extremal import (_FLOATS, ColumnTable, _integer, _state, build_state,
+                       entanglement_threshold, gmems_threshold)
 from .gaussian_em import NEAR_SEPARABLE_TOL, minimize_columns, minimize_m
 from .negativity import _log_divisor, h_function
 from .symplectic import DEFAULT_TOL, StandardForm, _dets, _nu_pairs
@@ -142,33 +143,31 @@ class ExperimentResult:
     min_m_max_slack: float
 
 
-# Attempt k of index i reads the first four doubles of numpy's
-# ``Generator(Philox(key=SeedSequence(seed).generate_state(2, np.uint64),
-# counter=[k, i, 0, 0]))``.  Philox4x64-10 is counter-based (Salmon,
-# Moraes, Dror and Shaw, SC'11), and numpy steps the counter before its
-# first block, so attempt k is the block of counter (k + 1, i, 0, 0), and
-# attempts k .. k + n - 1 are one draw of 4n doubles.  Each attempt is a
-# pure function of (seed, i, k): one that stops early, after 2 or 3
-# doubles, shifts no later attempt, and nothing is carried between rounds.
-# Attempts are drawn and tested in rounds.  Each round draws every pending
-# index's row of attempts from the first one it has not tested and tests
-# every attempt of every row at once, exactly: an attempt gets the outcome
-# that ``build_state`` (extremal mode) or ``is_physical`` (raw mode), then
-# ``spectrum()`` and the entanglement cut, give its floats.  Each index
-# stops at its first attempt that is accepted or has an undefined spectrum,
-# where ``spectrum()`` of its standard form raises.
+# Attempt k of index i is the Philox4x64-10 block (Salmon, Moraes, Dror and
+# Shaw, SC'11) of counter (i + 1, k, 0, 0) in extremal mode and of counter
+# (k + 1, i, 0, 0) in raw mode, under the key
+# ``SeedSequence(seed).generate_state(2, np.uint64)``.  numpy steps the
+# counter before its first block, so one draw of 4n doubles from counter
+# [i, k, 0, 0] is attempt k of indices i .. i + n - 1 (an extremal column),
+# and one from [k, i, 0, 0] is attempts k .. k + n - 1 of index i (a raw
+# row).  Each attempt is a pure function of (seed, i, k): one that stops
+# early, after 2 or 3 doubles, shifts no later attempt, and nothing is
+# carried between rounds.  Attempts are drawn and tested in rounds.  Each
+# round draws the next attempts of every pending index, all of which have
+# had the same number tested, and tests them all at once, exactly: an
+# attempt gets the outcome that ``build_state`` (extremal mode) or
+# ``is_physical`` (raw mode), then ``spectrum()`` and the entanglement cut,
+# give its floats.  Each index stops at its first attempt that is accepted
+# or has an undefined spectrum, where ``spectrum()`` of its standard form
+# raises.
 
 #: States minimized at once by ``bound_experiment``, and indices whose
-#: extremal rows are tested as one array: enough to spread the per-call
+#: extremal attempts are tested as one array: enough to spread the per-call
 #: cost of the array routes thin, few enough to keep what a block holds (its
 #: columns, results and array temporaries, about 0.7 KB per state by
 #: tracemalloc) small.
 _BLOCK = 256
 
-
-#: The row of attempts doubles each round after the first
-#: (``_Mode.first_block``), up to this many attempts.
-_MAX_BLOCK = 512
 #: Doubles of an attempt: one Philox block.
 _WIDTH = 4
 
@@ -231,12 +230,14 @@ def _test_raw(a, b, cp, cm) -> tuple:
 
 def _attempts_extremal(u: np.ndarray, s_max: float) -> tuple:
     """The mask of the attempts u[..., :4] that stop after 3 doubles (empty
-    g window), and ``_test_extremal`` of their (s, d, g, lambda)."""
+    g window), and ``_test_extremal`` of their (s, d, g, lambda).  g is drawn
+    on the entangled window (2|d| + 1, min(2s - 1, g_ent)), g_ent the
+    ``entanglement_threshold`` of (s, d, lambda)."""
     s = _uniform(1.0, s_max, u[..., 0])
     d = _uniform(-(s - 1.0), s - 1.0, u[..., 1])
     lam = _uniform(-1.0, 1.0, u[..., 2])
     g_lo = 2.0 * np.abs(d) + 1.0
-    g_hi = gmems_threshold(s)
+    g_hi = np.minimum(gmems_threshold(s), entanglement_threshold(s, d, lam))
     return g_hi - g_lo <= 1e-9, _test_extremal(s, d, _uniform(g_lo, g_hi, u[..., 3]), lam)
 
 
@@ -254,20 +255,32 @@ def _attempts_raw(u: np.ndarray, s_max: float) -> tuple:
 class _Mode:
     #: The early-stop mask and the ``_test`` of attempts u[..., :4] at s_max.
     test: Callable[[np.ndarray, float], tuple]
-    #: Attempts in the first round's rows: an extremal state takes about 1.3
-    #: attempts, a raw one 37 at s_max 20 and 740 at s_max 200.
-    first_block: int
-    #: Indices whose rows are tested as one array.  Extremal rows are short,
-    #: so a whole block goes at once.  Raw rows are long, and a chunk takes
-    #: about two rounds of fixed per-call costs: 24 indices took about 10%
-    #: less sampler time than 16, and 32 raised the traced peak of a
+    #: Attempt k of index i is the block of counter (i + 1, k, 0, 0) if
+    #: true (one draw per attempt column), else of (k + 1, i, 0, 0) (one
+    #: draw per index row): see ``_Streams.draw``.
+    by_column: bool
+    #: Attempts per pending index in the first round; each later round
+    #: doubles the one before, up to ``max_round``.  Timings on one pinned
+    #: core of a 2-core x86-64 host, best of 9: an extremal state is nearly
+    #: always accepted at its first attempt, and 4000 states at s_max 20
+    #: took 2.9 ms in rounds of one column, 3.5 ms in rounds of 2 and 4.3 ms
+    #: in rounds of 4, and doubling from one column gained nothing.  A raw
+    #: state takes about 37 attempts at s_max 20 and 740 at s_max 200: rows
+    #: doubling from 64 to 512 took 14 and 11 ms for 1000 states at 20 and
+    #: 100 at 200, fixed rows of 64 took 15 and 25 ms, and of 512 52 and 11.
+    first_round: int
+    max_round: int
+    #: Indices whose attempts are tested as one array.  Extremal rounds are
+    #: small, so a whole block goes at once.  Raw rows are long, and a chunk
+    #: takes about two rounds of fixed per-call costs: 24 indices took about
+    #: 10% less sampler time than 16, and 32 raised the traced peak of a
     #: 4000-state raw bound_experiment by 6.5% over 16 (24 by 4%).
     chunk: int
 
 
 _MODES = {
-    "extremal_params": _Mode(_attempts_extremal, 4, _BLOCK),
-    "raw_standard_form": _Mode(_attempts_raw, 64, 24),
+    "extremal_params": _Mode(_attempts_extremal, True, 1, 1, _BLOCK),
+    "raw_standard_form": _Mode(_attempts_raw, False, 64, 512, 24),
 }
 
 
@@ -275,8 +288,9 @@ class _Streams:
     """The attempts of a run's indices, drawn by numpy's Philox: the one
     seam between the walk and its random numbers."""
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, by_column: bool):
         key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+        self.by_column = by_column
         self.bits = np.random.Philox(key=key)
         self.generator = np.random.Generator(self.bits)
         self.counter = [0, 0, 0, 0]
@@ -284,16 +298,27 @@ class _Streams:
         self.state = {**self.bits.state, "state": {"counter": self.counter, "key": key.tolist()},
                       "buffer": [0, 0, 0, 0]}
 
-    def draw(self, indices: np.ndarray, first: np.ndarray, n: int) -> np.ndarray:
-        """Attempts ``first`` .. ``first + n - 1`` of each of ``indices``,
-        as doubles of shape (len(indices), n, 4)."""
-        u = np.empty((len(indices), n, _WIDTH))
-        for row, i, k in zip(u, indices.tolist(), first.tolist()):
-            # a row is whole blocks, so the state's buffer stays spent
-            self.counter[0], self.counter[1] = k, i
-            self.bits.state = self.state
-            self.generator.random(out=row)
-        return u
+    def _fill(self, out: np.ndarray, word0: int, word1: int) -> None:
+        # out is whole blocks, so the state's buffer stays spent
+        self.counter[0], self.counter[1] = word0, word1
+        self.bits.state = self.state
+        self.generator.random(out=out)
+
+    def draw(self, indices: np.ndarray, first: int, n: int) -> np.ndarray:
+        """Attempts ``first`` .. ``first + n - 1`` of each of the ascending
+        ``indices``, as doubles of shape (len(indices), n, 4).  By column,
+        one draw per attempt covers indices[0] .. indices[-1]; by row, one
+        draw per index covers its n attempts."""
+        if not self.by_column:
+            u = np.empty((len(indices), n, _WIDTH))
+            for row, i in zip(u, indices.tolist()):
+                self._fill(row, first, i)
+            return u
+        low = int(indices[0])
+        u = np.empty((n, int(indices[-1]) - low + 1, _WIDTH))
+        for k, column in enumerate(u, first):
+            self._fill(column, low, k)
+        return u[:, indices - low].swapaxes(0, 1)
 
 
 def _chunk_columns(mode: _Mode, s_max: float, indices: range,
@@ -303,38 +328,31 @@ def _chunk_columns(mode: _Mode, s_max: float, indices: range,
     the columns end before it, and the ``SamplingError`` that names it
     comes with them; else that error is None.  An attempt whose spectrum is
     undefined raises the ``UnphysicalStateError`` of ``spectrum()``."""
-    size = len(indices)
-    walked = np.zeros(size, dtype=np.int64)  # each row's next attempt
-    values = np.empty((len(_COLUMNS), size))
-    filled = np.zeros(size, dtype=bool)
-    pending = np.arange(size)
-    attempts = mode.first_block
-    done = 0
-    while pending.size:
+    values = np.empty((len(_COLUMNS), len(indices)))
+    pending = np.arange(len(indices))
+    tested = 0  # attempts tested of each pending index
+    attempts = mode.first_round
+    while pending.size and tested < _MAX_REJECTIONS:
+        n = min(attempts, _MAX_REJECTIONS - tested)
         short, (accept, undefined, columns) = mode.test(
-            streams.draw(indices.start + pending, walked[pending], attempts), s_max)
+            streams.draw(indices.start + pending, tested, n), s_max)
         # an attempt that stops early is rejected, whatever its unread doubles
         accept, undefined = accept & ~short, undefined & ~short
-        stop = accept | undefined
         lead = np.arange(len(pending))
-        first = stop.argmax(axis=1)
-        walked[pending] += np.where(stop[lead, first], first + 1, attempts)
-        decided = accept[lead, first]
-        values[:, pending[decided]] = columns((lead[decided], first[decided]))
+        first = (accept | undefined).argmax(axis=1)
         for k in np.flatnonzero(undefined[lead, first]).tolist():
             # raises UnphysicalStateError: the spectrum is undefined
             StandardForm(*(x.item() for x in columns((k, first[k]))[4:8])).spectrum()
-        filled[pending[decided]] = True
-        pending = pending[~decided & (walked[pending] < _MAX_REJECTIONS)]
-        end = int(pending[0]) if pending.size else size
-        bad = np.flatnonzero(~filled[done:end] | (walked[done:end] > _MAX_REJECTIONS))
-        if bad.size:
-            k = done + int(bad[0])
-            return values[:, :k], SamplingError(
-                f"no acceptable state after {_MAX_REJECTIONS} rejections at index {indices[k]}")
-        done = end
-        attempts = min(2 * attempts, _MAX_BLOCK)
-    return values, None
+        decided = accept[lead, first]
+        values[:, pending[decided]] = columns((lead[decided], first[decided]))
+        pending = pending[~decided]
+        tested += n
+        attempts = min(2 * attempts, mode.max_round)
+    if not pending.size:
+        return values, None
+    k = int(pending[0])
+    return values[:, :k], SamplingError(
+        f"no acceptable state after {_MAX_REJECTIONS} rejections at index {indices[k]}")
 
 
 def _sample_blocks(cfg: SamplerConfig) -> Iterator[tuple[int, np.ndarray]]:
@@ -344,8 +362,9 @@ def _sample_blocks(cfg: SamplerConfig) -> Iterator[tuple[int, np.ndarray]]:
     once; a ``SamplingError`` is raised after the block that ends before
     the index it names."""
     cfg.validate()
-    return _blocks(_MODES[cfg.mode], float(cfg.s_max), cfg.count,
-                   _Streams(operator.index(cfg.seed)))
+    mode = _MODES[cfg.mode]
+    return _blocks(mode, float(cfg.s_max), cfg.count,
+                   _Streams(operator.index(cfg.seed), mode.by_column))
 
 
 def _blocks(mode: _Mode, s_max: float, count: int,
@@ -376,21 +395,25 @@ def iter_samples(cfg: SamplerConfig) -> Iterator[Sample]:
 
     In ``extremal_params`` mode an attempt draws s uniform on (1, s_max),
     then d uniform on (-(s - 1), s - 1), lambda uniform on (-1, 1) and g
-    uniform on the proposal window (2|d| + 1, 2s - 1).  It is accepted where
-    ``build_state`` builds an entangled state from them, and a rejection
-    redraws all four.  A sample's law is therefore the proposal conditioned
-    on acceptance: g is uniform over the accepted part of its window, and
-    (s, d, lambda) are weighted by that part's share of the window, so they
-    are not uniform over their ranges (lambda > 0 is the likelier sign).
+    uniform on the entangled window (2|d| + 1, min(2s - 1, g_ent)), where
+    g_ent is ``entanglement_threshold(s, d, lambda)``: every g there gives
+    an entangled state.  Only an empty window and the near-separable cut
+    (nu_tilde_minus within ``NEAR_SEPARABLE_TOL`` of 1) still reject, and a
+    rejection redraws all four, so (s, d, lambda) are uniform over their
+    ranges up to those rare rejections, and g is uniform on its window.
     ``raw_standard_form`` mode rejection-samples correlation boxes
     directly.  Sample i depends only on (seed, i, s_max, mode): it is the
     first accepted attempt of index i.  Attempt k reads the first four
     doubles of numpy's
     ``Generator(Philox(key=SeedSequence(seed).generate_state(2, np.uint64),
-    counter=[k, i, 0, 0]))``, that is the Philox4x64-10 block of counter
-    (k + 1, i, 0, 0), whether it reads all four or stops early.  The
-    attempts are drawn in rounds, a row of consecutive attempts per index
-    in one draw.  Each round decides every attempt once, exactly, on
+    counter=c))``, with c = [i, k, 0, 0] in extremal mode and [k, i, 0, 0]
+    in raw mode, that is the Philox4x64-10 block of counter (i + 1, k, 0, 0)
+    or (k + 1, i, 0, 0), whether it reads all four or stops early.  The
+    attempts are drawn in rounds: an extremal round draws one attempt of
+    every pending index, a column of consecutive indices in one draw, and a
+    raw round draws a row of consecutive attempts per index in one draw,
+    64 in the first round and twice as many in each later one, up to 512.
+    Each round decides every attempt once, exactly, on
     arrays: ``build_state``'s checks (extremal mode) or the physicality
     test (raw mode) and the spectrum run on the attempts' columns with the
     operations of one ``StandardForm``'s methods, so their bits.  Where an

@@ -143,6 +143,18 @@ def _glems_threshold(s, d, xp):
     return xp.sqrt(2.0 * (s * s + d * d) - 1.0)
 
 
+def entanglement_threshold(s, d, lam):
+    """The state at (s, d, g, lambda) in the domain is entangled iff g is
+    below this (elementwise for arrays); it is ``gmems_threshold`` at
+    lambda = +1 and ``glems_threshold`` at lambda = -1.  Delta_tilde - 1 -
+    g^2 is the concave quadratic C - (lambda + 1) g - (3 - lambda) g^2 / 2
+    with C = 4s^2 + 2d^2 (1 - lambda) - (3 - lambda) / 2 >= 2, and this is
+    its larger root, written as 2C / (sqrt(D) + lambda + 1) with
+    D = (lambda + 1)^2 + 2 (3 - lambda) C, so that nothing cancels."""
+    c = 4.0 * s * s + 2.0 * d * d * (1.0 - lam) - 0.5 * (3.0 - lam)
+    return 2.0 * c / (np.sqrt((lam + 1.0) * (lam + 1.0) + 2.0 * (3.0 - lam) * c) + lam + 1.0)
+
+
 def _shift(d: float, g: float, lam: float) -> float:
     """The lambda-dependent part of the invariants: Delta = -shift and
     Delta_tilde = 4(s^2 + d^2) + shift, with Det sigma = g^2."""

@@ -13,6 +13,7 @@ from twomode import (
     bound_curves,
     bound_experiment,
     build_state,
+    entanglement_threshold,
     geof_bounds,
     h_function,
     iter_samples,
@@ -150,14 +151,25 @@ class TestSampler:
             assert sf.spectrum().nu_tilde_minus < 1.0
             assert sf.c_plus >= abs(sf.c_minus)
 
-    def test_lambda_is_weighted_by_the_entangled_share_of_the_g_window(self):
-        # a rejection redraws (s, d, lambda) with g, so the accepted law
-        # weights them by the accepted share of their g window, and lambda > 0
-        # keeps more of it: the mean lambda is about 0.09 here, where 0.05
-        # lies 5.5 standard errors (0.577 / sqrt(4000)) above a uniform
-        # lambda's mean
+    def test_lambda_is_uniform_with_mean_zero(self):
+        # g is drawn on the entangled window, so (s, d, lambda) are almost
+        # never redrawn and keep their uniform law: the mean lambda lies
+        # within 4 standard errors (0.577 / sqrt(4000)) of 0
         lams = [s.lam for s in iter_samples(SamplerConfig(seed=3, count=4000, s_max=20.0))]
-        assert sum(lams) / len(lams) > 0.05
+        assert abs(sum(lams) / len(lams)) <= 4.0 * math.sqrt(1.0 / 3.0 / len(lams))
+
+    def test_g_is_uniform_on_its_entangled_window(self):
+        # each sample's position inside (2|d| + 1, min(2s - 1, g_ent)) is
+        # uniform on (0, 1): the Kolmogorov-Smirnov statistic stays below
+        # its 0.1% critical value, 1.95 / sqrt(n)
+        samples = list(iter_samples(SamplerConfig(seed=3, count=4000, s_max=20.0)))
+        s, d, g, lam = (np.array(c) for c in zip(*((x.s, x.d, x.g, x.lam) for x in samples)))
+        g_lo = 2.0 * np.abs(d) + 1.0
+        g_hi = np.minimum(2.0 * s - 1.0, entanglement_threshold(s, d, lam))
+        position = np.sort((g - g_lo) / (g_hi - g_lo))
+        n = position.size
+        ks = max((np.arange(1, n + 1) / n - position).max(), (position - np.arange(n) / n).max())
+        assert ks < 1.95 / math.sqrt(n)
 
     def test_raw_mode(self):
         for sample in iter_samples(SamplerConfig(seed=5, count=40, mode="raw_standard_form")):
@@ -306,15 +318,20 @@ def test_block_experiment_equals_the_scalar_loop(mode, s_max, count, log_base):
         assert len(got.points) + len(got.failures) == count
 
 
-# Extremal states at s ~ 4e4 to 8e4 where the proven ceiling nu_opt <=
-# nu_tilde_minus fails by more than VIOLATION_TOL (ROADMAP item 3): index
-# 255 of seed 7 at s_max 1e5 under the sampler's former PCG64 streams
-# (slack -2.917e-8), and indices 1300 and 3912 of seed 7 at s_max 1e5 under
-# its Philox streams (slacks -8.74e-7 and -1.42e-8).
+# Extremal states at s ~ 4e4 to 1e5 where the proven ceiling nu_opt <=
+# nu_tilde_minus fails by more than VIOLATION_TOL (ROADMAP item 3), all at
+# s_max 1e5: index 255 of seed 7 under the sampler's former PCG64 streams
+# (slack -2.917e-8); indices 1300 and 3912 of seed 7 under its former
+# row-layout Philox streams, with g drawn on (2|d| + 1, 2s - 1) (slacks
+# -8.74e-7 and -1.42e-8); and index 677 of seed 8 and index 3900 of seed 9
+# under its column-layout streams, with g drawn on the entangled window
+# (slacks -1.22e-7 and -1.87e-7).
 CEILING_DEFECTS = [
     ExtremalParams(43190.74022317563, 213.55857375084452, 76891.28898187053, 0.4904727291779378),
     ExtremalParams(76418.7554763723, 0.1682535557920346, 46818.039660056835, 0.43530679307861964),
     ExtremalParams(70484.8149653067, 13.906143469605013, 112539.06327470159, 0.7006075929075128),
+    ExtremalParams(79970.32369198262, 32.18942444809363, 113685.99221521364, 0.09738727352519527),
+    ExtremalParams(95872.01281449228, -39.0013560380612, 84774.48471539892, -0.33974387375564685),
 ]
 
 
@@ -326,9 +343,10 @@ def test_ceiling_holds_at_large_s(params):
 
 
 def test_ceiling_defects_are_sampled_states():
-    # the Philox-stream defects are samples 1300 and 3912 of seed 7
-    samples = list(iter_samples(SamplerConfig(seed=7, count=3913, s_max=1e5)))
-    for params, i in zip(CEILING_DEFECTS[1:], (1300, 3912)):
+    # the defects of the column-layout streams are sample 677 of seed 8
+    # and sample 3900 of seed 9
+    for params, seed, i in zip(CEILING_DEFECTS[3:], (8, 9), (677, 3900)):
+        samples = list(iter_samples(SamplerConfig(seed=seed, count=i + 1, s_max=1e5)))
         assert ExtremalParams(*samples[i][2:]) == params
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import sys
@@ -565,6 +566,22 @@ class TestPointsBytes:
         assert (tmp_path / "points.csv").read_bytes() == (",".join(POINTS_HEADER) + "\r\n").encode()
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["numerical_failures"] == count
+
+
+#: SHA-256 of the raw-mode points CSV of seed 1 and 300 states at s_max 20,
+#: taken before extremal mode moved to its column counter layout: raw mode
+#: kept its (k + 1, i) counters, its law and so its bytes.
+RAW_POINTS_SHA256 = "875415cf82b0fc54139270059548569262599190f1e252bc6c22f21bf155d844"
+
+
+def test_raw_points_bytes_are_pinned(capsys, tmp_path):
+    points = tmp_path / "points.csv"
+    code, _, err = run(capsys, "bounds", "--samples", "300", "--seed", "1",
+                       "--mode", "raw_standard_form", "--points", str(points),
+                       "--curves", str(tmp_path / "curves.csv"),
+                       "--summary", str(tmp_path / "summary.json"))
+    assert code == EXIT_OK, err
+    assert hashlib.sha256(points.read_bytes()).hexdigest() == RAW_POINTS_SHA256
 
 
 def test_a_failed_bounds_run_leaves_its_files_untouched(capsys, tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from twomode import (
@@ -8,6 +9,7 @@ from twomode import (
     Regime,
     build_state,
     classify_entanglement,
+    entanglement_threshold,
     glems_threshold,
     gmems_threshold,
     is_separable_ppt,
@@ -98,6 +100,30 @@ class TestClassification:
         assert glems_threshold(2.0, 0.5) == pytest.approx(math.sqrt(7.5), rel=1e-15)
         assert classify_entanglement(ExtremalParams(2, 0.5, 2.7, -1.0)) is Entanglement.ENTANGLED
         assert classify_entanglement(ExtremalParams(2, 0.5, 2.75, -1.0)) is Entanglement.SEPARABLE
+
+    def test_entanglement_threshold_at_lambda_pm1_is_the_family_threshold(self, rng):
+        # within 2 ulp of gmems_threshold at lambda = +1 and of
+        # glems_threshold at lambda = -1, over the sampler's range of s
+        s = 1.0 + (1e6 - 1.0) * rng.random(20000) ** 4
+        d = (2.0 * rng.random(s.size) - 1.0) * (s - 1.0)
+        for lam, want in ((1.0, gmems_threshold(s)), (-1.0, glems_threshold(s, d))):
+            got = entanglement_threshold(s, d, np.full(s.size, lam))
+            assert (np.abs(got - want) <= 2.0 * np.spacing(want)).all()
+
+    def test_classification_changes_across_the_entanglement_threshold(self, rng):
+        checked = 0
+        for _ in range(200):
+            s = rng.uniform(1.0, 20.0)
+            d = rng.uniform(-(s - 1.0), s - 1.0)
+            lam = rng.uniform(-1.0, 1.0)
+            g_ent = float(entanglement_threshold(s, d, lam))
+            below, above = g_ent * (1.0 - 1e-9), g_ent * (1.0 + 1e-9)
+            if below <= 2.0 * abs(d) + 1.0:
+                continue
+            assert classify_entanglement(ExtremalParams(s, d, below, lam)) is Entanglement.ENTANGLED
+            assert classify_entanglement(ExtremalParams(s, d, above, lam)) is Entanglement.SEPARABLE
+            checked += 1
+        assert checked >= 190
 
     def test_gmemms_always_entangled_above_marginal_floor(self, rng):
         for _ in range(15):

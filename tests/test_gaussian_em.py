@@ -847,4 +847,4 @@ def test_float_route_selection_budget(monkeypatch):
     monkeypatch.setattr(_FLOATS, "where", lambda cond, x, y: calls.append(cond) or where(cond, x, y))
     for sf in forms:
         minimize_m(sf)
-    assert len(calls) <= 14782  # 20422 before the guards
+    assert len(calls) <= 14792  # 20398 before the guards

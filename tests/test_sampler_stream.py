@@ -2,18 +2,20 @@
 
 Attempt k of sample index i reads the first four doubles of numpy's
 ``Generator(Philox(key=SeedSequence(seed).generate_state(2, np.uint64),
-counter=[k, i, 0, 0]))``.  ``iter_samples`` draws each index's attempts in
-rows and tests every attempt on arrays.  The reference here is the scalar
-walk: one such generator per attempt, one ``rng.uniform`` call per value
-and one ``StandardForm`` per attempt, tested by ``_confirm_extremal`` or
-``_confirm_raw``, which are also the oracles of the array tests of
-attempts.  Both walks must give equal samples,
+counter=c))``, with c = [i, k, 0, 0] in extremal mode and [k, i, 0, 0] in
+raw mode.  ``iter_samples`` draws the attempts in columns (extremal mode)
+or rows (raw mode) and tests every attempt on arrays.  The reference here
+is the scalar walk: one such generator per attempt, one ``rng.uniform``
+call per value and one ``StandardForm`` per attempt, tested by
+``_confirm_extremal`` or ``_confirm_raw``, which are also the oracles of
+the array tests of attempts.  Both walks must give equal samples,
 including the attempts that read fewer than four doubles and the limit on
 attempts, and each attempt must be the Philox4x64-10 block that the
 contract names.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -25,7 +27,7 @@ from twomode import bounds, cli, symplectic
 from twomode.bounds import (NEAR_SEPARABLE_TOL, Sample, SamplerConfig, bound_experiment,
                             iter_samples)
 from twomode.errors import SamplingError, TwoModeError, UnphysicalStateError
-from twomode.extremal import ExtremalParams, build_state
+from twomode.extremal import ExtremalParams, build_state, entanglement_threshold
 from twomode.symplectic import DEFAULT_TOL, StandardForm
 
 
@@ -33,9 +35,10 @@ def _key(seed):
     return np.random.SeedSequence(seed).generate_state(2, np.uint64)
 
 
-def _attempt_rng(key, index, k):
-    """The generator of attempt ``k`` of sample ``index``."""
-    return np.random.Generator(np.random.Philox(key=key, counter=[k, index, 0, 0]))
+def _attempt_rng(key, mode, index, k):
+    """The generator of attempt ``k`` of sample ``index`` in ``mode``."""
+    counter = [index, k] if mode == "extremal_params" else [k, index]
+    return np.random.Generator(np.random.Philox(key=key, counter=counter + [0, 0]))
 
 
 #: nu_tilde_minus below which an attempt is entangled enough.
@@ -65,12 +68,12 @@ def _confirm_raw(a, b, cp, cm):
 
 def _draw_extremal(rng, s_max):
     """One extremal attempt on ``rng``: its ``_confirm_extremal``, or None
-    where the g window is empty (3 doubles read)."""
+    where the entangled g window is empty (3 doubles read)."""
     s = rng.uniform(1.0, s_max)
     d = rng.uniform(-(s - 1.0), s - 1.0)
     lam = rng.uniform(-1.0, 1.0)
     g_lo = 2.0 * abs(d) + 1.0
-    g_hi = 2.0 * s - 1.0
+    g_hi = min(2.0 * s - 1.0, float(entanglement_threshold(s, d, lam)))
     if g_hi - g_lo <= 1e-9:
         return None
     return _confirm_extremal(s, d, rng.uniform(g_lo, g_hi), lam)
@@ -97,7 +100,8 @@ def reference_sample(cfg, index, rng_of=None):
     draw = _REFERENCE_DRAWS[cfg.mode]
     key = _key(cfg.seed)
     for k in range(bounds._MAX_REJECTIONS):
-        values = draw(_attempt_rng(key, index, k) if rng_of is None else rng_of(k), cfg.s_max)
+        rng = _attempt_rng(key, cfg.mode, index, k) if rng_of is None else rng_of(k)
+        values = draw(rng, cfg.s_max)
         if values is not None:
             return Sample(index, StandardForm(*values[4:8]), *values[:4])
     raise SamplingError(
@@ -163,8 +167,8 @@ def test_sample_does_not_depend_on_count(mode):
 
 
 def test_interleaved_iterators_yield_what_each_yields_alone():
-    # every run owns its generator, and each row's draw loads its counter
-    # without yielding in between
+    # every run owns its generator, and each row's or column's draw loads
+    # its counter without yielding in between
     configs = [SamplerConfig(seed=5, count=300, mode="extremal_params"),
                SamplerConfig(seed=2**128, count=300, mode="raw_standard_form")]
     alone = [list(iter_samples(cfg)) for cfg in configs]
@@ -191,7 +195,8 @@ def _philox_block(counter, key):
     return x
 
 
-# Attempts at both ends of the index range and of a walk, and random ones.
+# (index, first attempt) at both ends of the index range and of a walk,
+# and random ones.
 EDGE_ROWS = [(i, k) for i in (0, 1, 2**32 - 1, 2**32, bounds.COUNT_LIMIT - 1)
              for k in (0, 1, bounds._MAX_REJECTIONS - 2, bounds._MAX_REJECTIONS - 1)]
 RANDOM_ROWS = list(zip(
@@ -204,17 +209,62 @@ RANDOM_ROWS = list(zip(
                                   2**160 - 1, 2**160])
 def test_streams_draw_the_doubles_of_numpy_generators(seed):
     key = _key(seed)
-    rows = EDGE_ROWS + RANDOM_ROWS
-    indices, firsts = (np.array(c, dtype=np.int64) for c in zip(*rows))
-    got = bounds._Streams(seed).draw(indices, firsts, 2)
-    assert got.shape == (len(rows), 2, 4)
-    for row, (i, first) in zip(got.tolist(), rows):
-        for k, attempt in enumerate(row, first):
-            # the first four doubles of the attempt's own generator
-            assert attempt == _attempt_rng(key, i, k).random(4).tolist()
-            # numpy steps the counter before its first block
-            words = _philox_block([k + 1, i, 0, 0], key.tolist())
-            assert attempt == [(w >> 11) * 2.0**-53 for w in words]
+    for mode in ("extremal_params", "raw_standard_form"):
+        streams = bounds._Streams(seed, bounds._MODES[mode].by_column)
+        for i, first in EDGE_ROWS + RANDOM_ROWS:
+            # two indices with one skipped between them, as a round skips
+            # the indices it has decided
+            indices = [i, i + 2] if i + 2 < bounds.COUNT_LIMIT else [i - 2, i]
+            got = streams.draw(np.array(indices, dtype=np.int64), first, 2)
+            assert got.shape == (2, 2, 4)
+            for index, row in zip(indices, got.tolist()):
+                for k, attempt in enumerate(row, first):
+                    # the first four doubles of the attempt's own generator
+                    assert attempt == _attempt_rng(key, mode, index, k).random(4).tolist()
+                    # numpy steps the counter before its first block
+                    counter = [index + 1, k] if mode == "extremal_params" else [k + 1, index]
+                    words = _philox_block(counter + [0, 0], key.tolist())
+                    assert attempt == [(w >> 11) * 2.0**-53 for w in words]
+
+
+class _Recording:
+    """A generator that keeps every value its ``uniform`` returns."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.values = []
+
+    def uniform(self, low, high):
+        self.values.append(self.rng.uniform(low, high))
+        return self.values[-1]
+
+
+def test_extremal_rounds_draw_later_columns_past_decided_indices(monkeypatch):
+    # Almost every extremal state is accepted at its first attempt.  Here
+    # every attempt with s below 12 is taken as stopping early, so about
+    # 42% of the attempts are rejected, indices take up to about ten
+    # rounds, and each later round draws a column over pending indices
+    # with decided ones between them.
+    mode = bounds._MODES["extremal_params"]
+
+    def picky(u, s_max):
+        short, tested = mode.test(u, s_max)
+        return short | (bounds._uniform(1.0, s_max, u[..., 0]) < 12.0), tested
+
+    def picky_draw(rng, s_max):
+        recording = _Recording(rng)
+        values = _draw_extremal(recording, s_max)
+        return None if recording.values[0] < 12.0 else values
+    monkeypatch.setitem(bounds._MODES, "extremal_params", dataclasses.replace(mode, test=picky))
+    monkeypatch.setitem(_REFERENCE_DRAWS, "extremal_params", picky_draw)
+    cfg = SamplerConfig(seed=4, count=300, s_max=S_MAX)
+    key = _key(cfg.seed)
+    samples = list(iter_samples(cfg))
+    assert samples == [reference_sample(cfg, i) for i in range(cfg.count)]
+    attempts = [next(k for k in itertools.count()
+                     if picky_draw(_attempt_rng(key, cfg.mode, i, k), S_MAX) is not None) + 1
+                for i in range(cfg.count)]
+    assert max(attempts) >= 5 and sum(k > 1 for k in attempts) >= 100
 
 
 def test_raw_walk_at_s_max_1e5_equals_the_scalar_walk_under_a_small_cap(monkeypatch):
@@ -255,11 +305,14 @@ class ScriptedStreams:
 
     def draw(self, indices, first, n):
         u = np.zeros((len(indices), n, bounds._WIDTH))
-        for row, i, k in zip(u, indices.tolist(), first.tolist()):
-            for j, attempt in enumerate(self.script_of(i)[k:k + n]):
+        for row, i in zip(u, indices.tolist()):
+            for j, attempt in enumerate(self.script_of(i)[first:first + n]):
                 row[j, :len(attempt)] = attempt
         return u
 
+
+# The largest double below 1: the end of every draw's range.
+BELOW_ONE = 1.0 - 2.0**-53
 
 S_MAX = 20.0
 # Attempts at s_max 20; an early stop reads 2 (raw) or 3 (extremal) doubles.
@@ -267,7 +320,9 @@ RAW_ACCEPT = [0.125, 0.125, 0.875, 0.125]
 RAW_REJECT = [0.5, 0.5, 0.0, 0.5]  # c_plus = c_minus = 0: a product state
 RAW_SHORT = [0.0, 0.0]  # a = b = 1, so a b - 1 = 0 and c_plus has no range
 EXT_ACCEPT = [0.5, 0.5, 0.5, 0.5]
-EXT_REJECT = [0.5, 0.5, 0.5, 0.999]  # separable
+# g at the top of the entangled window: nu_tilde_minus lies within
+# NEAR_SEPARABLE_TOL of 1
+EXT_REJECT = [0.5, 0.5, 0.5, BELOW_ONE]
 EXT_SHORT = [0.5, 0.0, 0.5]  # d = -(s - 1): the g window is empty
 ACCEPT = {"raw_standard_form": RAW_ACCEPT, "extremal_params": EXT_ACCEPT}
 REJECT = {"raw_standard_form": RAW_REJECT, "extremal_params": EXT_REJECT}
@@ -277,7 +332,7 @@ SHORT = {"raw_standard_form": RAW_SHORT, "extremal_params": EXT_SHORT}
 def _script_streams(monkeypatch, script_of):
     """Give every index i of ``iter_samples`` the attempts ``script_of(i)``
     in place of its stream."""
-    monkeypatch.setattr(bounds, "_Streams", lambda seed: ScriptedStreams(script_of))
+    monkeypatch.setattr(bounds, "_Streams", lambda seed, by_column: ScriptedStreams(script_of))
 
 
 def _scripted(monkeypatch, mode, script):
@@ -316,7 +371,7 @@ def _edge_attempt(mode):
 
 @pytest.mark.parametrize("mode", ["extremal_params", "raw_standard_form"])
 def test_an_early_stop_leaves_later_attempts_unchanged(monkeypatch, mode):
-    block = bounds._MODES[mode].first_block
+    block = bounds._MODES[mode].first_round
     edge = _edge_attempt(mode)
     short, (accept, undefined, _) = bounds._MODES[mode].test(np.array([edge]), S_MAX)
     assert (short | accept | undefined).tolist() == [False]
@@ -325,7 +380,7 @@ def test_an_early_stop_leaves_later_attempts_unchanged(monkeypatch, mode):
     scripts = [
         [SHORT[mode], ACCEPT[mode]],
         [REJECT[mode], unread, SHORT[mode], REJECT[mode], ACCEPT[mode]],
-        # an early stop at the end of the first row, then a second row
+        # an early stop at the end of the first round, then later rounds
         [REJECT[mode]] * (block - 1) + [unread] + [REJECT[mode]] * 3 + [ACCEPT[mode]],
         # an attempt just on the rejected side of the cut, then an early stop
         [edge, unread, ACCEPT[mode]],
@@ -366,7 +421,7 @@ def test_a_replayed_attempt_writes_its_own_row(mode):
     rows = 0
     for start, values in bounds._sample_blocks(cfg):
         for i, row in enumerate(values.T.tolist(), start):
-            replayed = (draw(_attempt_rng(key, i, k), cfg.s_max)
+            replayed = (draw(_attempt_rng(key, mode, i, k), cfg.s_max)
                         for k in range(bounds._MAX_REJECTIONS))
             assert _bits(row) == _bits(next(v for v in replayed if v is not None))
             rows += 1
@@ -401,7 +456,8 @@ def _undefined_attempt():
     """(0.5, 0.5, 0.0, u) with u the least double whose g is UNDEFINED_G."""
     def g_of(u):
         s = 1.0 + (UNDEFINED_S_MAX - 1.0) * 0.5
-        return 1.0 + (2.0 * s - 1.0 - 1.0) * u
+        g_hi = min(2.0 * s - 1.0, float(entanglement_threshold(s, 0.0, -1.0)))
+        return 1.0 + (g_hi - 1.0) * u
     lo, hi = 0.0, 1e-9
     while math.nextafter(lo, hi) != hi:
         mid = 0.5 * (lo + hi)
@@ -440,20 +496,19 @@ def test_an_undefined_spectrum_raises_end_to_end(monkeypatch, capsys, tmp_path):
 @pytest.mark.parametrize("mode", ["extremal_params", "raw_standard_form"])
 @settings(max_examples=60, deadline=None)
 @given(kinds=st.lists(st.sampled_from(["reject", "short", "edge"]), max_size=24),
-       first_block=st.integers(1, 3), growth=st.integers(0, 3), over_limit=st.booleans())
+       first_round=st.integers(1, 3), growth=st.integers(0, 3), over_limit=st.booleans())
 def test_many_rounds_at_a_small_cap_equal_the_scalar_walk(
-        mode, kinds, first_block, growth, over_limit):
-    # Rows of at most first_block + growth attempts: an index takes many
-    # rounds at the cap, each from the attempt after the last one tested.
-    # The accepted attempt is the last one the limit allows, or the first
-    # one past it, so a walk that miscounts its attempts fails fast.
+        mode, kinds, first_round, growth, over_limit):
+    # Rounds of at most first_round + growth attempts: an index takes many
+    # rounds, each from the attempt after the last one tested.  The
+    # accepted attempt is the last one the limit allows, or the first one
+    # past it, so a walk that miscounts its attempts fails fast.
     attempts = {"reject": REJECT[mode], "short": SHORT[mode], "edge": _edge_attempt(mode)}
     script = [attempts[kind] for kind in kinds] + [ACCEPT[mode]]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bounds, "_MAX_REJECTIONS", len(kinds) + 1 - over_limit)
-        mp.setattr(bounds, "_MAX_BLOCK", first_block + growth)
-        mp.setitem(bounds._MODES, mode,
-                   dataclasses.replace(bounds._MODES[mode], first_block=first_block))
+        mp.setitem(bounds._MODES, mode, dataclasses.replace(
+            bounds._MODES[mode], first_round=first_round, max_round=first_round + growth))
         got, want, read = _scripted(mp, mode, script)
     assert read == len(script)
     assert got == want
@@ -530,10 +585,6 @@ def _raw_row(s_max, u):
     c_cap = math.sqrt(max(a * b - 1.0, 0.0))
     cp = c_cap * u[2]
     return a, b, cp, -cp + cp * u[3]
-
-
-# The largest double below 1: the end of every draw's range.
-BELOW_ONE = 1.0 - 2.0**-53
 
 
 @st.composite
