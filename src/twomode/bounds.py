@@ -23,7 +23,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, SamplingError
+from .errors import DomainError, SamplingError, TwoModeError, UnphysicalStateError
 # build_state and minimize_m are unused here: perfbench/bench_trace.py patches
 # bounds.build_state and bounds.minimize_m
 from .extremal import (_FLOATS, ColumnTable, _integer, _state, build_state,
@@ -162,11 +162,21 @@ class ExperimentResult:
 # raises.
 
 #: States minimized at once by ``bound_experiment``, and indices whose
-#: extremal attempts are tested as one array: enough to spread the per-call
-#: cost of the array routes thin, few enough to keep what a block holds (its
-#: columns, results and array temporaries, about 0.7 KB per state by
-#: tracemalloc) small.
-_BLOCK = 256
+#: extremal attempts are tested as one array.  Every step is elementwise, so
+#: the size changes no output: it spreads the fixed cost of the array
+#: routes' numpy calls over more states, and costs what a block holds (its
+#: columns, results and array temporaries, about 0.6 KB per state by
+#: tracemalloc).  Timings of 4000 extremal states at s_max 20 on one pinned
+#: core of a 2-core x86-64 host, best of 15 in each of 5 rounds: in blocks
+#: of 256, 512, 1024, 2048 and 4096, ``bound_experiment`` took 19.7, 14.3,
+#: 11.0, 10.0 and 8.9 ms, its ``minimize_columns`` calls 12.6, 8.3, 6.7, 5.6
+#: and 7.8 ms, and the sampler 3.1, 2.5, 1.4, 1.1 and 1.5 ms, while the
+#: traced peak of one such ``twomode bounds`` command was 1.39, 1.52, 1.83,
+#: 2.48 and 3.10 MB.  1024 takes most of the gain for 0.44 MB more peak.
+#: perfbench's bounds workloads read more peak RSS than that (+3-4%),
+#: because the harness keeps about 30-40 KB per command it runs, and more
+#: commands run in its fixed time.
+_BLOCK = 1024
 
 #: Doubles of an attempt: one Philox block.
 _WIDTH = 4
@@ -322,13 +332,15 @@ class _Streams:
 
 
 def _chunk_columns(mode: _Mode, s_max: float, indices: range,
-                   streams: _Streams) -> tuple[np.ndarray, SamplingError | None]:
+                   streams: _Streams) -> tuple[np.ndarray, TwoModeError | None]:
     """The ``_COLUMNS`` of the samples of consecutive ``indices``, as the
-    rows of a (9, len(indices)) array.  Where an index runs out of attempts
-    the columns end before it, and the ``SamplingError`` that names it
-    comes with them; else that error is None.  An attempt whose spectrum is
-    undefined raises the ``UnphysicalStateError`` of ``spectrum()``."""
+    rows of a (9, len(indices)) array.  An index fails where it runs out of
+    attempts (a ``SamplingError`` that names it) or stops at an attempt
+    whose spectrum is undefined (the ``UnphysicalStateError`` of
+    ``spectrum()``).  The columns end before the first index that fails,
+    and its error comes with them; else that error is None."""
     values = np.empty((len(_COLUMNS), len(indices)))
+    failed, error = len(indices), None
     pending = np.arange(len(indices))
     tested = 0  # attempts tested of each pending index
     attempts = mode.first_round
@@ -340,27 +352,33 @@ def _chunk_columns(mode: _Mode, s_max: float, indices: range,
         accept, undefined = accept & ~short, undefined & ~short
         lead = np.arange(len(pending))
         first = (accept | undefined).argmax(axis=1)
-        for k in np.flatnonzero(undefined[lead, first]).tolist():
-            # raises UnphysicalStateError: the spectrum is undefined
-            StandardForm(*(x.item() for x in columns((k, first[k]))[4:8])).spectrum()
+        stopped = np.flatnonzero(undefined[lead, first])
+        if stopped.size:
+            # pending ascends, so its first undefined index fails first
+            k = int(stopped[0])
+            try:
+                StandardForm(*(x.item() for x in columns((k, first[k]))[4:8])).spectrum()
+            except UnphysicalStateError as exc:
+                failed, error = int(pending[k]), exc
         decided = accept[lead, first]
         values[:, pending[decided]] = columns((lead[decided], first[decided]))
-        pending = pending[~decided]
+        # the indices past one that failed are cut: their attempts stop
+        pending = pending[~decided & (pending < failed)]
         tested += n
         attempts = min(2 * attempts, mode.max_round)
-    if not pending.size:
-        return values, None
-    k = int(pending[0])
-    return values[:, :k], SamplingError(
-        f"no acceptable state after {_MAX_REJECTIONS} rejections at index {indices[k]}")
+    if pending.size:
+        failed = int(pending[0])
+        error = SamplingError(
+            f"no acceptable state after {_MAX_REJECTIONS} rejections at index {indices[failed]}")
+    return values[:, :failed], error
 
 
 def _sample_blocks(cfg: SamplerConfig) -> Iterator[tuple[int, np.ndarray]]:
     """(start, values) of each block of ``_BLOCK`` samples, the last one
     shorter: the ``_COLUMNS`` of samples start, start + 1, ... as the rows
     of ``values``.  Raw mode's chunks are joined.  The config is checked at
-    once; a ``SamplingError`` is raised after the block that ends before
-    the index it names."""
+    once; the error of the first index that fails is raised after the block
+    that ends before it."""
     cfg.validate()
     mode = _MODES[cfg.mode]
     return _blocks(mode, float(cfg.s_max), cfg.count,
@@ -418,7 +436,9 @@ def iter_samples(cfg: SamplerConfig) -> Iterator[Sample]:
     test (raw mode) and the spectrum run on the attempts' columns with the
     operations of one ``StandardForm``'s methods, so their bits.  Where an
     attempt's spectrum is undefined, ``spectrum()`` of its standard form
-    raises its ``UnphysicalStateError``.  The samples are kept as columns
+    raises its ``UnphysicalStateError``, after the samples of the indices
+    before it, and an index that runs out of attempts raises a
+    ``SamplingError`` the same way.  The samples are kept as columns
     (``bound_experiment`` reads them so); this builds each ``Sample`` and
     its ``StandardForm`` from them.  ``cfg.count`` is at most
     ``COUNT_LIMIT`` (2**63).
@@ -441,12 +461,14 @@ def bound_experiment(cfg: SamplerConfig, log_base=2) -> ExperimentResult:
     checked before any state is drawn.
 
     The experiment runs on columns from the sampler to the points: each
-    block of ``_BLOCK`` samples is minimized by ``minimize_columns``, whose
-    gate reads the sampler's nu_tilde_minus, and a state's failure is the
-    error ``minimize_m`` raises.  A block's results, bound tests, slacks
-    and counts are columns; log_neg and 1/nu^2 stay on Python floats, whose
-    log and power can differ from numpy's.  The points are a ``ColumnTable``
-    of ``BoundPoint``: one list per CSV column.
+    block of ``_BLOCK`` (1024) samples is minimized by ``minimize_columns``,
+    whose gate reads the sampler's nu_tilde_minus, and a state's failure is
+    the error ``minimize_m`` raises.  A block's results, bound tests,
+    slacks and counts are columns; log_neg and 1/nu^2 stay on Python
+    floats, whose log and power can differ from numpy's.  Every step is
+    elementwise, so the result does not depend on the block size.  The
+    points are a ``ColumnTable`` of ``BoundPoint``: one list per CSV
+    column.
     """
     blocks = _sample_blocks(cfg)
     divisor = _log_divisor(log_base)

@@ -395,6 +395,30 @@ def test_accepted_attempts_are_standard_forms(mode, s_max):
     assert (a > 0.0).all() and (b > 0.0).all()
 
 
+@pytest.mark.parametrize("mode, seed, s_max", [
+    # two states break the proven ceiling here (ROADMAP item 3)
+    ("extremal_params", 2, 1e6),
+    ("raw_standard_form", 1, 20.0),
+])
+def test_experiment_does_not_depend_on_the_block_size(monkeypatch, mode, seed, s_max):
+    # every step is elementwise, so any size of the minimizer's blocks and
+    # of the extremal sampler's chunks gives the same result, bit for bit;
+    # 1030 states cross a boundary at each size
+    cfg = SamplerConfig(seed=seed, count=1030, s_max=s_max, mode=mode)
+    extremal = bounds._MODES["extremal_params"]
+    results = []
+    for size in (1, 7, 256, 1024):
+        monkeypatch.setattr(bounds, "_BLOCK", size)
+        monkeypatch.setitem(bounds._MODES, "extremal_params",
+                            dataclasses.replace(extremal, chunk=size))
+        results.append(bound_experiment(cfg))
+    assert len(results[0].points) == cfg.count
+    assert results[0].violations_upper == (2 if mode == "extremal_params" else 0)
+    for result in results[1:]:
+        assert result == results[0]
+        assert repr(result) == repr(results[0])
+
+
 def blocks_of(samples, nus):
     """A stand-in for ``bounds._sample_blocks`` that hands out the samples of
     indices 0, 1, ... with their nu_tilde_minus (None for none) as blocks
@@ -449,18 +473,19 @@ def failing_stream(good, failing):
 
 class TestExperimentFailures:
     def test_failures_match_the_scalar_loop(self, monkeypatch):
-        good = list(iter_samples(SamplerConfig(seed=3, count=600)))
+        block = bounds._BLOCK
+        good = list(iter_samples(SamplerConfig(seed=3, count=2 * block + 88)))
         # failing forms inside the first block, on its last row and in the third
-        stream, nus = failing_stream(good, [(5, UNPHYSICAL), (255, NO_SPECTRUM),
-                                            (530, UNPHYSICAL)])
+        at = [5, block - 1, 2 * block + 18]
+        stream, nus = failing_stream(good, zip(at, [UNPHYSICAL, NO_SPECTRUM, UNPHYSICAL]))
         monkeypatch.setattr(bounds, "_sample_blocks", blocks_of(stream, nus))
         result = bound_experiment(SamplerConfig(seed=3, count=len(stream)), log_base="e")
         expected = _scalar_experiment(stream, log_base="e")
-        assert [index for index, _ in result.failures] == [5, 255, 530]
+        assert [index for index, _ in result.failures] == at
         assert "not a physical state" in result.failures[0][1]
         assert "spectrum undefined" in result.failures[1][1]
         assert result == expected
-        assert len(result.points) == 600
+        assert len(result.points) == len(good)
 
 
 def _project_to_physical(sf):

@@ -533,7 +533,9 @@ def _points_equal_the_scalar_loop(capsys, tmp_path, cfg, log_base, samples):
 class TestPointsBytes:
     @pytest.mark.parametrize("log_base", ["2", "e"])
     @pytest.mark.parametrize("mode", ["extremal_params", "raw_standard_form"])
-    @pytest.mark.parametrize("count", [1, 257, 600])
+    # 257 and 600 rows cross the writer's slices of cli._ROWS_PER_CALL rows,
+    # and the last count crosses two of the experiment's blocks
+    @pytest.mark.parametrize("count", [1, 257, 600, 2 * bounds._BLOCK + 88])
     def test_points_csv_equals_the_scalar_loop(self, capsys, tmp_path, mode, log_base, count):
         cfg = SamplerConfig(seed=4, count=count, mode=mode)
         rows = _points_equal_the_scalar_loop(capsys, tmp_path, cfg, log_base, iter_samples(cfg))
@@ -541,10 +543,11 @@ class TestPointsBytes:
 
     @pytest.mark.parametrize("log_base", ["2", "e"])
     def test_failing_rows_around_a_block_boundary(self, capsys, tmp_path, monkeypatch, log_base):
-        good = list(iter_samples(SamplerConfig(seed=6, count=500)))
         block = bounds._BLOCK
+        good = list(iter_samples(SamplerConfig(seed=6, count=2 * block + 88)))
         # the last row of the first block, the first of the second, and
-        # every row of the third: that block hands the writer no rows
+        # every row of the third: that block hands the writer no rows, and
+        # a fourth block follows it
         failing = [(block - 1, UNPHYSICAL), (block, NO_SPECTRUM),
                    *((at, UNPHYSICAL if at % 2 else NO_SPECTRUM)
                      for at in range(2 * block, 3 * block))]

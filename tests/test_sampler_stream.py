@@ -115,8 +115,10 @@ def reference_sample(cfg, index, rng_of=None):
 RAW_CHUNK = bounds._MODES["raw_standard_form"].chunk
 COUNT = 3 * RAW_CHUNK + 6
 AROUND_BOUNDARY = [0, 1, RAW_CHUNK - 1, RAW_CHUNK, COUNT - 1]
-# A count of 600 crosses two extremal-mode chunks.
-AROUND_WINDOWS = [0, 255, 256, 257, 511, 512, 599]
+# The indices around the two extremal-mode chunk boundaries that a count of
+# 2 * _BLOCK + 88 crosses.
+BLOCK = bounds._BLOCK
+AROUND_WINDOWS = [0, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 87]
 STREAM_CASES = [
     ("extremal_params", seed, s_max, range(COUNT))
     for seed in (1, 2) for s_max in (1.5, 20.0, 200.0)
@@ -491,6 +493,58 @@ def test_an_undefined_spectrum_raises_end_to_end(monkeypatch, capsys, tmp_path):
     assert (code, out) == (cli.EXIT_UNPHYSICAL, "")
     assert err == f"twomode: unphysical or invalid state: {message}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+# Attempts at UNDEFINED_S_MAX: accepted, and with an undefined spectrum.
+# The raw one is a mixed state whose two symplectic eigenvalues nearly
+# coincide: its discriminant rounds below its floor.
+BIG_ACCEPT = {"extremal_params": EXT_ACCEPT,
+              "raw_standard_form": [0.5, 0.5, 1.0 - 2.0**-19, 2.0**-20]}
+RAW_UNDEFINED = [0.5, 0.5, 1.0 - 2.0**-24, 2.0**-40]
+
+
+def _scalar_walk(cfg, scripts):
+    """The samples of the scalar walk over indices 0, 1, ... on the
+    attempts ``scripts[i]``, up to the first index that fails, and that
+    index's error (None if none fails)."""
+    samples = []
+    for i, script in enumerate(scripts):
+        def rng_of(k, script=script):
+            return ScriptedGenerator(script[k] if k < len(script) else [])
+        try:
+            samples.append(reference_sample(cfg, i, rng_of))
+        except (SamplingError, UnphysicalStateError) as exc:
+            return samples, exc
+    return samples, None
+
+
+@pytest.mark.parametrize("mode", ["extremal_params", "raw_standard_form"])
+@pytest.mark.parametrize("kinds", [
+    # index 1 runs out of attempts before index 2 stops at an undefined
+    # spectrum, in the same chunk and the same round
+    ["accept", "reject reject", "undefined", "accept"],
+    ["accept", "undefined", "reject reject", "accept"],
+    # the undefined spectrum comes at an index's second attempt
+    ["accept", "reject undefined", "reject reject", "accept"],
+    ["accept", "reject accept", "undefined", "undefined"],
+])
+def test_the_first_index_that_fails_raises_after_the_samples_before_it(
+        monkeypatch, mode, kinds):
+    monkeypatch.setattr(bounds, "_MAX_REJECTIONS", 2)
+    attempts = {"accept": BIG_ACCEPT[mode], "reject": REJECT[mode],
+                "undefined": _undefined_attempt() if mode == "extremal_params" else RAW_UNDEFINED}
+    scripts = [[attempts[kind] for kind in index.split()] for index in kinds]
+    _script_streams(monkeypatch, lambda index: scripts[index])
+    cfg = SamplerConfig(seed=0, count=len(scripts), s_max=UNDEFINED_S_MAX, mode=mode)
+    want, error = _scalar_walk(cfg, scripts)
+    assert error is not None and len(want) == 1 + ("reject accept" in kinds)
+    got = []
+    with pytest.raises(type(error)) as raised:
+        got.extend(iter_samples(cfg))
+    assert (got, str(raised.value)) == (want, str(error))
+    with pytest.raises(type(error)) as raised:
+        bound_experiment(cfg)
+    assert str(raised.value) == str(error)
 
 
 @pytest.mark.parametrize("mode", ["extremal_params", "raw_standard_form"])
