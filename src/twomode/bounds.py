@@ -26,11 +26,11 @@ import numpy as np
 from .errors import DomainError, SamplingError, TwoModeError, UnphysicalStateError
 # build_state and minimize_m are unused here: perfbench/bench_trace.py patches
 # bounds.build_state and bounds.minimize_m
-from .extremal import (_FLOATS, ColumnTable, _integer, _state, build_state,
+from .extremal import (ColumnTable, _integer, _state, build_state,
                        entanglement_threshold, gmems_threshold)
 from .gaussian_em import NEAR_SEPARABLE_TOL, minimize_columns, minimize_m
 from .negativity import _log_divisor, h_function
-from .symplectic import DEFAULT_TOL, StandardForm, _dets, _nu_pairs
+from .symplectic import _ARRAYS, _FLOATS, DEFAULT_TOL, StandardForm, _dets, _nu_pairs
 
 #: Slack on the proven upper-curve inequality before a sample counts as a
 #: violation.
@@ -66,7 +66,7 @@ def nu_opt_lower(nu_tilde_sigma: float) -> float:
     return _lower_curve(nu, _FLOATS)
 
 
-def _lower_curve(nu, xp=np):
+def _lower_curve(nu, xp=_ARRAYS):
     """``nu_opt_lower`` of every nu in (0, 1] under ``xp``."""
     return nu / (1.0 + xp.sqrt(xp.maximum(0.0, (1.0 - nu) * (1.0 + nu))))
 

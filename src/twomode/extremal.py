@@ -21,13 +21,12 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError
-from .symplectic import StandardForm, _nu_pair, _nu_pairs
+from .symplectic import _ARRAYS, _FLOATS, StandardForm, _nu_pair, _nu_pairs
 
 _PARAM_TOL = 1e-12
 
@@ -35,10 +34,6 @@ _PARAM_TOL = 1e-12
 #: the documented range of s, and the closed forms' largest intermediate,
 #: 64 (ab)^(3/2) g^2 in ``_m_glems``, stays below 1e62, far from overflow.
 SCAN_LIMIT = 1e12
-
-#: The closed forms' ``xp`` on floats; max and min keep a NaN first argument.
-_FLOATS = SimpleNamespace(sqrt=math.sqrt, maximum=max, minimum=min,
-                          where=lambda cond, a, b: a if cond else b)
 
 
 @dataclass(frozen=True)
@@ -136,7 +131,7 @@ def gmems_threshold(s):
 def glems_threshold(s, d):
     """GLEMS are entangled iff g < sqrt(2(s^2 + d^2) - 1) (elementwise for
     arrays)."""
-    return _glems_threshold(s, d, np)
+    return _glems_threshold(s, d, _ARRAYS)
 
 
 def _glems_threshold(s, d, xp):
@@ -166,7 +161,7 @@ def _delta_tilde(s, d, g, lam):
     return 4.0 * (s * s + d * d) + _shift(d, g, lam)
 
 
-def _state(s, d, g, lam, xp=np):
+def _state(s, d, g, lam, xp=_ARRAYS):
     """``build_state``'s standard form (a, b, c_plus, c_minus) of every
     (s, d, g, lambda) under ``xp`` (as in ``_closed_forms``), its two
     square-root arguments, each with the mask where it is negative beyond
@@ -230,14 +225,14 @@ def classify_entanglement(p: ExtremalParams) -> Entanglement:
     return Entanglement.ENTANGLED if entangled else Entanglement.SEPARABLE
 
 
-def _gmems_pt(s, d, g, xp=np):
+def _gmems_pt(s, d, g, xp=_ARRAYS):
     """(Delta_tilde, Det sigma, disc) of the GMEMS under ``xp``: 4s^2 - 2g, g^2
     and Delta_tilde^2 - 4g^2 = 16s^2 (s^2 - g), the last factor taken as
     (s-1)(s+1) - (g-1), free of cancellation near purity."""
     return 4.0 * s * s - 2.0 * g, g * g, 16.0 * s * s * ((s - 1.0) * (s + 1.0) - (g - 1.0))
 
 
-def _glems_pt(s, d, g, xp=np):
+def _glems_pt(s, d, g, xp=_ARRAYS):
     """(Delta_tilde, Det sigma, disc) of the GLEMS under ``xp``: disc is the
     product of the factors 4(s^2 + d^2) - (g +- 1)^2, written so that neither
     cancels, the first clamped at 0."""
@@ -264,7 +259,7 @@ def nu_tilde_glems(s: float, d: float, g: float) -> float:
     return _nu_pair(*_glems_pt(s, d, g, _FLOATS))[0]
 
 
-def _m_gmems(s, d, g, xp=np):
+def _m_gmems(s, d, g, xp=_ARRAYS):
     """m_opt of an entangled GMEMS (g < 2s - 1), elementwise under ``xp``;
     see ``m_opt_gmems``.  The clamps absorb the domain tolerance and the last
     rounding at threshold.  Squares are products: Python's float ``**``
@@ -291,7 +286,7 @@ def m_opt_gmems(s: float, d: float, g: float) -> float:
     return _closed_forms(float(s), float(d), float(g), _FLOATS)[0]
 
 
-def _m_glems(s, d, g, xp=np):
+def _m_glems(s, d, g, xp=_ARRAYS):
     """m_opt of an entangled GLEMS (g < min(2s - 1, g_thr)) under ``xp``;
     see ``m_opt_glems``.  w is NaN where theta* is not taken (no 0 / 0)."""
     x = xp.sqrt(xp.maximum((g + 1.0 - 2.0 * d) * (g + 1.0 + 2.0 * d)
@@ -373,9 +368,9 @@ _REGIMES = (Regime.UNPHYSICAL, Regime.BOTH_SEPARABLE, Regime.COEXISTENCE,
             Regime.ORDERING_PRESERVED, Regime.ORDERING_INVERTED)
 
 
-def _closed_forms(s, d, g, xp=np):
-    """(m_gmems, m_glems, kind) of every (s, d, g) under ``xp``: ``np`` for
-    arrays, ``_FLOATS`` for floats.  The kind is 0 outside the domain (NaN
+def _closed_forms(s, d, g, xp=_ARRAYS):
+    """(m_gmems, m_glems, kind) of every (s, d, g) under ``xp``: ``_ARRAYS``
+    for arrays, ``_FLOATS`` for floats.  The kind is 0 outside the domain (NaN
     included; both m NaN), 1 where both families are separable, 2 where only
     the GLEMS is, 3 where both are entangled; a separable family's m is 1.
     No branch divides by 0 or takes a negative root: s is NaN outside the
@@ -389,7 +384,7 @@ def _closed_forms(s, d, g, xp=np):
     return xp.where(inside, m_g, math.nan), xp.where(inside, m_l, math.nan), kind
 
 
-def _ordering(s, d, g, xp=np):
+def _ordering(s, d, g, xp=_ARRAYS):
     """(m_gmems, m_glems, regime code) of every (s, d, g), elementwise under
     ``xp``; the code indexes ``_REGIMES`` (the kinds of ``_closed_forms``,
     with 3 split into preserved and inverted).  On the GMEMMS line

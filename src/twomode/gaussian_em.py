@@ -29,16 +29,19 @@ formation.
 physicality, near-separable cut, symmetric closed form), the sign ordering,
 ``_ThetaProfile.of``, the quartic's roots (``_stationary_points``), the
 profile at those roots (``_ThetaProfile.at``) and the optimum are each
-written once against a namespace ``xp``.  ``minimize_m`` passes one form's
-Python floats (``_FLOATS``, ``math``), so a single call pays no array
-overhead; ``minimize_columns`` passes a block's columns (``_ARRAYS``,
-NumPy), whose branches are masks.  The body uses only +, -, *, /, sqrt and
-selection, which IEEE arithmetic rounds the same way on both, and
-``math.atan`` of the winning root on both, so both give the same bits.
-Selections that few forms take (the zero quartic of a flat profile,
-c = d = 0 in the monic quartic, the cancelled member of a root pair, the
-Newton polish of a complex pair) run behind ``xp.any`` of their mask, so
-one form's float route pays for them only where it takes them.
+written once against a namespace ``xp``, one of the two that ``symplectic``
+defines for every module.  ``minimize_m`` passes one form's Python floats
+(``_FLOATS``, ``math``), so a single call pays no array overhead;
+``minimize_columns`` passes a block's columns (``_ARRAYS``, NumPy), whose
+branches are masks.  The sign ordering and the symmetric test are
+``symplectic``'s too, the ones ``StandardForm`` runs on floats.  The body
+uses only +, -, *, /, sqrt and selection, which IEEE arithmetic rounds the
+same way on both, and ``math.atan`` of the winning root on both, so both
+give the same bits.  Selections that few forms take (the zero quartic of a
+flat profile, c = d = 0 in the monic quartic, the cancelled member of a
+root pair, the Newton polish of a complex pair) run behind ``xp.any`` of
+their mask, so one form's float route pays for them only where it takes
+them.
 ``minimize_m``'s gate reads the spectrum the form keeps once computed
 (``StandardForm.spectrum()``).  A block row that fails the gate's mask, a
 missing nu_tilde_minus included, falls back on ``minimize_m``'s float
@@ -53,15 +56,14 @@ import math
 import operator
 from dataclasses import astuple, dataclass
 from functools import reduce
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
-from . import extremal
 from .errors import DomainError, MinimizationError, TwoModeError, UnphysicalStateError
 from .negativity import _log_divisor, h_function
-from .symplectic import SYMMETRY_RTOL, StandardForm, _dets, _inequalities
+from .symplectic import (_ARRAYS, _FLOATS, SYMMETRY_RTOL, StandardForm, _dets, _inequalities,
+                         _sign_ordered, _symmetric)
 
 #: States with nu_tilde_minus inside [1 - this, 1] are treated as separable
 #: by the minimizer, which then returns m_opt = 1 exactly.
@@ -77,18 +79,6 @@ GATE_TOL = 1e-9
 SQRT_CLAMP = 1e-12
 
 _ETA = np.array([1.0, -1.0, -1.0])  # Minkowski metric signature (+, -, -)
-
-#: The one body's ``xp`` on one form's floats: ``extremal._FLOATS``;
-#: ``any`` of a guard's or a Newton loop's one flag; and ``each``, which
-#: maps f over the four stationary points one at a time.
-_FLOATS = SimpleNamespace(**vars(extremal._FLOATS), any=bool,
-                          each=lambda f, *args: [f(*point) for point in zip(*args)])
-#: Its ``xp`` on a block's columns: NumPy; ``any`` as ``np.count_nonzero``,
-#: nonzero where some entry holds, at about a sixth of the cost of an
-#: ``np.any`` call on a block; and ``each`` as one call of f on the points'
-#: stacked columns.
-_ARRAYS = SimpleNamespace(sqrt=np.sqrt, maximum=np.maximum, where=np.where, any=np.count_nonzero,
-                          each=lambda f, *args: list(f(*map(np.stack, args))))
 
 #: Most Newton steps that one root of the root step takes.  Sampled
 #: profiles need at most 6; a double root converges linearly, about one bit
@@ -163,8 +153,7 @@ def _gate(a, b, cp, cm, nu, xp):
     holds), where it is near separable (m_opt = 1) and where symmetric
     (m_opt = ``m_from_nu_tilde(nu)``)."""
     passes = (nu == nu) & reduce(operator.and_, _inequalities(a, b, cp, cm, GATE_TOL))
-    return (passes, nu >= 1.0 - NEAR_SEPARABLE_TOL,
-            abs(a - b) <= SYMMETRY_RTOL * xp.maximum(a, b))
+    return passes, nu >= 1.0 - NEAR_SEPARABLE_TOL, _symmetric(a, b, SYMMETRY_RTOL, xp)
 
 
 def _scalar_gate(sf: StandardForm, nu: float = math.nan) -> tuple[float, bool, bool]:
@@ -191,15 +180,6 @@ def _require_rim(sf: StandardForm, nu: float) -> None:
         )
     if nu >= 1.0:
         raise DomainError(f"state is separable (nu_tilde_minus = {nu:.12g})")
-
-
-def _sign_ordered(cp, cm, xp):
-    """(c_plus, c_minus) of ``StandardForm.sign_ordered`` under ``xp``: a
-    pair with c_plus >= |c_minus| passes both steps unchanged."""
-    swap = abs(cm) > abs(cp)
-    cp, cm = xp.where(swap, -cm, cp), xp.where(swap, -cp, cm)
-    flip = cp < 0.0
-    return xp.where(flip, -cp, cp), xp.where(flip, -cm, cm)
 
 
 _EPS = 2.220446049250313e-16

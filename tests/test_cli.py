@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import hashlib
+import io
 import json
 import math
 import sys
@@ -8,7 +10,7 @@ import pytest
 
 from twomode import bounds, cli, extremal, symplectic
 from twomode.bounds import SamplerConfig, iter_samples
-from twomode.cli import EXIT_OK, EXIT_UNPHYSICAL, EXIT_USAGE, main
+from twomode.cli import EXIT_OK, EXIT_UNPHYSICAL, EXIT_USAGE, EXIT_VIOLATION, main
 
 from conftest import BLOCK_NOT_POSITIVE_DEFINITE
 from test_bounds import NO_SPECTRUM, UNPHYSICAL, _scalar_experiment, blocks_of, failing_stream
@@ -53,6 +55,16 @@ class TestMeasure:
         report = json.loads(out)
         assert report["standard_form"]["a"] == pytest.approx(2.0, rel=1e-12)
 
+    def test_dash_reads_the_state_from_stdin(self, capsys, tmp_path, monkeypatch):
+        text = json.dumps({"cm": [[2.0, 0.3, 1.1, 0.0], [0.3, 2.0, 0.0, -1.0],
+                                  [1.1, 0.0, 1.5, 0.2], [0.0, -1.0, 0.2, 1.5]]})
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        from_file = run(capsys, "measure", str(path))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert run(capsys, "measure", "-") == from_file
+        assert from_file[0] == EXIT_OK
+
     @pytest.mark.parametrize("state", [
         {"standard_form": {"a": 5 / 3, "b": 5 / 3, "c_plus": 4 / 3, "c_minus": -4 / 3}},
         {"cm": [[2.0, 0.3, 1.1, 0.0], [0.3, 2.0, 0.0, -1.0],
@@ -86,6 +98,14 @@ class TestMeasure:
         assert report["closed_form"]["family"] == "glems"
         assert report["closed_form"]["m_opt"] == pytest.approx(1.0551972518870598, rel=1e-10)
 
+    def test_params_on_the_gmemms_line_report_gmemms(self, capsys):
+        # g = 2|d| + 1: the families coincide whatever lambda is
+        code, out, _ = run(capsys, "measure", "--params", "2", "0.5", "2", "0.3")
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["closed_form"] == {"family": "gmemms", "m_opt": 1.7777777777777777}
+        assert report["gaussian_em"]["m_opt"] == pytest.approx(16.0 / 9.0, rel=1e-8)
+
     def test_log_base_e(self, capsys):
         code, out, _ = run(capsys, "measure", "--squeezed-r", str(R_53), "--log-base", "e")
         report = json.loads(out)
@@ -101,6 +121,7 @@ class TestMeasure:
     @pytest.mark.parametrize("state, named", [
         *(({"cm": cm.tolist()}, "not positive definite") for cm in BLOCK_NOT_POSITIVE_DEFINITE),
         ({"standard_form": {"a": 2.0, "b": 2.0, "c_plus": 1.7, "c_minus": 1.7}}, "Delta"),
+        ([1], "state JSON must be an object"),
     ])
     def test_unphysical_input_names_the_failure(self, capsys, tmp_path, state, named):
         path = tmp_path / "bad.json"
@@ -477,6 +498,42 @@ class TestBounds:
             "--points", str(tmp_path / "p.csv"), "--curves", str(tmp_path / "c.csv"),
         )
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("flags, exit_code", [([], EXIT_OK), (["--strict"], EXIT_VIOLATION)])
+    def test_strict_mode_exits_3_on_a_ceiling_violation(self, capsys, tmp_path, monkeypatch,
+                                                         flags, exit_code):
+        experiment = bounds.bound_experiment
+        monkeypatch.setattr(cli.bounds_mod, "bound_experiment", lambda cfg, log_base: (
+            dataclasses.replace(experiment(cfg, log_base), violations_upper=1)))
+        code, out, _ = run(
+            capsys, "bounds", "--samples", "5", "--seed", "5", *flags,
+            "--points", str(tmp_path / "p.csv"), "--curves", str(tmp_path / "c.csv"),
+        )
+        assert code == exit_code
+        assert json.loads(out)["violations_42"] == 1
+
+    def test_non_integer_seed_from_environment_exits_64(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("TWOMODE_SEED", "abc")
+        code, out, err = run(
+            capsys, "bounds", "--samples", "5",
+            "--points", str(tmp_path / "p.csv"), "--curves", str(tmp_path / "c.csv"),
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "twomode: error: TWOMODE_SEED must be an integer, got 'abc'\n"
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_points_in_a_missing_directory_exits_64(self, capsys, tmp_path):
+        curves, summary = tmp_path / "c.csv", tmp_path / "s.json"
+        code, out, err = run(
+            capsys, "bounds", "--samples", "5", "--seed", "1",
+            "--points", str(tmp_path / "missing" / "p.csv"), "--curves", str(curves),
+            "--summary", str(summary),
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("twomode: error: ") and "No such file or directory" in err
+        assert not curves.exists() and not summary.exists()
 
     def test_seed_from_environment(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("TWOMODE_SEED", "77")

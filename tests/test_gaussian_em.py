@@ -24,12 +24,12 @@ from twomode.errors import (
 )
 from twomode import gaussian_em
 from twomode.extremal import gmems_threshold
+from twomode.symplectic import _sign_ordered
 from twomode.gaussian_em import (
     NEAR_SEPARABLE_TOL,
     GemResult,
     _ARRAYS,
     _FLOATS,
-    _sign_ordered,
     _stationary_points,
     _ThetaProfile,
     minimize_columns,
@@ -626,17 +626,56 @@ def test_block_rows_equal_minimize_m(forms, log_base, pass_nu):
         assert repr(gem) == repr(expected)
 
 
+#: (c_plus, c_minus) and its sign-ordered pair, exactly: the signed zeros
+#: and the ties |c_plus| = |c_minus|, by hand.
+SIGN_ORDER_TABLE = [
+    ((0.0, -0.0), (0.0, -0.0)),
+    ((-0.0, 0.0), (-0.0, 0.0)),  # -0.0 >= |0.0|: ordered already
+    ((-0.0, -0.0), (-0.0, -0.0)),
+    ((0.0, 1.0), (1.0, 0.0)),
+    ((0.0, -1.0), (1.0, -0.0)),
+    ((-1.0, 0.0), (1.0, -0.0)),
+    ((0.5, -0.5), (0.5, -0.5)),
+    ((-0.5, 0.5), (0.5, -0.5)),
+    ((0.5, 0.5), (0.5, 0.5)),
+    ((-0.5, -0.5), (0.5, 0.5)),
+    ((0.4, -1.1), (1.1, -0.4)),
+    ((-1.1, 0.4), (1.1, -0.4)),
+    ((-0.4, -1.1), (1.1, 0.4)),
+]
+
+
+def _hex_pair(cp, cm):
+    return float(cp).hex(), float(cm).hex()
+
+
+@pytest.mark.parametrize("pair, ordered", SIGN_ORDER_TABLE)
+def test_sign_ordering_table(pair, ordered):
+    sf = StandardForm(2.0, 2.0, *pair)
+    got = sf.sign_ordered()
+    assert _hex_pair(got.c_plus, got.c_minus) == _hex_pair(*ordered)
+    assert (got.a, got.b) == (sf.a, sf.b)
+    columns = _sign_ordered(np.array([pair[0]]), np.array([pair[1]]), _ARRAYS)
+    assert _hex_pair(*(c.item() for c in columns)) == _hex_pair(*ordered)
+
+
 @settings(max_examples=100, deadline=None)
 @given(forms=st.lists(_forms(), min_size=1, max_size=8))
-@example(forms=[StandardForm(2.0, 2.0, 0.0, -0.0), StandardForm(2.0, 2.0, -0.0, 0.0),
-                StandardForm(2.0, 2.0, 0.5, -0.5), StandardForm(2.0, 2.0, -0.5, 0.5)])
-def test_sign_ordering_equals_the_form_method(forms):
-    expected = [(sf.sign_ordered().c_plus, sf.sign_ordered().c_minus) for sf in forms]
-    floats = [_sign_ordered(sf.c_plus, sf.c_minus, _FLOATS) for sf in forms]
+def test_sign_ordering_is_a_local_rotation_to_the_ordered_pair(forms):
+    # properties of the ordered pair, and the column route against the float one
+    ordered = [sf.sign_ordered() for sf in forms]
+    for sf, got in zip(forms, ordered):
+        cp, cm = sf.c_plus, sf.c_minus
+        assert _hex_pair(got.c_plus, got.c_minus) in {
+            _hex_pair(cp, cm), _hex_pair(-cp, -cm), _hex_pair(-cm, -cp), _hex_pair(cm, cp)}
+        assert got.c_plus >= abs(got.c_minus) and got.c_plus >= 0.0
+        assert got.c_plus * got.c_minus == cp * cm
+        assert got.c_plus * got.c_plus + got.c_minus * got.c_minus == cp * cp + cm * cm
+        assert (got is sf) == (cp >= abs(cm))
     columns = _sign_ordered(*(np.array([getattr(sf, name) for sf in forms])
                               for name in ("c_plus", "c_minus")), _ARRAYS)
-    assert repr(floats) == repr(expected)
-    assert repr(list(zip(*(c.tolist() for c in columns)))) == repr(expected)
+    assert (repr(list(zip(*(c.tolist() for c in columns))))
+            == repr([(sf.c_plus, sf.c_minus) for sf in ordered]))
 
 
 def test_row_the_mask_fails_takes_minimize_m_route(monkeypatch):

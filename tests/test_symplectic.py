@@ -1,3 +1,4 @@
+import ast
 import copy
 import dataclasses
 import math
@@ -25,6 +26,7 @@ from twomode import (
     cm_from_json_dict,
     minimize_m,
 )
+from twomode import bounds, extremal, gaussian_em, symplectic
 from twomode.errors import DomainError, MalformedInputError, TwoModeError, UnphysicalStateError
 from twomode.symplectic import _check_matrix, _nu_pair, _nu_pairs
 
@@ -486,3 +488,22 @@ class TestMisc:
             cm_from_json_dict({"cm": [[1, 2], [3, 4]]})
         with pytest.raises(MalformedInputError):
             cm_from_json_dict({"standard_form": {"a": 1.0}})
+
+
+def test_the_form_level_core_lives_in_symplectic():
+    # one float and one array namespace for every module, and the minimizer
+    # reads them, the sign order and the symmetric test without the
+    # extremal families
+    for module in (extremal, gaussian_em, bounds):
+        assert module._FLOATS is symplectic._FLOATS
+        assert module._ARRAYS is symplectic._ARRAYS
+    with open(gaussian_em.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not [name for name in imported if "extremal" in name.split(".")]
