@@ -492,9 +492,10 @@ def bound_experiment(cfg: SamplerConfig, log_base=2) -> ExperimentResult:
         violations_upper += int(np.count_nonzero(upper))
         violations_lower += int(np.count_nonzero(lower))
         min_upper_slack = min(min_upper_slack, (nu_sigma - nu_opt).min().item())
-        nu_list = nu_sigma.tolist()
-        m_max_slack = np.array([1.0 / x**2 for x in nu_list]) - gems.m_opt[kept]
+        # extremal.m_max's 1/(nu nu); Python's ** would square through libm's pow
+        m_max_slack = 1.0 / (nu_sigma * nu_sigma) - gems.m_opt[kept]
         min_m_max_slack = min(min_m_max_slack, m_max_slack.min().item())
+        nu_list = nu_sigma.tolist()
         block = [(kept + start).tolist(), s[kept].tolist(), d[kept].tolist(), g[kept].tolist(),
                  lam[kept].tolist(), nu_list, nu_opt.tolist(),
                  # log_negativity's expression, with its divisor taken once

@@ -497,17 +497,15 @@ def _crossings(s: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _nu_tilde_columns(s, d, g, physical):
     """``nu_tilde_gmems`` and ``nu_tilde_glems`` of every (s, d, g) where
     ``physical``, NaN elsewhere, bit for bit: each family's invariants go
-    through ``_nu_pairs`` with s NaN where it has no value, and an entry
-    left NaN where it has one takes the float call, which raises as alone."""
+    through ``_nu_pairs`` with s NaN where it has no value.  Where it has
+    one, ``_nu_pairs`` gives a number, as the float call does: the GMEMS
+    discriminant is at least -16 s^2 ``_PARAM_TOL``, inside the clamp; for
+    g <= 2s - 1 + ``_PARAM_TOL`` the GLEMS discriminant's second factor and
+    Delta_tilde are positive; Det sigma = g^2; and ``SCAN_LIMIT`` keeps
+    s^4 far from overflow."""
     s_g = np.where(physical, s, math.nan)
     s_l = np.where(g > gmems_threshold(s_g) + _PARAM_TOL, math.nan, s_g)
-    columns = []
-    for s_f, pt, scalar in ((s_g, _gmems_pt, nu_tilde_gmems), (s_l, _glems_pt, nu_tilde_glems)):
-        nu = _nu_pairs(*pt(s_f, d, g))[0]
-        for k in np.flatnonzero(np.isnan(nu) & ~np.isnan(s_f)).tolist():
-            nu[k] = scalar(float(s_f[k]), float(d[k]), float(g[k]))
-        columns.append(nu)
-    return columns
+    return [_nu_pairs(*pt(s_f, d, g))[0] for s_f, pt in ((s_g, _gmems_pt), (s_l, _glems_pt))]
 
 
 def _axis(rng: tuple[float, float], resolution: int) -> np.ndarray:

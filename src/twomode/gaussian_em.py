@@ -43,11 +43,12 @@ root pair, the Newton polish of a complex pair) run behind ``xp.any`` of
 their mask, so one form's float route pays for them only where it takes
 them.
 ``minimize_m``'s gate reads the spectrum the form keeps once computed
-(``StandardForm.spectrum()``).  A block row that fails the gate's mask, a
-missing nu_tilde_minus included, falls back on ``minimize_m``'s float
-route, which computes its spectrum, so each error keeps its type and
-message; a row whose profile is not finite at its stationary points gets
-its ``MinimizationError`` in the block.
+(``StandardForm.spectrum()``) and decides physicality as
+``StandardForm.is_physical()`` does, with ``DEFAULT_TOL``.  A block row
+that fails the gate's mask, a missing nu_tilde_minus included, is handed
+to ``minimize_m`` itself, so it gets that call's result or error, with its
+type and message; a row whose profile is not finite at its stationary
+points gets its ``MinimizationError`` in the block.
 """
 
 from __future__ import annotations
@@ -62,16 +63,12 @@ import numpy as np
 
 from .errors import DomainError, MinimizationError, TwoModeError, UnphysicalStateError
 from .negativity import _log_divisor, h_function
-from .symplectic import (_ARRAYS, _FLOATS, SYMMETRY_RTOL, StandardForm, _dets, _inequalities,
-                         _sign_ordered, _symmetric)
+from .symplectic import (_ARRAYS, _FLOATS, DEFAULT_TOL, SYMMETRY_RTOL, StandardForm, _dets,
+                         _inequalities, _sign_ordered, _symmetric)
 
 #: States with nu_tilde_minus inside [1 - this, 1] are treated as separable
 #: by the minimizer, which then returns m_opt = 1 exactly.
 NEAR_SEPARABLE_TOL = 1e-8
-
-#: Slack of the minimizer's physicality gate: ``StandardForm.is_physical``
-#: with this tolerance.
-GATE_TOL = 1e-9
 
 #: Square-root arguments in the angular profile may round slightly below
 #: zero exactly on feasibility boundaries; a rim radius R this close to zero
@@ -149,23 +146,21 @@ def _m_of_nu(nu):
 def _gate(a, b, cp, cm, nu, xp):
     """``minimize_m``'s checks before the rim, on the floats of one form or
     the columns of a block (``xp``), with nu = its nu_tilde_minus: where the
-    form passes (nu is a number and ``StandardForm.is_physical(GATE_TOL)``
-    holds), where it is near separable (m_opt = 1) and where symmetric
+    form passes (nu is a number and ``StandardForm.is_physical()`` holds),
+    where it is near separable (m_opt = 1) and where symmetric
     (m_opt = ``m_from_nu_tilde(nu)``)."""
-    passes = (nu == nu) & reduce(operator.and_, _inequalities(a, b, cp, cm, GATE_TOL))
+    passes = (nu == nu) & reduce(operator.and_, _inequalities(a, b, cp, cm, DEFAULT_TOL))
     return passes, nu >= 1.0 - NEAR_SEPARABLE_TOL, _symmetric(a, b, SYMMETRY_RTOL, xp)
 
 
-def _scalar_gate(sf: StandardForm, nu: float = math.nan) -> tuple[float, bool, bool]:
-    """``_gate`` of one form, with nu_tilde_minus taken from its spectrum
-    unless the caller has it (``nu`` is not NaN), so that a form without one
-    fails there first: nu_tilde_minus and the separable and symmetric
-    verdicts.  Raises UnphysicalStateError where the form does not pass.
-    Physicality is decided on polynomial inequalities: for pure states
-    nu_minus itself sits on a vanishing discriminant and carries
-    sqrt-amplified rounding noise."""
-    if nu != nu:
-        nu = sf.spectrum().nu_tilde_minus
+def _scalar_gate(sf: StandardForm) -> tuple[float, bool, bool]:
+    """``_gate`` of one form, with nu_tilde_minus taken from its spectrum,
+    so that a form without one fails there first: nu_tilde_minus and the
+    separable and symmetric verdicts.  Raises UnphysicalStateError where the
+    form does not pass.  Physicality is decided on polynomial inequalities:
+    for pure states nu_minus itself sits on a vanishing discriminant and
+    carries sqrt-amplified rounding noise."""
+    nu = sf.spectrum().nu_tilde_minus
     passes, separable, symmetric = _gate(sf.a, sf.b, sf.c_plus, sf.c_minus, nu, _FLOATS)
     if not passes:
         raise UnphysicalStateError(f"not a physical state: {sf}")
@@ -208,7 +203,7 @@ class _ThetaProfile(NamedTuple):
         Nothing here raises or warns: the diagonal of gamma_q >= gamma_p^{-1}
         (the Schur complement of sigma + i Omega >= 0) gives r1, r2 <= 0,
         hence R = r1 r2 >= 0 up to rounding, and the uncertainty slack is at
-        least -GATE_TOL; a degenerate rim divides by 1 in place of R."""
+        least -DEFAULT_TOL; a degenerate rim divides by 1 in place of R."""
         dq = a * b - cm * cm
         r1 = a - b * dq
         r2 = b - a * dq
@@ -566,32 +561,27 @@ def minimize_m(sf: StandardForm, *, log_base=2) -> GemResult:
     same bits.
     """
     _log_divisor(log_base)  # DomainError for a base other than 2 and "e"
-    return _minimize(sf, math.nan, log_base)[1]
-
-
-def _minimize(sf: StandardForm, nu: float, log_base) -> tuple[float, GemResult]:
-    """nu_tilde_minus and ``minimize_m``'s result of one form on floats,
-    given its nu_tilde_minus where the caller has it (else ``nu`` is NaN)."""
-    nu, separable, symmetric = _scalar_gate(sf, nu)
+    nu, separable, symmetric = _scalar_gate(sf)
     if separable:
-        return nu, _SEPARABLE
+        return _SEPARABLE
     if symmetric:
-        return nu, GemResult(m_from_nu_tilde(nu), math.pi, nu, h_function(nu, log_base), 2)
+        return GemResult(m_from_nu_tilde(nu), math.pi, nu, h_function(nu, log_base), 2)
     a, b = sf.a, sf.b
     cp, cm = _sign_ordered(sf.c_plus, sf.c_minus, _FLOATS)
     m_min, x, flip, extrema, finite = _rim_minimum(_ThetaProfile.of(a, b, cp, cm, _FLOATS), _FLOATS)
     if not finite:
         raise _not_finite(a, b, cp, cm)
     m_opt, theta, nu_opt = _optimum(m_min, _theta(x, flip), _FLOATS)
-    return nu, GemResult(m_opt, theta, nu_opt, h_function(nu_opt, log_base), extrema)
+    return GemResult(m_opt, theta, nu_opt, h_function(nu_opt, log_base), extrema)
 
 
 class GemBlock(NamedTuple):
     """``minimize_columns``' outcomes as columns, one row per form: its
-    nu_tilde_minus (the caller's, or the spectrum's where the caller had
-    none) and the ``GemResult`` fields that ``minimize_m`` returns for it,
-    and by row the ``TwoModeError`` that ``minimize_m`` raises instead;
-    such a row reads NaN (0 extrema) in the result columns."""
+    nu_tilde_minus (the caller's, or the spectrum's where the row fails the
+    gate's mask and ``minimize_m`` succeeds) and the ``GemResult`` fields
+    that ``minimize_m`` returns for it, and by row the ``TwoModeError`` that
+    ``minimize_m`` raises instead; such a row reads NaN (0 extrema) in the
+    result columns."""
 
     nu_tilde_sigma: np.ndarray
     m_opt: np.ndarray
@@ -616,14 +606,14 @@ def minimize_columns(
     ``log_base`` raises DomainError at once.
 
     The gate runs as masks on the columns.  A row that fails it (NaN nu, no
-    spectrum, unphysical, or entries that are no ``StandardForm``) falls
-    back on ``minimize_m``'s float route on the ``StandardForm`` of its own
-    floats, which computes the spectrum where nu is NaN, so the row gets
-    the result or the error, with its type and message, that ``minimize_m``
-    gives.  The other rows' profiles, quartics, roots and minima are
-    columns too, and a row whose profile is not finite at its stationary
-    points gets its ``MinimizationError`` while the others keep their
-    results.  Entries must stay far below 1e77 (the sampler's do, at
+    spectrum, unphysical, or entries that are no ``StandardForm``) is
+    handed to ``minimize_m`` on the ``StandardForm`` of its own floats,
+    which computes the spectrum, so the row gets the result or the error,
+    with its type and message, that ``minimize_m`` gives, and on a result
+    the spectrum's nu_tilde_minus.  The other rows' profiles, quartics,
+    roots and minima are columns too, and a row whose profile is not finite
+    at its stationary points gets its ``MinimizationError`` while the others
+    keep their results.  Entries must stay far below 1e77 (the sampler's do, at
     s_max <= 1e6): above it Det sigma overflows and NumPy warns where
     ``minimize_m`` is silent.
     """
@@ -648,15 +638,16 @@ def minimize_columns(
     errors = {general[k].item(): _not_finite(*(c[k].item() for c in (ga, gb, gcp, gcm)))
               for k in np.flatnonzero(~finite).tolist()}
 
-    # The mask is the scalar gate's arithmetic, so the float route raises
-    # unless nu is NaN; the row takes whatever that route gives it.
+    # The mask is the scalar gate's arithmetic on the caller's nu; the row
+    # takes whatever minimize_m gives it on the spectrum's.
     for i in np.flatnonzero(~passes).tolist():
         try:
             sf = StandardForm(*(c[i].item() for c in (a, b, cp, cm)))
-            nu[i], gem = _minimize(sf, nu[i].item(), log_base)
+            gem = minimize_m(sf, log_base=log_base)
         except TwoModeError as exc:
             errors[i] = exc
         else:
+            nu[i] = sf.spectrum().nu_tilde_minus
             m_opt[i], theta[i], nu_opt[i], _, extrema[i] = astuple(gem)
     failed = sorted(errors)
     m_opt[failed] = theta[failed] = nu_opt[failed] = math.nan

@@ -226,7 +226,10 @@ def _check_matrix(cm) -> list[list[float]]:
     shape, finiteness and asymmetry checks.  Each off-diagonal pair is
     halved before it is summed, which no finite pair overflows; a diagonal
     entry is its own mean."""
-    arr = np.asarray(cm, dtype=float)
+    try:
+        arr = np.asarray(cm, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedInputError(f"covariance matrix entries are not numbers: {exc}") from None
     if arr.shape != (4, 4):
         raise MalformedInputError(f"expected a 4x4 covariance matrix, got shape {arr.shape}")
     rows = arr.tolist()

@@ -26,7 +26,7 @@ from twomode import bounds
 from twomode.bounds import VIOLATION_TOL, BoundPoint, ExperimentResult
 from twomode.errors import DomainError, TwoModeError
 from twomode.gaussian_em import GemBlock, m_from_nu_tilde
-from twomode.extremal import m_opt_glems, m_opt_gmems
+from twomode.extremal import m_max, m_opt_glems, m_opt_gmems
 from twomode.negativity import log_negativity
 
 
@@ -283,7 +283,7 @@ def _scalar_experiment(samples, log_base=2):
         upper += violates_upper
         lower += violates_lower
         min_upper_slack = min(min_upper_slack, nu_sigma - gem.nu_tilde_opt)
-        min_m_max_slack = min(min_m_max_slack, 1.0 / nu_sigma**2 - gem.m_opt)
+        min_m_max_slack = min(min_m_max_slack, m_max(nu_sigma) - gem.m_opt)
         points.append(BoundPoint(
             sample.index, sample.s, sample.d, sample.g, sample.lam, nu_sigma,
             gem.nu_tilde_opt, log_negativity(nu_sigma, log_base), gem.gaussian_eof,
@@ -429,9 +429,10 @@ def blocks_of(samples, nus):
                         for start in range(0, len(rows), bounds._BLOCK))
 
 
-def test_violations_count_beyond_the_tolerance(monkeypatch):
-    # nu_tilde_opt half and twice VIOLATION_TOL beyond each curve at nu = 0.5
-    nu = 0.5
+# 1/nu**2 rounds one ulp away from m_max's 1/(nu nu) at the second
+@pytest.mark.parametrize("nu", [0.5, 0.6885585766763299])
+def test_violations_count_beyond_the_tolerance(monkeypatch, nu):
+    # nu_tilde_opt half and twice VIOLATION_TOL beyond each curve at nu
     lower = nu_opt_lower(nu)
     cases = [(nu + 0.5 * VIOLATION_TOL, False, False), (nu + 2.0 * VIOLATION_TOL, True, False),
              (lower - 0.5 * VIOLATION_TOL, False, False), (lower - 2.0 * VIOLATION_TOL, False, True)]
@@ -447,7 +448,7 @@ def test_violations_count_beyond_the_tolerance(monkeypatch):
     assert [(p.violates_42, p.violates_46) for p in result.points] == [c[1:] for c in cases]
     assert (result.violations_upper, result.violations_lower) == (1, 1)
     assert result.min_upper_slack == nu - cases[1][0]
-    assert result.min_m_max_slack == 1.0 / nu**2 - m_from_nu_tilde(cases[3][0])
+    assert result.min_m_max_slack == m_max(nu) - m_from_nu_tilde(cases[3][0])
 
 
 # fails the physicality gate in minimize_m; its spectrum exists

@@ -451,13 +451,29 @@ def test_lone_general_form_takes_the_per_form_route():
     (UNPHYSICAL, "not a physical state"),
     # Det sigma < 0: the spectrum fails before the physicality check
     (StandardForm(1.0, 1.0, 2.0, 0.0), "spectrum undefined"),
+    # Det sigma - 1 = -5.0e-10: the gate's slack is is_physical's DEFAULT_TOL
+    (StandardForm(2.0, 2.0, 1.7320508076410461, -1.7320508076410461), "not a physical state"),
 ])
 def test_block_of_one_failing_form(sf, message):
+    assert not sf.is_physical()
     [outcome] = _outcomes(_minimize_forms([sf]))
     assert type(outcome) is UnphysicalStateError
     assert message in str(outcome)
     with pytest.raises(UnphysicalStateError, match=message):
         minimize_m(sf)
+
+
+def test_row_given_a_made_up_nu_gets_the_per_form_outcome():
+    # nu = 0.5 for a form whose spectrum is undefined (Det sigma < 0): the
+    # mask fails, and the row gets minimize_m's error, not the gate's
+    sf = StandardForm(1.0, 1.0, 2.0, 0.0)
+    block = minimize_columns(*(np.array([x]) for x in (sf.a, sf.b, sf.c_plus, sf.c_minus)),
+                             [0.5])
+    with pytest.raises(UnphysicalStateError) as raised:
+        minimize_m(sf)
+    [outcome] = _outcomes(block)
+    assert (type(outcome), str(outcome)) == (UnphysicalStateError, str(raised.value))
+    assert block.nu_tilde_sigma.tolist() == [0.5]
 
 
 def test_non_finite_row_gets_the_per_form_outcome(monkeypatch):

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from twomode import (
     Regime,
-    extremal,
     m_opt_glems,
     m_opt_gmems,
     nu_tilde_glems,
@@ -29,6 +28,7 @@ from twomode import (
 from twomode.errors import DomainError
 from twomode.extremal import (
     SCAN_LIMIT,
+    _PARAM_TOL,
     _closed_forms,
     _crossings,
     _domain_error,
@@ -154,27 +154,13 @@ def test_nu_tilde_columns_equal_per_point_calls(batch):
     nu_g, nu_l = _nu_tilde_columns(s, d, g, physical)
     for k, (sk, dk, gk) in enumerate(batch):
         if physical[k]:
+            # the columns have a value wherever the family has a state
+            assert not math.isnan(nu_g[k])
+            assert math.isnan(nu_l[k]) == (gk > 2.0 * sk - 1.0 + _PARAM_TOL)
             assert _same(nu_g[k], nu_tilde_gmems(sk, dk, gk))
             assert _same(nu_l[k], nu_tilde_glems(sk, dk, gk))
         else:
             assert math.isnan(nu_g[k]) and math.isnan(nu_l[k])
-
-
-def test_nu_tilde_columns_take_the_float_call_where_the_arrays_give_nan(monkeypatch):
-    # the float call raises where the array route has no value; here it
-    # fills in every entry the stubbed array route leaves NaN
-    def no_values(delta, det_sigma, disc):
-        return np.full_like(delta, math.nan), np.full_like(delta, math.nan)
-
-    s, d, g = (np.array(column) for column in
-               ([3.0, 3.0, 3.0, 0.5], [0.5, 0.5, 0.5, 0.0], [2.5, 4.5, 5.5, 1.0]))
-    physical = _in_domain(s, d, g)
-    expected = _nu_tilde_columns(s, d, g, physical)
-    monkeypatch.setattr(extremal, "_nu_pairs", no_values)
-    got = _nu_tilde_columns(s, d, g, physical)
-    assert np.array_equal(got[0], expected[0], equal_nan=True)
-    assert np.array_equal(got[1], expected[1], equal_nan=True)
-    assert np.isnan(got[1][2:]).all() and np.isnan(got[0][3])
 
 
 def test_slice_cells_equal_scalar_calls():

@@ -430,12 +430,19 @@ class TestReductionAccuracy:
          "covariance matrix is not symmetric (max asymmetry 0.5)"),
         (3e3 * np.eye(4) + np.diag([1e-4], 3),
          "covariance matrix is not symmetric (max asymmetry 0.0001)"),
+        # a trailing "..." stands for numpy's own text, which its versions word
+        # differently
+        ([[1, 2], [3]], "covariance matrix entries are not numbers: ..."),
+        ("abc", "covariance matrix entries are not numbers: ..."),
+        ([[10**400] * 4] * 4, "covariance matrix entries are not numbers: ..."),
     ])
     def test_malformed_messages(self, cm, message):
-        with pytest.raises(MalformedInputError, match=f"^{re.escape(message)}$"):
-            to_standard_form(cm)
-        with pytest.raises(MalformedInputError, match=f"^{re.escape(message)}$"):
-            spectrum_via_eigenvalues(cm)
+        pattern = (f"^{re.escape(message[:-3])}" if message.endswith("...")
+                   else f"^{re.escape(message)}$")
+        for call in (to_standard_form, validate_physical, local_invariants, symplectic_spectrum,
+                     global_purity, local_purities, spectrum_via_eigenvalues):
+            with pytest.raises(MalformedInputError, match=pattern):
+                call(cm)
 
 
 class TestPurities:
