@@ -57,14 +57,15 @@ import math
 import operator
 from dataclasses import astuple, dataclass
 from functools import reduce
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, MinimizationError, TwoModeError, UnphysicalStateError
 from .negativity import _log_divisor, h_function
-from .symplectic import (_ARRAYS, _FLOATS, DEFAULT_TOL, SYMMETRY_RTOL, StandardForm, _dets,
-                         _inequalities, _sign_ordered, _symmetric)
+from .symplectic import (_FLOATS, DEFAULT_TOL, SYMMETRY_RTOL, StandardForm, _dets, _inequalities,
+                         _sign_ordered, _symmetric)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: States with nu_tilde_minus inside [1 - this, 1] are treated as separable
 #: by the minimizer, which then returns m_opt = 1 exactly.
@@ -75,7 +76,20 @@ NEAR_SEPARABLE_TOL = 1e-8
 #: (relative) is degenerate, and the sign-order check allows this much slack.
 SQRT_CLAMP = 1e-12
 
-_ETA = np.array([1.0, -1.0, -1.0])  # Minkowski metric signature (+, -, -)
+
+def __getattr__(name):
+    """The names whose values are NumPy's, so that ``minimize_m`` never
+    imports NumPy: ``symplectic``'s ``_ARRAYS``, and ``_ETA``, the Minkowski
+    metric signature (+, -, -), made on first use and then kept."""
+    if name == "_ARRAYS":
+        from .symplectic import _ARRAYS
+        return _ARRAYS
+    if name == "_ETA":
+        import numpy as np
+
+        value = globals()["_ETA"] = np.array([1.0, -1.0, -1.0])
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 #: Most Newton steps that one root of the root step takes.  Sampled
 #: profiles need at most 6; a double root converges linearly, about one bit
@@ -95,6 +109,8 @@ class GammaCoordinates:
         return self.x0 * self.x0 - self.x1 * self.x1 - self.x3 * self.x3
 
     def to_matrix(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([
             [self.x0 + self.x3, self.x1],
             [self.x1, self.x0 - self.x3],
@@ -285,6 +301,8 @@ class _ThetaProfile(NamedTuple):
     def __call__(self, theta):
         """m at the angles theta, by NumPy's trigonometry: ``m_theta``, and
         an independent check of ``at``."""
+        import numpy as np
+
         ct = np.cos(theta)
         st = np.sin(theta)
         num = (self.n0 + self.n1 * ct) ** 2
@@ -298,6 +316,8 @@ def m_theta(sf: StandardForm, theta):
     (else UnphysicalStateError), entangled and sign-ordered with
     c_plus >= |c_minus| (else DomainError); the result is >= 1 for every theta.
     """
+    import numpy as np
+
     _require_rim(sf, _scalar_gate(sf)[0])
     out = _ThetaProfile.of(sf.a, sf.b, sf.c_plus, sf.c_minus, _FLOATS)(theta)
     return float(out) if np.isscalar(theta) else out
@@ -316,6 +336,10 @@ def _rim_geometry(sf: StandardForm):
     which makes the angle here agree with the one in ``m_theta``.  A nonzero
     but lightlike apex gap (GLEMS) has no boost to resolve it: DomainError.
     """
+    import numpy as np
+
+    from .gaussian_em import _ETA  # made on first use, by ``__getattr__``
+
     a, b, cp, cm = sf.a, sf.b, sf.c_plus, sf.c_minus
     dq = a * b - cm * cm
     apex_q = np.array([0.5 * (a + b), cp, 0.5 * (a - b)])
@@ -617,6 +641,10 @@ def minimize_columns(
     s_max <= 1e6): above it Det sigma overflows and NumPy warns where
     ``minimize_m`` is silent.
     """
+    import numpy as np
+
+    from .symplectic import _ARRAYS
+
     _log_divisor(log_base)  # DomainError for a base other than 2 and "e"
     n = len(a)
     nu = np.array(nu, dtype=float)  # a copy; None reads as NaN

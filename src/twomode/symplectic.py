@@ -12,17 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, MalformedInputError, UnphysicalStateError
 
-OMEGA = np.array([
-    [0.0, 1.0, 0.0, 0.0],
-    [-1.0, 0.0, 0.0, 0.0],
-    [0.0, 0.0, 0.0, 1.0],
-    [0.0, 0.0, -1.0, 0.0],
-])
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Absolute slack allowed on the physicality inequalities.
 DEFAULT_TOL = 1e-10
@@ -40,11 +35,31 @@ _DISC_RTOL = 1e-9
 _FLOATS = SimpleNamespace(sqrt=math.sqrt, maximum=max, minimum=min,
                           where=lambda cond, a, b: a if cond else b, any=bool,
                           each=lambda f, *args: [f(*point) for point in zip(*args)])
-#: ``xp`` on a block's columns: NumPy, with ``any`` as ``np.count_nonzero``
-#: (about a sixth of the cost of ``np.any`` on a block) and ``each`` as one
-#: call of f on the points' stacked columns.
-_ARRAYS = SimpleNamespace(sqrt=np.sqrt, maximum=np.maximum, minimum=np.minimum, where=np.where,
-                          any=np.count_nonzero, each=lambda f, *args: list(f(*map(np.stack, args))))
+
+
+def __getattr__(name):
+    """The names whose values are NumPy's, made on first use and then kept
+    as module globals, so that a route on floats never imports NumPy:
+    ``OMEGA``, the symplectic form, and ``_ARRAYS``, ``xp`` on a block's
+    columns: NumPy, with ``any`` as ``np.count_nonzero`` (about a sixth of
+    the cost of ``np.any`` on a block) and ``each`` as one call of f on the
+    points' stacked columns."""
+    if name not in ("OMEGA", "_ARRAYS"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import numpy as np
+
+    globals().update(
+        OMEGA=np.array([
+            [0.0, 1.0, 0.0, 0.0],
+            [-1.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+            [0.0, 0.0, -1.0, 0.0],
+        ]),
+        _ARRAYS=SimpleNamespace(sqrt=np.sqrt, maximum=np.maximum, minimum=np.minimum,
+                                where=np.where, any=np.count_nonzero,
+                                each=lambda f, *args: list(f(*map(np.stack, args)))),
+    )
+    return globals()[name]
 
 
 @dataclass(frozen=True)
@@ -98,13 +113,20 @@ class StandardForm:
             raise MalformedInputError("diagonal correlations a, b must be positive")
 
     def to_matrix(self) -> np.ndarray:
+        """The covariance matrix of the form, a 4x4 NumPy array."""
+        import numpy as np
+
+        return np.array(self._rows())
+
+    def _rows(self) -> list[list[float]]:
+        """The covariance matrix of the form as four rows of Python floats."""
         a, b, cp, cm = self.a, self.b, self.c_plus, self.c_minus
-        return np.array([
+        return [
             [a, 0.0, cp, 0.0],
             [0.0, a, 0.0, cm],
             [cp, 0.0, b, 0.0],
             [0.0, cm, 0.0, b],
-        ])
+        ]
 
     def invariants(self) -> SymplecticInvariants:
         a, b, cp, cm = self.a, self.b, self.c_plus, self.c_minus
@@ -221,19 +243,55 @@ def _dets(a, b, c_plus, c_minus):
     )
 
 
+_SEQUENCES = frozenset((list, tuple))
+_PLAIN = _SEQUENCES | {float, int}
+
+
+def _float_entries(x) -> tuple[list[float], tuple[int, ...]]:
+    """The entries of ``x`` as one flat list of Python floats, row by row,
+    and its shape as NumPy gives it.  A NumPy array of numbers (dtype kind
+    b, i, u, f or c) is read through ``ravel().tolist()``, whose entries
+    are Python numbers, floats already where the kind is f.  Nested lists
+    and tuples, and any other array, are read one level at a time, so that
+    a level of plain lists and numbers costs a few calls, not one per
+    entry; an array or NumPy scalar among them is read through
+    ``tolist()``.  An entry that is no real number (a complex one included)
+    raises TypeError, ValueError or OverflowError, as do rows of unequal
+    shape."""
+    kind = getattr(getattr(x, "dtype", None), "kind", "O")
+    if kind in "biufc":
+        flat = x.ravel().tolist()
+        return (flat if kind == "f" else list(map(float, flat))), tuple(x.shape)
+    level, shape = [x], ()
+    while True:
+        kinds = set(map(type, level))
+        if not kinds <= _PLAIN:
+            level = [item.tolist() if hasattr(item, "tolist")
+                     else list(item) if isinstance(item, (list, tuple)) else item
+                     for item in level]
+            kinds = set(map(type, level))
+        if kinds.isdisjoint(_SEQUENCES):
+            return list(map(float, level)), shape
+        if not kinds <= _SEQUENCES:
+            raise ValueError("rows mix numbers and sequences")
+        lengths = set(map(len, level))
+        if len(lengths) > 1:
+            raise ValueError(f"rows of unequal lengths {sorted(lengths)}")
+        shape += (*lengths,)
+        level = [entry for item in level for entry in item]
+
+
 def _check_matrix(cm) -> list[list[float]]:
     """Rows of the symmetrized 4x4 matrix ``cm`` as Python floats, after the
     shape, finiteness and asymmetry checks.  Each off-diagonal pair is
     halved before it is summed, which no finite pair overflows; a diagonal
     entry is its own mean."""
     try:
-        arr = np.asarray(cm, dtype=float)
+        flat, shape = _float_entries(cm)
     except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedInputError(f"covariance matrix entries are not numbers: {exc}") from None
-    if arr.shape != (4, 4):
-        raise MalformedInputError(f"expected a 4x4 covariance matrix, got shape {arr.shape}")
-    rows = arr.tolist()
-    flat = rows[0] + rows[1] + rows[2] + rows[3]
+    if shape != (4, 4):
+        raise MalformedInputError(f"expected a 4x4 covariance matrix, got shape {shape}")
     if not all(map(math.isfinite, flat)):
         raise MalformedInputError("covariance matrix contains non-finite entries")
     x00, x01, x02, x03, x10, x11, x12, x13, x20, x21, x22, x23, x30, x31, x32, x33 = flat
@@ -272,6 +330,8 @@ def _nu_pairs(delta, det_sigma, disc):
     """``_nu_pair`` on arrays, NaN where it raises, in its steps and so its
     bits.  Its float checks stop at the first that decides: run through
     this masked body, a float call takes about 4x as long."""
+    import numpy as np
+
     floor = -_DISC_RTOL * np.maximum(np.maximum(delta * delta, abs(4.0 * det_sigma)), 1.0)
     hi_sq = 0.5 * (delta + np.sqrt(np.maximum(disc, 0.0)))
     hi_sq = np.where((disc >= floor) & (hi_sq > 0.0) & (det_sigma >= 0.0), hi_sq, math.nan)
@@ -314,6 +374,10 @@ def spectrum_via_eigenvalues(cm) -> SymplecticSpectrum:
     Kept as an independent oracle for the closed-form path, not for
     production use.
     """
+    import numpy as np
+
+    from .symplectic import OMEGA  # made on first use, by ``__getattr__``
+
     arr = np.array(_check_matrix(cm))
 
     def _pair(mat):
@@ -327,6 +391,8 @@ def spectrum_via_eigenvalues(cm) -> SymplecticSpectrum:
 
 def partial_transpose(cm) -> np.ndarray:
     """Covariance matrix after transposing the second mode (p2 -> -p2)."""
+    import numpy as np
+
     arr = np.asarray(cm, dtype=float)
     flip = np.diag([1.0, 1.0, 1.0, -1.0])
     return flip @ arr @ flip
@@ -403,8 +469,9 @@ def local_purities(cm) -> tuple[float, float]:
     return 1.0 / sf.a, 1.0 / sf.b
 
 
-def make_two_mode_squeezed(r: float) -> np.ndarray:
-    """Covariance matrix of a pure two-mode squeezed state with parameter r.
+def make_two_mode_squeezed(r: float) -> list[list[float]]:
+    """Covariance matrix of a pure two-mode squeezed state with parameter r,
+    as four rows of Python floats.
 
     Diagonal blocks cosh(2r)*I, off-diagonal diag(sinh 2r, -sinh 2r);
     the partially transposed spectrum has nu_tilde_minus = exp(-2r).
@@ -416,11 +483,12 @@ def make_two_mode_squeezed(r: float) -> np.ndarray:
         sh = math.sinh(2.0 * r)
     except OverflowError:
         raise MalformedInputError(f"squeezing parameter {r!r} overflows cosh(2r)") from None
-    return StandardForm(ch, ch, sh, -sh).to_matrix()
+    return StandardForm(ch, ch, sh, -sh)._rows()
 
 
-def cm_from_json_dict(obj) -> np.ndarray:
-    """Covariance matrix from the JSON wire format.
+def cm_from_json_dict(obj) -> list[list[float]]:
+    """Covariance matrix from the JSON wire format, as four rows of Python
+    floats.
 
     Accepts ``{"cm": [[...4x4 row-major...]]}`` or
     ``{"standard_form": {"a":..., "b":..., "c_plus":..., "c_minus":...}}``.
@@ -429,18 +497,18 @@ def cm_from_json_dict(obj) -> np.ndarray:
         raise MalformedInputError("state JSON must be an object")
     if "cm" in obj:
         try:
-            arr = np.asarray(obj["cm"], dtype=float)
+            flat, shape = _float_entries(obj["cm"])
         except (TypeError, ValueError, OverflowError) as exc:
             raise MalformedInputError(f"invalid 'cm' entries: {exc}") from None
-        if arr.shape != (4, 4):
-            raise MalformedInputError(f"'cm' must be 4x4 row-major, got shape {arr.shape}")
-        return arr
+        if shape != (4, 4):
+            raise MalformedInputError(f"'cm' must be 4x4 row-major, got shape {shape}")
+        return [flat[0:4], flat[4:8], flat[8:12], flat[12:16]]
     if "standard_form" in obj:
         sf = obj["standard_form"]
         try:
             return StandardForm(
                 float(sf["a"]), float(sf["b"]), float(sf["c_plus"]), float(sf["c_minus"])
-            ).to_matrix()
+            )._rows()
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedInputError(f"invalid 'standard_form' object: {exc}") from None
     raise MalformedInputError("state JSON needs a 'cm' or 'standard_form' key")

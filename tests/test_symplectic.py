@@ -435,14 +435,22 @@ class TestReductionAccuracy:
         ([[1, 2], [3]], "covariance matrix entries are not numbers: ..."),
         ("abc", "covariance matrix entries are not numbers: ..."),
         ([[10**400] * 4] * 4, "covariance matrix entries are not numbers: ..."),
+        # a complex entry is no real number, in a NumPy array as in a list
+        (np.eye(4) + np.diag([2j, 0, 0, 0]), "covariance matrix entries are not numbers: ..."),
+        (np.array([[np.complex128(1 + 2j), 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                  dtype=object), "covariance matrix entries are not numbers: ..."),
+        ([[1 + 2j, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+         "covariance matrix entries are not numbers: ..."),
     ])
     def test_malformed_messages(self, cm, message):
         pattern = (f"^{re.escape(message[:-3])}" if message.endswith("...")
                    else f"^{re.escape(message)}$")
         for call in (to_standard_form, validate_physical, local_invariants, symplectic_spectrum,
                      global_purity, local_purities, spectrum_via_eigenvalues):
-            with pytest.raises(MalformedInputError, match=pattern):
-                call(cm)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(MalformedInputError, match=pattern):
+                    call(cm)
 
 
 class TestPurities:
