@@ -78,17 +78,11 @@ SQRT_CLAMP = 1e-12
 
 
 def __getattr__(name):
-    """The names whose values are NumPy's, so that ``minimize_m`` never
-    imports NumPy: ``symplectic``'s ``_ARRAYS``, and ``_ETA``, the Minkowski
-    metric signature (+, -, -), made on first use and then kept."""
+    """``symplectic``'s ``_ARRAYS``, whose value is NumPy's, made on first
+    use so that ``minimize_m`` never imports NumPy."""
     if name == "_ARRAYS":
         from .symplectic import _ARRAYS
         return _ARRAYS
-    if name == "_ETA":
-        import numpy as np
-
-        value = globals()["_ETA"] = np.array([1.0, -1.0, -1.0])
-        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 #: Most Newton steps that one root of the root step takes.  Sampled
@@ -338,8 +332,6 @@ def _rim_geometry(sf: StandardForm):
     """
     import numpy as np
 
-    from .gaussian_em import _ETA  # made on first use, by ``__getattr__``
-
     a, b, cp, cm = sf.a, sf.b, sf.c_plus, sf.c_minus
     dq = a * b - cm * cm
     apex_q = np.array([0.5 * (a + b), cp, 0.5 * (a - b)])
@@ -355,7 +347,7 @@ def _rim_geometry(sf: StandardForm):
     u = gap / k
     w = np.array([u[1] * u[0], 1.0 + u[1] * u[1], u[1] * u[2]])
     w /= math.sqrt(1.0 + u[1] * u[1])
-    p = _ETA * np.cross(u, w)
+    p = np.array([1.0, -1.0, -1.0]) * np.cross(u, w)  # Minkowski signature (+, -, -)
     p /= math.sqrt(-_mdot(p, p))
     # Orientation of the sin(theta) axis fixed so that the rim angle matches
     # the closed-form profile for both mode orderings (a > b and a < b).

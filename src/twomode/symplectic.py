@@ -243,42 +243,33 @@ def _dets(a, b, c_plus, c_minus):
     )
 
 
-_SEQUENCES = frozenset((list, tuple))
-_PLAIN = _SEQUENCES | {float, int}
+def _real(v) -> float:
+    """``v`` as a Python float.  A NumPy scalar is read through ``tolist()``
+    first, so that a complex one raises TypeError, as a Python complex does,
+    where ``float()`` would drop its imaginary part with a warning."""
+    return float(v.tolist() if hasattr(v, "tolist") else v)
 
 
-def _float_entries(x) -> tuple[list[float], tuple[int, ...]]:
-    """The entries of ``x`` as one flat list of Python floats, row by row,
-    and its shape as NumPy gives it.  A NumPy array of numbers (dtype kind
-    b, i, u, f or c) is read through ``ravel().tolist()``, whose entries
-    are Python numbers, floats already where the kind is f.  Nested lists
-    and tuples, and any other array, are read one level at a time, so that
-    a level of plain lists and numbers costs a few calls, not one per
-    entry; an array or NumPy scalar among them is read through
-    ``tolist()``.  An entry that is no real number (a complex one included)
-    raises TypeError, ValueError or OverflowError, as do rows of unequal
-    shape."""
-    kind = getattr(getattr(x, "dtype", None), "kind", "O")
-    if kind in "biufc":
-        flat = x.ravel().tolist()
-        return (flat if kind == "f" else list(map(float, flat))), tuple(x.shape)
-    level, shape = [x], ()
-    while True:
-        kinds = set(map(type, level))
-        if not kinds <= _PLAIN:
-            level = [item.tolist() if hasattr(item, "tolist")
-                     else list(item) if isinstance(item, (list, tuple)) else item
-                     for item in level]
-            kinds = set(map(type, level))
-        if kinds.isdisjoint(_SEQUENCES):
-            return list(map(float, level)), shape
-        if not kinds <= _SEQUENCES:
-            raise ValueError("rows mix numbers and sequences")
-        lengths = set(map(len, level))
-        if len(lengths) > 1:
-            raise ValueError(f"rows of unequal lengths {sorted(lengths)}")
-        shape += (*lengths,)
-        level = [entry for item in level for entry in item]
+def _float_rows(x) -> tuple[list[list[float]], tuple[int, ...]]:
+    """The rows of the table ``x`` as lists of Python floats, and its shape.
+    ``x`` and each of its rows is a list, a tuple or anything with
+    ``tolist()``, such as a NumPy array, and each entry goes through
+    ``_real``, which no sequence passes.  A 2-D float array is read by one
+    ``tolist()`` alone: its entries are floats already (None where a masked
+    array is masked, which the caller's ``math.isfinite`` rejects).  What is
+    no table of real numbers raises TypeError, ValueError or OverflowError."""
+    if getattr(x, "ndim", 0) == 2 and getattr(getattr(x, "dtype", None), "kind", "") == "f":
+        return x.tolist(), tuple(x.shape)
+    rows = x.tolist() if hasattr(x, "tolist") else x
+    if not isinstance(rows, (list, tuple)):
+        raise TypeError(f"expected rows of numbers, got {type(rows).__name__!r}")
+    rows = [row.tolist() if hasattr(row, "tolist") else row for row in rows]
+    if not all(isinstance(row, (list, tuple)) for row in rows):
+        raise TypeError("expected rows of numbers, got a row that is no sequence")
+    lengths = set(map(len, rows))
+    if len(lengths) > 1:
+        raise ValueError(f"rows of unequal lengths {sorted(lengths)}")
+    return [list(map(_real, row)) for row in rows], (len(rows), *lengths)
 
 
 def _check_matrix(cm) -> list[list[float]]:
@@ -287,12 +278,14 @@ def _check_matrix(cm) -> list[list[float]]:
     halved before it is summed, which no finite pair overflows; a diagonal
     entry is its own mean."""
     try:
-        flat, shape = _float_entries(cm)
+        rows, shape = _float_rows(cm)
+        flat = sum(rows, [])
+        finite = all(map(math.isfinite, flat))
     except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedInputError(f"covariance matrix entries are not numbers: {exc}") from None
     if shape != (4, 4):
         raise MalformedInputError(f"expected a 4x4 covariance matrix, got shape {shape}")
-    if not all(map(math.isfinite, flat)):
+    if not finite:
         raise MalformedInputError("covariance matrix contains non-finite entries")
     x00, x01, x02, x03, x10, x11, x12, x13, x20, x21, x22, x23, x30, x31, x32, x33 = flat
     asym = max(abs(x01 - x10), abs(x02 - x20), abs(x03 - x30),
@@ -497,12 +490,12 @@ def cm_from_json_dict(obj) -> list[list[float]]:
         raise MalformedInputError("state JSON must be an object")
     if "cm" in obj:
         try:
-            flat, shape = _float_entries(obj["cm"])
+            rows, shape = _float_rows(obj["cm"])
         except (TypeError, ValueError, OverflowError) as exc:
             raise MalformedInputError(f"invalid 'cm' entries: {exc}") from None
         if shape != (4, 4):
             raise MalformedInputError(f"'cm' must be 4x4 row-major, got shape {shape}")
-        return [flat[0:4], flat[4:8], flat[8:12], flat[12:16]]
+        return rows
     if "standard_form" in obj:
         sf = obj["standard_form"]
         try:

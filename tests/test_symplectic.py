@@ -414,6 +414,10 @@ class TestReductionAccuracy:
         want = to_standard_form(cm)
         assert to_standard_form(cm.tolist()) == want
         assert to_standard_form(tuple(map(tuple, cm.tolist()))) == want
+        assert to_standard_form(list(cm)) == want
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PendingDeprecationWarning)
+            assert to_standard_form(np.matrix(cm)) == want
         # an asymmetry within the bound is averaged away before the reduction
         skewed = cm + 1e-12 * np.triu(np.ones((4, 4)), 1)
         assert to_standard_form(skewed) == to_standard_form(0.5 * (skewed + skewed.T))
@@ -440,6 +444,9 @@ class TestReductionAccuracy:
         (np.array([[np.complex128(1 + 2j), 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
                   dtype=object), "covariance matrix entries are not numbers: ..."),
         ([[1 + 2j, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+         "covariance matrix entries are not numbers: ..."),
+        # a masked entry has no value to read
+        (np.ma.masked_array(np.eye(4), mask=np.eye(4, dtype=bool)),
          "covariance matrix entries are not numbers: ..."),
     ])
     def test_malformed_messages(self, cm, message):

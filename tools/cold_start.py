@@ -2,14 +2,14 @@
 
 Usage, from the root of a checkout:
 
-    python tools/cold_start.py [--repeats N]
+    python tools/cold_start.py
 
 Times, in fresh processes, ``twomode measure --squeezed-r 1``, ``measure
 FILE.json``, ``scan --resolution 2`` and ``bounds --samples 1`` (run as
 ``python -m twomode.cli``), next to ``python -c pass`` and ``python -c
 "import numpy"``.  Each time is wall clock from starting the process to its
-exit, best and median of N (default 7), with the commands interleaved
-round by round.  The package runs from a temporary copy of this checkout's
+exit, best and median of 7, with the commands interleaved round by round.
+The package runs from a temporary copy of this checkout's
 ``src/``: once with no bytecode cache (no ``__pycache__``, and
 ``PYTHONDONTWRITEBYTECODE=1``, so every import compiles its module) and
 once with a cache that ``compileall`` wrote first.  Each command's entry
@@ -20,7 +20,6 @@ object.
 
 from __future__ import annotations
 
-import argparse
 import compileall
 import json
 import os
@@ -34,6 +33,7 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+REPEATS = 7
 STATE = {"cm": [[2.0, 0.3, 1.1, 0.0], [0.3, 2.0, 0.0, -1.0],
                 [1.1, 0.0, 2.0, 0.3], [0.0, -1.0, 0.3, 2.0]]}
 
@@ -68,9 +68,9 @@ def imports_numpy(args: list[str], env: dict, work: Path) -> bool:
     return any(line.rsplit("|", 1)[-1].strip() == "numpy" for line in err.splitlines())
 
 
-def timings(cmds: dict[str, list[str]], env: dict, work: Path, repeats: int) -> dict:
+def timings(cmds: dict[str, list[str]], env: dict, work: Path) -> dict:
     seconds = {label: [] for label in cmds}
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         for label, args in cmds.items():
             t0 = time.perf_counter()
             run(args, env, work)
@@ -80,10 +80,7 @@ def timings(cmds: dict[str, list[str]], env: dict, work: Path, repeats: int) -> 
             for label, ts in seconds.items()}
 
 
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeats", type=int, default=7)
-    args = parser.parse_args(argv)
+def main() -> None:
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     with tempfile.TemporaryDirectory(prefix="cold-start-") as tmp:
         work = Path(tmp)
@@ -92,13 +89,13 @@ def main(argv=None) -> None:
         (work / "state.json").write_text(json.dumps(STATE))
         env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
         cmds = commands(work)
-        no_cache = timings(cmds, env, work, args.repeats)
+        no_cache = timings(cmds, env, work)
         compileall.compile_dir(src, quiet=1)
-        cache = timings(cmds, env, work, args.repeats)
+        cache = timings(cmds, env, work)
     import numpy
 
     print(json.dumps({"python": platform.python_version(), "numpy": numpy.__version__,
-                      "cpus": os.cpu_count(), "repeats": args.repeats,
+                      "cpus": os.cpu_count(), "repeats": REPEATS,
                       "no_bytecode_cache": no_cache, "bytecode_cache": cache}, indent=2))
 
 
