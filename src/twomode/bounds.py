@@ -30,7 +30,7 @@ from .extremal import (ColumnTable, _integer, _state, build_state,
                        entanglement_threshold, gmems_threshold)
 from .gaussian_em import NEAR_SEPARABLE_TOL, minimize_columns, minimize_m
 from .negativity import _log_divisor, h_function
-from .symplectic import _ARRAYS, _FLOATS, DEFAULT_TOL, StandardForm, _dets, _nu_pairs
+from .symplectic import _ARRAYS, _FLOATS, DEFAULT_TOL, StandardForm, _dets, _nu_tilde_minus
 
 #: Slack on the proven upper-curve inequality before a sample counts as a
 #: violation.
@@ -189,8 +189,8 @@ def _uniform(low, high, u):
 
 
 #: The columns of a block of samples, by row of its values: each sample's
-#: draw parameters, standard form and nu_tilde_minus.
-_COLUMNS = ("s", "d", "g", "lam", "a", "b", "c_plus", "c_minus", "nu_tilde_minus")
+#: draw parameters and standard form.
+_COLUMNS = ("s", "d", "g", "lam", "a", "b", "c_plus", "c_minus")
 
 #: nu_tilde_minus below which an attempt is entangled enough.
 _CUT = 1.0 - NEAR_SEPARABLE_TOL
@@ -200,17 +200,16 @@ def _test(form, params, passes, dets) -> tuple:
     """The test of attempts on arrays.  ``form`` are their standard forms
     with (Det sigma, Delta, Delta_tilde) ``dets``, and ``passes`` the mask
     where they pass the tests before the spectrum.  Returns the masks of
-    the attempts it accepts and of those whose spectrum is undefined
-    (``_nu_pairs`` gives NaN, where ``spectrum()`` raises), and a function
-    from an index (index arrays or a mask) to the ``_COLUMNS`` there, whose
-    draw parameters ``params`` gives."""
-    det_sigma, delta, delta_tilde = dets
-    nu_minus, nu = (_nu_pairs(x, det_sigma, x * x - 4.0 * det_sigma)[0]
-                    for x in (delta, delta_tilde))
-    undefined = passes & (np.isnan(nu_minus) | np.isnan(nu))
+    the attempts it accepts (nu_tilde_minus below the entanglement cut)
+    and of those whose spectrum is undefined (``_nu_tilde_minus`` gives
+    NaN, where ``spectrum()`` raises), and a function from an index (index
+    arrays or a mask) to the ``_COLUMNS`` there, whose draw parameters
+    ``params`` gives."""
+    nu = _nu_tilde_minus(*dets)
+    undefined = passes & np.isnan(nu)
 
     def columns(at) -> list[np.ndarray]:
-        return [*params(at), *(c[at] for c in form), nu[at]]
+        return [*params(at), *(c[at] for c in form)]
     return passes & ~undefined & (nu < _CUT), undefined, columns
 
 
@@ -334,7 +333,7 @@ class _Streams:
 def _chunk_columns(mode: _Mode, s_max: float, indices: range,
                    streams: _Streams) -> tuple[np.ndarray, TwoModeError | None]:
     """The ``_COLUMNS`` of the samples of consecutive ``indices``, as the
-    rows of a (9, len(indices)) array.  An index fails where it runs out of
+    rows of an (8, len(indices)) array.  An index fails where it runs out of
     attempts (a ``SamplingError`` that names it) or stops at an attempt
     whose spectrum is undefined (the ``UnphysicalStateError`` of
     ``spectrum()``).  The columns end before the first index that fails,
@@ -357,7 +356,7 @@ def _chunk_columns(mode: _Mode, s_max: float, indices: range,
             # pending ascends, so its first undefined index fails first
             k = int(stopped[0])
             try:
-                StandardForm(*(x.item() for x in columns((k, first[k]))[4:8])).spectrum()
+                StandardForm(*(x.item() for x in columns((k, first[k]))[4:])).spectrum()
             except UnphysicalStateError as exc:
                 failed, error = int(pending[k]), exc
         decided = accept[lead, first]
@@ -444,7 +443,7 @@ def iter_samples(cfg: SamplerConfig) -> Iterator[Sample]:
     ``COUNT_LIMIT`` (2**63).
     """
     for start, values in _sample_blocks(cfg):
-        s, d, g, lam, *form, _ = values.tolist()
+        s, d, g, lam, *form = values.tolist()
         for index, s_k, d_k, g_k, lam_k, *form_k in zip(
                 itertools.count(start), s, d, g, _nan_as_one(lam), *form):
             yield Sample(index, StandardForm(*form_k), s_k, d_k, g_k, lam_k)
@@ -462,13 +461,13 @@ def bound_experiment(cfg: SamplerConfig, log_base=2) -> ExperimentResult:
 
     The experiment runs on columns from the sampler to the points: each
     block of ``_BLOCK`` (1024) samples is minimized by ``minimize_columns``,
-    whose gate reads the sampler's nu_tilde_minus, and a state's failure is
-    the error ``minimize_m`` raises.  A block's results, bound tests,
-    slacks and counts are columns; log_neg and 1/nu^2 stay on Python
-    floats, whose log and power can differ from numpy's.  Every step is
-    elementwise, so the result does not depend on the block size.  The
-    points are a ``ColumnTable`` of ``BoundPoint``: one list per CSV
-    column.
+    which computes each state's nu_tilde_minus from its standard form, and
+    a state's failure is the error ``minimize_m`` raises.  A block's
+    results, bound tests, slacks and counts are columns; log_neg and 1/nu^2
+    stay on Python floats, whose log and power can differ from numpy's.
+    Every step is elementwise, so the result does not depend on the block
+    size.  The points are a ``ColumnTable`` of ``BoundPoint``: one list per
+    CSV column.
     """
     blocks = _sample_blocks(cfg)
     divisor = _log_divisor(log_base)
@@ -478,8 +477,8 @@ def bound_experiment(cfg: SamplerConfig, log_base=2) -> ExperimentResult:
     violations_lower = 0
     min_upper_slack = math.inf
     min_m_max_slack = math.inf
-    for start, (s, d, g, lam, a, b, cp, cm, nu) in blocks:
-        gems = minimize_columns(a, b, cp, cm, nu, log_base)
+    for start, (s, d, g, lam, a, b, cp, cm) in blocks:
+        gems = minimize_columns(a, b, cp, cm, log_base)
         failures += [(start + i, str(error)) for i, error in gems.errors.items()]
         kept = np.flatnonzero(gems.m_opt == gems.m_opt)  # a failed row reads NaN
         if not kept.size:

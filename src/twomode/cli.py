@@ -62,13 +62,6 @@ def _bounds():
     return twomode.bounds
 
 
-def __getattr__(name):
-    """``bounds_mod``, the ``bounds`` module (``_bounds``)."""
-    if name != "bounds_mod":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return _bounds()
-
-
 def _above(kind, floor, *, inclusive=False, ceiling=None):
     """argparse type converting with ``kind``, requiring > ``floor`` (>= if
     inclusive) and, given a ``ceiling``, <= the ``bounds`` constant of that
@@ -142,9 +135,9 @@ def _default_seed() -> int:
     try:
         seed = int(env)
     except ValueError:
-        raise MalformedInputError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
+        raise _ParseFailure(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
     if seed < 0:
-        raise MalformedInputError(f"{SEED_ENV_VAR} must be at least 0, got {env!r}")
+        raise _ParseFailure(f"{SEED_ENV_VAR} must be at least 0, got {env!r}")
     return seed
 
 
@@ -265,6 +258,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if args.seed is None:
+        args.seed = _default_seed()
     bounds_mod = _bounds()
     base = _log_base(args.log_base)
     cfg = bounds_mod.SamplerConfig(
@@ -369,12 +364,6 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "bounds" and args.seed is None:
-        try:
-            args.seed = _default_seed()
-        except MalformedInputError as exc:
-            sys.stderr.write(f"twomode: error: {exc}\n")
-            return EXIT_USAGE
     try:
         return args.func(args)
     except _ParseFailure as exc:

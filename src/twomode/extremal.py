@@ -225,8 +225,8 @@ def classify_entanglement(p: ExtremalParams) -> Entanglement:
     return Entanglement.ENTANGLED if entangled else Entanglement.SEPARABLE
 
 
-def _gmems_pt(s, d, g, xp=_ARRAYS):
-    """(Delta_tilde, Det sigma, disc) of the GMEMS under ``xp``: 4s^2 - 2g, g^2
+def _gmems_pt(s, d, g):
+    """(Delta_tilde, Det sigma, disc) of the GMEMS: 4s^2 - 2g, g^2
     and Delta_tilde^2 - 4g^2 = 16s^2 (s^2 - g), the last factor taken as
     (s-1)(s+1) - (g-1), free of cancellation near purity."""
     return 4.0 * s * s - 2.0 * g, g * g, 16.0 * s * s * ((s - 1.0) * (s + 1.0) - (g - 1.0))
@@ -245,7 +245,7 @@ def nu_tilde_gmems(s: float, d: float, g: float) -> float:
     """Smallest PT symplectic eigenvalue of the GMEMS at (s, d, g); outside
     the domain, DomainError."""
     _require_domain(s, d, g)
-    return _nu_pair(*_gmems_pt(s, d, g, _FLOATS))[0]
+    return _nu_pair(*_gmems_pt(s, d, g))[0]
 
 
 def nu_tilde_glems(s: float, d: float, g: float) -> float:
@@ -505,7 +505,7 @@ def _nu_tilde_columns(s, d, g, physical):
     s^4 far from overflow."""
     s_g = np.where(physical, s, math.nan)
     s_l = np.where(g > gmems_threshold(s_g) + _PARAM_TOL, math.nan, s_g)
-    return [_nu_pairs(*pt(s_f, d, g))[0] for s_f, pt in ((s_g, _gmems_pt), (s_l, _glems_pt))]
+    return [_nu_pairs(*pt(s_f, d, g)) for s_f, pt in ((s_g, _gmems_pt), (s_l, _glems_pt))]
 
 
 def _axis(rng: tuple[float, float], resolution: int) -> np.ndarray:

@@ -44,25 +44,28 @@ their mask, so one form's float route pays for them only where it takes
 them.
 ``minimize_m``'s gate reads the spectrum the form keeps once computed
 (``StandardForm.spectrum()``) and decides physicality as
-``StandardForm.is_physical()`` does, with ``DEFAULT_TOL``.  A block row
-that fails the gate's mask, a missing nu_tilde_minus included, is handed
-to ``minimize_m`` itself, so it gets that call's result or error, with its
-type and message; a row whose profile is not finite at its stationary
-points gets its ``MinimizationError`` in the block.
+``StandardForm.is_physical()`` does, with ``DEFAULT_TOL``.
+``minimize_columns`` computes each row's nu_tilde_minus from the row
+itself (``symplectic._nu_tilde_minus``: the spectrum's bits, NaN where
+``spectrum()`` raises), so its gate's mask is the float gate on the same
+bits.  A row that fails the mask raises in ``minimize_m`` too, and is
+handed to it for that error, with its type and message; a row whose
+profile is not finite at its stationary points gets its
+``MinimizationError`` in the block.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import reduce
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, MinimizationError, TwoModeError, UnphysicalStateError
 from .negativity import _log_divisor, h_function
 from .symplectic import (_FLOATS, DEFAULT_TOL, SYMMETRY_RTOL, StandardForm, _dets, _inequalities,
-                         _sign_ordered, _symmetric)
+                         _nu_tilde_minus, _sign_ordered, _symmetric)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -75,15 +78,6 @@ NEAR_SEPARABLE_TOL = 1e-8
 #: zero exactly on feasibility boundaries; a rim radius R this close to zero
 #: (relative) is degenerate, and the sign-order check allows this much slack.
 SQRT_CLAMP = 1e-12
-
-
-def __getattr__(name):
-    """``symplectic``'s ``_ARRAYS``, whose value is NumPy's, made on first
-    use so that ``minimize_m`` never imports NumPy."""
-    if name == "_ARRAYS":
-        from .symplectic import _ARRAYS
-        return _ARRAYS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 #: Most Newton steps that one root of the root step takes.  Sampled
 #: profiles need at most 6; a double root converges linearly, about one bit
@@ -593,11 +587,10 @@ def minimize_m(sf: StandardForm, *, log_base=2) -> GemResult:
 
 class GemBlock(NamedTuple):
     """``minimize_columns``' outcomes as columns, one row per form: its
-    nu_tilde_minus (the caller's, or the spectrum's where the row fails the
-    gate's mask and ``minimize_m`` succeeds) and the ``GemResult`` fields
-    that ``minimize_m`` returns for it, and by row the ``TwoModeError`` that
-    ``minimize_m`` raises instead; such a row reads NaN (0 extrema) in the
-    result columns."""
+    nu_tilde_minus (``spectrum()``'s, NaN where that raises) and the
+    ``GemResult`` fields that ``minimize_m`` returns for it, and by row the
+    ``TwoModeError`` that ``minimize_m`` raises instead; such a row reads
+    NaN (0 extrema) in the result columns."""
 
     nu_tilde_sigma: np.ndarray
     m_opt: np.ndarray
@@ -613,20 +606,19 @@ def minimize_columns(
     b: np.ndarray,
     cp: np.ndarray,
     cm: np.ndarray,
-    nu: np.ndarray,
     log_base=2,
 ) -> GemBlock:
     """``minimize_m`` of every standard form (a, b, c_plus, c_minus), given
-    as float columns of one length, with ``nu`` its nu_tilde_minus, read
-    from any sequence, NaN or None where the caller has none; a bad
-    ``log_base`` raises DomainError at once.
+    as float columns of one length; a bad ``log_base`` raises DomainError
+    at once.
 
-    The gate runs as masks on the columns.  A row that fails it (NaN nu, no
-    spectrum, unphysical, or entries that are no ``StandardForm``) is
-    handed to ``minimize_m`` on the ``StandardForm`` of its own floats,
-    which computes the spectrum, so the row gets the result or the error,
-    with its type and message, that ``minimize_m`` gives, and on a result
-    the spectrum's nu_tilde_minus.  The other rows' profiles, quartics,
+    Each row's nu_tilde_minus comes from its own entries, with the bits of
+    ``spectrum()`` and NaN where that raises (``_nu_tilde_minus``), and the
+    gate runs as masks on the columns: the float gate's arithmetic on the
+    same bits.  So a row that fails it (no spectrum, unphysical, or entries
+    that are no ``StandardForm``) raises in ``minimize_m`` too, and is
+    handed to it on the ``StandardForm`` of its own floats for that error,
+    with its type and message.  The other rows' profiles, quartics,
     roots and minima are columns too, and a row whose profile is not finite
     at its stationary points gets its ``MinimizationError`` while the others
     keep their results.  Entries must stay far below 1e77 (the sampler's do, at
@@ -639,7 +631,7 @@ def minimize_columns(
 
     _log_divisor(log_base)  # DomainError for a base other than 2 and "e"
     n = len(a)
-    nu = np.array(nu, dtype=float)  # a copy; None reads as NaN
+    nu = _nu_tilde_minus(*_dets(a, b, cp, cm))
     passes, separable, symmetric = _gate(a, b, cp, cm, nu, _ARRAYS)
     symmetric &= passes & ~separable
     general = np.flatnonzero(passes & ~separable & ~symmetric)
@@ -658,17 +650,13 @@ def minimize_columns(
     errors = {general[k].item(): _not_finite(*(c[k].item() for c in (ga, gb, gcp, gcm)))
               for k in np.flatnonzero(~finite).tolist()}
 
-    # The mask is the scalar gate's arithmetic on the caller's nu; the row
-    # takes whatever minimize_m gives it on the spectrum's.
+    # the mask is the float gate's arithmetic on the same bits, so minimize_m
+    # raises on each row that fails it
     for i in np.flatnonzero(~passes).tolist():
         try:
-            sf = StandardForm(*(c[i].item() for c in (a, b, cp, cm)))
-            gem = minimize_m(sf, log_base=log_base)
+            minimize_m(StandardForm(*(c[i].item() for c in (a, b, cp, cm))), log_base=log_base)
         except TwoModeError as exc:
             errors[i] = exc
-        else:
-            nu[i] = sf.spectrum().nu_tilde_minus
-            m_opt[i], theta[i], nu_opt[i], _, extrema[i] = astuple(gem)
     failed = sorted(errors)
     m_opt[failed] = theta[failed] = nu_opt[failed] = math.nan
     extrema[failed] = 0

@@ -320,15 +320,27 @@ def _nu_pair(delta: float, det_sigma: float, disc: float) -> tuple[float, float]
 
 
 def _nu_pairs(delta, det_sigma, disc):
-    """``_nu_pair`` on arrays, NaN where it raises, in its steps and so its
-    bits.  Its float checks stop at the first that decides: run through
-    this masked body, a float call takes about 4x as long."""
+    """The smaller eigenvalue of ``_nu_pair`` on arrays, NaN where it
+    raises, in its steps and so its bits.  Its float checks stop at the
+    first that decides: run through this masked body, a float call takes
+    about 4x as long."""
     import numpy as np
 
     floor = -_DISC_RTOL * np.maximum(np.maximum(delta * delta, abs(4.0 * det_sigma)), 1.0)
     hi_sq = 0.5 * (delta + np.sqrt(np.maximum(disc, 0.0)))
     hi_sq = np.where((disc >= floor) & (hi_sq > 0.0) & (det_sigma >= 0.0), hi_sq, math.nan)
-    return np.sqrt(det_sigma / hi_sq), np.sqrt(hi_sq)
+    return np.sqrt(det_sigma / hi_sq)
+
+
+def _nu_tilde_minus(det_sigma, delta, delta_tilde):
+    """nu_tilde_minus of the forms with invariants (Det sigma, Delta,
+    Delta_tilde) (``_dets``), as arrays: the bits of ``spectrum()``, and NaN
+    where it raises on either pair."""
+    import numpy as np
+
+    nu_minus, nu_tilde = (_nu_pairs(x, det_sigma, x * x - 4.0 * det_sigma)
+                          for x in (delta, delta_tilde))
+    return np.where(np.isnan(nu_minus), math.nan, nu_tilde)
 
 
 def validate_physical(cm) -> bool:

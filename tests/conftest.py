@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from twomode import ExtremalParams, build_state, glems_threshold, gmems_threshold
+from twomode import ExtremalParams, StandardForm, build_state, glems_threshold, gmems_threshold
+
+
+# Physical (is_physical() holds), but spectrum() raises on the pair of
+# sigma: its discriminant rounds to -2.55, where 50 digits give +0.11.
+# The pair of its partial transpose gives nu_tilde_minus = 0.0255.  It is
+# the raw attempt (0.5, 0.5, 1 - 2^-24, 2^-40) at s_max 855299.6953125.
+SIGMA_PAIR_UNDEFINED = StandardForm(427650.34765625, 427650.34765625,
+                                    427650.3221651337, -427650.3221647448)
 
 
 # Matrices with a local block that is not positive definite: negative

@@ -363,12 +363,13 @@ def test_sample_columns_are_the_samples(mode, s_max, count):
     cfg = SamplerConfig(seed=13, count=count, s_max=s_max, mode=mode)
     samples = iter(iter_samples(cfg))
     for start, values in bounds._sample_blocks(cfg):
-        s, d, g, lam, a, b, cp, cm, nu = values
-        assert np.isfinite(values[[0, 1, 2, 4, 5, 6, 7, 8]]).all()
-        assert (a > 0.0).all() and (b > 0.0).all() and (nu < 1.0).all()
+        s, d, g, lam, a, b, cp, cm = values
+        assert np.isfinite(values[[0, 1, 2, 4, 5, 6, 7]]).all()
+        assert (a > 0.0).all() and (b > 0.0).all()
         assert np.isnan(lam).all() == (mode == "raw_standard_form")
-        for k, (s_k, d_k, g_k, lam_k, *form) in enumerate(values[:8].T.tolist()):
+        for k, (s_k, d_k, g_k, lam_k, *form) in enumerate(values.T.tolist()):
             view = bounds.Sample(start + k, StandardForm(*form), s_k, d_k, g_k, lam_k)
+            assert view.standard_form.spectrum().nu_tilde_minus < 1.0
             assert repr(next(samples)) == repr(view)
     assert next(samples, None) is None
 
@@ -419,12 +420,10 @@ def test_experiment_does_not_depend_on_the_block_size(monkeypatch, mode, seed, s
         assert repr(result) == repr(results[0])
 
 
-def blocks_of(samples, nus):
+def blocks_of(samples):
     """A stand-in for ``bounds._sample_blocks`` that hands out the samples of
-    indices 0, 1, ... with their nu_tilde_minus (None for none) as blocks
-    of ``_COLUMNS``."""
-    rows = [(p.s, p.d, p.g, p.lam, *dataclasses.astuple(p.standard_form),
-             math.nan if nu is None else nu) for p, nu in zip(samples, nus)]
+    indices 0, 1, ... as blocks of ``_COLUMNS``."""
+    rows = [(p.s, p.d, p.g, p.lam, *dataclasses.astuple(p.standard_form)) for p in samples]
     return lambda cfg: ((start, np.array(rows[start:start + bounds._BLOCK]).T)
                         for start in range(0, len(rows), bounds._BLOCK))
 
@@ -442,8 +441,8 @@ def test_violations_count_beyond_the_tolerance(monkeypatch, nu):
     size = len(cases)
     gems = GemBlock(np.full(size, nu), np.array([m_from_nu_tilde(x) for x in nu_opt.tolist()]),
                     np.zeros(size), nu_opt, np.zeros(size), np.ones(size, dtype=int), {})
-    monkeypatch.setattr(bounds, "_sample_blocks", blocks_of(samples, [nu] * size))
-    monkeypatch.setattr(bounds, "minimize_columns", lambda a, b, cp, cm, nu, log_base: gems)
+    monkeypatch.setattr(bounds, "_sample_blocks", blocks_of(samples))
+    monkeypatch.setattr(bounds, "minimize_columns", lambda a, b, cp, cm, log_base: gems)
     result = bound_experiment(SamplerConfig(seed=0, count=len(cases)))
     assert [(p.violates_42, p.violates_46) for p in result.points] == [c[1:] for c in cases]
     assert (result.violations_upper, result.violations_lower) == (1, 1)
@@ -459,17 +458,13 @@ NO_SPECTRUM = StandardForm(1.0, 1.0, 2.0, 0.0)
 
 def failing_stream(good, failing):
     """``good`` samples with the forms of ``failing`` (position, form)
-    inserted, re-indexed 0, 1, ..., and each sample's nu_tilde_minus as the
-    sampler hands it to the gate: a form without a spectrum has none, and
-    the gate computes it."""
+    inserted, re-indexed 0, 1, ...."""
     states = [s.standard_form for s in good]
     params = [(s.s, s.d, s.g, s.lam) for s in good]
     for at, sf in failing:
         states.insert(at, sf)
         params.insert(at, (2.0, 0.0, 1.5, 0.0))
-    stream = [bounds.Sample(i, sf, *p) for i, (sf, p) in enumerate(zip(states, params))]
-    nus = [None if sf is NO_SPECTRUM else sf.spectrum().nu_tilde_minus for sf in states]
-    return stream, nus
+    return [bounds.Sample(i, sf, *p) for i, (sf, p) in enumerate(zip(states, params))]
 
 
 class TestExperimentFailures:
@@ -478,8 +473,8 @@ class TestExperimentFailures:
         good = list(iter_samples(SamplerConfig(seed=3, count=2 * block + 88)))
         # failing forms inside the first block, on its last row and in the third
         at = [5, block - 1, 2 * block + 18]
-        stream, nus = failing_stream(good, zip(at, [UNPHYSICAL, NO_SPECTRUM, UNPHYSICAL]))
-        monkeypatch.setattr(bounds, "_sample_blocks", blocks_of(stream, nus))
+        stream = failing_stream(good, zip(at, [UNPHYSICAL, NO_SPECTRUM, UNPHYSICAL]))
+        monkeypatch.setattr(bounds, "_sample_blocks", blocks_of(stream))
         result = bound_experiment(SamplerConfig(seed=3, count=len(stream)), log_base="e")
         expected = _scalar_experiment(stream, log_base="e")
         assert [index for index, _ in result.failures] == at

@@ -503,7 +503,7 @@ class TestBounds:
     def test_strict_mode_exits_3_on_a_ceiling_violation(self, capsys, tmp_path, monkeypatch,
                                                          flags, exit_code):
         experiment = bounds.bound_experiment
-        monkeypatch.setattr(cli.bounds_mod, "bound_experiment", lambda cfg, log_base: (
+        monkeypatch.setattr(bounds, "bound_experiment", lambda cfg, log_base: (
             dataclasses.replace(experiment(cfg, log_base), violations_upper=1)))
         code, out, _ = run(
             capsys, "bounds", "--samples", "5", "--seed", "5", *flags,
@@ -608,8 +608,8 @@ class TestPointsBytes:
         failing = [(block - 1, UNPHYSICAL), (block, NO_SPECTRUM),
                    *((at, UNPHYSICAL if at % 2 else NO_SPECTRUM)
                      for at in range(2 * block, 3 * block))]
-        stream, nus = failing_stream(good, failing)
-        monkeypatch.setattr(bounds, "_sample_blocks", blocks_of(stream, nus))
+        stream = failing_stream(good, failing)
+        monkeypatch.setattr(bounds, "_sample_blocks", blocks_of(stream))
         cfg = SamplerConfig(seed=6, count=len(stream))
         rows = _points_equal_the_scalar_loop(capsys, tmp_path, cfg, log_base, stream)
         assert len(rows) == len(good) == len(stream) - block - 2
@@ -619,8 +619,8 @@ class TestPointsBytes:
     @pytest.mark.parametrize("count", [1, 300])
     def test_every_row_failing_writes_the_header_alone(self, capsys, tmp_path, monkeypatch,
                                                        count):
-        stream, nus = failing_stream([], [(at, UNPHYSICAL) for at in range(count)])
-        monkeypatch.setattr(bounds, "_sample_blocks", blocks_of(stream, nus))
+        stream = failing_stream([], [(at, UNPHYSICAL) for at in range(count)])
+        monkeypatch.setattr(bounds, "_sample_blocks", blocks_of(stream))
         cfg = SamplerConfig(seed=6, count=count)
         assert _points_equal_the_scalar_loop(capsys, tmp_path, cfg, "2", stream) == []
         assert (tmp_path / "points.csv").read_bytes() == (",".join(POINTS_HEADER) + "\r\n").encode()
@@ -671,7 +671,7 @@ def test_geof_curves_reuse_the_bound_curves(capsys, tmp_path, monkeypatch):
     def counted(resolution):
         calls.append(resolution)
         return bound_curves(resolution)
-    monkeypatch.setattr(cli.bounds_mod, "bound_curves", counted)
+    monkeypatch.setattr(bounds, "bound_curves", counted)
     code, _, _ = run(capsys, "bounds", "--samples", "3", "--seed", "1",
                      "--points", str(tmp_path / "p.csv"), "--curves", str(tmp_path / "c.csv"),
                      "--geof-curves", str(tmp_path / "g.csv"), "--curve-resolution", "16",

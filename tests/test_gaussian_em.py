@@ -24,18 +24,17 @@ from twomode.errors import (
 )
 from twomode import gaussian_em
 from twomode.extremal import gmems_threshold
-from twomode.symplectic import _sign_ordered
+from twomode.symplectic import _ARRAYS, _sign_ordered
 from twomode.gaussian_em import (
     NEAR_SEPARABLE_TOL,
     GemResult,
-    _ARRAYS,
     _FLOATS,
     _stationary_points,
     _ThetaProfile,
     minimize_columns,
 )
 
-from conftest import draw_entangled_states
+from conftest import SIGMA_PAIR_UNDEFINED, draw_entangled_states
 
 PURE_53 = StandardForm(5 / 3, 5 / 3, 4 / 3, -4 / 3)
 GMEMS_EX = ExtremalParams(2.0, 0.5, 2.5, 1.0)
@@ -354,22 +353,11 @@ def _fields(gem):
             gem.gaussian_eof.hex(), gem.extrema_found)
 
 
-def _spectrum_nu(sf):
-    """nu_tilde_minus of ``sf``, or NaN where ``spectrum()`` raises."""
-    try:
-        return sf.spectrum().nu_tilde_minus
-    except TwoModeError:
-        return math.nan
-
-
-def _minimize_forms(forms, log_base=2, pass_nu=True):
-    """``minimize_columns`` of the forms' entries, given each form's
-    nu_tilde_minus (``_spectrum_nu``), or NaN for every form unless
-    ``pass_nu``."""
+def _minimize_forms(forms, log_base=2):
+    """``minimize_columns`` of the forms' entries."""
     a, b, cp, cm = (np.array([getattr(sf, name) for sf in forms], dtype=float)
                     for name in ("a", "b", "c_plus", "c_minus"))
-    nu = np.array([_spectrum_nu(sf) if pass_nu else math.nan for sf in forms])
-    return minimize_columns(a, b, cp, cm, nu, log_base)
+    return minimize_columns(a, b, cp, cm, log_base)
 
 
 def _outcomes(block):
@@ -463,12 +451,12 @@ def test_block_of_one_failing_form(sf, message):
         minimize_m(sf)
 
 
-def test_row_given_a_made_up_nu_gets_the_per_form_outcome():
+def test_row_given_a_made_up_nu_gets_the_per_form_outcome(monkeypatch):
     # nu = 0.5 for a form whose spectrum is undefined (Det sigma < 0): the
     # mask fails, and the row gets minimize_m's error, not the gate's
     sf = StandardForm(1.0, 1.0, 2.0, 0.0)
-    block = minimize_columns(*(np.array([x]) for x in (sf.a, sf.b, sf.c_plus, sf.c_minus)),
-                             [0.5])
+    monkeypatch.setattr(gaussian_em, "_nu_tilde_minus", lambda *dets: np.full(1, 0.5))
+    block = _minimize_forms([sf])
     with pytest.raises(UnphysicalStateError) as raised:
         minimize_m(sf)
     [outcome] = _outcomes(block)
@@ -527,31 +515,7 @@ def _comparable(outcome):
 
 # Det sigma < 0: spectrum() raises before the physicality check
 NO_SPECTRUM = StandardForm(1.0, 1.0, 2.0, 0.0)
-
-
-def test_a_missing_nu_tilde_minus_gives_the_same_outcome():
-    # a NaN nu fails the gate, and minimize_m's float route computes the
-    # spectrum: results, nu_tilde_minus and errors equal those of the rows
-    # whose nu comes from spectrum()
-    forms = [*BLOCK_ROWS, NO_SPECTRUM]
-    given = _outcomes(_minimize_forms(forms))
-    assert [_comparable(x) for x in _outcomes(_minimize_forms(forms, pass_nu=False))] == [
-        _comparable(x) for x in given]
-    assert [isinstance(x, UnphysicalStateError) for x in given[-2:]] == [True, True]
-
-
-@pytest.mark.parametrize("convert", [list, tuple, np.array])
-def test_block_reads_nu_sigmas_from_any_sequence(convert):
-    # the nu column as a list, tuple or array, NaN or None where a row has
-    # none: every row gets the outcome it gets with the array of spectrum()
-    forms = [*BLOCK_ROWS, NO_SPECTRUM]
-    expected = [_comparable(x) for x in _outcomes(_minimize_forms(forms))]
-    a, b, cp, cm = (np.array([getattr(sf, name) for sf in forms])
-                    for name in ("a", "b", "c_plus", "c_minus"))
-    nus = [_spectrum_nu(sf) for sf in forms]
-    for nu in (nus, [None] * len(forms), [None if math.isnan(x) else x for x in nus]):
-        got = _outcomes(minimize_columns(a, b, cp, cm, convert(nu)))
-        assert [_comparable(x) for x in got] == expected
+SAMPLED = [s.standard_form for s in iter_samples(SamplerConfig(1, 4))]
 
 
 def test_columns_that_are_no_standard_form_fail_as_its_constructor():
@@ -561,9 +525,7 @@ def test_columns_that_are_no_standard_form_fail_as_its_constructor():
     a, b, cp, cm = (np.array(c) for c in zip(*(
         (sf.a, sf.b, sf.c_plus, sf.c_minus) if isinstance(sf, StandardForm) else sf
         for sf in rows)))
-    nu = np.full(len(rows), math.nan)
-    gems = minimize_columns(a, b, cp, cm, nu)
-    assert np.isnan(nu).all()  # the caller's column is not written
+    gems = minimize_columns(a, b, cp, cm)
     expected = _outcomes(_minimize_forms(BLOCK_ROWS))
     got = _outcomes(gems)
     assert [_comparable(x) for x in got[:len(BLOCK_ROWS)]] == [_comparable(x) for x in expected]
@@ -612,25 +574,25 @@ def _forms(draw):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=150, deadline=None)
-@given(forms=st.lists(_forms(), min_size=1, max_size=8), log_base=st.sampled_from([2, "e"]),
-       pass_nu=st.booleans())
-@example(forms=[StandardForm(2.0, 2.5, c, -c) for c in NEAR_CUT], log_base=2, pass_nu=True)
-@example(forms=[StandardForm(3.0, b, 2.5, -2.0) for b in SYMMETRY_EDGE], log_base=2, pass_nu=False)
-@example(forms=[BLOCK_ROWS[3]], log_base=2, pass_nu=False)  # pure: degenerate rim
-@example(forms=[build_state(GLEMS_EX)], log_base="e", pass_nu=False)  # zero leading coefficient
+@given(forms=st.lists(_forms(), min_size=1, max_size=8), log_base=st.sampled_from([2, "e"]))
+@example(forms=[StandardForm(2.0, 2.5, c, -c) for c in NEAR_CUT], log_base=2)
+@example(forms=[StandardForm(3.0, b, 2.5, -2.0) for b in SYMMETRY_EDGE], log_base=2)
+@example(forms=[BLOCK_ROWS[3]], log_base=2)  # pure: degenerate rim
+@example(forms=[build_state(GLEMS_EX)], log_base="e")  # zero leading coefficient
 # minimum uncertainty: a slack of -3.9e-10 is zeroed
-@example(forms=[build_state(ExtremalParams(40.0, 3.0, 31.859301824974466, -1.0))], log_base=2,
-         pass_nu=True)
-@example(forms=[_reordered(CUBE_ROUNDING, order, False) for order in (1, 2)], log_base=2,
-         pass_nu=False)  # c_plus < |c_minus|, then c_plus < 0
-@example(forms=[UNPHYSICAL, NO_SPECTRUM], log_base=2, pass_nu=True)
+@example(forms=[build_state(ExtremalParams(40.0, 3.0, 31.859301824974466, -1.0))], log_base=2)
+@example(forms=[_reordered(CUBE_ROUNDING, order, False) for order in (1, 2)],
+         log_base=2)  # c_plus < |c_minus|, then c_plus < 0
+@example(forms=[UNPHYSICAL, NO_SPECTRUM], log_base=2)
 # spectrum() raises on the pair of sigma itself, not of its partial transpose
 @example(forms=[StandardForm(11034.0, 11034.0, 11033.999954679055, -11033.999954671983)],
-         log_base=2, pass_nu=False)
+         log_base=2)
+@example(forms=[SAMPLED[0], SIGMA_PAIR_UNDEFINED, SAMPLED[1], NO_SPECTRUM, SAMPLED[2],
+                UNPHYSICAL, SAMPLED[3]], log_base=2)
 @example(forms=[build_state(ExtremalParams(9.9e4, 1234.5, 71244.01366877697, 0.3))],
-         log_base=2, pass_nu=False)  # s near 1e5
-def test_block_rows_equal_minimize_m(forms, log_base, pass_nu):
-    block = _outcomes(_minimize_forms(forms, log_base, pass_nu))
+         log_base=2)  # s near 1e5
+def test_block_rows_equal_minimize_m(forms, log_base):
+    block = _outcomes(_minimize_forms(forms, log_base))
     for sf, outcome in zip(forms, block):
         try:
             expected = minimize_m(sf, log_base=log_base)
@@ -692,20 +654,6 @@ def test_sign_ordering_is_a_local_rotation_to_the_ordered_pair(forms):
                               for name in ("c_plus", "c_minus")), _ARRAYS)
     assert (repr(list(zip(*(c.tolist() for c in columns))))
             == repr([(sf.c_plus, sf.c_minus) for sf in ordered]))
-
-
-def test_row_the_mask_fails_takes_minimize_m_route(monkeypatch):
-    # a gate mask that fails good rows: their replay is their whole outcome
-    forms = [build_state(GMEMS_EX), CUBE_ROUNDING, StandardForm(3.0, 3.0, 2.5, -2.0)]
-    expected = [repr((sf.spectrum().nu_tilde_minus, minimize_m(sf))) for sf in forms]
-    gate = gaussian_em._gate
-
-    def failing(a, b, cp, cm, nu, xp):
-        passes, separable, symmetric = gate(a, b, cp, cm, nu, xp)
-        return (passes if xp is _FLOATS else passes & False), separable, symmetric
-
-    monkeypatch.setattr(gaussian_em, "_gate", failing)
-    assert [repr(outcome) for outcome in _outcomes(_minimize_forms(forms))] == expected
 
 
 @pytest.mark.parametrize("call", [

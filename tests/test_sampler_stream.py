@@ -53,7 +53,7 @@ def _confirm_extremal(s, d, g, lam):
     except TwoModeError:
         return None
     nu = sf.spectrum().nu_tilde_minus
-    return (s, d, g, lam, sf.a, sf.b, sf.c_plus, sf.c_minus, nu) if nu < CUT else None
+    return (s, d, g, lam, sf.a, sf.b, sf.c_plus, sf.c_minus) if nu < CUT else None
 
 
 def _confirm_raw(a, b, cp, cm):
@@ -63,7 +63,7 @@ def _confirm_raw(a, b, cp, cm):
         return None
     nu = sf.spectrum().nu_tilde_minus
     return ((0.5 * (a + b), 0.5 * (a - b), math.sqrt(sf.invariants().det_sigma), math.nan,
-             a, b, cp, cm, nu) if nu < CUT else None)
+             a, b, cp, cm) if nu < CUT else None)
 
 
 def _draw_extremal(rng, s_max):
@@ -416,8 +416,7 @@ def test_an_early_stop_is_never_accepted(monkeypatch, mode):
 @pytest.mark.parametrize("mode", ["extremal_params", "raw_standard_form"])
 def test_a_replayed_attempt_writes_its_own_row(mode):
     # each index's attempts replayed by the scalar oracle: the first one it
-    # accepts is the row of nine floats the sampler writes, nu_tilde_minus
-    # included
+    # accepts is the row of eight floats the sampler writes
     cfg = SamplerConfig(seed=9, count=40, mode=mode)
     draw, key = _REFERENCE_DRAWS[mode], _key(cfg.seed)
     rows = 0

@@ -28,9 +28,9 @@ from twomode import (
 )
 from twomode import bounds, extremal, gaussian_em, symplectic
 from twomode.errors import DomainError, MalformedInputError, TwoModeError, UnphysicalStateError
-from twomode.symplectic import _check_matrix, _nu_pair, _nu_pairs
+from twomode.symplectic import _check_matrix, _dets, _nu_pair, _nu_pairs, _nu_tilde_minus
 
-from conftest import BLOCK_NOT_POSITIVE_DEFINITE, draw_entangled_states
+from conftest import BLOCK_NOT_POSITIVE_DEFINITE, SIGMA_PAIR_UNDEFINED, draw_entangled_states
 
 # squeezing with cosh(2r) = 5/3, i.e. the 3-4-5 hyperbolic triple
 R_53 = 0.5 * math.acosh(5.0 / 3.0)
@@ -224,15 +224,41 @@ class TestSpectrum:
         st.sampled_from([(-1.0, 1.0, 0.0), (2.0, -1.0, 8.0), (math.nan, 1.0, 1.0)]),
     ), min_size=1, max_size=12))
     def test_array_pairs_equal_float_pairs(self, rows):
-        # bit for bit, and NaN where the float call raises
-        got = _nu_pairs(*(np.array(c) for c in zip(*rows)))
-        for k, row in enumerate(rows):
+        # nu_minus bit for bit, and NaN where the float call raises
+        got = _nu_pairs(*(np.array(c) for c in zip(*rows))).tolist()
+        for x, row in zip(got, rows):
             try:
-                want = _nu_pair(*row)
+                want = _nu_pair(*row)[0]
             except UnphysicalStateError:
-                want = (math.nan, math.nan)
-            for x, y in zip((got[0][k], got[1][k]), want):
-                assert float(x).hex() == y.hex() or (math.isnan(x) and math.isnan(y))
+                want = math.nan
+            assert x.hex() == want.hex() or (math.isnan(x) and math.isnan(want))
+
+    @pytest.mark.parametrize("s_max", [20.0, 855299.6953125])
+    def test_array_nu_tilde_minus_equals_the_spectrum(self, s_max):
+        # every raw sampler attempt, rejected ones included, half of them
+        # with c_plus near its cap; the last attempt is SIGMA_PAIR_UNDEFINED
+        # at the larger s_max.  Then forms whose spectrum is undefined on
+        # the pair of sigma, of its partial transpose, and of both.
+        rng = np.random.default_rng(20261020)
+        u = rng.random((4000, 4))
+        u[2000:, 2] = 1.0 - rng.random(2000) * 2.0**-20
+        u = np.concatenate([u, [[0.5, 0.5, 1.0 - 2.0**-24, 2.0**-40]]])
+        short, (_, _, columns) = bounds._MODES["raw_standard_form"].test(u, s_max)
+        attempts = list(zip(*(c.tolist() for c in columns(np.full(short.shape, True))[4:])))
+        a, b, cp, cm = dataclasses.astuple(SIGMA_PAIR_UNDEFINED)
+        rows = [*attempts, (a, b, cp, cm), (a, b, cp, -cm), (1.0, 1.0, 2.0, 0.0)]
+        got = _nu_tilde_minus(*_dets(*(np.array(c) for c in zip(*rows)))).tolist()
+        undefined = []
+        for x, row in zip(got, rows):
+            try:
+                want = StandardForm(*row).spectrum().nu_tilde_minus
+            except UnphysicalStateError:
+                undefined.append(row)
+                assert math.isnan(x)
+            else:
+                assert x.hex() == want.hex()
+        assert undefined[-3:] == rows[-3:]
+        assert (attempts[-1] == rows[-3]) == (s_max > 20.0)
 
 
 class TestStoredSpectrum:
@@ -518,7 +544,9 @@ def test_the_form_level_core_lives_in_symplectic():
     # extremal families
     for module in (extremal, gaussian_em, bounds):
         assert module._FLOATS is symplectic._FLOATS
+    for module in (extremal, bounds):
         assert module._ARRAYS is symplectic._ARRAYS
+    assert not hasattr(gaussian_em, "_ARRAYS")
     with open(gaussian_em.__file__, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     imported = set()

@@ -55,6 +55,15 @@ def commands(work: Path) -> dict[str, list[str]]:
     }
 
 
+def prepare(work: Path) -> dict:
+    """Copy ``src/`` (without bytecode) and the JSON state into ``work``;
+    returns the environment the commands run in."""
+    src = work / "src"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    (work / "state.json").write_text(json.dumps(STATE))
+    return dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+
+
 def run(args: list[str], env: dict, work: Path) -> subprocess.CompletedProcess:
     proc = subprocess.run([sys.executable, *args], cwd=work, env=env,
                           capture_output=True, text=True, timeout=120)
@@ -84,13 +93,10 @@ def main() -> None:
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     with tempfile.TemporaryDirectory(prefix="cold-start-") as tmp:
         work = Path(tmp)
-        src = work / "src"
-        shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
-        (work / "state.json").write_text(json.dumps(STATE))
-        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        env = prepare(work)
         cmds = commands(work)
         no_cache = timings(cmds, env, work)
-        compileall.compile_dir(src, quiet=1)
+        compileall.compile_dir(work / "src", quiet=1)
         cache = timings(cmds, env, work)
     import numpy
 
