@@ -30,7 +30,8 @@ from .extremal import (ColumnTable, _integer, _state, build_state,
                        entanglement_threshold, gmems_threshold)
 from .gaussian_em import NEAR_SEPARABLE_TOL, minimize_columns, minimize_m
 from .negativity import _log_divisor, h_function
-from .symplectic import _ARRAYS, _FLOATS, DEFAULT_TOL, StandardForm, _dets, _nu_tilde_minus
+from .symplectic import (_ARRAYS, _FLOATS, DEFAULT_TOL, StandardForm, _invariants,
+                         _nu_tilde_minus)
 
 #: Slack on the proven upper-curve inequality before a sample counts as a
 #: violation.
@@ -196,16 +197,17 @@ _COLUMNS = ("s", "d", "g", "lam", "a", "b", "c_plus", "c_minus")
 _CUT = 1.0 - NEAR_SEPARABLE_TOL
 
 
-def _test(form, params, passes, dets) -> tuple:
+def _test(form, params, passes, inv) -> tuple:
     """The test of attempts on arrays.  ``form`` are their standard forms
-    with (Det sigma, Delta, Delta_tilde) ``dets``, and ``passes`` the mask
-    where they pass the tests before the spectrum.  Returns the masks of
+    with invariants ``inv`` (``_invariants``, derived once per attempt and
+    read by the cut too), and ``passes`` the mask where they pass the tests
+    before the spectrum.  Returns the masks of
     the attempts it accepts (nu_tilde_minus below the entanglement cut)
     and of those whose spectrum is undefined (``_nu_tilde_minus`` gives
     NaN, where ``spectrum()`` raises), and a function from an index (index
     arrays or a mask) to the ``_COLUMNS`` there, whose draw parameters
     ``params`` gives."""
-    nu = _nu_tilde_minus(*dets)
+    nu = _nu_tilde_minus(inv)
     undefined = passes & np.isnan(nu)
 
     def columns(at) -> list[np.ndarray]:
@@ -218,23 +220,23 @@ def _test_extremal(s, d, g, lam) -> tuple:
     and checks run on the columns."""
     form, _, fits = _state(s, d, g, lam)
     return _test(form, lambda at: [c[at] for c in (s, d, g, lam)],
-                 fits & np.isfinite(form[2]) & np.isfinite(form[3]), _dets(*form))
+                 fits & np.isfinite(form[2]) & np.isfinite(form[3]), _invariants(*form))
 
 
 def _test_raw(a, b, cp, cm) -> tuple:
     """``_test`` of every raw draw (a, b, c_plus, c_minus), whose standard
     form must pass ``is_physical``.  Of its inequalities only two can fail
-    on a draw, and they are evaluated as it evaluates them: a, b >= 1 and
-    a b - c_pm^2 >= 1 - O(a b eps) hold by construction for s_max up to
-    ``S_MAX_LIMIT``."""
-    det_sigma, delta, delta_tilde = _dets(a, b, cp, cm)
+    on a draw, and they are evaluated as it evaluates them, on the same
+    invariants: a, b >= 1 and a b - c_pm^2 >= 1 - O(a b eps) hold by
+    construction for s_max up to ``S_MAX_LIMIT``."""
+    det_sigma, delta, *_ = inv = _invariants(a, b, cp, cm)
     passes = (det_sigma >= 1.0 - DEFAULT_TOL) & (delta <= 1.0 + det_sigma + DEFAULT_TOL)
 
     def params(at):
         a_k, b_k = a[at], b[at]
         return [0.5 * (a_k + b_k), 0.5 * (a_k - b_k), np.sqrt(det_sigma[at]),
                 np.full(a_k.shape, math.nan)]
-    return _test((a, b, cp, cm), params, passes, (det_sigma, delta, delta_tilde))
+    return _test((a, b, cp, cm), params, passes, inv)
 
 
 def _attempts_extremal(u: np.ndarray, s_max: float) -> tuple:

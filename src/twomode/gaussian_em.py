@@ -42,11 +42,14 @@ flat profile, c = d = 0 in the monic quartic, the cancelled member of a
 root pair, the Newton polish of a complex pair) run behind ``xp.any`` of
 their mask, so one form's float route pays for them only where it takes
 them.
+Both routes derive the invariants of the sign-ordered form once
+(``symplectic._invariants``, per call or per block), and the gate and the
+profile read them: the ordering keeps their gate's bits.
 ``minimize_m``'s gate reads the spectrum the form keeps once computed
 (``StandardForm.spectrum()``) and decides physicality as
 ``StandardForm.is_physical()`` does, with ``DEFAULT_TOL``.
-``minimize_columns`` computes each row's nu_tilde_minus from the row
-itself (``symplectic._nu_tilde_minus``: the spectrum's bits, NaN where
+``minimize_columns`` computes each row's nu_tilde_minus from the tuple
+(``symplectic._nu_tilde_minus``: the spectrum's bits, NaN where
 ``spectrum()`` raises), so its gate's mask is the float gate on the same
 bits.  A row that fails the mask raises in ``minimize_m`` too, and is
 handed to it for that error, with its type and message; a row whose
@@ -64,8 +67,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, MinimizationError, TwoModeError, UnphysicalStateError
 from .negativity import _log_divisor, h_function
-from .symplectic import (_FLOATS, DEFAULT_TOL, SYMMETRY_RTOL, StandardForm, _dets, _inequalities,
-                         _nu_tilde_minus, _sign_ordered, _symmetric)
+from .symplectic import (_FLOATS, DEFAULT_TOL, SYMMETRY_RTOL, StandardForm, _inequalities,
+                         _invariants, _nu_tilde_minus, _sign_ordered, _symmetric)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -147,25 +150,26 @@ def _m_of_nu(nu):
     return half_sum * half_sum
 
 
-def _gate(a, b, cp, cm, nu, xp):
+def _gate(a, b, inv, nu, xp):
     """``minimize_m``'s checks before the rim, on the floats of one form or
-    the columns of a block (``xp``), with nu = its nu_tilde_minus: where the
-    form passes (nu is a number and ``StandardForm.is_physical()`` holds),
-    where it is near separable (m_opt = 1) and where symmetric
-    (m_opt = ``m_from_nu_tilde(nu)``)."""
-    passes = (nu == nu) & reduce(operator.and_, _inequalities(a, b, cp, cm, DEFAULT_TOL))
+    the columns of a block (``xp``), with ``inv`` its ``_invariants`` (of
+    it or of its sign ordering, which have the same bits here) and nu its
+    nu_tilde_minus: where the form passes (nu is a number and
+    ``StandardForm.is_physical()`` holds), where it is near separable
+    (m_opt = 1) and where symmetric (m_opt = ``m_from_nu_tilde(nu)``)."""
+    passes = (nu == nu) & reduce(operator.and_, _inequalities(a, b, inv, DEFAULT_TOL))
     return passes, nu >= 1.0 - NEAR_SEPARABLE_TOL, _symmetric(a, b, SYMMETRY_RTOL, xp)
 
 
-def _scalar_gate(sf: StandardForm) -> tuple[float, bool, bool]:
-    """``_gate`` of one form, with nu_tilde_minus taken from its spectrum,
-    so that a form without one fails there first: nu_tilde_minus and the
-    separable and symmetric verdicts.  Raises UnphysicalStateError where the
-    form does not pass.  Physicality is decided on polynomial inequalities:
-    for pure states nu_minus itself sits on a vanishing discriminant and
-    carries sqrt-amplified rounding noise."""
+def _scalar_gate(sf: StandardForm, inv) -> tuple[float, bool, bool]:
+    """``_gate`` of one form with invariants ``inv``, with nu_tilde_minus
+    taken from its spectrum, so that a form without one fails there first:
+    nu_tilde_minus and the separable and symmetric verdicts.  Raises
+    UnphysicalStateError where the form does not pass.  Physicality is
+    decided on polynomial inequalities: for pure states nu_minus itself sits
+    on a vanishing discriminant and carries sqrt-amplified rounding noise."""
     nu = sf.spectrum().nu_tilde_minus
-    passes, separable, symmetric = _gate(sf.a, sf.b, sf.c_plus, sf.c_minus, nu, _FLOATS)
+    passes, separable, symmetric = _gate(sf.a, sf.b, inv, nu, _FLOATS)
     if not passes:
         raise UnphysicalStateError(f"not a physical state: {sf}")
     return nu, separable, symmetric
@@ -200,15 +204,16 @@ class _ThetaProfile(NamedTuple):
     ds: float
 
     @classmethod
-    def of(cls, a, b, cp, cm, xp) -> "_ThetaProfile":
+    def of(cls, a, b, cp, cm, inv, xp) -> "_ThetaProfile":
         """The profile of physical (``_scalar_gate``), entangled and
         sign-ordered (``_require_rim``, or the gate's near-separable cut and
-        ``_sign_ordered``) forms (a, b, c_plus, c_minus) under ``xp``.
+        ``_sign_ordered``) forms (a, b, c_plus, c_minus) with invariants
+        ``inv`` (``_invariants``) under ``xp``.
         Nothing here raises or warns: the diagonal of gamma_q >= gamma_p^{-1}
         (the Schur complement of sigma + i Omega >= 0) gives r1, r2 <= 0,
         hence R = r1 r2 >= 0 up to rounding, and the uncertainty slack is at
         least -DEFAULT_TOL; a degenerate rim divides by 1 in place of R."""
-        dq = a * b - cm * cm
+        det_sigma, delta, _, _, dq = inv
         r1 = a - b * dq
         r2 = b - a * dq
         rr = r1 * r2
@@ -217,7 +222,7 @@ class _ThetaProfile(NamedTuple):
         # bracket of the denominator; together with the numerator square this
         # makes m - 1 = [2 dq x1]^2 / [(2 dq)^2 det Gamma] on the rim.
         n0 = cp * dq - cm
-        d0 = 2.0 * dq * (quad + 2.0 * cp * cm)
+        d0 = 2.0 * dq * delta
         # Both differences r1, r2 cancel as states approach purity, so the
         # degeneracy threshold covers the rounding envelope of R, not just
         # a fixed epsilon.  On a degenerate rim (pure state) the profile is
@@ -236,7 +241,6 @@ class _ThetaProfile(NamedTuple):
         # R - A^2 = dq (1 + Det sigma - Delta): the square root's argument
         # dq slack / R carries the uncertainty-relation slack, which vanishes
         # identically for partial-minimum-uncertainty states.
-        det_sigma, delta, _ = _dets(a, b, cp, cm)
         slack = 1.0 + det_sigma - delta
         # at most rounding noise away from minimum uncertainty, where the
         # sin(theta) term vanishes identically
@@ -306,8 +310,9 @@ def m_theta(sf: StandardForm, theta):
     """
     import numpy as np
 
-    _require_rim(sf, _scalar_gate(sf)[0])
-    out = _ThetaProfile.of(sf.a, sf.b, sf.c_plus, sf.c_minus, _FLOATS)(theta)
+    inv = _invariants(sf.a, sf.b, sf.c_plus, sf.c_minus)
+    _require_rim(sf, _scalar_gate(sf, inv)[0])
+    out = _ThetaProfile.of(sf.a, sf.b, sf.c_plus, sf.c_minus, inv, _FLOATS)(theta)
     return float(out) if np.isscalar(theta) else out
 
 
@@ -362,7 +367,7 @@ def gamma_from_theta(sf: StandardForm, theta: float) -> GammaCoordinates:
         DomainError: if it is separable or not sign-ordered (no optimization
             rim), or if the rim is too close to lightlike to parametrize.
     """
-    _require_rim(sf, _scalar_gate(sf)[0])
+    _require_rim(sf, _scalar_gate(sf, _invariants(sf.a, sf.b, sf.c_plus, sf.c_minus))[0])
     center, w_axis, p_axis = _rim_geometry(sf)
     x = center + math.cos(theta) * w_axis + math.sin(theta) * p_axis
     return GammaCoordinates(float(x[0]), float(x[1]), float(x[2]))
@@ -571,14 +576,16 @@ def minimize_m(sf: StandardForm, *, log_base=2) -> GemResult:
     same bits.
     """
     _log_divisor(log_base)  # DomainError for a base other than 2 and "e"
-    nu, separable, symmetric = _scalar_gate(sf)
+    ordered = sf.sign_ordered()
+    a, b, cp, cm = ordered.a, ordered.b, ordered.c_plus, ordered.c_minus
+    inv = _invariants(a, b, cp, cm)
+    nu, separable, symmetric = _scalar_gate(sf, inv)
     if separable:
         return _SEPARABLE
     if symmetric:
         return GemResult(m_from_nu_tilde(nu), math.pi, nu, h_function(nu, log_base), 2)
-    a, b = sf.a, sf.b
-    cp, cm = _sign_ordered(sf.c_plus, sf.c_minus, _FLOATS)
-    m_min, x, flip, extrema, finite = _rim_minimum(_ThetaProfile.of(a, b, cp, cm, _FLOATS), _FLOATS)
+    m_min, x, flip, extrema, finite = _rim_minimum(_ThetaProfile.of(a, b, cp, cm, inv, _FLOATS),
+                                                   _FLOATS)
     if not finite:
         raise _not_finite(a, b, cp, cm)
     m_opt, theta, nu_opt = _optimum(m_min, _theta(x, flip), _FLOATS)
@@ -612,18 +619,19 @@ def minimize_columns(
     as float columns of one length; a bad ``log_base`` raises DomainError
     at once.
 
-    Each row's nu_tilde_minus comes from its own entries, with the bits of
-    ``spectrum()`` and NaN where that raises (``_nu_tilde_minus``), and the
-    gate runs as masks on the columns: the float gate's arithmetic on the
-    same bits.  So a row that fails it (no spectrum, unphysical, or entries
-    that are no ``StandardForm``) raises in ``minimize_m`` too, and is
-    handed to it on the ``StandardForm`` of its own floats for that error,
-    with its type and message.  The other rows' profiles, quartics,
-    roots and minima are columns too, and a row whose profile is not finite
-    at its stationary points gets its ``MinimizationError`` while the others
-    keep their results.  Entries must stay far below 1e77 (the sampler's do, at
-    s_max <= 1e6): above it Det sigma overflows and NumPy warns where
-    ``minimize_m`` is silent.
+    The block's invariants are derived once, from its sign-ordered
+    columns (``_invariants``).  Each row's nu_tilde_minus comes from them,
+    with the bits of ``spectrum()`` and NaN where that raises
+    (``_nu_tilde_minus``), and the gate runs as masks on the columns: the
+    float gate's arithmetic on the same bits.  So a row that fails it (no
+    spectrum, unphysical, or entries that are no ``StandardForm``) raises
+    in ``minimize_m`` too, and is handed to it on the ``StandardForm`` of
+    its own floats for that error, with its type and message.  The other
+    rows' profiles, quartics, roots and minima are columns too, and a row
+    whose profile is not finite at its stationary points gets its
+    ``MinimizationError`` while the others keep their results.  Entries
+    must stay far below 1e77 (the sampler's do, at s_max <= 1e6): above it
+    Det sigma overflows and NumPy warns where ``minimize_m`` is silent.
     """
     import numpy as np
 
@@ -631,8 +639,10 @@ def minimize_columns(
 
     _log_divisor(log_base)  # DomainError for a base other than 2 and "e"
     n = len(a)
-    nu = _nu_tilde_minus(*_dets(a, b, cp, cm))
-    passes, separable, symmetric = _gate(a, b, cp, cm, nu, _ARRAYS)
+    ordered = _sign_ordered(cp, cm, _ARRAYS)
+    inv = _invariants(a, b, *ordered)
+    nu = _nu_tilde_minus(inv)
+    passes, separable, symmetric = _gate(a, b, inv, nu, _ARRAYS)
     symmetric &= passes & ~separable
     general = np.flatnonzero(passes & ~separable & ~symmetric)
     m_opt, theta, nu_opt = np.ones(n), np.zeros(n), np.ones(n)
@@ -641,10 +651,9 @@ def minimize_columns(
     theta[symmetric] = math.pi
     nu_opt[symmetric] = nu[symmetric]
 
-    ga, gb = a[general], b[general]
-    gcp, gcm = _sign_ordered(cp[general], cm[general], _ARRAYS)
+    ga, gb, gcp, gcm = (c[general] for c in (a, b, *ordered))
     m_min, x, flip, extrema[general], finite = _rim_minimum(
-        _ThetaProfile.of(ga, gb, gcp, gcm, _ARRAYS), _ARRAYS)
+        _ThetaProfile.of(ga, gb, gcp, gcm, [c[general] for c in inv], _ARRAYS), _ARRAYS)
     m_opt[general], theta[general], nu_opt[general] = _optimum(
         m_min, np.array([_theta(*point) for point in zip(x.tolist(), flip.tolist())]), _ARRAYS)
     errors = {general[k].item(): _not_finite(*(c[k].item() for c in (ga, gb, gcp, gcm)))

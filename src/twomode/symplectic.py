@@ -130,7 +130,7 @@ class StandardForm:
 
     def invariants(self) -> SymplecticInvariants:
         a, b, cp, cm = self.a, self.b, self.c_plus, self.c_minus
-        return SymplecticInvariants(a * a, b * b, cp * cm, *_dets(a, b, cp, cm))
+        return SymplecticInvariants(a * a, b * b, cp * cm, *_invariants(a, b, cp, cm)[:3])
 
     def spectrum(self) -> SymplecticSpectrum:
         """The spectrum, computed on the first call and kept in the
@@ -139,7 +139,8 @@ class StandardForm:
         that raises keeps nothing."""
         spectrum = self.__dict__.get("_spectrum")
         if spectrum is None:
-            det_sigma, delta, delta_tilde = _dets(self.a, self.b, self.c_plus, self.c_minus)
+            det_sigma, delta, delta_tilde, _, _ = _invariants(self.a, self.b, self.c_plus,
+                                                              self.c_minus)
             nu = _nu_pair(delta, det_sigma, delta * delta - 4.0 * det_sigma)
             nu_t = _nu_pair(delta_tilde, det_sigma, delta_tilde * delta_tilde - 4.0 * det_sigma)
             spectrum = self.__dict__["_spectrum"] = SymplecticSpectrum(*nu, *nu_t)
@@ -150,6 +151,9 @@ class StandardForm:
         return {name: value for name, value in self.__dict__.items() if name != "_spectrum"}
 
     def is_symmetric(self, rtol: float = SYMMETRY_RTOL) -> bool:
+        """True iff |a - b| <= rtol max(a, b); a NaN or negative ``rtol``
+        raises DomainError."""
+        _require_tol("symmetry", rtol)
         return _symmetric(self.a, self.b, rtol, _FLOATS)
 
     def is_physical(self, tol: float = DEFAULT_TOL) -> bool:
@@ -159,12 +163,18 @@ class StandardForm:
         return self._violation(tol) is None
 
     def _violation(self, tol: float) -> str | None:
-        """Message template of the first violated physicality inequality
+        """The message naming the first violated physicality inequality
         (``_inequalities``) within ``tol``, or None."""
-        holds = _inequalities(self.a, self.b, self.c_plus, self.c_minus, tol)
-        return next((message for ok, message in zip(holds, _VIOLATIONS) if not ok), None)
+        a, b = self.a, self.b
+        inv = _invariants(a, b, self.c_plus, self.c_minus)
+        holds = _inequalities(a, b, inv, tol)
+        return next((message.format(det_sigma=inv[0], delta=inv[1], bound=1.0 + inv[0], a=a, b=b)
+                     for ok, message in zip(holds, _VIOLATIONS) if not ok), None)
 
     def is_pure(self, tol: float = DEFAULT_TOL) -> bool:
+        """True iff Det sigma is 1 within ``tol``; a NaN or negative ``tol``
+        raises DomainError."""
+        _require_tol("purity", tol)
         return abs(self.invariants().det_sigma - 1.0) <= tol
 
     def sign_ordered(self) -> "StandardForm":
@@ -212,35 +222,32 @@ _VIOLATIONS = (
 )
 
 
-def _inequalities(a, b, c_plus, c_minus, tol):
+def _inequalities(a, b, inv, tol):
     """The physicality inequalities of the standard form (a, b, c_plus,
-    c_minus) within ``tol``, each True where it holds, elementwise for
-    arrays: the one physicality test.  Det sigma >= 1, Delta <= 1 + Det
-    sigma and sigma >= 0 are equivalent to nu_minus >= 1, which implies
+    c_minus) with invariants ``inv`` (``_invariants``) within ``tol``, each
+    True where it holds, elementwise for arrays: the one physicality test.
+    Det sigma >= 1, Delta <= 1 + Det sigma and sigma >= 0 (its two factors
+    ab - c_pm^2 >= 0) are equivalent to nu_minus >= 1, which implies
     a, b >= 1 up to rounding.  Invariants that overflow to inf or NaN would
     pass every later comparison, so the first entry fails them."""
-    det_sigma, delta, _ = _dets(a, b, c_plus, c_minus)
-    ab = a * b
-    return (
-        (abs(det_sigma) < math.inf) & (abs(delta) < math.inf),
-        det_sigma >= 1.0 - tol,
-        delta <= 1.0 + det_sigma + tol,
-        (ab - c_plus * c_plus >= -tol) & (ab - c_minus * c_minus >= -tol),
-        (a >= 1.0 - tol) & (b >= 1.0 - tol),
-    )
+    det_sigma, delta, _, f_plus, f_minus = inv
+    return ((abs(det_sigma) < math.inf) & (abs(delta) < math.inf),
+            det_sigma >= 1.0 - tol,
+            delta <= 1.0 + det_sigma + tol,
+            (f_plus >= -tol) & (f_minus >= -tol),
+            (a >= 1.0 - tol) & (b >= 1.0 - tol))
 
 
-def _dets(a, b, c_plus, c_minus):
-    """(Det sigma, Delta, Delta_tilde) of the standard form (a, b, c_plus,
-    c_minus), elementwise for arrays: the one derivation that ``invariants``,
-    ``spectrum``, the physicality test and the sampler's array tests all read."""
-    det_gamma = c_plus * c_minus
-    quad = a * a + b * b
-    return (
-        (a * b - c_plus * c_plus) * (a * b - c_minus * c_minus),
-        quad + 2.0 * det_gamma,
-        quad - 2.0 * det_gamma,
-    )
+def _invariants(a, b, c_plus, c_minus):
+    """(Det sigma, Delta, Delta_tilde, ab - c_plus^2, ab - c_minus^2) of the
+    standard form (a, b, c_plus, c_minus), elementwise for arrays: the one
+    derivation that ``invariants``, ``spectrum``, the physicality test, the
+    minimizer's gate and profile and the sampler's array tests all read.
+    The sign ordering (``_sign_ordered``) keeps the first three bit for bit
+    and makes the last the larger factor."""
+    ab, quad, two_det_gamma = a * b, a * a + b * b, 2.0 * (c_plus * c_minus)
+    f_plus, f_minus = ab - c_plus * c_plus, ab - c_minus * c_minus
+    return f_plus * f_minus, quad + two_det_gamma, quad - two_det_gamma, f_plus, f_minus
 
 
 def _real(v) -> float:
@@ -332,14 +339,14 @@ def _nu_pairs(delta, det_sigma, disc):
     return np.sqrt(det_sigma / hi_sq)
 
 
-def _nu_tilde_minus(det_sigma, delta, delta_tilde):
-    """nu_tilde_minus of the forms with invariants (Det sigma, Delta,
-    Delta_tilde) (``_dets``), as arrays: the bits of ``spectrum()``, and NaN
-    where it raises on either pair."""
+def _nu_tilde_minus(inv):
+    """nu_tilde_minus of the forms with invariants ``inv``
+    (``_invariants``), as arrays: the bits of ``spectrum()``, and NaN where
+    it raises on either pair."""
     import numpy as np
 
-    nu_minus, nu_tilde = (_nu_pairs(x, det_sigma, x * x - 4.0 * det_sigma)
-                          for x in (delta, delta_tilde))
+    det_sigma = inv[0]
+    nu_minus, nu_tilde = (_nu_pairs(x, det_sigma, x * x - 4.0 * det_sigma) for x in inv[1:3])
     return np.where(np.isnan(nu_minus), math.nan, nu_tilde)
 
 
@@ -456,10 +463,7 @@ def to_standard_form(cm) -> StandardForm:
     sf = StandardForm(a, b, 0.5 * (p + q), 0.5 * (p - q))
     problem = sf._violation(DEFAULT_TOL)
     if problem is not None:
-        inv = sf.invariants()
-        raise UnphysicalStateError(problem.format(
-            det_sigma=inv.det_sigma, delta=inv.delta, bound=1.0 + inv.det_sigma, a=a, b=b
-        ))
+        raise UnphysicalStateError(problem)
     return sf
 
 

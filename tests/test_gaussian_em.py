@@ -24,7 +24,7 @@ from twomode.errors import (
 )
 from twomode import gaussian_em
 from twomode.extremal import gmems_threshold
-from twomode.symplectic import _ARRAYS, _sign_ordered
+from twomode.symplectic import _ARRAYS, _invariants, _sign_ordered
 from twomode.gaussian_em import (
     NEAR_SEPARABLE_TOL,
     GemResult,
@@ -54,7 +54,8 @@ def _general_path(sf):
 
 
 def _profile(sf):
-    return _ThetaProfile.of(sf.a, sf.b, sf.c_plus, sf.c_minus, _FLOATS)
+    form = sf.a, sf.b, sf.c_plus, sf.c_minus
+    return _ThetaProfile.of(*form, _invariants(*form), _FLOATS)
 
 
 class TestRimOracle:
@@ -424,6 +425,27 @@ def test_block_matches_minimize_m_bit_for_bit(s_max, count, seed, mode):
         assert _fields(gem) == _fields(expected)
 
 
+def test_invariants_are_derived_once_per_block_and_per_call(monkeypatch):
+    # the gate, nu_tilde_minus and the profile all read one derivation: one
+    # per minimize_columns block, one per minimize_m call on each branch
+    calls = []
+
+    def counting(*form):
+        calls.append(form)
+        return _invariants(*form)
+
+    monkeypatch.setattr(gaussian_em, "_invariants", counting)
+    forms = [s.standard_form for s in iter_samples(SamplerConfig(1, 40, 20.0, "extremal_params"))]
+    forms += BLOCK_ROWS[:5]
+    block = _minimize_forms(forms)
+    assert not block.errors
+    assert len(calls) == 1
+    for sf in BLOCK_ROWS[:5]:
+        calls.clear()
+        minimize_m(sf)
+        assert len(calls) == 1
+
+
 def test_lone_general_form_takes_the_per_form_route():
     # one general form among closed-form and failing rows: the block's one
     # route gives it minimize_m's bits
@@ -495,8 +517,8 @@ def test_non_finite_profile_fails_its_own_row_only(monkeypatch):
     expected = [minimize_m(sf) for sf in forms]
     of = _ThetaProfile.of
 
-    def poisoned(a, b, cp, cm, xp):
-        profile = of(a, b, cp, cm, xp)
+    def poisoned(a, b, cp, cm, inv, xp):
+        profile = of(a, b, cp, cm, inv, xp)
         return profile._replace(n0=xp.where(a == CUBE_ROUNDING.a, math.nan, profile.n0))
 
     monkeypatch.setattr(_ThetaProfile, "of", staticmethod(poisoned))
@@ -774,8 +796,7 @@ def test_minimum_matches_60_digits(s_max):
     errors, eigenvalue_route_errors = [], []
     with mpmath.workdps(60):
         for sf in _general_forms(s_max):
-            cp, cm = _sign_ordered(sf.c_plus, sf.c_minus, _FLOATS)
-            profile = _ThetaProfile.of(sf.a, sf.b, cp, cm, _FLOATS)
+            profile = _profile(sf.sign_ordered())
             exact = _exact_minimum(profile)
             errors.append(float(abs(minimize_m(sf).m_opt - exact) / exact))
             eigenvalue_route_errors.append(float(abs(_eigenvalue_route(profile) - exact) / exact))
@@ -850,4 +871,6 @@ def test_float_route_selection_budget(monkeypatch):
     monkeypatch.setattr(_FLOATS, "where", lambda cond, x, y: calls.append(cond) or where(cond, x, y))
     for sf in forms:
         minimize_m(sf)
-    assert len(calls) <= 14792  # 20398 before the guards
+    # 20398 before the guards; 14792 before minimize_m sign-ordered through
+    # StandardForm.sign_ordered(), which returns an ordered form as it is
+    assert len(calls) <= 13992

@@ -740,9 +740,9 @@ def test_raw_edges_straddle_each_test():
 @example(row=_raw_row(bounds.S_MAX_LIMIT, [BELOW_ONE, 0.5, BELOW_ONE, BELOW_ONE]))
 @example(row=_raw_row(1.0 + 2.0**-52, [BELOW_ONE] * 4))
 @given(row=_raw_attempts())
-def test_raw_draws_fail_physicality_only_on_the_two_dets_inequalities(row):
+def test_raw_draws_fail_physicality_only_on_the_det_sigma_and_delta_inequalities(row):
     # why the array test of raw draws checks only Det sigma and Delta: the
     # other inequalities of _violation hold on every draw
-    det_sigma, delta, _ = symplectic._dets(*row)
+    det_sigma, delta, _, _, _ = symplectic._invariants(*row)
     holds = det_sigma >= 1.0 - DEFAULT_TOL and delta <= 1.0 + det_sigma + DEFAULT_TOL
     assert (StandardForm(*row)._violation(DEFAULT_TOL) is None) == holds

@@ -28,7 +28,8 @@ from twomode import (
 )
 from twomode import bounds, extremal, gaussian_em, symplectic
 from twomode.errors import DomainError, MalformedInputError, TwoModeError, UnphysicalStateError
-from twomode.symplectic import _check_matrix, _dets, _nu_pair, _nu_pairs, _nu_tilde_minus
+from twomode.symplectic import (DEFAULT_TOL, _check_matrix, _inequalities, _invariants, _nu_pair,
+                                _nu_pairs, _nu_tilde_minus, _sign_ordered)
 
 from conftest import BLOCK_NOT_POSITIVE_DEFINITE, SIGMA_PAIR_UNDEFINED, draw_entangled_states
 
@@ -98,8 +99,13 @@ class TestValidatePhysical:
     ])
     def test_error_names_the_violated_inequality(self, sf, named):
         assert not validate_physical(sf.to_matrix())
-        with pytest.raises(UnphysicalStateError, match=named):
+        with pytest.raises(UnphysicalStateError, match=named) as raised:
             to_standard_form(sf.to_matrix())
+        assert str(raised.value) == {
+            "Det sigma": "Det sigma = 0.0625 < 1 violates the purity bound",
+            "Delta": "Delta = 13.78 exceeds 1 + Det sigma = 2.2321",
+            "positive semidefinite": "covariance matrix is not positive semidefinite",
+        }[named]
 
     @pytest.mark.parametrize("sf", [
         StandardForm(3e80, 1e80, 1.5e80, -1e80),  # Det sigma overflows to inf
@@ -114,9 +120,13 @@ class TestValidatePhysical:
 
     @pytest.mark.parametrize("tol", [math.nan, -1e-12])
     def test_nan_or_negative_tolerance_is_rejected(self, tol):
-        # every "x < 1 - nan" compares False, which would accept this form
-        with pytest.raises(DomainError, match="tolerance"):
-            StandardForm(0.8, 0.8, 0.1, -0.1).is_physical(tol)
+        # every "x < 1 - nan" compares False, which would accept this form;
+        # "x <= nan" is False too, which called every form impure and
+        # asymmetric
+        sf = StandardForm(0.8, 0.8, 0.1, -0.1)
+        for predicate in (sf.is_physical, sf.is_pure, sf.is_symmetric):
+            with pytest.raises(DomainError, match="tolerance"):
+                predicate(tol)
 
 
 class TestLocalInvariants:
@@ -247,7 +257,7 @@ class TestSpectrum:
         attempts = list(zip(*(c.tolist() for c in columns(np.full(short.shape, True))[4:])))
         a, b, cp, cm = dataclasses.astuple(SIGMA_PAIR_UNDEFINED)
         rows = [*attempts, (a, b, cp, cm), (a, b, cp, -cm), (1.0, 1.0, 2.0, 0.0)]
-        got = _nu_tilde_minus(*_dets(*(np.array(c) for c in zip(*rows)))).tolist()
+        got = _nu_tilde_minus(_invariants(*(np.array(c) for c in zip(*rows)))).tolist()
         undefined = []
         for x, row in zip(got, rows):
             try:
@@ -259,6 +269,21 @@ class TestSpectrum:
                 assert x.hex() == want.hex()
         assert undefined[-3:] == rows[-3:]
         assert (attempts[-1] == rows[-3]) == (s_max > 20.0)
+        # what lets the minimizer derive the invariants once, from the sign
+        # ordering of a form: on the rows and on the rows with their
+        # correlations exchanged or negated, the ordering keeps the bits of
+        # Det sigma, Delta, Delta_tilde, the inequalities and
+        # nu_tilde_minus, and ab - c_minus^2 of the ordered form is the
+        # larger factor
+        a, b, cp, cm = (np.array(c) for c in zip(*rows))
+        for pair in ((cp, cm), (cm, cp), (-cp, -cm), (-cm, -cp)):
+            inv = _invariants(a, b, *pair)
+            ordered = _invariants(a, b, *_sign_ordered(*pair, symplectic._ARRAYS))
+            assert [x.tobytes() for x in ordered[:3]] == [x.tobytes() for x in inv[:3]]
+            assert ordered[4].tobytes() == np.maximum(*inv[3:]).tobytes()
+            assert ([x.tolist() for x in _inequalities(a, b, ordered, DEFAULT_TOL)]
+                    == [x.tolist() for x in _inequalities(a, b, inv, DEFAULT_TOL)])
+            assert _nu_tilde_minus(ordered).tobytes() == _nu_tilde_minus(inv).tobytes()
 
 
 class TestStoredSpectrum:
