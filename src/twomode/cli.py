@@ -276,13 +276,9 @@ def _cmd_bounds(args) -> int:
     curves = bounds_mod.bound_curves(args.curve_resolution)
     _write_csv(args.curves, ["nu_tilde", "lower", "upper"], _FLOATS_3, list(zip(*curves)))
     if args.geof_curves:
-        rows = []
-        for nu, lower, _upper in curves:
-            e_n = log_negativity(nu, base)
-            if e_n <= 0.0:
-                continue
-            lo, hi = bounds_mod.geof_bounds(e_n, base)
-            rows.append((e_n, lo, hi))
+        # every curve's nu is below 1, so every log_neg is positive
+        rows = [(e_n, *bounds_mod.geof_bounds(e_n, base))
+                for e_n in (log_negativity(nu, base) for nu, _, _ in curves)]
         _write_csv(args.geof_curves, ["log_neg", "geof_lower", "geof_upper"], _FLOATS_3,
                    list(zip(*rows)))
     summary = {

@@ -42,11 +42,14 @@ flat profile, c = d = 0 in the monic quartic, the cancelled member of a
 root pair, the Newton polish of a complex pair) run behind ``xp.any`` of
 their mask, so one form's float route pays for them only where it takes
 them.
-Both routes derive the invariants of the sign-ordered form once
-(``symplectic._invariants``, per call or per block), and the gate and the
-profile read them: the ordering keeps their gate's bits.
-``minimize_m``'s gate reads the spectrum the form keeps once computed
-(``StandardForm.spectrum()``) and decides physicality as
+The gate and the profile read one derivation of the invariants
+(``symplectic._invariants``).  ``minimize_columns`` derives it once per
+block, from its sign-ordered columns.  ``minimize_m`` derives none: each
+``StandardForm`` keeps its own from its construction, and the gate reads
+the form's, the profile its sign ordering's (the form itself where it is
+ordered already); the ordering keeps the gate's bits.
+``minimize_m``'s gate reads the spectrum the form keeps
+once computed (``StandardForm.spectrum()``) and decides physicality as
 ``StandardForm.is_physical()`` does, with ``DEFAULT_TOL``.
 ``minimize_columns`` computes each row's nu_tilde_minus from the tuple
 (``symplectic._nu_tilde_minus``: the spectrum's bits, NaN where
@@ -161,15 +164,15 @@ def _gate(a, b, inv, nu, xp):
     return passes, nu >= 1.0 - NEAR_SEPARABLE_TOL, _symmetric(a, b, SYMMETRY_RTOL, xp)
 
 
-def _scalar_gate(sf: StandardForm, inv) -> tuple[float, bool, bool]:
-    """``_gate`` of one form with invariants ``inv``, with nu_tilde_minus
+def _scalar_gate(sf: StandardForm) -> tuple[float, bool, bool]:
+    """``_gate`` of one form on the invariants it keeps, with nu_tilde_minus
     taken from its spectrum, so that a form without one fails there first:
     nu_tilde_minus and the separable and symmetric verdicts.  Raises
     UnphysicalStateError where the form does not pass.  Physicality is
     decided on polynomial inequalities: for pure states nu_minus itself sits
     on a vanishing discriminant and carries sqrt-amplified rounding noise."""
     nu = sf.spectrum().nu_tilde_minus
-    passes, separable, symmetric = _gate(sf.a, sf.b, inv, nu, _FLOATS)
+    passes, separable, symmetric = _gate(sf.a, sf.b, sf._inv, nu, _FLOATS)
     if not passes:
         raise UnphysicalStateError(f"not a physical state: {sf}")
     return nu, separable, symmetric
@@ -310,9 +313,8 @@ def m_theta(sf: StandardForm, theta):
     """
     import numpy as np
 
-    inv = _invariants(sf.a, sf.b, sf.c_plus, sf.c_minus)
-    _require_rim(sf, _scalar_gate(sf, inv)[0])
-    out = _ThetaProfile.of(sf.a, sf.b, sf.c_plus, sf.c_minus, inv, _FLOATS)(theta)
+    _require_rim(sf, _scalar_gate(sf)[0])
+    out = _ThetaProfile.of(sf.a, sf.b, sf.c_plus, sf.c_minus, sf._inv, _FLOATS)(theta)
     return float(out) if np.isscalar(theta) else out
 
 
@@ -367,7 +369,7 @@ def gamma_from_theta(sf: StandardForm, theta: float) -> GammaCoordinates:
         DomainError: if it is separable or not sign-ordered (no optimization
             rim), or if the rim is too close to lightlike to parametrize.
     """
-    _require_rim(sf, _scalar_gate(sf, _invariants(sf.a, sf.b, sf.c_plus, sf.c_minus))[0])
+    _require_rim(sf, _scalar_gate(sf)[0])
     center, w_axis, p_axis = _rim_geometry(sf)
     x = center + math.cos(theta) * w_axis + math.sin(theta) * p_axis
     return GammaCoordinates(float(x[0]), float(x[1]), float(x[2]))
@@ -576,16 +578,15 @@ def minimize_m(sf: StandardForm, *, log_base=2) -> GemResult:
     same bits.
     """
     _log_divisor(log_base)  # DomainError for a base other than 2 and "e"
-    ordered = sf.sign_ordered()
-    a, b, cp, cm = ordered.a, ordered.b, ordered.c_plus, ordered.c_minus
-    inv = _invariants(a, b, cp, cm)
-    nu, separable, symmetric = _scalar_gate(sf, inv)
+    nu, separable, symmetric = _scalar_gate(sf)
     if separable:
         return _SEPARABLE
     if symmetric:
         return GemResult(m_from_nu_tilde(nu), math.pi, nu, h_function(nu, log_base), 2)
-    m_min, x, flip, extrema, finite = _rim_minimum(_ThetaProfile.of(a, b, cp, cm, inv, _FLOATS),
-                                                   _FLOATS)
+    ordered = sf.sign_ordered()
+    a, b, cp, cm = ordered.a, ordered.b, ordered.c_plus, ordered.c_minus
+    m_min, x, flip, extrema, finite = _rim_minimum(
+        _ThetaProfile.of(a, b, cp, cm, ordered._inv, _FLOATS), _FLOATS)
     if not finite:
         raise _not_finite(a, b, cp, cm)
     m_opt, theta, nu_opt = _optimum(m_min, _theta(x, flip), _FLOATS)

@@ -40,36 +40,38 @@ class NegativityReport:
     log_base: object = 2
 
 
-def _nu_tilde(spectrum_or_value) -> float:
-    if isinstance(spectrum_or_value, SymplecticSpectrum):
-        return spectrum_or_value.nu_tilde_minus
-    return float(spectrum_or_value)
+def _nu_tilde(nu_tilde_minus) -> float:
+    """``nu_tilde_minus`` as a float; DomainError unless it is positive, as
+    every symplectic eigenvalue is (a NaN, 0 or negative value is none)."""
+    nu = float(nu_tilde_minus)
+    if not nu > 0.0:
+        raise DomainError(f"nu_tilde_minus must be positive, got {nu!r}")
+    return nu
 
 
 def is_separable_ppt(spectrum, tol: float = DEFAULT_TOL) -> bool:
-    """PPT criterion: separable iff nu_tilde_minus >= 1 (within tol).
+    """PPT criterion: separable iff nu_tilde_minus >= 1 (within tol), of a
+    ``SymplecticSpectrum`` or of the eigenvalue itself.
 
     Raises:
-        DomainError: if ``tol`` is NaN or negative.
+        DomainError: if ``tol`` is NaN or negative, or nu_tilde_minus is
+            not positive.
     """
     _require_tol("separability", tol)
+    if isinstance(spectrum, SymplecticSpectrum):
+        spectrum = spectrum.nu_tilde_minus
     return _nu_tilde(spectrum) >= 1.0 - tol
 
 
 def negativity(nu_tilde_minus: float) -> float:
     """max[0, (1 - nu) / (2 nu)] for nu = nu_tilde_minus; 0 when separable."""
-    nu = float(nu_tilde_minus)
-    if not nu > 0.0:
-        raise DomainError(f"nu_tilde_minus must be positive, got {nu!r}")
+    nu = _nu_tilde(nu_tilde_minus)
     return max(0.0, (1.0 - nu) / (2.0 * nu))
 
 
 def log_negativity(nu_tilde_minus: float, log_base=2) -> float:
     """max[0, -log nu_tilde_minus]; unbounded as the eigenvalue tends to 0."""
-    nu = float(nu_tilde_minus)
-    if not nu > 0.0:
-        raise DomainError(f"nu_tilde_minus must be positive, got {nu!r}")
-    return max(0.0, -math.log(nu) / _log_divisor(log_base))
+    return max(0.0, -math.log(_nu_tilde(nu_tilde_minus)) / _log_divisor(log_base))
 
 
 def h_function(x: float, log_base=2) -> float:

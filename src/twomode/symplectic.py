@@ -97,6 +97,11 @@ class StandardForm:
     operations, to the matrix with diagonal blocks a*I, b*I and off-diagonal
     block diag(c_plus, c_minus).  The sign convention used throughout the
     package is c_plus >= |c_minus| and c_plus >= 0.
+
+    Construction derives the form's ``_invariants`` once, after its checks,
+    and keeps them in the instance ``__dict__`` as ``_inv``, outside the
+    fields, as ``spectrum()`` keeps its result: every float reader of the
+    form takes them from there.
     """
 
     a: float
@@ -111,6 +116,7 @@ class StandardForm:
             raise MalformedInputError(f"standard form entries must be finite, got {vals}")
         if self.a <= 0.0 or self.b <= 0.0:
             raise MalformedInputError("diagonal correlations a, b must be positive")
+        self.__dict__["_inv"] = _invariants(self.a, self.b, self.c_plus, self.c_minus)
 
     def to_matrix(self) -> np.ndarray:
         """The covariance matrix of the form, a 4x4 NumPy array."""
@@ -129,26 +135,26 @@ class StandardForm:
         ]
 
     def invariants(self) -> SymplecticInvariants:
-        a, b, cp, cm = self.a, self.b, self.c_plus, self.c_minus
-        return SymplecticInvariants(a * a, b * b, cp * cm, *_invariants(a, b, cp, cm)[:3])
+        return SymplecticInvariants(self.a * self.a, self.b * self.b, self.c_plus * self.c_minus,
+                                    *self._inv[:3])
 
     def spectrum(self) -> SymplecticSpectrum:
-        """The spectrum, computed on the first call and kept in the
-        instance ``__dict__`` outside the fields, so equality, hashing,
-        ``repr``, ``asdict``, ``replace`` and pickling never see it; a call
-        that raises keeps nothing."""
+        """The spectrum from the invariants kept at construction, computed
+        on the first call and kept in the instance ``__dict__`` outside the
+        fields, so equality, hashing, ``repr``, ``asdict`` and ``replace``
+        never see it; a call that raises keeps nothing."""
         spectrum = self.__dict__.get("_spectrum")
         if spectrum is None:
-            det_sigma, delta, delta_tilde, _, _ = _invariants(self.a, self.b, self.c_plus,
-                                                              self.c_minus)
+            det_sigma, delta, delta_tilde, _, _ = self._inv
             nu = _nu_pair(delta, det_sigma, delta * delta - 4.0 * det_sigma)
             nu_t = _nu_pair(delta_tilde, det_sigma, delta_tilde * delta_tilde - 4.0 * det_sigma)
             spectrum = self.__dict__["_spectrum"] = SymplecticSpectrum(*nu, *nu_t)
         return spectrum
 
-    def __getstate__(self):
-        """Pickled state: the fields, without the kept spectrum."""
-        return {name: value for name, value in self.__dict__.items() if name != "_spectrum"}
+    def __reduce__(self):
+        """Pickles and copies go through the constructor, which checks the
+        fields and derives the invariants again, and carry no spectrum."""
+        return StandardForm, (self.a, self.b, self.c_plus, self.c_minus)
 
     def is_symmetric(self, rtol: float = SYMMETRY_RTOL) -> bool:
         """True iff |a - b| <= rtol max(a, b); a NaN or negative ``rtol``
@@ -165,8 +171,7 @@ class StandardForm:
     def _violation(self, tol: float) -> str | None:
         """The message naming the first violated physicality inequality
         (``_inequalities``) within ``tol``, or None."""
-        a, b = self.a, self.b
-        inv = _invariants(a, b, self.c_plus, self.c_minus)
+        a, b, inv = self.a, self.b, self._inv
         holds = _inequalities(a, b, inv, tol)
         return next((message.format(det_sigma=inv[0], delta=inv[1], bound=1.0 + inv[0], a=a, b=b)
                      for ok, message in zip(holds, _VIOLATIONS) if not ok), None)
@@ -175,7 +180,7 @@ class StandardForm:
         """True iff Det sigma is 1 within ``tol``; a NaN or negative ``tol``
         raises DomainError."""
         _require_tol("purity", tol)
-        return abs(self.invariants().det_sigma - 1.0) <= tol
+        return abs(self._inv[0] - 1.0) <= tol
 
     def sign_ordered(self) -> "StandardForm":
         """Equivalent standard form with c_plus >= |c_minus| and c_plus >= 0:
@@ -243,8 +248,10 @@ def _invariants(a, b, c_plus, c_minus):
     standard form (a, b, c_plus, c_minus), elementwise for arrays: the one
     derivation that ``invariants``, ``spectrum``, the physicality test, the
     minimizer's gate and profile and the sampler's array tests all read.
-    The sign ordering (``_sign_ordered``) keeps the first three bit for bit
-    and makes the last the larger factor."""
+    It runs once per ``StandardForm``, at construction, once per
+    ``minimize_columns`` block and once per sampler attempt.  The sign
+    ordering (``_sign_ordered``) keeps the first three bit for bit and makes
+    the last the larger factor."""
     ab, quad, two_det_gamma = a * b, a * a + b * b, 2.0 * (c_plus * c_minus)
     f_plus, f_minus = ab - c_plus * c_plus, ab - c_minus * c_minus
     return f_plus * f_minus, quad + two_det_gamma, quad - two_det_gamma, f_plus, f_minus

@@ -544,6 +544,14 @@ class TestBounds:
         )
         assert code == EXIT_OK
         assert json.loads((tmp_path / "s_env.json").read_text())["seed"] == 77
+        # with neither --seed nor TWOMODE_SEED, the documented default
+        monkeypatch.delenv("TWOMODE_SEED")
+        code, out, _ = run(
+            capsys, "bounds", "--samples", "2",
+            "--points", str(tmp_path / "p.csv"), "--curves", str(tmp_path / "c.csv"),
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["seed"] == 12345
 
     def test_geof_curves_file(self, capsys, tmp_path):
         path = tmp_path / "geof.csv"

@@ -47,6 +47,7 @@ def test_tables_compare_every_value():
     again = scan_ordering_slice(5.0, (1.0, 5.0), (1.0, 9.0), 12)[0]
     assert any(math.isnan(m) for m in again.columns[3])  # distinct NaN objects match
     assert cells == again
+    assert cells.__eq__(3) is NotImplemented and (cells == 3) is False
     moved = [list(column) for column in again.columns]
     moved[4][-1] = math.nextafter(moved[4][-1], math.inf)
     assert cells != ColumnTable(ScanCell, moved)

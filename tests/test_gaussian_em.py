@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -22,11 +23,12 @@ from twomode.bounds import SamplerConfig, iter_samples
 from twomode.errors import (
     DomainError, MalformedInputError, MinimizationError, TwoModeError, UnphysicalStateError,
 )
-from twomode import gaussian_em
+from twomode import cli, gaussian_em, symplectic
 from twomode.extremal import gmems_threshold
 from twomode.symplectic import _ARRAYS, _invariants, _sign_ordered
 from twomode.gaussian_em import (
     NEAR_SEPARABLE_TOL,
+    GammaCoordinates,
     GemResult,
     _FLOATS,
     _stationary_points,
@@ -425,25 +427,49 @@ def test_block_matches_minimize_m_bit_for_bit(s_max, count, seed, mode):
         assert _fields(gem) == _fields(expected)
 
 
-def test_invariants_are_derived_once_per_block_and_per_call(monkeypatch):
-    # the gate, nu_tilde_minus and the profile all read one derivation: one
-    # per minimize_columns block, one per minimize_m call on each branch
+def test_invariants_are_derived_once_per_block_and_per_call(monkeypatch, tmp_path, capsys):
+    # a StandardForm derives its invariants once, at construction, and every
+    # float reader takes them from it: one derivation per form, none per
+    # call on it, one per minimize_columns block and one per measure command
     calls = []
 
     def counting(*form):
         calls.append(form)
         return _invariants(*form)
 
+    monkeypatch.setattr(symplectic, "_invariants", counting)
     monkeypatch.setattr(gaussian_em, "_invariants", counting)
     forms = [s.standard_form for s in iter_samples(SamplerConfig(1, 40, 20.0, "extremal_params"))]
     forms += BLOCK_ROWS[:5]
+    calls.clear()
     block = _minimize_forms(forms)
     assert not block.errors
     assert len(calls) == 1
-    for sf in BLOCK_ROWS[:5]:
+    # the symmetric, separable, near-separable, pure and GLEMS branches and
+    # a general form, each sign-ordered
+    for row in BLOCK_ROWS[:6]:
         calls.clear()
+        sf = StandardForm(row.a, row.b, row.c_plus, row.c_minus)
+        assert len(calls) == 1
+        sf.spectrum(), sf.invariants(), sf.is_physical(), sf.is_pure()
         minimize_m(sf)
         assert len(calls) == 1
+    calls.clear()
+    m_theta(CUBE_ROUNDING, THETAS), gamma_from_theta(CUBE_ROUNDING, 1.0)
+    assert not calls
+    # an unordered form on the general branch: its sign ordering's construction
+    unordered = StandardForm(CUBE_ROUNDING.a, CUBE_ROUNDING.b,
+                             -CUBE_ROUNDING.c_plus, -CUBE_ROUNDING.c_minus)
+    calls.clear()
+    assert minimize_m(unordered) == minimize_m(CUBE_ROUNDING)
+    assert len(calls) == 1
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"cm": [[2.0, 0.3, 1.1, 0.0], [0.3, 2.0, 0.0, -1.0],
+                                       [1.1, 0.0, 1.5, 0.2], [0.0, -1.0, 0.2, 1.5]]}))
+    calls.clear()
+    assert cli.main(["measure", str(path)]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["gaussian_em"]["gaussian_eof"] > 0.0
+    assert len(calls) == 1
 
 
 def test_lone_general_form_takes_the_per_form_route():
@@ -733,6 +759,8 @@ class TestConversions:
             m_from_nu_tilde(0.0)
         with pytest.raises(DomainError):
             m_from_nu_tilde(1.5)
+        with pytest.raises(DomainError, match=r"^Gamma is not positive definite \(det = -3\)$"):
+            GammaCoordinates(1.0, 2.0, 0.0).single_mode_determinant()
 
 
 def _general_forms(s_max, count=200):

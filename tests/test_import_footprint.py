@@ -68,3 +68,4 @@ def test_every_public_name_resolves_on_first_use():
     missing, unbound, is_function, same = json.loads(out)
     assert missing == [] and unbound == []
     assert is_function and same
+    assert set(twomode._LAZY) <= set(dir(twomode))

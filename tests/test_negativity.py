@@ -75,9 +75,11 @@ class TestHFunction:
         assert h_function(lo) > h_function(x)
 
     def test_domain(self):
-        for bad in (0.0, -0.5, 1.1):
+        for bad in (0.0, -0.5, 1.1, 1.0 + 2e-12):
             with pytest.raises(DomainError):
                 h_function(bad)
+        # rounding just above 1 reads as 1
+        assert h_function(1.0 + 5e-13) == 0.0
 
 
 class TestNegativities:
@@ -97,11 +99,14 @@ class TestNegativities:
     def test_natural_base(self):
         assert log_negativity(1 / 3, log_base="e") == pytest.approx(math.log(3.0), abs=1e-14)
 
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            negativity(0.0)
-        with pytest.raises(DomainError):
-            log_negativity(-1.0)
+    @pytest.mark.parametrize("function", [is_separable_ppt, negativity, log_negativity],
+                             ids=["is_separable_ppt", "negativity", "log_negativity"])
+    @pytest.mark.parametrize("nu", [math.nan, 0.0, -1.0])
+    def test_domain(self, nu, function):
+        # no symplectic eigenvalue is NaN, 0 or negative: is_separable_ppt
+        # answered False on such a value, which reported an entangled state
+        with pytest.raises(DomainError, match="nu_tilde_minus must be positive"):
+            function(nu)
 
     @settings(max_examples=80, deadline=None)
     @given(st.floats(1e-4, 1.0 - 1e-9), st.floats(1e-6, 0.5))

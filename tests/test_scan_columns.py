@@ -258,6 +258,8 @@ def test_scans_reject_a_non_integer_resolution(scan, args, resolution):
     # (12,), and bound_curves(2.5) drew 3 rows
     with pytest.raises(DomainError, match="resolution must be an integer"):
         scan(*args, resolution=resolution)
+    with pytest.raises(DomainError, match="resolution must be at least 2"):
+        scan(*args, resolution=1)
     cells, _ = scan(*args, resolution=np.int64(3))
     assert len(cells) == (9 if scan is scan_ordering_slice else 27)
 

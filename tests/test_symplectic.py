@@ -499,6 +499,9 @@ class TestReductionAccuracy:
         # a masked entry has no value to read
         (np.ma.masked_array(np.eye(4), mask=np.eye(4, dtype=bool)),
          "covariance matrix entries are not numbers: ..."),
+        # a row that is neither a list, a tuple nor an array
+        ([[1, 0, 0, 0], 5, [0, 0, 1, 0], [0, 0, 0, 1]], "covariance matrix entries are not "
+         "numbers: expected rows of numbers, got a row that is no sequence"),
     ])
     def test_malformed_messages(self, cm, message):
         pattern = (f"^{re.escape(message[:-3])}" if message.endswith("...")
