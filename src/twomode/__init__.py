@@ -74,19 +74,16 @@ _LAZY = {
         "geof_bounds",
         "iter_samples",
         "nu_opt_lower",
-        "nu_opt_upper",
     ), "bounds"),
     "extremal": "extremal",
     **dict.fromkeys((
         "BoundaryPoint",
         "ColumnTable",
-        "Entanglement",
         "ExtremalParams",
         "OrderingVerdict",
         "Regime",
         "ScanCell",
         "build_state",
-        "classify_entanglement",
         "entanglement_threshold",
         "glems_threshold",
         "gmems_threshold",

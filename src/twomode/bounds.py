@@ -50,14 +50,6 @@ COUNT_LIMIT = 2**63
 S_MAX_LIMIT = 1e6
 
 
-def nu_opt_upper(nu_tilde_sigma: float) -> float:
-    """Ceiling for the optimal pure-state eigenvalue: nu itself."""
-    nu = float(nu_tilde_sigma)
-    if not 0.0 < nu <= 1.0:
-        raise DomainError(f"nu_tilde_sigma must lie in (0, 1], got {nu!r}")
-    return nu
-
-
 def nu_opt_lower(nu_tilde_sigma: float) -> float:
     """Floor for the optimal pure-state eigenvalue:
     (1 - sqrt(1 - nu^2)) / nu, evaluated as nu / (1 + sqrt(1 - nu^2))."""

@@ -101,11 +101,6 @@ def _integer(name: str, value) -> int:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
-class Entanglement(enum.Enum):
-    ENTANGLED = "entangled"
-    SEPARABLE = "separable"
-
-
 class Regime(enum.Enum):
     """Classification of one (s, d, g) cell of the extremal-ordering map."""
 
@@ -154,11 +149,6 @@ def _shift(d: float, g: float, lam: float) -> float:
     """The lambda-dependent part of the invariants: Delta = -shift and
     Delta_tilde = 4(s^2 + d^2) + shift, with Det sigma = g^2."""
     return 0.5 * (g * g + 1.0) * (lam - 1.0) - (2.0 * d * d + g) * (lam + 1.0)
-
-
-def _delta_tilde(s, d, g, lam):
-    """Delta_tilde of the parametrized state, elementwise for arrays."""
-    return 4.0 * (s * s + d * d) + _shift(d, g, lam)
 
 
 def _state(s, d, g, lam, xp=_ARRAYS):
@@ -213,16 +203,6 @@ def build_state(p: ExtremalParams) -> StandardForm:
                 "real domain of the parametrization"
             )
     return StandardForm(*form)
-
-
-def classify_entanglement(p: ExtremalParams) -> Entanglement:
-    """Separability of the parametrized state, closed for every lambda: as
-    Det sigma = g^2 >= 1, nu_tilde_minus < 1 iff Delta_tilde > 1 + g^2
-    (at lambda = +-1: g < 2s - 1 and g < sqrt(2(s^2 + d^2) - 1))."""
-    p.validate()
-    s, d, g = p.s, p.d, p.g
-    entangled = _delta_tilde(s, d, g, p.lam) > 1.0 + g * g
-    return Entanglement.ENTANGLED if entangled else Entanglement.SEPARABLE
 
 
 def _gmems_pt(s, d, g):

@@ -36,12 +36,14 @@ defines for every module.  ``minimize_m`` passes one form's Python floats
 branches are masks.  The sign ordering and the symmetric test are
 ``symplectic``'s too, the ones ``StandardForm`` runs on floats.  The body
 uses only +, -, *, /, sqrt and selection, which IEEE arithmetic rounds the
-same way on both, and ``math.atan`` of the winning root on both, so both
-give the same bits.  Selections that few forms take (the zero quartic of a
-flat profile, c = d = 0 in the monic quartic, the cancelled member of a
-root pair, the Newton polish of a complex pair) run behind ``xp.any`` of
-their mask, so one form's float route pays for them only where it takes
-them.
+same way on both, so both give the same bits of m_opt, nu_tilde_opt and
+the Gaussian EoF.  The optimal angle theta_opt and the count of extrema are
+``minimize_m``'s alone: the bound experiment, ``minimize_columns``' caller,
+reads neither, so a block computes neither.  Selections that few forms
+take (the zero quartic of a flat profile, c = d = 0 in the monic quartic,
+the cancelled member of a root pair, the Newton polish of a complex pair)
+run behind ``xp.any`` of their mask, so one form's float route pays for
+them only where it takes them.
 The gate and the profile read one derivation of the invariants
 (``symplectic._invariants``).  ``minimize_columns`` derives it once per
 block, from its sign-ordered columns.  ``minimize_m`` derives none: each
@@ -541,16 +543,14 @@ def _rim_minimum(profile: _ThetaProfile, xp):
 
 
 def _theta(x: float, flip: bool) -> float:
-    """theta = 2 atan(t) at t = x, or at t = 1/x where ``flip``, by Python's
-    atan on both routes (NumPy's differs on about 0.4% of doubles)."""
+    """theta = 2 atan(t) at t = x, or at t = 1/x where ``flip``."""
     return math.pi - 2.0 * math.atan(x) if flip else 2.0 * math.atan(x)
 
 
-def _optimum(m_min, theta, xp):
-    """(m_opt, theta_opt, nu_tilde_opt) from the least m found and its
-    angle: m_opt is at least 1 and theta_opt lies in [0, 2 pi)."""
+def _optimum(m_min, xp):
+    """(m_opt, nu_tilde_opt) from the least m found: m_opt is at least 1."""
     m_opt = xp.maximum(m_min, 1.0)
-    return m_opt, theta % (2.0 * math.pi), _nu_of_m(m_opt, xp)
+    return m_opt, _nu_of_m(m_opt, xp)
 
 
 def _not_finite(a: float, b: float, cp: float, cm: float) -> MinimizationError:
@@ -589,23 +589,24 @@ def minimize_m(sf: StandardForm, *, log_base=2) -> GemResult:
         _ThetaProfile.of(a, b, cp, cm, ordered._inv, _FLOATS), _FLOATS)
     if not finite:
         raise _not_finite(a, b, cp, cm)
-    m_opt, theta, nu_opt = _optimum(m_min, _theta(x, flip), _FLOATS)
-    return GemResult(m_opt, theta, nu_opt, h_function(nu_opt, log_base), extrema)
+    m_opt, nu_opt = _optimum(m_min, _FLOATS)
+    return GemResult(m_opt, _theta(x, flip) % (2.0 * math.pi), nu_opt,
+                     h_function(nu_opt, log_base), extrema)
 
 
 class GemBlock(NamedTuple):
     """``minimize_columns``' outcomes as columns, one row per form: its
     nu_tilde_minus (``spectrum()``'s, NaN where that raises) and the
-    ``GemResult`` fields that ``minimize_m`` returns for it, and by row the
-    ``TwoModeError`` that ``minimize_m`` raises instead; such a row reads
-    NaN (0 extrema) in the result columns."""
+    m_opt, nu_tilde_opt and gaussian_eof that ``minimize_m`` returns for
+    it, and by row the ``TwoModeError`` that ``minimize_m`` raises instead;
+    such a row reads NaN in the result columns.  theta_opt and
+    extrema_found are ``minimize_m``'s alone: the bound experiment reads
+    neither."""
 
     nu_tilde_sigma: np.ndarray
     m_opt: np.ndarray
-    theta_opt: np.ndarray
     nu_tilde_opt: np.ndarray
     gaussian_eof: np.ndarray
-    extrema_found: np.ndarray
     errors: dict[int, TwoModeError]
 
 
@@ -616,9 +617,9 @@ def minimize_columns(
     cm: np.ndarray,
     log_base=2,
 ) -> GemBlock:
-    """``minimize_m`` of every standard form (a, b, c_plus, c_minus), given
-    as float columns of one length; a bad ``log_base`` raises DomainError
-    at once.
+    """``minimize_m``'s m_opt, nu_tilde_opt and gaussian_eof of every
+    standard form (a, b, c_plus, c_minus), given as float columns of one
+    length, in its bits; a bad ``log_base`` raises DomainError at once.
 
     The block's invariants are derived once, from its sign-ordered
     columns (``_invariants``).  Each row's nu_tilde_minus comes from them,
@@ -646,17 +647,14 @@ def minimize_columns(
     passes, separable, symmetric = _gate(a, b, inv, nu, _ARRAYS)
     symmetric &= passes & ~separable
     general = np.flatnonzero(passes & ~separable & ~symmetric)
-    m_opt, theta, nu_opt = np.ones(n), np.zeros(n), np.ones(n)
-    extrema = np.where(symmetric, 2, 1)
+    m_opt, nu_opt = np.ones(n), np.ones(n)
     m_opt[symmetric] = _m_of_nu(nu[symmetric])
-    theta[symmetric] = math.pi
     nu_opt[symmetric] = nu[symmetric]
 
     ga, gb, gcp, gcm = (c[general] for c in (a, b, *ordered))
-    m_min, x, flip, extrema[general], finite = _rim_minimum(
+    m_min, _, _, _, finite = _rim_minimum(
         _ThetaProfile.of(ga, gb, gcp, gcm, [c[general] for c in inv], _ARRAYS), _ARRAYS)
-    m_opt[general], theta[general], nu_opt[general] = _optimum(
-        m_min, np.array([_theta(*point) for point in zip(x.tolist(), flip.tolist())]), _ARRAYS)
+    m_opt[general], nu_opt[general] = _optimum(m_min, _ARRAYS)
     errors = {general[k].item(): _not_finite(*(c[k].item() for c in (ga, gb, gcp, gcm)))
               for k in np.flatnonzero(~finite).tolist()}
 
@@ -668,13 +666,11 @@ def minimize_columns(
         except TwoModeError as exc:
             errors[i] = exc
     failed = sorted(errors)
-    m_opt[failed] = theta[failed] = nu_opt[failed] = math.nan
-    extrema[failed] = 0
+    m_opt[failed] = nu_opt[failed] = math.nan
     geof = np.zeros(n)
     entangled = np.flatnonzero(nu_opt < 1.0)
     geof[entangled] = [h_function(x, log_base) for x in nu_opt[entangled].tolist()]
-    return GemBlock(nu, m_opt, theta, nu_opt, geof, extrema,
-                    {i: errors[i] for i in failed})
+    return GemBlock(nu, m_opt, nu_opt, geof, {i: errors[i] for i in failed})
 
 
 def gaussian_eof(sf: StandardForm, log_base=2) -> float:

@@ -260,8 +260,13 @@ def _invariants(a, b, c_plus, c_minus):
 def _real(v) -> float:
     """``v`` as a Python float.  A NumPy scalar is read through ``tolist()``
     first, so that a complex one raises TypeError, as a Python complex does,
-    where ``float()`` would drop its imaginary part with a warning."""
-    return float(v.tolist() if hasattr(v, "tolist") else v)
+    where ``float()`` would drop its imaginary part with a warning.  A
+    string, bytes or a boolean, Python's or NumPy's, is no number either,
+    though ``float()`` would read it as one: TypeError."""
+    v = v.tolist() if hasattr(v, "tolist") else v
+    if isinstance(v, (str, bytes, bool)):
+        raise TypeError(f"{type(v).__name__} {v!r} is not a number")
+    return float(v)
 
 
 def _float_rows(x) -> tuple[list[list[float]], tuple[int, ...]]:
@@ -506,11 +511,14 @@ def cm_from_json_dict(obj) -> list[list[float]]:
     """Covariance matrix from the JSON wire format, as four rows of Python
     floats.
 
-    Accepts ``{"cm": [[...4x4 row-major...]]}`` or
-    ``{"standard_form": {"a":..., "b":..., "c_plus":..., "c_minus":...}}``.
+    Accepts either ``{"cm": [[...4x4 row-major...]]}`` or
+    ``{"standard_form": {"a":..., "b":..., "c_plus":..., "c_minus":...}}``;
+    an object with both keys is malformed.
     """
     if not isinstance(obj, dict):
         raise MalformedInputError("state JSON must be an object")
+    if "cm" in obj and "standard_form" in obj:
+        raise MalformedInputError("state JSON needs a 'cm' or 'standard_form' key, not both")
     if "cm" in obj:
         try:
             rows, shape = _float_rows(obj["cm"])
@@ -522,9 +530,7 @@ def cm_from_json_dict(obj) -> list[list[float]]:
     if "standard_form" in obj:
         sf = obj["standard_form"]
         try:
-            return StandardForm(
-                float(sf["a"]), float(sf["b"]), float(sf["c_plus"]), float(sf["c_minus"])
-            )._rows()
+            return StandardForm(*(_real(sf[k]) for k in ("a", "b", "c_plus", "c_minus")))._rows()
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedInputError(f"invalid 'standard_form' object: {exc}") from None
     raise MalformedInputError("state JSON needs a 'cm' or 'standard_form' key")

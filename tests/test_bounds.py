@@ -20,7 +20,6 @@ from twomode import (
     m_opt_gmemms,
     minimize_m,
     nu_opt_lower,
-    nu_opt_upper,
 )
 from twomode import bounds
 from twomode.bounds import VIOLATION_TOL, BoundPoint, ExperimentResult
@@ -31,10 +30,6 @@ from twomode.negativity import log_negativity
 
 
 class TestCurves:
-    def test_upper_is_identity(self):
-        for nu in (0.1, 0.5, 0.99):
-            assert nu_opt_upper(nu) == nu
-
     def test_lower_at_half(self):
         assert nu_opt_lower(0.5) == pytest.approx(2.0 - math.sqrt(3.0), abs=1e-15)
 
@@ -45,7 +40,6 @@ class TestCurves:
         assert nu_opt_lower(nu) == pytest.approx(0.5334, abs=2e-4)
 
     def test_limits_at_one(self):
-        assert nu_opt_upper(1.0) == 1.0
         assert nu_opt_lower(1.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_lower_below_upper_and_monotone(self):
@@ -53,7 +47,7 @@ class TestCurves:
         for i in range(1, 200):
             nu = i / 200.0
             lo = nu_opt_lower(nu)
-            assert lo <= nu_opt_upper(nu)
+            assert lo <= nu
             assert lo > prev
             prev = lo
 
@@ -61,8 +55,6 @@ class TestCurves:
         for bad in (0.0, -0.1, 1.2):
             with pytest.raises(DomainError):
                 nu_opt_lower(bad)
-            with pytest.raises(DomainError):
-                nu_opt_upper(bad)
 
     def test_array_lower_curve_equals_the_float_curve(self, rng):
         nus = [*rng.uniform(0.0, 1.0, 2000).tolist(), 1.0, 5e-324, 0.5]
@@ -234,7 +226,7 @@ class TestExperiment:
 
     def test_points_lie_between_curves(self):
         for p in bound_experiment(SamplerConfig(seed=27, count=100)).points:
-            assert p.nu_tilde_opt <= nu_opt_upper(p.nu_tilde_sigma) + 1e-9
+            assert p.nu_tilde_opt <= p.nu_tilde_sigma + 1e-9
             assert p.nu_tilde_opt >= nu_opt_lower(p.nu_tilde_sigma) - 1e-9
             assert p.log_neg > 0.0
             assert p.geof >= 0.0
@@ -278,7 +270,7 @@ def _scalar_experiment(samples, log_base=2):
         except TwoModeError as exc:
             failures.append((sample.index, str(exc)))
             continue
-        violates_upper = gem.nu_tilde_opt > nu_opt_upper(nu_sigma) + VIOLATION_TOL
+        violates_upper = gem.nu_tilde_opt > nu_sigma + VIOLATION_TOL
         violates_lower = gem.nu_tilde_opt < nu_opt_lower(nu_sigma) - VIOLATION_TOL
         upper += violates_upper
         lower += violates_lower
@@ -440,7 +432,7 @@ def test_violations_count_beyond_the_tolerance(monkeypatch, nu):
     nu_opt = np.array([x for x, _, _ in cases])
     size = len(cases)
     gems = GemBlock(np.full(size, nu), np.array([m_from_nu_tilde(x) for x in nu_opt.tolist()]),
-                    np.zeros(size), nu_opt, np.zeros(size), np.ones(size, dtype=int), {})
+                    nu_opt, np.zeros(size), {})
     monkeypatch.setattr(bounds, "_sample_blocks", blocks_of(samples))
     monkeypatch.setattr(bounds, "minimize_columns", lambda a, b, cp, cm, log_base: gems)
     result = bound_experiment(SamplerConfig(seed=0, count=len(cases)))

@@ -122,6 +122,15 @@ class TestMeasure:
         *(({"cm": cm.tolist()}, "not positive definite") for cm in BLOCK_NOT_POSITIVE_DEFINITE),
         ({"standard_form": {"a": 2.0, "b": 2.0, "c_plus": 1.7, "c_minus": 1.7}}, "Delta"),
         ([1], "state JSON must be an object"),
+        # strings and booleans are no numbers, and an object holds one state
+        ({"cm": [["2", 0, 1, 0], [0, "2", 0, -1], [1, 0, 2, 0], [0, -1, 0, 2]]},
+         "invalid 'cm' entries: str '2' is not a number"),
+        ({"standard_form": {"a": "2", "b": True, "c_plus": 0, "c_minus": 0}},
+         "invalid 'standard_form' object: str '2' is not a number"),
+        ({"standard_form": {"a": 2, "b": True, "c_plus": 0, "c_minus": 0}},
+         "invalid 'standard_form' object: bool True is not a number"),
+        ({"cm": [[2, 0, 1, 0], [0, 2, 0, -1], [1, 0, 2, 0], [0, -1, 0, 2]],
+          "standard_form": {"a": 2, "b": 2, "c_plus": 1, "c_minus": -1}}, "not both"),
     ])
     def test_unphysical_input_names_the_failure(self, capsys, tmp_path, state, named):
         path = tmp_path / "bad.json"

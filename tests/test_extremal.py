@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from twomode import (
-    Entanglement,
     ExtremalParams,
     Regime,
     build_state,
-    classify_entanglement,
     entanglement_threshold,
     glems_threshold,
     gmems_threshold,
@@ -90,16 +88,31 @@ class TestBuildState:
             build_state(ExtremalParams(2.0, 0.0, 4.0, -1.0))
 
 
+def _below_threshold(p):
+    """The sampler's verdict: g below ``entanglement_threshold``."""
+    return bool(p.g < entanglement_threshold(p.s, p.d, p.lam))
+
+
+def _ppt_entangled(p):
+    """The PPT verdict on the state that ``build_state`` makes."""
+    return not is_separable_ppt(build_state(p).spectrum(), 0.0)
+
+
 class TestClassification:
+    # g < entanglement_threshold(s, d, lambda) holds exactly where the PPT
+    # test finds the built state entangled
+
     def test_gmems_threshold_examples(self):
-        assert classify_entanglement(ExtremalParams(2, 0.5, 2.99, 1.0)) is Entanglement.ENTANGLED
-        assert classify_entanglement(ExtremalParams(2, 0.5, 3.0, 1.0)) is Entanglement.SEPARABLE
+        for g, entangled in ((2.99, True), (3.0, False)):
+            p = ExtremalParams(2, 0.5, g, 1.0)
+            assert _below_threshold(p) is _ppt_entangled(p) is entangled
 
     def test_glems_threshold_examples(self):
         # threshold sqrt(2 (s^2 + d^2) - 1) = sqrt(7.5)
         assert glems_threshold(2.0, 0.5) == pytest.approx(math.sqrt(7.5), rel=1e-15)
-        assert classify_entanglement(ExtremalParams(2, 0.5, 2.7, -1.0)) is Entanglement.ENTANGLED
-        assert classify_entanglement(ExtremalParams(2, 0.5, 2.75, -1.0)) is Entanglement.SEPARABLE
+        for g, entangled in ((2.7, True), (2.75, False)):
+            p = ExtremalParams(2, 0.5, g, -1.0)
+            assert _below_threshold(p) is _ppt_entangled(p) is entangled
 
     def test_entanglement_threshold_at_lambda_pm1_is_the_family_threshold(self, rng):
         # within 2 ulp of gmems_threshold at lambda = +1 and of
@@ -120,8 +133,8 @@ class TestClassification:
             below, above = g_ent * (1.0 - 1e-9), g_ent * (1.0 + 1e-9)
             if below <= 2.0 * abs(d) + 1.0:
                 continue
-            assert classify_entanglement(ExtremalParams(s, d, below, lam)) is Entanglement.ENTANGLED
-            assert classify_entanglement(ExtremalParams(s, d, above, lam)) is Entanglement.SEPARABLE
+            assert _ppt_entangled(ExtremalParams(s, d, below, lam))
+            assert not _ppt_entangled(ExtremalParams(s, d, above, lam))
             checked += 1
         assert checked >= 190
 
@@ -132,14 +145,13 @@ class TestClassification:
             if s <= abs(d) + 1.0 + 1e-6:
                 continue
             p = ExtremalParams(s, d, 2.0 * abs(d) + 1.0, rng.uniform(-1, 1))
-            assert classify_entanglement(p) is Entanglement.ENTANGLED
-            assert not is_separable_ppt(build_state(p).spectrum(), 0.0)
+            assert _below_threshold(p) and _ppt_entangled(p)
 
     def test_separable_where_the_parametrization_has_no_state(self):
         # g >= 2s - 1: every state with these purities is separable, though
         # build_state has no real correlations at lambda = 0
         p = ExtremalParams(2.0, 0.5, 3.5, 0.0)
-        assert classify_entanglement(p) is Entanglement.SEPARABLE
+        assert not _below_threshold(p)
         with pytest.raises(DomainError, match="square-root argument"):
             build_state(p)
 
@@ -149,8 +161,7 @@ class TestClassification:
                 sf = build_state(p)
             except DomainError:
                 continue
-            expected = Entanglement.SEPARABLE if is_separable_ppt(sf.spectrum(), 0.0) else Entanglement.ENTANGLED
-            assert classify_entanglement(p) is expected
+            assert _below_threshold(p) is (not is_separable_ppt(sf.spectrum(), 0.0))
 
     def test_lambda_interpolates_between_extremes(self, rng):
         # at fixed purities the PT eigenvalue is largest for the minimal-

@@ -502,6 +502,15 @@ class TestReductionAccuracy:
         # a row that is neither a list, a tuple nor an array
         ([[1, 0, 0, 0], 5, [0, 0, 1, 0], [0, 0, 0, 1]], "covariance matrix entries are not "
          "numbers: expected rows of numbers, got a row that is no sequence"),
+        # strings, bytes and booleans, which float() would read as numbers
+        ([["2", 0, 1, 0], [0, "2", 0, -1], [1, 0, 2, 0], [0, -1, 0, 2]],
+         "covariance matrix entries are not numbers: str '2' is not a number"),
+        ([[b"2", 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]],
+         "covariance matrix entries are not numbers: bytes b'2' is not a number"),
+        ([[True, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+         "covariance matrix entries are not numbers: bool True is not a number"),
+        (np.array([[np.bool_(True), 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                  dtype=object), "covariance matrix entries are not numbers: bool True is not a number"),
     ])
     def test_malformed_messages(self, cm, message):
         pattern = (f"^{re.escape(message[:-3])}" if message.endswith("...")
