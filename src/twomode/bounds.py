@@ -274,16 +274,30 @@ class _Mode:
     first_round: int
     max_round: int
     #: Indices whose attempts are tested as one array.  Extremal rounds are
-    #: small, so a whole block goes at once.  Raw rows are long, and a chunk
-    #: takes about two rounds of fixed per-call costs: 24 indices took about
-    #: 10% less sampler time than 16, and 32 raised the traced peak of a
-    #: 4000-state raw bound_experiment by 6.5% over 16 (24 by 4%).
+    #: small, so a whole block goes at once.  The chunk decides only which
+    #: indices share a round, not which attempts are drawn, and each raw
+    #: round pays fixed costs (numpy calls and ``_chunk_columns``'
+    #: bookkeeping: about 0.08 ms a round at s_max 20, by the times below).
+    #: 1000 raw states of seed 31 take 87,168 attempts in 1,177 row draws at
+    #: s_max 20 (999,168 in 3,921 at 200, 27,954,304 in 56,719 at 2000) in
+    #: chunks of 24, 32, 48, 64, 96 and 128 alike, but 87, 68, 46, 36, 25 and
+    #: 19 rounds (381, 299, 218, 171, 122 and 95 at 200; 9314, 7620, 5621,
+    #: 4465, 3343 and 2763 at 2000).  The sampler took 13.6, 11.6, 10.5, 9.7,
+    #: 8.6 and 8.2 ms at s_max 20, 101, 94, 93, 93, 90 and 87 ms at 200, and
+    #: 2.45, 2.44, 2.24, 2.23, 2.09 and 2.01 s at 2000 (one pinned core of a
+    #: 2-core x86-64 host, best of 15, 7 and 3 in each of 3 rounds).  The
+    #: traced peak of that raw ``bound_experiment`` was 0.85 MB at s_max 20
+    #: up to 64 (1.07 and 1.40 MB at 96 and 128), and 1.77, 2.30, 3.23,
+    #: 4.12, 6.11 and 7.62 MB at 200.  perfbench's ``bounds_raw`` reads any
+    #: gain as peak RSS, since its harness keeps about 37 KB per command: 64
+    #: raised that peak by 11% at one seed, past its 10% bound, and 48 by
+    #: 2-7% over three seeds.
     chunk: int
 
 
 _MODES = {
     "extremal_params": _Mode(_attempts_extremal, True, 1, 1, _BLOCK),
-    "raw_standard_form": _Mode(_attempts_raw, False, 64, 512, 24),
+    "raw_standard_form": _Mode(_attempts_raw, False, 64, 512, 48),
 }
 
 
@@ -423,7 +437,8 @@ def iter_samples(cfg: SamplerConfig) -> Iterator[Sample]:
     attempts are drawn in rounds: an extremal round draws one attempt of
     every pending index, a column of consecutive indices in one draw, and a
     raw round draws a row of consecutive attempts per index in one draw,
-    64 in the first round and twice as many in each later one, up to 512.
+    64 in the first round and twice as many in each later one, up to 512,
+    for the pending indices of a chunk of 48 consecutive ones.
     Each round decides every attempt once, exactly, on
     arrays: ``build_state``'s checks (extremal mode) or the physicality
     test (raw mode) and the spectrum run on the attempts' columns with the

@@ -263,7 +263,8 @@ def m_opt_gmems(s: float, d: float, g: float) -> float:
     s^2 - d^2 - g > (s-1)^2 - d^2 >= 0 as g < 2s - 1.
     """
     _require_domain(s, d, g)
-    return _closed_forms(float(s), float(d), float(g), _FLOATS)[0]
+    s, d, g = float(s), float(d), float(g)
+    return 1.0 if g >= gmems_threshold(s) else _m_gmems(s, d, g, _FLOATS)
 
 
 def _m_glems(s, d, g, xp=_ARRAYS):
@@ -314,7 +315,10 @@ def m_opt_glems(s: float, d: float, g: float) -> float:
     pass 2s - 1: g >= 2s - 1 is separable too (GMEMS entangle the most).
     """
     _require_domain(s, d, g)
-    return _closed_forms(float(s), float(d), float(g), _FLOATS)[1]
+    s, d, g = float(s), float(d), float(g)
+    if g >= gmems_threshold(s) or g >= _glems_threshold(s, d, _FLOATS):
+        return 1.0
+    return _m_glems(s, d, g, _FLOATS)
 
 
 def m_opt_gmemms(s: float, nu_tilde_minus: float) -> float:

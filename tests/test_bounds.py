@@ -392,18 +392,22 @@ def test_accepted_attempts_are_standard_forms(mode, s_max):
     # two states break the proven ceiling here (ROADMAP item 3)
     ("extremal_params", 2, 1e6),
     ("raw_standard_form", 1, 20.0),
+    # raw rows double up to their longest, 512 attempts
+    ("raw_standard_form", 1, 200.0),
 ])
 def test_experiment_does_not_depend_on_the_block_size(monkeypatch, mode, seed, s_max):
     # every step is elementwise, so any size of the minimizer's blocks and
-    # of the extremal sampler's chunks gives the same result, bit for bit;
-    # 1030 states cross a boundary at each size
+    # of either sampler's chunks gives the same result, bit for bit; 1030
+    # states cross a boundary at each size but the raw chunk past the count
     cfg = SamplerConfig(seed=seed, count=1030, s_max=s_max, mode=mode)
-    extremal = bounds._MODES["extremal_params"]
+    extremal, raw = bounds._MODES["extremal_params"], bounds._MODES["raw_standard_form"]
     results = []
-    for size in (1, 7, 256, 1024):
+    for size, raw_chunk in ((1, 1), (7, 7), (256, 24), (1024, 64), (1024, 2 * cfg.count)):
         monkeypatch.setattr(bounds, "_BLOCK", size)
         monkeypatch.setitem(bounds._MODES, "extremal_params",
                             dataclasses.replace(extremal, chunk=size))
+        monkeypatch.setitem(bounds._MODES, "raw_standard_form",
+                            dataclasses.replace(raw, chunk=raw_chunk))
         results.append(bound_experiment(cfg))
     assert len(results[0].points) == cfg.count
     assert results[0].violations_upper == (2 if mode == "extremal_params" else 0)

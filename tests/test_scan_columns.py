@@ -38,6 +38,7 @@ from twomode.extremal import (
     _ordering_gap,
     glems_threshold,
 )
+from twomode.symplectic import _FLOATS
 
 
 def _same(x, y):
@@ -118,6 +119,33 @@ def test_batched_core_equals_per_point_calls(batch):
                 m_opt_gmems(sk, dk, gk)
         if any(math.isnan(x) for x in (sk, dk, gk)):
             assert verdict.regime is Regime.UNPHYSICAL
+
+
+def test_family_wrappers_equal_the_closed_forms_on_a_grid_of_edges():
+    # each wrapper evaluates its own family only: the same bits as both
+    # families' closed forms, and the same DomainError messages
+    seen = set()
+    for s in (1.0, 1.0 + 1e-13, 1.5, 3.0, 20.0, 1e5):
+        for d in (0.0, 0.25 * (s - 1.0), -0.5 * (s - 1.0), s - 1.0, -(s - 1.0)):
+            for g_kind in ("gmemms", "gmemms_tol", "gmems", "glems", "fischer"):
+                for nudge in (-2, -1, 0, 1, 2):
+                    g = _on_borders(s, d, g_kind, nudge)
+                    problem = _domain_error(s, d, g)
+                    if problem is not None:
+                        for wrapper in (m_opt_gmems, m_opt_glems):
+                            with pytest.raises(DomainError) as error:
+                                wrapper(s, d, g)
+                            assert str(error.value) == problem
+                        seen.add("outside")
+                        continue
+                    m_g, m_l, kind = _closed_forms(s, d, g, _FLOATS)
+                    assert m_opt_gmems(s, d, g) == m_g and m_opt_glems(s, d, g) == m_l
+                    # a separable family's m is 1
+                    assert (m_g == 1.0 or kind >= 2) and (m_l == 1.0 or kind == 3)
+                    seen.add(kind)
+    # points outside the domain, both families separable, only the GLEMS
+    # separable, and both entangled
+    assert seen == {"outside", 1, 2, 3}
 
 
 def _assert_cells_match_scalars(cells):

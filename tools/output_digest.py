@@ -6,7 +6,9 @@ Usage, from anywhere:
 
 The runs are the `bounds` experiment (seed 1, 4000 states, both sampler
 modes; 200 raw-mode states at s_max 200, where the sampler rejects hundreds
-of attempts per state; 1000 extremal states at s_max 1e5, where large
+of attempts per state; 40 raw-mode states at s_max 2000, fewer than one of
+the sampler's chunks, all but two of which reach its longest, 512-attempt
+rows; 1000 extremal states at s_max 1e5, where large
 entries stress the minimizer's rounding; 1000 extremal states at s_max 1e6,
 the sampler's upper limit ``S_MAX_LIMIT``, where its array tests decide on
 the largest entries; 500 extremal states at seed
@@ -99,6 +101,7 @@ def _outputs():
     runs = [("extremal_params", "4000", "20", "1", "2", ""),
             ("raw_standard_form", "4000", "20", "1", "2", ""),
             ("raw_standard_form", "200", "200", "1", "2", " s_max 200"),
+            ("raw_standard_form", "40", "2000", "1", "2", " s_max 2000"),
             ("extremal_params", "1000", "1e5", "1", "2", " s_max 1e5"),
             ("extremal_params", "1000", "1e6", "1", "2", " s_max 1e6"),
             ("extremal_params", "500", "20", str(2**128 + 12345), "2", " seed 2**128+12345"),
